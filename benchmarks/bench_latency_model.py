@@ -5,7 +5,8 @@ virtual-clock transport to measure *critical-path latency*: how much of each
 protocol's communication is sequential.  Shapes to observe: the KVS's latency
 is governed by the request/response chain and is nearly flat in the number of
 replicas (its fan-outs overlap), whereas GMW's latency grows with both the
-number of parties and the number of AND gates (its OT rounds chain).
+number of parties and the AND depth (its key-publication, OT and reveal rounds
+chain; the sender-keyed OT does no key generation inside them).
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ private inputs without revealing them.  The example computes two functions:
 * *unanimous consent*: the AND of every party's private vote, and
 * *private majority*: whether a majority of three designated parties voted yes,
 
-using boolean secret sharing, XOR gates for free, and one RSA-based oblivious
-transfer per ordered pair of parties for every AND gate.
+using boolean secret sharing, XOR gates for free, and one batched RSA-based
+oblivious transfer per ordered pair of parties for every layer of AND gates.
+Each party generates a single RSA key per computation and publishes it once
+to everybody; a circuit without AND gates (the parity below) needs no key.
 
 Run with::
 

@@ -309,6 +309,12 @@ class GatewayServer:
             return
         self._draining.set()
         if self._listener is not None:
+            # Closing a listening socket does not wake a thread blocked in
+            # accept() on Linux; shutting it down does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -7,7 +7,9 @@ the cryptographic strength of those primitives — only on their *shape* — so
 this module provides self-contained, dependency-free implementations:
 
 * Miller–Rabin primality testing and prime generation,
-* textbook RSA key generation / encryption / decryption, and
+* textbook RSA key generation / encryption / decryption,
+* the two hashes the oblivious transfer is built from (into ``Z_N``, and one
+  mask bit of a ``Z_N`` element), and
 * SHA-256 commitments.
 
 Randomness is always drawn from an explicit :class:`random.Random` so that
@@ -25,6 +27,10 @@ from typing import Tuple
 #: Default RSA modulus size (bits).  Small by cryptographic standards, but the
 #: case studies only need the communication pattern, and tests must stay fast.
 DEFAULT_RSA_BITS = 256
+
+#: The public exponent of every key :func:`generate_rsa_keypair` makes, so a
+#: public key travels as its modulus alone.
+RSA_PUBLIC_EXPONENT = 65537
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -110,7 +116,7 @@ class RSAKeyPair:
 def generate_rsa_keypair(rng: random.Random, bits: int = DEFAULT_RSA_BITS) -> RSAKeyPair:
     """Generate a textbook RSA key pair with a ``bits``-bit modulus."""
     half = bits // 2
-    exponent = 65537
+    exponent = RSA_PUBLIC_EXPONENT
     while True:
         p = generate_prime(half, rng)
         q = generate_prime(bits - half, rng)
@@ -124,29 +130,25 @@ def generate_rsa_keypair(rng: random.Random, bits: int = DEFAULT_RSA_BITS) -> RS
         return RSAKeyPair(RSAPublicKey(n, exponent), d)
 
 
-def random_public_key(rng: random.Random, bits: int = DEFAULT_RSA_BITS) -> RSAPublicKey:
-    """A public key whose private exponent nobody knows.
+def hash_to_zn(modulus: int, label: str) -> int:
+    """Hash ``label`` to an element of ``Z_N`` — a value anyone can recompute.
 
-    Used by the oblivious-transfer receiver for the slot it must *not* be able
-    to decrypt: a fresh key pair is generated and its private half discarded.
+    The oblivious transfer derives its two public offsets per instance this
+    way instead of having the sender transmit them.  SHAKE-256 is read 128
+    bits past the modulus width, so the reduction's bias is negligible.
     """
-    return generate_rsa_keypair(rng, bits).public
+    width = (modulus.bit_length() + 7) // 8
+    digest = hashlib.shake_256(f"zn|{modulus}|{label}".encode()).digest(width + 16)
+    return int.from_bytes(digest, "big") % modulus
 
 
-def encrypt_bit(key: RSAPublicKey, bit: bool, rng: random.Random) -> int:
-    """Encrypt a single bit with random padding so ciphertexts don't repeat.
+def mask_bit(element: int, label: str) -> bool:
+    """One hash bit of a ``Z_N`` element: the pad that hides an offered bit.
 
-    The bit is stored in the least-significant position; the padding is small
-    enough that the padded message always fits below the modulus.
+    Predicting it requires knowing ``element``, which for the slot the
+    receiver did not select is an RSA pre-image it cannot compute.
     """
-    padding_bits = max(8, key.modulus.bit_length() - 2 - 1)
-    padded = (rng.getrandbits(padding_bits) << 1) | int(bool(bit))
-    return key.encrypt(padded)
-
-
-def decrypt_bit(keypair: RSAKeyPair, ciphertext: int) -> bool:
-    """Recover the bit from :func:`encrypt_bit`."""
-    return bool(keypair.decrypt(ciphertext) & 1)
+    return bool(hashlib.sha256(f"bit|{element}|{label}".encode()).digest()[0] & 1)
 
 
 def commitment(value: int, salt: int) -> str:

@@ -9,6 +9,10 @@ evaluator on top:
 * the circuit is topologically levelled (:func:`~repro.protocols.circuits.
   level_circuit`) with structural deduplication, so shared subcircuits are
   evaluated once,
+* when the circuit has an AND gate, every party generates **one** RSA key
+  pair and publishes its public half to the whole census
+  (:func:`~repro.protocols.ot.publish_ot_keys`): a multiply-located value
+  that every later two-party OT conclave already knows,
 * secret inputs are dealt as boolean additive shares in **one scatter round
   per dealer**: each party serializes all the shares it owes a peer into a
   single message (``Faceted`` values with no common owners),
@@ -36,7 +40,7 @@ from ..core.locations import Location, LocationsLike, as_census
 from ..core.ops import ChoreoOp
 from . import crypto
 from .circuits import Circuit, InputWire, LitWire, XorGate, level_circuit
-from .ot import ot2_batch
+from .ot import OTKeys, ot2_batch, publish_ot_keys
 from .secretshare import make_boolean_shares, xor_all
 
 #: Per-endpoint secret inputs.  Either a flat mapping ``{wire_name: bit}``
@@ -132,10 +136,10 @@ def shared_and_layer(
     op: ChoreoOp,
     parties: LocationsLike,
     share_pairs: Sequence[SharePair],
+    keys: OTKeys,
     *,
     seed: int = 0,
     context: str = "",
-    rsa_bits: int = crypto.DEFAULT_RSA_BITS,
 ) -> List[Faceted[bool]]:
     """Compute shares of ``u AND v`` for a whole layer of gates at once.
 
@@ -146,7 +150,8 @@ def shared_and_layer(
     masks it generated)`` — but every ordered pair of distinct parties runs
     *one* batched oblivious transfer carrying the offers for every gate in
     ``share_pairs``.  A layer of k AND gates therefore costs the same
-    ``2 · n · (n-1)`` messages as a single gate.
+    ``2 · n · (n-1)`` messages as a single gate.  ``keys`` are the parties'
+    published session keys; every transfer a party sends uses its one pair.
     """
     members = as_census(parties)
     gate_count = len(share_pairs)
@@ -192,9 +197,9 @@ def shared_and_layer(
                     receiver,
                     pairs,
                     selects,
+                    keys,
                     seed=seed,
                     context=f"{context}|{sender}->{receiver}",
-                    rsa_bits=rsa_bits,
                 ),
             )
 
@@ -232,10 +237,10 @@ def shared_and(
     parties: LocationsLike,
     u_shares: Faceted[bool],
     v_shares: Faceted[bool],
+    keys: OTKeys,
     *,
     seed: int = 0,
     context: str = "",
-    rsa_bits: int = crypto.DEFAULT_RSA_BITS,
 ) -> Faceted[bool]:
     """Compute shares of ``u AND v`` from shares of ``u`` and ``v``.
 
@@ -243,7 +248,7 @@ def shared_and(
     exchange (two messages) per ordered pair of distinct parties.
     """
     (result,) = shared_and_layer(
-        op, parties, [(u_shares, v_shares)], seed=seed, context=context, rsa_bits=rsa_bits
+        op, parties, [(u_shares, v_shares)], keys, seed=seed, context=context
     )
     return result
 
@@ -260,14 +265,22 @@ def share_circuit(
     """Evaluate ``circuit`` under GMW, returning shares of the output bit.
 
     The layered analogue of the paper's recursive ``gmw`` function: the
-    circuit is levelled once, every party's input wires are shared in a single
-    scatter round per dealer, XOR gates evaluate locally, and the AND gates of
-    each layer run their oblivious transfers through one batched exchange per
-    ordered pair (:func:`shared_and_layer`).
+    circuit is levelled once, the parties publish their OT session keys if
+    any AND gate will need them, every party's input wires are shared in a
+    single scatter round per dealer, XOR gates evaluate locally, and the AND
+    gates of each layer run their oblivious transfers through one batched
+    exchange per ordered pair (:func:`shared_and_layer`).
     """
     members = as_census(parties)
     leveled = level_circuit(circuit)
     shares: Dict[int, Faceted[bool]] = {}
+
+    # 0. OT session keys: one all-to-all round, skipped by XOR-only circuits.
+    keys = (
+        publish_ot_keys(op, members, seed=seed, rsa_bits=rsa_bits)
+        if leveled.and_layers
+        else None
+    )
 
     # 1. Secret inputs: one scatter round per dealer, covering all its wires.
     by_dealer: Dict[Location, List[int]] = {}
@@ -318,12 +331,7 @@ def share_circuit(
                 for left, right in (leveled.child_ids[gate_id] for gate_id in layer)
             ]
             outputs = shared_and_layer(
-                op,
-                members,
-                pairs,
-                seed=seed,
-                context=f"layer-{depth}",
-                rsa_bits=rsa_bits,
+                op, members, pairs, keys, seed=seed, context=f"layer-{depth}"
             )
             for gate_id, output in zip(layer, outputs):
                 shares[gate_id] = output

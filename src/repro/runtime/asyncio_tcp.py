@@ -18,7 +18,10 @@ thread per transport:
 * the coalescing contract is unchanged on the send side (deferred sends,
   :data:`~repro.runtime.transport.FLUSH_WATERMARK` auto-drains, the
   flush-before-block rule) and a drained batch is handed to the loop as one
-  ``transport.writelines(batch)`` — asyncio's vectorized write.  The
+  ``transport.writelines(batch)`` — asyncio's vectorized write.  A
+  ``flush()`` wakes the loop **once** however many receivers it drained to
+  (a scatter, broadcast or gather round flushes to ``n − 1`` peers at a
+  time), not once per receiver.  The
   ``drain()`` half of the contract maps onto asyncio's flow control: when
   the loop reports ``pause_writing`` (the kernel send buffer is full), the
   *sending worker thread* blocks until ``resume_writing`` before posting the
@@ -48,8 +51,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from collections import deque
 from concurrent.futures import TimeoutError as _FutureTimeout
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..core.errors import TransportError
 from ..core.locations import Location, LocationsLike
@@ -133,6 +137,13 @@ class _AsyncioEndpoint(FramedCoalescingEndpoint):
         # writer protocol)``.  ``_out_lock`` (from the coalescing base)
         # guards only the cache dict, never connection setup.
         self._out: Dict[Location, Tuple[asyncio.Transport, _WriterProtocol]] = {}
+        # Drained batches on their way to the loop, in drain order.  Appended
+        # under the receiver's drain lock, emptied by ``_write_outbox`` on the
+        # loop, so per-pair FIFO holds whoever posts the wake-up.
+        self._outbox: Deque[Tuple[asyncio.Transport, _WriterProtocol, List[bytes]]] = deque()
+        # The thread inside ``flush()``: its deliveries ride the one wake-up
+        # the flush posts at its end instead of one each.
+        self._flusher: Optional[int] = None
         server = self._call_on_loop(
             self._loop.create_server(
                 lambda: _ReaderProtocol(self), "127.0.0.1", 0
@@ -187,6 +198,9 @@ class _AsyncioEndpoint(FramedCoalescingEndpoint):
         the connection to be writable (asyncio's ``resume_writing``), so the
         loop's write buffer — not this thread — is the only place bytes
         queue, and it stays bounded by the loop's high-water mark.
+
+        The batch joins the outbox; a watermark drain wakes the loop for it
+        at once, a drain inside :meth:`flush` leaves that to the flush.
         """
         conn, proto = self._connection_to(receiver)
         if proto.lost is not None:
@@ -198,17 +212,31 @@ class _AsyncioEndpoint(FramedCoalescingEndpoint):
                 f"{self.location!r}: send buffer to {receiver!r} stayed full for "
                 f"{self._timeout}s (peer not draining)"
             )
-        self._loop.call_soon_threadsafe(self._write_batch, conn, proto, batch)
+        self._outbox.append((conn, proto, batch))
+        if self._flusher != threading.get_ident():
+            self._loop.call_soon_threadsafe(self._write_outbox)
 
-    @staticmethod
-    def _write_batch(
-        conn: asyncio.Transport, proto: _WriterProtocol, batch: List[bytes]
-    ) -> None:
+    def flush(self) -> None:
+        """Drain every pending buffer; one loop wake-up for all receivers."""
+        if not self._has_pending:
+            return
+        self._flusher = threading.get_ident()
+        try:
+            super().flush()
+        finally:
+            self._flusher = None
+            if self._outbox:  # also what was drained before a failing receiver
+                self._loop.call_soon_threadsafe(self._write_outbox)
+
+    def _write_outbox(self) -> None:
         # Runs on the loop.  A connection torn down between the thread-side
         # check and this callback must not crash the shared loop; the loss is
         # surfaced to the sender on its next batch via ``proto.lost``.
-        if proto.lost is None and not conn.is_closing():
-            conn.writelines(batch)
+        outbox = self._outbox
+        while outbox:
+            conn, proto, batch = outbox.popleft()
+            if proto.lost is None and not conn.is_closing():
+                conn.writelines(batch)
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -22,6 +22,7 @@ Four promises are pinned down here:
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -117,6 +118,100 @@ class TestAsyncioMechanics:
         while loop_threads[0].is_alive() and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not loop_threads[0].is_alive()  # close() tears the loop down
+
+    def test_flush_wakes_the_loop_once_however_many_receivers(self, monkeypatch):
+        """A scatter/broadcast round flushes to n-1 peers: one self-pipe
+        write for all of them, per-pair FIFO intact."""
+        census = ["a", "b", "c", "d"]
+        with AsyncioTCPTransport(census, timeout=5.0) as transport:
+            endpoints = {location: transport.endpoint(location) for location in census}
+            sender = endpoints["a"]
+            for receiver in "bcd":  # connect first: setup posts to the loop too
+                sender.send(receiver, "hello")
+            sender.flush()
+            for receiver in "bcd":
+                assert endpoints[receiver].recv("a") == "hello"
+
+            wakeups = []
+            real = transport._loop.call_soon_threadsafe
+
+            def counting(callback, *args):
+                wakeups.append(callback)
+                return real(callback, *args)
+
+            monkeypatch.setattr(transport._loop, "call_soon_threadsafe", counting)
+            for index in range(3):
+                for receiver in "bcd":
+                    sender.send(receiver, (receiver, index))
+            sender.flush()
+            assert len(wakeups) == 1
+            sender.flush()  # nothing pending: no wake-up at all
+            assert len(wakeups) == 1
+            for receiver in "bcd":
+                received = [endpoints[receiver].recv("a") for _ in range(3)]
+                assert received == [(receiver, index) for index in range(3)]
+
+    def test_watermark_drain_outside_a_flush_still_reaches_the_loop(self):
+        from repro.runtime.transport import FLUSH_WATERMARK
+
+        with AsyncioTCPTransport(["a", "b"], timeout=5.0) as transport:
+            sender, receiver = transport.endpoint("a"), transport.endpoint("b")
+            big = b"x" * (FLUSH_WATERMARK + 1)
+            sender.send("b", big)  # past the watermark: drained by the send itself
+            assert not sender._has_pending
+            assert receiver.recv("a") == big
+
+    def test_concurrent_flushes_and_watermark_drains_keep_per_pair_fifo(self):
+        """The outbox is shared by every thread that drains and by the loop:
+        a flusher racing a sender whose frames cross the watermark must lose
+        nothing and reorder nothing on any channel."""
+        from repro.runtime.transport import FLUSH_WATERMARK
+
+        census = ["a", "b", "c", "d"]
+        count = 150
+        padding = b"x" * (FLUSH_WATERMARK // 4)  # a drain every few sends
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AsyncioTCPTransport(census, timeout=10.0) as transport:
+                endpoints = {location: transport.endpoint(location) for location in census}
+                sender = endpoints["a"]
+                sending = threading.Event()
+                sending.set()
+                errors = []
+
+                def produce():
+                    try:
+                        for index in range(count):
+                            for receiver in "bcd":
+                                sender.send(receiver, (index, padding))
+                    except BaseException as exc:  # surfaced below
+                        errors.append(exc)
+                    finally:
+                        sending.clear()
+
+                def keep_flushing():
+                    try:
+                        while sending.is_set():
+                            sender.flush()
+                    except BaseException as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=produce)] + [
+                    threading.Thread(target=keep_flushing) for _ in range(3)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=20.0)
+                    assert not thread.is_alive()
+                assert not errors, errors
+                sender.flush()
+                for receiver in "bcd":
+                    indices = [endpoints[receiver].recv("a")[0] for _ in range(count)]
+                    assert indices == list(range(count)), receiver
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_close_is_idempotent_and_refuses_new_endpoints(self):
         transport = AsyncioTCPTransport(["a", "b"], timeout=1.0)

@@ -375,6 +375,19 @@ class TestDrain:
         server.close()
         server.close()
 
+    def test_close_on_an_idle_server_does_not_wait_out_the_accept_thread(self):
+        """Closing the listener must wake the thread blocked in accept():
+        close() used to sit through its whole 1 s join on every teardown."""
+        with ClusterClient(shards=1, replication=1, backend=BACKEND) as kvs:
+            server = GatewayServer(kvs).start()
+            accept_thread = server._accept_thread
+            time.sleep(0.05)  # let the thread reach accept()
+            began = time.monotonic()
+            server.close()
+            elapsed = time.monotonic() - began
+        assert not accept_thread.is_alive()
+        assert elapsed < 0.5, f"close() took {elapsed:.2f}s"
+
 
 class TestGatewaySettings:
     def test_from_env_reads_prefixed_vars(self):

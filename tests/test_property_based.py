@@ -32,13 +32,15 @@ from repro.protocols.circuits import (
 )
 from repro.protocols.crypto import (
     commitment,
-    decrypt_bit,
-    encrypt_bit,
     generate_rsa_keypair,
+    hash_to_zn,
     is_probable_prime,
+    mask_bit,
     party_rng,
     verify_commitment,
 )
+from repro.protocols.ot import ot2_batch, publish_ot_keys
+from repro.runtime.central import CentralOp
 from repro.protocols.secretshare import (
     make_boolean_shares,
     make_modular_shares,
@@ -156,12 +158,31 @@ class TestSecretSharingProperties:
 
 
 class TestCryptoProperties:
-    @given(st.booleans(), st.integers(0, 2**16))
+    @given(st.integers(0, 2**16), st.text(max_size=12), st.integers(0, 2**128))
     @settings(max_examples=15, deadline=None)
-    def test_rsa_bit_roundtrip(self, bit, seed):
-        keys = generate_rsa_keypair(party_rng(seed, "kp"), bits=128)
-        ciphertext = encrypt_bit(keys.public, bit, party_rng(seed, "pad"))
-        assert decrypt_bit(keys, ciphertext) == bit
+    def test_ot_hashes_are_in_range_and_deterministic(self, seed, label, element):
+        modulus = generate_rsa_keypair(party_rng(seed, "kp"), bits=128).public.modulus
+        offset = hash_to_zn(modulus, label)
+        assert 0 <= offset < modulus
+        assert offset == hash_to_zn(modulus, label)
+        assert offset != hash_to_zn(modulus, label + "|1")
+        assert mask_bit(element, label) is mask_bit(element, label)
+
+    @given(
+        st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=6),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_batched_ot_delivers_exactly_the_selected_bits(self, instances, seed):
+        op = CentralOp(["s", "r"])
+        keys = publish_ot_keys(op, ["s", "r"], seed=seed, rsa_bits=128)
+        pairs = op.locally("s", lambda _un: [(b0, b1) for b0, b1, _s in instances])
+        selects = op.locally("r", lambda _un: [s for _b0, _b1, s in instances])
+        before = op.stats.total_messages
+        received = ot2_batch(op, "s", "r", pairs, selects, keys, seed=seed, context="prop")
+        assert received.peek() == [b1 if s else b0 for b0, b1, s in instances]
+        assert list(received.owners) == ["r"]
+        assert op.stats.total_messages - before == 2
 
     @given(st.integers(0, 2**30), st.integers(0, 2**30))
     @SETTINGS

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from repro.core.locations import Census
 from repro.protocols import circuits, crypto
-from repro.protocols.ot import ot2
+from repro.protocols.ot import ot2, ot2_batch, publish_ot_keys
 from repro.protocols.secretshare import (
     make_boolean_shares,
     make_modular_shares,
@@ -58,21 +59,24 @@ class TestCrypto:
         with pytest.raises(ValueError):
             keys.decrypt(-1)
 
-    def test_bit_encryption_is_randomised(self):
+    def test_keypairs_share_the_public_exponent(self):
         keys = crypto.generate_rsa_keypair(random.Random(1), bits=128)
-        rng = random.Random(2)
-        ciphertexts = {crypto.encrypt_bit(keys.public, True, rng) for _ in range(5)}
-        assert len(ciphertexts) == 5
-        assert all(crypto.decrypt_bit(keys, ct) for ct in ciphertexts)
+        assert keys.public.exponent == crypto.RSA_PUBLIC_EXPONENT
 
-    def test_random_public_key_cannot_decrypt(self):
-        rng = random.Random(5)
-        real = crypto.generate_rsa_keypair(rng, bits=128)
-        fake_public = crypto.random_public_key(rng, bits=128)
-        ciphertext = crypto.encrypt_bit(fake_public, True, rng)
-        # decrypting with an unrelated private key gives garbage far more often
-        # than not; at minimum it must not be a reliable channel
-        assert fake_public.modulus != real.public.modulus
+    def test_hash_to_zn_is_in_range_and_separates_labels_and_moduli(self):
+        modulus = crypto.generate_rsa_keypair(random.Random(1), bits=128).public.modulus
+        other = crypto.generate_rsa_keypair(random.Random(2), bits=128).public.modulus
+        values = {crypto.hash_to_zn(modulus, f"ctx|{i}|{slot}") for i in range(8) for slot in (0, 1)}
+        assert len(values) == 16
+        assert all(0 <= value < modulus for value in values)
+        assert crypto.hash_to_zn(modulus, "ctx|0|0") == crypto.hash_to_zn(modulus, "ctx|0|0")
+        assert crypto.hash_to_zn(modulus, "ctx|0|0") != crypto.hash_to_zn(other, "ctx|0|0")
+
+    def test_mask_bit_depends_on_element_and_label(self):
+        bits = [crypto.mask_bit(element, "ctx|0|0") for element in range(64)]
+        assert {True, False} == set(bits)
+        relabelled = [crypto.mask_bit(element, "ctx|0|1") for element in range(64)]
+        assert bits != relabelled
 
     def test_commitments(self):
         digest = crypto.commitment(123, 456)
@@ -174,38 +178,69 @@ class TestCircuits:
 
 class TestObliviousTransfer:
     CENSUS = ["sender", "receiver", "other"]
+    PAIR = ["sender", "receiver"]
+    CASES = list(itertools.product([False, True], repeat=3))
 
-    @pytest.mark.parametrize("b0", [False, True])
-    @pytest.mark.parametrize("b1", [False, True])
-    @pytest.mark.parametrize("select", [False, True])
-    def test_receiver_learns_exactly_the_selected_bit(self, b0, b1, select):
-        def chor(op):
+    @staticmethod
+    def chor(b0, b1, select, seed=9):
+        def run(op):
+            keys = publish_ot_keys(op, TestObliviousTransfer.PAIR, seed=seed, rsa_bits=128)
             pair = op.locally("sender", lambda _un: (b0, b1))
             choice = op.locally("receiver", lambda _un: select)
-            result = op.conclave_to(
-                ["sender", "receiver"],
+            return op.conclave_to(
+                TestObliviousTransfer.PAIR,
                 ["receiver"],
-                lambda sub: ot2(sub, "sender", "receiver", pair, choice, seed=9, rsa_bits=128),
+                lambda sub: ot2(sub, "sender", "receiver", pair, choice, keys, seed=seed),
             )
-            return result
 
-        op = CentralOp(self.CENSUS)
-        outcome = chor(op)
+        return run
+
+    @pytest.mark.parametrize("b0,b1,select", CASES)
+    def test_receiver_learns_exactly_the_selected_bit(self, b0, b1, select):
+        outcome = self.chor(b0, b1, select)(CentralOp(self.CENSUS))
         assert outcome.peek() == (b1 if select else b0)
+        assert list(outcome.owners) == ["receiver"]
 
-    def test_projected_execution_matches_and_excludes_third_party(self):
-        def chor(op):
-            pair = op.locally("sender", lambda _un: (False, True))
-            choice = op.locally("receiver", lambda _un: True)
-            result = op.conclave_to(
-                ["sender", "receiver"],
-                ["receiver"],
-                lambda sub: ot2(sub, "sender", "receiver", pair, choice, seed=3, rsa_bits=128),
-            )
-            return result
-
-        outcome = run_choreography(chor, self.CENSUS)
-        assert outcome.value_at("receiver") is True
+    @pytest.mark.parametrize("b0,b1,select", CASES)
+    def test_projected_execution_matches_and_excludes_third_party(self, b0, b1, select):
+        outcome = run_choreography(self.chor(b0, b1, select, seed=3), self.CENSUS)
+        assert outcome.value_at("receiver") is (b1 if select else b0)
         assert outcome.stats.messages_involving("other") == 0
-        # OT is two messages: keys over, ciphertexts back
-        assert outcome.stats.total_messages == 2
+        # two parties publish a key each; the OT itself is two messages:
+        # blinded selection over, masked pair back
+        assert outcome.stats.total_messages == 2 + 2
+
+    def test_batch_is_two_messages_whatever_its_size(self):
+        op = CentralOp(self.PAIR)
+        keys = publish_ot_keys(op, self.PAIR, seed=4, rsa_bits=128)
+        offers = [(bool(i & 1), bool(i & 2)) for i in range(9)]
+        picks = [bool(i % 3 == 0) for i in range(9)]
+        before = op.stats.total_messages
+        received = ot2_batch(
+            op, "sender", "receiver",
+            op.locally("sender", lambda _un: offers),
+            op.locally("receiver", lambda _un: picks),
+            keys, seed=4, context="batch",
+        )
+        assert received.peek() == [offer[pick] for offer, pick in zip(offers, picks)]
+        assert op.stats.total_messages - before == 2
+
+    def test_published_keys_are_fixed_width_and_known_to_every_party(self):
+        op = CentralOp(self.CENSUS)
+        keys = publish_ot_keys(op, self.CENSUS, seed=5, rsa_bits=100)
+        assert list(keys.moduli.owners) == self.CENSUS
+        assert list(keys.keypairs.common) == []  # private halves stay private
+        assert {len(raw) for raw in keys.moduli.peek().values()} == {13}  # ceil(100 / 8)
+        n = len(self.CENSUS)
+        assert op.stats.total_messages == n * (n - 1)
+        for party, raw in keys.moduli.peek():
+            assert int.from_bytes(raw, "big") == keys.keypairs.facet_for(party).public.modulus
+
+    def test_different_seeds_publish_different_keys(self):
+        def moduli(seed):
+            return publish_ot_keys(
+                CentralOp(self.PAIR), self.PAIR, seed=seed, rsa_bits=128
+            ).moduli.peek()
+
+        assert moduli(1) == moduli(1)
+        assert set(moduli(1).values()).isdisjoint(moduli(2).values())

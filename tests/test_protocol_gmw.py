@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import pytest
 
 from repro.core.locations import Census
-from repro.protocols import circuits
+from repro.protocols import circuits, crypto
 from repro.protocols.circuits import level_circuit
 from repro.protocols.gmw import (
     gmw,
@@ -18,6 +19,7 @@ from repro.protocols.gmw import (
     shared_and,
     shared_and_layer,
 )
+from repro.protocols.ot import publish_ot_keys
 from repro.runtime.central import CentralOp
 from repro.runtime.runner import run_choreography
 from repro.runtime.stats import ChannelStats
@@ -25,9 +27,16 @@ from repro.runtime.central import run_centralized
 
 RSA_BITS = 128  # keep key generation fast in tests
 
+# ``repro.protocols.gmw`` the attribute is the re-exported function; this is the module
+gmw_module = importlib.import_module("repro.protocols.gmw")
+
 
 def central(parties):
     return CentralOp(parties)
+
+
+def session_keys(op, parties, seed=3):
+    return publish_ot_keys(op, parties, seed=seed, rsa_bits=RSA_BITS)
 
 
 class TestSecretShareAndReveal:
@@ -78,7 +87,7 @@ class TestSharedAnd:
             op, self.PARTIES, "p2", op.locally("p2", lambda _un: right), seed=2, context="R"
         )
         product = shared_and(
-            op, self.PARTIES, left_shares, right_shares, seed=3, rsa_bits=RSA_BITS
+            op, self.PARTIES, left_shares, right_shares, session_keys(op, self.PARTIES), seed=3
         )
         assert reveal(op, self.PARTIES, product) == (left and right)
 
@@ -90,10 +99,12 @@ class TestSharedAnd:
         right_shares = secret_share(
             op, self.PARTIES, "p2", op.locally("p2", lambda _un: True), seed=2, context="R"
         )
+        keys = session_keys(op, self.PARTIES)
         before = op.stats.total_messages
-        shared_and(op, self.PARTIES, left_shares, right_shares, seed=3, rsa_bits=RSA_BITS)
+        shared_and(op, self.PARTIES, left_shares, right_shares, keys, seed=3)
         n = len(self.PARTIES)
-        # each ordered pair of distinct parties runs one OT (2 messages each)
+        # each ordered pair of distinct parties runs one OT (2 messages each);
+        # the keys were published before and cost nothing more here
         assert op.stats.total_messages - before == 2 * n * (n - 1)
 
 
@@ -167,7 +178,9 @@ class TestBatchedPrimitives:
                 seed=22, context=f"v{index}",
             )
             pairs.append((u, v))
-        products = shared_and_layer(op, self.PARTIES, pairs, seed=23, rsa_bits=RSA_BITS)
+        products = shared_and_layer(
+            op, self.PARTIES, pairs, session_keys(op, self.PARTIES), seed=23
+        )
         for bit, product in zip(bits, products):
             assert reveal(op, self.PARTIES, product) == (bit and True)
 
@@ -189,22 +202,24 @@ class TestBatchedPrimitives:
                 pairs.append((u, v))
             return pairs
 
+        keys = session_keys(op, self.PARTIES)
         one_gate = make_pairs(1, "a")
         before = op.stats.total_messages
-        shared_and_layer(op, self.PARTIES, one_gate, seed=33, rsa_bits=RSA_BITS)
+        shared_and_layer(op, self.PARTIES, one_gate, keys, seed=33, context="one")
         single_cost = op.stats.total_messages - before
 
         five_gates = make_pairs(5, "b")
         before = op.stats.total_messages
-        shared_and_layer(op, self.PARTIES, five_gates, seed=34, rsa_bits=RSA_BITS)
+        shared_and_layer(op, self.PARTIES, five_gates, keys, seed=34, context="five")
         batched_cost = op.stats.total_messages - before
 
         assert single_cost == batched_cost == 2 * n * (n - 1)
 
     def test_empty_layer_is_free(self):
         op = central(self.PARTIES)
+        keys = session_keys(op, self.PARTIES)
         before = op.stats.total_messages
-        assert shared_and_layer(op, self.PARTIES, [], seed=1) == []
+        assert shared_and_layer(op, self.PARTIES, [], keys, seed=1) == []
         assert op.stats.total_messages == before
 
 
@@ -305,3 +320,148 @@ class TestGMWEndToEnd:
         from repro.protocols.secretshare import xor_all
 
         assert xor_all(quire.values()) is True
+
+
+def expected_messages(parties, circuit):
+    """dealers·(n−1) + [depth>0]·n·(n−1) + 2·n·(n−1)·depth + n·(n−1)."""
+    n = len(parties)
+    leveled = level_circuit(circuit)
+    dealers = {leveled.nodes[wire_id].party for wire_id in leveled.input_ids}
+    depth = leveled.round_count
+    return (
+        len(dealers) * (n - 1)       # input sharing
+        + (depth > 0) * n * (n - 1)  # key publication
+        + 2 * n * (n - 1) * depth    # one batched OT per ordered pair and layer
+        + n * (n - 1)                # reveal
+    )
+
+
+class TestSessionKeyAccounting:
+    """One RSA key per party and run, published once; everything else pinned."""
+
+    @pytest.fixture
+    def keygen_calls(self, monkeypatch):
+        calls = []
+        real = crypto.generate_rsa_keypair
+
+        def counting(rng, bits=crypto.DEFAULT_RSA_BITS):
+            calls.append(bits)
+            return real(rng, bits)
+
+        monkeypatch.setattr(crypto, "generate_rsa_keypair", counting)
+        return calls
+
+    @pytest.mark.parametrize("n_parties", [2, 3, 4])
+    @pytest.mark.parametrize("transport", ["central", "local"])
+    def test_one_keygen_per_party_when_the_circuit_has_an_and_gate(
+        self, keygen_calls, n_parties, transport
+    ):
+        parties = [f"p{i}" for i in range(1, n_parties + 1)]
+        circuit = circuits.deep_and_tree(parties, depth=2)  # 3 AND gates, 2 layers
+        names = circuits.input_names(circuit)
+        inputs = {p: {name: True for name in names.get(p, [])} for p in parties}
+        if transport == "central":
+            assert run_centralized(
+                lambda op: gmw(op, parties, circuit, inputs, seed=5, rsa_bits=RSA_BITS), parties
+            ) is True
+        else:
+            assert set(run_gmw(circuit, inputs, parties).returns.values()) == {True}
+        assert keygen_calls == [RSA_BITS] * n_parties
+
+    def test_xor_only_circuit_generates_no_keys(self, keygen_calls):
+        parties = ["p1", "p2", "p3"]
+        result = run_gmw(circuits.xor_tree(parties), {p: {"x": True} for p in parties}, parties)
+        assert set(result.returns.values()) == {True}
+        assert keygen_calls == []
+
+    @pytest.mark.parametrize(
+        "parties,circuit",
+        [
+            (["p1", "p2"], circuits.and_tree(["p1", "p2"])),
+            (["p1", "p2", "p3"], circuits.xor_tree(["p1", "p2", "p3"])),
+            (["p1", "p2", "p3"], circuits.alternating_tree(["p1", "p2", "p3"], depth=3)),
+            (["p1", "p2", "p3", "p4"], circuits.and_tree(["p1", "p2", "p3", "p4"])),
+            (["p1", "p2", "p3", "p4"], circuits.deep_and_tree(["p1", "p2", "p3", "p4"], 3)),
+            # p3 deals nothing: dealers < n
+            (["p1", "p2", "p3"], circuits.InputWire("p1", "a") & circuits.InputWire("p2", "b")),
+        ],
+    )
+    def test_message_total_is_pinned(self, parties, circuit):
+        names = circuits.input_names(circuit)
+        inputs = {p: {name: True for name in names.get(p, [])} for p in parties}
+        result = run_gmw(circuit, inputs, parties)
+        assert set(result.returns.values()) == {circuits.evaluate_plain(circuit, inputs)}
+        assert result.stats.total_messages == expected_messages(parties, circuit)
+
+    def test_reference_shapes(self):
+        four = ["p1", "p2", "p3", "p4"]
+        assert expected_messages(four, circuits.and_tree(four)) == 84
+        assert expected_messages(four, circuits.deep_and_tree(four, 3)) == 108
+
+    def test_runs_with_different_seeds_publish_different_moduli(self, monkeypatch):
+        published = []
+
+        def recording(op, parties, **kwargs):
+            keys = publish_ot_keys(op, parties, **kwargs)
+            published.append(set(keys.moduli.peek().values()))
+            return keys
+
+        monkeypatch.setattr(gmw_module, "publish_ot_keys", recording)
+        parties = ["p1", "p2", "p3"]
+        circuit = circuits.and_tree(parties)
+        inputs = {p: {"x": True} for p in parties}
+        for seed in (1, 2, 1):
+            run_centralized(
+                lambda op: gmw(op, parties, circuit, inputs, seed=seed, rsa_bits=RSA_BITS), parties
+            )
+        first, second, first_again = published
+        assert len(first) == len(second) == len(parties)
+        assert first.isdisjoint(second)
+        assert first == first_again  # derived from the seed, not cached: reproducible
+
+
+class TestWireBytesArePinned:
+    """Field elements travel at fixed width, so a run's bytes per channel are
+    a function of (census, circuit, rsa_bits) — not of seed, inputs or shares."""
+
+    PARTIES = ["p1", "p2", "p3"]
+    CIRCUIT = circuits.alternating_tree(PARTIES, depth=2)
+
+    def run(self, backend, seed, bits, rsa_bits=RSA_BITS):
+        names = circuits.input_names(self.CIRCUIT)
+        flat = iter(bits)
+        inputs = {p: {name: next(flat) for name in names.get(p, [])} for p in self.PARTIES}
+        result = run_choreography(
+            lambda op, my_inputs: gmw(
+                op, self.PARTIES, self.CIRCUIT, my_inputs, seed=seed, rsa_bits=rsa_bits
+            ),
+            self.PARTIES, args=(inputs,), transport=backend, timeout=15.0,
+        )
+        assert set(result.returns.values()) == {circuits.evaluate_plain(self.CIRCUIT, inputs)}
+        return dict(result.stats.messages), dict(result.stats.payload_bytes)
+
+    def input_count(self):
+        return sum(len(names) for names in circuits.input_names(self.CIRCUIT).values())
+
+    def test_bytes_do_not_depend_on_seed_inputs_or_select_bits(self):
+        # every input assignment (hence every pattern of OT select bits the
+        # shares can take) under several seeds, on the reference semantics
+        assignments = list(itertools.product([False, True], repeat=self.input_count()))
+        observed = {
+            repr(self.run("central", seed, bits))
+            for seed in (0, 1, 2, 7, 11, 2**31)
+            for bits in assignments[:: max(1, len(assignments) // 16)]
+        }
+        assert len(observed) == 1
+
+    def test_bytes_identical_on_every_backend(self):
+        count = self.input_count()
+        reference = self.run("central", 0, [True] * count)
+        for backend in ["local", "tcp", "asyncio", "simulated"]:
+            for seed, bits in [(5, [True] * count), (6, [i % 2 == 0 for i in range(count)])]:
+                assert self.run(backend, seed, bits) == reference, (backend, seed)
+
+    def test_bytes_follow_the_modulus_width(self):
+        _messages, narrow = self.run("central", 3, [True] * self.input_count(), rsa_bits=128)
+        _messages, wide = self.run("central", 3, [True] * self.input_count(), rsa_bits=192)
+        assert sum(wide.values()) > sum(narrow.values())
