@@ -1,4 +1,4 @@
-"""Machine-readable benchmark results: ``BENCH_PR10.json``.
+"""Machine-readable benchmark results: ``bench-report.json``.
 
 Benchmark numbers used to live only in prose (docs/performance.md tables and
 terminal output), which makes the perf trajectory across PRs impossible to
@@ -25,7 +25,8 @@ import subprocess
 import time
 from typing import Any, Dict, List, Optional
 
-DEFAULT_PATH = "BENCH_PR10.json"
+#: PR-independent, so no PR has to rename it (and the CI artifact path with it).
+DEFAULT_PATH = "bench-report.json"
 
 #: Collected records for the current process, in call order.
 RESULTS: List[Dict[str, Any]] = []

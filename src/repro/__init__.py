@@ -119,11 +119,9 @@ from .runtime import (
     TCPTransport,
     TransportBackend,
     WireCodec,
-    backend_names,
     impl,
     implementations,
     implements,
-    register_backend,
     register_impl,
     resolve_impl,
     run_centralized,
@@ -185,13 +183,11 @@ __all__ = [
     "WireCodec",
     "WriteAheadLog",
     "as_census",
-    "backend_names",
     "choreography",
     "impl",
     "implementations",
     "implements",
     "project",
-    "register_backend",
     "register_impl",
     "resolve_impl",
     "rejoin_backup",

@@ -1,9 +1,11 @@
 """Sharded key-value service built from census-polymorphic choreographies.
 
-The paper's primitives — parameterized replica groups
-(:func:`~repro.protocols.kvs.kvs_with_backups`), quorum-style voting, and
-:func:`~repro.protocols.kvs.resynch` repair — are exactly the building blocks
-of a horizontally sharded service.  This package assembles them:
+The paper's primitives — parameterized replica groups (one
+:func:`~repro.protocols.kvs.replicated` round, instantiated as
+:func:`~repro.protocols.kvs.kvs_with_backups` and its siblings), quorum-style
+voting, and :func:`~repro.protocols.kvs.resynch` repair — are exactly the
+building blocks of a horizontally sharded service.  This package assembles
+them:
 
 * :class:`~repro.cluster.router.ShardRouter` — a deterministic
   consistent-hash ring mapping keys to shards (stable under shard
@@ -25,9 +27,9 @@ around via the zero-backup degradation path of
 replayed against the shrunken replica group.  A dead *primary* is failed
 over the same way: the senior surviving backup is promoted to head, the
 shard's epoch is bumped and stamped into every surviving durable replica's
-WAL, stale-epoch bindings are fenced with the typed
-:class:`~repro.protocols.kvs.StaleEpoch` (no split brain), and the
-promotion is recorded as a
+WAL, every binding is :func:`~repro.protocols.kvs.fenced` so stale-epoch
+ones fail with the typed :class:`~repro.protocols.kvs.StaleEpoch` (no split
+brain), and the promotion is recorded as a
 :class:`~repro.cluster.engine.PromotionReport`.  With a ``durability=``
 configuration (:class:`~repro.storage.Durability`) every replica store is
 write-ahead logged and snapshotted, and
@@ -72,14 +74,6 @@ from .engine import (
     TxnConflict,
     TxnResult,
     rejoin_backup,
-    shard_catchup,
-    shard_delete,
-    shard_get,
-    shard_ping,
-    shard_put,
-    shard_scan,
-    shard_txn_decide,
-    shard_txn_prepare,
 )
 from .router import DEFAULT_VNODES, ShardRouter
 
@@ -98,12 +92,4 @@ __all__ = [
     "TxnConflict",
     "TxnResult",
     "rejoin_backup",
-    "shard_catchup",
-    "shard_delete",
-    "shard_get",
-    "shard_ping",
-    "shard_put",
-    "shard_scan",
-    "shard_txn_decide",
-    "shard_txn_prepare",
 ]

@@ -98,12 +98,13 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..chor import ChoreographyDef, choreography
 from ..core.errors import ChoreographyRuntimeError, ChoreoTimeout
 from ..core.located import Faceted
 from ..core.locations import Census, Location, as_census
+from ..core.ops import Choreography
 from ..protocols.kvs import (
     WRITE_KINDS,
     CatchupReport,
@@ -114,6 +115,7 @@ from ..protocols.kvs import (
     ShardEpoch,
     StaleEpoch,
     State,
+    fenced,
     kvs_catchup,
     kvs_delete,
     kvs_ping,
@@ -197,23 +199,45 @@ class TxnConflict(TxnAborted):
 
 # -- the per-shard data-plane choreographies ------------------------------------------
 #
-# Census polymorphic over (client, primary, backups); the ClusterEngine binds
-# each to one shard's concrete censuses and state via ChoreographyDef.bind,
-# so a submitted request carries only its own data (key/value/prefix).
+# A submitted request carries only its own data (key/value/prefix): a
+# binding pre-applies one shard's concrete (client, primary, backups, state)
+# to a census-polymorphic ``kvs_*`` choreography and lifts the submitted
+# arguments into the payload located at the client.
 
 
-@choreography(name="shard_put")
-def shard_put(op, client, server, backups, state_refs, key, value,
-              epoch=None, fence=None):
-    """Replicate one Put through the shard's replica group, ack at the client."""
-    request = op.locally(client, lambda _un: Request.put(key, value))
-    return kvs_with_backups(op, client, server, backups, state_refs, request,
-                            epoch=epoch, fence=fence)
+def _lifted(chor: Choreography, lift: Callable[..., Any], client: Location,
+            *bound: Any) -> Choreography:
+    """``chor(op, client, *bound, payload)`` with ``payload = lift(*args)`` at the client."""
+
+    def run(op, *args):
+        payload = op.locally(client, lambda _un: lift(*args))
+        return chor(op, client, *bound, payload)
+
+    return run
+
+
+def _as_given(value: Any) -> Any:
+    return value
+
+
+#: The ops with the replica-group shape ``(client, primary, backups, state,
+#: payload)``: session attribute → (choreography, payload lift).
+_REPLICA_GROUP_OPS: Dict[str, Tuple[Choreography, Callable[..., Any]]] = {
+    "put": (kvs_with_backups, Request.put),
+    "delete": (kvs_delete, _as_given),
+    # Group commit, the cluster's high-throughput path: one instance and
+    # ``2 + 2·backups`` messages per batch, however many requests it carries.
+    "serve": (kvs_serve_batch, list),
+    "txn_prepare": (kvs_txn_prepare, lambda txn_id, writes, expects: (
+        txn_id, dict(writes), dict(expects or {}))),
+    "txn_decide": (kvs_txn_decide, lambda txn_id, verdict, writes: (
+        txn_id, verdict, dict(writes))),
+}
 
 
 @choreography(name="shard_get")
 def shard_get(op, client, server, backups, state_refs, key,
-              quorum=False, read_repair=True, epoch=None, fence=None):
+              quorum=False, read_repair=True):
     """Read one key: from the primary, or from a replica quorum.
 
     ``quorum`` and ``read_repair`` are deployment knobs (global knowledge),
@@ -224,92 +248,10 @@ def shard_get(op, client, server, backups, state_refs, key,
         located_key = op.locally(client, lambda _un: key)
         return kvs_quorum_get(
             op, client, server, backups, state_refs, located_key,
-            read_repair=read_repair, epoch=epoch, fence=fence,
+            read_repair=read_repair,
         )
     request = op.locally(client, lambda _un: Request.get(key))
-    return kvs_with_backups(op, client, server, backups, state_refs, request,
-                            epoch=epoch, fence=fence)
-
-
-@choreography(name="shard_delete")
-def shard_delete(op, client, server, backups, state_refs, key,
-                 epoch=None, fence=None):
-    """Unbind one key across the shard's replica group, ack at the client."""
-    located_key = op.locally(client, lambda _un: key)
-    return kvs_delete(op, client, server, backups, state_refs, located_key,
-                      epoch=epoch, fence=fence)
-
-
-@choreography(name="shard_serve")
-def shard_serve(op, client, server, backups, state_refs, requests,
-                epoch=None, fence=None):
-    """Serve a whole request batch in one replica-group round (group commit).
-
-    The cluster's high-throughput path: one instance and ``2 + 2·backups``
-    messages per batch, however many requests it carries
-    (:func:`~repro.protocols.kvs.kvs_serve_batch`).
-    """
-    located_batch = op.locally(client, lambda _un: list(requests))
-    return kvs_serve_batch(op, client, server, backups, state_refs, located_batch,
-                           epoch=epoch, fence=fence)
-
-
-@choreography(name="shard_txn_prepare")
-def shard_txn_prepare(op, client, server, backups, state_refs,
-                      txn_id, writes, expects, epoch=None, fence=None):
-    """Phase one of 2PC at one shard: vote and park the write intent.
-
-    The cluster coordinator (``ClusterEngine.submit_txn``) drives one of
-    these per participating shard (:func:`~repro.protocols.kvs.
-    kvs_txn_prepare`); the shard's vote comes back as the client response.
-    """
-    payload = op.locally(
-        client, lambda _un: (txn_id, dict(writes), dict(expects or {}))
-    )
-    return kvs_txn_prepare(op, client, server, backups, state_refs, payload,
-                           epoch=epoch, fence=fence)
-
-
-@choreography(name="shard_txn_decide")
-def shard_txn_decide(op, client, server, backups, state_refs,
-                     txn_id, verdict, writes, epoch=None, fence=None):
-    """Phase two of 2PC at one shard: commit the parked writes or roll back.
-
-    Idempotent and self-contained (the payload carries the writes), so the
-    cluster's replay-after-failover machinery can re-dispatch it safely
-    (:func:`~repro.protocols.kvs.kvs_txn_decide`).
-    """
-    payload = op.locally(client, lambda _un: (txn_id, verdict, dict(writes)))
-    return kvs_txn_decide(op, client, server, backups, state_refs, payload,
-                          epoch=epoch, fence=fence)
-
-
-@choreography(name="shard_scan")
-def shard_scan(op, client, server, state_refs, prefix, epoch=None, fence=None):
-    """Scan one shard's bindings under ``prefix`` (primary answers alone)."""
-    located_prefix = op.locally(client, lambda _un: prefix)
-    return kvs_scan(op, client, server, state_refs, located_prefix,
-                    epoch=epoch, fence=fence)
-
-
-@choreography(name="shard_ping")
-def shard_ping(op, client, replica, token):
-    """Probe one replica's liveness (two messages, state untouched)."""
-    located_token = op.locally(client, lambda _un: token)
-    return kvs_ping(op, client, replica, located_token)
-
-
-@choreography(name="shard_catchup")
-def shard_catchup(op, client, server, rejoiner, state_refs, epoch=None, fence=None):
-    """Bring a restarted replica to parity with the primary before re-join.
-
-    The transfer itself runs in a primary/rejoiner conclave
-    (:func:`~repro.protocols.kvs.kvs_catchup`); the other replicas complete
-    the instance vacuously, and the client receives the verified
-    :class:`~repro.protocols.kvs.CatchupReport`.
-    """
-    return kvs_catchup(op, client, server, rejoiner, state_refs,
-                       epoch=epoch, fence=fence)
+    return kvs_with_backups(op, client, server, backups, state_refs, request)
 
 
 @dataclass(frozen=True)
@@ -421,7 +363,7 @@ class _ShardSession:
 
     __slots__ = (
         "shard_id", "client", "census", "servers", "primary", "backups", "down",
-        "rejoining", "durability", "state", "engine", "epoch", "fence",
+        "rejoining", "durability", "state", "engine", "fence",
         "put", "get", "delete", "scan", "serve", "txn_prepare", "txn_decide",
         "pings",
     )
@@ -456,22 +398,28 @@ class _ShardSession:
         self.state: Faceted[State] = Faceted(
             self.servers, {s: self._open_store(s) for s in self.servers}
         )
-        #: The shard's current epoch and its live fence cell.  Bumped by
-        #: :meth:`promote`; every data-plane binding captures the epoch value
+        #: The shard's live fence cell, holding its current epoch.  Advanced
+        #: by :meth:`promote`; every data-plane binding captures the epoch
         #: current at bind time and is checked against the cell at run time.
-        self.epoch: int = 0
         self.fence = ShardEpoch(0)
         self._recover_promoted_head()
         self.engine = ChoreoEngine(
             self.census, backend=backend, timeout=timeout, **backend_options
         )
+        #: Liveness probes, one per replica (two messages, state untouched).
         self.pings: Dict[Location, ChoreographyDef] = {
-            replica: shard_ping.bind(
-                client, replica, name=f"shard_ping@{shard_id}:{replica}"
+            replica: ChoreographyDef(
+                _lifted(kvs_ping, _as_given, client, replica),
+                name=f"ping@{shard_id}:{replica}",
             )
             for replica in self.servers
         }
         self._bind_data_plane()
+
+    @property
+    def epoch(self) -> int:
+        """The shard's current epoch: 0 until a promotion, +1 per promotion."""
+        return self.fence.value
 
     def _recover_promoted_head(self) -> None:
         """Reopen under the head the durable promotion records elect.
@@ -490,7 +438,6 @@ class _ShardSession:
             if replica_epoch > epoch:
                 epoch, head = replica_epoch, replica_head
         if epoch > 0 and head in self.servers:
-            self.epoch = epoch
             self.fence.advance(epoch)
             self.primary = head
             self.backups = [s for s in self.servers if s != head]
@@ -508,43 +455,26 @@ class _ShardSession:
         nothing to do, so even a crashed endpoint completes every later
         instance vacuously.
 
-        Every binding captures the current epoch and the shard's live fence
-        cell: after a later promotion the cell moves on, and a submit still
-        carrying this binding fails with
+        Every binding is :func:`~repro.protocols.kvs.fenced` against the
+        shard's live epoch cell: after a later promotion the cell moves on,
+        and a submit still carrying this binding fails with
         :class:`~repro.protocols.kvs.StaleEpoch` before its first message —
         the split-brain fence that keeps a deposed head from serving.
         """
-        client = self.client
-        bind_name = lambda op_name: f"{op_name}@{self.shard_id}"  # noqa: E731
-        fencing = {"epoch": self.epoch, "fence": self.fence}
-        self.put: ChoreographyDef = shard_put.bind(
-            client, self.primary, list(self.backups), self.state,
-            name=bind_name("shard_put"), **fencing,
+        group = (self.client, self.primary, list(self.backups), self.state)
+        bindings = {
+            op_name: _lifted(chor, lift, *group)
+            for op_name, (chor, lift) in _REPLICA_GROUP_OPS.items()
+        }
+        bindings["get"] = shard_get.bind(*group)
+        # A scan is answered by the primary alone: no backup list.
+        bindings["scan"] = _lifted(
+            kvs_scan, _as_given, self.client, self.primary, self.state
         )
-        self.get: ChoreographyDef = shard_get.bind(
-            client, self.primary, list(self.backups), self.state,
-            name=bind_name("shard_get"), **fencing,
-        )
-        self.delete: ChoreographyDef = shard_delete.bind(
-            client, self.primary, list(self.backups), self.state,
-            name=bind_name("shard_delete"), **fencing,
-        )
-        self.scan: ChoreographyDef = shard_scan.bind(
-            client, self.primary, self.state, name=bind_name("shard_scan"),
-            **fencing,
-        )
-        self.serve: ChoreographyDef = shard_serve.bind(
-            client, self.primary, list(self.backups), self.state,
-            name=bind_name("shard_serve"), **fencing,
-        )
-        self.txn_prepare: ChoreographyDef = shard_txn_prepare.bind(
-            client, self.primary, list(self.backups), self.state,
-            name=bind_name("shard_txn_prepare"), **fencing,
-        )
-        self.txn_decide: ChoreographyDef = shard_txn_decide.bind(
-            client, self.primary, list(self.backups), self.state,
-            name=bind_name("shard_txn_decide"), **fencing,
-        )
+        for op_name, chor in bindings.items():
+            setattr(self, op_name, ChoreographyDef(
+                fenced(chor, self.fence), name=f"{op_name}@{self.shard_id}"
+            ))
 
     def _open_store(self, replica: Location) -> State:
         """One replica's store: durable (recovered from disk) or ephemeral.
@@ -586,15 +516,15 @@ class _ShardSession:
         around the new head with the remaining backups.
         """
         deposed = self.primary
-        self.epoch += 1
+        epoch = self.epoch + 1
         self.primary = new_primary
         self.backups.remove(new_primary)
         self.down.append(deposed)
         for replica in (self.primary, *self.backups):
             facet = self.state.facet_for(replica)
             if isinstance(facet, DurableState):
-                facet.log_promotion(self.epoch, new_primary)
-        self.fence.advance(self.epoch)
+                facet.log_promotion(epoch, new_primary)
+        self.fence.advance(epoch)
         self._bind_data_plane()
 
     # ------------------------------------------------------------------- rejoin --
@@ -1682,10 +1612,11 @@ class ClusterEngine:
             # and a promotion racing the transfer fences it like any other
             # stale binding instead of letting it stream from a dead head.
             started = time.perf_counter()
-            catchup = shard_catchup.bind(
-                self.client, session.primary, replica, session.state,
-                name=f"shard_catchup@{shard_id}:{replica}",
-                epoch=session.epoch, fence=session.fence,
+            catchup = fenced(
+                ChoreographyDef(kvs_catchup).bind(
+                    self.client, session.primary, replica, session.state
+                ),
+                session.fence,
             )
             report: CatchupReport = session.engine.run(catchup).value_at(self.client)
             catchup_seconds = time.perf_counter() - started

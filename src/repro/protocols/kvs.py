@@ -19,30 +19,40 @@ Both choreographies are census polymorphic: the number of servers/backups is
 whatever the caller passes (``kvs_with_backups`` degrades gracefully to a
 single unreplicated server when the backup list is empty).
 
-Two further census-polymorphic choreographies serve the sharded cluster layer
-(:mod:`repro.cluster`), which runs one replica group per shard:
+The sharded cluster layer (:mod:`repro.cluster`) runs one replica group per
+shard, and everything it serves is built from **one replicated round, five
+instantiations, one fence**:
 
-* :func:`kvs_delete` — unbind one key across the whole replica group with
-  the same ack-before-apply discipline as a replicated Put; deletions are
-  writes, so on durable replicas they are write-ahead logged and survive
-  crash-restart replay (``RequestKind.DELETE`` also rides in
-  :func:`kvs_serve_batch` batches and :func:`kvs_with_backups`);
+* :func:`replicated` is the round — the client's payload travels to the
+  server, is broadcast inside the server+backups conclave (so it is
+  multiply located there: Knowledge of Choice for free, and the client pays
+  two messages whatever the replication factor), every backup applies it
+  and acknowledges, the server applies it *last* (ack-before-apply) and
+  answers.  It is census polymorphic down to an empty backup list.
+* The instantiations supply only plain local step functions:
+  :func:`kvs_with_backups` (one request; writes replicate, reads do not),
+  :func:`kvs_delete` (a bare key), :func:`kvs_serve_batch` (group commit: a
+  whole batch in one round), and :func:`kvs_txn_prepare` /
+  :func:`kvs_txn_decide` — the participant half of cross-shard two-phase
+  commit, whose coordinator lives in the cluster layer
+  (``ClusterEngine.submit_txn``): prepare parks the write set as a per-key
+  **intent** on every replica and votes, decide commits the parked writes
+  atomically or rolls the intent back.
+* :func:`fenced` is the split-brain fence of primary failover, expressed
+  once as a combinator: it captures the shard's epoch from the live
+  :class:`ShardEpoch` cell when a binding is made, and the wrapped
+  choreography raises the typed :class:`StaleEpoch` at every location,
+  before any message moves, once a promotion has advanced the cell — so a
+  binding that still routes through a deposed primary can neither serve a
+  read nor acknowledge a write.
+
+Four choreographies have a different shape and stand on their own:
+
 * :func:`kvs_quorum_get` — read the key at *every* replica, gather the votes
   at the primary, answer with the majority, and (optionally) trigger a
   :func:`resynch` read-repair when the replicas disagree;
 * :func:`kvs_scan` — a prefix scan answered by the primary alone (no
   branching on replicated data, hence no conclave and no KoC traffic);
-* :func:`kvs_txn_prepare` / :func:`kvs_txn_decide` — the participant half
-  of cross-shard two-phase commit.  Prepare parks the transaction's write
-  set as a per-key **intent** on every replica (conflict detection and
-  optional expected-value guards decide the vote; no item is touched);
-  decide commits the parked writes atomically or rolls the intent back.
-  Both are WAL-logged on durable replicas, so a crashed participant
-  recovers its prepared state, and the decide record carries the writes
-  itself so a full-transfer rejoiner that missed the prepare still lands
-  the commit.  The coordinator role lives in the cluster layer
-  (``ClusterEngine.submit_txn``), which drives one prepare and one decide
-  per participating shard;
 * :func:`kvs_ping` — a two-message liveness probe; a silent replica surfaces
   as a typed receive timeout, the raw signal behind the cluster's failure
   detector and its backup-demotion failover path;
@@ -52,26 +62,18 @@ Two further census-polymorphic choreographies serve the sharded cluster layer
   delta since that mark or (when the delta was compacted away, or on a hash
   mismatch) its full store, and the transfer is verified with
   :func:`hash_state` before the re-join is allowed to proceed.
-
-All of the cluster-serving choreographies accept an optional ``epoch=`` /
-``fence=`` pair — the split-brain fence of primary failover.  A binding
-carries the shard epoch it was created under; the shard's live
-:class:`ShardEpoch` cell carries the current one; when they disagree the
-choreography raises the typed :class:`StaleEpoch` at every location before
-any message moves, so a binding that still routes through a deposed
-primary can neither serve a read nor acknowledge a write.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ChoreographyError
 from ..core.located import Faceted, Located
 from ..core.locations import Census, Location, LocationsLike, as_census
-from ..core.ops import ChoreoOp
+from ..core.ops import ChoreoOp, Choreography
 from ..storage import TXN_INTENT_TTL, apply_catchup, delta_since, high_water_of, txns_of
 from . import crypto
 
@@ -198,10 +200,21 @@ class ShardEpoch:
             raise StaleEpoch(epoch, self.value)
 
 
-def _require_epoch(epoch: Optional[int], fence: Optional[ShardEpoch]) -> None:
-    """The fence check every cluster choreography runs before its first message."""
-    if fence is not None:
+def fenced(chor: Choreography, fence: ShardEpoch) -> Choreography:
+    """``chor``, fenced against promotions that happen after this call.
+
+    The epoch is captured from ``fence`` now, at binding time; the returned
+    choreography checks it against the live cell before delegating.  Every
+    location runs that check first, so a stale binding fails with
+    :class:`StaleEpoch` everywhere at once and nothing is sent.
+    """
+    epoch = fence.value
+
+    def run(op: ChoreoOp, *args: Any, **kwargs: Any) -> Any:
         fence.require(epoch)
+        return chor(op, *args, **kwargs)
+
+    return run
 
 
 # -- local (non-choreographic) state handling ----------------------------------------
@@ -261,6 +274,15 @@ def apply_write(state: State, request: Request) -> Response:
     if request.kind is RequestKind.DELETE:
         return delete_state(state, request.key)
     raise ValueError(f"not a write request: {request.kind!r}")
+
+
+def serve_request(state: State, request: Request) -> Response:
+    """Answer one request from one store: apply a write, look up a Get."""
+    if request.kind in WRITE_KINDS:
+        return apply_write(state, request)
+    if request.kind is RequestKind.GET:
+        return lookup_state(state, request.key)
+    return Response.stopped()
 
 
 def scan_state(state: State, prefix: str = "") -> List[Tuple[str, str]]:
@@ -511,6 +533,83 @@ def kvs_serve(
 # -- the Appendix B (ChoRus) variant --------------------------------------------------
 
 
+def replicated(
+    op: ChoreoOp,
+    client: Location,
+    server: Location,
+    backups: LocationsLike,
+    state_refs: Faceted[State],
+    payload: Located[Any],
+    *,
+    replicates: Callable[[Any], bool],
+    at_backup: Callable[[State, Any], Any],
+    at_server: Callable[[State, Any, Tuple[Any, ...]], Any],
+) -> Located[Any]:
+    """One primary–backup round: the shape every replica-group op shares.
+
+    The payload travels client → server and is broadcast inside the
+    server+backups conclave, so it is multiply located there — every replica
+    can branch on it with no further Knowledge-of-Choice traffic, and the
+    client, outside the conclave, pays exactly two messages whatever the
+    replication factor.  When ``replicates(payload)`` holds, every backup
+    runs ``at_backup`` on its own store and the results are gathered at the
+    server; the server's ``at_server`` runs strictly after that gather
+    (ack-before-apply: an answer the client sees implies every surviving
+    backup already applied the payload), and its result travels back.  A
+    silent or crashed backup surfaces as a typed failure out of the gather,
+    never as an acknowledgement value.
+
+    Args:
+        op: The operator record; census must contain client, server, backups.
+        client: The requesting location.
+        server: The primary replica, which answers the client.
+        backups: Zero or more backup replicas.  With an empty list the
+            conclave degenerates to the server alone — census polymorphism
+            down to replication factor one, with no protocol change for the
+            client.
+        state_refs: The replicas' stores (one facet per replica).
+        payload: What the round is about, located at the client.
+        replicates: Whether this payload must reach the backups' stores
+            (a pure function of the payload, so every replica agrees).
+        at_backup: ``(store, payload) -> ack``, run once at each backup.
+        at_server: ``(store, payload, acks) -> answer``, run at the server;
+            ``acks`` are the backups' results in census order, empty when
+            nothing was replicated.
+
+    Returns:
+        The server's answer, located at the client.
+    """
+    backup_census = as_census(backups)
+    op.census.require_member(client)
+    op.census.require_member(server)
+    op.census.require_subset(backup_census)
+    cluster = as_census([server]).union(backup_census)
+
+    payload_at_server = op.comm(client, server, payload)
+
+    def handle(sub: ChoreoOp) -> Located[Any]:
+        incoming = sub.broadcast(server, payload_at_server)
+        gathered = None
+        if len(backup_census) > 0 and replicates(incoming):
+            outcomes = sub.parallel(
+                backup_census, lambda _backup, un: at_backup(un(state_refs), incoming)
+            )
+            gathered = sub.gather(backup_census, [server], outcomes)
+
+        def finish(un) -> Any:
+            acks = un(gathered).values() if gathered is not None else ()
+            return at_server(un(state_refs), incoming, acks)
+
+        return sub.locally(server, finish)
+
+    answer_at_server = op.conclave_to(cluster, [server], handle)
+    return op.comm(server, client, answer_at_server)
+
+
+def _always(_payload: Any) -> bool:
+    return True
+
+
 def kvs_with_backups(
     op: ChoreoOp,
     client: Location,
@@ -518,96 +617,33 @@ def kvs_with_backups(
     backups: LocationsLike,
     state_refs: Faceted[State],
     request: Located[Request],
-    *,
-    epoch: Optional[int] = None,
-    fence: Optional[ShardEpoch] = None,
 ) -> Located[Response]:
     """A client request against a server with a parametric list of backups.
 
-    Mirrors Appendix B: the request travels client → server, the server and
-    its backups handle it in a conclave, Put requests are replicated to every
-    backup and their acknowledgements gathered before the server applies the
-    write itself, and the response travels back server → client.
+    Mirrors Appendix B as one :func:`replicated` round: writes — Puts and
+    Deletes — are applied at every backup and acknowledged before the server
+    applies them itself; Gets and Stops are answered by the server alone
+    (the backups still learn the request from the conclave broadcast, which
+    is what lets them skip the round without being told to).
 
     Args:
-        op: The choreographic operator record; its census must contain the
-            client, the server, and every backup.
+        op: The operator record; census must contain client, server, backups.
         client: The requesting location.
         server: The primary replica that answers the client.
-        backups: Zero or more backup replicas.  With an empty list the
-            conclave degenerates to the server alone and a Put touches only
-            the server's store — census polymorphism down to replication
-            factor one, with no protocol change for the client.
+        backups: Zero or more backup replicas (see :func:`replicated`).
         state_refs: The replicas' stores (a facet per replica; the server's
             facet must be included).
         request: The request, located at the client.
-        epoch: The shard epoch this binding was created under (cluster use).
-        fence: The shard's live :class:`ShardEpoch` cell; with both given,
-            the request fails with :class:`StaleEpoch` before any message
-            moves if the binding predates a primary promotion.
 
     Returns:
         The server's :class:`Response`, located at the client.
     """
-    backup_census = as_census(backups)
-    op.census.require_member(client)
-    op.census.require_member(server)
-    op.census.require_subset(backup_census)
-    _require_epoch(epoch, fence)
-    cluster = as_census([server]).union(backup_census)
-
-    request_at_server = op.comm(client, server, request)
-
-    def handle(sub: ChoreoOp) -> Located[Response]:
-        incoming = sub.broadcast(server, request_at_server)
-        if incoming.kind is RequestKind.PUT:
-            if len(backup_census) == 0:
-                # Replication factor 1: nothing to replicate to, no
-                # acknowledgements to gather — apply the write at the server.
-                return sub.locally(
-                    server,
-                    lambda un: update_state(un(state_refs), incoming.key, incoming.value),
-                )
-            outcomes = sub.parallel(
-                backup_census,
-                lambda _backup, un: update_state(un(state_refs), incoming.key, incoming.value),
-            )
-            gathered = sub.gather(backup_census, [server], outcomes)
-
-            def finish(un) -> Response:
-                acks = un(gathered)
-                if all(reply.kind in (ResponseKind.FOUND, ResponseKind.NOT_FOUND)
-                       for reply in acks.values()):
-                    return update_state(un(state_refs), incoming.key, incoming.value)
-                return Response.not_found()
-
-            return sub.locally(server, finish)
-        if incoming.kind is RequestKind.DELETE:
-            # A deletion is a write: replicate it to every backup and gather
-            # their acknowledgements before the server applies it and
-            # answers, mirroring the Put branch (empty backup list degrades
-            # to the unreplicated server exactly the same way).
-            if len(backup_census) == 0:
-                return sub.locally(
-                    server, lambda un: delete_state(un(state_refs), incoming.key)
-                )
-            outcomes = sub.parallel(
-                backup_census,
-                lambda _backup, un: delete_state(un(state_refs), incoming.key),
-            )
-            gathered = sub.gather(backup_census, [server], outcomes)
-
-            def finish_delete(un) -> Response:
-                un(gathered)  # every backup acknowledged its deletion
-                return delete_state(un(state_refs), incoming.key)
-
-            return sub.locally(server, finish_delete)
-        if incoming.kind is RequestKind.GET:
-            return sub.locally(server, lambda un: lookup_state(un(state_refs), incoming.key))
-        return sub.locally(server, lambda _un: Response.stopped())
-
-    response_at_server = op.conclave_to(cluster, [server], handle)
-    return op.comm(server, client, response_at_server)
+    return replicated(
+        op, client, server, backups, state_refs, request,
+        replicates=lambda incoming: incoming.kind in WRITE_KINDS,
+        at_backup=apply_write,
+        at_server=lambda state, incoming, _acks: serve_request(state, incoming),
+    )
 
 
 def kvs_delete(
@@ -617,19 +653,13 @@ def kvs_delete(
     backups: LocationsLike,
     state_refs: Faceted[State],
     key: Located[str],
-    *,
-    epoch: Optional[int] = None,
-    fence: Optional[ShardEpoch] = None,
 ) -> Located[Response]:
     """Unbind ``key`` across the whole replica group; answer the previous value.
 
-    The dedicated deletion choreography of the service layer: the key travels
-    client → server, the server shares it with the replica conclave
-    (Knowledge of Choice rides on the key itself — deletion involves no
-    data-dependent branching), every backup drops the key from its own store
-    and acknowledges, and the server applies the deletion last — the same
-    ack-before-apply discipline as the Put path of
-    :func:`kvs_with_backups`, so a response the client sees implies every
+    The dedicated deletion choreography of the service layer: a
+    :func:`replicated` round whose payload is the bare key (smaller on the
+    wire than a ``Request.delete``), with the same ack-before-apply
+    discipline as a Put, so a response the client sees implies every
     surviving replica already dropped the key.
 
     On durable replicas the deletion is write-ahead logged
@@ -640,44 +670,20 @@ def kvs_delete(
         op: The operator record; census must contain client, server, backups.
         client: The requesting location.
         server: The primary replica, which answers the client.
-        backups: Zero or more backup replicas (empty degrades gracefully to
-            the unreplicated server).
+        backups: Zero or more backup replicas (see :func:`replicated`).
         state_refs: The replicas' stores (one facet per replica).
         key: The key to unbind, located at the client.
-        epoch: The shard epoch this binding was created under (cluster use).
-        fence: The shard's live :class:`ShardEpoch` cell (see
-            :func:`kvs_with_backups`).
 
     Returns:
         ``Response.found(previous)`` / ``Response.not_found()`` (the
         *server's* previous binding), located at the client.
     """
-    backup_census = as_census(backups)
-    op.census.require_member(client)
-    op.census.require_member(server)
-    op.census.require_subset(backup_census)
-    _require_epoch(epoch, fence)
-    cluster = as_census([server]).union(backup_census)
-
-    key_at_server = op.comm(client, server, key)
-
-    def handle(sub: ChoreoOp) -> Located[Response]:
-        wanted = sub.broadcast(server, key_at_server)
-        if len(backup_census) == 0:
-            return sub.locally(server, lambda un: delete_state(un(state_refs), wanted))
-        outcomes = sub.parallel(
-            backup_census, lambda _backup, un: delete_state(un(state_refs), wanted)
-        )
-        gathered = sub.gather(backup_census, [server], outcomes)
-
-        def finish(un) -> Response:
-            un(gathered)  # every backup acknowledged before the server applies
-            return delete_state(un(state_refs), wanted)
-
-        return sub.locally(server, finish)
-
-    response_at_server = op.conclave_to(cluster, [server], handle)
-    return op.comm(server, client, response_at_server)
+    return replicated(
+        op, client, server, backups, state_refs, key,
+        replicates=_always,
+        at_backup=delete_state,
+        at_server=lambda state, wanted, _acks: delete_state(state, wanted),
+    )
 
 
 # -- cluster-serving choreographies (batches, quorum reads, scans) --------------------
@@ -690,9 +696,6 @@ def kvs_serve_batch(
     backups: LocationsLike,
     state_refs: Faceted[State],
     requests: Located[Sequence[Request]],
-    *,
-    epoch: Optional[int] = None,
-    fence: Optional[ShardEpoch] = None,
 ) -> Located[List[Response]]:
     """Serve a whole batch of requests in one replica-group round (group commit).
 
@@ -701,7 +704,7 @@ def kvs_serve_batch(
     — for every key touched.  A service under load can do much better: the
     client ships the *batch*, the server multicasts the batch once (Knowledge
     of Choice for every request in it), each backup applies all the batch's
-    Puts and acknowledges once, and the response list travels back in one
+    writes and acknowledges once, and the response list travels back in one
     message.  For a batch of B requests over b backups that is
     ``2 + 2·b`` messages instead of ``B·(2 + 2·b)`` — the protocol-level
     analogue of the transports' coalescing, and the mechanism behind the
@@ -709,74 +712,29 @@ def kvs_serve_batch(
 
     Replica consistency matches :func:`kvs_with_backups`: backups apply the
     batch's writes — Puts *and* Deletes, in batch order — before the server
-    applies them and answers, and a failed acknowledgement downgrades the
-    batch's writes to ``not_found`` responses.
+    applies them and answers; a read-only batch skips the backups entirely.
 
     Args:
         op: The operator record; census must contain client, server, backups.
         client: The requesting location.
         server: The primary replica.
-        backups: Zero or more backup replicas (empty degrades gracefully to
-            an unreplicated single server, as in :func:`kvs_with_backups`).
+        backups: Zero or more backup replicas (see :func:`replicated`).
         state_refs: The replicas' stores (one facet per replica).
         requests: The request batch, located at the client.  ``STOP``
             requests are answered ``stopped`` but do not interrupt the batch.
-        epoch: The shard epoch this binding was created under (cluster use).
-        fence: The shard's live :class:`ShardEpoch` cell (see
-            :func:`kvs_with_backups`).
 
     Returns:
         One :class:`Response` per request, in batch order, located at the
         client.
     """
-    backup_census = as_census(backups)
-    op.census.require_member(client)
-    op.census.require_member(server)
-    op.census.require_subset(backup_census)
-    _require_epoch(epoch, fence)
-    cluster = as_census([server]).union(backup_census)
-
-    batch_at_server = op.comm(client, server, requests)
-
-    def handle(sub: ChoreoOp) -> Located[List[Response]]:
-        incoming = sub.broadcast(server, batch_at_server)
-        writes = [request for request in incoming if request.kind in WRITE_KINDS]
-        gathered = None
-        if writes and len(backup_census) > 0:
-            outcomes = sub.parallel(
-                backup_census,
-                lambda _backup, un: [
-                    apply_write(un(state_refs), request) for request in writes
-                ],
-            )
-            gathered = sub.gather(backup_census, [server], outcomes)
-
-        def finish(un) -> List[Response]:
-            replicated = True
-            if gathered is not None:
-                replicated = all(
-                    ack.kind in (ResponseKind.FOUND, ResponseKind.NOT_FOUND)
-                    for _backup, acks in un(gathered)
-                    for ack in acks
-                )
-            state = un(state_refs)
-            responses: List[Response] = []
-            for request in incoming:
-                if request.kind in WRITE_KINDS:
-                    if replicated:
-                        responses.append(apply_write(state, request))
-                    else:
-                        responses.append(Response.not_found())
-                elif request.kind is RequestKind.GET:
-                    responses.append(lookup_state(state, request.key))
-                else:
-                    responses.append(Response.stopped())
-            return responses
-
-        return sub.locally(server, finish)
-
-    response_at_server = op.conclave_to(cluster, [server], handle)
-    return op.comm(server, client, response_at_server)
+    return replicated(
+        op, client, server, backups, state_refs, requests,
+        replicates=lambda batch: any(r.kind in WRITE_KINDS for r in batch),
+        at_backup=lambda state, batch: [
+            apply_write(state, r) for r in batch if r.kind in WRITE_KINDS
+        ],
+        at_server=lambda state, batch, _acks: [serve_request(state, r) for r in batch],
+    )
 
 
 def kvs_txn_prepare(
@@ -786,21 +744,16 @@ def kvs_txn_prepare(
     backups: LocationsLike,
     state_refs: Faceted[State],
     payload: Located[Tuple[str, Writes, Writes]],
-    *,
-    epoch: Optional[int] = None,
-    fence: Optional[ShardEpoch] = None,
 ) -> Located[Response]:
     """Phase one of cross-shard two-phase commit, at one participant shard.
 
-    The coordinator's payload — ``(txn_id, writes, expects)`` — travels
-    client → server; inside the replica conclave the server re-uses the
-    multiply-located payload for Knowledge of Choice, every backup votes
-    with :func:`txn_prepare_state` (conflict detection against its intent
-    table plus the ``expects`` guards) and parks the intent when granting,
-    the votes are gathered at the server, and the server votes *last* —
-    the same ack-before-apply discipline as a replicated Put, so a granted
-    response implies every surviving replica holds the intent.  The shard's
-    vote is the conjunction: any blocked key anywhere refuses the prepare.
+    A :func:`replicated` round over the coordinator's payload — ``(txn_id,
+    writes, expects)``: every backup votes with :func:`txn_prepare_state`
+    (conflict detection against its intent table plus the ``expects``
+    guards) and parks the intent when granting, and the server votes *last*
+    — ack-before-apply, so a granted response implies every surviving
+    replica holds the intent.  The shard's vote is the conjunction: any
+    blocked key anywhere refuses the prepare.
 
     No item is touched in either case.  A refusal parks nothing (the
     coordinator will abort), and a granted intent blocks later conflicting
@@ -813,65 +766,31 @@ def kvs_txn_prepare(
         op: The operator record; census must contain client, server, backups.
         client: The coordinator's location.
         server: The primary replica, which answers with the shard's vote.
-        backups: Zero or more backup replicas (empty degrades gracefully to
-            the unreplicated server).
+        backups: Zero or more backup replicas (see :func:`replicated`).
         state_refs: The replicas' stores (one facet per replica).
         payload: ``(txn_id, writes, expects)`` located at the client:
             the write set (``key -> value``, ``None`` deletes) and the
             expected-value guards (``key -> committed value``, ``None``
             expects unbound).
-        epoch: The shard epoch this binding was created under (cluster use).
-        fence: The shard's live :class:`ShardEpoch` cell (see
-            :func:`kvs_with_backups`).
 
     Returns:
         ``Response.found(txn_id)`` when every replica granted, or a
         ``not_found`` response whose ``value`` lists the blocking keys
         (comma-separated), located at the client.
     """
-    backup_census = as_census(backups)
-    op.census.require_member(client)
-    op.census.require_member(server)
-    op.census.require_subset(backup_census)
-    _require_epoch(epoch, fence)
-    cluster = as_census([server]).union(backup_census)
 
-    payload_at_server = op.comm(client, server, payload)
+    def shard_vote(state: State, incoming, backup_votes) -> Response:
+        blocked = set(txn_prepare_state(state, *incoming)).union(*backup_votes)
+        if blocked:
+            return Response(ResponseKind.NOT_FOUND, ",".join(sorted(blocked)))
+        return Response.found(incoming[0])
 
-    def handle(sub: ChoreoOp) -> Located[Response]:
-        txn_id, writes, expects = sub.broadcast(server, payload_at_server)
-
-        def vote(un) -> Response:
-            blocked = txn_prepare_state(un(state_refs), txn_id, writes, expects)
-            if blocked:
-                return Response(ResponseKind.NOT_FOUND, ",".join(blocked))
-            return Response.found(txn_id)
-
-        if len(backup_census) == 0:
-            return sub.locally(server, vote)
-        outcomes = sub.parallel(
-            backup_census,
-            lambda _backup, un: txn_prepare_state(
-                un(state_refs), txn_id, writes, expects
-            ),
-        )
-        gathered = sub.gather(backup_census, [server], outcomes)
-
-        def finish(un) -> Response:
-            blocked = set()
-            for _backup, backup_blocked in un(gathered):
-                blocked.update(backup_blocked)
-            blocked.update(
-                txn_prepare_state(un(state_refs), txn_id, writes, expects)
-            )
-            if blocked:
-                return Response(ResponseKind.NOT_FOUND, ",".join(sorted(blocked)))
-            return Response.found(txn_id)
-
-        return sub.locally(server, finish)
-
-    response_at_server = op.conclave_to(cluster, [server], handle)
-    return op.comm(server, client, response_at_server)
+    return replicated(
+        op, client, server, backups, state_refs, payload,
+        replicates=_always,
+        at_backup=lambda state, incoming: txn_prepare_state(state, *incoming),
+        at_server=shard_vote,
+    )
 
 
 def kvs_txn_decide(
@@ -881,71 +800,38 @@ def kvs_txn_decide(
     backups: LocationsLike,
     state_refs: Faceted[State],
     payload: Located[Tuple[str, str, Writes]],
-    *,
-    epoch: Optional[int] = None,
-    fence: Optional[ShardEpoch] = None,
 ) -> Located[Response]:
     """Phase two of cross-shard two-phase commit, at one participant shard.
 
-    The coordinator's verdict — ``(txn_id, verdict, writes)`` with verdict
-    ``"commit"`` or ``"abort"`` — travels client → server and is broadcast
-    to the replica conclave; every backup applies it with
-    :func:`txn_decide_state` (commit lands the write set atomically as one
-    WAL record, abort drops the intent) and acknowledges, and the server
-    applies it last — ack-before-apply again, so an acknowledged commit is
-    on every surviving replica.  The payload carries the writes explicitly,
-    so a replica whose intent is missing (a full-transfer rejoiner, an
-    expired intent) still lands the commit; aborting an unknown transaction
-    is a no-op.  Idempotent end to end, which is what makes the cluster
-    layer's replay-after-failover safe here.
+    A :func:`replicated` round over the coordinator's verdict — ``(txn_id,
+    verdict, writes)`` with verdict ``"commit"`` or ``"abort"``: every
+    backup applies it with :func:`txn_decide_state` (commit lands the write
+    set atomically as one WAL record, abort drops the intent) and
+    acknowledges, and the server applies it last, so an acknowledged commit
+    is on every surviving replica.  The payload carries the writes
+    explicitly, so a replica whose intent is missing (a full-transfer
+    rejoiner, an expired intent) still lands the commit; aborting an unknown
+    transaction is a no-op.  Idempotent end to end, which is what makes the
+    cluster layer's replay-after-failover safe here.
 
     Args:
         op: The operator record; census must contain client, server, backups.
         client: The coordinator's location.
         server: The primary replica, which acknowledges the decide.
-        backups: Zero or more backup replicas (empty degrades gracefully).
+        backups: Zero or more backup replicas (see :func:`replicated`).
         state_refs: The replicas' stores (one facet per replica).
         payload: ``(txn_id, verdict, writes)`` located at the client.
-        epoch: The shard epoch this binding was created under (cluster use).
-        fence: The shard's live :class:`ShardEpoch` cell (see
-            :func:`kvs_with_backups`).
 
     Returns:
         ``Response.found(txn_id)`` for a commit, ``not_found`` for an
         abort, located at the client.
     """
-    backup_census = as_census(backups)
-    op.census.require_member(client)
-    op.census.require_member(server)
-    op.census.require_subset(backup_census)
-    _require_epoch(epoch, fence)
-    cluster = as_census([server]).union(backup_census)
-
-    payload_at_server = op.comm(client, server, payload)
-
-    def handle(sub: ChoreoOp) -> Located[Response]:
-        txn_id, verdict, writes = sub.broadcast(server, payload_at_server)
-        if len(backup_census) == 0:
-            return sub.locally(
-                server,
-                lambda un: txn_decide_state(un(state_refs), txn_id, verdict, writes),
-            )
-        outcomes = sub.parallel(
-            backup_census,
-            lambda _backup, un: txn_decide_state(
-                un(state_refs), txn_id, verdict, writes
-            ),
-        )
-        gathered = sub.gather(backup_census, [server], outcomes)
-
-        def finish(un) -> Response:
-            un(gathered)  # every backup applied the verdict first
-            return txn_decide_state(un(state_refs), txn_id, verdict, writes)
-
-        return sub.locally(server, finish)
-
-    response_at_server = op.conclave_to(cluster, [server], handle)
-    return op.comm(server, client, response_at_server)
+    return replicated(
+        op, client, server, backups, state_refs, payload,
+        replicates=_always,
+        at_backup=lambda state, incoming: txn_decide_state(state, *incoming),
+        at_server=lambda state, incoming, _acks: txn_decide_state(state, *incoming),
+    )
 
 
 def kvs_quorum_get(
@@ -957,8 +843,6 @@ def kvs_quorum_get(
     key: Located[str],
     *,
     read_repair: bool = True,
-    epoch: Optional[int] = None,
-    fence: Optional[ShardEpoch] = None,
 ) -> Located[Response]:
     """Answer a Get from a *majority of replicas* instead of the primary alone.
 
@@ -981,9 +865,6 @@ def kvs_quorum_get(
         key: The key to read, located at the client.
         read_repair: When True (the default), a divergent vote triggers
             :func:`resynch` from the primary before the response is returned.
-        epoch: The shard epoch this binding was created under (cluster use).
-        fence: The shard's live :class:`ShardEpoch` cell (see
-            :func:`kvs_with_backups`).
 
     Returns:
         The majority :class:`Response` (ties broken by census order), located
@@ -993,7 +874,6 @@ def kvs_quorum_get(
     op.census.require_member(client)
     op.census.require_member(server)
     op.census.require_subset(backup_census)
-    _require_epoch(epoch, fence)
     cluster = as_census([server]).union(backup_census)
 
     key_at_server = op.comm(client, server, key)
@@ -1064,9 +944,6 @@ def kvs_scan(
     server: Location,
     state_refs: Faceted[State],
     prefix: Located[str],
-    *,
-    epoch: Optional[int] = None,
-    fence: Optional[ShardEpoch] = None,
 ) -> Located[List[Tuple[str, str]]]:
     """Return every binding under ``prefix``, answered by the primary alone.
 
@@ -1083,16 +960,12 @@ def kvs_scan(
         server: The replica that answers (the shard primary).
         state_refs: The replicas' stores; only the server's facet is read.
         prefix: The key prefix, located at the client.
-        epoch: The shard epoch this binding was created under (cluster use).
-        fence: The shard's live :class:`ShardEpoch` cell (see
-            :func:`kvs_with_backups`).
 
     Returns:
         The sorted ``(key, value)`` items, located at the client.
     """
     op.census.require_member(client)
     op.census.require_member(server)
-    _require_epoch(epoch, fence)
     prefix_at_server = op.comm(client, server, prefix)
     items = op.locally(
         server, lambda un: scan_state(un(state_refs), un(prefix_at_server))
@@ -1129,9 +1002,6 @@ def kvs_catchup(
     server: Location,
     rejoiner: Location,
     state_refs: Faceted[State],
-    *,
-    epoch: Optional[int] = None,
-    fence: Optional[ShardEpoch] = None,
 ) -> Located[CatchupReport]:
     """Bring ``rejoiner``'s store back to parity with ``server``'s.
 
@@ -1163,10 +1033,6 @@ def kvs_catchup(
         state_refs: The replicas' stores; the server's and rejoiner's facets
             are used (durable or plain — plain stores always take the full
             path).
-        epoch: The shard epoch this binding was created under (cluster use).
-        fence: The shard's live :class:`ShardEpoch` cell; a catch-up bound
-            before a promotion would stream from the deposed head, so it is
-            fenced exactly like the data plane.
 
     Returns:
         The :class:`CatchupReport`, located at the client.
@@ -1174,7 +1040,6 @@ def kvs_catchup(
     op.census.require_member(client)
     op.census.require_member(server)
     op.census.require_member(rejoiner)
-    _require_epoch(epoch, fence)
     pair = as_census([server, rejoiner])
 
     def transfer(sub: ChoreoOp) -> Located[CatchupReport]:

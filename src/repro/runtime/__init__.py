@@ -9,19 +9,16 @@ from .registry import (
     FaultPlanSource,
     TransportBackend,
     WireCodec,
-    backend_names,
     create_backend,
     impl,
     impl_protocols,
     implementations,
     implements,
-    register_backend,
     register_impl,
     resolve_impl,
-    unregister_backend,
     unregister_impl,
 )
-from .runner import TRANSPORT_FACTORIES, run_choreography
+from .runner import run_choreography
 from .simulated import SimulatedNetworkTransport
 from .stats import ChannelStats
 from .tcp import TCPTransport
@@ -40,12 +37,10 @@ __all__ = [
     "LocalTransport",
     "SimulatedNetworkTransport",
     "TCPTransport",
-    "TRANSPORT_FACTORIES",
     "Transport",
     "TransportBackend",
     "TransportEndpoint",
     "WireCodec",
-    "backend_names",
     "create_backend",
     "deserialize",
     "impl",
@@ -53,12 +48,10 @@ __all__ = [
     "implementations",
     "implements",
     "localize_return",
-    "register_backend",
     "register_impl",
     "resolve_impl",
     "run_centralized",
     "run_choreography",
     "serialize",
-    "unregister_backend",
     "unregister_impl",
 ]

@@ -21,7 +21,7 @@ session-shaped replacement:
 * backends are resolved by name through the pluggable registry
   (:mod:`repro.runtime.registry`): ``"local"``, ``"tcp"``, ``"simulated"``,
   ``"central"``, any name added via
-  :func:`~repro.runtime.registry.register_backend`, or a pre-built
+  :func:`~repro.runtime.registry.register_impl`, or a pre-built
   :class:`~repro.runtime.transport.Transport` instance.
 
 :func:`repro.runtime.runner.run_choreography` remains as a one-shot
@@ -286,7 +286,7 @@ class ChoreoEngine:
     backend:
         A registered backend name (``"local"``, ``"tcp"``, ``"simulated"``,
         ``"central"``, or anything added with
-        :func:`~repro.runtime.registry.register_backend`) or a pre-built
+        :func:`~repro.runtime.registry.register_impl`) or a pre-built
         :class:`~repro.runtime.transport.Transport` /
         :class:`~repro.runtime.central.CentralBackend`.  Pre-built backends
         are *borrowed*: :meth:`close` leaves them open.

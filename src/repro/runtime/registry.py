@@ -27,14 +27,11 @@ points does this object implement?", and :func:`implements` checks a single
 pairing — so tooling (and tests) can enumerate what plugs in where without
 grepping for magic strings.
 
-String names survive as a thin compatibility shim: :data:`BACKENDS` is a
-live mutable view of the :class:`TransportBackend` table, and
-:func:`register_backend` / :func:`unregister_backend` /
-:func:`backend_names` / :func:`create_backend` keep their historical
-signatures.  Extra factory keyword options are forwarded verbatim (e.g.
-``latency=`` / ``bandwidth=`` for ``"simulated"``, ``faults=`` — a
-:class:`repro.faults.FaultPlan` — for ``"simulated"``, ``"tcp"``, and
-``"asyncio"``; see ``docs/testing.md``).
+Engines take a backend by string name: :func:`create_backend` resolves it
+in the :class:`TransportBackend` table and forwards extra factory keyword
+options verbatim (e.g. ``latency=`` / ``bandwidth=`` for ``"simulated"``,
+``faults=`` — a :class:`repro.faults.FaultPlan` — for ``"simulated"``,
+``"tcp"``, and ``"asyncio"``; see ``docs/testing.md``).
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    MutableMapping,
     Optional,
     Protocol,
     Union,
@@ -62,8 +58,6 @@ from .transport import DEFAULT_TIMEOUT, Transport
 
 #: Anything a backend factory may produce.
 Backend = Union[Transport, CentralBackend]
-
-BackendFactory = Callable[..., Backend]
 
 
 # ------------------------------------------------------------ injection points --
@@ -198,66 +192,6 @@ def implements(implementation: Any, protocol: type) -> bool:
     )
 
 
-# --------------------------------------------------- string-name compatibility --
-
-
-class _BackendTable(MutableMapping):
-    """Live mutable view of the :class:`TransportBackend` table.
-
-    The historical string-keyed surface (``BACKENDS``,
-    ``TRANSPORT_FACTORIES``): reads see the typed registry, writes go
-    through it (a direct ``BACKENDS[name] = factory`` behaves like
-    ``register_backend(name, factory, replace=True)``).
-    """
-
-    def _table(self) -> Dict[str, Any]:
-        return _IMPLEMENTATIONS.setdefault(TransportBackend, {})
-
-    def __getitem__(self, name: str) -> BackendFactory:
-        return self._table()[name]
-
-    def __setitem__(self, name: str, factory: BackendFactory) -> None:
-        register_impl(TransportBackend, factory, name=name, replace=True)
-
-    def __delitem__(self, name: str) -> None:
-        del self._table()[name]
-
-    def __iter__(self):
-        return iter(self._table())
-
-    def __len__(self) -> int:
-        return len(self._table())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"BACKENDS({self._table()!r})"
-
-
-#: The live name → factory mapping (compatibility view; prefer the typed
-#: :func:`register_impl` / :func:`resolve_impl` surface).
-BACKENDS: MutableMapping = _BackendTable()
-
-
-def register_backend(name: str, factory: BackendFactory, *, replace: bool = False) -> None:
-    """Register ``factory`` under ``name`` for engines and ``run_choreography``.
-
-    Compatibility wrapper over ``register_impl(TransportBackend, ...)``.
-    Raises :class:`ValueError` when the name is already taken, unless
-    ``replace=True`` is passed (useful for tests and for swapping in an
-    instrumented transport).
-    """
-    register_impl(TransportBackend, factory, name=name, replace=replace)
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (no-op when absent); mainly for tests."""
-    unregister_impl(TransportBackend, name)
-
-
-def backend_names() -> List[str]:
-    """The registered backend names, sorted."""
-    return sorted(_IMPLEMENTATIONS.get(TransportBackend, {}))
-
-
 def create_backend(
     name: str,
     census: LocationsLike,
@@ -270,7 +204,8 @@ def create_backend(
         factory = resolve_impl(TransportBackend, name)
     except ValueError:
         raise ValueError(
-            f"unknown transport/backend {name!r}; choose from {backend_names()}"
+            f"unknown transport/backend {name!r}; "
+            f"choose from {sorted(implementations(TransportBackend))}"
         ) from None
     return factory(census, timeout=timeout, **options)
 

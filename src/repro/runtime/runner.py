@@ -16,8 +16,8 @@ care, because endpoints flush before blocking in a receive and the engine's
 workers flush at every instance boundary.  Only code driving raw endpoints
 by hand must call ``endpoint.flush()`` after its final send.
 
-The names historically imported from this module —
-:class:`ChoreographyResult` and the backend table — are re-exported here.
+:class:`ChoreographyResult`, historically imported from this module, is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -27,22 +27,9 @@ from typing import Any, Mapping, Optional, Sequence, Union
 from ..core.locations import Location, LocationsLike
 from ..core.ops import Choreography
 from .engine import ChoreoEngine, ChoreographyResult
-from .registry import BACKENDS, backend_names, register_backend
 from .transport import DEFAULT_TIMEOUT, Transport
 
-#: Deprecated alias for the pluggable backend registry: prefer
-#: :func:`repro.runtime.registry.register_backend` over mutating this mapping.
-#: Note that it now also holds non-Transport backends (e.g. ``"central"``);
-#: callers needing real endpoints must type-check what the factory returns.
-TRANSPORT_FACTORIES = BACKENDS
-
-__all__ = [
-    "ChoreographyResult",
-    "TRANSPORT_FACTORIES",
-    "backend_names",
-    "register_backend",
-    "run_choreography",
-]
+__all__ = ["ChoreographyResult", "run_choreography"]
 
 
 def run_choreography(

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ClusterClient, ClusterEngine, FaultPlan
+from repro import ChoreoEngine, ClusterClient, ClusterEngine, FaultPlan
 from repro.core.errors import ChoreographyError, ChoreographyRuntimeError
-from repro.protocols.kvs import ResponseKind, ShardEpoch, StaleEpoch
+from repro.protocols.kvs import Request, ResponseKind, ShardEpoch, StaleEpoch, fenced
 from tests.test_cluster_failover import BACKEND, CHAOS_SEEDS, TIMEOUT, drive, ycsb_a
 
 
@@ -85,20 +85,53 @@ class TestEpochFence:
         assert isinstance(failure.value, ChoreographyError)
         assert "stale shard epoch" in str(failure.value)
 
-    def test_stale_binding_is_fenced_at_every_location(self):
+    def test_fenced_combinator_on_a_plain_choreography(self):
+        def hello(op, word):
+            greeting = op.locally("alice", lambda _un: word)
+            return op.comm("alice", "bob", greeting)
+
+        fence = ShardEpoch(3)
+        bound = fenced(hello, fence)  # captures epoch 3
+        with ChoreoEngine(["alice", "bob"], backend=BACKEND) as engine:
+            assert engine.run(bound, args=("hi",)).value_at("bob") == "hi"
+            fence.advance(4)
+            sent = engine.stats.total_messages
+            with pytest.raises(ChoreographyRuntimeError) as failure:
+                engine.run(bound, args=("hi",))
+            roots = failure.value.failures
+            assert set(roots) == {"alice", "bob"}  # every location, not just one
+            assert all(isinstance(exc, StaleEpoch) for exc in roots.values())
+            assert engine.stats.total_messages == sent
+            # A binding made now captures the new epoch and runs.
+            assert engine.run(fenced(hello, fence), args=("yo",)).value_at("bob") == "yo"
+
+    @pytest.mark.parametrize("binding, args", [
+        ("put", ("k", "v")),
+        ("get", ("k",)),
+        ("delete", ("k",)),
+        ("scan", ("",)),
+        ("serve", ([Request.put("k", "v"), Request.get("k")],)),
+        ("txn_prepare", ("t1", {"k": "v"}, {})),
+        ("txn_decide", ("t1", "commit", {"k": "v"})),
+    ])
+    def test_stale_binding_is_fenced_at_every_location(self, binding, args):
         # White-box: force a promotion with no crash at all, then run a
         # binding captured under the old epoch.  Every location must raise
         # StaleEpoch — deterministically, before any message moves.
         with ClusterEngine(shards=1, replication=2, backend=BACKEND) as cluster:
             session = cluster.session("shard0")
-            stale_put = session.put  # bound under epoch 0
+            stale = getattr(session, binding)  # bound under epoch 0
             assert cluster._mark_primary_down("shard0", "shard0.r0")
             assert session.epoch == 1
+            with pytest.raises(AttributeError):
+                session.epoch = 7  # read-only: the fence cell is the epoch
+            sent = cluster.stats.total_messages
             with pytest.raises(ChoreographyRuntimeError) as failure:
-                session.engine.run(stale_put, args=("k", "v"))
+                session.engine.run(stale, args=args)
             roots = failure.value.failures
-            assert roots  # the bundle names the fenced locations
+            assert set(roots) == set(session.census)
             assert all(isinstance(exc, StaleEpoch) for exc in roots.values())
+            assert cluster.stats.total_messages == sent
             # The current-epoch binding (via the engine) still serves: the
             # replay path picks it up and the op lands on the new head.
             result = cluster.submit_put("k", "v").result(timeout=30.0)

@@ -290,3 +290,94 @@ class TestKVSDelete:
 
             result = run_choreography(chor, census)
             assert result.value_at("client") == Response.found("v")
+
+
+class TestReplicatedRoundIsWireIdentical:
+    """Literal (messages, bytes) per cluster op, measured before the five
+    primary–backup choreographies were collapsed into ``replicated``.
+
+    Pins the operator-call sequence of every instantiation: a refactor of
+    the round may not add, drop or re-encode a single message.
+    """
+
+    STEPS = ("put", "get", "quorum get", "delete", "batch", "txn", "scan")
+    EXPECTED = {
+        1: [(2, 226), (2, 222), (2, 222), (2, 116), (2, 342), (4, 264), (2, 12)],
+        2: [(4, 452), (3, 331), (5, 233), (4, 232), (4, 666), (8, 420), (2, 12)],
+        3: [(6, 678), (4, 440), (8, 350), (6, 348), (6, 990), (12, 576), (2, 12)],
+    }
+
+    @pytest.mark.parametrize("replication", sorted(EXPECTED))
+    def test_every_cluster_op_costs_what_it_did(self, replication):
+        from repro import ClusterEngine
+
+        def wait(futures):
+            for future in futures:
+                future.result(timeout=30.0)
+
+        with ClusterEngine(1, replication=replication, backend="central") as cluster:
+            drive = [
+                lambda: wait([cluster.submit_put("k", "v" * 8)]),
+                lambda: wait([cluster.submit_get("k")]),
+                lambda: wait([cluster.submit_get("k", quorum=True)]),
+                lambda: wait([cluster.submit_delete("k")]),
+                lambda: wait(cluster.submit_batch(
+                    [Request.put("a", "1"), Request.get("a"), Request.delete("a")]
+                )),
+                lambda: wait([cluster.submit_txn([Request.put("a", "1")])]),
+                lambda: wait(cluster.submit_scan("").values()),
+            ]
+            observed = []
+            for step in drive:
+                stats = cluster.stats
+                before = (stats.total_messages, stats.total_bytes)
+                step()
+                stats = cluster.stats
+                observed.append(
+                    (stats.total_messages - before[0], stats.total_bytes - before[1])
+                )
+        assert dict(zip(self.STEPS, observed)) == dict(
+            zip(self.STEPS, self.EXPECTED[replication])
+        )
+
+
+class TestReplicatedCensusSweep:
+    """``replicated`` itself, over backups ∈ {0..3} × replicates ∈ {T, F}."""
+
+    @pytest.mark.parametrize("transport", ["central", "local"])
+    @pytest.mark.parametrize("replicates", [True, False])
+    @pytest.mark.parametrize("n_backups", [0, 1, 2, 3])
+    def test_message_count_order_and_acks(self, n_backups, replicates, transport):
+        from repro.protocols.kvs import replicated
+
+        backups = [f"b{i}" for i in range(n_backups)]
+        events = []  # appended to from every location's thread, in real time
+
+        def at_backup(state, payload):
+            events.append(("backup", state["me"], payload))
+            return state["me"]
+
+        def at_server(state, payload, acks):
+            events.append(("server", state["me"], payload, tuple(acks)))
+            return (payload, tuple(acks))
+
+        def chor(op):
+            states = op.parallel(["server"] + backups, lambda me, _un: {"me": me})
+            payload = op.locally("client", lambda _un: "p")
+            return replicated(
+                op, "client", "server", backups, states, payload,
+                replicates=lambda incoming: replicates,
+                at_backup=at_backup, at_server=at_server,
+            )
+
+        result = run_choreography(chor, ["client", "server"] + backups,
+                                  transport=transport)
+        replicated_to = backups if replicates else []
+        assert result.stats.total_messages == 2 + n_backups + len(replicated_to)
+        # A conclave costs the outsider nothing: one request out, one answer in.
+        assert result.stats.messages_involving("client") == 2
+        # acks arrive in census order, and are empty when nothing replicated.
+        assert result.value_at("client") == ("p", tuple(replicated_to))
+        # at_backup ran once per backup, all of them strictly before at_server.
+        assert sorted(events[:-1]) == [("backup", b, "p") for b in replicated_to]
+        assert events[-1] == ("server", "server", "p", tuple(replicated_to))

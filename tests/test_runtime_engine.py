@@ -12,10 +12,11 @@ from repro.core.errors import CensusError, ChoreographyRuntimeError
 from repro.runtime.central import CentralBackend
 from repro.runtime.local import LocalTransport
 from repro.runtime.registry import (
-    backend_names,
+    TransportBackend,
     create_backend,
-    register_backend,
-    unregister_backend,
+    implementations,
+    register_impl,
+    unregister_impl,
 )
 from repro.runtime.tcp import TCPTransport
 
@@ -333,16 +334,16 @@ class TestCentralBackend:
 class TestBackendRegistry:
     def test_builtin_backends_registered(self):
         assert {"local", "tcp", "asyncio", "simulated", "central"} <= set(
-            backend_names()
+            implementations(TransportBackend)
         )
 
-    def test_register_backend_is_pluggable(self):
+    def test_registered_backend_is_pluggable(self):
         class TracingTransport(LocalTransport):
             pass
 
-        register_backend("tracing-local", TracingTransport)
+        register_impl(TransportBackend, TracingTransport, name="tracing-local")
         try:
-            assert "tracing-local" in backend_names()
+            assert "tracing-local" in implementations(TransportBackend)
             with ChoreoEngine(CENSUS, backend="tracing-local") as engine:
                 assert isinstance(engine.transport, TracingTransport)
                 assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
@@ -351,20 +352,12 @@ class TestBackendRegistry:
                                       transport="tracing-local")
             assert result.returns["carol"] == "y!"
         finally:
-            unregister_backend("tracing-local")
-
-    def test_duplicate_registration_needs_replace(self):
-        register_backend("dupe-test", LocalTransport)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("dupe-test", LocalTransport)
-            register_backend("dupe-test", TCPTransport, replace=True)
-        finally:
-            unregister_backend("dupe-test")
+            unregister_impl(TransportBackend, "tracing-local")
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown transport"):
+        with pytest.raises(ValueError, match="unknown transport") as err:
             create_backend("carrier-pigeon", CENSUS)
+        assert "choose from ['asyncio', 'central'," in str(err.value)
         with pytest.raises(ValueError, match="unknown transport"):
             ChoreoEngine(CENSUS, backend="carrier-pigeon")
 
@@ -380,7 +373,7 @@ class TestBackendRegistry:
 
 
 class TestTypedRegistry:
-    """The Protocol-keyed injection layer under the string-name shim."""
+    """The Protocol-keyed injection layer engines resolve backend names in."""
 
     def test_impl_decorator_registers_and_resolves(self):
         from repro.runtime.registry import (
@@ -402,14 +395,13 @@ class TestTypedRegistry:
             assert implementations(TransportBackend)["typed-local"] is TypedLocal
             assert implements(TypedLocal, TransportBackend)
             assert TransportBackend in impl_protocols(TypedLocal)
-            # the string shim and the engine see the typed registration
-            assert "typed-local" in backend_names()
+            # the engine sees the typed registration
             with ChoreoEngine(CENSUS, backend="typed-local") as engine:
                 assert isinstance(engine.transport, TypedLocal)
                 assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
         finally:
             unregister_impl(TransportBackend, "typed-local")
-        assert "typed-local" not in backend_names()
+        assert "typed-local" not in implementations(TransportBackend)
 
     def test_unknown_impl_name_lists_the_protocols_table(self):
         from repro.runtime.registry import TransportBackend, resolve_impl
@@ -443,23 +435,6 @@ class TestTypedRegistry:
         assert isinstance(codec, WireCodec)  # runtime_checkable structural check
         assert implements(FaultPlan, FaultPlanSource)
         assert "seeded" in implementations(FaultPlanSource)
-
-    def test_backends_mapping_is_a_live_view_of_the_typed_table(self):
-        from repro.runtime.registry import BACKENDS, TransportBackend, implements
-
-        class Pigeon(LocalTransport):
-            pass
-
-        BACKENDS["pigeon-test"] = Pigeon
-        try:
-            assert "pigeon-test" in backend_names()
-            assert BACKENDS["pigeon-test"] is Pigeon
-            assert implements(Pigeon, TransportBackend)
-            assert len(BACKENDS) == len(backend_names())
-            assert set(BACKENDS) == set(backend_names())
-        finally:
-            del BACKENDS["pigeon-test"]
-        assert "pigeon-test" not in backend_names()
 
 
 class TestCloseDeadlineCap:
