@@ -12,12 +12,15 @@ free monads (§5.2); Python's first-class functions make it direct.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Protocol, TypeVar, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Optional, Protocol, TypeVar, runtime_checkable
 
-from .errors import CensusError, OwnershipError, PlaceholderError, TransportError
+from .errors import CensusError, OwnershipError, PlaceholderError
 from .located import ABSENT, Faceted, Located, Quire
 from .locations import Census, Location, LocationsLike, as_census
 from .ops import ChoreoOp, Choreography, Unwrapper
+
+if TYPE_CHECKING:
+    from ..runtime.transport import TransportEndpoint
 
 T = TypeVar("T")
 
@@ -26,8 +29,10 @@ T = TypeVar("T")
 class Endpoint(Protocol):
     """The transport interface one endpoint needs: point-to-point send/recv.
 
-    Implementations live in :mod:`repro.runtime`; anything with compatible
-    ``send``/``recv`` methods (e.g. a test double) also works.
+    This is the whole interface a projected program depends on.  The real
+    implementations are :class:`repro.runtime.transport.TransportEndpoint`
+    subclasses; anything with compatible ``send``/``recv`` methods (e.g. a
+    test double) also works.
     """
 
     location: Location
@@ -41,30 +46,33 @@ class Endpoint(Protocol):
     # Endpoints may additionally provide ``send_many(receivers, payload)`` —
     # a serialize-once broadcast of the same payload.  ``multicast`` uses it
     # when present and falls back to a loop of ``send`` otherwise, so minimal
-    # endpoints (including test doubles) keep working unchanged.
+    # two-method endpoints (test doubles, the HasChor baseline's) keep
+    # working unchanged.
     #
-    # Coalescing endpoints also provide ``flush()``: sends may be deferred
-    # into per-receiver write buffers that drain on flush, on a byte
-    # high-watermark, and always before the endpoint blocks in ``recv`` (the
-    # flush-before-block rule — see repro.runtime.transport).  Projected
-    # operators never need to call it: a projected program only ever blocks
-    # in ``recv``, which flushes first, and the engine/runner flush at
-    # instance boundaries for trailing sends.
+    # A ``TransportEndpoint`` defines all of these once, over two byte-level
+    # primitives each transport implements (accept one encoded frame for
+    # one-or-many receivers; hand back the next ``(instance, bytes)`` from a
+    # sender), and may defer sends into per-receiver write buffers that drain
+    # on ``flush()``, on a byte high-watermark, and always before it blocks
+    # in a receive (the flush-before-block rule — see
+    # repro.runtime.transport).  Projected operators never need to call
+    # ``flush``: a projected program only ever blocks in ``recv``, which
+    # flushes first, and the engine/runner flush at instance boundaries for
+    # trailing sends.
 
 
 class InstanceScopedEndpoint:
-    """Scope an endpoint to a single choreography *instance*.
+    """Scope a transport endpoint to a single choreography *instance*.
 
     A persistent session (:class:`repro.runtime.engine.ChoreoEngine`) pipelines
     many independent choreography instances over one warm transport.  Each
     location runs the instances in submission order, but different locations
     may be executing *different* instances at the same moment, so messages of
     two instances can coexist on one directed channel.  This wrapper keeps them
-    apart: every outgoing payload is tagged with the instance id, and receives
-    demultiplex by tag.  When the wrapped endpoint offers the ``*_scoped``
-    transport methods the tag rides in the transport's framing (recorded
-    payload bytes stay exact); for minimal endpoints it falls back to an
-    in-payload ``(instance, payload)`` tuple.
+    apart: every send passes the instance id as the frame tag
+    (``send(..., instance=k)`` — the tag rides beside the payload bytes, so
+    recorded payload bytes stay exact), and receives demultiplex on the tag
+    ``recv_tagged`` returns.
 
     Because each location executes instances in increasing id order and every
     channel is FIFO, tags on a channel are non-decreasing.  A received tag can
@@ -80,11 +88,11 @@ class InstanceScopedEndpoint:
     nor the stash needs additional locking here.
     """
 
-    __slots__ = ("location", "_inner", "_instance", "_stash", "_scoped")
+    __slots__ = ("location", "_inner", "_instance", "_stash")
 
     def __init__(
         self,
-        inner: Endpoint,
+        inner: "TransportEndpoint",
         instance: int,
         stash: Dict[int, Dict[Location, Deque[Any]]],
     ):
@@ -92,43 +100,23 @@ class InstanceScopedEndpoint:
         self._inner = inner
         self._instance = instance
         self._stash = stash
-        self._scoped = hasattr(inner, "send_scoped") and hasattr(inner, "recv_scoped")
 
     def send(self, receiver: Location, payload: Any) -> None:
-        if self._scoped:
-            self._inner.send_scoped(receiver, self._instance, payload)
-        else:
-            self._inner.send(receiver, (self._instance, payload))
+        self._inner.send(receiver, payload, self._instance)
 
     def send_many(self, receivers: Iterable[Location], payload: Any) -> None:
-        if self._scoped:
-            self._inner.send_many_scoped(receivers, self._instance, payload)
-            return
-        tagged = (self._instance, payload)
-        send_many = getattr(self._inner, "send_many", None)
-        if send_many is not None:
-            send_many(receivers, tagged)
-        else:
-            for receiver in receivers:
-                self._inner.send(receiver, tagged)
+        self._inner.send_many(receivers, payload, self._instance)
 
     def flush(self) -> None:
-        """Drain the wrapped endpoint's deferred writes (no-op for minimal ones)."""
-        flush = getattr(self._inner, "flush", None)
-        if flush is not None:
-            flush()
-
-    def _recv_tagged(self, sender: Location) -> Any:
-        if self._scoped:
-            return self._inner.recv_scoped(sender)
-        return self._untag(sender, self._inner.recv(sender))
+        """Drain the wrapped endpoint's deferred writes."""
+        self._inner.flush()
 
     def recv(self, sender: Location) -> Any:
         stashed = self._stash.get(self._instance, {}).get(sender)
         if stashed:
             return stashed.popleft()
         while True:
-            instance, payload = self._recv_tagged(sender)
+            instance, payload = self._inner.recv_tagged(sender)
             if instance == self._instance:
                 return payload
             if instance > self._instance:
@@ -136,21 +124,6 @@ class InstanceScopedEndpoint:
                 per_sender.setdefault(sender, deque()).append(payload)
             # Tags below the current instance are leftovers of an earlier,
             # already-finished (failed) run at this location: drop them.
-
-    def recv_many(self, senders: Iterable[Location]) -> Dict[Location, Any]:
-        return {sender: self.recv(sender) for sender in senders}
-
-    def _untag(self, sender: Location, message: Any) -> Any:
-        if (
-            not isinstance(message, tuple)
-            or len(message) != 2
-            or not isinstance(message[0], int)
-        ):
-            raise TransportError(
-                f"{self.location!r} received an untagged message from {sender!r} on an "
-                "instance-scoped channel; do not mix raw endpoint sends with engine runs"
-            )
-        return message
 
 
 def _make_unwrapper(viewer: Location, required_owners: Optional[Census] = None) -> Unwrapper:

@@ -1,26 +1,31 @@
 """Fault injection at the transport seam: :class:`FaultyEndpoint`.
 
-The wrapper follows the same tee/wrapper pattern as the simulated network's
-clock-stamping endpoint: it subclasses
-:class:`~repro.runtime.transport.ForwardingEndpoint`, intercepts the send and
-receive paths, and forwards everything else untouched.  Because it sits
-*above* the real endpoint, the wrapped transport's own guarantees — per-pair
-FIFO delivery, serialize-once accounting, the flush-before-block rule — are
-preserved by construction wherever the wrapper forwards, and the wrapper is
-careful to keep them where it interferes:
+The wrapper works at frame level, like the simulated network's clock-stamping
+endpoint: it subclasses :class:`~repro.runtime.transport.ForwardingEndpoint`
+and intercepts the two frame primitives (``_send_frame`` / ``_recv_frame``,
+one op-counter tick per call) plus ``flush``.  Peer checks, serialization and
+:class:`~repro.runtime.stats.ChannelStats` accounting happen once, in the
+``send``/``send_many``/``recv`` it inherits, so what it holds, delays or drops
+is already-encoded bytes.  Because it sits *above* the real endpoint, the
+wrapped transport's own guarantees — per-pair FIFO delivery, the
+flush-before-block rule — are preserved by construction wherever the wrapper
+forwards, and the wrapper is careful to keep them where it interferes:
 
 * a **held (reordered) frame** is released before any newer frame to the
   same receiver is forwarded (FIFO per pair), and everything held is released
   on :meth:`FaultyEndpoint.flush` and before a blocking receive (the
   flush-before-block rule, which keeps injected reordering deadlock-free);
-* a **transient connect failure** raises *before* the inner send runs, so a
-  retried message is recorded in :class:`~repro.runtime.stats.ChannelStats`
-  exactly once, by the attempt that lands;
+* a **transient connect failure** raises out of ``_send_frame``, so the frame
+  was not accepted and a retried message is recorded in
+  :class:`~repro.runtime.stats.ChannelStats` exactly once, by the attempt
+  that lands;
+* a **held frame was accepted**, so it is counted when sent — like any
+  coalesced frame still in a write buffer at ``close()`` — even if a later
+  crash of its sender discards it;
 * a **crash** makes every subsequent send/receive raise
   :class:`~repro.faults.plan.CrashFault`, while ``flush`` becomes a safe
-  no-op (and ``use_stats``, a plain sink reassignment, keeps forwarding
-  harmlessly) — a dead location must never be able to wedge the engine
-  worker that hosts it (its Future resolves with the crash, not never).
+  no-op — a dead location must never be able to wedge the engine worker
+  that hosts it (its Future resolves with the crash, not never).
 
 One worker thread drives each endpoint (the engine/runner invariant), so the
 wrapper's counters need no locking, and — because every injection decision is
@@ -31,15 +36,15 @@ scheduling nor wall-clock timing can change what gets injected.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import TransportError
 from ..core.locations import Location
 from ..runtime.transport import ForwardingEndpoint, TransportEndpoint
 from .plan import CrashFault, CrashRule, FaultSession
 
-#: One held (reordered) frame: release-step deadline, inner method name, args.
-_Held = Tuple[int, str, tuple]
+#: One held (reordered) frame: release-step deadline, payload bytes, instance.
+_Held = Tuple[int, bytes, int]
 
 
 class FaultyEndpoint(ForwardingEndpoint):
@@ -109,8 +114,8 @@ class FaultyEndpoint(ForwardingEndpoint):
         for receiver in list(self._held):
             frames = self._held[receiver]
             while frames and frames[0][0] <= self._step:
-                _release_at, method, args = frames.pop(0)
-                getattr(self._inner, method)(receiver, *args)
+                _release_at, data, instance = frames.pop(0)
+                self._inner._send_frame((receiver,), data, instance)
             if not frames:
                 del self._held[receiver]
 
@@ -118,8 +123,8 @@ class FaultyEndpoint(ForwardingEndpoint):
         """Forward everything held for ``receiver`` (a newer frame is coming)."""
         frames = self._held.pop(receiver, None)
         if frames:
-            for _release_at, method, args in frames:
-                getattr(self._inner, method)(receiver, *args)
+            for _release_at, data, instance in frames:
+                self._inner._send_frame((receiver,), data, instance)
 
     def _release_all(self) -> None:
         for receiver in list(self._held):
@@ -161,8 +166,12 @@ class FaultyEndpoint(ForwardingEndpoint):
 
     # ----------------------------------------------------------------- outgoing --
 
-    def _send_op(self, method: str, receiver: Location, args: tuple) -> None:
+    def _send_frame(self, receivers: Sequence[Location], data: bytes, instance: int) -> None:
         self._tick()
+        if len(receivers) != 1:
+            self._broadcast(receivers, data, instance)
+            return
+        (receiver,) = receivers
         index = self._next_send_index(receiver)
         self._release(receiver)  # FIFO: older held frames go out first
         self._flaky(receiver)
@@ -170,22 +179,15 @@ class FaultyEndpoint(ForwardingEndpoint):
         hold = self._plan.reorder_hold(self.location, receiver, index)
         if hold > 0:
             self._session.record("reorder", self.location, receiver, self._step, hold)
-            self._held.setdefault(receiver, []).append((self._step + hold, method, args))
+            self._held.setdefault(receiver, []).append((self._step + hold, data, instance))
         else:
-            getattr(self._inner, method)(receiver, *args)
+            self._inner._send_frame(receivers, data, instance)
 
-    def send(self, receiver: Location, payload: Any) -> None:
-        self._send_op("send", receiver, (payload,))
-
-    def send_scoped(self, receiver: Location, instance: int, payload: Any) -> None:
-        self._send_op("send_scoped", receiver, (instance, payload))
-
-    def _broadcast_op(self, method: str, targets: List[Location], args: tuple) -> None:
-        # Broadcasts ride the inner serialize-once path undivided: they are
-        # subject to crash and delay (the largest per-target draw, so the
+    def _broadcast(self, targets: Sequence[Location], data: bytes, instance: int) -> None:
+        # Broadcasts ride the inner one-item / one-header path undivided: they
+        # are subject to crash and delay (the largest per-target draw, so the
         # shared wire moment is charged once), but not to reorder/flaky,
         # which are per-channel by nature.
-        self._tick()
         seconds = 0.0
         for receiver in targets:
             self._release(receiver)
@@ -194,30 +196,14 @@ class FaultyEndpoint(ForwardingEndpoint):
         if seconds > 0.0:
             self._session.record("delay", self.location, tuple(targets), self._step, seconds)
             self._delay_fn(seconds)
-        getattr(self._inner, method)(targets, *args)
-
-    def send_many(self, receivers: Iterable[Location], payload: Any) -> None:
-        self._broadcast_op("send_many", list(receivers), (payload,))
-
-    def send_many_scoped(
-        self, receivers: Iterable[Location], instance: int, payload: Any
-    ) -> None:
-        self._broadcast_op("send_many_scoped", list(receivers), (instance, payload))
+        self._inner._send_frame(targets, data, instance)
 
     # ----------------------------------------------------------------- incoming --
 
-    def recv(self, sender: Location) -> Any:
+    def _recv_frame(self, sender: Location) -> Tuple[int, bytes]:
         self._tick()
         self._release_all()  # flush-before-block: held frames must be in flight
-        return self._inner.recv(sender)
-
-    def recv_scoped(self, sender: Location) -> "tuple[int, Any]":
-        self._tick()
-        self._release_all()
-        return self._inner.recv_scoped(sender)
-
-    def recv_many(self, senders: Iterable[Location]) -> Dict[Location, Any]:
-        return {sender: self.recv(sender) for sender in senders}
+        return self._inner._recv_frame(sender)
 
     # ---------------------------------------------------------------- lifecycle --
 

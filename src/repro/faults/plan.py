@@ -177,7 +177,8 @@ class FaultPlan:
         released before the endpoint blocks in a receive or flushes.
 
         Applies to *unicast* sends only: a serialize-once broadcast
-        (``send_many``) is one indivisible wire moment and is never held —
+        (``send_many`` to two or more receivers) is one indivisible wire
+        moment and is never held —
         point a reorder rule at channels that carry point-to-point traffic
         (with one backup, replication fan-outs are plain sends; with two or
         more they go out as broadcasts and only delay/crash rules touch

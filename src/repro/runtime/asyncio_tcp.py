@@ -129,8 +129,8 @@ class _AsyncioEndpoint(FramedCoalescingEndpoint):
     ``run_coroutine_threadsafe`` only where a socket is touched.
     """
 
-    def __init__(self, location: Location, transport: "AsyncioTCPTransport", timeout: float):
-        super().__init__(location, transport, timeout)
+    def __init__(self, location: Location, transport: "AsyncioTCPTransport"):
+        super().__init__(location, transport)
         self._loop = transport._loop
         self._closed = False
         # Cached outgoing connections: ``receiver -> (asyncio transport,
@@ -323,7 +323,7 @@ class AsyncioTCPTransport(Transport):
     def _make_endpoint(self, location: Location) -> TransportEndpoint:
         if self._loop_closed:
             raise TransportError("asyncio transport is closed")
-        endpoint: TransportEndpoint = _AsyncioEndpoint(location, self, self.timeout)
+        endpoint: TransportEndpoint = _AsyncioEndpoint(location, self)
         if self.faults is not None:
             endpoint = self.faults.wrap(endpoint, delay_fn=self._timer_delay)
         return endpoint

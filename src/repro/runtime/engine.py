@@ -46,7 +46,7 @@ from ..core.locations import Census, Location, LocationsLike, as_census
 from ..core.ops import Choreography
 from .central import CentralBackend, CentralOp, localize_return
 from .registry import Backend, create_backend
-from .stats import ChannelStats, record_broadcast_on
+from .stats import ChannelStats
 from .transport import DEFAULT_TIMEOUT, Transport, TransportEndpoint
 
 #: The "no value" marker used internally by :class:`ChoreographyResult` so a
@@ -140,7 +140,7 @@ class _TeeStats:
         """Batched counterpart of :meth:`record`, one call per broadcast."""
         receivers = list(receivers)
         for sink in self._sinks:
-            record_broadcast_on(sink, sender, receivers, nbytes)
+            sink.record_broadcast(sender, receivers, nbytes)
 
 
 class _EngineJob:
@@ -607,8 +607,6 @@ class ChoreoEngine:
         """One location's long-lived runner: projects and executes each job."""
         endpoint = self._endpoints[location]
         base_stats = self._transport.stats
-        redirects = hasattr(endpoint, "use_stats")
-        flush = getattr(endpoint, "flush", None)
         stash: Dict[int, Dict[Location, Any]] = self._stashes[location]
         while True:
             job = jobs.get()
@@ -623,30 +621,24 @@ class ChoreoEngine:
             outcome, payload = "error", None
             try:
                 scoped = InstanceScopedEndpoint(endpoint, job.instance, stash)
-                if redirects:
-                    endpoint.use_stats(_TeeStats(base_stats, job.stats))
+                endpoint.use_stats(_TeeStats(base_stats, job.stats))
                 try:
                     program = project(job.choreography, self.census, location, scoped)
                     value = program(*job.args_for(location), **job.kwargs)
                     # Instance-boundary flush: a coalescing endpoint may still
                     # hold this instance's trailing sends; they are part of the
-                    # run, so a failed drain fails the run, and flushing before
-                    # the stats tee is restored keeps the per-run ChannelStats
-                    # delta exact.
-                    if flush is not None:
-                        flush()
+                    # run, so a failed drain fails the run.
+                    endpoint.flush()
                 except BaseException as exc:  # noqa: BLE001 - reported via the Future
-                    if flush is not None:
-                        try:
-                            flush()  # best-effort: peers may be blocked on these
-                        except BaseException:  # noqa: BLE001 - original error wins
-                            pass
+                    try:
+                        endpoint.flush()  # best-effort: peers may be blocked on these
+                    except BaseException:  # noqa: BLE001 - original error wins
+                        pass
                     outcome, payload = "error", exc
                 else:
                     outcome, payload = "ok", value
                 finally:
-                    if redirects:
-                        endpoint.use_stats(base_stats)
+                    endpoint.use_stats(base_stats)
                     # Unconsumed messages of instances up to and including this
                     # one must not linger (a long-lived session would otherwise
                     # grow without bound): tags ≤ the just-finished instance are

@@ -9,7 +9,7 @@ where ``sender`` is the wire-encoded sender location, ``instance`` is the
 choreography-instance id (0 for one-shot sends), and ``payload`` is the
 :func:`~repro.runtime.transport.serialize`-d message.  This module is the
 single definition of that layout — a header builder, an incremental parser,
-and the coalescing send/recv machinery both endpoints share — so the two
+and the two frame primitives both endpoints share — so the two
 backends stay interoperable *byte for byte* on the same socket: a frame
 written by either backend parses identically on the other, and the payload
 byte counts recorded in :class:`~repro.runtime.stats.ChannelStats` are the
@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import queue
 import struct
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.errors import ChoreoTimeout, TransportError
 from ..core.locations import Location
 from . import wire
-from .transport import CoalescingEndpoint, deserialize, serialize
+from .transport import CoalescingEndpoint
 
 LENGTH = struct.Struct("!I")
 SENDER_LENGTH = struct.Struct("!H")
@@ -132,56 +132,26 @@ class FrameParser:
 
 
 class FramedCoalescingEndpoint(CoalescingEndpoint):
-    """Send/recv machinery shared by the threaded and asyncio TCP endpoints.
+    """Frame primitives shared by the threaded and asyncio TCP endpoints.
 
     Owns the per-peer inboxes (items are ``(instance, payload bytes)`` pairs,
-    or a :class:`FrameCorruption` poison), the frame-header builder, and the
-    serialize-once send paths; subclasses provide connection management and
-    ``_deliver`` (how a drained batch of pre-framed buffers reaches a
-    receiver's socket).
+    or a :class:`FrameCorruption` poison) and the frame-header builder;
+    subclasses provide connection management and ``_deliver`` (how a drained
+    batch of pre-framed buffers reaches a receiver's socket).
     """
 
-    def __init__(self, location, transport, timeout: float):
-        super().__init__(location, transport.stats, timeout)
-        self._transport = transport
+    def __init__(self, location, transport):
+        super().__init__(location, transport)
         self._inboxes: Dict[Location, "queue.SimpleQueue"] = {
             peer: queue.SimpleQueue() for peer in transport.census if peer != location
         }
         self._frame_writer = FrameWriter(location)
 
-    # -- outgoing ------------------------------------------------------------------
-
-    def _send_serialized(self, receiver: Location, data: bytes, instance: int = 0) -> None:
-        if receiver not in self._transport.census:
-            raise TransportError(f"unknown receiver {receiver!r}")
-        self._record(receiver, len(data))
-        header = self._frame_writer.header(len(data), instance)
-        self._enqueue(receiver, (header, data), len(header) + len(data))
-
-    def send(self, receiver: Location, payload) -> None:
-        self._send_serialized(receiver, serialize(payload))
-
-    def send_scoped(self, receiver: Location, instance: int, payload) -> None:
-        self._send_serialized(receiver, serialize(payload), instance)
-
-    def send_many(self, receivers: Iterable[Location], payload) -> None:
-        self.send_many_scoped(receivers, 0, payload)
-
-    def send_many_scoped(
-        self, receivers: Iterable[Location], instance: int, payload
-    ) -> None:
-        targets = list(receivers)
-        for receiver in targets:  # all-or-nothing: validate before the first frame
-            if receiver not in self._transport.census:
-                raise TransportError(f"unknown receiver {receiver!r}")
-        data = serialize(payload)  # one serialization shared by all receivers
-        header = self._frame_writer.header(len(data), instance)  # ...and one header
-        self._record_broadcast(targets, len(data))
+    def _send_frame(self, receivers: Sequence[Location], data: bytes, instance: int) -> None:
+        header = self._frame_writer.header(len(data), instance)  # one header for all
         nbytes = len(header) + len(data)
-        for receiver in targets:
+        for receiver in receivers:
             self._enqueue(receiver, (header, data), nbytes)
-
-    # -- incoming ------------------------------------------------------------------
 
     def _poison_inboxes(self, error: FrameCorruption) -> None:
         """Wake every blocked receiver with the typed corruption error.
@@ -194,9 +164,7 @@ class FramedCoalescingEndpoint(CoalescingEndpoint):
         for inbox in self._inboxes.values():
             inbox.put(error)
 
-    def _recv_serialized(self, sender: Location) -> Tuple[int, bytes]:
-        if sender not in self._inboxes:
-            raise TransportError(f"unknown sender {sender!r}")
+    def _recv_frame(self, sender: Location) -> Tuple[int, bytes]:
         # Flush-before-block: our own deferred sends must be in flight before
         # we wait on a peer, or two coalescing endpoints could starve each
         # other with full buffers and empty inboxes.
@@ -208,11 +176,3 @@ class FramedCoalescingEndpoint(CoalescingEndpoint):
         if isinstance(item, FrameCorruption):
             raise item
         return item
-
-    def recv(self, sender: Location):
-        _instance, data = self._recv_serialized(sender)
-        return deserialize(data)
-
-    def recv_scoped(self, sender: Location) -> Tuple[int, object]:
-        instance, data = self._recv_serialized(sender)
-        return instance, deserialize(data)

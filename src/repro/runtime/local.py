@@ -1,8 +1,9 @@
 """In-process transport: one FIFO queue per directed channel.
 
 This is the "threads on a single machine communicating through channels"
-execution mode every library in the paper supports.  Payloads are serialised
-on send and deserialised on receive, so endpoints cannot accidentally share
+execution mode every library in the paper supports.  Only serialised bytes
+cross a channel (:class:`~repro.runtime.transport.TransportEndpoint` encodes
+on send and decodes on receive), so endpoints cannot accidentally share
 mutable state and message sizes are accounted accurately.
 
 Channels are created lazily on first use: a census of *n* locations has n²−n
@@ -10,11 +11,12 @@ directed pairs, but most choreographies only ever touch a few of them, so
 eager allocation would make large-census benchmarks pay a quadratic setup tax
 before the first message moves.
 
-Sends are *coalesced* like the TCP transport's: ``send``/``send_many``/
-``*_scoped`` append ``(instance, payload bytes)`` items to a per-receiver
-write buffer, and a drain puts the whole batch on the channel queue as **one
-item** — one queue rendezvous (lock + wakeup) for many frames instead of one
-per message.  Buffers drain on an explicit ``flush()``, past
+Sends are *coalesced* like the TCP transport's: each frame is appended as an
+``(instance, payload bytes)`` item to a per-receiver write buffer (a
+broadcast shares one item among its receivers), and a drain puts the whole
+batch on the channel queue as **one item** — one queue rendezvous (lock +
+wakeup) for many frames instead of one per message.  Buffers drain on an
+explicit ``flush()``, past
 :data:`~repro.runtime.transport.FLUSH_WATERMARK` pending payload bytes, and
 always before a blocking receive (the flush-before-block rule; see
 :class:`~repro.runtime.transport.TransportEndpoint`).  The receive side pops
@@ -27,18 +29,11 @@ from __future__ import annotations
 import queue
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
-from ..core.errors import ChoreoTimeout, TransportError
+from ..core.errors import ChoreoTimeout
 from ..core.locations import Location, LocationsLike
-from .transport import (
-    DEFAULT_TIMEOUT,
-    CoalescingEndpoint,
-    Transport,
-    TransportEndpoint,
-    deserialize,
-    serialize,
-)
+from .transport import DEFAULT_TIMEOUT, CoalescingEndpoint, Transport, TransportEndpoint
 
 #: One frame: ``(instance, serialized payload)``.
 _Item = Tuple[int, bytes]
@@ -51,58 +46,20 @@ class _QueueEndpoint(CoalescingEndpoint):
     """Endpoint backed by shared per-channel queues."""
 
     def __init__(self, location: Location, transport: "LocalTransport"):
-        super().__init__(location, transport.stats, transport.timeout)
-        self._transport = transport
+        super().__init__(location, transport)
         # Frames already popped from a channel queue but not yet recv'd.
         self._pending_in: Dict[Location, Deque[_Item]] = {}
-
-    def _require_peer(self, peer: Location, direction: str) -> None:
-        if peer == self.location or peer not in self._transport.census:
-            preposition = "to" if direction == "receiver" else "from"
-            raise TransportError(
-                f"no channel {preposition} {peer!r} at {self.location!r}; is the "
-                f"{direction} part of this transport's census?"
-            )
-
-    # -- outgoing ------------------------------------------------------------------
 
     def _deliver(self, receiver: Location, batch: _Batch) -> None:
         # One queue put carries the whole drained batch of frames.
         self._transport.channel(self.location, receiver).put(batch)
 
-    def _send_serialized(self, receiver: Location, data: bytes, instance: int = 0) -> None:
-        # The instance id rides next to the payload, not inside it, so the
-        # recorded byte count is exactly the payload's serialization.
-        self._record(receiver, len(data))
-        self._enqueue(receiver, ((instance, data),), len(data))
-
-    def send(self, receiver: Location, payload: Any) -> None:
-        self._require_peer(receiver, "receiver")
-        self._send_serialized(receiver, serialize(payload))
-
-    def send_scoped(self, receiver: Location, instance: int, payload: Any) -> None:
-        self._require_peer(receiver, "receiver")
-        self._send_serialized(receiver, serialize(payload), instance)
-
-    def send_many(self, receivers: Iterable[Location], payload: Any) -> None:
-        self.send_many_scoped(receivers, 0, payload)
-
-    def send_many_scoped(
-        self, receivers: Iterable[Location], instance: int, payload: Any
-    ) -> None:
-        targets = list(receivers)
-        for receiver in targets:
-            self._require_peer(receiver, "receiver")
-        data = serialize(payload)  # one serialization shared by all receivers
-        self._record_broadcast(targets, len(data))
-        item = (instance, data)
-        for receiver in targets:
+    def _send_frame(self, receivers: Sequence[Location], data: bytes, instance: int) -> None:
+        item = (instance, data)  # one item shared by all receivers
+        for receiver in receivers:
             self._enqueue(receiver, (item,), len(data))
 
-    # -- incoming ------------------------------------------------------------------
-
-    def _recv_serialized(self, sender: Location) -> _Item:
-        self._require_peer(sender, "sender")
+    def _recv_frame(self, sender: Location) -> _Item:
         pending = self._pending_in.get(sender)
         if pending:
             return pending.popleft()
@@ -118,14 +75,6 @@ class _QueueEndpoint(CoalescingEndpoint):
         items = self._pending_in.setdefault(sender, deque())
         items.extend(batch)
         return items.popleft()
-
-    def recv(self, sender: Location) -> Any:
-        _instance, data = self._recv_serialized(sender)
-        return deserialize(data)
-
-    def recv_scoped(self, sender: Location) -> Tuple[int, Any]:
-        instance, data = self._recv_serialized(sender)
-        return instance, deserialize(data)
 
 
 class LocalTransport(Transport):

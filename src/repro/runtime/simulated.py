@@ -11,15 +11,16 @@ path length — a simple but useful proxy for protocol latency that lets the
 benchmarks compare, e.g., how the sequential OT chains of GMW dominate its
 runtime while the KVS's fan-outs overlap.
 
-Accounting matches the real transports byte-for-byte: each payload is
-serialized exactly once and travels through the inner queues as a
-``(send_time, payload bytes)`` stamp, so the
+Accounting matches the real transports byte-for-byte.  This endpoint is a
+frame-level wrapper: the shared :class:`~repro.runtime.transport.TransportEndpoint`
+surface serializes each payload exactly once and records its length, and the
+two primitives here only put the sender's virtual clock in front of those
+bytes as a fixed-width stamp (and take it off again), so the
 :class:`~repro.runtime.stats.ChannelStats` entry and the receive-side
 bandwidth charge both use the *unstamped* wire length — the same bytes TCP
 frames on the wire — and a choreography run here is directly comparable to
 (and a property test pins it equal to) the same run on the coalescing
-local/TCP transports.  The inner transport's own recording is disabled to
-make room for that.
+local/TCP transports.
 
 ``flush`` forwards to the inner endpoint, and a receive flushes the inner
 endpoint's buffers before blocking, so the deferred-flush semantics (and the
@@ -28,93 +29,43 @@ flush-before-block deadlock-freedom rule) carry over unchanged.
 
 from __future__ import annotations
 
+import struct
 import threading
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Sequence, Tuple
 
 from ..core.locations import Location, LocationsLike
 from .local import LocalTransport
-from .transport import DEFAULT_TIMEOUT, Transport, TransportEndpoint, deserialize, serialize
+from .transport import DEFAULT_TIMEOUT, Transport, TransportEndpoint
 
-
-class _DropStats:
-    """A stats sink that records nothing (the simulated endpoint records)."""
-
-    def record(self, sender: Location, receiver: Location, nbytes: int) -> None:
-        pass
-
-    def record_broadcast(
-        self, sender: Location, receivers: Iterable[Location], nbytes: int
-    ) -> None:
-        pass
-
-
-_DROP_STATS = _DropStats()
+#: The virtual send time, in front of every frame's payload bytes.
+_STAMP = struct.Struct("!d")
 
 
 class _SimulatedEndpoint(TransportEndpoint):
-    """Wraps a queue endpoint, stamping payloads with virtual send times."""
+    """Wraps a queue endpoint, stamping frames with virtual send times."""
 
     def __init__(self, inner: TransportEndpoint, transport: "SimulatedNetworkTransport"):
-        super().__init__(inner.location, transport.stats, transport.timeout)
+        super().__init__(inner.location, transport)
         self._inner = inner
-        self._transport = transport
-        # This wrapper records the unstamped payload bytes itself; the inner
-        # endpoint would otherwise record the (send_time, payload) tuple.
-        self._inner.use_stats(_DROP_STATS)
 
-    # Payloads travel stamped as ``(send_time, payload bytes)`` — the payload
-    # is serialized exactly once, its exact wire length feeds both the stats
-    # entry and the receive-side bandwidth charge, and the receive side
-    # decodes from the same bytes.
-
-    def _stamp(self, payload: Any) -> "tuple[bytes, tuple]":
-        data = serialize(payload)
-        return data, (self._transport.clock_of(self.location), data)
-
-    def send(self, receiver: Location, payload: Any) -> None:
-        data, stamped = self._stamp(payload)
-        self._record(receiver, len(data))
-        self._inner.send(receiver, stamped)
-
-    def send_many(self, receivers: Iterable[Location], payload: Any) -> None:
+    def _send_frame(self, receivers: Sequence[Location], data: bytes, instance: int) -> None:
         # All deliveries of a multicast share one send time, so the stamped
-        # payload can ride the inner transport's serialize-once path.
-        targets = list(receivers)
-        data, stamped = self._stamp(payload)
-        self._record_broadcast(targets, len(data))
-        self._inner.send_many(targets, stamped)
-
-    def send_scoped(self, receiver: Location, instance: int, payload: Any) -> None:
-        data, stamped = self._stamp(payload)
-        self._record(receiver, len(data))
-        self._inner.send_scoped(receiver, instance, stamped)
-
-    def send_many_scoped(
-        self, receivers: Iterable[Location], instance: int, payload: Any
-    ) -> None:
-        targets = list(receivers)
-        data, stamped = self._stamp(payload)
-        self._record_broadcast(targets, len(data))
-        self._inner.send_many_scoped(targets, instance, stamped)
+        # frame rides the inner transport's one-item broadcast undivided.
+        stamp = _STAMP.pack(self._transport.clock_of(self.location))
+        self._inner._send_frame(receivers, stamp + data, instance)
 
     def flush(self) -> None:
         """Drain the inner endpoint's deferred writes."""
         self._inner.flush()
 
-    def _charge(self, send_time: float, nbytes: int) -> None:
-        cost = self._transport.latency + nbytes / self._transport.bandwidth
+    def _recv_frame(self, sender: Location) -> Tuple[int, bytes]:
+        # The inner receive flushes the inner buffers before blocking.
+        instance, stamped = self._inner._recv_frame(sender)
+        (send_time,) = _STAMP.unpack_from(stamped)
+        data = stamped[_STAMP.size:]
+        cost = self._transport.latency + len(data) / self._transport.bandwidth
         self._transport.advance_clock(self.location, send_time + cost)
-
-    def recv(self, sender: Location) -> Any:
-        # The inner recv flushes the inner buffers before blocking.
-        send_time, data = self._inner.recv(sender)
-        self._charge(send_time, len(data))
-        return deserialize(data)
-
-    def recv_scoped(self, sender: Location) -> "tuple[int, Any]":
-        instance, (send_time, data) = self._inner.recv_scoped(sender)
-        self._charge(send_time, len(data))
-        return instance, deserialize(data)
+        return instance, data
 
 
 class SimulatedNetworkTransport(Transport):

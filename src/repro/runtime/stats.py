@@ -19,23 +19,6 @@ from ..core.locations import Location
 Channel = Tuple[Location, Location]
 
 
-def record_broadcast_on(
-    sink: object, sender: Location, receivers: Iterable[Location], nbytes: int
-) -> None:
-    """Record one ``nbytes`` message to each receiver on an arbitrary sink.
-
-    The one place that knows the batched-accounting duck-type: sinks offering
-    ``record_broadcast`` (a :class:`ChannelStats`, the engine's stats tee)
-    take it in one call; minimal sinks fall back to per-receiver ``record``.
-    """
-    record_broadcast = getattr(sink, "record_broadcast", None)
-    if record_broadcast is not None:
-        record_broadcast(sender, receivers, nbytes)
-    else:
-        for receiver in receivers:
-            sink.record(sender, receiver, nbytes)  # type: ignore[attr-defined]
-
-
 @dataclass
 class ChannelStats:
     """Counts of messages and payload bytes per directed channel."""

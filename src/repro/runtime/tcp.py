@@ -24,7 +24,7 @@ backends interoperate byte for byte on the same wire.
 Both directions of the hot path are *coalesced* so that syscall count, not
 byte count, stops being the bottleneck for small-message storms:
 
-* **Writes are deferred.**  ``send``/``send_many``/``*_scoped`` append
+* **Writes are deferred.**  Every ``send``/``send_many`` appends
   pre-framed bytes (a precomputed per-endpoint sender prefix; no header
   rebuild per send) to a per-receiver write buffer.  A buffer drains on an
   explicit :meth:`~repro.runtime.transport.TransportEndpoint.flush`, once its
@@ -76,10 +76,10 @@ def _send_buffers(sock: socket.socket, buffers: List[bytes]) -> None:
 class _TCPEndpoint(FramedCoalescingEndpoint):
     """One location's listening socket plus outgoing connections."""
 
-    def __init__(self, location: Location, transport: "TCPTransport", timeout: float):
+    def __init__(self, location: Location, transport: "TCPTransport"):
         # The framed base supplies the per-peer inboxes, the frame-header
-        # builder, and the serialize-once send paths (repro.runtime.framing).
-        super().__init__(location, transport, timeout)
+        # builder, and the two frame primitives (repro.runtime.framing).
+        super().__init__(location, transport)
         # The coalescing base class supplies the write buffers; ``_out_lock``
         # (also from the base) additionally guards this socket cache — but
         # never connection setup: a slow connect must not serialize sends.
@@ -216,7 +216,7 @@ class TCPTransport(Transport):
         self.faults = faults.session() if faults is not None else None
 
     def _make_endpoint(self, location: Location) -> TransportEndpoint:
-        endpoint: TransportEndpoint = _TCPEndpoint(location, self, self.timeout)
+        endpoint: TransportEndpoint = _TCPEndpoint(location, self)
         if self.faults is not None:
             endpoint = self.faults.wrap(endpoint)
         return endpoint

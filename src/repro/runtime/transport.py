@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import abc
 import threading
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.errors import TransportError
 from ..core.locations import Census, Location, LocationsLike, as_census
 from . import wire
-from .stats import ChannelStats, record_broadcast_on
+from .stats import ChannelStats
 
 #: Default number of seconds an endpoint waits for a message before concluding
 #: that the network of projected programs has deadlocked or crashed.
@@ -77,6 +77,21 @@ def deserialize(data: bytes) -> Any:
 class TransportEndpoint(abc.ABC):
     """One location's view of the transport: its own sends and receives.
 
+    This class is the one place a payload becomes a tagged, counted frame:
+    :meth:`send`, :meth:`send_many`, :meth:`recv` and :meth:`recv_tagged`
+    check the peer, :func:`serialize` / :func:`deserialize`, and record each
+    message in :class:`~repro.runtime.stats.ChannelStats` exactly once.  **A
+    new transport implements two methods** that move opaque bytes —
+    :meth:`_send_frame` and :meth:`_recv_frame` — plus :meth:`flush` if it
+    defers delivery; a wrapper (virtual-clock stamping, fault injection)
+    intercepts the same two.
+
+    Every frame carries a choreography-*instance* tag next to its payload
+    bytes, never inside them: a persistent engine pipelines many instances
+    over one transport and demultiplexes on the tag, while the recorded byte
+    count stays exactly the payload's serialization.  One-shot sends use
+    tag 0.
+
     Coalescing contract
     -------------------
     Sends are *deferred*: an endpoint may append pre-framed bytes to a
@@ -86,8 +101,8 @@ class TransportEndpoint(abc.ABC):
     * on an explicit :meth:`flush`,
     * on their own once a receiver's pending bytes pass
       :data:`FLUSH_WATERMARK`, and
-    * **always before this endpoint blocks in** :meth:`recv` /
-      :meth:`recv_many` — the *flush-before-block* rule.
+    * **always before this endpoint blocks in a receive** — the
+      *flush-before-block* rule.
 
     The flush-before-block rule is what makes coalescing deadlock-free: in
     any cycle of endpoints waiting on each other, every endpoint has flushed
@@ -104,44 +119,32 @@ class TransportEndpoint(abc.ABC):
     this at instance boundaries).
     """
 
-    def __init__(self, location: Location, stats: ChannelStats, timeout: float):
+    def __init__(self, location: Location, transport: "Transport"):
         self.location = location
-        self._stats = stats
-        self._timeout = timeout
+        self._transport = transport
+        self._stats = transport.stats
+        self._timeout = transport.timeout
+
+    # -- the two primitives a transport implements ----------------------------------
 
     @abc.abstractmethod
-    def send(self, receiver: Location, payload: Any) -> None:
-        """Deliver ``payload`` to ``receiver``; never blocks indefinitely.
+    def _send_frame(self, receivers: Sequence[Location], data: bytes, instance: int) -> None:
+        """Accept one pre-encoded frame for every receiver; never blocks indefinitely.
 
-        Delivery may be deferred until the next :meth:`flush` (see the
-        coalescing contract in the class docstring).
-
-        Args:
-            receiver: The destination location (a census member).
-            payload: Any :func:`serialize`-able value.
-
-        Raises:
-            TransportError: If the payload does not serialize or the
-                transport is shut down.
+        ``receivers`` are already checked peers; a broadcast passes several so
+        the transport can share one queue item or one frame header among them.
+        Delivery may be deferred until the next :meth:`flush`.  Raising means
+        the frame was *not* accepted, and it is then not counted.
         """
 
     @abc.abstractmethod
-    def recv(self, sender: Location) -> Any:
-        """Return the next payload from ``sender`` (per-pair FIFO order).
+    def _recv_frame(self, sender: Location) -> Tuple[int, bytes]:
+        """Return the next ``(instance, payload bytes)`` from ``sender``.
 
-        Implementations flush this endpoint's own write buffers before
-        blocking (the flush-before-block rule).
-
-        Args:
-            sender: The location whose next message to take.
-
-        Returns:
-            The deserialized payload.
-
-        Raises:
-            TransportError: On transport shutdown, or — as the typed
-                :class:`~repro.core.errors.ChoreoTimeout` subclass — when the
-                configured receive timeout elapses with no message.
+        Per-pair FIFO.  Implementations flush this endpoint's own write
+        buffers before blocking (the flush-before-block rule) and raise
+        :class:`~repro.core.errors.ChoreoTimeout` when the receive timeout
+        elapses with no frame.
         """
 
     def flush(self) -> None:
@@ -152,91 +155,66 @@ class TransportEndpoint(abc.ABC):
         when nothing is pending.
         """
 
-    def send_many(self, receivers: Iterable[Location], payload: Any) -> None:
-        """Deliver the *same* ``payload`` to every receiver (the broadcast path).
+    # -- the message surface, defined once ------------------------------------------
 
-        The base implementation simply loops over :meth:`send`; transports
-        whose send path starts with serialization override this with a
-        serialize-once fast path (one :func:`serialize` shared by all
-        receivers).  ``receivers`` must not include this endpoint's own
-        location — a multicast sender keeps its copy without a message.
-        """
-        for receiver in receivers:
-            self.send(receiver, payload)
+    def _require_peer(self, peer: Location, role: str) -> None:
+        if peer == self.location or peer not in self._transport.census:
+            raise TransportError(
+                f"unknown {role} {peer!r} at {self.location!r}: a peer must be "
+                "another member of this transport's census"
+            )
 
-    def recv_many(self, senders: Iterable[Location]) -> Dict[Location, Any]:
-        """Receive one payload from each sender, in the order given.
-
-        A convenience for gather-style rounds; equivalent to a loop over
-        :meth:`recv`.
+    def send(self, receiver: Location, payload: Any, instance: int = 0) -> None:
+        """Deliver ``payload`` to ``receiver``, tagged with ``instance``.
 
         Args:
-            senders: The locations to receive from, in order.
-
-        Returns:
-            ``{sender: payload}`` with one entry per sender.
-
-        Raises:
-            TransportError: If any single receive times out.
-        """
-        return {sender: self.recv(sender) for sender in senders}
-
-    # -- instance scoping ----------------------------------------------------------
-    #
-    # A persistent engine pipelines many choreography instances over one
-    # transport; the ``*_scoped`` methods carry an instance id alongside each
-    # payload so receivers can demultiplex.  The base implementations carry
-    # the tag *inside* the payload (an ``(instance, payload)`` tuple), which
-    # works for any transport; Local/TCP override them to carry the tag in
-    # their framing instead, so the payload bytes recorded in
-    # :class:`~repro.runtime.stats.ChannelStats` stay exactly the bytes of
-    # the payload's serialization on every execution path.
-
-    def send_scoped(self, receiver: Location, instance: int, payload: Any) -> None:
-        """Send ``payload`` tagged with a choreography-instance id."""
-        self.send(receiver, (instance, payload))
-
-    def send_many_scoped(
-        self, receivers: Iterable[Location], instance: int, payload: Any
-    ) -> None:
-        """Broadcast counterpart of :meth:`send_scoped` (serialize-once capable)."""
-        self.send_many(receivers, (instance, payload))
-
-    def recv_scoped(self, sender: Location) -> "tuple[int, Any]":
-        """Return ``(instance, payload)``: the counterpart of :meth:`send_scoped`.
-
-        Returns:
-            The instance tag and the payload of the next message from
-            ``sender``.
+            receiver: The destination: a census member other than this
+                endpoint's own location.
+            payload: Any :func:`serialize`-able value.
+            instance: The choreography-instance tag carried beside the payload.
 
         Raises:
-            TransportError: On timeout, or when an *untagged* message shows
-                up on an instance-scoped channel (raw sends must not be
-                mixed with engine runs on one transport).
+            TransportError: If ``receiver`` is not a peer or the payload does
+                not serialize (nothing is buffered or recorded), or the
+                transport is shut down.
         """
-        message = self.recv(sender)
-        if (
-            not isinstance(message, tuple)
-            or len(message) != 2
-            or not isinstance(message[0], int)
-        ):
-            raise TransportError(
-                f"{self.location!r} received an untagged message from {sender!r} on an "
-                "instance-scoped channel; do not mix raw sends with engine runs"
-            )
-        return message
+        self._require_peer(receiver, "receiver")
+        data = serialize(payload)
+        self._send_frame((receiver,), data, instance)
+        self._stats.record(self.location, receiver, len(data))
 
-    def _record(self, receiver: Location, nbytes: int) -> None:
-        self._stats.record(self.location, receiver, nbytes)
+    def send_many(self, receivers: Iterable[Location], payload: Any, instance: int = 0) -> None:
+        """Deliver the *same* ``payload`` to every receiver (the broadcast path).
 
-    def _record_broadcast(self, receivers: Iterable[Location], nbytes: int) -> None:
-        """Record one ``nbytes`` message to each receiver in a single batch.
-
-        Uses the stats sink's ``record_broadcast`` (one lock acquisition for
-        the whole broadcast) when available, falling back to per-receiver
-        ``record`` for minimal sinks.
+        One :func:`serialize` is shared by all receivers and each receiver is
+        counted once.  All-or-nothing: every receiver is checked before the
+        payload is serialized, so a bad one leaves nothing buffered or
+        recorded.  ``receivers`` must not include this endpoint's own
+        location — a multicast sender keeps its copy without a message.
         """
-        record_broadcast_on(self._stats, self.location, receivers, nbytes)
+        targets = list(receivers)
+        for receiver in targets:
+            self._require_peer(receiver, "receiver")
+        data = serialize(payload)
+        self._send_frame(targets, data, instance)
+        self._stats.record_broadcast(self.location, targets, len(data))
+
+    def recv_tagged(self, sender: Location) -> Tuple[int, Any]:
+        """Return ``(instance, payload)`` of the next message from ``sender``.
+
+        Raises:
+            TransportError: If ``sender`` is not a peer, on transport
+                shutdown, or — as the typed
+                :class:`~repro.core.errors.ChoreoTimeout` subclass — when the
+                configured receive timeout elapses with no message.
+        """
+        self._require_peer(sender, "sender")
+        instance, data = self._recv_frame(sender)
+        return instance, deserialize(data)
+
+    def recv(self, sender: Location) -> Any:
+        """Return the next payload from ``sender`` (per-pair FIFO order)."""
+        return self.recv_tagged(sender)[1]
 
     def use_stats(self, stats: ChannelStats) -> None:
         """Redirect this endpoint's send-side accounting to ``stats``.
@@ -254,53 +232,30 @@ class TransportEndpoint(abc.ABC):
 class ForwardingEndpoint(TransportEndpoint):
     """An endpoint wrapper that delegates everything to an inner endpoint.
 
-    The base class of the tee/wrapper pattern: layers that decorate an
-    endpoint's behaviour — virtual-clock stamping, fault injection
-    (:class:`repro.faults.FaultyEndpoint`), instrumentation — subclass this
-    and override only the methods they intercept.  Everything else, including
-    attributes this base does not know about (a TCP endpoint's ``port``, its
-    ``close``), forwards to the wrapped endpoint, so a wrapper can stand in
-    for the inner endpoint anywhere the transport or engine passes one
-    around.
-
-    ``use_stats`` forwards *and* mirrors the sink locally, so both layers
-    agree on where send-side accounting goes when the engine installs its
-    per-run stats tee.
+    The base class of the wrapper pattern: a layer that decorates an
+    endpoint's behaviour (fault injection,
+    :class:`repro.faults.FaultyEndpoint`; instrumentation) subclasses this
+    and overrides the frame primitives it intercepts.  The wrapper is the
+    endpoint callers hold, so its inherited :meth:`send` / :meth:`recv`
+    encode and count; the wrapped endpoint only ever moves the frames.
+    Everything else, including attributes this base does not know about (a
+    TCP endpoint's ``port``, its ``close``), forwards to the wrapped
+    endpoint, so a wrapper can stand in for it anywhere the transport or
+    engine passes one around.
     """
 
     def __init__(self, inner: TransportEndpoint):
+        super().__init__(inner.location, inner._transport)
         self._inner = inner
-        super().__init__(inner.location, inner._stats, inner._timeout)
 
-    def send(self, receiver: Location, payload: Any) -> None:
-        self._inner.send(receiver, payload)
+    def _send_frame(self, receivers: Sequence[Location], data: bytes, instance: int) -> None:
+        self._inner._send_frame(receivers, data, instance)
 
-    def recv(self, sender: Location) -> Any:
-        return self._inner.recv(sender)
-
-    def send_many(self, receivers: Iterable[Location], payload: Any) -> None:
-        self._inner.send_many(receivers, payload)
-
-    def recv_many(self, senders: Iterable[Location]) -> Dict[Location, Any]:
-        return {sender: self.recv(sender) for sender in senders}
-
-    def send_scoped(self, receiver: Location, instance: int, payload: Any) -> None:
-        self._inner.send_scoped(receiver, instance, payload)
-
-    def send_many_scoped(
-        self, receivers: Iterable[Location], instance: int, payload: Any
-    ) -> None:
-        self._inner.send_many_scoped(receivers, instance, payload)
-
-    def recv_scoped(self, sender: Location) -> "tuple[int, Any]":
-        return self._inner.recv_scoped(sender)
+    def _recv_frame(self, sender: Location) -> Tuple[int, bytes]:
+        return self._inner._recv_frame(sender)
 
     def flush(self) -> None:
         self._inner.flush()
-
-    def use_stats(self, stats: ChannelStats) -> None:
-        self._inner.use_stats(stats)
-        self._stats = stats
 
     def __getattr__(self, name: str) -> Any:
         if name == "_inner":  # guard: never recurse while half-constructed
@@ -325,8 +280,8 @@ class CoalescingEndpoint(TransportEndpoint):
       receiver (say, a TCP connect) never stalls drains to any other.
     """
 
-    def __init__(self, location: Location, stats: ChannelStats, timeout: float):
-        super().__init__(location, stats, timeout)
+    def __init__(self, location: Location, transport: "Transport"):
+        super().__init__(location, transport)
         self._out_lock = threading.Lock()
         self._drain_locks: Dict[Location, threading.Lock] = {}
         self._out_buffers: Dict[Location, list] = {}

@@ -258,9 +258,9 @@ class TestWireInterop:
                 sender.send("b", {"x": [1, 2, 3]})
                 sender.flush()
                 assert receiver.recv("a") == {"x": [1, 2, 3]}
-                sender.send_scoped("b", 7, "scoped-payload")
+                sender.send("b", "tagged-payload", instance=7)
                 sender.flush()
-                assert receiver.recv_scoped("a") == (7, "scoped-payload")
+                assert receiver.recv_tagged("a") == (7, "tagged-payload")
             finally:
                 threaded.close()
 
@@ -276,9 +276,9 @@ class TestWireInterop:
                 sender.send("b", ("tuple", 42))
                 sender.flush()
                 assert receiver.recv("a") == ("tuple", 42)
-                sender.send_scoped("b", 9, b"bytes")
+                sender.send("b", b"bytes", instance=9)
                 sender.flush()
-                assert receiver.recv_scoped("a") == (9, b"bytes")
+                assert receiver.recv_tagged("a") == (9, b"bytes")
         finally:
             threaded.close()
 

@@ -203,6 +203,24 @@ class TestInjectionMechanics:
         endpoint.flush()  # a dead location's flush is a safe no-op
         transport.close()
 
+    def test_held_frame_discarded_by_a_crash_stays_counted(self):
+        """Frames are counted when sent: a reorder-held frame its sender's
+        later crash discards is in ``ChannelStats`` but never arrives, like
+        a coalesced frame still in a write buffer at ``close()``."""
+        plan = FaultPlan(seed=1).reorder("a", "b", rate=1.0, span=10).crash("a", after_ops=1)
+        transport = SimulatedNetworkTransport(["a", "b"], faults=plan, timeout=0.1)
+        a, b = transport.endpoint("a"), transport.endpoint("b")
+        a.send("b", "held")  # op 1: accepted and held
+        assert transport.stats.snapshot() == {("a", "b"): 1}
+        with pytest.raises(CrashFault):
+            a.send("b", "never sent")  # op 2: the crash drops what was held
+        a.flush()
+        with pytest.raises(ChoreoTimeout):
+            b.recv("a")
+        assert transport.stats.snapshot() == {("a", "b"): 1}
+        assert [event.kind for event in transport.faults.events] == ["reorder", "crash"]
+        transport.close()
+
     def test_crash_at_time_uses_the_virtual_clock(self):
         plan = FaultPlan(seed=1).crash("b", at_time=4.0)
         transport = SimulatedNetworkTransport(["a", "b"], faults=plan, latency=1.0)
@@ -269,6 +287,48 @@ class TestScheduleDeterminism:
         assert first_schedule == second_schedule
         assert len(first_schedule) > 0
         assert first_stats == second_stats
+
+    def test_pinned_schedule_and_stats_on_simulated(self):
+        """Literal schedule, counts, bytes and virtual latency of one seeded
+        delay + reorder + flaky plan: any change to where the fault layer
+        ticks, draws, holds or stamps shows up here as a diff."""
+        plan = (
+            FaultPlan(seed=7)
+            .delay(jitter=0.3, rate=0.5)
+            .reorder(rate=0.3, span=3)
+            .flaky_connect("a", "b", failures=1, max_retries=2)
+        )
+        with ChoreoEngine(["a", "b", "c"], backend="simulated", faults=plan, timeout=5.0) as engine:
+            result = engine.run(fan_round, args=(4,))
+            assert result.value_at("a") == {"b": True, "c": True}
+            assert engine.transport.faults.schedule() == (
+                ("a", 1, "connect-fail", "b", 1),
+                ("a", 2, "delay", "b", 0.07532719695656737),
+                ("a", 3, "delay", "b", 0.1626677018132665),
+                ("a", 3, "reorder", "b", 2),
+                ("a", 4, "reorder", "b", 1),
+                ("a", 6, "delay", "c", 0.13489825225494279),
+                ("a", 7, "reorder", "c", 2),
+                ("a", 8, "delay", "c", 0.04141149806963318),
+                ("c", 5, "reorder", "a", 2),
+            )
+            expected = {("a", "b"): 4, ("a", "c"): 4, ("b", "a"): 1, ("c", "a"): 1}
+            assert engine.stats.snapshot() == expected
+            assert result.stats.snapshot() == expected
+            assert engine.stats.payload_bytes == {
+                ("a", "b"): 28, ("a", "c"): 28, ("b", "a"): 1, ("c", "a"): 1,
+            }
+            assert engine.transport.critical_path == pytest.approx(2.41431264909441, rel=1e-12)
+
+    def test_pinned_flaky_schedule_and_stats_on_tcp(self):
+        plan = FaultPlan(seed=7).flaky_connect("a", "b", failures=2, max_retries=3)
+        result, session, stats = run_fan_round(plan, count=4, backend="tcp")
+        assert result.value_at("a") == {"b": True, "c": True}
+        assert session.schedule() == (
+            ("a", 1, "connect-fail", "b", 1),
+            ("a", 1, "connect-fail", "b", 2),
+        )
+        assert stats == {("a", "b"): 4, ("a", "c"): 4, ("b", "a"): 1, ("c", "a"): 1}
 
     def test_different_seed_different_schedule(self):
         _result, session_a, _stats = run_fan_round(

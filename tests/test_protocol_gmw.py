@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from repro.core.errors import ChoreographyRuntimeError, ChoreoTimeout
 from repro.core.locations import Census
 from repro.protocols import circuits, crypto
 from repro.protocols.circuits import level_circuit
@@ -223,7 +224,7 @@ class TestBatchedPrimitives:
         assert op.stats.total_messages == before
 
 
-def run_gmw(circuit, inputs, parties, transport="local"):
+def run_gmw(circuit, inputs, parties, transport="local", **options):
     def chor(op, my_inputs=None):
         return gmw(op, parties, circuit, my_inputs, seed=7, rsa_bits=RSA_BITS)
 
@@ -232,6 +233,7 @@ def run_gmw(circuit, inputs, parties, transport="local"):
         parties,
         location_args={party: (inputs.get(party, {}),) for party in parties},
         transport=transport,
+        **options,
     )
 
 
@@ -293,8 +295,15 @@ class TestGMWEndToEnd:
 
     def test_missing_input_fails_loudly(self):
         circuit = circuits.InputWire("p1", "a")
-        with pytest.raises(Exception):
-            run_gmw(circuit, {"p1": {}}, self.PARTIES)
+        with pytest.raises(ChoreographyRuntimeError) as failure:
+            run_gmw(circuit, {"p1": {}}, self.PARTIES, timeout=0.2)
+        # Loudly = the root cause at the party that lacks the input, with the
+        # timeouts it induced at its peers demoted behind it in the bundle.
+        assert failure.value.location == "p1"
+        assert isinstance(failure.value.original, KeyError)
+        induced = {loc: exc for loc, exc in failure.value.failures.items() if loc != "p1"}
+        assert set(induced) == {"p2", "p3"}
+        assert all(isinstance(exc, ChoreoTimeout) for exc in induced.values())
 
     def test_nested_dict_inputs_for_centralized_runs(self):
         circuit = circuits.XorGate(

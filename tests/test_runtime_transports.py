@@ -308,30 +308,6 @@ class TestSerializeOnceAccounting:
             for receiver in ["b", "c", "d"]:
                 assert transport.endpoint(receiver).recv("a") == self.PAYLOAD
 
-    @pytest.mark.parametrize("transport_cls", [LocalTransport, TCPTransport])
-    def test_scoped_sends_keep_payload_bytes_exact(self, transport_cls):
-        """The instance tag rides in the framing: a 1-byte boolean share is
-        recorded as 1 byte whatever instance it belongs to."""
-        with transport_cls(["a", "b"], timeout=5.0) as transport:
-            sender = transport.endpoint("a")
-            receiver = transport.endpoint("b")
-            sender.send_scoped("b", 7, True)
-            sender.send_many_scoped(["b"], 300, self.PAYLOAD)
-            sender.flush()
-            assert receiver.recv_scoped("a") == (7, True)
-            assert receiver.recv_scoped("a") == (300, self.PAYLOAD)
-            assert transport.stats.payload_bytes[("a", "b")] == (
-                len(serialize(True)) + len(serialize(self.PAYLOAD))
-            )
-
-    def test_recv_many_collects_one_message_per_sender(self):
-        transport = LocalTransport(self.CENSUS, timeout=2.0)
-        for sender in ["b", "c", "d"]:
-            transport.endpoint(sender).send("a", f"from-{sender}")
-            transport.endpoint(sender).flush()
-        received = transport.endpoint("a").recv_many(["b", "c", "d"])
-        assert received == {"b": "from-b", "c": "from-c", "d": "from-d"}
-
 
 class TestLazyChannels:
     def test_channels_created_on_first_use_only(self):
