@@ -610,13 +610,14 @@ class _ShardSession:
 
 
 def _highest_txn_serial(txn_log: DurableState) -> int:
-    """The largest ``txn-<n>`` serial the decision record has committed.
+    """The largest ``txn-<n>`` serial the decision record still holds.
 
     Auto-generated transaction ids continue above it across restarts, so a
-    fresh transaction can never collide with a *committed* predecessor.
-    (Aborted ids are reusable by design — presumed abort records nothing —
-    which is safe because recovery resolves every dangling intent before
-    new traffic runs.)  Caller-supplied ids are the caller's business.
+    fresh transaction can never collide with a commit *still on record*.
+    (Aborted ids, and those of commits every participant has applied, are
+    reusable by design — nothing is on record for them — which is safe
+    because recovery resolves every dangling intent before new traffic
+    runs.)  Caller-supplied ids are the caller's business.
     """
     highest = 0
     for txn_id in txn_log:
@@ -701,8 +702,10 @@ class ClusterEngine:
         #: The coordinator's durable transaction decision record: ``txn_id ->
         #: "commit"``, written *before* any participant learns the verdict.
         #: Only commits are recorded — an absent id means presumed abort —
-        #: so a cold restart can resolve every in-doubt participant intent
-        #: (``None`` for ephemeral clusters; guarded by ``_lock``).
+        #: so a cold restart can resolve every in-doubt participant intent,
+        #: and only until every participant has applied them, so the record
+        #: does not grow with history (``None`` for ephemeral clusters;
+        #: guarded by ``_lock``).
         self._txn_log: Optional[DurableState] = None
         self._txn_counter = itertools.count(1)
         self._sessions: Dict[ShardId, _ShardSession] = {}
@@ -1230,6 +1233,7 @@ class ClusterEngine:
                     # surface the failure; recovery will finish the commit.
                     outer.set_exception(errors[0])
                 else:
+                    self._forget_commits([txn_id])
                     outer.set_result(TxnResult(txn_id, participants))
                 return
             # Abort: the decide fan-out is best-effort cleanup (a shard that
@@ -1253,6 +1257,15 @@ class ClusterEngine:
 
         for future in decided.values():
             future.add_done_callback(on_decided)
+
+    def _forget_commits(self, txn_ids: Sequence[str]) -> None:
+        """Drop the decision records of commits every participant has applied:
+        no intent is left to ask for the verdict, and the record (with each
+        checkpoint of it) stays the size of what is in flight."""
+        if self._txn_log is not None:
+            with self._lock:
+                for txn_id in txn_ids:
+                    self._txn_log.pop(txn_id, None)
 
     def in_doubt(self) -> Dict[ShardId, Dict[str, Dict[str, Any]]]:
         """Every prepared-but-undecided transaction, per shard.
@@ -1309,6 +1322,7 @@ class ClusterEngine:
             ))
         for future in waits:
             future.result()
+        self._forget_commits([t for t, v in verdicts.items() if v == "commit"])
         return verdicts
 
     def submit_scan(self, prefix: str = "") -> Dict[ShardId, "Future[ChoreographyResult]"]:

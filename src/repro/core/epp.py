@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Optional
 
 from .errors import CensusError, OwnershipError, PlaceholderError
 from .located import ABSENT, Faceted, Located, Quire
-from .locations import Census, Location, LocationsLike, as_census
+from .locations import Census, Location, LocationsLike, as_census, single
 from .ops import ChoreoOp, Choreography, Unwrapper
 
 if TYPE_CHECKING:
@@ -193,11 +193,10 @@ class ProjectedOp(ChoreoOp):
     def locally(
         self, location: Location, computation: Callable[[Unwrapper], T]
     ) -> Located[T]:
-        self._require_member(location)
+        here = single(self._require_member(location))
         if not self._is_target(location):
-            return Located.absent([location])
-        value = computation(_make_unwrapper(location))
-        return Located([location], value)
+            return Located.absent(here)
+        return Located(here, computation(_make_unwrapper(location)))
 
     def multicast(
         self, sender: Location, recipients: LocationsLike, value: Located[T]

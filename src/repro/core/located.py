@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generic, Iterator, Mapping, Optional, Tuple, TypeVar
 
 from .errors import OwnershipError, PlaceholderError
-from .locations import Census, Location, LocationsLike, as_census
+from .locations import Census, Location, LocationsLike, as_census, single
 
 T = TypeVar("T")
 
@@ -79,9 +79,9 @@ class Located(Generic[T]):
         *,
         present: Optional[bool] = None,
     ):
-        self._owners: Optional[Census] = None if owners is None else as_census(owners)
-        if self._owners is not None:
-            self._owners.require_nonempty()
+        if owners is not None:
+            owners = as_census(owners).require_nonempty()
+        self._owners: Optional[Census] = owners
         self._value = value
         if present is None:
             present = value is not ABSENT
@@ -153,7 +153,7 @@ class Located(Generic[T]):
     @staticmethod
     def absent(owners: Optional[LocationsLike] = None) -> "Located[Any]":
         """A placeholder wrapper (what EPP hands to non-owners)."""
-        return Located(owners, ABSENT, present=False)
+        return Located(owners)
 
 
 class Faceted(Generic[T]):
@@ -225,8 +225,8 @@ class Faceted(Generic[T]):
         """View one party's facet as a singly-located value (MultiChor ``localize``)."""
         self._owners.require_member(owner)
         if owner in self._facets:
-            return Located([owner], self._facets[owner])
-        return Located.absent([owner])
+            return Located(single(owner), self._facets[owner])
+        return Located.absent(single(owner))
 
     def to_quire(self) -> "Quire[T]":
         """Collapse to a quire.  Only meaningful where every facet is visible

@@ -7,7 +7,9 @@ comparable static machinery, so this module provides the *runtime* half of
 the same design: locations are plain strings, a :class:`Census` is an ordered,
 duplicate-free collection of locations, and the membership/subset checks that
 the host type systems perform statically are explicit functions that raise
-:class:`~repro.core.errors.CensusError` when violated.
+:class:`~repro.core.errors.CensusError` when violated.  Each distinct
+set is checked once: :func:`as_census`, :func:`single` and the census algebra
+intern their results, so re-proving a known census is an identity test.
 
 The ordering of a census is significant: census-polymorphic loops (fan-out,
 fan-in, gather, …) iterate the census in order at *every* endpoint, which is
@@ -16,6 +18,7 @@ what keeps the projected send/receive sequences aligned.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 from .errors import CensusError, EmptyCensusError
@@ -128,12 +131,13 @@ class Census:
         The returned census preserves the *argument's* ordering, matching the
         paper's ``Subset`` witnesses which are functions from member indices.
         """
-        subset = locations if isinstance(locations, Census) else Census(locations)
-        missing = [member for member in subset if member not in self]
-        if missing:
-            raise CensusError(
-                f"locations {missing!r} are not in census {list(self._members)!r}"
-            )
+        subset = as_census(locations)
+        if subset is not self:
+            missing = [member for member in subset._members if member not in self._index]
+            if missing:
+                raise CensusError(
+                    f"locations {missing!r} are not in census {list(self._members)!r}"
+                )
         return subset
 
     def is_subset_of(self, other: "Census") -> bool:
@@ -154,33 +158,46 @@ class Census:
         This is the runtime analogue of the paper's mask operator ``▷`` applied
         to an ownership set: the result preserves *this* census's ordering.
         """
-        other = locations if isinstance(locations, Census) else Census(locations)
-        return Census([member for member in self._members if member in other])
+        other = as_census(locations)
+        return _interned(tuple(member for member in self._members if member in other._index))
 
     def union(self, locations: LocationsLike) -> "Census":
         """Return a census with the members of both, preserving first-seen order."""
-        other = _as_location_tuple(locations)
-        merged = list(self._members)
-        for member in other:
-            if member not in self._index and member not in merged[len(self._members):]:
-                merged.append(member)
-        return Census(merged)
+        others = dict.fromkeys(_as_location_tuple(locations))  # first-seen order, no repeats
+        added = tuple(member for member in others if member not in self._index)
+        return _interned(self._members + added) if added else self
 
     def without(self, locations: LocationsLike) -> "Census":
         """Return a census excluding the given locations (which need not be members)."""
         excluded = set(_as_location_tuple(locations))
-        return Census([member for member in self._members if member not in excluded])
+        return _interned(tuple(member for member in self._members if member not in excluded))
+
+
+#: Distinct censuses kept interned; past it the least recently used is dropped.
+_INTERN_BOUND = 4096
+
+
+@lru_cache(maxsize=_INTERN_BOUND)
+def _interned(members: Tuple[Location, ...]) -> Census:
+    """The census over ``members``, built and validated once per distinct tuple;
+    a rejected tuple raises out of ``Census`` and is never cached."""
+    return Census(members)
 
 
 def as_census(locations: LocationsLike) -> Census:
-    """Coerce a census-like value (Census, list, tuple) to a :class:`Census`."""
+    """Coerce a census-like value to a :class:`Census` (interned: equal inputs share one)."""
     if isinstance(locations, Census):
         return locations
-    return Census(locations)
+    # A bare string goes through whole, for Census to reject (not its letters).
+    members = locations if isinstance(locations, str) else tuple(locations)
+    try:
+        return _interned(members)
+    except TypeError:  # an unhashable entry: let Census name it
+        return Census(members)
 
 
 def single(location: Location) -> Census:
     """The one-member census containing ``location`` (MultiChor's ``l @@ nobody``)."""
     if not isinstance(location, str) or not location:
         raise CensusError(f"locations must be non-empty strings, got {location!r}")
-    return Census([location])
+    return _interned((location,))

@@ -41,7 +41,7 @@ import json
 import socket
 import threading
 import time
-from queue import Empty, Queue
+from queue import Empty, SimpleQueue
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..cluster.client import ClusterClient
@@ -81,7 +81,7 @@ class _Connection:
         self.server = server
         self.sock = sock
         self.peer = peer
-        self.queue: "Queue[Optional[_QueueItem]]" = Queue()
+        self.queue: "SimpleQueue[Optional[_QueueItem]]" = SimpleQueue()
         self.inflight = threading.Semaphore(server.settings.max_inflight_per_conn)
         self.closed = threading.Event()
         self.reader = threading.Thread(
@@ -98,8 +98,7 @@ class _Connection:
     # ---------------------------------------------------------------- reader --
 
     def _read_loop(self) -> None:
-        buffer = bytearray()
-        start = 0
+        pending = b""  # the unparsed tail of the stream so far
         try:
             while not self.closed.is_set():
                 try:
@@ -108,10 +107,13 @@ class _Connection:
                     break
                 if not chunk:
                     break
-                buffer.extend(chunk)
+                # One immutable buffer per received chunk, walked by cursor:
+                # a chunk of N pipelined commands is copied once, not N times.
+                data = pending + chunk
+                start = 0
                 while True:
                     try:
-                        args, start = parse_command(bytes(buffer), start)
+                        args, start = parse_command(data, start)
                     except ProtocolError as exc:
                         # Framing damage is always fatal: answer with the
                         # typed error, then hang up (the stream cursor is
@@ -123,9 +125,7 @@ class _Connection:
                     if args is None:
                         break
                     self._dispatch(args)
-                if start:
-                    del buffer[:start]
-                    start = 0
+                pending = data[start:]
         finally:
             self._finish_queue()
 

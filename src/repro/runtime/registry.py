@@ -49,7 +49,6 @@ from typing import (
 
 from ..core.locations import LocationsLike
 from . import wire
-from .asyncio_tcp import AsyncioTCPTransport
 from .central import CentralBackend
 from .local import LocalTransport
 from .simulated import SimulatedNetworkTransport
@@ -214,9 +213,17 @@ def create_backend(
 
 register_impl(TransportBackend, LocalTransport, name="local")
 register_impl(TransportBackend, TCPTransport, name="tcp")
-register_impl(TransportBackend, AsyncioTCPTransport, name="asyncio")
 register_impl(TransportBackend, SimulatedNetworkTransport, name="simulated")
 register_impl(TransportBackend, CentralBackend, name="central")
+
+
+@impl(TransportBackend, name="asyncio")
+def _asyncio_backend(census: LocationsLike, **options: Any) -> Transport:
+    # Imported on first use: asyncio (with ssl, selectors, ...) is ~3 MiB that
+    # threaded and in-process sessions would carry without ever running a loop.
+    from .asyncio_tcp import AsyncioTCPTransport
+
+    return AsyncioTCPTransport(census, **options)
 
 
 @impl(WireCodec, name="compact")

@@ -311,7 +311,9 @@ class CoalescingEndpoint(TransportEndpoint):
         # appends are never blocked, batches reach the receiver in pop order,
         # and a blocking delivery elsewhere cannot stall this channel.
         with self._out_lock:
-            drain_lock = self._drain_locks.setdefault(receiver, threading.Lock())
+            drain_lock = self._drain_locks.get(receiver)
+            if drain_lock is None:
+                drain_lock = self._drain_locks[receiver] = threading.Lock()
         with drain_lock:
             with self._out_lock:
                 batch = self._out_buffers.pop(receiver, None)

@@ -383,6 +383,29 @@ class TestCoordinatorCrash:
             # __init__ already recovered; an explicit re-run finds nothing.
             assert reopened.recover_in_doubt() == {}
             assert ClusterClient(reopened).get("acct00") == "40"
+            # The commit recovery finished forward is off the record too.
+            assert dict(reopened._txn_log) == {}
+
+    def test_decision_record_holds_only_what_is_in_flight(self, tmp_path):
+        with durable_cluster(tmp_path, shards=2) as cluster:
+            kvs = ClusterClient(cluster)
+            open_accounts(kvs, 2)
+            for amount in range(1, 40):
+                transfer(kvs, "acct00", "acct01", amount % 9 + 1)
+                # Every participant applied it: the record is dropped, so
+                # neither it nor its checkpoints grow with history.
+                assert dict(cluster._txn_log) == {}
+            self._arm_crash(cluster, after_log=True)
+            cluster.submit_txn([Request.put("acct00", "1")], txn_id="inflight")
+            settle(cluster)
+            # Logged but never fanned out: this one recovery still needs.
+            assert dict(cluster._txn_log) == {"inflight": "commit"}
+
+        with durable_cluster(tmp_path, shards=2) as reopened:
+            assert ClusterClient(reopened).get("acct00") == "1"
+            assert dict(reopened._txn_log) == {}
+            # Fresh ids restart above what is still on record (nothing).
+            assert ClusterClient(reopened).txn([Request.put("acct01", "2")]).txn_id == "txn-1"
 
 
 # ------------------------------------------------------------------ concurrency --
