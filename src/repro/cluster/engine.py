@@ -17,11 +17,11 @@ concurrently.  :class:`ClusterEngine` is that layer:
   linearizability for free, from the engine's instance ordering;
 * the data plane is pure choreography — puts replicate through
   :func:`~repro.protocols.kvs.kvs_with_backups`, quorum reads and
-  read-repair through :func:`~repro.protocols.kvs.kvs_quorum_get`, scans
-  through :func:`~repro.protocols.kvs.kvs_scan` — so every message a shard
-  sends is visible in its engine's :class:`~repro.runtime.stats.ChannelStats`,
-  and the cluster-wide rollup is their
-  :meth:`~repro.runtime.stats.ChannelStats.merge_all`.
+  read-repair through :func:`~repro.protocols.kvs.kvs_quorum_get`, other
+  reads through :func:`~repro.protocols.kvs.primary_read` — so every
+  message a shard sends is visible in its engine's
+  :class:`~repro.runtime.stats.ChannelStats`, and the cluster-wide rollup
+  is their :meth:`~repro.runtime.stats.ChannelStats.merge_all`.
 
 The cluster also owns the **degradation story** a production deployment
 needs when a replica dies mid-traffic:
@@ -118,8 +118,10 @@ from ..protocols.kvs import (
     fenced,
     kvs_catchup,
     kvs_delete,
+    kvs_get,
     kvs_ping,
     kvs_quorum_get,
+    kvs_read_batch,
     kvs_scan,
     kvs_serve_batch,
     kvs_txn_decide,
@@ -244,14 +246,13 @@ def shard_get(op, client, server, backups, state_refs, key,
     so branching on them needs no Knowledge-of-Choice traffic.  A quorum
     read over a replication-1 shard degenerates to a primary read.
     """
+    located_key = op.locally(client, lambda _un: key)
     if quorum and len(as_census(backups)) > 0:
-        located_key = op.locally(client, lambda _un: key)
         return kvs_quorum_get(
             op, client, server, backups, state_refs, located_key,
             read_repair=read_repair,
         )
-    request = op.locally(client, lambda _un: Request.get(key))
-    return kvs_with_backups(op, client, server, backups, state_refs, request)
+    return kvs_get(op, client, server, state_refs, located_key)
 
 
 @dataclass(frozen=True)
@@ -364,8 +365,8 @@ class _ShardSession:
     __slots__ = (
         "shard_id", "client", "census", "servers", "primary", "backups", "down",
         "rejoining", "durability", "state", "engine", "fence",
-        "put", "get", "delete", "scan", "serve", "txn_prepare", "txn_decide",
-        "pings",
+        "put", "get", "delete", "scan", "serve", "read", "txn_prepare",
+        "txn_decide", "pings",
     )
 
     def __init__(
@@ -466,11 +467,11 @@ class _ShardSession:
             op_name: _lifted(chor, lift, *group)
             for op_name, (chor, lift) in _REPLICA_GROUP_OPS.items()
         }
+        # Reads are answered by the primary alone: no backup list.
+        reader = (self.client, self.primary, self.state)
+        bindings["scan"] = _lifted(kvs_scan, _as_given, *reader)
+        bindings["read"] = _lifted(kvs_read_batch, list, *reader)
         bindings["get"] = shard_get.bind(*group)
-        # A scan is answered by the primary alone: no backup list.
-        bindings["scan"] = _lifted(
-            kvs_scan, _as_given, self.client, self.primary, self.state
-        )
         for op_name, chor in bindings.items():
             setattr(self, op_name, ChoreographyDef(
                 fenced(chor, self.fence), name=f"{op_name}@{self.shard_id}"
@@ -764,7 +765,7 @@ class ClusterEngine:
         """Dispatch one shard operation, with dead-backup failover built in.
 
         ``op_name`` names a :class:`_ShardSession` choreography attribute
-        (``"put"``/``"get"``/``"scan"``/``"serve"``) rather than a bound
+        (``"put"``/``"get"``/``"read"``/``"serve"``/...) rather than a bound
         object, because failover *re-binds* those attributes: a replay after
         a demotion must pick up the degraded binding, not the one the request
         was first dispatched with.  The returned Future resolves with the
@@ -1026,7 +1027,9 @@ class ClusterEngine:
         The batch is split by key routing; each shard receives *its* requests
         in batch order as a single :func:`~repro.protocols.kvs.kvs_serve_batch`
         instance, so a batch costs ``2 + 2·backups`` messages per touched
-        shard instead of per request.  Per-key ordering is preserved: a key's
+        shard instead of per request — and a sub-batch with no Put or Delete
+        is one :func:`~repro.protocols.kvs.kvs_read_batch` instance, two
+        messages at the primary alone.  Per-key ordering is preserved: a key's
         requests stay in one shard's sub-batch, in order, and batches to the
         same shard execute in submission order.
 
@@ -1059,7 +1062,10 @@ class ClusterEngine:
 
         for shard_id, indices in per_shard.items():
             sub_batch = [requests[index] for index in indices]
-            shard_future = self._submit(shard_id, "serve", args=(sub_batch,))
+            # Kinds are known at dispatch: a sub-batch without writes is a read.
+            writes = any(request.kind in WRITE_KINDS for request in sub_batch)
+            shard_future = self._submit(
+                shard_id, "serve" if writes else "read", args=(sub_batch,))
             shard_future.add_done_callback(
                 lambda done, indices=indices: _fan_out(done, indices)
             )

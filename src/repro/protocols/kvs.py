@@ -20,16 +20,16 @@ whatever the caller passes (``kvs_with_backups`` degrades gracefully to a
 single unreplicated server when the backup list is empty).
 
 The sharded cluster layer (:mod:`repro.cluster`) runs one replica group per
-shard, and everything it serves is built from **one replicated round, five
-instantiations, one fence**:
+shard, and everything it serves is built from **one replicated round for
+writes, one primary round for reads, one fence**:
 
-* :func:`replicated` is the round — the client's payload travels to the
-  server, is broadcast inside the server+backups conclave (so it is
+* :func:`replicated` is the write round — the client's payload travels to
+  the server, is broadcast inside the server+backups conclave (so it is
   multiply located there: Knowledge of Choice for free, and the client pays
   two messages whatever the replication factor), every backup applies it
   and acknowledges, the server applies it *last* (ack-before-apply) and
-  answers.  It is census polymorphic down to an empty backup list.
-* The instantiations supply only plain local step functions:
+  answers.  It is census polymorphic down to an empty backup list.  Its
+  instantiations supply only plain local step functions:
   :func:`kvs_with_backups` (one request; writes replicate, reads do not),
   :func:`kvs_delete` (a bare key), :func:`kvs_serve_batch` (group commit: a
   whole batch in one round), and :func:`kvs_txn_prepare` /
@@ -38,6 +38,11 @@ instantiations, one fence**:
   (``ClusterEngine.submit_txn``): prepare parks the write set as a per-key
   **intent** on every replica and votes, decide commits the parked writes
   atomically or rolls the intent back.
+* :func:`primary_read` is the read round — payload to the server, answer
+  back, no backup involved.  The cluster knows a request's kind before it
+  instantiates anything, so it *chooses* this round at dispatch and has no
+  choice left to communicate.  Its instantiations: :func:`kvs_get` (a bare
+  key), :func:`kvs_read_batch` (Gets only) and :func:`kvs_scan` (a prefix).
 * :func:`fenced` is the split-brain fence of primary failover, expressed
   once as a combinator: it captures the shard's epoch from the live
   :class:`ShardEpoch` cell when a binding is made, and the wrapped
@@ -46,13 +51,11 @@ instantiations, one fence**:
   binding that still routes through a deposed primary can neither serve a
   read nor acknowledge a write.
 
-Four choreographies have a different shape and stand on their own:
+Three choreographies have a different shape and stand on their own:
 
 * :func:`kvs_quorum_get` — read the key at *every* replica, gather the votes
   at the primary, answer with the majority, and (optionally) trigger a
   :func:`resynch` read-repair when the replicas disagree;
-* :func:`kvs_scan` — a prefix scan answered by the primary alone (no
-  branching on replicated data, hence no conclave and no KoC traffic);
 * :func:`kvs_ping` — a two-message liveness probe; a silent replica surfaces
   as a typed receive timeout, the raw signal behind the cluster's failure
   detector and its backup-demotion failover path;
@@ -606,6 +609,43 @@ def replicated(
     return op.comm(server, client, answer_at_server)
 
 
+class NotARead(ChoreographyError):
+    """A Put or Delete reached :func:`primary_read`: writes must take
+    :func:`replicated`, so every backup applies them before the primary."""
+
+
+def primary_read(
+    op: ChoreoOp,
+    client: Location,
+    server: Location,
+    state_refs: Faceted[State],
+    payload: Located[Any],
+    *,
+    answer: Callable[[State, Any], Any],
+) -> Located[Any]:
+    """One primary round: the payload travels client → server, the server
+    runs ``answer(store, payload)`` on its own facet, the answer travels back.
+
+    Two messages at any replication factor, none to or from a backup, and
+    no branch, so no Knowledge of Choice: the caller picked this round over
+    :func:`replicated` from what it already knew.  A payload that is (or
+    lists) a Put or Delete raises :class:`NotARead` at the server before any
+    store is touched, so a write can never skip ack-before-apply.
+    """
+    op.census.require_member(client)
+    op.census.require_member(server)
+    payload_at_server = op.comm(client, server, payload)
+
+    def serve(un) -> Any:
+        incoming = un(payload_at_server)
+        batch = incoming if isinstance(incoming, list) else (incoming,)
+        if any(isinstance(r, Request) and r.kind in WRITE_KINDS for r in batch):
+            raise NotARead(f"writes must take the replicated round: {incoming!r}")
+        return answer(un(state_refs), incoming)
+
+    return op.comm(server, client, op.locally(server, serve))
+
+
 def _always(_payload: Any) -> bool:
     return True
 
@@ -712,7 +752,7 @@ def kvs_serve_batch(
 
     Replica consistency matches :func:`kvs_with_backups`: backups apply the
     batch's writes — Puts *and* Deletes, in batch order — before the server
-    applies them and answers; a read-only batch skips the backups entirely.
+    applies them and answers (a cluster reads through :func:`kvs_read_batch`).
 
     Args:
         op: The operator record; census must contain client, server, backups.
@@ -938,39 +978,33 @@ def kvs_ping(
     return op.comm(replica, client, echo)
 
 
-def kvs_scan(
-    op: ChoreoOp,
-    client: Location,
-    server: Location,
-    state_refs: Faceted[State],
-    prefix: Located[str],
-) -> Located[List[Tuple[str, str]]]:
-    """Return every binding under ``prefix``, answered by the primary alone.
+def kvs_scan(op: ChoreoOp, client: Location, server: Location,
+             state_refs: Faceted[State], prefix: Located[str],
+             ) -> Located[List[Tuple[str, str]]]:
+    """The sorted ``(key, value)`` items under ``prefix``, at the client.
 
-    A scan involves no data-dependent branching, so it needs neither a
-    conclave nor any Knowledge-of-Choice machinery: the prefix travels
-    client → server, the server runs :func:`scan_state` on its own store, and
-    the sorted items travel straight back — two messages total, whatever the
-    replication factor.  A cluster issues one scan per shard and merges the
-    sorted per-shard results.
-
-    Args:
-        op: The operator record; census must contain client and server.
-        client: The requesting location.
-        server: The replica that answers (the shard primary).
-        state_refs: The replicas' stores; only the server's facet is read.
-        prefix: The key prefix, located at the client.
-
-    Returns:
-        The sorted ``(key, value)`` items, located at the client.
+    A :func:`primary_read` running :func:`scan_state`.  A cluster issues one
+    scan per shard and merges the sorted per-shard results.
     """
-    op.census.require_member(client)
-    op.census.require_member(server)
-    prefix_at_server = op.comm(client, server, prefix)
-    items = op.locally(
-        server, lambda un: scan_state(un(state_refs), un(prefix_at_server))
+    return primary_read(op, client, server, state_refs, prefix, answer=scan_state)
+
+
+def kvs_get(op: ChoreoOp, client: Location, server: Location,
+            state_refs: Faceted[State], key: Located[str]) -> Located[Response]:
+    """Read ``key`` at the primary: a :func:`primary_read` of the bare key
+    (like :func:`kvs_delete`'s payload; the cluster's non-quorum Get)."""
+    return primary_read(op, client, server, state_refs, key, answer=lookup_state)
+
+
+def kvs_read_batch(op: ChoreoOp, client: Location, server: Location,
+                   state_refs: Faceted[State], requests: Located[Sequence[Request]],
+                   ) -> Located[List[Response]]:
+    """A batch of Gets (and Stops) answered in one :func:`primary_read`; a
+    batch with any write in it is refused whole with :class:`NotARead`."""
+    return primary_read(
+        op, client, server, state_refs, requests,
+        answer=lambda state, batch: [serve_request(state, r) for r in batch],
     )
-    return op.comm(server, client, items)
 
 
 # -- replica re-join: the catch-up transfer -------------------------------------------

@@ -349,6 +349,39 @@ class TestQuorumReads:
             assert healthy_cost == repair_cost == 2
 
 
+class TestReadsAreChosenAtDispatch:
+    """A GET or a read-only batch is a client↔primary round: the cluster
+    knows the request kind before it instantiates anything, so no backup
+    has to be told the branch (no Knowledge-of-Choice broadcast)."""
+
+    def test_warm_reads_leave_every_backup_row_unchanged(self):
+        with ClusterEngine(1, replication=3, backend="local") as cluster:
+            cluster.submit_put("k", "v").result(timeout=30.0)
+            cluster.submit_get("k").result(timeout=30.0)
+            backups = set(cluster.session("shard0").backups)
+            stats = cluster.stats
+            before = (stats.snapshot(), dict(stats.payload_bytes), stats.total_messages)
+            futures = [cluster.submit_get("k") for _ in range(200)]
+            for _ in range(50):
+                futures += cluster.submit_batch(
+                    [Request.get("k"), Request.get("missing"), Request.stop()]
+                )
+            for future in futures:
+                future.result(timeout=30.0)
+            stats = cluster.stats
+            after = (stats.snapshot(), dict(stats.payload_bytes), stats.total_messages)
+
+        def backup_rows(table):
+            return {
+                channel: count for channel, count in table.items()
+                if backups.intersection(channel)
+            }
+
+        assert backup_rows(after[0]) == backup_rows(before[0])
+        assert backup_rows(after[1]) == backup_rows(before[1])
+        assert (after[2] - before[2]) / (200 + 50) == 2
+
+
 class TestClusterClient:
     def test_put_returns_previous_value(self):
         with ClusterClient(shards=2, replication=2) as client:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import random
+import time
 
 import pytest
 
@@ -165,14 +166,24 @@ class TestBackupFailover:
             assert kvs.cluster.failovers == [("shard0", "shard0.r1")]
 
     def test_gets_survive_a_backup_crash(self):
-        plan = FaultPlan(seed=7).crash("shard0.r1", after_ops=11)
+        # r1 completes the put's two operations (receive the request, send
+        # its ack) and is dead from then on.  A get is a client↔primary
+        # round, so reads neither wait on the dead backup nor detect it;
+        # detection moves to the next write (or probe()).
+        plan = FaultPlan(seed=7).crash("shard0.r1", after_ops=2)
         with ClusterClient(
             shards=1, replication=2, backend=BACKEND, timeout=TIMEOUT, faults=plan
         ) as kvs:
             kvs.put("stable", "value")
-            for _ in range(12):  # the crash lands under one of these reads
+            for _ in range(12):
+                started = time.perf_counter()
                 assert kvs.get("stable") == "value"
+                assert time.perf_counter() - started < TIMEOUT
+            assert kvs.cluster.failovers == []
+            assert kvs.put("stable", "next") == "value"
+            assert kvs.cluster.failovers == [("shard0", "shard0.r1")]
             assert kvs.health()["shard0"].degraded
+            assert kvs.get("stable") == "next"
 
     def test_degraded_shard_stops_talking_to_the_dead_backup(self):
         plan = FaultPlan(seed=7).crash("shard0.r1", after_ops=6)

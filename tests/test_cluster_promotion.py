@@ -111,6 +111,7 @@ class TestEpochFence:
         ("delete", ("k",)),
         ("scan", ("",)),
         ("serve", ([Request.put("k", "v"), Request.get("k")],)),
+        ("read", ([Request.get("k")],)),
         ("txn_prepare", ("t1", {"k": "v"}, {})),
         ("txn_decide", ("t1", "commit", {"k": "v"})),
     ])
