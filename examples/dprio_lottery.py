@@ -16,7 +16,7 @@ from __future__ import annotations
 import collections
 import sys
 
-from repro import ChoreoEngine, run_choreography
+from repro import ChoreoEngine
 from repro.protocols.dprio import lottery
 
 
@@ -35,7 +35,8 @@ def main() -> None:
                        client_secrets=secrets, seed=seed)
 
     print(f"DPrio lottery: {n_clients} clients, {n_servers} servers, one analyst")
-    result = run_choreography(chor, census, kwargs={"seed": 42})
+    with ChoreoEngine(census) as engine:
+        result = engine.run(chor, kwargs={"seed": 42})
     outcome = result.value_at(analyst)
     winner = [c for c, s in secrets.items() if s == outcome.value][0]
     print(f"  analyst reconstructed secret {outcome.value} "

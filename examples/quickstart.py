@@ -17,7 +17,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import ChoreoEngine, choreography, run_choreography
+from repro import ChoreoEngine, choreography
 
 
 @choreography(census=["buyer", "seller"])
@@ -76,16 +76,13 @@ def main() -> None:
 
     # The same choreography runs unchanged on every registered backend —
     # sockets, the latency-modelling simulator, and the single-threaded
-    # centralized reference semantics included.
+    # centralized reference semantics included.  A throwaway engine used for
+    # one instance is the paper's one-shot "main method": project to every
+    # location, run all endpoints, gather the results.
     for backend in ["local", "tcp", "simulated", "central"]:
         with ChoreoEngine(["buyer", "seller"], backend=backend) as engine:
             result = engine.run(bookstore, args=("SICP",))
             print(f"backend {backend!r:11} -> {result.returns['buyer']!r}")
-
-    # The paper's one-shot "main method" still exists as a thin wrapper over
-    # a throwaway engine, for scripts that run a choreography exactly once.
-    one_shot = run_choreography(bookstore, ["buyer", "seller"], args=("SICP",))
-    print(f"one-shot  -> {one_shot.returns['buyer']!r}")
 
     # Where to next: engines compose into a sharded, replicated service —
     # consistent-hash routing, quorum reads, group-commit batches.  See

@@ -32,8 +32,8 @@ The package provides:
   first-class, runnable, checkable objects (``.run()``, ``.check()``,
   ``.cost()``, ``.bind()``).
 * :mod:`repro.runtime` — persistent :class:`ChoreoEngine` sessions, the
-  pluggable backend registry, coalescing transports, the one-shot runner,
-  and the centralized reference semantics.
+  pluggable backend registry, coalescing transports, and the centralized
+  reference semantics.
 * :mod:`repro.cluster` — the sharded KVS service layer: a consistent-hash
   :class:`ShardRouter`, a :class:`ClusterEngine` multiplexing one warm
   engine per shard — with dead-replica detection, backup demotion, primary
@@ -124,7 +124,6 @@ from .runtime import (
     register_impl,
     resolve_impl,
     run_centralized,
-    run_choreography,
 )
 
 __version__ = "1.8.0"
@@ -199,7 +198,6 @@ __all__ = [
     "resolve_impl",
     "rejoin_backup",
     "run_centralized",
-    "run_choreography",
     "single",
     "__version__",
 ]

@@ -6,8 +6,8 @@ conclaves, membership constraints, census polymorphism, and EPP strategy.
 This module *probes* the two Python implementations in this repository (the
 conclaves-&-MLVs library in :mod:`repro.core` and the HasChor-style baseline in
 :mod:`repro.baselines.haschor`) by actually attempting each capability, and
-reports the λC row from the formal model's own API.  The benchmark
-``benchmarks/bench_table1_features.py`` prints the resulting table.
+reports the λC row from the formal model's own API.
+``tests/test_analysis.py::TestFeatureMatrix`` asserts the resulting rows.
 """
 
 from __future__ import annotations

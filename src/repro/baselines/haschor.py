@@ -9,9 +9,10 @@ It has singly-located values only — no MLVs, no conclaves, no census
 polymorphism.
 
 This module reimplements that design on top of the same transports as
-:mod:`repro.core`, so the message-count difference measured by
-``benchmarks/bench_koc_efficiency.py`` isolates the KoC strategy itself
-(exactly the comparison the paper's efficiency argument makes).
+:mod:`repro.core`, so the message-count difference asserted by
+``tests/test_paper_experiments.py::TestE2KnowledgeOfChoice`` isolates the
+KoC strategy itself (exactly the comparison the paper's efficiency argument
+makes).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..core.epp import Endpoint
 from ..core.errors import CensusError, ChoreographyRuntimeError, OwnershipError, PlaceholderError
 from ..core.locations import Census, Location, LocationsLike, as_census
 from ..runtime.local import LocalTransport
-from ..runtime.runner import ChoreographyResult
+from ..runtime.engine import ChoreographyResult
 from ..runtime.stats import ChannelStats
 from ..runtime.transport import DEFAULT_TIMEOUT, Transport, serialize
 
@@ -204,8 +205,8 @@ def run_haschor(
 ) -> ChoreographyResult:
     """Run a HasChor-style choreography on every endpoint concurrently.
 
-    Mirrors :func:`repro.runtime.runner.run_choreography` but projects with
-    :class:`HasChorProjectedOp`.
+    One thread per endpoint, like a :class:`~repro.runtime.engine.ChoreoEngine`
+    instance, but projected with :class:`HasChorProjectedOp`.
     """
     import threading
     import time

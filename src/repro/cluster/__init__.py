@@ -57,8 +57,7 @@ schedules.
 See ``docs/architecture.md`` for the layer map and the message flow of a
 sharded put, ``docs/durability.md`` for the persistence and recovery
 walkthrough, ``docs/testing.md`` for the chaos-testing guide, and
-``benchmarks/bench_cluster.py`` for the YCSB-style workload that measures
-shard scaling.
+``benchmarks/e2e/`` for the workloads that measure it end to end.
 """
 
 from .client import ClusterClient

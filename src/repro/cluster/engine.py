@@ -86,8 +86,8 @@ cold restart, intent expiry handles a dead coordinator on a live one), and
 refusals surface as typed :class:`TxnConflict` / :class:`TxnAborted`.
 
 :class:`~repro.cluster.client.ClusterClient` wraps this with a blocking
-``put/get/scan/txn`` facade; ``benchmarks/bench_cluster.py`` drives it with
-a YCSB-style mixed workload plus a 2PC transfer workload.
+``put/get/scan/txn`` facade; ``benchmarks/e2e/`` drives it with a 95/5
+group-commit workload and a durable 2PC transfer workload.
 """
 
 from __future__ import annotations
@@ -303,8 +303,7 @@ class PromotionReport:
     Appended to :attr:`ClusterEngine.promotions` (alongside the
     ``(shard_id, replica)`` entry in :attr:`ClusterEngine.failovers`) the
     moment the promotion commits, before any in-flight submit is replayed —
-    the audit trail a chaos run checks and ``benchmarks/bench_failover.py``
-    times against.
+    the audit trail a chaos run checks.
     """
 
     shard_id: ShardId
@@ -1577,8 +1576,7 @@ class ClusterEngine:
             replica: The demoted backup to re-admit.
 
         Returns:
-            A :class:`RejoinReport` with the replay/catch-up costs — the
-            recovery-time metrics ``benchmarks/bench_recovery.py`` tracks.
+            A :class:`RejoinReport` with the replay/catch-up costs.
 
         Raises:
             ClusterClosed: If the cluster is closed.

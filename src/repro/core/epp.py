@@ -57,7 +57,7 @@ class Endpoint(Protocol):
     # in a receive (the flush-before-block rule — see
     # repro.runtime.transport).  Projected operators never need to call
     # ``flush``: a projected program only ever blocks in ``recv``, which
-    # flushes first, and the engine/runner flush at instance boundaries for
+    # flushes first, and the engine flushes at instance boundaries for
     # trailing sends.
 
 

@@ -85,7 +85,7 @@ class ChoreographyRuntimeError(ChoreographyError):
     """A projected endpoint raised an exception while executing its role.
 
     Wraps the original exception and records which location failed so the
-    runner can report a single coherent failure for the whole execution.
+    engine can report a single coherent failure for the whole execution.
     ``failures`` holds *every* location's failure (location → exception) when
     several endpoints of one instance failed together — the usual shape of a
     crash, where the crashed location's error and its peers' induced

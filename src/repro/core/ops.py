@@ -16,12 +16,11 @@ here from the primitives, exactly as the paper argues they can be (§3.4,
 census.
 
 Choreographies written against this surface are oblivious to *how* they are
-executed: one-shot (``run_choreography``), under the centralized reference
-semantics, or as one of many pipelined instances inside a persistent
-:class:`~repro.runtime.engine.ChoreoEngine` session, where the endpoint
-behind the projected operators is scoped to a single instance
-(:class:`~repro.core.epp.InstanceScopedEndpoint`).  Nothing here may assume
-exclusive ownership of a transport.
+executed: under the centralized reference semantics, or as one of many
+pipelined instances inside a persistent :class:`~repro.runtime.engine.ChoreoEngine`
+session, where the endpoint behind the projected operators is scoped to a
+single instance (:class:`~repro.core.epp.InstanceScopedEndpoint`).  Nothing
+here may assume exclusive ownership of a transport.
 """
 
 from __future__ import annotations

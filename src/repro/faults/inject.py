@@ -27,7 +27,7 @@ forwards, and the wrapper is careful to keep them where it interferes:
   no-op — a dead location must never be able to wedge the engine worker
   that hosts it (its Future resolves with the crash, not never).
 
-One worker thread drives each endpoint (the engine/runner invariant), so the
+One worker thread drives each endpoint (the engine's invariant), so the
 wrapper's counters need no locking, and — because every injection decision is
 a pure function of the plan seed and per-channel indices — neither thread
 scheduling nor wall-clock timing can change what gets injected.

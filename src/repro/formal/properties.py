@@ -175,7 +175,7 @@ def check_deadlock_freedom(
 
 
 def check_all(census: PartySet, expr: Expr, *, seed: int = 0) -> Dict[str, PropertyReport]:
-    """Run every checker on one program (used by the formal benchmarks)."""
+    """Run every checker on one program (used by the corpus tests)."""
     return {
         "preservation": check_preservation(census, expr),
         "progress": check_progress(census, expr),

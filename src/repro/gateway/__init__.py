@@ -16,7 +16,7 @@ the front:
   ``BUSY`` shedding past the ``pending`` high-water mark, sticky until
   load falls back to the low-water mark), plus graceful drain-then-close;
 * :class:`~repro.gateway.client.GatewayClient` — the blocking/pipelined
-  client the tests and ``benchmarks/bench_gateway.py`` drive load through,
+  client the tests and ``benchmarks/e2e/`` drive load through,
   with opt-in ``retries=`` backoff on retryable error frames.
 
 Cross-shard transactions ride the same wire: ``MULTI (PUT k v | DEL k)+

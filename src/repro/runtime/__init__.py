@@ -1,5 +1,5 @@
-"""Execution substrates: persistent engine sessions, transports, the one-shot
-runner, and the centralized reference semantics."""
+"""Execution substrates: persistent engine sessions, transports, and the
+centralized reference semantics."""
 
 from .central import CentralBackend, CentralOp, localize_return, run_centralized
 from .engine import CLOSE_DEADLINE_CAP, ChoreoEngine, ChoreographyResult
@@ -17,7 +17,6 @@ from .registry import (
     resolve_impl,
     unregister_impl,
 )
-from .runner import run_choreography
 from .simulated import SimulatedNetworkTransport
 from .stats import ChannelStats
 from .tcp import TCPTransport
@@ -58,7 +57,6 @@ __all__ = [
     "register_impl",
     "resolve_impl",
     "run_centralized",
-    "run_choreography",
     "serialize",
     "unregister_impl",
 ]

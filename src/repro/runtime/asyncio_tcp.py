@@ -39,7 +39,8 @@ Choreography code still runs in the engine's one-worker-thread-per-location
 is every socket.  That is the scaling story: a warm 4-party asyncio session
 costs 1 loop thread of I/O instead of the threaded backend's 16+, so the
 number of concurrent warm sessions at a fixed memory/thread budget grows
-accordingly (``benchmarks/bench_asyncio_backend.py``).
+accordingly (``test_warm_session_density_is_at_least_four_times_threaded``
+in ``tests/test_asyncio_tcp.py``).
 
 ``faults=`` takes a :class:`repro.faults.FaultPlan` exactly like the
 threaded backend; injected delays are realized as **event-loop timers**

@@ -23,9 +23,6 @@ session-shaped replacement:
   ``"central"``, any name added via
   :func:`~repro.runtime.registry.register_impl`, or a pre-built
   :class:`~repro.runtime.transport.Transport` instance.
-
-:func:`repro.runtime.runner.run_choreography` remains as a one-shot
-compatibility wrapper over a throwaway engine.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import logging
 import queue
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
@@ -266,7 +263,7 @@ class _EngineJob:
                 self.future.set_exception(outcome)
             else:
                 self.future.set_result(result)
-        except Exception:
+        except InvalidStateError:
             # The caller cancelled the Future; the instance already ran — a
             # cancelled result must not take down the worker threads.
             pass
@@ -515,11 +512,11 @@ class ChoreoEngine:
         """Execute one choreography instance and wait for its result.
 
         ``wait_timeout`` bounds the wait for the whole instance; the default
-        mirrors the one-shot runner's shared join deadline (twice the receive
-        timeout plus margin), scaled by the number of instances already
-        queued ahead, so a healthy pipelined backlog is not misreported as a
-        deadlock.  Endpoint receives time out on their own, so this only
-        fires for runaway local computation.
+        is one shared join deadline (twice the receive timeout plus margin),
+        scaled by the number of instances already queued ahead, so a healthy
+        pipelined backlog is not misreported as a deadlock.  Endpoint receives
+        time out on their own, so this only fires for runaway local
+        computation.
 
         Args:
             choreography: As for :meth:`submit`.

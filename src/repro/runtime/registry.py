@@ -2,8 +2,8 @@
 
 The paper's case studies each ship their own "main method"; this repository
 unifies them behind one seam: :class:`~repro.runtime.engine.ChoreoEngine`
-and :func:`~repro.runtime.runner.run_choreography` resolve a backend here,
-so registering one once makes it reachable from every entry point.
+resolves a backend here, so registering one once makes it reachable from
+every session.
 
 Injection is **Protocol-keyed**, not string-keyed: the registry is a table
 from a :class:`typing.Protocol` (the *injection point*) to named

@@ -195,8 +195,8 @@ class TCPTransport(Transport):
     """Socket-based transport over the loopback interface.
 
     All endpoints must be created (via :meth:`endpoint`) before any of them
-    sends, so that every listener's port is known; :func:`repro.runtime.runner.
-    run_choreography` does this automatically.
+    sends, so that every listener's port is known;
+    :class:`~repro.runtime.engine.ChoreoEngine` does this at session start.
 
     ``faults`` takes a :class:`repro.faults.FaultPlan`: every endpoint is
     then wrapped in a :class:`repro.faults.FaultyEndpoint` injecting the

@@ -115,8 +115,8 @@ class TransportEndpoint(abc.ABC):
     peer until the sender next flushes, blocks in a receive, or finishes its
     instance (a sender doing long local computation right after a send keeps
     that send buffered for the duration).  Code driving endpoints *directly*
-    must call :meth:`flush` after its final send (the engine and runners do
-    this at instance boundaries).
+    must call :meth:`flush` after its final send (the engine does this at
+    instance boundaries).
     """
 
     def __init__(self, location: Location, transport: "Transport"):

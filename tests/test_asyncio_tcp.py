@@ -119,6 +119,30 @@ class TestAsyncioMechanics:
             time.sleep(0.01)
         assert not loop_threads[0].is_alive()  # close() tears the loop down
 
+    def test_warm_session_density_is_at_least_four_times_threaded(self):
+        """Threads are what cap how many warm sessions one process holds: a
+        4-party threaded session keeps a worker, an accept thread and a reader
+        per inbound connection; the asyncio one keeps the workers and a loop."""
+        parties = ["p0", "p1", "p2", "p3"]
+        n = len(parties)
+
+        def all_to_all(op):
+            facets = op.parallel(parties, lambda loc, _un: loc)
+            return op.gather(parties, parties, facets)  # lights every connection
+
+        def threads_per_warm_session(backend):
+            before = set(threading.enumerate())
+            with ChoreoEngine(parties, backend=backend, timeout=10.0) as engine:
+                engine.run(all_to_all)
+                return len(set(threading.enumerate()) - before)
+
+        threaded = threads_per_warm_session("tcp")
+        evented = threads_per_warm_session("asyncio")
+        assert threaded == n + n + n * (n - 1)
+        assert evented == n + 1
+        budget = 1024  # sessions that fit in a fixed thread budget
+        assert (budget // evented) >= 4 * (budget // threaded)
+
     def test_flush_wakes_the_loop_once_however_many_receivers(self, monkeypatch):
         """A scatter/broadcast round flushes to n-1 peers: one self-pipe
         write for all of them, per-pair FIFO intact."""

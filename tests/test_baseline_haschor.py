@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ChoreoEngine
 from repro.analysis.comm_cost import communication_cost, haschor_communication_cost
 from repro.baselines.haschor import (
     At,
@@ -121,13 +122,10 @@ class TestBaselineKVSComparison:
         )
 
     def test_both_produce_the_same_responses(self):
-        conclave = run_from_conclave = None
-        from repro.runtime.runner import run_choreography
-
-        conclave = run_choreography(
-            lambda op: kvs_serve(op, "client", "s1", self.SERVERS, self.REQUESTS),
-            self.CLUSTER,
-        ).returns["client"]
+        with ChoreoEngine(self.CLUSTER) as engine:
+            conclave = engine.run(
+                lambda op: kvs_serve(op, "client", "s1", self.SERVERS, self.REQUESTS)
+            ).returns["client"]
         baseline = run_haschor(
             lambda op: kvs_serve_haschor(op, "client", "s1", self.SERVERS, self.REQUESTS),
             self.CLUSTER,

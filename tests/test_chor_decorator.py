@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ChoreoEngine, choreography, run_choreography
+from repro import ChoreoEngine, choreography
 from repro.chor import ChoreographyDef
 from repro.core.errors import CensusError
 
@@ -43,15 +43,15 @@ class TestDecorator:
     def test_still_a_plain_choreography(self):
         # A decorated choreography drops into every existing entry point and
         # composes under conclave like the bare function would.
-        result = run_choreography(bookstore, ["buyer", "seller"], args=("TAPL",))
-        assert result.returns["buyer"] == 80
+        with ChoreoEngine(["buyer", "seller"]) as engine:
+            assert engine.run(bookstore, args=("TAPL",)).returns["buyer"] == 80
 
         def outer(op):
             wrapped = op.conclave(["buyer", "seller"], bookstore, "HoTT")
             return op.locally("buyer", lambda un: un(wrapped))
 
-        nested = run_choreography(outer, ["buyer", "seller", "auditor"])
-        assert nested.value_at("buyer") == 120
+        with ChoreoEngine(["buyer", "seller", "auditor"]) as engine:
+            assert engine.run(outer).value_at("buyer") == 120
 
 
 class TestRunConvenience:

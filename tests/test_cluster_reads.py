@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterClient, ClusterEngine, FaultPlan
+from repro import ChoreoEngine, ClusterClient, ClusterEngine, FaultPlan
 from repro.core.errors import ChoreographyRuntimeError
 from repro.protocols.kvs import (
     NotARead,
@@ -36,7 +36,6 @@ from repro.protocols.kvs import (
     kvs_serve_batch,
     kvs_with_backups,
 )
-from repro.runtime.runner import run_choreography
 
 CHAOS_SEEDS = [int(raw) for raw in os.environ.get("CHAOS_SEED", "7").split(",")]
 
@@ -121,7 +120,8 @@ def through_the_paper(steps):
                 serve(op, "client", "server", BACKUPS, states, payload).peek()
             )
 
-    run_choreography(chor, ["client"] + REPLICAS, transport="central")
+    with ChoreoEngine(["client"] + REPLICAS, backend="central") as engine:
+        engine.run(chor)
     return answers, [hash_state(stores[replica]) for replica in REPLICAS]
 
 

@@ -192,6 +192,30 @@ class TestTxnBasics:
             with pytest.raises(ValueError):
                 cluster.submit_txn([Request.get("alice")])
 
+    @pytest.mark.parametrize("replication", [2, 3])
+    def test_transfer_message_budget(self, replication):
+        """Prepare and decide are one conclave round each per participant
+        shard, ``2 + 2·backups`` messages a round: a transfer's bill is set by
+        the shards it touches, never by per-replica chatter."""
+        per_round = 2 + 2 * (replication - 1)
+        accounts = [f"acct{index:02d}" for index in range(16)]
+        with ClusterEngine(shards=4, replication=replication, backend=BACKEND) as cluster:
+            for future in cluster.submit_batch([Request.put(a, "100") for a in accounts]):
+                future.result(timeout=TIMEOUT)
+            spent, touched = [], set()
+            for src, dst in zip(accounts[0::2], accounts[1::2]):
+                before = cluster.stats.total_messages
+                result = cluster.submit_txn(
+                    [Request.put(src, "99"), Request.put(dst, "101")],
+                    expects={src: "100", dst: "100"},
+                ).result(timeout=TIMEOUT)
+                assert result.committed
+                spent.append(cluster.stats.total_messages - before)
+                touched.add(len(result.shards))
+                assert spent[-1] == 2 * per_round * len(result.shards)
+        assert touched == {1, 2}  # both single- and cross-shard transfers ran
+        assert sum(spent) / len(spent) <= 8 * per_round
+
     def test_intent_expires_after_ttl_prepares(self):
         # A coordinator that dies before logging its decision must not block
         # its keys forever: the parked intent is presumed aborted once

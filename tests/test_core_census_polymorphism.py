@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ChoreoEngine
 from repro.core.errors import CensusError, OwnershipError
 from repro.core.located import Faceted, Located, Quire
 from repro.runtime.central import CentralOp
-from repro.runtime.runner import run_choreography
+
+
+def run_once(chor, census):
+    """One instance of ``chor`` on a throwaway engine."""
+    with ChoreoEngine(census) as engine:
+        return engine.run(chor)
 
 
 def central(census):
@@ -81,7 +87,7 @@ class TestFanOut:
                 lambda q: op.comm("p1", q, op.locally("p1", lambda _un: q)),
             )
 
-        result = run_choreography(chor, PARTIES)
+        result = run_once(chor, PARTIES)
         assert result.stats.total_messages == 2
 
 
@@ -116,7 +122,7 @@ class TestFanIn:
                 PARTIES, ["p1"], lambda q: op.comm(q, "p1", op.locally(q, lambda _un: 1))
             )
 
-        result = run_choreography(chor, PARTIES)
+        result = run_once(chor, PARTIES)
         assert result.returns["p1"].is_present()
         assert not result.returns["p2"].is_present()
 
@@ -139,7 +145,7 @@ class TestScatterGather:
             quire = op.locally("p1", lambda _un: Quire(PARTIES, {p: 0 for p in PARTIES}))
             op.scatter("p1", PARTIES, quire)
 
-        result = run_choreography(chor, PARTIES)
+        result = run_once(chor, PARTIES)
         assert result.stats.total_messages == len(PARTIES) - 1
 
     def test_gather_collects_every_facet(self):
@@ -153,7 +159,7 @@ class TestScatterGather:
             faceted = op.parallel(PARTIES, lambda loc, _un: 1)
             op.gather(PARTIES, ["p1"], faceted)
 
-        result = run_choreography(chor, PARTIES)
+        result = run_once(chor, PARTIES)
         # every party except the recipient sends one message
         assert result.stats.total_messages == len(PARTIES) - 1
 
@@ -167,7 +173,7 @@ class TestScatterGather:
             total = op.locally("p4", lambda un: sum(un(gathered).values()))
             return op.broadcast("p4", total)
 
-        result = run_choreography(chor, PARTIES)
+        result = run_once(chor, PARTIES)
         assert set(result.returns.values()) == {sum(range(len(PARTIES)))}
 
 
@@ -179,7 +185,7 @@ class TestForgetCommon:
             private = op.forget_common(dealt)
             return private
 
-        result = run_choreography(chor, PARTIES)
+        result = run_once(chor, PARTIES)
         at_dealer = result.returns["p1"]
         assert list(at_dealer.common) == []
         # the dealer keeps only its own facet after forgetting
@@ -213,7 +219,7 @@ class TestCensusPolymorphismScaling:
             total = op.locally(members[0], lambda un: sum(un(gathered).values()))
             return op.broadcast(members[0], total)
 
-        result = run_choreography(chor, members)
+        result = run_once(chor, members)
         expected = sum(range(1, size + 1))
         assert all(value == expected for value in result.returns.values())
         assert result.stats.total_messages == 2 * (size - 1)

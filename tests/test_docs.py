@@ -65,7 +65,7 @@ def test_intra_repo_markdown_links_resolve(path):
 
 def test_docs_contain_expected_files():
     """The documentation set this repo promises actually exists."""
-    for name in ["api.md", "architecture.md", "benchmarks.md", "durability.md",
+    for name in ["api.md", "architecture.md", "durability.md",
                  "gateway.md", "performance.md", "testing.md"]:
         assert (REPO_ROOT / "docs" / name).is_file(), f"docs/{name} missing"
 

@@ -147,11 +147,23 @@ class TestCorpusMetatheory:
     """The executable counterpart of the paper's Theorems 2–5 and Corollary 1,
     over a reproducible random corpus (the hypothesis suite widens this)."""
 
-    CORPUS = program_corpus(30, depth=3)
+    CORPUS = program_corpus(60, depth=3)
 
-    @pytest.mark.parametrize("index", range(0, 30, 3))
+    @pytest.mark.parametrize("index", range(60))
     def test_all_properties_hold(self, index):
         census, program = self.CORPUS[index]
         reports = check_all(census, program, seed=index)
         failed = {name: report.details for name, report in reports.items() if not report}
         assert not failed, failed
+
+    def test_message_counts_are_schedule_independent(self):
+        """Soundness seen from the wire: however the λN scheduler interleaves
+        ∅-steps, a projected program exchanges the same number of messages."""
+        communicating = 0
+        for index, (census, program) in enumerate(self.CORPUS):
+            report = check_projection(census, program, schedules=5, seed=100 + index)
+            assert report, report.details
+            counts = set(report.extra["message_counts"])
+            assert len(counts) == 1, (index, counts)
+            communicating += counts != {0}
+        assert communicating >= 5  # the corpus is not all communication-free

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ChoreoEngine
 from repro.analysis.checker import check_choreography
 from repro.analysis.comm_cost import communication_cost
 from repro.core.locations import Census
@@ -27,8 +28,13 @@ from repro.protocols import circuits
 from repro.protocols.gmw import gmw
 from repro.protocols.kvs import Request, Response, kvs_serve
 from repro.runtime.central import run_centralized
-from repro.runtime.runner import run_choreography
 from repro.runtime.stats import ChannelStats
+
+
+def run_once(chor, census, args=(), backend="local"):
+    """One instance of ``chor`` on a throwaway engine."""
+    with ChoreoEngine(census, backend=backend) as engine:
+        return engine.run(chor, args)
 
 
 def pipeline(op, payload):
@@ -49,8 +55,8 @@ CENSUS = ["a", "b", "c"]
 
 class TestTransportsAgree:
     def test_local_and_tcp_and_central_agree(self):
-        local = run_choreography(pipeline, CENSUS, args=(5,), transport="local")
-        tcp = run_choreography(pipeline, CENSUS, args=(5,), transport="tcp")
+        local = run_once(pipeline, CENSUS, args=(5,), backend="local")
+        tcp = run_once(pipeline, CENSUS, args=(5,), backend="tcp")
         stats = ChannelStats()
         central = run_centralized(pipeline, CENSUS, 5, stats=stats)
         assert set(local.returns.values()) == {11}
@@ -58,14 +64,14 @@ class TestTransportsAgree:
         assert central == 11
 
     def test_message_counts_identical_across_backends(self):
-        local = run_choreography(pipeline, CENSUS, args=(5,), transport="local")
-        tcp = run_choreography(pipeline, CENSUS, args=(5,), transport="tcp")
+        local = run_once(pipeline, CENSUS, args=(5,), backend="local")
+        tcp = run_once(pipeline, CENSUS, args=(5,), backend="tcp")
         central_cost = communication_cost(pipeline, CENSUS, 5)
         assert local.stats.snapshot() == tcp.stats.snapshot() == central_cost.per_channel
 
     def test_checker_agrees_with_execution(self):
         report = check_choreography(pipeline, CENSUS, args=(7,))
-        run = run_choreography(pipeline, CENSUS, args=(7,))
+        run = run_once(pipeline, CENSUS, args=(7,))
         assert report.ok
         assert report.messages == run.stats.total_messages
 
@@ -79,7 +85,7 @@ class TestMLVInvariant:
             shared = op.multicast("a", CENSUS, value)
             return op.naked(shared)
 
-        result = run_choreography(chor, CENSUS)
+        result = run_once(chor, CENSUS)
         values = list(result.returns.values())
         assert all(value == values[0] for value in values)
 
@@ -89,7 +95,7 @@ class TestMLVInvariant:
             replicated = op.congruently(CENSUS, lambda un: un(base) * 3)
             return op.naked(replicated)
 
-        result = run_choreography(chor, CENSUS)
+        result = run_once(chor, CENSUS)
         assert set(result.returns.values()) == {30}
 
     def test_sequential_conclaves_reuse_the_same_mlv(self):
@@ -100,7 +106,7 @@ class TestMLVInvariant:
             outcome = op.locally("b", lambda un: (un(first), un(second)))
             return op.broadcast("b", outcome)
 
-        result = run_choreography(chor, CENSUS)
+        result = run_once(chor, CENSUS)
         assert set(result.returns.values()) == {("req-1", "req-2")}
         # one multicast (2 messages) + the final broadcast (2); the two
         # conclaves added no messages at all
@@ -135,7 +141,7 @@ class TestFullStackScenario:
             decision = op.locally("s1", lambda un: un(keep_going))
             return responses, op.broadcast("s1", decision)
 
-        result = run_choreography(chor, census)
+        result = run_once(chor, census)
         client_responses, decision = result.returns["client"]
         assert client_responses[1] == Response.found("1")
         assert decision is True

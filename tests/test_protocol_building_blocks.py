@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro import ChoreoEngine
 from repro.core.locations import Census
 from repro.protocols import circuits, crypto
 from repro.protocols.ot import ot2, ot2_batch, publish_ot_keys
@@ -18,7 +19,6 @@ from repro.protocols.secretshare import (
     xor_all,
 )
 from repro.runtime.central import CentralOp
-from repro.runtime.runner import run_choreography
 
 
 class TestCrypto:
@@ -203,7 +203,8 @@ class TestObliviousTransfer:
 
     @pytest.mark.parametrize("b0,b1,select", CASES)
     def test_projected_execution_matches_and_excludes_third_party(self, b0, b1, select):
-        outcome = run_choreography(self.chor(b0, b1, select, seed=3), self.CENSUS)
+        with ChoreoEngine(self.CENSUS) as engine:
+            outcome = engine.run(self.chor(b0, b1, select, seed=3))
         assert outcome.value_at("receiver") is (b1 if select else b0)
         assert outcome.stats.messages_involving("other") == 0
         # two parties publish a key each; the OT itself is two messages:

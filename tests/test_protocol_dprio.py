@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ChoreoEngine
 from repro.core.errors import ChoreographyRuntimeError
 from repro.protocols.dprio import DEFAULT_FIELD, CommitmentError, LotteryOutcome, lottery
 from repro.runtime.central import CentralOp, run_centralized
-from repro.runtime.runner import run_choreography
 
 SERVERS = ["sv1", "sv2", "sv3"]
 CLIENTS = ["c1", "c2", "c3", "c4"]
@@ -24,7 +24,8 @@ def run_lottery(seed=0, servers=SERVERS, clients=CLIENTS, secrets=SECRETS, timeo
             op, servers, clients, ANALYST, client_secrets=secrets, seed=seed, **kwargs
         )
 
-    return run_choreography(chor, census, timeout=timeout)
+    with ChoreoEngine(census, timeout=timeout) as engine:
+        return engine.run(chor)
 
 
 class TestLotteryCorrectness:
@@ -73,16 +74,26 @@ class TestLotteryCorrectness:
         assert central.peek() == projected
 
 
-class TestLotterySecurityShape:
-    def test_clients_never_talk_to_the_analyst_directly(self):
-        result = run_lottery(seed=1)
-        for client in CLIENTS:
-            assert result.stats.messages.get((client, ANALYST), 0) == 0
+#: (servers, clients) group sizes the analyst-traffic shape is checked over.
+GROUP_SIZES = [(SERVERS, CLIENTS)] + [
+    ([f"s{i}" for i in range(n_servers)], [f"c{i}" for i in range(n_clients)])
+    for n_servers, n_clients in [(2, 2), (3, 8), (5, 8)]
+]
 
-    def test_analyst_receives_exactly_one_share_per_server(self):
-        result = run_lottery(seed=1)
-        for server in SERVERS:
+
+class TestLotterySecurityShape:
+    @pytest.mark.parametrize("servers,clients", GROUP_SIZES)
+    def test_analyst_hears_one_share_per_server_and_nothing_from_clients(
+        self, servers, clients
+    ):
+        secrets = {client: 100 + index for index, client in enumerate(clients)}
+        result = run_lottery(seed=7, servers=servers, clients=clients, secrets=secrets)
+        assert result.value_at(ANALYST).value in secrets.values()
+        for client in clients:
+            assert result.stats.messages.get((client, ANALYST), 0) == 0
+        for server in servers:
             assert result.stats.messages.get((server, ANALYST), 0) == 1
+        assert result.stats.messages_received_by(ANALYST) == len(servers)
 
     def test_each_client_sends_one_share_per_server(self):
         result = run_lottery(seed=1)
@@ -112,14 +123,14 @@ class TestLotterySecurityShape:
 
 
 class TestLotteryFairness:
-    def test_winner_distribution_is_roughly_uniform(self):
+    @pytest.mark.parametrize("n_clients,runs,max_share", [(3, 30, 0.7), (4, 60, 0.5)])
+    def test_winner_distribution_is_roughly_uniform(self, n_clients, runs, max_share):
         """With at least one honest server the chosen index is uniform; over
         many seeds every client should win at least once and no client should
         dominate."""
-        clients = ["c1", "c2", "c3"]
-        secrets = {"c1": 1, "c2": 2, "c3": 3}
+        clients = [f"c{i}" for i in range(1, n_clients + 1)]
+        secrets = {client: index for index, client in enumerate(clients, start=1)}
         wins = {value: 0 for value in secrets.values()}
-        runs = 30
         for seed in range(runs):
             outcome = run_centralized(
                 lambda op, _seed=seed: lottery(
@@ -129,4 +140,4 @@ class TestLotteryFairness:
             )
             wins[outcome.peek().value] += 1
         assert all(count > 0 for count in wins.values())
-        assert max(wins.values()) < 0.7 * runs
+        assert max(wins.values()) < max_share * runs

@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from repro import ChoreoEngine
 from repro.core.errors import ChoreographyRuntimeError, ChoreoTimeout
 from repro.core.locations import Census
 from repro.protocols import circuits, crypto
@@ -22,9 +23,16 @@ from repro.protocols.gmw import (
 )
 from repro.protocols.ot import publish_ot_keys
 from repro.runtime.central import CentralOp
-from repro.runtime.runner import run_choreography
 from repro.runtime.stats import ChannelStats
 from repro.runtime.central import run_centralized
+from repro.runtime.transport import DEFAULT_TIMEOUT
+
+
+def run_once(chor, census):
+    """One instance of ``chor`` on a throwaway engine."""
+    with ChoreoEngine(census) as engine:
+        return engine.run(chor)
+
 
 RSA_BITS = 128  # keep key generation fast in tests
 
@@ -62,7 +70,7 @@ class TestSecretShareAndReveal:
             value = op.locally("p1", lambda _un: True)
             return secret_share(op, self.PARTIES, "p1", value, seed=4)
 
-        result = run_choreography(chor, self.PARTIES)
+        result = run_once(chor, self.PARTIES)
         dealer_view = result.returns["p1"].visible_facets()
         assert list(dealer_view) == ["p1"]
 
@@ -71,7 +79,7 @@ class TestSecretShareAndReveal:
             value = op.locally("p1", lambda _un: True)
             secret_share(op, self.PARTIES, "p1", value, seed=4)
 
-        result = run_choreography(chor, self.PARTIES)
+        result = run_once(chor, self.PARTIES)
         assert result.stats.total_messages == len(self.PARTIES) - 1
 
 
@@ -159,7 +167,7 @@ class TestBatchedPrimitives:
             values = op.locally("p1", lambda _un: [True, False, True])
             secret_share_batch(op, self.PARTIES, "p1", values, seed=2)
 
-        result = run_choreography(chor, self.PARTIES)
+        result = run_once(chor, self.PARTIES)
         # three secrets, still one message per (dealer, peer) pair
         assert result.stats.total_messages == len(self.PARTIES) - 1
 
@@ -224,17 +232,14 @@ class TestBatchedPrimitives:
         assert op.stats.total_messages == before
 
 
-def run_gmw(circuit, inputs, parties, transport="local", **options):
+def run_gmw(circuit, inputs, parties, transport="local", timeout=DEFAULT_TIMEOUT):
     def chor(op, my_inputs=None):
         return gmw(op, parties, circuit, my_inputs, seed=7, rsa_bits=RSA_BITS)
 
-    return run_choreography(
-        chor,
-        parties,
-        location_args={party: (inputs.get(party, {}),) for party in parties},
-        transport=transport,
-        **options,
-    )
+    with ChoreoEngine(parties, backend=transport, timeout=timeout) as engine:
+        return engine.run(
+            chor, location_args={party: (inputs.get(party, {}),) for party in parties}
+        )
 
 
 class TestGMWEndToEnd:
@@ -386,10 +391,15 @@ class TestSessionKeyAccounting:
     @pytest.mark.parametrize(
         "parties,circuit",
         [
-            (["p1", "p2"], circuits.and_tree(["p1", "p2"])),
+            # the party sweep: one AND tree over every party's input bit
+            *[(parties, circuits.and_tree(parties)) for parties in (
+                ["p1", "p2"], ["p1", "p2", "p3"], ["p1", "p2", "p3", "p4"],
+                ["p1", "p2", "p3", "p4", "p5"],
+            )],
             (["p1", "p2", "p3"], circuits.xor_tree(["p1", "p2", "p3"])),
-            (["p1", "p2", "p3"], circuits.alternating_tree(["p1", "p2", "p3"], depth=3)),
-            (["p1", "p2", "p3", "p4"], circuits.and_tree(["p1", "p2", "p3", "p4"])),
+            # the gate sweep: 3 parties, AND/XOR layers of growing depth
+            *[(["p1", "p2", "p3"], circuits.alternating_tree(["p1", "p2", "p3"], depth))
+              for depth in (1, 2, 3)],
             (["p1", "p2", "p3", "p4"], circuits.deep_and_tree(["p1", "p2", "p3", "p4"], 3)),
             # p3 deals nothing: dealers < n
             (["p1", "p2", "p3"], circuits.InputWire("p1", "a") & circuits.InputWire("p2", "b")),
@@ -406,6 +416,19 @@ class TestSessionKeyAccounting:
         four = ["p1", "p2", "p3", "p4"]
         assert expected_messages(four, circuits.and_tree(four)) == 84
         assert expected_messages(four, circuits.deep_and_tree(four, 3)) == 108
+
+    def test_layered_batching_at_least_halves_the_per_gate_count(self):
+        """A per-gate evaluator shares every input occurrence separately and
+        runs one OT per AND gate and ordered pair: 204 messages on a 4-party
+        depth-3 AND tree (7 gates in 3 layers).  Layering sends 96, plus the
+        run's one key-publication round (12)."""
+        four = ["p1", "p2", "p3", "p4"]
+        circuit = circuits.deep_and_tree(four, 3)
+        n, pairs = len(four), len(four) * (len(four) - 1)
+        gates = circuits.count_gates(circuit)
+        per_gate = gates["input"] * (n - 1) + 2 * pairs * gates["and"] + pairs
+        assert per_gate == 204
+        assert (expected_messages(four, circuit) - pairs) * 2 <= per_gate
 
     def test_runs_with_different_seeds_publish_different_moduli(self, monkeypatch):
         published = []
@@ -440,12 +463,13 @@ class TestWireBytesArePinned:
         names = circuits.input_names(self.CIRCUIT)
         flat = iter(bits)
         inputs = {p: {name: next(flat) for name in names.get(p, [])} for p in self.PARTIES}
-        result = run_choreography(
-            lambda op, my_inputs: gmw(
-                op, self.PARTIES, self.CIRCUIT, my_inputs, seed=seed, rsa_bits=rsa_bits
-            ),
-            self.PARTIES, args=(inputs,), transport=backend, timeout=15.0,
-        )
+        with ChoreoEngine(self.PARTIES, backend=backend, timeout=15.0) as engine:
+            result = engine.run(
+                lambda op, my_inputs: gmw(
+                    op, self.PARTIES, self.CIRCUIT, my_inputs, seed=seed, rsa_bits=rsa_bits
+                ),
+                args=(inputs,),
+            )
         assert set(result.returns.values()) == {circuits.evaluate_plain(self.CIRCUIT, inputs)}
         return dict(result.stats.messages), dict(result.stats.payload_bytes)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ChoreoEngine
 from repro.analysis.comm_cost import communication_cost
 from repro.core.locations import Census
 from repro.protocols.kvs import (
@@ -20,7 +21,12 @@ from repro.protocols.kvs import (
     update_state,
 )
 from repro.runtime.central import CentralOp
-from repro.runtime.runner import run_choreography
+
+
+def run_once(chor, census, backend="local"):
+    """One instance of ``chor`` on a throwaway engine."""
+    with ChoreoEngine(census, backend=backend) as engine:
+        return engine.run(chor)
 
 
 SERVERS = ["s1", "s2", "s3"]
@@ -35,7 +41,7 @@ def serve(requests, servers=None, fault_rate=0.0, seed=0):
         return kvs_serve(op, "client", servers[0], servers, requests,
                          fault_rate=fault_rate, seed=seed)
 
-    return run_choreography(chor, census)
+    return run_once(chor, census)
 
 
 class TestLocalStateHelpers:
@@ -111,7 +117,7 @@ class TestKVSSession:
             kvs_request(op, "client", "s1", SERVERS, states, request)
             return op.parallel(SERVERS, lambda _s, un: dict(un(states)))
 
-        result = run_choreography(chor, CLUSTER)
+        result = run_once(chor, CLUSTER)
         for server in SERVERS:
             assert result.returns[server].visible_facets()[server] == {"k": "v"}
 
@@ -122,7 +128,7 @@ class TestKVSSession:
             kvs_request(op, "client", "s1", SERVERS, states, request, fault_rate=0.7, seed=11)
             return op.parallel(SERVERS, lambda _s, un: dict(un(states)))
 
-        result = run_choreography(chor, CLUSTER)
+        result = run_once(chor, CLUSTER)
         replicas = [result.returns[s].visible_facets()[s] for s in SERVERS]
         assert all(replica == replicas[0] for replica in replicas)
 
@@ -151,7 +157,8 @@ class TestKoCStructure:
         assert cost.per_location_sent["client"] == 2
         assert cost.per_location_received["client"] == 2
 
-    def test_second_conditional_reuses_koc_for_free(self):
+    @pytest.mark.parametrize("n_servers", [2, 3, 4, 8])
+    def test_second_conditional_reuses_koc_for_free(self, n_servers):
         """Both conclaves of Fig. 2 branch on the request, but the request is
         multicast exactly once: the second conditional re-uses the MLV.
 
@@ -161,18 +168,19 @@ class TestKoCStructure:
         the ``needsReSynch`` flag, which is genuinely new information — and
         still no re-broadcast of the request itself.
         """
-        others = len(SERVERS) - 1
+        servers = [f"s{i}" for i in range(1, n_servers + 1)]
+        others = n_servers - 1
 
         def forwards(cost):
             return sum(
                 count for (src, dst), count in cost.per_channel.items()
-                if src == "s1" and dst in SERVERS
+                if src == "s1" and dst in servers
             )
 
-        get_cost = self.cost([Request.get("k")])
+        get_cost = self.cost([Request.get("k")], servers)
         assert forwards(get_cost) == others
 
-        put_cost = self.cost([Request.put("k", "v")])
+        put_cost = self.cost([Request.put("k", "v")], servers)
         assert forwards(put_cost) == 2 * others
 
     @pytest.mark.parametrize("n_servers", [2, 4, 8])
@@ -188,14 +196,13 @@ class TestBackupVariant:
     BACKUPS = ["b1", "b2"]
     CENSUS = ["client", "server", "b1", "b2"]
 
-    def run_one(self, request):
+    def run_one(self, request, backups=BACKUPS):
         def chor(op):
-            states = make_replica_states(op, ["server"] + self.BACKUPS)
+            states = make_replica_states(op, ["server"] + backups)
             located = op.locally("client", lambda _un: request)
-            response = kvs_with_backups(op, "client", "server", self.BACKUPS, states, located)
-            return response
+            return kvs_with_backups(op, "client", "server", backups, states, located)
 
-        return run_choreography(chor, self.CENSUS)
+        return run_once(chor, ["client", "server"] + backups)
 
     def test_put_then_get(self):
         def chor(op):
@@ -205,18 +212,23 @@ class TestBackupVariant:
             get = op.locally("client", lambda _un: Request.get("k"))
             return kvs_with_backups(op, "client", "server", self.BACKUPS, states, get)
 
-        result = run_choreography(chor, self.CENSUS)
+        result = run_once(chor, self.CENSUS)
         assert result.value_at("client") == Response.found("v")
 
-    def test_get_involves_no_backup_traffic(self):
-        result = self.run_one(Request.get("x"))
-        for backup in self.BACKUPS:
+    @pytest.mark.parametrize("n_backups", [1, 2, 4, 8])
+    def test_get_involves_no_backup_traffic(self, n_backups):
+        backups = [f"b{i}" for i in range(1, n_backups + 1)]
+        result = self.run_one(Request.get("x"), backups)
+        for backup in backups:
             assert result.stats.messages_involving(backup) == 1  # only the KoC broadcast
 
-    def test_put_gathers_acknowledgements(self):
-        result = self.run_one(Request.put("k", "v"))
-        for backup in self.BACKUPS:
+    @pytest.mark.parametrize("n_backups", [1, 2, 4, 8])
+    def test_put_gathers_acknowledgements(self, n_backups):
+        backups = [f"b{i}" for i in range(1, n_backups + 1)]
+        result = self.run_one(Request.put("k", "v"), backups)
+        for backup in backups:
             assert result.stats.messages_sent_by(backup) == 1
+            assert result.stats.messages_involving(backup) == 2  # KoC in, ack out
 
     def test_stop_request(self):
         result = self.run_one(Request.stop())
@@ -248,7 +260,7 @@ class TestKVSDelete:
                     )
             return last
 
-        return run_choreography(chor, self.CENSUS)
+        return run_once(chor, self.CENSUS)
 
     def test_delete_returns_dropped_value(self):
         result = self.run_session(Request.put("k", "v"), Request.delete("k"))
@@ -288,7 +300,7 @@ class TestKVSDelete:
                 key = op.locally("client", lambda _un: "k")
                 return kvs_delete(op, "client", "server", backups, states, key)
 
-            result = run_choreography(chor, census)
+            result = run_once(chor, census)
             assert result.value_at("client") == Response.found("v")
 
 
@@ -382,8 +394,7 @@ class TestReplicatedCensusSweep:
                 at_backup=at_backup, at_server=at_server,
             )
 
-        result = run_choreography(chor, ["client", "server"] + backups,
-                                  transport=transport)
+        result = run_once(chor, ["client", "server"] + backups, backend=transport)
         replicated_to = backups if replicates else []
         assert result.stats.total_messages == 2 + n_backups + len(replicated_to)
         # A conclave costs the outsider nothing: one request out, one answer in.

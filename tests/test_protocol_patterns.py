@@ -6,6 +6,7 @@ import operator
 
 import pytest
 
+from repro import ChoreoEngine
 from repro.analysis.comm_cost import communication_cost
 from repro.protocols.patterns import (
     heartbeat_round,
@@ -14,7 +15,12 @@ from repro.protocols.patterns import (
     tree_aggregate,
     two_buyer_bookseller,
 )
-from repro.runtime.runner import run_choreography
+
+
+def run_once(chor, census, location_args=None):
+    """One instance of ``chor`` on a throwaway engine."""
+    with ChoreoEngine(census) as engine:
+        return engine.run(chor, location_args=location_args)
 
 
 class TestTwoBuyerBookseller:
@@ -24,7 +30,7 @@ class TestTwoBuyerBookseller:
         def chor(op):
             return two_buyer_bookseller(op, "buyer", "helper", "seller", title, **kwargs)
 
-        return run_choreography(chor, self.CENSUS)
+        return run_once(chor, self.CENSUS)
 
     PARTICIPANTS = ["buyer", "helper", "seller"]
 
@@ -66,7 +72,7 @@ class TestMajorityVote:
         def chor(op):
             return majority_vote(op, voters, "coordinator", ballots)
 
-        result = run_choreography(chor, voters + ["coordinator"])
+        result = run_once(chor, voters + ["coordinator"])
         assert set(result.returns.values()) == {True}
 
     def test_tie_is_not_a_majority(self):
@@ -76,7 +82,7 @@ class TestMajorityVote:
         def chor(op):
             return majority_vote(op, voters, "coordinator", ballots)
 
-        result = run_choreography(chor, voters + ["coordinator"])
+        result = run_once(chor, voters + ["coordinator"])
         assert set(result.returns.values()) == {False}
 
     def test_per_endpoint_ballots_via_location_args(self):
@@ -85,7 +91,7 @@ class TestMajorityVote:
         def chor(op, my_ballot=None):
             return majority_vote(op, voters, "v1", my_ballot=my_ballot)
 
-        result = run_choreography(
+        result = run_once(
             chor,
             voters,
             location_args={"v1": (True,), "v2": (True,), "v3": (False,)},
@@ -112,7 +118,7 @@ class TestRingMax:
         def chor(op):
             return ring_max(op, ring, values)
 
-        result = run_choreography(chor, ring)
+        result = run_once(chor, ring)
         assert set(result.returns.values()) == {max(values.values())}
 
     def test_token_travels_once_around(self):
@@ -132,7 +138,7 @@ class TestTreeAggregate:
         def chor(op):
             return tree_aggregate(op, members, operator.add, lambda loc: int(loc[1:]) + 1)
 
-        result = run_choreography(chor, members)
+        result = run_once(chor, members)
         assert set(result.returns.values()) == {sum(range(1, size + 1))}
 
     def test_halves_do_not_talk_to_each_other_before_the_combine(self):
@@ -158,7 +164,7 @@ class TestHeartbeat:
         def chor(op):
             return heartbeat_round(op, "boss", self.WORKERS)
 
-        result = run_choreography(chor, self.CENSUS)
+        result = run_once(chor, self.CENSUS)
         assert set(result.returns.values()) == {tuple(self.WORKERS)}
 
     def test_crashed_workers_are_excluded(self):
@@ -166,7 +172,7 @@ class TestHeartbeat:
             return heartbeat_round(op, "boss", self.WORKERS,
                                    healthy=lambda worker: worker != "w3")
 
-        result = run_choreography(chor, self.CENSUS)
+        result = run_once(chor, self.CENSUS)
         assert set(result.returns.values()) == {("w1", "w2", "w4")}
 
     def test_two_messages_per_worker_plus_announcement(self):

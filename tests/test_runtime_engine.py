@@ -7,9 +7,10 @@ import time
 
 import pytest
 
-from repro import ChoreoEngine, run_choreography
-from repro.core.errors import CensusError, ChoreographyRuntimeError
-from repro.runtime.central import CentralBackend
+from repro import ChoreoEngine
+from repro.core.errors import CensusError, ChoreographyRuntimeError, OwnershipError
+from repro.core.located import Located
+from repro.runtime.central import CentralBackend, CentralOp, run_centralized
 from repro.runtime.local import LocalTransport
 from repro.runtime.registry import (
     TransportBackend,
@@ -18,6 +19,7 @@ from repro.runtime.registry import (
     register_impl,
     unregister_impl,
 )
+from repro.runtime.stats import ChannelStats
 from repro.runtime.tcp import TCPTransport
 
 CENSUS = ["alice", "bob", "carol"]
@@ -66,6 +68,9 @@ class TestOneEngineEveryBackend:
         with ChoreoEngine(CENSUS, backend=backend) as engine:
             with pytest.raises(ChoreographyRuntimeError) as err:
                 engine.run(broken)
+            # the centralized backend has one worker, so it names no endpoint
+            expected = "<centralized>" if backend == "central" else "alice"
+            assert err.value.location == expected
             assert isinstance(err.value.original, ZeroDivisionError)
             # the session survives a failed instance
             assert engine.run(ping_pong, args=("ok",)).returns["carol"] == "ok!"
@@ -109,6 +114,7 @@ class TestEngineReuse:
         assert first.stats.snapshot() == per_run
         assert second.stats.snapshot() == per_run
         assert first.instance == 0 and second.instance == 1
+        assert first.elapsed_seconds > 0 and second.elapsed_seconds > 0
         assert engine.stats.snapshot() == {channel: 2 for channel in per_run}
 
     @pytest.mark.parametrize("backend", ["local", "tcp", "asyncio"])
@@ -257,7 +263,11 @@ class TestEngineLifecycle:
     def test_borrowed_transport_left_open(self):
         transport = LocalTransport(CENSUS, timeout=5.0)
         with ChoreoEngine(CENSUS, backend=transport) as engine:
-            engine.run(ping_pong, args=("x",))
+            result = engine.run(ping_pong, args=("x",))
+        # result.stats is this run's delta; the borrowed transport accumulates
+        # the same messages on its own (cumulative) stats
+        assert result.stats is not transport.stats
+        assert result.stats.snapshot() == transport.stats.snapshot()
         transport.endpoint("alice").send("bob", 1)
         transport.endpoint("alice").flush()
         assert transport.endpoint("bob").recv("alice") == 1
@@ -270,6 +280,22 @@ class TestEngineLifecycle:
         assert [f.result(timeout=1.0).returns["alice"] for f in futures] == [
             "m0!", "m1!", "m2!", "m3!",
         ]
+
+    @pytest.mark.parametrize("backend", ["local", "central"])
+    def test_cancelled_future_does_not_kill_the_workers(self, backend):
+        """Cancelling a pending Future makes the worker's later ``set_result``
+        raise ``InvalidStateError``; the session must shrug it off."""
+        release = threading.Event()
+
+        def gated(op):
+            return op.locally("alice", lambda _un: release.wait(10.0))
+
+        with ChoreoEngine(CENSUS, backend=backend, timeout=5.0) as engine:
+            future = engine.submit(gated)
+            assert future.cancel()
+            release.set()
+            assert engine.run(ping_pong, args=("after",)).returns["carol"] == "after!"
+            assert engine.pending == 0
 
     def test_one_live_engine_per_transport(self):
         """Two live engines on one transport would share cached endpoints and
@@ -304,6 +330,29 @@ class TestEngineLifecycle:
             result = engine.run(chor, location_args={"a": (1,), "b": (2,)})
             assert result.returns["a"] == 3
 
+    def test_kwargs_passed_to_every_endpoint(self):
+        def chor(op, *, suffix):
+            return op.broadcast("alice", op.locally("alice", lambda _un: "x" + suffix))
+
+        with ChoreoEngine(["alice", "bob"], backend="local") as engine:
+            result = engine.run(chor, kwargs={"suffix": "!"})
+        assert result.returns == {"alice": "x!", "bob": "x!"}
+
+    @pytest.mark.parametrize("backend", ["local", "central"])
+    def test_legitimate_none_return_is_present(self, backend):
+        # Presence is ownership, not a comparison against None: a choreography
+        # that genuinely returns None at an owner must show up in the result.
+        def chor(op):
+            return op.locally("alice", lambda _un: None)
+
+        with ChoreoEngine(["alice", "bob"], backend=backend) as engine:
+            result = engine.run(chor)
+        assert result.has_value("alice") is True
+        assert result.has_value("bob") is False
+        assert result.present_values() == {"alice": None}
+        assert result.value_at("alice", default="missing") is None
+        assert result.value_at("bob", default="missing") == "missing"
+
 
 class TestCentralBackend:
     def test_location_args_rejected(self):
@@ -331,6 +380,65 @@ class TestCentralBackend:
             assert isinstance(err.value.original, CensusError)
 
 
+class TestCentralOp:
+    def test_run_centralized_matches_distributed_result(self):
+        with ChoreoEngine(CENSUS, backend="local") as engine:
+            distributed = engine.run(ping_pong, args=("z",))
+        stats = ChannelStats()
+        central_value = run_centralized(ping_pong, CENSUS, "z", stats=stats)
+        assert central_value == "z!"
+        assert stats.snapshot() == distributed.stats.snapshot()
+
+    def test_locally_checks_census(self):
+        op = CentralOp(["a", "b"])
+        with pytest.raises(CensusError):
+            op.locally("z", lambda _un: 1)
+
+    def test_multicast_checks_ownership(self):
+        op = CentralOp(["a", "b"])
+        with pytest.raises(OwnershipError):
+            op.multicast("a", ["b"], Located(["b"], 1))
+
+    def test_multicast_counts_would_be_messages(self):
+        op = CentralOp(["a", "b", "c"])
+        value = op.locally("a", lambda _un: "payload")
+        op.multicast("a", ["a", "b", "c"], value)
+        assert op.stats.total_messages == 2
+
+    def test_naked_requires_full_census(self):
+        op = CentralOp(["a", "b"])
+        with pytest.raises(OwnershipError):
+            op.naked(Located(["a"], 1))
+        assert op.naked(Located(["a", "b"], 5)) == 5
+
+    def test_naked_requires_known_owners(self):
+        op = CentralOp(["a", "b"])
+        with pytest.raises(OwnershipError):
+            op.naked(Located.absent(None))
+
+    def test_congruently_checks_replica_ownership(self):
+        op = CentralOp(["a", "b", "c"])
+        partial = op.locally("a", lambda _un: 1)
+        with pytest.raises(OwnershipError):
+            op.congruently(["a", "b"], lambda un: un(partial))
+
+    def test_conclave_shares_stats_with_parent(self):
+        op = CentralOp(["a", "b", "c"])
+
+        def sub(inner):
+            payload = inner.locally("a", lambda _un: 1)
+            return inner.broadcast("a", payload)
+
+        op.conclave(["a", "b"], sub)
+        assert op.stats.total_messages == 1
+
+    def test_faceted_unwrap_requires_owner_name(self):
+        op = CentralOp(["a", "b"])
+        faceted = op.parallel(["a", "b"], lambda loc, _un: loc)
+        with pytest.raises(OwnershipError):
+            op.congruently(["a", "b"], lambda un: un(faceted))
+
+
 class TestBackendRegistry:
     def test_builtin_backends_registered(self):
         assert {"local", "tcp", "asyncio", "simulated", "central"} <= set(
@@ -347,10 +455,6 @@ class TestBackendRegistry:
             with ChoreoEngine(CENSUS, backend="tracing-local") as engine:
                 assert isinstance(engine.transport, TracingTransport)
                 assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
-            # ...and through the compatibility wrapper too
-            result = run_choreography(ping_pong, CENSUS, args=("y",),
-                                      transport="tracing-local")
-            assert result.returns["carol"] == "y!"
         finally:
             unregister_impl(TransportBackend, "tracing-local")
 

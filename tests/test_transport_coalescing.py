@@ -22,12 +22,19 @@ import threading
 
 import pytest
 
+from repro import ChoreoEngine
 from repro.runtime import wire
 from repro.runtime.local import LocalTransport
-from repro.runtime.runner import run_choreography
 from repro.runtime.simulated import SimulatedNetworkTransport
 from repro.runtime.tcp import TCPTransport
 from repro.runtime.transport import FLUSH_WATERMARK, serialize
+
+
+def run_once(chor, census, args=(), *, backend, timeout, **run_options):
+    """One instance of ``chor`` on a throwaway engine."""
+    with ChoreoEngine(census, backend=backend, timeout=timeout) as engine:
+        return engine.run(chor, args, **run_options)
+
 
 CENSUS = ["alice", "bob", "carol"]
 
@@ -246,12 +253,12 @@ class TestBackendEquivalence:
         type(p).__name__ + "-" + str(i) for i, p in enumerate(PAYLOAD_SHAPES)
     ])
     def test_stats_and_results_identical_across_backends(self, payload):
-        reference = run_choreography(
-            storm, CENSUS, args=(payload,), transport="simulated", timeout=10.0
+        reference = run_once(
+            storm, CENSUS, args=(payload,), backend="simulated", timeout=10.0
         )
         for backend in ["local", "tcp", "asyncio", "central"]:
-            observed = run_choreography(
-                storm, CENSUS, args=(payload,), transport=backend, timeout=10.0
+            observed = run_once(
+                storm, CENSUS, args=(payload,), backend=backend, timeout=10.0
             )
             assert observed.present_values() == reference.present_values(), backend
             assert observed.stats.snapshot() == reference.stats.snapshot(), backend
@@ -273,10 +280,10 @@ class TestBackendEquivalence:
             return gmw(op, parties, circuit, my_inputs, seed=3, rsa_bits=128)
 
         runs = {
-            backend: run_choreography(
+            backend: run_once(
                 chor, parties,
                 location_args={p: (inputs[p],) for p in parties},
-                transport=backend, timeout=15.0,
+                backend=backend, timeout=15.0,
             )
             for backend in ["simulated", "tcp", "asyncio", "local"]
         }
