@@ -84,9 +84,9 @@ class ChoreographyDef:
         The bound arguments are inserted right after ``op``; arguments given
         at call/run time follow them.  The census contract carries over.  This
         is how a census-polymorphic protocol is *instantiated* for one
-        concrete deployment — e.g. the cluster layer binds its
-        ``shard_get`` choreography to each shard's (client, primary, backups,
-        state) once, then submits only ``(key,)`` per request.
+        concrete deployment — e.g. the cluster layer binds
+        ``kvs_catchup`` to one shard's (client, primary, rejoiner, state) and
+        runs it with no further arguments.
 
         Args:
             *args: Positional arguments bound immediately after ``op``.

@@ -100,7 +100,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..chor import ChoreographyDef, choreography
+from ..chor import ChoreographyDef
 from ..core.errors import ChoreographyRuntimeError, ChoreoTimeout
 from ..core.located import Faceted
 from ..core.locations import Census, Location, as_census
@@ -209,11 +209,12 @@ class TxnConflict(TxnAborted):
 
 def _lifted(chor: Choreography, lift: Callable[..., Any], client: Location,
             *bound: Any) -> Choreography:
-    """``chor(op, client, *bound, payload)`` with ``payload = lift(*args)`` at the client."""
+    """``chor(op, client, *bound, payload, **kwargs)`` with ``payload = lift(*args)``
+    at the client."""
 
-    def run(op, *args):
+    def run(op, *args, **kwargs):
         payload = op.locally(client, lambda _un: lift(*args))
-        return chor(op, client, *bound, payload)
+        return chor(op, client, *bound, payload, **kwargs)
 
     return run
 
@@ -223,7 +224,7 @@ def _as_given(value: Any) -> Any:
 
 
 #: The ops with the replica-group shape ``(client, primary, backups, state,
-#: payload)``: session attribute → (choreography, payload lift).
+#: payload)``: binding name → (choreography, payload lift).
 _REPLICA_GROUP_OPS: Dict[str, Tuple[Choreography, Callable[..., Any]]] = {
     "put": (kvs_with_backups, Request.put),
     "delete": (kvs_delete, _as_given),
@@ -235,24 +236,6 @@ _REPLICA_GROUP_OPS: Dict[str, Tuple[Choreography, Callable[..., Any]]] = {
     "txn_decide": (kvs_txn_decide, lambda txn_id, verdict, writes: (
         txn_id, verdict, dict(writes))),
 }
-
-
-@choreography(name="shard_get")
-def shard_get(op, client, server, backups, state_refs, key,
-              quorum=False, read_repair=True):
-    """Read one key: from the primary, or from a replica quorum.
-
-    ``quorum`` and ``read_repair`` are deployment knobs (global knowledge),
-    so branching on them needs no Knowledge-of-Choice traffic.  A quorum
-    read over a replication-1 shard degenerates to a primary read.
-    """
-    located_key = op.locally(client, lambda _un: key)
-    if quorum and len(as_census(backups)) > 0:
-        return kvs_quorum_get(
-            op, client, server, backups, state_refs, located_key,
-            read_repair=read_repair,
-        )
-    return kvs_get(op, client, server, state_refs, located_key)
 
 
 @dataclass(frozen=True)
@@ -363,9 +346,7 @@ class _ShardSession:
 
     __slots__ = (
         "shard_id", "client", "census", "servers", "primary", "backups", "down",
-        "rejoining", "durability", "state", "engine", "fence",
-        "put", "get", "delete", "scan", "serve", "read", "txn_prepare",
-        "txn_decide", "pings",
+        "rejoining", "durability", "state", "engine", "fence", "bindings",
     )
 
     def __init__(
@@ -406,20 +387,19 @@ class _ShardSession:
         self.engine = ChoreoEngine(
             self.census, backend=backend, timeout=timeout, **backend_options
         )
-        #: Liveness probes, one per replica (two messages, state untouched).
-        self.pings: Dict[Location, ChoreographyDef] = {
-            replica: ChoreographyDef(
-                _lifted(kvs_ping, _as_given, client, replica),
-                name=f"ping@{shard_id}:{replica}",
-            )
-            for replica in self.servers
-        }
+        #: Op name → (choreography, participant census), see _bind_data_plane.
+        self.bindings: Dict[str, Tuple[ChoreographyDef, Census]] = {}
         self._bind_data_plane()
 
     @property
     def epoch(self) -> int:
         """The shard's current epoch: 0 until a promotion, +1 per promotion."""
         return self.fence.value
+
+    @property
+    def put(self) -> ChoreographyDef:
+        """The current replicated-put binding (over the whole engine census)."""
+        return self.bindings["put"][0]
 
     def _recover_promoted_head(self) -> None:
         """Reopen under the head the durable promotion records elect.
@@ -450,31 +430,43 @@ class _ShardSession:
         re-instantiated with the current head and backup list —
         :func:`~repro.protocols.kvs.kvs_with_backups` and friends degrade
         gracefully down to an unreplicated primary, so failover needs no
-        protocol of its own.  The engine census never changes; a demoted
-        location's worker stays alive but the degraded bindings give it
-        nothing to do, so even a crashed endpoint completes every later
-        instance vacuously.
+        protocol of its own.  Each binding carries its participant census,
+        which dispatch hands to ``engine.submit``: client + primary + live
+        backups for the replica-group ops and a quorum get, client + primary
+        for reads, client + replica for a ping.  The engine census never
+        changes, but only participants' workers wake, so a demoted location
+        runs nothing.
 
-        Every binding is :func:`~repro.protocols.kvs.fenced` against the
+        Every data-plane binding is :func:`~repro.protocols.kvs.fenced` against the
         shard's live epoch cell: after a later promotion the cell moves on,
         and a submit still carrying this binding fails with
         :class:`~repro.protocols.kvs.StaleEpoch` before its first message —
         the split-brain fence that keeps a deposed head from serving.
         """
         group = (self.client, self.primary, list(self.backups), self.state)
+        members = as_census([self.client, self.primary, *self.backups])
         bindings = {
-            op_name: _lifted(chor, lift, *group)
+            op_name: (_lifted(chor, lift, *group), members)
             for op_name, (chor, lift) in _REPLICA_GROUP_OPS.items()
         }
         # Reads are answered by the primary alone: no backup list.
         reader = (self.client, self.primary, self.state)
-        bindings["scan"] = _lifted(kvs_scan, _as_given, *reader)
-        bindings["read"] = _lifted(kvs_read_batch, list, *reader)
-        bindings["get"] = shard_get.bind(*group)
-        for op_name, chor in bindings.items():
-            setattr(self, op_name, ChoreographyDef(
-                fenced(chor, self.fence), name=f"{op_name}@{self.shard_id}"
-            ))
+        pair = as_census([self.client, self.primary])
+        bindings["scan"] = (_lifted(kvs_scan, _as_given, *reader), pair)
+        bindings["read"] = (_lifted(kvs_read_batch, list, *reader), pair)
+        bindings["get"] = (_lifted(kvs_get, _as_given, *reader), pair)
+        bindings["quorum_get"] = (_lifted(kvs_quorum_get, _as_given, *group), members)
+        self.bindings = {
+            op_name: (ChoreographyDef(fenced(chor, self.fence),
+                                      name=f"{op_name}@{self.shard_id}"), census)
+            for op_name, (chor, census) in bindings.items()
+        }
+        # Liveness probes (two messages, state untouched) are never fenced.
+        for replica in self.servers:
+            self.bindings[f"ping:{replica}"] = (ChoreographyDef(
+                _lifted(kvs_ping, _as_given, self.client, replica),
+                name=f"ping@{self.shard_id}:{replica}",
+            ), as_census([self.client, replica]))
 
     def _open_store(self, replica: Location) -> State:
         """One replica's store: durable (recovered from disk) or ephemeral.
@@ -763,9 +755,9 @@ class ClusterEngine:
                 ) -> "Future[ChoreographyResult]":
         """Dispatch one shard operation, with dead-backup failover built in.
 
-        ``op_name`` names a :class:`_ShardSession` choreography attribute
+        ``op_name`` names a :class:`_ShardSession` binding
         (``"put"``/``"get"``/``"read"``/``"serve"``/...) rather than a bound
-        object, because failover *re-binds* those attributes: a replay after
+        object, because failover *re-binds* that table: a replay after
         a demotion must pick up the degraded binding, not the one the request
         was first dispatched with.  The returned Future resolves with the
         final (possibly replayed) run, or with the original failure when no
@@ -805,8 +797,8 @@ class ClusterEngine:
                     f"{self._control_op}; drain in-flight futures and retry"
                 )
             session = self._sessions[shard_id]
-            chor = getattr(session, op_name)
-        inner = session.engine.submit(chor, args=args, kwargs=kwargs)
+            chor, census = session.bindings[op_name]
+        inner = session.engine.submit(chor, args=args, kwargs=kwargs, census=census)
         inner.add_done_callback(
             lambda done: self._settle(
                 done, shard_id, op_name, args, kwargs, outer, replays_left
@@ -997,10 +989,10 @@ class ClusterEngine:
             dead-backup failures are replayed like Puts.
         """
         shard_id = self.shard_for(key)
-        return self._submit(
-            shard_id, "get",
-            args=(key,), kwargs={"quorum": quorum, "read_repair": read_repair},
-        )
+        if quorum:
+            return self._submit(shard_id, "quorum_get", args=(key,),
+                                kwargs={"read_repair": read_repair})
+        return self._submit(shard_id, "get", args=(key,))
 
     def submit_delete(self, key: str) -> "Future[ChoreographyResult]":
         """Enqueue a replicated Delete on ``key``'s shard; returns immediately.
@@ -1436,7 +1428,8 @@ class ClusterEngine:
                 token = f"ping:{session.shard_id}:{replica}"
                 culprit: Optional[Location] = None
                 try:
-                    result = session.engine.run(session.pings[replica], args=(token,))
+                    ping, census = session.bindings[f"ping:{replica}"]
+                    result = session.engine.run(ping, args=(token,), census=census)
                     alive[replica] = result.value_at(self.client) == token
                 except ChoreographyRuntimeError as failure:
                     alive[replica] = False
@@ -1523,9 +1516,10 @@ class ClusterEngine:
                 moved = [key for key in primary_state
                          if self.router.shard_for(key) == shard_id]
                 moved_per_session.append((old, moved))
+                put, census = session.bindings["put"]
                 for key in moved:
-                    moves.append(session.engine.submit(session.put,
-                                                       args=(key, primary_state[key])))
+                    moves.append(session.engine.submit(
+                        put, args=(key, primary_state[key]), census=census))
         # Copy-then-delete: the old replicas keep every moved key until the
         # new shard has acknowledged all of its re-puts, so a failed
         # migration leaves the data intact at its old home (the ring already

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Optional
 from .errors import CensusError, OwnershipError, PlaceholderError
 from .located import ABSENT, Faceted, Located, Quire
 from .locations import Census, Location, LocationsLike, as_census, single
-from .ops import ChoreoOp, Choreography, Unwrapper
+from .ops import _NOT_CENSUS_WIDE, _NOT_EVERY_REPLICA, ChoreoOp, Choreography, Unwrapper
 
 if TYPE_CHECKING:
     from ..runtime.transport import TransportEndpoint
@@ -75,7 +75,13 @@ class InstanceScopedEndpoint:
     ``recv_tagged`` returns.
 
     Because each location executes instances in increasing id order and every
-    channel is FIFO, tags on a channel are non-decreasing.  A received tag can
+    channel is FIFO, tags on a channel are non-decreasing.  That holds when an
+    instance runs at a sub-census only (``engine.submit(..., census=...)``):
+    ids are still drawn from one global counter, a location skips ids it is
+    not a member of, and a projection over the sub-census cannot address a
+    non-member, so every tag a location receives belongs to an instance it
+    runs — a stashed tag is one still ahead of it, and the engine's purge of
+    keys ≤ a finished instance drops nothing live.  A received tag can
     therefore only be
 
     * equal to ours — deliver it;
@@ -136,13 +142,8 @@ def _make_unwrapper(viewer: Location, required_owners: Optional[Census] = None) 
 
     def unwrap(value: Any, owner: Optional[Location] = None) -> Any:
         if isinstance(value, Located):
-            if required_owners is not None and value.owners is not None:
-                missing = [loc for loc in required_owners if loc not in value.owners]
-                if missing:
-                    raise OwnershipError(
-                        "congruent computation reads a value not owned by every "
-                        f"replica; missing owners: {missing!r}"
-                    )
+            if required_owners is not None:
+                value.require_owned_by(required_owners, _NOT_EVERY_REPLICA)
             return value.unwrap_for(viewer)
         if isinstance(value, Faceted):
             return value.facet_for(viewer, owner)
@@ -231,13 +232,7 @@ class ProjectedOp(ChoreoOp):
             raise OwnershipError(
                 f"naked expects a Located value, got {type(value).__name__}"
             )
-        if value.owners is not None:
-            missing = [loc for loc in self._census if loc not in value.owners]
-            if missing:
-                raise OwnershipError(
-                    "naked requires the whole census to own the value; "
-                    f"census members {missing!r} are not owners of {value!r}"
-                )
+        value.require_owned_by(self._census, _NOT_CENSUS_WIDE)
         if self._target not in self._census:
             raise CensusError(
                 f"endpoint {self._target!r} is outside the census "

@@ -24,10 +24,11 @@ or through ``naked`` / ``broadcast``.  This mirrors how MultiChor hides the
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable, Dict, Generic, Iterator, Mapping, Optional, Tuple, TypeVar
 
 from .errors import OwnershipError, PlaceholderError
-from .locations import Census, Location, LocationsLike, as_census, single
+from .locations import _INTERN_BOUND, Census, Location, LocationsLike, as_census, single
 
 T = TypeVar("T")
 
@@ -72,20 +73,12 @@ class Located(Generic[T]):
 
     __slots__ = ("_owners", "_value", "_present")
 
-    def __init__(
-        self,
-        owners: Optional[LocationsLike],
-        value: Any = ABSENT,
-        *,
-        present: Optional[bool] = None,
-    ):
+    def __init__(self, owners: Optional[LocationsLike], value: Any = ABSENT):
         if owners is not None:
             owners = as_census(owners).require_nonempty()
         self._owners: Optional[Census] = owners
         self._value = value
-        if present is None:
-            present = value is not ABSENT
-        self._present = present
+        self._present = value is not ABSENT
 
     # -- introspection -------------------------------------------------------------
 
@@ -101,6 +94,13 @@ class Located(Generic[T]):
     def owned_by(self, location: Location) -> bool:
         """True when ``location`` is a known owner of this value."""
         return self._owners is not None and location in self._owners
+
+    def require_owned_by(self, census: Census, why: str) -> None:
+        """Raise :class:`OwnershipError` (``why``) unless all of ``census``
+        owns this value; an unknown ownership set passes."""
+        if self._owners is not None and not self._owners.covers(census):
+            missing = [loc for loc in census if loc not in self._owners]
+            raise OwnershipError(f"{why}; missing owners {missing!r} of {self!r}")
 
     def __repr__(self) -> str:
         owner_list = list(self._owners) if self._owners is not None else "?"
@@ -148,12 +148,18 @@ class Located(Generic[T]):
         """
         if self._present:
             return Located(self._owners, fn(self._value))
-        return Located(self._owners, ABSENT, present=False)
+        return Located.absent(self._owners)
 
     @staticmethod
     def absent(owners: Optional[LocationsLike] = None) -> "Located[Any]":
-        """A placeholder wrapper (what EPP hands to non-owners)."""
-        return Located(owners)
+        """A placeholder wrapper (what EPP hands to non-owners): one shared,
+        immutable instance per ownership set."""
+        return _placeholder(None if owners is None else as_census(owners))
+
+
+@lru_cache(maxsize=_INTERN_BOUND)
+def _placeholder(owners: Optional[Census]) -> "Located[Any]":
+    return Located(owners)
 
 
 class Faceted(Generic[T]):

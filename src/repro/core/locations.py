@@ -9,7 +9,9 @@ duplicate-free collection of locations, and the membership/subset checks that
 the host type systems perform statically are explicit functions that raise
 :class:`~repro.core.errors.CensusError` when violated.  Each distinct
 set is checked once: :func:`as_census`, :func:`single` and the census algebra
-intern their results, so re-proving a known census is an identity test.
+intern their results, so re-proving a known census is an identity test, and
+each census remembers the subsets it has proved, so a warm subset proof is
+one set lookup.
 
 The ordering of a census is significant: census-polymorphic loops (fan-out,
 fan-in, gather, …) iterate the census in order at *every* endpoint, which is
@@ -19,7 +21,7 @@ what keeps the projected send/receive sequences aligned.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 from .errors import CensusError, EmptyCensusError
 
@@ -59,7 +61,7 @@ class Census:
     operations.
     """
 
-    __slots__ = ("_members", "_index")
+    __slots__ = ("_members", "_index", "_hash", "_proved")
 
     def __init__(self, locations: LocationsLike):
         members = _as_location_tuple(locations)
@@ -72,6 +74,9 @@ class Census:
             seen[member] = position
         self._members: Tuple[Location, ...] = members
         self._index = seen
+        self._hash = hash(members)
+        #: Censuses proved subsets of this one (bounded; failures never enter).
+        self._proved: Set["Census"] = set()
 
     # -- basic container protocol -------------------------------------------------
 
@@ -100,7 +105,10 @@ class Census:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return self._hash
+
+    def __reduce__(self):  # the cached hash and proofs are this process's
+        return as_census, (self._members,)
 
     def __repr__(self) -> str:
         return f"Census({list(self._members)!r})"
@@ -132,17 +140,29 @@ class Census:
         paper's ``Subset`` witnesses which are functions from member indices.
         """
         subset = as_census(locations)
-        if subset is not self:
-            missing = [member for member in subset._members if member not in self._index]
-            if missing:
-                raise CensusError(
-                    f"locations {missing!r} are not in census {list(self._members)!r}"
-                )
+        if not self.covers(subset):
+            raise CensusError(
+                f"locations {self._missing(subset)!r} are not in census {list(self._members)!r}"
+            )
         return subset
 
-    def is_subset_of(self, other: "Census") -> bool:
-        """True when every member of this census belongs to ``other``."""
-        return all(member in other for member in self._members)
+    def covers(self, subset: "Census") -> bool:
+        """True when every member of ``subset`` is a member here.
+
+        A success is remembered (identity first, then equality, as for any
+        set), so a warm proof walks no members; a failure is never cached.
+        """
+        if subset is self or subset in self._proved:
+            return True
+        if self._missing(subset):
+            return False
+        if len(self._proved) < _PROOF_BOUND:
+            self._proved.add(subset)
+        return True
+
+    def _missing(self, subset: "Census") -> List[Location]:
+        """The members of ``subset`` outside this census: the one member walk."""
+        return [member for member in subset._members if member not in self._index]
 
     def require_nonempty(self) -> "Census":
         """Assert that this census has at least one member."""
@@ -175,6 +195,8 @@ class Census:
 
 #: Distinct censuses kept interned; past it the least recently used is dropped.
 _INTERN_BOUND = 4096
+#: Subset proofs one census remembers; past it, later subsets are re-walked.
+_PROOF_BOUND = 32
 
 
 @lru_cache(maxsize=_INTERN_BOUND)

@@ -43,6 +43,10 @@ Choreography = Callable[..., Any]
 #: ``un(faceted, owner)`` yields ``owner``'s facet when the caller may see it.
 Unwrapper = Callable[..., Any]
 
+#: Why ``congruently`` / ``naked`` refuse a value, shared by every ChoreoOp.
+_NOT_EVERY_REPLICA = "congruent computation reads a value not owned by every replica"
+_NOT_CENSUS_WIDE = "naked requires the whole census to own the value"
+
 
 class ChoreoOp(abc.ABC):
     """Abstract choreographic operators, parameterised by a census.
@@ -170,13 +174,8 @@ class ChoreoOp(abc.ABC):
         considered an owner of the shares it dealt.
         """
         kept = self._require_subset(owners)
-        endpoint = self.location
-        if endpoint is None:
-            # Centralized semantics: keep the value, adjust ownership.
-            if value.is_present():
-                return Located(kept, value.peek())
-            return Located.absent(kept)
-        if endpoint in kept and value.is_present():
+        endpoint = self.location  # None under the centralized semantics: keep it
+        if value.is_present() and (endpoint is None or endpoint in kept):
             return Located(kept, value.peek())
         return Located.absent(kept)
 

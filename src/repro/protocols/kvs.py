@@ -46,7 +46,7 @@ writes, one primary round for reads, one fence**:
 * :func:`fenced` is the split-brain fence of primary failover, expressed
   once as a combinator: it captures the shard's epoch from the live
   :class:`ShardEpoch` cell when a binding is made, and the wrapped
-  choreography raises the typed :class:`StaleEpoch` at every location,
+  choreography raises the typed :class:`StaleEpoch` at every participant,
   before any message moves, once a promotion has advanced the cell — so a
   binding that still routes through a deposed primary can neither serve a
   read nor acknowledge a write.
@@ -208,8 +208,8 @@ def fenced(chor: Choreography, fence: ShardEpoch) -> Choreography:
 
     The epoch is captured from ``fence`` now, at binding time; the returned
     choreography checks it against the live cell before delegating.  Every
-    location runs that check first, so a stale binding fails with
-    :class:`StaleEpoch` everywhere at once and nothing is sent.
+    participant runs that check first, so a stale binding fails with
+    :class:`StaleEpoch` at each of them at once and nothing is sent.
     """
     epoch = fence.value
 
@@ -632,8 +632,6 @@ def primary_read(
     lists) a Put or Delete raises :class:`NotARead` at the server before any
     store is touched, so a write can never skip ack-before-apply.
     """
-    op.census.require_member(client)
-    op.census.require_member(server)
     payload_at_server = op.comm(client, server, payload)
 
     def serve(un) -> Any:
@@ -971,8 +969,6 @@ def kvs_ping(
     Returns:
         The echoed token, located at the client.
     """
-    op.census.require_member(client)
-    op.census.require_member(replica)
     at_replica = op.comm(client, replica, token)
     echo = op.locally(replica, lambda un: un(at_replica))
     return op.comm(replica, client, echo)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, TypeVar
 
+from ..core.epp import _make_unwrapper
 from ..core.errors import OwnershipError
 from ..core.located import Faceted, Located
-from ..core.locations import Census, Location, LocationsLike, as_census
-from ..core.ops import ChoreoOp, Choreography, Unwrapper
+from ..core.locations import Census, Location, LocationsLike, as_census, single
+from ..core.ops import _NOT_CENSUS_WIDE, _NOT_EVERY_REPLICA, ChoreoOp, Choreography, Unwrapper
 from .stats import ChannelStats
 from .transport import DEFAULT_TIMEOUT, serialize
 
@@ -33,13 +34,8 @@ def _central_unwrapper(required_owners: Optional[Census] = None) -> Unwrapper:
 
     def unwrap(value: Any, owner: Optional[Location] = None) -> Any:
         if isinstance(value, Located):
-            if required_owners is not None and value.owners is not None:
-                missing = [loc for loc in required_owners if loc not in value.owners]
-                if missing:
-                    raise OwnershipError(
-                        "congruent computation reads a value not owned by every "
-                        f"replica; missing owners: {missing!r}"
-                    )
+            if required_owners is not None:
+                value.require_owned_by(required_owners, _NOT_EVERY_REPLICA)
             return value.peek()
         if isinstance(value, Faceted):
             if owner is None:
@@ -66,18 +62,8 @@ class CentralOp(ChoreoOp):
     def locally(
         self, location: Location, computation: Callable[[Unwrapper], T]
     ) -> Located[T]:
-        self._require_member(location)
-
-        def unwrap(value: Any, owner: Optional[Location] = None) -> Any:
-            if isinstance(value, Located):
-                return value.unwrap_for(location)
-            if isinstance(value, Faceted):
-                return value.facet_for(location, owner)
-            raise TypeError(
-                f"unwrapper expects a Located or Faceted value, got {type(value).__name__}"
-            )
-
-        return Located([location], computation(unwrap))
+        here = single(self._require_member(location))
+        return Located(here, computation(_make_unwrapper(location)))
 
     def multicast(
         self, sender: Location, recipients: LocationsLike, value: Located[T]
@@ -102,12 +88,7 @@ class CentralOp(ChoreoOp):
             )
         if value.owners is None:
             raise OwnershipError("naked requires a value with a known ownership set")
-        missing = [loc for loc in self._census if loc not in value.owners]
-        if missing:
-            raise OwnershipError(
-                "naked requires the whole census to own the value; census members "
-                f"{missing!r} are not owners of {value!r}"
-            )
+        value.require_owned_by(self._census, _NOT_CENSUS_WIDE)
         return value.peek()
 
     def congruently(

@@ -33,7 +33,7 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..core.epp import InstanceScopedEndpoint, project
@@ -76,7 +76,6 @@ class ChoreographyResult:
     returns: Dict[Location, Any]
     stats: ChannelStats
     elapsed_seconds: float = 0.0
-    per_location_args: Dict[Location, Any] = field(default_factory=dict)
     #: The engine instance id this run executed under (0 for one-shot runs).
     instance: int = 0
 
@@ -141,7 +140,7 @@ class _TeeStats:
 
 
 class _EngineJob:
-    """One submitted choreography instance, shared by every location worker."""
+    """One submitted choreography instance, shared by its members' workers."""
 
     __slots__ = (
         "instance",
@@ -150,6 +149,7 @@ class _EngineJob:
         "kwargs",
         "location_args",
         "census",
+        "members",
         "stats",
         "future",
         "submitted",
@@ -169,6 +169,7 @@ class _EngineJob:
         kwargs: Dict[str, Any],
         location_args: Dict[Location, Sequence[Any]],
         census: Census,
+        members: Census,
         workers: int,
     ):
         self.instance = instance
@@ -177,6 +178,9 @@ class _EngineJob:
         self.kwargs = kwargs
         self.location_args = location_args
         self.census = census
+        #: The instance's participants; everyone else holds the conclave
+        #: placeholder from the start and is never woken.
+        self.members = members
         self.stats = ChannelStats()
         self.future: "Future[ChoreographyResult]" = Future()
         self.submitted = time.perf_counter()
@@ -187,7 +191,8 @@ class _EngineJob:
         self.on_resolve: Optional[Any] = None
         self._lock = threading.Lock()
         self._remaining = workers
-        self._returns: Dict[Location, Any] = {}
+        self._returns: Dict[Location, Any] = {} if members is census else dict.fromkeys(
+            census.without(members), Located.absent(members))
         self._failures: Dict[Location, BaseException] = {}
 
     def args_for(self, location: Location) -> tuple:
@@ -209,28 +214,15 @@ class _EngineJob:
                 if location not in self._returns and location not in self._failures
             ]
 
-    def finish_location(self, location: Location, value: Any) -> None:
+    def report(self, outcomes: Dict[Location, Any], failed: bool) -> None:
+        """One worker's outcome: its location's return or failure (the
+        centralized worker's is every member's return, or one failure)."""
         with self._lock:
-            self._returns[location] = value
+            (self._failures if failed else self._returns).update(outcomes)
             self._remaining -= 1
             done = self._remaining == 0
         if done:
             self._resolve()
-
-    def fail_location(self, location: Location, error: BaseException) -> None:
-        with self._lock:
-            self._failures[location] = error
-            self._remaining -= 1
-            done = self._remaining == 0
-        if done:
-            self._resolve()
-
-    def finish_all(self, returns: Dict[Location, Any]) -> None:
-        """Resolve every location at once (the centralized backend)."""
-        with self._lock:
-            self._returns = returns
-            self._remaining = 0
-        self._resolve()
 
     def _resolve(self) -> None:
         if self.on_resolve is not None:
@@ -431,6 +423,7 @@ class ChoreoEngine:
         kwargs: Optional[Mapping[str, Any]] = None,
         *,
         location_args: Optional[Mapping[Location, Sequence[Any]]] = None,
+        census: Optional[LocationsLike] = None,
     ) -> "Future[ChoreographyResult]":
         """Enqueue one choreography instance; return a Future for its result.
 
@@ -439,25 +432,36 @@ class ChoreoEngine:
         submission order, and instance-tagged messages keep concurrent
         instances from interleaving.
 
+        ``census`` runs the instance as ``op.conclave(census, choreography)``
+        applied at dispatch: only its members' workers are woken, each
+        projects against the sub-census, and every other location's return
+        is the conclave placeholder ``Located.absent(census)`` — it sends,
+        receives and executes nothing for this instance.
+
         Args:
             choreography: Any ``chor(op, *args, **kwargs)`` callable
                 (including a :class:`~repro.chor.ChoreographyDef`).
-            args: Positional arguments every location passes after ``op``.
-            kwargs: Keyword arguments every location passes.
+            args: Positional arguments every member passes after ``op``.
+            kwargs: Keyword arguments every member passes.
             location_args: Extra positional arguments appended *per
                 location* (only meaningful under projection).
+            census: The instance's participants, a non-empty subset of the
+                engine census; ``None`` means the whole engine census.
 
         Returns:
-            A Future resolving to the instance's :class:`ChoreographyResult`,
-            or raising :class:`~repro.core.errors.ChoreographyRuntimeError`
-            with the failing location's root cause.
+            A Future resolving to the instance's :class:`ChoreographyResult`
+            (over the whole engine census), or raising
+            :class:`~repro.core.errors.ChoreographyRuntimeError` with the
+            failing location's root cause.
 
         Raises:
             RuntimeError: If the engine is closed.
-            ValueError: If ``location_args`` names a non-member, or is used
-                with the centralized backend.
+            CensusError: If ``census`` is empty or not a subset of the
+                engine census.
+            ValueError: If ``location_args`` names a non-member of
+                ``census``, or is used with the centralized backend.
         """
-        return self._submit_job(choreography, args, kwargs, location_args).future
+        return self._submit_job(choreography, args, kwargs, location_args, census).future
 
     def _submit_job(
         self,
@@ -465,11 +469,15 @@ class ChoreoEngine:
         args: Sequence[Any] = (),
         kwargs: Optional[Mapping[str, Any]] = None,
         location_args: Optional[Mapping[Location, Sequence[Any]]] = None,
+        census: Optional[LocationsLike] = None,
     ) -> _EngineJob:
         kwargs = dict(kwargs or {})
         location_args = dict(location_args or {})
-        for location in location_args:
-            self.census.require_member(location)
+        members = self.census if census is None else (
+            self.census.require_subset(census).require_nonempty())
+        strangers = [location for location in location_args if location not in members]
+        if strangers:
+            raise ValueError(f"location_args for non-members {strangers!r} of {members!r}")
         if self._central is not None and location_args:
             raise ValueError(
                 "the centralized backend calls the choreography once for the whole "
@@ -481,18 +489,20 @@ class ChoreoEngine:
             instance = self._next_instance
             self._next_instance += 1
             self._pending += 1
+            queues = [self._queues[_CENTRAL_WORKER]] if self._central is not None else [
+                self._queues[location] for location in members]
             job = _EngineJob(
                 instance, choreography, args, kwargs, location_args,
-                self.census, workers=len(self._queues),
+                self.census, members, workers=len(queues),
             )
             # Decrement *before* the Future resolves (not in a done
             # callback): a caller that has seen every result() return must
             # observe pending == 0, or quiescence checks would flake.
             job.on_resolve = self._on_job_done
-            # Enqueue to every worker under the lock so all locations observe
-            # submissions in the same order — the invariant instance tagging
-            # relies on.
-            for jobs in self._queues.values():
+            # Enqueue to the members under the lock so every location observes
+            # its instances in increasing id order — the invariant instance
+            # tagging relies on (InstanceScopedEndpoint: skipped ids included).
+            for jobs in queues:
                 jobs.put(job)
         return job
 
@@ -507,6 +517,7 @@ class ChoreoEngine:
         kwargs: Optional[Mapping[str, Any]] = None,
         *,
         location_args: Optional[Mapping[Location, Sequence[Any]]] = None,
+        census: Optional[LocationsLike] = None,
         wait_timeout: Optional[float] = None,
     ) -> ChoreographyResult:
         """Execute one choreography instance and wait for its result.
@@ -523,6 +534,8 @@ class ChoreoEngine:
             args: As for :meth:`submit`.
             kwargs: As for :meth:`submit`.
             location_args: As for :meth:`submit`.
+            census: As for :meth:`submit`: the participants, whose workers
+                alone run the instance.
             wait_timeout: Overall wait budget in seconds; ``None`` uses the
                 backlog-scaled default described above.
 
@@ -536,7 +549,7 @@ class ChoreoEngine:
         """
         with self._submit_lock:
             backlog = self._pending
-        job = self._submit_job(choreography, args, kwargs, location_args)
+        job = self._submit_job(choreography, args, kwargs, location_args, census)
         if wait_timeout is not None:
             budget = wait_timeout
         else:
@@ -614,13 +627,13 @@ class ChoreoEngine:
             # happens: a Future that never resolves strands every caller
             # blocked on it, so even a failure in the bookkeeping below (the
             # stats-tee restore, the stash purge) is converted into a
-            # fail_location rather than allowed to kill the worker thread.
-            outcome, payload = "error", None
+            # failed report rather than allowed to kill the worker thread.
+            failed, payload = True, None
             try:
                 scoped = InstanceScopedEndpoint(endpoint, job.instance, stash)
                 endpoint.use_stats(_TeeStats(base_stats, job.stats))
                 try:
-                    program = project(job.choreography, self.census, location, scoped)
+                    program = project(job.choreography, job.members, location, scoped)
                     value = program(*job.args_for(location), **job.kwargs)
                     # Instance-boundary flush: a coalescing endpoint may still
                     # hold this instance's trailing sends; they are part of the
@@ -631,9 +644,9 @@ class ChoreoEngine:
                         endpoint.flush()  # best-effort: peers may be blocked on these
                     except BaseException:  # noqa: BLE001 - original error wins
                         pass
-                    outcome, payload = "error", exc
+                    payload = exc
                 else:
-                    outcome, payload = "ok", value
+                    failed, payload = False, value
                 finally:
                     endpoint.use_stats(base_stats)
                     # Unconsumed messages of instances up to and including this
@@ -644,11 +657,8 @@ class ChoreoEngine:
                     for stale in [key for key in stash if key <= job.instance]:
                         del stash[stale]
             except BaseException as exc:  # noqa: BLE001 - bookkeeping failed
-                outcome, payload = "error", exc
-            if outcome == "ok":
-                job.finish_location(location, payload)
-            else:
-                job.fail_location(location, payload)
+                failed, payload = True, exc
+            job.report({location: payload}, failed)
 
     def _central_worker(self, _label: str, jobs) -> None:
         """The centralized backend's single runner."""
@@ -658,14 +668,10 @@ class ChoreoEngine:
                 return
             job.mark_started()
             try:
-                op = CentralOp(self.census, _TeeStats(self._central.stats, job.stats))
+                op = CentralOp(job.members, _TeeStats(self._central.stats, job.stats))
                 value = job.choreography(op, *job.args, **job.kwargs)
             except BaseException as exc:  # noqa: BLE001 - reported via the Future
-                job.fail_location(_CENTRAL_WORKER, exc)
+                job.report({_CENTRAL_WORKER: exc}, failed=True)
             else:
-                job.finish_all(
-                    {
-                        location: localize_return(value, location)
-                        for location in self.census
-                    }
-                )
+                job.report({location: localize_return(value, location)
+                            for location in job.members}, failed=False)

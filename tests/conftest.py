@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import repro.runtime.engine as engine_module
 from repro.core.locations import Census
 from repro.runtime.central import CentralOp
 from repro.runtime.local import LocalTransport
@@ -33,3 +36,18 @@ def local_transport(abc_census) -> LocalTransport:
     transport = LocalTransport(abc_census, timeout=5.0)
     yield transport
     transport.close()
+
+
+@pytest.fixture
+def engine_jobs(monkeypatch) -> Counter:
+    """Jobs run per location: every projected job calls ``project`` once at
+    its own location, so counting targets counts the workers that woke."""
+    counts: Counter = Counter()
+    real_project = engine_module.project
+
+    def counting_project(choreography, census, target, endpoint):
+        counts[target] += 1
+        return real_project(choreography, census, target, endpoint)
+
+    monkeypatch.setattr(engine_module, "project", counting_project)
+    return counts

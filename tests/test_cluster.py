@@ -381,6 +381,34 @@ class TestReadsAreChosenAtDispatch:
         assert backup_rows(after[1]) == backup_rows(before[1])
         assert (after[2] - before[2]) / (200 + 50) == 2
 
+    def test_backup_workers_run_no_job_for_a_read(self, engine_jobs):
+        with ClusterEngine(1, replication=3, backend="local") as cluster:
+            session = cluster.session("shard0")
+            cluster.submit_put("k", "v").result(timeout=30.0)
+            cluster.submit_get("k").result(timeout=30.0)
+            engine_jobs.clear()
+            futures = [cluster.submit_get("k") for _ in range(200)]
+            for _ in range(50):
+                futures += cluster.submit_batch([Request.get("k"), Request.stop()])
+            for _ in range(20):
+                futures += cluster.submit_scan("").values()
+            for future in futures:
+                future.result(timeout=30.0)
+            assert engine_jobs == {cluster.client: 270, session.primary: 270}
+
+            engine_jobs.clear()
+            for n in range(10):
+                cluster.submit_put("k", str(n)).result(timeout=30.0)
+            assert engine_jobs == {location: 10 for location in session.census}
+
+            demoted = session.backups[-1]
+            assert cluster._mark_backup_down("shard0", demoted)
+            engine_jobs.clear()
+            for n in range(10):
+                cluster.submit_put("k", str(n)).result(timeout=30.0)
+            assert engine_jobs[demoted] == 0
+            assert engine_jobs == {location: 10 for location in session.census if location != demoted}
+
 
 class TestClusterClient:
     def test_put_returns_previous_value(self):

@@ -117,20 +117,20 @@ class TestEpochFence:
     ])
     def test_stale_binding_is_fenced_at_every_location(self, binding, args):
         # White-box: force a promotion with no crash at all, then run a
-        # binding captured under the old epoch.  Every location must raise
+        # binding captured under the old epoch.  Every participant must raise
         # StaleEpoch — deterministically, before any message moves.
         with ClusterEngine(shards=1, replication=2, backend=BACKEND) as cluster:
             session = cluster.session("shard0")
-            stale = getattr(session, binding)  # bound under epoch 0
+            stale, census = session.bindings[binding]  # bound under epoch 0
             assert cluster._mark_primary_down("shard0", "shard0.r0")
             assert session.epoch == 1
             with pytest.raises(AttributeError):
                 session.epoch = 7  # read-only: the fence cell is the epoch
             sent = cluster.stats.total_messages
             with pytest.raises(ChoreographyRuntimeError) as failure:
-                session.engine.run(stale, args=args)
+                session.engine.run(stale, args=args, census=census)
             roots = failure.value.failures
-            assert set(roots) == set(session.census)
+            assert set(roots) == set(census)
             assert all(isinstance(exc, StaleEpoch) for exc in roots.values())
             assert cluster.stats.total_messages == sent
             # The current-epoch binding (via the engine) still serves: the

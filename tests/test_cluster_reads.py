@@ -60,7 +60,8 @@ class TestAWriteNeverRidesTheReadRound:
             session = cluster.session("shard0")
             digests = replica_digests(cluster)
             with pytest.raises(ChoreographyRuntimeError) as failure:
-                session.engine.run(session.read, args=([Request.get("k"), write],))
+                read, census = session.bindings["read"]
+                session.engine.run(read, args=([Request.get("k"), write],), census=census)
             assert isinstance(failure.value.original, NotARead)
             if backend == "local":  # "central" runs every location as one
                 assert failure.value.location == session.primary

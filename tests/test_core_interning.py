@@ -216,3 +216,88 @@ class TestCensusConstructionsPerWarmOperation:
             for seed in range(20):
                 run(engine, seed)
             assert constructions == []
+
+
+class TestProofsPerWarmOperation:
+    """Subset proofs and placeholders are remembered: a warm operation walks
+    no census members and rebuilds no placeholder."""
+
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        walked = []
+        real_missing = Census._missing
+
+        def counting_missing(self, subset):
+            walked.append((self, subset))
+            return real_missing(self, subset)
+
+        monkeypatch.setattr(Census, "_missing", counting_missing)
+        return walked
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        built = []
+        real_init = Located.__init__
+
+        def counting_init(self, owners, *rest):
+            built.append(owners)
+            real_init(self, owners, *rest)
+
+        monkeypatch.setattr(Located, "__init__", counting_init)
+        return built
+
+    def test_warm_put_and_get(self, walks, builds):
+        with ClusterEngine(1, replication=3, backend="local") as cluster:
+            for n in range(20):
+                cluster.submit_put(f"k{n}", "v").result()
+                cluster.submit_get(f"k{n}").result()
+            walks.clear()
+            builds.clear()
+            for n in range(200):
+                cluster.submit_put(f"k{n % 20}", "w").result()
+            assert walks == []
+            assert len(builds) == 18 * 200
+            builds.clear()
+            for n in range(200):
+                cluster.submit_get(f"k{n % 20}").result()
+            assert walks == []
+            assert len(builds) == 4 * 200
+
+    def test_warm_gmw_run(self, walks):
+        inputs = {party: {"x": True} for party in PARTIES}
+        with ChoreoEngine(PARTIES, backend="local") as engine:
+            for seed in range(5):
+                if seed == 2:  # the first two runs warm the proofs
+                    walks.clear()
+                engine.run(
+                    gmw_projected, kwargs={"seed": seed},
+                    location_args={party: (inputs[party],) for party in PARTIES},
+                )
+            assert walks == []
+
+    def test_a_rejected_subset_is_never_remembered(self, walks):
+        census = as_census(["a", "b"])
+        for _ in range(2):
+            with pytest.raises(CensusError, match="'z'"):
+                census.require_subset(["a", "z"])
+        assert not census.covers(as_census(["a", "z"]))
+        assert len(walks) == 5  # each rejection walks to decide, then to name
+
+    def test_a_proof_holds_for_an_equal_twin(self, walks):
+        census = as_census(["a", "b"])
+        census.require_subset(["b"])
+        walks.clear()
+        assert census.require_subset(Census(["b"])) == ["b"]  # not interned
+        assert walks == []
+
+    def test_remembered_proofs_are_bounded(self):
+        census = as_census([f"p{n}" for n in range(100)])
+        for n in range(100):
+            census.require_subset([f"p{n}"])
+        assert len(census._proved) == locations._PROOF_BOUND
+
+    def test_placeholders_are_shared_per_census(self):
+        owners = as_census(["a", "b"])
+        assert Located.absent(owners) is Located.absent(["a", "b"])
+        assert Located.absent(owners) is not Located.absent(single("a"))
+        assert not Located.absent(owners).is_present()

@@ -88,9 +88,9 @@ class TestMembershipAndSubsets:
         with pytest.raises(CensusError, match="not in census"):
             Census(["a", "b"]).require_subset(["a", "z"])
 
-    def test_is_subset_of(self):
-        assert Census(["a"]).is_subset_of(Census(["a", "b"]))
-        assert not Census(["a", "z"]).is_subset_of(Census(["a", "b"]))
+    def test_covers(self):
+        assert Census(["a", "b"]).covers(Census(["a"]))
+        assert not Census(["a", "b"]).covers(Census(["a", "z"]))
 
 
 class TestCensusAlgebra:

@@ -83,7 +83,7 @@ class TestCensusProperties:
     @SETTINGS
     def test_subset_of_self(self, names):
         census = Census(names)
-        assert census.is_subset_of(census)
+        assert census.covers(census)
         assert census.require_subset(names) == census
 
     @given(location_names)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -249,6 +250,88 @@ class TestStashPurging:
             engine._stashes["alice"][0] = {"carol": deque(["dead"])}
             engine.run(ping_pong, args=("y",))  # instance 1: purge keys <= 1
             assert engine._stashes["alice"] == {}
+
+
+def relay(op, payload):
+    """Census-polymorphic: the payload hops along the census, then the last
+    member broadcasts it."""
+    members = list(op.census)
+    value = op.locally(members[0], lambda _un: payload)
+    for sender, receiver in zip(members, members[1:]):
+        value = op.comm(sender, receiver, value)
+    return op.broadcast(members[-1], value)
+
+
+SUB_CENSUS_BACKENDS = ["local", "tcp", "central"]
+
+
+class TestSubCensusInstances:
+    """``census=`` is ``op.conclave(census, chor)`` applied at dispatch: only
+    the members' workers run the instance."""
+
+    @pytest.mark.parametrize("backend", SUB_CENSUS_BACKENDS)
+    def test_non_members_hold_the_placeholder_and_never_wake(self, backend, engine_jobs):
+        with ChoreoEngine(CENSUS, backend=backend) as engine:
+            result = engine.run(ping_pong, args=("x",), census=["alice", "bob"])
+        assert result.census == CENSUS
+        assert result.returns["carol"] is Located.absent(["alice", "bob"])
+        assert result.present_values() == {"alice": "x!", "bob": "x!"}
+        assert result.value_at("carol", default="skipped") == "skipped"
+        assert result.stats.snapshot() == {("alice", "bob"): 1, ("bob", "alice"): 1}
+        if backend != "central":
+            assert engine_jobs == {"alice": 1, "bob": 1}
+
+    @pytest.mark.parametrize("backend", SUB_CENSUS_BACKENDS)
+    def test_addressing_a_non_member_fails_at_the_sender(self, backend):
+        def chor(op):
+            return op.comm("alice", "carol", op.locally("alice", lambda _un: 1))
+
+        with ChoreoEngine(CENSUS, backend=backend, timeout=30.0) as engine:
+            started = time.monotonic()
+            with pytest.raises(ChoreographyRuntimeError) as err:
+                engine.run(chor, census=["alice", "bob"])
+            assert time.monotonic() - started < 10.0  # no receive timed out
+        assert all(isinstance(exc, CensusError) for exc in err.value.failures.values())
+        if backend != "central":
+            assert err.value.location == "alice"
+            assert engine.stats.total_messages == 0
+
+    @pytest.mark.parametrize("backend", SUB_CENSUS_BACKENDS)
+    def test_census_must_be_a_nonempty_subset(self, backend):
+        with ChoreoEngine(CENSUS, backend=backend) as engine:
+            with pytest.raises(CensusError):
+                engine.submit(ping_pong, args=("x",), census=["alice", "mallory"])
+            with pytest.raises(CensusError):
+                engine.submit(ping_pong, args=("x",), census=[])
+            with pytest.raises(ValueError):
+                engine.submit(ping_pong, args=("x",), census=["alice", "bob"],
+                              location_args={"carol": ("y",)})
+            assert engine.pending == 0
+            assert engine.run(ping_pong, args=("ok",)).value_at("carol") == "ok!"
+
+    def test_pipelined_full_and_narrowed_instances(self):
+        censuses = [CENSUS, ["carol", "alice"], CENSUS, ["bob", "carol"]]
+        window: deque = deque()
+
+        def check(index, members, future):
+            result = future.result(timeout=30.0)
+            assert result.instance == index
+            for location in CENSUS:
+                if location in members:
+                    assert result.value_at(location) == index
+                else:
+                    assert result.returns[location] is Located.absent(members)
+
+        with ChoreoEngine(CENSUS, backend="tcp", timeout=10.0) as engine:
+            for index in range(200):
+                if len(window) == 8:
+                    check(*window.popleft())
+                members = censuses[index % len(censuses)]
+                window.append((index, members, engine.submit(
+                    relay, args=(index,), census=members)))
+            while window:
+                check(*window.popleft())
+            assert all(stash == {} for stash in engine._stashes.values()), engine._stashes
 
 
 class TestEngineLifecycle:
