@@ -1,7 +1,7 @@
-"""The socket wire format shared by the threaded and asyncio TCP backends.
+"""The socket wire format and the write path shared by both TCP backends.
 
-Both TCP transports (:mod:`repro.runtime.tcp`, threaded;
-:mod:`repro.runtime.asyncio_tcp`, event-loop) frame messages as::
+Both TCP transports (:mod:`repro.runtime.tcp`, reader threads;
+:mod:`repro.runtime.asyncio_tcp`, an event-loop reader) frame messages as::
 
     [u32 length][u16 sender-length][sender][uvarint instance][payload]
 
@@ -15,6 +15,16 @@ written by either backend parses identically on the other, and the payload
 byte counts recorded in :class:`~repro.runtime.stats.ChannelStats` are the
 exact payload bytes on the wire on both.
 
+It is also the one write path: :class:`FramedCoalescingEndpoint` caches a
+blocking outgoing socket per receiver and writes each drained batch from the
+draining worker thread as ``sendmsg`` writev calls.  The backends differ only
+in how inbound bytes reach the inboxes — a reader thread per connection or
+one ``asyncio.Protocol`` on a loop — and both hand them to
+:meth:`FramedCoalescingEndpoint._feed`.  Inbound bytes drain independently of
+the application's ``recv`` discipline on both, so a write blocked on a full
+kernel buffer always makes progress: the kernel bounds what a sender
+buffers, and no write can distributed-deadlock against a peer's.
+
 Corruption is typed: a frame whose varints run away (see
 ``wire._read_uvarint``'s 64-bit bound) or whose sender does not decode raises
 :class:`FrameCorruption`, a :class:`~repro.core.errors.TransportError`
@@ -26,8 +36,9 @@ typed transport error, not as an eventual timeout.
 from __future__ import annotations
 
 import queue
+import socket
 import struct
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ChoreoTimeout, TransportError
 from ..core.locations import Location
@@ -39,6 +50,20 @@ SENDER_LENGTH = struct.Struct("!H")
 
 #: One parsed frame: ``(sender, instance, payload bytes)``.
 Frame = Tuple[Location, int, bytes]
+
+#: Buffers handed to one ``sendmsg``; comfortably under any platform IOV_MAX
+#: (Linux: 1024) while still coalescing hundreds of frames per syscall.
+_IOV_BATCH = 512
+
+
+def _send_buffers(sock: socket.socket, buffers: List[bytes]) -> None:
+    """Write ``buffers`` to ``sock`` as writev batches, finishing short writes."""
+    for start in range(0, len(buffers), _IOV_BATCH):
+        batch = buffers[start:start + _IOV_BATCH]
+        total = sum(len(buffer) for buffer in batch)
+        sent = sock.sendmsg(batch)
+        if sent < total:  # pragma: no cover - kernel-buffer dependent
+            sock.sendall(b"".join(batch)[sent:])
 
 
 class FrameCorruption(TransportError):
@@ -132,12 +157,14 @@ class FrameParser:
 
 
 class FramedCoalescingEndpoint(CoalescingEndpoint):
-    """Frame primitives shared by the threaded and asyncio TCP endpoints.
+    """Everything the threaded and asyncio TCP endpoints share but the reader.
 
     Owns the per-peer inboxes (items are ``(instance, payload bytes)`` pairs,
-    or a :class:`FrameCorruption` poison) and the frame-header builder;
-    subclasses provide connection management and ``_deliver`` (how a drained
-    batch of pre-framed buffers reaches a receiver's socket).
+    or a :class:`FrameCorruption` poison), the frame-header builder, the read
+    step every reader calls (:meth:`_feed`), and the whole write path: the
+    cache of blocking outgoing sockets and ``_deliver``, which writes a
+    drained batch from the draining thread.  Subclasses listen, accept, and
+    feed each inbound connection's bytes to :meth:`_feed`.
     """
 
     def __init__(self, location, transport):
@@ -146,12 +173,32 @@ class FramedCoalescingEndpoint(CoalescingEndpoint):
             peer: queue.SimpleQueue() for peer in transport.census if peer != location
         }
         self._frame_writer = FrameWriter(location)
+        # ``_out_lock`` (from the coalescing base) also guards this socket
+        # cache — but never connection setup: a slow connect must not
+        # serialize sends.
+        self._out_sockets: Dict[Location, socket.socket] = {}
 
-    def _send_frame(self, receivers: Sequence[Location], data: bytes, instance: int) -> None:
-        header = self._frame_writer.header(len(data), instance)  # one header for all
-        nbytes = len(header) + len(data)
-        for receiver in receivers:
-            self._enqueue(receiver, (header, data), nbytes)
+    # -- incoming ------------------------------------------------------------------
+
+    def _feed(self, parser: FrameParser, chunk: bytes) -> Optional[List[Frame]]:
+        """Parse one inbound ``chunk``, put its frames into the inboxes, return them.
+
+        Returns ``None`` when the stream stops parsing — a runaway varint,
+        an undecodable sender: every inbox is then poisoned with the typed
+        :class:`FrameCorruption` and the caller drops the connection, so
+        blocked receivers fail loudly rather than timing out.
+        """
+        try:
+            frames = parser.feed(chunk)
+        except FrameCorruption as exc:
+            self._poison_inboxes(exc)
+            return None
+        inboxes = self._inboxes
+        for sender, instance, payload in frames:
+            inbox = inboxes.get(sender)
+            if inbox is not None:
+                inbox.put((instance, payload))
+        return frames
 
     def _poison_inboxes(self, error: FrameCorruption) -> None:
         """Wake every blocked receiver with the typed corruption error.
@@ -176,3 +223,61 @@ class FramedCoalescingEndpoint(CoalescingEndpoint):
         if isinstance(item, FrameCorruption):
             raise item
         return item
+
+    # -- outgoing ------------------------------------------------------------------
+
+    def _send_frame(self, receivers: Sequence[Location], data: bytes, instance: int) -> None:
+        header = self._frame_writer.header(len(data), instance)  # one header for all
+        nbytes = len(header) + len(data)
+        for receiver in receivers:
+            self._enqueue(receiver, (header, data), nbytes)
+
+    def _connection_to(self, receiver: Location) -> socket.socket:
+        """The (cached) outgoing connection to ``receiver``.
+
+        Only the cache dict is touched under ``_out_lock``; the connect
+        itself happens outside it, so one slow peer cannot serialize sends
+        (or flushes) to every other receiver behind a global lock.
+        """
+        with self._out_lock:
+            sock = self._out_sockets.get(receiver)
+        if sock is not None:
+            return sock
+        port = self._transport.port_of(receiver)
+        sock = socket.create_connection(("127.0.0.1", port), timeout=self._timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._out_lock:
+            raced = self._out_sockets.get(receiver)
+            if raced is not None:  # pragma: no cover - depends on thread timing
+                try:
+                    sock.close()
+                except OSError:
+                    pass
+                return raced
+            self._out_sockets[receiver] = sock
+        return sock
+
+    def _deliver(self, receiver: Location, batch: List[bytes]) -> None:
+        """A drained batch goes out as writev calls from the draining thread.
+
+        The socket blocks (up to the receive timeout) while the kernel's
+        send buffer is full, which is the only backpressure there is: the
+        peer's reader drains it whatever its application is doing.
+        """
+        try:
+            _send_buffers(self._connection_to(receiver), batch)
+        except OSError as exc:
+            raise TransportError(
+                f"{self.location!r} failed to send to {receiver!r}: {exc}"
+            ) from exc
+
+    def close(self) -> None:
+        """Drop pending writes and close the outgoing sockets."""
+        self._discard_buffers()
+        with self._out_lock:
+            for sock in self._out_sockets.values():
+                try:
+                    sock.close()
+                except OSError:  # pragma: no cover - defensive
+                    pass
+            self._out_sockets.clear()

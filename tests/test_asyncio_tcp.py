@@ -1,10 +1,14 @@
-"""The asyncio-native TCP backend: mechanics, wire interop, corruption, bounds.
+"""The asyncio TCP backend: mechanics, wire interop, corruption, bounds.
 
 Four promises are pinned down here:
 
 1. **Mechanics** — the event-loop backend honours the same endpoint contract
    as every other transport (FIFO per sender, demultiplexing, typed
-   timeouts) while multiplexing *all* sockets onto one daemon loop thread.
+   timeouts) while reading *all* sockets on one daemon loop thread.
+   Sending posts nothing to that loop: both socket backends share one write
+   path from the sending thread, which keeps per-pair FIFO under racing
+   drains, cannot deadlock on full kernel buffers, and leaves no file
+   descriptor open after ``close()``.
 2. **Wire interop** — the frame format is byte-identical to the threaded
    TCP backend's (:mod:`repro.runtime.framing` is the single definition), so
    a threaded endpoint can send straight into an asyncio endpoint's socket
@@ -21,6 +25,8 @@ Four promises are pinned down here:
 
 from __future__ import annotations
 
+import gc
+import os
 import socket
 import sys
 import threading
@@ -30,6 +36,8 @@ import pytest
 
 from repro import ChoreoEngine
 from repro.core.errors import ChoreoTimeout, TransportError
+from repro.protocols import circuits
+from repro.protocols.gmw import gmw
 from repro.runtime import wire
 from repro.runtime.asyncio_tcp import AsyncioTCPTransport
 from repro.runtime.framing import (
@@ -40,7 +48,7 @@ from repro.runtime.framing import (
     FrameWriter,
 )
 from repro.runtime.tcp import TCPTransport
-from repro.runtime.transport import serialize
+from repro.runtime.transport import FLUSH_WATERMARK, serialize
 from repro.storage.wal import WriteAheadLog
 
 CENSUS = ["a", "b", "c"]
@@ -143,61 +151,123 @@ class TestAsyncioMechanics:
         budget = 1024  # sessions that fit in a fixed thread budget
         assert (budget // evented) >= 4 * (budget // threaded)
 
-    def test_flush_wakes_the_loop_once_however_many_receivers(self, monkeypatch):
-        """A scatter/broadcast round flushes to n-1 peers: one self-pipe
-        write for all of them, per-pair FIFO intact."""
+    def test_close_is_idempotent_and_refuses_new_endpoints(self):
+        transport = AsyncioTCPTransport(["a", "b"], timeout=1.0)
+        transport.endpoint("a")
+        transport.close()
+        transport.close()
+        with pytest.raises(TransportError, match="closed"):
+            transport._make_endpoint("b")
+
+    def test_flush_at_instance_boundary_leaves_no_buffered_bytes(self):
+        """The engine's instance-boundary flush must reach the asyncio
+        endpoints too: after a run, no endpoint holds deferred frames."""
+
+        def one_way(op):
+            at_b = op.comm("a", "b", op.locally("a", lambda _un: "fire"))
+            return op.locally("b", lambda un: un(at_b))
+
+        with ChoreoEngine(["a", "b"], backend="asyncio", timeout=5.0) as engine:
+            result = engine.run(one_way)
+            assert result.value_at("b") == "fire"
+            for location in ["a", "b"]:
+                endpoint = engine._endpoints[location]
+                inner = getattr(endpoint, "inner", endpoint)
+                assert inner._out_buffers == {}
+
+
+def _count_loop_posts(monkeypatch, transport):
+    """Record every callback a thread posts to ``transport``'s loop."""
+    posts = []
+    real = transport._loop.call_soon_threadsafe
+
+    def counting(callback, *args, **kwargs):
+        posts.append(callback)
+        return real(callback, *args, **kwargs)
+
+    monkeypatch.setattr(transport._loop, "call_soon_threadsafe", counting)
+    return posts
+
+
+GMW_PARTIES = ["p1", "p2", "p3", "p4"]
+GMW_CIRCUIT = circuits.and_tree(GMW_PARTIES)
+
+
+def _gmw_projected(op, my_inputs=None, *, seed=0):
+    return gmw(op, GMW_PARTIES, GMW_CIRCUIT, my_inputs, seed=seed, rsa_bits=128)
+
+
+class TestSendingNeverPostsToTheLoop:
+    """The count guard for the one write path: a send, a flush and a whole
+    warm choreography run post nothing to the event loop — it only reads.
+    (Setup and teardown still post: starting a server, closing readers.)"""
+
+    def test_scatter_and_flush_post_nothing(self, monkeypatch):
         census = ["a", "b", "c", "d"]
         with AsyncioTCPTransport(census, timeout=5.0) as transport:
             endpoints = {location: transport.endpoint(location) for location in census}
             sender = endpoints["a"]
-            for receiver in "bcd":  # connect first: setup posts to the loop too
+            for receiver in "bcd":  # connect first, as a warm session has
                 sender.send(receiver, "hello")
             sender.flush()
             for receiver in "bcd":
                 assert endpoints[receiver].recv("a") == "hello"
 
-            wakeups = []
-            real = transport._loop.call_soon_threadsafe
-
-            def counting(callback, *args):
-                wakeups.append(callback)
-                return real(callback, *args)
-
-            monkeypatch.setattr(transport._loop, "call_soon_threadsafe", counting)
+            posts = _count_loop_posts(monkeypatch, transport)
             for index in range(3):
                 for receiver in "bcd":
                     sender.send(receiver, (receiver, index))
             sender.flush()
-            assert len(wakeups) == 1
-            sender.flush()  # nothing pending: no wake-up at all
-            assert len(wakeups) == 1
+            sender.flush()  # nothing pending
             for receiver in "bcd":
                 received = [endpoints[receiver].recv("a") for _ in range(3)]
                 assert received == [(receiver, index) for index in range(3)]
+            assert posts == []
 
-    def test_watermark_drain_outside_a_flush_still_reaches_the_loop(self):
-        from repro.runtime.transport import FLUSH_WATERMARK
+    def test_warm_gmw_runs_post_nothing(self, monkeypatch):
+        inputs = {party: {"x": True} for party in GMW_PARTIES}
 
-        with AsyncioTCPTransport(["a", "b"], timeout=5.0) as transport:
+        def run(engine, seed):
+            result = engine.run(
+                _gmw_projected, kwargs={"seed": seed},
+                location_args={party: (inputs[party],) for party in GMW_PARTIES},
+            )
+            assert set(result.returns.values()) == {True}
+
+        with ChoreoEngine(GMW_PARTIES, backend="asyncio", timeout=10.0) as engine:
+            run(engine, 0)  # lights the mesh
+            posts = _count_loop_posts(monkeypatch, engine.transport)
+            for seed in range(20):
+                run(engine, seed)
+            assert posts == []
+
+
+@pytest.mark.parametrize("transport_cls", [TCPTransport, AsyncioTCPTransport])
+class TestSharedWritePath:
+    """Both socket backends write from the sending thread on blocking
+    sockets; these pin what that path promises on each."""
+
+    def test_watermark_drain_outside_a_flush_reaches_the_receiver(self, transport_cls):
+        with transport_cls(["a", "b"], timeout=5.0) as transport:
             sender, receiver = transport.endpoint("a"), transport.endpoint("b")
             big = b"x" * (FLUSH_WATERMARK + 1)
             sender.send("b", big)  # past the watermark: drained by the send itself
             assert not sender._has_pending
             assert receiver.recv("a") == big
 
-    def test_concurrent_flushes_and_watermark_drains_keep_per_pair_fifo(self):
-        """The outbox is shared by every thread that drains and by the loop:
-        a flusher racing a sender whose frames cross the watermark must lose
-        nothing and reorder nothing on any channel."""
-        from repro.runtime.transport import FLUSH_WATERMARK
-
+    def test_concurrent_flushes_and_watermark_drains_keep_per_pair_fifo(
+        self, transport_cls
+    ):
+        """A flusher racing a sender whose frames cross the watermark must
+        lose nothing and reorder nothing on any channel: the per-receiver
+        drain lock orders the blocking writes."""
         census = ["a", "b", "c", "d"]
         count = 150
         padding = b"x" * (FLUSH_WATERMARK // 4)  # a drain every few sends
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with AsyncioTCPTransport(census, timeout=10.0) as transport:
+            with transport_cls(census, timeout=10.0) as transport:
                 endpoints = {location: transport.endpoint(location) for location in census}
                 sender = endpoints["a"]
                 sending = threading.Event()
@@ -237,29 +307,79 @@ class TestAsyncioMechanics:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_close_is_idempotent_and_refuses_new_endpoints(self):
-        transport = AsyncioTCPTransport(["a", "b"], timeout=1.0)
-        transport.endpoint("a")
-        transport.close()
-        transport.close()
-        with pytest.raises(TransportError, match="closed"):
-            transport._make_endpoint("b")
+    def test_kernel_bounded_writes_cannot_deadlock(self, transport_cls):
+        """Two endpoints each write 4 MiB to the other before either
+        receives.  Blocking writes stall on full kernel buffers, but the
+        readers (threads or the loop) drain them regardless of the
+        application, so both writers finish and every frame arrives in order."""
+        frames, chunk = 64, b"y" * (64 * 1024)  # 4 MiB each way
+        with transport_cls(["a", "b"], timeout=10.0) as transport:
+            endpoints = {location: transport.endpoint(location) for location in "ab"}
+            errors = []
 
-    def test_flush_at_instance_boundary_leaves_no_buffered_bytes(self):
-        """The engine's instance-boundary flush must reach the asyncio
-        endpoints too: after a run, no endpoint holds deferred frames."""
+            def write(location, peer):
+                try:
+                    for index in range(frames):
+                        endpoints[location].send(peer, (index, chunk))
+                    endpoints[location].flush()
+                except BaseException as exc:  # surfaced below
+                    errors.append(exc)
 
-        def one_way(op):
-            at_b = op.comm("a", "b", op.locally("a", lambda _un: "fire"))
-            return op.locally("b", lambda un: un(at_b))
+            writers = [
+                threading.Thread(target=write, args=pair) for pair in (("a", "b"), ("b", "a"))
+            ]
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=20.0)
+                assert not writer.is_alive()
+            assert not errors, errors
+            for location, peer in (("a", "b"), ("b", "a")):
+                received = [endpoints[location].recv(peer) for _ in range(frames)]
+                assert [index for index, _ in received] == list(range(frames))
+                assert all(body == chunk for _, body in received)
 
-        with ChoreoEngine(["a", "b"], backend="asyncio", timeout=5.0) as engine:
-            result = engine.run(one_way)
-            assert result.value_at("b") == "fire"
-            for location in ["a", "b"]:
-                endpoint = engine._endpoints[location]
-                inner = getattr(endpoint, "inner", endpoint)
-                assert inner._out_buffers == {}
+    def test_closed_sessions_leave_no_file_descriptors(self, transport_cls):
+        """With the garbage collector off, every socket a session opened —
+        listeners, outgoing and accepted connections — is closed by
+        ``close()`` itself, not by a later GC pass."""
+        census = ["a", "b", "c"]
+
+        def session():
+            with transport_cls(census, timeout=5.0) as transport:
+                endpoints = {location: transport.endpoint(location) for location in census}
+                for sender in census:  # a full mesh of connections
+                    for receiver in census:
+                        if receiver != sender:
+                            endpoints[sender].send(receiver, sender)
+                    endpoints[sender].flush()
+                for receiver in census:
+                    for sender in census:
+                        if sender != receiver:
+                            assert endpoints[receiver].recv(sender) == sender
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd")
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            session()  # one-time imports and lazily opened files
+            baseline = open_fds()
+            for _ in range(5):
+                session()
+            # Threaded readers close their sockets as they see EOF, just
+            # after close() returns; give them a moment.
+            deadline = time.monotonic() + 5.0
+            while open_fds() > baseline and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert open_fds() <= baseline
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestWireInterop:

@@ -368,8 +368,8 @@ class TestFaultsThroughTheEngine:
             assert engine.transport.faults is not None
 
     def test_asyncio_backend_accepts_the_same_plan(self):
-        """The event-loop backend takes the identical FaultPlan; its injected
-        delays ride ``loop.call_later`` timers instead of ``time.sleep``."""
+        """The event-loop backend takes the identical FaultPlan; as on
+        ``tcp``, its injected delays are sleeps on the sending worker."""
         plan = (
             FaultPlan(seed=11)
             .delay(jitter=0.002, rate=0.4)
