@@ -6,8 +6,10 @@ DPrio lottery uses salted hashes as commitments.  Neither case study depends on
 the cryptographic strength of those primitives — only on their *shape* — so
 this module provides self-contained, dependency-free implementations:
 
-* Miller–Rabin primality testing and prime generation,
-* textbook RSA key generation / encryption / decryption,
+* Miller–Rabin primality testing (exact below ``2**64``) and prime generation
+  (uniform candidates, one ``gcd`` sieve before any exponentiation),
+* textbook RSA key generation / encryption / decryption, the last by the
+  Chinese remainder theorem: two half-width exponentiations, same result,
 * the two hashes the oblivious transfer is built from (into ``Z_N``, and one
   mask bit of a ``Z_N`` element), and
 * SHA-256 commitments.
@@ -20,6 +22,7 @@ per-context generator from a session seed.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Tuple
@@ -34,6 +37,15 @@ RSA_PUBLIC_EXPONENT = 65537
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+#: Sinclair's Miller–Rabin bases: together they decide primality exactly for
+#: every ``n < 2**64``.
+_EXACT_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+#: The product of the odd primes below 2048, the sieve of :func:`generate_prime`.
+_SIEVE = math.prod(
+    n for n in range(3, 2048, 2) if all(n % k for k in range(3, math.isqrt(n) + 1, 2))
+)
+
 
 def party_rng(seed: int, location: str, context: str = "") -> random.Random:
     """A deterministic per-party random generator.
@@ -46,7 +58,7 @@ def party_rng(seed: int, location: str, context: str = "") -> random.Random:
 
 
 def is_probable_prime(candidate: int, rounds: int = 16, rng: random.Random = None) -> bool:
-    """Miller–Rabin primality test."""
+    """Miller–Rabin: exact below ``2**64``, ``rounds`` random bases above."""
     if candidate < 2:
         return False
     for prime in _SMALL_PRIMES:
@@ -54,15 +66,18 @@ def is_probable_prime(candidate: int, rounds: int = 16, rng: random.Random = Non
             return True
         if candidate % prime == 0:
             return False
-    rng = rng or random.Random(candidate)
     # write candidate - 1 as d * 2^r with d odd
     d = candidate - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, candidate - 1)
+    if candidate < 1 << 64:  # a base that is a multiple of the candidate passes
+        bases = [base % candidate for base in _EXACT_BASES if base % candidate]
+    else:
+        rng = rng or random.Random(candidate)
+        bases = (rng.randrange(2, candidate - 1) for _ in range(rounds))
+    for a in bases:
         x = pow(a, d, candidate)
         if x in (1, candidate - 1):
             continue
@@ -76,12 +91,13 @@ def is_probable_prime(candidate: int, rounds: int = 16, rng: random.Random = Non
 
 
 def generate_prime(bits: int, rng: random.Random) -> int:
-    """Generate a probable prime with exactly ``bits`` bits."""
+    """A ``bits``-bit probable prime, top two bits set: two of them multiply to full width."""
     if bits < 8:
         raise ValueError("prime size must be at least 8 bits")
     while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate, rng=rng):
+        candidate = rng.getrandbits(bits) | (3 << (bits - 2)) | 1
+        # a candidate dividing the sieve's product may be one of its primes
+        if math.gcd(candidate, _SIEVE) in (1, candidate) and is_probable_prime(candidate, rng=rng):
             return candidate
 
 
@@ -101,16 +117,23 @@ class RSAPublicKey:
 
 @dataclass(frozen=True)
 class RSAKeyPair:
-    """An RSA key pair; the private exponent stays on the generating party."""
+    """An RSA key pair; the private half stays on the generating party."""
 
     public: RSAPublicKey
     private_exponent: int
+    p: int
+    q: int
+    d_mod_p1: int  # d mod (p - 1)
+    d_mod_q1: int  # d mod (q - 1)
+    q_inverse: int  # q^-1 mod p
 
     def decrypt(self, ciphertext: int) -> int:
-        """Decrypt a ciphertext produced with :meth:`RSAPublicKey.encrypt`."""
+        """``ciphertext ** d mod N``, computed mod ``p`` and ``q`` and recombined (Garner)."""
         if not 0 <= ciphertext < self.public.modulus:
             raise ValueError("ciphertext out of range for this key")
-        return pow(ciphertext, self.private_exponent, self.public.modulus)
+        at_q = pow(ciphertext, self.d_mod_q1, self.q)
+        at_p = pow(ciphertext, self.d_mod_p1, self.p)
+        return at_q + (at_p - at_q) * self.q_inverse % self.p * self.q
 
 
 def generate_rsa_keypair(rng: random.Random, bits: int = DEFAULT_RSA_BITS) -> RSAKeyPair:
@@ -127,7 +150,8 @@ def generate_rsa_keypair(rng: random.Random, bits: int = DEFAULT_RSA_BITS) -> RS
         if phi % exponent == 0:
             continue
         d = pow(exponent, -1, phi)
-        return RSAKeyPair(RSAPublicKey(n, exponent), d)
+        crt = (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
+        return RSAKeyPair(RSAPublicKey(n, exponent), d, *crt)
 
 
 def hash_to_zn(modulus: int, label: str) -> int:

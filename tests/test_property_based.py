@@ -184,6 +184,19 @@ class TestCryptoProperties:
         assert list(received.owners) == ["r"]
         assert op.stats.total_messages - before == 2
 
+    @given(st.integers(0, 2**32), st.sampled_from([128, 256]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_crt_decryption_is_the_textbook_power(self, seed, bits, data):
+        keys = generate_rsa_keypair(party_rng(seed, "crt"), bits=bits)
+        modulus, p, q = keys.public.modulus, keys.p, keys.q
+        multiple = data.draw(st.integers(1, q - 1)) * p  # shares the factor p with N
+        chosen = data.draw(st.integers(0, modulus - 1))
+        for ciphertext in (0, 1, modulus - 1, p, q, multiple, chosen):
+            assert keys.decrypt(ciphertext) == pow(ciphertext, keys.private_exponent, modulus)
+        for outside in (-1, modulus):
+            with pytest.raises(ValueError):
+                keys.decrypt(outside)
+
     @given(st.integers(0, 2**30), st.integers(0, 2**30))
     @SETTINGS
     def test_commitments_verify_and_bind(self, value, salt):

@@ -38,6 +38,44 @@ class TestCrypto:
     def test_known_composites_including_carmichael(self, composite):
         assert not crypto.is_probable_prime(composite)
 
+    def test_exact_below_two_to_the_sixteen(self):
+        limit = 1 << 16
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for n in range(2, 256):
+            if sieve[n]:
+                sieve[n * n::n] = bytes(len(range(n * n, limit, n)))
+        assert [n for n in range(limit) if crypto.is_probable_prime(n)] == [
+            n for n in range(limit) if sieve[n]
+        ]
+
+    @pytest.mark.parametrize(
+        "pseudoprime",
+        [
+            2047,  # strong pseudoprime to base 2
+            3215031751,  # to bases 2, 3, 5, 7
+            2152302898747,  # to bases 2 … 11
+            3474749660383,  # to bases 2 … 13
+            341550071728321,  # to bases 2 … 17
+            3825123056546413051,  # to bases 2 … 23
+            318665857834031151167461,  # to bases 2 … 37, above 2**64: the random rounds
+        ],
+    )
+    def test_rejects_strong_pseudoprimes_to_the_first_prime_bases(self, pseudoprime):
+        assert not crypto.is_probable_prime(pseudoprime)
+
+    @pytest.mark.parametrize("prime", [2**61 - 1, 2**64 - 59])  # 2**64 - 59: largest below 2**64
+    def test_accepts_large_64_bit_primes(self, prime):
+        assert crypto.is_probable_prime(prime)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_rsa_modulus_has_exactly_the_requested_width(self, bits):
+        widths = {
+            crypto.generate_rsa_keypair(random.Random(seed), bits).public.modulus.bit_length()
+            for seed in range(200)
+        }
+        assert widths == {bits}
+
     def test_generate_prime_has_requested_size(self):
         prime = crypto.generate_prime(64, random.Random(3))
         assert prime.bit_length() == 64
@@ -58,6 +96,8 @@ class TestCrypto:
             keys.public.encrypt(keys.public.modulus)
         with pytest.raises(ValueError):
             keys.decrypt(-1)
+        with pytest.raises(ValueError):
+            keys.decrypt(keys.public.modulus)
 
     def test_keypairs_share_the_public_exponent(self):
         keys = crypto.generate_rsa_keypair(random.Random(1), bits=128)

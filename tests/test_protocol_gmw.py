@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import importlib
 import itertools
 
@@ -450,6 +451,65 @@ class TestSessionKeyAccounting:
         assert len(first) == len(second) == len(parties)
         assert first.isdisjoint(second)
         assert first == first_again  # derived from the seed, not cached: reproducible
+
+
+class TestPublicKeyWorkPerRun:
+    """The count guard for the RSA kernels under the OT: every modular
+    exponentiation in ``repro.protocols.crypto`` of one warm central run of
+    the ``gmw_session`` circuit, sorted by what it computes."""
+
+    PARTIES = ["p1", "p2", "p3", "p4"]
+
+    @pytest.fixture()
+    def work(self, monkeypatch):
+        seen = {"pow": [], "primes": [], "keys": []}
+        real_prime, real_keypair = crypto.generate_prime, crypto.generate_rsa_keypair
+
+        def counting_pow(base, exponent, modulus=None):
+            seen["pow"].append((exponent, modulus))
+            return pow(base, exponent, modulus)
+
+        def recording(kind, real):
+            def record(*args):
+                seen[kind].append(real(*args))
+                return seen[kind][-1]
+
+            return record
+
+        monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(crypto, "generate_prime", recording("primes", real_prime))
+        monkeypatch.setattr(crypto, "generate_rsa_keypair", recording("keys", real_keypair))
+        return seen
+
+    def run(self, seed):
+        circuit = circuits.and_tree(self.PARTIES)
+        inputs = {party: {"x": True} for party in self.PARTIES}
+        assert run_centralized(
+            lambda op: gmw(op, self.PARTIES, circuit, inputs, seed=seed, rsa_bits=RSA_BITS),
+            self.PARTIES,
+        ) is True
+
+    def test_crt_decryption_and_seven_rounds_per_64_bit_prime(self, work):
+        self.run(0)
+        for seen in work.values():
+            seen.clear()
+        self.run(11)
+        calls = collections.Counter(work["pow"])
+        keys, primes = work["keys"], work["primes"]
+        assert len(keys) == 4 and all(prime.bit_length() == 64 for prime in primes)
+        full_width = {(key.private_exponent, key.public.modulus) for key in keys}
+        crt = {
+            (key.private_exponent % (prime - 1), prime)
+            for key in keys for prime in primes if key.public.modulus % prime == 0
+        }
+        assert sum(calls[call] for call in full_width) == 0  # 72 before CRT decryption
+        assert sum(calls[call] for call in crt) == 144  # two per decrypt, 72 decrypts
+
+        def odd_part(n):
+            return n >> ((n & -n).bit_length() - 1)
+
+        # one Miller–Rabin round is one power by the odd part of prime − 1 (16 before)
+        assert [calls[(odd_part(prime - 1), prime)] for prime in primes] == [7] * len(primes)
 
 
 class TestWireBytesArePinned:
