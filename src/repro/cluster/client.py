@@ -40,24 +40,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ChoreographyRuntimeError
 from ..protocols.kvs import Request, Response, ResponseKind
-from ..runtime.engine import ChoreographyResult
 from .engine import ClusterEngine, ShardHealth, TxnResult
 from .router import ShardId
-
-
-def _mapped(source: "Future[ChoreographyResult]",
-            transform: Callable[[ChoreographyResult], Any]) -> "Future[Any]":
-    """A Future resolving to ``transform`` of ``source``'s result."""
-    out: "Future[Any]" = Future()
-
-    def _propagate(done: "Future[ChoreographyResult]") -> None:
-        try:
-            out.set_result(transform(done.result()))
-        except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            out.set_exception(exc)
-
-    source.add_done_callback(_propagate)
-    return out
 
 
 class ClusterClient:
@@ -109,20 +93,17 @@ class ClusterClient:
 
     def put_async(self, key: str, value: str) -> "Future[Response]":
         """Enqueue a replicated Put; resolve to the server's ack Response."""
-        return _mapped(self.cluster.submit_put(key, value), self.cluster.response_of)
+        return self.cluster.submit_put(key, value)
 
     def get_async(
         self, key: str, *, quorum: bool = False, read_repair: bool = True
     ) -> "Future[Response]":
         """Enqueue a Get; resolve to the (primary or majority) Response."""
-        return _mapped(
-            self.cluster.submit_get(key, quorum=quorum, read_repair=read_repair),
-            self.cluster.response_of,
-        )
+        return self.cluster.submit_get(key, quorum=quorum, read_repair=read_repair)
 
     def delete_async(self, key: str) -> "Future[Response]":
         """Enqueue a replicated Delete; resolve to the server's Response."""
-        return _mapped(self.cluster.submit_delete(key), self.cluster.response_of)
+        return self.cluster.submit_delete(key)
 
     def txn_async(
         self,

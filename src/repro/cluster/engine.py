@@ -13,8 +13,12 @@ concurrently.  :class:`ClusterEngine` is that layer:
   instances;
 * requests are **pipelined**: ``submit_*`` returns a Future immediately, and
   ops for different shards run genuinely concurrently while ops for the same
-  shard (hence the same key) execute in submission order — per-key
-  linearizability for free, from the engine's instance ordering;
+  shard (hence the same key) execute in submission order;
+* single requests **fold at dispatch** (group commit, no timer): while a
+  shard has a folded instance in flight, single puts, gets and deletes
+  queue and go out together as one ``read`` or ``serve`` instance when it
+  settles; per-key linearizability rests on the fold's ordering rules
+  (:meth:`ClusterEngine._flush`);
 * the data plane is pure choreography — puts replicate through
   :func:`~repro.protocols.kvs.kvs_with_backups`, quorum reads and
   read-repair through :func:`~repro.protocols.kvs.kvs_quorum_get`, other
@@ -223,6 +227,18 @@ def _as_given(value: Any) -> Any:
     return value
 
 
+def _fan_out(done: "Future[List[Response]]", futures: Sequence["Future[Response]"]) -> None:
+    """Answer one Future per request from an instance's list of answers."""
+    try:
+        answers = done.result()
+    except BaseException as exc:  # noqa: BLE001 - relayed per request
+        for future in futures:
+            future.set_exception(exc)
+        return
+    for future, answer in zip(futures, answers):
+        future.set_result(answer)
+
+
 #: The ops with the replica-group shape ``(client, primary, backups, state,
 #: payload)``: binding name → (choreography, payload lift).
 _REPLICA_GROUP_OPS: Dict[str, Tuple[Choreography, Callable[..., Any]]] = {
@@ -257,9 +273,9 @@ class ShardHealth:
     #: Replicas detected dead and dropped out of the replica group (demoted
     #: backups *and* deposed primaries), in detection order.
     down: Tuple[Location, ...] = field(default=())
-    #: The shard engine's in-flight instance count at snapshot time — the
-    #: per-shard queue depth behind :attr:`ClusterEngine.pending`.  This is
-    #: the signal an admission controller keys off (the gateway sheds load
+    #: The shard's in-flight instances plus queued single requests at
+    #: snapshot time — the queue depth behind :attr:`ClusterEngine.pending`.
+    #: This is the signal an admission controller keys off (the gateway sheds load
     #: once the cluster-wide sum passes its high-water mark) and the number
     #: that tells an operator *where* a backlog sits, not just that one
     #: exists.
@@ -347,6 +363,7 @@ class _ShardSession:
     __slots__ = (
         "shard_id", "client", "census", "servers", "primary", "backups", "down",
         "rejoining", "durability", "state", "engine", "fence", "bindings",
+        "queue", "folds",
     )
 
     def __init__(
@@ -390,6 +407,10 @@ class _ShardSession:
         #: Op name → (choreography, participant census), see _bind_data_plane.
         self.bindings: Dict[str, Tuple[ChoreographyDef, Census]] = {}
         self._bind_data_plane()
+        #: Single requests (with their callers' Futures) waiting for the fold
+        #: in flight, in arrival order; and the folds in flight (>1: forced).
+        self.queue: List[Tuple[Request, "Future[Response]"]] = []
+        self.folds = 0
 
     @property
     def epoch(self) -> int:
@@ -592,7 +613,7 @@ class _ShardSession:
             self.primary,
             {replica: status(replica) for replica in self.servers},
             down=tuple(self.down),
-            pending=self.engine.pending,
+            pending=len(self.queue) + self.engine.pending,
             epoch=self.epoch,
             roles={
                 replica: "primary" if replica == self.primary else "backup"
@@ -669,6 +690,12 @@ class ClusterEngine:
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.client = client
         self.replication = replication
+        # Replay budget: each replay consumes either a membership shrink (a
+        # demotion or a promotion — at most replication-1 of those before an
+        # unreplicated head) or a stale-epoch retry (a submit whose binding a
+        # concurrent promotion invalidated — at most one per promotion), so
+        # 2·(replication-1) bounds the chain and it always terminates.
+        self._replays = 2 * (replication - 1)
         self.router = ShardRouter(shards, vnodes=vnodes)
         if durability is not None and not isinstance(durability, Durability):
             durability = Durability(root=os.fspath(durability))
@@ -750,67 +777,117 @@ class ClusterEngine:
 
     # ------------------------------------------------------------- data plane --
 
+    def _require_open(self) -> None:
+        """Refuse a submit to a closed or busy cluster (``_lock`` held)."""
+        if self._closed:
+            raise ClusterClosed("cannot submit to a closed ClusterEngine")
+        if self._control_op is not None:
+            raise ClusterRebalancing(
+                f"cannot submit while the cluster is busy with "
+                f"{self._control_op}; drain in-flight futures and retry"
+            )
+
     def _submit(self, shard_id: ShardId, op_name: str,
                 args: Sequence[Any] = (), kwargs: Optional[Dict[str, Any]] = None,
-                ) -> "Future[ChoreographyResult]":
-        """Dispatch one shard operation, with dead-backup failover built in.
+                ) -> "Future[Any]":
+        """Dispatch one non-folded shard operation, with failover built in.
 
         ``op_name`` names a :class:`_ShardSession` binding
-        (``"put"``/``"get"``/``"read"``/``"serve"``/...) rather than a bound
+        (``"quorum_get"``/``"serve"``/``"scan"``/...) rather than a bound
         object, because failover *re-binds* that table: a replay after
         a demotion must pick up the degraded binding, not the one the request
         was first dispatched with.  The returned Future resolves with the
-        final (possibly replayed) run, or with the original failure when no
-        replay is warranted.
+        final (possibly replayed) run's client value (the run itself for a
+        scan), or with the original failure when no replay is warranted.
+        The shard's queued single requests are sent first.
 
-        Replay is **at-least-once and re-enqueued at failure time**, which
-        bounds the ordering guarantee during a failover: a replayed write
-        lands *behind* anything submitted between its failure and its
-        replay.  A caller that awaits each write before issuing the next on
-        the same key (the blocking :class:`ClusterClient` paths do) keeps
-        strict per-key order across failovers; a caller that pipelines
-        multiple unacknowledged writes to one key concurrently with a
-        replica crash may observe the replayed (older) write re-applied
-        after a newer one.  ``docs/testing.md`` spells out the contract.
+        Replay is **at-least-once and re-enqueued at failure time**: a
+        replayed write lands *behind* anything submitted between its failure
+        and its replay, so pipelined batch writes to one key can reorder
+        across a replica crash; single requests cannot (:meth:`_flush`).
         """
-        outer: "Future[ChoreographyResult]" = Future()
-        # Replay budget: each replay consumes either a membership shrink (a
-        # demotion or a promotion — at most replication-1 of those before an
-        # unreplicated head) or a stale-epoch retry (a submit whose binding a
-        # concurrent promotion invalidated — at most one per promotion), so
-        # 2·(replication-1) bounds the chain and it always terminates.
-        self._dispatch(
-            shard_id, op_name, tuple(args), dict(kwargs or {}), outer,
-            replays_left=max(0, 2 * (self.replication - 1)),
-        )
+        outer: "Future[Any]" = Future()
+        self._flush(self._sessions[shard_id], force=True)
+        self._dispatch(shard_id, op_name, tuple(args), dict(kwargs or {}), outer,
+                       self._replays)
         return outer
 
     def _dispatch(self, shard_id: ShardId, op_name: str, args: tuple,
-                  kwargs: Dict[str, Any], outer: "Future[ChoreographyResult]",
+                  kwargs: Dict[str, Any], outer: "Future[Any]",
                   replays_left: int) -> None:
         with self._lock:
-            if self._closed:
-                raise ClusterClosed("cannot submit to a closed ClusterEngine")
-            if self._control_op is not None:
-                raise ClusterRebalancing(
-                    f"cannot submit while the cluster is busy with "
-                    f"{self._control_op}; drain in-flight futures and retry"
-                )
+            self._require_open()
             session = self._sessions[shard_id]
             chor, census = session.bindings[op_name]
         inner = session.engine.submit(chor, args=args, kwargs=kwargs, census=census)
-        inner.add_done_callback(
-            lambda done: self._settle(
-                done, shard_id, op_name, args, kwargs, outer, replays_left
-            )
-        )
+        inner.add_done_callback(lambda done: self._settle(
+            done, shard_id, op_name, args, kwargs, outer, replays_left))
+
+    def _fold(self, request: Request) -> "Future[Response]":
+        """Submit one single request: it queues, and :meth:`_flush` sends it."""
+        future: "Future[Response]" = Future()
+        with self._lock:
+            self._require_open()
+            session = self._sessions[self.shard_for(request.key)]
+            session.queue.append((request, future))
+        self._flush(session)
+        return future
+
+    def _flush(self, session: _ShardSession, *, force: bool = False) -> None:
+        """Send the shard's queued single requests, in order, as one instance.
+
+        The ordering rules behind per-key linearizability: only while no
+        fold is in flight, unless ``force``d by a non-folded submit (which
+        so never overtakes the queue); and a fold holds the slot until its
+        outer Future settles, replays included (:meth:`_unfold`), so no
+        later single request overtakes a replayed write.  A lone request
+        takes its own binding; more take a ``read`` or ``serve`` batch.
+        """
+        with self._lock:
+            batch = session.queue
+            if not batch or (session.folds and not force):
+                return
+            requests = [request for request, _future in batch]
+            if len(requests) == 1:  # its own put/get/delete binding
+                (request,) = requests
+                op_name = request.kind.value
+                args = ((request.key, request.value) if request.kind is RequestKind.PUT
+                        else (request.key,))
+            else:
+                writes = any(request.kind in WRITE_KINDS for request in requests)
+                op_name, args = ("serve" if writes else "read"), (requests,)
+            chor, census = session.bindings[op_name]
+            inner: "Future[ChoreographyResult]" = Future()
+            try:
+                inner = session.engine.submit(chor, args=args, census=census)
+            except BaseException as exc:  # noqa: BLE001 - closed under the queue
+                inner.set_exception(exc)
+            # Emptied only once submitted, so ``pending`` never reads 0 between.
+            session.queue = []
+            session.folds += 1
+        # A lone request's own Future is the fold's; a batch's answers fan out.
+        outer: "Future[Any]" = batch[0][1] if len(batch) == 1 else Future()
+        outer.add_done_callback(lambda done: self._unfold(session, batch, done))
+        inner.add_done_callback(lambda done: self._settle(
+            done, session.shard_id, op_name, args, {}, outer, self._replays))
+
+    def _unfold(self, session: _ShardSession, batch: List[Tuple[Request, "Future[Response]"]],
+                done: "Future[Any]") -> None:
+        """A fold settled: free its slot, send what queued, answer each request."""
+        with self._lock:
+            session.folds -= 1
+        self._flush(session)
+        if len(batch) > 1:
+            _fan_out(done, [future for _request, future in batch])
 
     def _settle(self, done: "Future[ChoreographyResult]", shard_id: ShardId,
                 op_name: str, args: tuple, kwargs: Dict[str, Any],
-                outer: "Future[ChoreographyResult]", replays_left: int) -> None:
+                outer: "Future[Any]", replays_left: int) -> None:
         """Resolve ``outer`` from a finished shard run, failing over if due."""
         try:
-            outer.set_result(done.result())
+            result = done.result()
+            # Callers want the client's answer; a scan's caller merges runs.
+            outer.set_result(result if op_name == "scan" else result.value_at(self.client))
             return
         except ChoreographyRuntimeError as exc:
             error: BaseException = exc
@@ -958,23 +1035,22 @@ class ClusterEngine:
             ))
             return True
 
-    def submit_put(self, key: str, value: str) -> "Future[ChoreographyResult]":
+    def submit_put(self, key: str, value: str) -> "Future[Response]":
         """Enqueue a replicated Put on ``key``'s shard; returns immediately.
 
         Returns:
-            A Future resolving to the shard run's
-            :class:`~repro.runtime.engine.ChoreographyResult`; the client's
-            :class:`~repro.protocols.kvs.Response` is its
-            ``value_at(cluster.client)``.  If the run fails on a backup that
-            is (or is then confirmed) dead, the Put is replayed against the
-            demoted replica group and the Future resolves with the replay.
+            A Future of the client's :class:`~repro.protocols.kvs.Response`:
+            the previous binding (``found``) or ``not_found``.  The Put may
+            share one instance with other single requests queued on its
+            shard (:meth:`_flush`).  If the run fails on a replica that is
+            (or is then confirmed) dead, it is replayed against the re-bound
+            replica group and the Future resolves with the replay.
         """
-        shard_id = self.shard_for(key)
-        return self._submit(shard_id, "put", args=(key, value))
+        return self._fold(Request.put(key, value))
 
     def submit_get(
         self, key: str, *, quorum: bool = False, read_repair: bool = True
-    ) -> "Future[ChoreographyResult]":
+    ) -> "Future[Response]":
         """Enqueue a Get on ``key``'s shard.
 
         Args:
@@ -985,16 +1061,15 @@ class ClusterEngine:
                 when the replicas' votes diverge.
 
         Returns:
-            A Future of the shard run's result (see :meth:`submit_put`);
-            dead-backup failures are replayed like Puts.
+            A Future of the client's Response (see :meth:`submit_put`); a
+            quorum Get runs on its own, never folded.
         """
-        shard_id = self.shard_for(key)
         if quorum:
-            return self._submit(shard_id, "quorum_get", args=(key,),
+            return self._submit(self.shard_for(key), "quorum_get", args=(key,),
                                 kwargs={"read_repair": read_repair})
-        return self._submit(shard_id, "get", args=(key,))
+        return self._fold(Request.get(key))
 
-    def submit_delete(self, key: str) -> "Future[ChoreographyResult]":
+    def submit_delete(self, key: str) -> "Future[Response]":
         """Enqueue a replicated Delete on ``key``'s shard; returns immediately.
 
         Deletion is a write: it replicates through
@@ -1005,12 +1080,11 @@ class ClusterEngine:
         crash-restart replay.
 
         Returns:
-            A Future of the shard run's result (see :meth:`submit_put`); the
-            client-side :class:`~repro.protocols.kvs.Response` holds the
-            previous binding (``found``) or ``not_found`` for an absent key.
+            A Future of the client's :class:`~repro.protocols.kvs.Response`
+            (see :meth:`submit_put`): the previous binding (``found``) or
+            ``not_found`` for an absent key.
         """
-        shard_id = self.shard_for(key)
-        return self._submit(shard_id, "delete", args=(key,))
+        return self._fold(Request.delete(key))
 
     def submit_batch(self, requests: Sequence[Request]) -> List["Future[Response]"]:
         """Serve a request batch with one group-commit instance per shard.
@@ -1040,17 +1114,6 @@ class ClusterEngine:
             # come back answered ``stopped``, as kvs_serve_batch promises.
             per_shard.setdefault(self.shard_for(request.key or ""), []).append(index)
         futures: List["Future[Response]"] = [Future() for _ in requests]
-
-        def _fan_out(done: "Future[ChoreographyResult]", indices: List[int]) -> None:
-            try:
-                responses = self.response_of(done.result())
-            except BaseException as exc:  # noqa: BLE001 - relayed per request
-                for index in indices:
-                    futures[index].set_exception(exc)
-                return
-            for index, response in zip(indices, responses):
-                futures[index].set_result(response)
-
         for shard_id, indices in per_shard.items():
             sub_batch = [requests[index] for index in indices]
             # Kinds are known at dispatch: a sub-batch without writes is a read.
@@ -1058,8 +1121,7 @@ class ClusterEngine:
             shard_future = self._submit(
                 shard_id, "serve" if writes else "read", args=(sub_batch,))
             shard_future.add_done_callback(
-                lambda done, indices=indices: _fan_out(done, indices)
-            )
+                lambda done, mine=[futures[i] for i in indices]: _fan_out(done, mine))
         return futures
 
     def submit_txn(
@@ -1148,11 +1210,10 @@ class ClusterEngine:
         remaining = [len(participants)]
         vote_lock = threading.Lock()
 
-        def on_prepared(shard_id: ShardId,
-                        done: "Future[ChoreographyResult]") -> None:
+        def on_prepared(shard_id: ShardId, done: "Future[Response]") -> None:
             with vote_lock:
                 try:
-                    votes[shard_id] = self.response_of(done.result())
+                    votes[shard_id] = done.result()
                 except BaseException as exc:  # noqa: BLE001 - becomes the verdict
                     failures[shard_id] = exc
                 remaining[0] -= 1
@@ -1200,7 +1261,7 @@ class ClusterEngine:
                 # disk, a crashed coordinator's restart finishes the commit;
                 # before it, every intent resolves to presumed abort.
                 self._txn_log[txn_id] = "commit"
-        decided: Dict[ShardId, "Future[ChoreographyResult]"] = {}
+        decided: Dict[ShardId, "Future[Response]"] = {}
         try:
             for shard_id in participants:
                 decided[shard_id] = self._submit(
@@ -1214,7 +1275,7 @@ class ClusterEngine:
         errors: List[BaseException] = []
         ack_lock = threading.Lock()
 
-        def on_decided(done: "Future[ChoreographyResult]") -> None:
+        def on_decided(done: "Future[Response]") -> None:
             with ack_lock:
                 try:
                     done.result()
@@ -1365,8 +1426,10 @@ class ClusterEngine:
 
     @property
     def pending(self) -> int:
-        """In-flight instances across all shard engines (0 = quiescent)."""
-        return sum(session.engine.pending for session in self._sessions.values())
+        """In-flight instances plus queued single requests (0 = quiescent)."""
+        # The queue is read first: _flush submits before it empties it.
+        return sum(len(session.queue) + session.engine.pending
+                   for session in self._sessions.values())
 
     def health(self) -> Dict[ShardId, ShardHealth]:
         """Every shard's replica liveness, as currently believed.
@@ -1423,6 +1486,7 @@ class ClusterEngine:
                 targets = [self._sessions[shard_id]]
         report: Dict[ShardId, Dict[Location, bool]] = {}
         for session in targets:
+            self._flush(session, force=True)  # pings do not overtake the queue
             alive: Dict[Location, bool] = {}
             for replica in session.servers:
                 token = f"ping:{session.shard_id}:{replica}"
@@ -1681,6 +1745,7 @@ class ClusterEngine:
             sessions = list(self._sessions.values())
             txn_log = self._txn_log
         for session in sessions:
+            self._flush(session, force=True)  # queued single requests drain too
             session.engine.close()
             session.close_storage()
         if txn_log is not None:

@@ -101,8 +101,11 @@ class GatewayClient:
         self.retries = retries
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._buffer = bytearray()
+        # One immutable buffer walked by cursor; recv_into one reused chunk.
+        self._data = b""
         self._start = 0
+        self._chunk = bytearray(_RECV_SIZE)
+        self._view = memoryview(self._chunk)
         self._closed = False
         self._rng = random.Random()
 
@@ -115,16 +118,14 @@ class GatewayClient:
     def recv_reply(self) -> Reply:
         """Block until the next reply frame arrives, and return it raw."""
         while True:
-            reply, self._start = parse_reply(bytes(self._buffer), self._start)
+            reply, self._start = parse_reply(self._data, self._start)
             if reply is not None:
-                if self._start:
-                    del self._buffer[: self._start]
-                    self._start = 0
                 return reply
-            chunk = self.sock.recv(_RECV_SIZE)
-            if not chunk:
+            count = self.sock.recv_into(self._chunk)
+            if not count:
                 raise ConnectionError("gateway closed the connection")
-            self._buffer.extend(chunk)
+            self._data = self._data[self._start:] + self._view[:count]
+            self._start = 0
 
     def drain(self, count: int) -> List[Reply]:
         """Collect ``count`` raw replies, in order.  Errors stay frames."""

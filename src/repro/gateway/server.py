@@ -68,6 +68,8 @@ from .settings import GatewaySettings
 _RECV_SIZE = 65536
 #: Writer-queue poll interval; bounds how long shutdown waits on an idle queue.
 _QUEUE_POLL = 0.1
+#: Single-request verbs and the ClusterClient method each submits through.
+_SINGLE_VERBS = {"GET": "get_async", "PUT": "put_async", "DEL": "delete_async"}
 
 #: A queued reply: either ready now, or a thunk the writer resolves (waiting
 #: on cluster Futures), plus whether it holds an in-flight slot to release.
@@ -99,17 +101,19 @@ class _Connection:
 
     def _read_loop(self) -> None:
         pending = b""  # the unparsed tail of the stream so far
+        received = bytearray(_RECV_SIZE)  # reused: no 64 KiB allocation per recv
+        view = memoryview(received)
         try:
             while not self.closed.is_set():
                 try:
-                    chunk = self.sock.recv(_RECV_SIZE)
+                    count = self.sock.recv_into(received)
                 except OSError:
                     break
-                if not chunk:
+                if not count:
                     break
                 # One immutable buffer per received chunk, walked by cursor:
                 # a chunk of N pipelined commands is copied once, not N times.
-                data = pending + chunk
+                data = pending + view[:count]
                 start = 0
                 while True:
                     try:
@@ -393,14 +397,9 @@ class GatewayServer:
         potentially slow — belongs.
         """
         client = self.client
-        if command.verb == "GET":
-            future = client.get_async(command.args[0])
-            return lambda: reply_for_response(future.result())
-        if command.verb == "PUT":
-            future = client.put_async(command.args[0], command.args[1])
-            return lambda: reply_for_response(future.result())
-        if command.verb == "DEL":
-            future = client.delete_async(command.args[0])
+        single = _SINGLE_VERBS.get(command.verb)
+        if single is not None:
+            future = getattr(client, single)(*command.args)
             return lambda: reply_for_response(future.result())
         if command.verb == "BATCH":
             futures = client.cluster.submit_batch(command.batch_requests())

@@ -34,8 +34,8 @@ byte count, stops being the bottleneck for small-message storms:
   rule that keeps coalescing deadlock-free).  A drain writes *many frames in
   one* ``sendmsg`` writev per live connection, from the draining worker
   thread, instead of one syscall per ``(receiver, message)``.
-* **Reads are buffered.**  The per-connection reader thread pulls up to
-  64 KiB per ``recv`` and parses every complete frame in the chunk through one
+* **Reads are buffered.**  The per-connection reader thread reads up to
+  64 KiB per ``recv_into`` and parses every complete frame in it through one
   ``memoryview`` (zero-copy slicing; one ``bytes`` copy per payload as it
   enters the inbox), instead of two-plus ``recv`` syscalls per frame.
 
@@ -96,27 +96,26 @@ class _TCPEndpoint(FramedCoalescingEndpoint):
     def _reader_loop(self, conn: socket.socket) -> None:
         """Buffered frame reader: one ``recv`` yields every frame it contains.
 
-        Pulls up to :data:`_READ_CHUNK` bytes per syscall and hands them to
-        the shared incremental :class:`~repro.runtime.framing.FrameParser`
-        (memoryview slicing, one ``bytes`` copy per payload, a trailing
-        partial frame buffered for the next chunk).  A stream that stops
-        parsing poisons the inboxes (see ``_feed``) and drops the connection.
+        Reads up to :data:`_READ_CHUNK` bytes per syscall into one reused
+        buffer (``recv_into``: no 64 KiB ``bytes`` per read for the C heap to
+        keep) for the shared incremental
+        :class:`~repro.runtime.framing.FrameParser` (memoryview slicing, one
+        ``bytes`` copy per payload, a trailing partial frame buffered for the
+        next chunk).  A stream that stops parsing poisons the inboxes (see
+        ``_feed``) and drops the connection.
         """
         parser = FrameParser()
+        received = bytearray(_READ_CHUNK)
+        view = memoryview(received)
         with conn:
             while not self._closed.is_set():
                 try:
-                    chunk = conn.recv(_READ_CHUNK)
+                    count = conn.recv_into(received)
                 except OSError:
                     return
-                if not chunk:
+                if not count:
                     return
-                # Held until the next chunk arrives, so its payloads are
-                # mostly freed on this thread, which allocated them; freed
-                # on the receiving workers instead, they raised
-                # ``gw_batch``'s peak RSS by ~6 MiB (measured).
-                frames = self._feed(parser, chunk)
-                if frames is None:
+                if self._feed(parser, view[:count]) is None:
                     return
 
     def close(self) -> None:

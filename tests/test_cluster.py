@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -169,10 +170,10 @@ class TestClusterEngine:
         with ClusterEngine(3, replication=2) as cluster:
             futures = [cluster.submit_put(f"k{i}", str(i)) for i in range(24)]
             for future in futures:
-                assert isinstance(cluster.response_of(future.result()), Response)
+                assert isinstance(future.result(), Response)
             reads = [cluster.submit_get(f"k{i}") for i in range(24)]
             for index, future in enumerate(reads):
-                response = cluster.response_of(future.result())
+                response = future.result()
                 assert response == Response.found(str(index))
             # The workload spread over more than one shard.
             touched = {cluster.shard_for(f"k{i}") for i in range(24)}
@@ -361,7 +362,9 @@ class TestReadsAreChosenAtDispatch:
             backups = set(cluster.session("shard0").backups)
             stats = cluster.stats
             before = (stats.snapshot(), dict(stats.payload_bytes), stats.total_messages)
-            futures = [cluster.submit_get("k") for _ in range(200)]
+            futures = []
+            for _ in range(200):  # awaited one by one: none folds
+                cluster.submit_get("k").result(timeout=30.0)
             for _ in range(50):
                 futures += cluster.submit_batch(
                     [Request.get("k"), Request.get("missing"), Request.stop()]
@@ -387,7 +390,9 @@ class TestReadsAreChosenAtDispatch:
             cluster.submit_put("k", "v").result(timeout=30.0)
             cluster.submit_get("k").result(timeout=30.0)
             engine_jobs.clear()
-            futures = [cluster.submit_get("k") for _ in range(200)]
+            futures = []
+            for _ in range(200):  # awaited one by one: none folds
+                cluster.submit_get("k").result(timeout=30.0)
             for _ in range(50):
                 futures += cluster.submit_batch([Request.get("k"), Request.stop()])
             for _ in range(20):
@@ -408,6 +413,124 @@ class TestReadsAreChosenAtDispatch:
                 cluster.submit_put("k", str(n)).result(timeout=30.0)
             assert engine_jobs[demoted] == 0
             assert engine_jobs == {location: 10 for location in session.census if location != demoted}
+
+
+class TestSingleRequestsFold:
+    """Single requests that queue while their shard's fold is in flight go
+    out together, as one instance, when it settles (group commit at
+    dispatch, no timer); a lone request keeps its own binding."""
+
+    @staticmethod
+    def park(cluster):
+        """Hold shard0's client worker on a gate job; returns its release."""
+        started, gate = threading.Event(), threading.Event()
+
+        def parked(op):
+            op.locally(cluster.client, lambda _un: started.set() or gate.wait(30.0))
+
+        cluster.session("shard0").engine.submit(parked, census=[cluster.client])
+        assert started.wait(30.0)
+        return gate.set
+
+    @staticmethod
+    def bindings_run(monkeypatch, cluster):
+        """The names of the bindings shard0 submits from now on."""
+        engine = cluster.session("shard0").engine
+        names, real_submit = [], engine.submit
+
+        def recording(chor, *args, **kwargs):
+            names.append(chor.name)
+            return real_submit(chor, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "submit", recording)
+        return names
+
+    def test_eight_queued_requests_run_as_two_instances(self, engine_jobs, monkeypatch):
+        with ClusterEngine(1, replication=3, backend="local") as cluster:
+            session = cluster.session("shard0")
+            release = self.park(cluster)
+            names = self.bindings_run(monkeypatch, cluster)
+            engine_jobs.clear()
+            futures = [
+                cluster.submit_put("a", "1"), cluster.submit_get("a"),
+                cluster.submit_put("b", "1"), cluster.submit_put("a", "2"),
+                cluster.submit_get("a"), cluster.submit_delete("b"),
+                cluster.submit_get("b"), cluster.submit_put("a", "3"),
+            ]
+            assert cluster.pending == 2 + 7  # gate + the first put, 7 queued
+            release()
+            answers = [future.result(timeout=30.0) for future in futures]
+            stores = [dict(session.state.facet_for(r)) for r in session.servers]
+            assert cluster.pending == 0
+        assert names == ["put@shard0", "serve@shard0"]
+        assert engine_jobs == {location: 2 for location in session.census}
+        found, missing = Response.found, Response.not_found()
+        assert answers == [missing, found("1"), missing, found("1"),
+                           found("2"), found("1"), missing, found("2")]
+        assert stores == [{"a": "3"}] * 3  # per-key arrival order, everywhere
+
+    def test_a_lone_request_runs_its_own_binding(self, monkeypatch):
+        with ClusterEngine(1, replication=3, backend="local") as cluster:
+            names = self.bindings_run(monkeypatch, cluster)
+            assert cluster.submit_put("k", "v").result(timeout=30.0) == Response.not_found()
+            assert cluster.submit_get("k").result(timeout=30.0) == Response.found("v")
+            assert cluster.submit_delete("k").result(timeout=30.0) == Response.found("v")
+        assert names == ["put@shard0", "get@shard0", "delete@shard0"]
+
+    def test_queued_reads_fold_into_a_read_batch(self, monkeypatch):
+        with ClusterEngine(1, replication=3, backend="local") as cluster:
+            release = self.park(cluster)
+            names = self.bindings_run(monkeypatch, cluster)
+            futures = [cluster.submit_get(key) for key in "abcd"]
+            release()
+            assert [f.result(timeout=30.0) for f in futures] == [Response.not_found()] * 4
+        assert names == ["get@shard0", "read@shard0"]
+
+    def test_a_quorum_get_runs_behind_the_queue(self, monkeypatch):
+        with ClusterEngine(1, replication=3, backend="local") as cluster:
+            release = self.park(cluster)
+            names = self.bindings_run(monkeypatch, cluster)
+            cluster.submit_put("k", "1")
+            queued = cluster.submit_put("k", "2")
+            quorum = cluster.submit_get("k", quorum=True)
+            release()
+            assert queued.result(timeout=30.0) == Response.found("1")
+            assert quorum.result(timeout=30.0) == Response.found("2")
+        assert names == ["put@shard0", "put@shard0", "quorum_get@shard0"]
+
+    def test_close_drains_the_queue(self):
+        cluster = ClusterEngine(1, replication=2, backend="local")
+        release = self.park(cluster)
+        futures = [cluster.submit_put(f"k{i}", "v") for i in range(4)]
+        closer = threading.Thread(target=cluster.close)
+        closer.start()
+        release()
+        closer.join(30.0)
+        assert [f.result(timeout=30.0) for f in futures] == [Response.not_found()] * 4
+
+    def test_pending_counts_the_queue_until_it_is_dispatched(self, monkeypatch):
+        with ClusterEngine(1, replication=2, backend="local") as cluster:
+            session = cluster.session("shard0")
+            seen = []
+            real_unfold = cluster._unfold
+
+            def observing(folded, batch, done):
+                # The fold's engine job has resolved; its queue is not sent yet.
+                seen.append((len(session.queue), cluster.pending,
+                             cluster.health()["shard0"].pending))
+                real_unfold(folded, batch, done)
+
+            monkeypatch.setattr(cluster, "_unfold", observing)
+            release = self.park(cluster)
+            futures = [cluster.submit_put(f"k{i}", "v") for i in range(6)]
+            assert cluster.pending == 2 + 5
+            release()
+            for future in futures:
+                future.result(timeout=30.0)
+            assert cluster.pending == 0
+        assert seen[0][0] == 5
+        assert all(pending >= queued and health >= queued
+                   for queued, pending, health in seen)
 
 
 class TestClusterClient:

@@ -16,7 +16,10 @@ with **correct final contents** or fails with a **diagnosable, typed error**
   *last* replica dies still fails loudly — see
   ``tests/test_cluster_promotion.py`` for the full promotion suite);
 * the whole thing is reproducible: the same seed yields the same injected
-  schedule on the simulated backend, twice in a row.
+  schedule on the simulated backend, twice in a row;
+* what clients saw is linearizable: every single put/get/delete a test
+  issues is recorded, and each key's history must pass the Wing–Gong check
+  of ``tests/linearizability.py`` (autouse), folded and pipelined included.
 
 Timeouts here are deliberately short (a fraction of a second): a failover
 test pays one receive timeout per detection, and the suite must stay cheap
@@ -34,6 +37,11 @@ import pytest
 from repro import ClusterClient, ClusterEngine, FaultPlan
 from repro.core.errors import ChoreographyRuntimeError, ChoreoTimeout
 from repro.protocols.kvs import Request, ResponseKind
+from tests.linearizability import (
+    linearizable_history,  # noqa: F401 - autouse: checks every test here
+    mixed_ops,
+    pipelined,
+)
 
 CHAOS_SEEDS = [int(raw) for raw in os.environ.get("CHAOS_SEED", "7").split(",")]
 
@@ -200,17 +208,33 @@ class TestBackupFailover:
             assert to_dead_after == to_dead_before  # degraded binding skips it
 
     def test_inflight_pipelined_submits_are_replayed(self):
-        plan = FaultPlan(seed=7).crash("shard0.r1", after_ops=4)
+        # The first put goes out alone (r1: receive, ack) and the other four
+        # fold behind it into one serve instance, which meets the dead r1.
+        plan = FaultPlan(seed=7).crash("shard0.r1", after_ops=2)
         with ClusterEngine(
             shards=1, replication=2, backend=BACKEND, timeout=TIMEOUT, faults=plan
         ) as cluster:
             futures = [cluster.submit_put(f"key{i}", f"value{i}") for i in range(5)]
             for index, future in enumerate(futures):
-                response = cluster.response_of(future.result(timeout=30.0))
+                response = future.result(timeout=30.0)
                 assert response.kind in (ResponseKind.FOUND, ResponseKind.NOT_FOUND)
             primary_state = cluster.session("shard0").state.facet_for("shard0.r0")
             assert {f"key{i}": f"value{i}" for i in range(5)} == dict(primary_state)
             assert cluster.health()["shard0"].degraded
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_pipelined_folds_across_a_backup_crash_stay_linearizable(self, seed):
+        """Single requests pipelined eight deep fold into shared instances;
+        a fold that meets the dead backup replays whole, and the requests
+        queued behind it wait for the replay (the history check proves it)."""
+        plan = FaultPlan(seed=seed).crash("shard0.r1", after_ops=40)
+        with ClusterEngine(
+            shards=1, replication=2, backend=BACKEND, timeout=TIMEOUT, faults=plan
+        ) as cluster:
+            futures = pipelined(cluster, mixed_ops(seed, count=300, keys=3))
+            assert all(future.exception() is None for future in futures)
+            assert cluster.failovers == [("shard0", "shard0.r1")]
+            assert cluster.stats.total_messages < 2 * len(futures)  # folds ran
 
     def test_quorum_reads_work_on_the_degraded_shard(self):
         plan = FaultPlan(seed=7).crash("shard0.r1", after_ops=8)

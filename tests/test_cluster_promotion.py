@@ -26,7 +26,10 @@ under test:
   from the WAL promotion records — not census-order ``r0``;
 * the acceptance bar: a 1k-op YCSB-A run with a mid-workload **primary**
   crash loses no acknowledged write and converges byte-identically with
-  the fault-free same-seed run.
+  the fault-free same-seed run;
+* every single put/get/delete a test issues, folded and pipelined included,
+  forms a linearizable history per key (``tests/linearizability.py``,
+  autouse).
 
 Timeout-blame attribution is deliberately conservative but not clairvoyant:
 under heavy pipelining a live-but-lagging new head can be *falsely*
@@ -43,6 +46,11 @@ import pytest
 from repro import ChoreoEngine, ClusterClient, ClusterEngine, FaultPlan
 from repro.core.errors import ChoreographyError, ChoreographyRuntimeError
 from repro.protocols.kvs import Request, ResponseKind, ShardEpoch, StaleEpoch, fenced
+from tests.linearizability import (
+    linearizable_history,  # noqa: F401 - autouse: checks every test here
+    mixed_ops,
+    pipelined,
+)
 from tests.test_cluster_failover import BACKEND, CHAOS_SEEDS, TIMEOUT, drive, ycsb_a
 
 
@@ -136,7 +144,7 @@ class TestEpochFence:
             # The current-epoch binding (via the engine) still serves: the
             # replay path picks it up and the op lands on the new head.
             result = cluster.submit_put("k", "v").result(timeout=30.0)
-            assert cluster.response_of(result).kind is ResponseKind.NOT_FOUND
+            assert result.kind is ResponseKind.NOT_FOUND
             head = session.state.facet_for("shard0.r1")
             assert head["k"] == "v"
 
@@ -279,7 +287,7 @@ class TestPromotionRaces:
                     result = future.result(timeout=30.0)  # bounded: never hangs
                 except ChoreographyRuntimeError:
                     continue  # surfaced typed after the bounded replay budget
-                assert cluster.response_of(result).kind in (
+                assert result.kind in (
                     ResponseKind.FOUND,
                     ResponseKind.NOT_FOUND,
                 )
@@ -291,8 +299,21 @@ class TestPromotionRaces:
                 assert head[key] == value  # zero lost acked writes
             # The shard still serves after the storm settles.
             result = cluster.submit_put("settled", "yes").result(timeout=30.0)
-            assert cluster.response_of(result).kind is ResponseKind.NOT_FOUND
+            assert result.kind is ResponseKind.NOT_FOUND
             assert head["settled"] == "yes"
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_pipelined_folds_across_a_promotion_stay_linearizable(self, seed):
+        """A fold that dies with the old head replays whole on the new one;
+        the requests queued behind it wait, so none overtakes it."""
+        plan = FaultPlan(seed=seed).crash("shard0.r0", after_ops=40)
+        with ClusterEngine(
+            shards=1, replication=3, backend=BACKEND, timeout=TIMEOUT, faults=plan
+        ) as cluster:
+            futures = pipelined(cluster, mixed_ops(seed, count=300, keys=3))
+            assert [p.new_primary for p in cluster.promotions][:1] == ["shard0.r1"]
+            assert sum(future.exception() is None for future in futures) > 250
+            assert cluster.stats.total_messages < 3 * len(futures)  # folds ran
 
     def test_promotion_racing_a_rejoin_fences_the_catchup(self, tmp_path):
         plan = FaultPlan(seed=11).crash("shard0.r1", after_ops=20)

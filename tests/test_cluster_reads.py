@@ -67,9 +67,7 @@ class TestAWriteNeverRidesTheReadRound:
                 assert failure.value.location == session.primary
             assert replica_digests(cluster) == digests
             # Nothing was half-applied, and the shard serves on.
-            assert cluster.response_of(
-                cluster.submit_get("k").result(timeout=30.0)
-            ) == Response.found("v")
+            assert cluster.submit_get("k").result(timeout=30.0) == Response.found("v")
 
 
 # -- differential: the cluster against the paper's choreographies ---------------------
@@ -104,7 +102,7 @@ def through_the_cluster(steps):
                 future = cluster.submit_delete(item.key)
             else:
                 future = cluster.submit_get(item.key)
-            answers.append(cluster.response_of(future.result(timeout=30.0)))
+            answers.append(future.result(timeout=30.0))
         return answers, list(replica_digests(cluster).values())
 
 
