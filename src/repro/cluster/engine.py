@@ -808,8 +808,7 @@ class ClusterEngine:
         """
         outer: "Future[Any]" = Future()
         self._flush(self._sessions[shard_id], force=True)
-        self._dispatch(shard_id, op_name, tuple(args), dict(kwargs or {}), outer,
-                       self._replays)
+        self._dispatch(shard_id, op_name, tuple(args), dict(kwargs or {}), outer, self._replays)
         return outer
 
     def _dispatch(self, shard_id: ShardId, op_name: str, args: tuple,
@@ -847,20 +846,20 @@ class ClusterEngine:
             batch = session.queue
             if not batch or (session.folds and not force):
                 return
-            requests = [request for request, _future in batch]
-            if len(requests) == 1:  # its own put/get/delete binding
-                (request,) = requests
+            if len(batch) == 1:  # its own put/get/delete binding
+                ((request, _future),) = batch
                 op_name = request.kind.value
                 args = ((request.key, request.value) if request.kind is RequestKind.PUT
                         else (request.key,))
             else:
+                requests = [request for request, _future in batch]
                 writes = any(request.kind in WRITE_KINDS for request in requests)
                 op_name, args = ("serve" if writes else "read"), (requests,)
             chor, census = session.bindings[op_name]
-            inner: "Future[ChoreographyResult]" = Future()
             try:
                 inner = session.engine.submit(chor, args=args, census=census)
-            except BaseException as exc:  # noqa: BLE001 - closed under the queue
+            except RuntimeError as exc:  # the engine closed under the queue
+                inner = Future()
                 inner.set_exception(exc)
             # Emptied only once submitted, so ``pending`` never reads 0 between.
             session.queue = []
@@ -876,7 +875,8 @@ class ClusterEngine:
         """A fold settled: free its slot, send what queued, answer each request."""
         with self._lock:
             session.folds -= 1
-        self._flush(session)
+        if session.queue:  # read once the slot is free: a later arrival sends itself
+            self._flush(session)
         if len(batch) > 1:
             _fan_out(done, [future for _request, future in batch])
 

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import FaultPlan
 from repro.cluster import ClusterClient, ClusterEngine, ShardRouter
+from repro.core.errors import ChoreographyRuntimeError
 from repro.protocols.kvs import Request, Response, ResponseKind
 from repro.runtime.stats import ChannelStats
 
@@ -497,6 +499,17 @@ class TestSingleRequestsFold:
             assert queued.result(timeout=30.0) == Response.found("1")
             assert quorum.result(timeout=30.0) == Response.found("2")
         assert names == ["put@shard0", "put@shard0", "quorum_get@shard0"]
+
+    def test_a_failed_fold_fails_every_request_in_it(self):
+        plan = FaultPlan(seed=7).crash("shard0.r0", after_ops=0)
+        with ClusterEngine(1, replication=1, backend="simulated", timeout=0.3,
+                           faults=plan) as cluster:
+            release = self.park(cluster)
+            futures = [cluster.submit_put(f"k{i}", "v") for i in range(3)]
+            release()
+            for future in futures:  # the lone first put, then a fold of two
+                with pytest.raises(ChoreographyRuntimeError):
+                    future.result(timeout=30.0)
 
     def test_close_drains_the_queue(self):
         cluster = ClusterEngine(1, replication=2, backend="local")

@@ -11,6 +11,9 @@ cluster.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 from repro import ClusterEngine, FaultPlan
 from repro.protocols.kvs import Request, Response
 from tests.linearizability import (
@@ -147,4 +150,29 @@ class TestFoldedHistories:
             assert all(future.exception() is None for future in futures)
             assert cluster.stats.total_messages < 2 * len(futures)  # folds ran
         assert len(linearizable_history.ops) == len(futures)
+        assert linearizable_history.violations() == []
+
+    def test_concurrent_submitters_lose_nothing(self, linearizable_history):
+        """More submitting threads than cores, a short switch interval, one
+        shard: the queue and its fold slot are shared between the callers
+        and the engine's workers, and no request may be lost or reordered."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ClusterEngine(1, replication=2, backend="local") as cluster:
+                results = {}
+                threads = [threading.Thread(target=lambda n=n: results.__setitem__(
+                    n, pipelined(cluster, mixed_ops(n, count=150, keys=4), window=4)))
+                    for n in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert cluster.pending == 0
+                assert cluster.session("shard0").folds == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(f.exception() is None for futures in results.values() for f in futures)
+        assert len(linearizable_history.ops) == 4 * 150
         assert linearizable_history.violations() == []
