@@ -14,11 +14,10 @@ concurrently.  :class:`ClusterEngine` is that layer:
 * requests are **pipelined**: ``submit_*`` returns a Future immediately, and
   ops for different shards run genuinely concurrently while ops for the same
   shard (hence the same key) execute in submission order;
-* single requests **fold at dispatch** (group commit, no timer): while a
-  shard has a folded instance in flight, single puts, gets and deletes
-  queue and go out together as one ``read`` or ``serve`` instance when it
-  settles; per-key linearizability rests on the fold's ordering rules
-  (:meth:`ClusterEngine._flush`);
+* single requests **fold at dispatch** (group commit, no timer): single
+  puts, gets and deletes that queue behind a shard's in-flight fold go out
+  together as one ``read`` or ``serve`` instance when it settles; per-key
+  linearizability rests on the fold's ordering rules (``_flush``);
 * the data plane is pure choreography — puts replicate through
   :func:`~repro.protocols.kvs.kvs_with_backups`, quorum reads and
   read-repair through :func:`~repro.protocols.kvs.kvs_quorum_get`, other
@@ -274,11 +273,10 @@ class ShardHealth:
     #: backups *and* deposed primaries), in detection order.
     down: Tuple[Location, ...] = field(default=())
     #: The shard's in-flight instances plus queued single requests at
-    #: snapshot time — the queue depth behind :attr:`ClusterEngine.pending`.
-    #: This is the signal an admission controller keys off (the gateway sheds load
-    #: once the cluster-wide sum passes its high-water mark) and the number
-    #: that tells an operator *where* a backlog sits, not just that one
-    #: exists.
+    #: snapshot time — the queue depth behind :attr:`ClusterEngine.pending`:
+    #: the signal an admission controller keys off (the gateway sheds load
+    #: once the cluster-wide sum passes its high-water mark), and where a
+    #: backlog sits, not just that one exists.
     pending: int = field(default=0)
     #: The shard's current epoch: 0 until a primary promotion, bumped by one
     #: per promotion.  Bindings from older epochs are fenced with

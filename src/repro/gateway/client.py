@@ -26,6 +26,7 @@ Two calling styles:
 
 from __future__ import annotations
 
+import mmap
 import random
 import socket
 import time
@@ -101,10 +102,9 @@ class GatewayClient:
         self.retries = retries
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # One immutable buffer walked by cursor; recv_into one reused chunk.
-        self._data = b""
+        self._data = b""  # walked by cursor; recv_into one reused, lazy chunk
         self._start = 0
-        self._chunk = bytearray(_RECV_SIZE)
+        self._chunk = mmap.mmap(-1, _RECV_SIZE)
         self._view = memoryview(self._chunk)
         self._closed = False
         self._rng = random.Random()

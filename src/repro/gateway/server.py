@@ -38,6 +38,7 @@ in-flight replies to flush, then tear the sockets down.
 from __future__ import annotations
 
 import json
+import mmap
 import socket
 import threading
 import time
@@ -101,7 +102,7 @@ class _Connection:
 
     def _read_loop(self) -> None:
         pending = b""  # the unparsed tail of the stream so far
-        received = bytearray(_RECV_SIZE)  # reused: no 64 KiB allocation per recv
+        received = mmap.mmap(-1, _RECV_SIZE)  # reused; pages commit as bytes land
         view = memoryview(received)
         try:
             while not self.closed.is_set():

@@ -47,6 +47,7 @@ distributed-deadlock against a peer's un-flushed buffer.
 
 from __future__ import annotations
 
+import mmap
 import socket
 import threading
 from typing import Any
@@ -97,15 +98,15 @@ class _TCPEndpoint(FramedCoalescingEndpoint):
         """Buffered frame reader: one ``recv`` yields every frame it contains.
 
         Reads up to :data:`_READ_CHUNK` bytes per syscall into one reused
-        buffer (``recv_into``: no 64 KiB ``bytes`` per read for the C heap to
-        keep) for the shared incremental
-        :class:`~repro.runtime.framing.FrameParser` (memoryview slicing, one
-        ``bytes`` copy per payload, a trailing partial frame buffered for the
+        anonymous ``mmap`` (``recv_into``: no 64 KiB ``bytes`` per read for the
+        C heap to keep; a page costs memory once bytes land in it) for the
+        shared :class:`~repro.runtime.framing.FrameParser` (memoryview slicing,
+        one ``bytes`` copy per payload, a trailing partial frame kept for the
         next chunk).  A stream that stops parsing poisons the inboxes (see
         ``_feed``) and drops the connection.
         """
         parser = FrameParser()
-        received = bytearray(_READ_CHUNK)
+        received = mmap.mmap(-1, _READ_CHUNK)
         view = memoryview(received)
         with conn:
             while not self._closed.is_set():
