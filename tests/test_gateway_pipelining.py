@@ -74,7 +74,7 @@ def test_client_walks_a_burst_of_replies_without_recopying(monkeypatch):
     assert replies == [BulkReply(str(n)) for n in range(COMMANDS)]
     received = sum(len(encode_reply(reply)) for reply in replies)
     # At the parent commit every reply copied the whole receive buffer:
-    # 2,000 replies (a 46.9 KB burst) handed about 8.5 MB to the parser.
+    # 2,000 replies (18.9 KB) handed megabytes to the parser.
     assert sum(len(buffer) for buffer in handed_in) <= 2 * received
 
 
