@@ -76,14 +76,13 @@ suite that pins all of this down.
 
 Multi-key atomicity crosses shards with **choreographic two-phase commit**:
 :meth:`ClusterEngine.submit_txn` plays the coordinator over the existing
-warm engines — one :func:`~repro.protocols.kvs.kvs_txn_prepare` per
+warm engines — one :func:`~repro.protocols.kvs.kvs_txn` round per
 participating shard parks the write set as replicated, WAL-logged intents
-(conflict detection plus optional ``expects`` guards decide each shard's
-vote), the commit verdict is durably recorded in the coordinator's decision
-log *before* any participant learns it, and one
-:func:`~repro.protocols.kvs.kvs_txn_decide` per shard lands the writes
-atomically or rolls the intents back.  Both phases ride the same
-failover/replay machinery as every other shard op, aborts are presumed
+and votes, the commit verdict is durably recorded in the coordinator's
+decision log (the commit point, where the caller's Future resolves), and
+each shard's decide rides the next instance dispatched to it, which lands
+the writes atomically or rolls the intents back.  Every round rides the
+same failover/replay machinery as any other shard op, aborts are presumed
 (only commits are logged; :meth:`recover_in_doubt` resolves survivors on a
 cold restart, intent expiry handles a dead coordinator on a live one), and
 refusals surface as typed :class:`TxnConflict` / :class:`TxnAborted`.
@@ -99,9 +98,10 @@ import itertools
 import os
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..chor import ChoreographyDef
 from ..core.errors import ChoreographyRuntimeError, ChoreoTimeout
@@ -111,6 +111,7 @@ from ..core.ops import Choreography
 from ..protocols.kvs import (
     WRITE_KINDS,
     CatchupReport,
+    Decide,
     Request,
     RequestKind,
     Response,
@@ -127,8 +128,7 @@ from ..protocols.kvs import (
     kvs_read_batch,
     kvs_scan,
     kvs_serve_batch,
-    kvs_txn_decide,
-    kvs_txn_prepare,
+    kvs_txn,
     kvs_with_backups,
 )
 from ..runtime.engine import ChoreoEngine, ChoreographyResult
@@ -175,8 +175,8 @@ class TxnAborted(RuntimeError):
 
     Raised from the transaction's Future (``ClusterEngine.submit_txn``) and
     the blocking ``ClusterClient.txn``.  Nothing was applied anywhere: a
-    prepare that failed or was refused leads to an abort decide at every
-    participant, which drops the parked intents.  The transaction as issued
+    prepare that failed or was refused leads to an abort decide owed to
+    every participant, which drops the parked intents.  The transaction as issued
     is safe to retry — under a fresh ``txn_id`` — once the condition that
     aborted it (a conflicting transaction, a mid-prepare crash) has passed.
     """
@@ -246,10 +246,8 @@ _REPLICA_GROUP_OPS: Dict[str, Tuple[Choreography, Callable[..., Any]]] = {
     # Group commit, the cluster's high-throughput path: one instance and
     # ``2 + 2·backups`` messages per batch, however many requests it carries.
     "serve": (kvs_serve_batch, list),
-    "txn_prepare": (kvs_txn_prepare, lambda txn_id, writes, expects: (
-        txn_id, dict(writes), dict(expects or {}))),
-    "txn_decide": (kvs_txn_decide, lambda txn_id, verdict, writes: (
-        txn_id, verdict, dict(writes))),
+    # Two-phase commit: the decides a shard is owed, then at most one prepare.
+    "txn": (kvs_txn, lambda decides, prepare: (list(decides), prepare)),
 }
 
 
@@ -321,10 +319,9 @@ class PromotionReport:
 class TxnResult:
     """What a committed cross-shard transaction looked like to the coordinator.
 
-    Only commits produce one — an aborted transaction raises
-    :class:`TxnAborted` (or its :class:`TxnConflict` subtype) from the
-    Future instead, after the abort decide has cleaned every participant's
-    intent.
+    Only commits produce one, at the commit point — an aborted transaction
+    raises :class:`TxnAborted` (or its :class:`TxnConflict` subtype) from
+    the Future instead.
     """
 
     #: The transaction id the intents and decision were recorded under.
@@ -361,7 +358,7 @@ class _ShardSession:
     __slots__ = (
         "shard_id", "client", "census", "servers", "primary", "backups", "down",
         "rejoining", "durability", "state", "engine", "fence", "bindings",
-        "queue", "folds",
+        "queue", "folds", "owed", "carrier", "held",
     )
 
     def __init__(
@@ -409,6 +406,12 @@ class _ShardSession:
         #: in flight, in arrival order; and the folds in flight (>1: forced).
         self.queue: List[Tuple[Request, "Future[Response]"]] = []
         self.folds = 0
+        #: Decides this shard is owed and no instance carries yet, in
+        #: decision order; those on the carrier in flight (``None``: none is);
+        #: and the dispatches waiting behind that carrier, in arrival order.
+        self.owed: List[Decide] = []
+        self.carrier: Optional[List[Decide]] = None
+        self.held: List[tuple] = []
 
     @property
     def epoch(self) -> int:
@@ -611,7 +614,7 @@ class _ShardSession:
             self.primary,
             {replica: status(replica) for replica in self.servers},
             down=tuple(self.down),
-            pending=len(self.queue) + self.engine.pending,
+            pending=len(self.queue) + len(self.held) + self.engine.pending,
             epoch=self.epoch,
             roles={
                 replica: "primary" if replica == self.primary else "backup"
@@ -620,18 +623,14 @@ class _ShardSession:
         )
 
 
-def _highest_txn_serial(txn_log: DurableState) -> int:
-    """The largest ``txn-<n>`` serial the decision record still holds.
-
-    Auto-generated transaction ids continue above it across restarts, so a
-    fresh transaction can never collide with a commit *still on record*.
-    (Aborted ids, and those of commits every participant has applied, are
-    reusable by design — nothing is on record for them — which is safe
-    because recovery resolves every dangling intent before new traffic
-    runs.)  Caller-supplied ids are the caller's business.
-    """
+def _highest_txn_serial(txn_ids: Iterable[str]) -> int:
+    """The largest ``txn-<n>`` serial among ``txn_ids``: auto ids continue
+    above the decision record's and every replica's intents' across
+    restarts, so a fresh id never matches a record or a stale intent (one a
+    demoted backup holds) that recovery resolves by id.  Caller-supplied
+    ids are the caller's business."""
     highest = 0
-    for txn_id in txn_log:
+    for txn_id in txn_ids:
         if txn_id.startswith("txn-"):
             try:
                 highest = max(highest, int(txn_id[4:]))
@@ -733,12 +732,14 @@ class ClusterEngine:
                     fsync=durability.fsync,
                     snapshot_every=durability.snapshot_every,
                 )
-                self._txn_counter = itertools.count(
-                    _highest_txn_serial(self._txn_log) + 1
-                )
             for shard_id in self.router.shards:
                 self._sessions[shard_id] = self._open_session(shard_id)
             if durability is not None:
+                self._txn_counter = itertools.count(_highest_txn_serial(
+                    itertools.chain(self._txn_log, *(
+                        txns_of(session.state.facet_for(replica))
+                        for session in self._sessions.values()
+                        for replica in session.servers))) + 1)
                 # Opening the cluster *is* crash recovery; that includes
                 # resolving transactions a previous incarnation left in
                 # doubt, from the decision record just reopened.
@@ -805,20 +806,68 @@ class ClusterEngine:
         across a replica crash; single requests cannot (:meth:`_flush`).
         """
         outer: "Future[Any]" = Future()
-        self._flush(self._sessions[shard_id], force=True)
-        self._dispatch(shard_id, op_name, tuple(args), dict(kwargs or {}), outer, self._replays)
-        return outer
-
-    def _dispatch(self, shard_id: ShardId, op_name: str, args: tuple,
-                  kwargs: Dict[str, Any], outer: "Future[Any]",
-                  replays_left: int) -> None:
+        session = self._sessions[shard_id]
+        self._flush(session, force=True)
+        send = (op_name, tuple(args), dict(kwargs or {}), outer, self._replays)
         with self._lock:
             self._require_open()
-            session = self._sessions[shard_id]
-            chor, census = session.bindings[op_name]
-        inner = session.engine.submit(chor, args=args, kwargs=kwargs, census=census)
-        inner.add_done_callback(lambda done: self._settle(
-            done, shard_id, op_name, args, kwargs, outer, replays_left))
+            sent = self._gate(session, send)
+        self._watch(session, sent)
+        return outer
+
+    def _gate(self, session: _ShardSession, send: tuple) -> List[tuple]:
+        """Let ``send`` through the shard's decide gate (``_lock`` held).
+
+        A shard's owed decides ride the next instance dispatched to it: a
+        ``txn`` dispatch carries them itself, anything else waits behind a
+        decide-only ``txn`` round.  While that *carrier* is in flight (its
+        replays included) every other dispatch waits in ``held``, so nothing
+        sent after a commit is acknowledged can see the shard without it.
+        Returns what was started, for :meth:`_watch`.
+        """
+        if session.carrier is None and not session.owed:
+            return [self._start(session, *send)]
+        session.held.append(send)
+        return self._release(session)
+
+    def _release(self, session: _ShardSession) -> List[tuple]:
+        """Start held dispatches in order, up to the next carrier (``_lock`` held)."""
+        sent = []
+        while session.held and session.carrier is None:
+            op_name, args, kwargs, outer, replays = session.held[0]
+            if session.owed:
+                session.carrier, session.owed = session.owed, []
+                if op_name != "txn":  # a decide-only round goes first
+                    sent.append(self._start(session, "txn", (session.carrier, None), {},
+                                            Future(), self._replays))
+                    continue
+                args = (session.carrier, args[1])
+            sent.append(self._start(session, op_name, args, kwargs, outer, replays))
+            session.held.pop(0)
+        return sent
+
+    def _start(self, session: _ShardSession, op_name: str, args: tuple,
+               kwargs: Dict[str, Any], outer: "Future[Any]", replays: int) -> tuple:
+        """Submit one instance (``_lock`` held); a ``txn`` round with nothing
+        to carry and no prepare is already done and submits nothing."""
+        if op_name == "txn" and args == ([], None):
+            return (None, op_name, args, kwargs, outer, replays)
+        chor, census = session.bindings[op_name]
+        try:
+            inner = session.engine.submit(chor, args=args, kwargs=kwargs, census=census)
+        except RuntimeError as exc:  # the engine closed under the dispatch
+            inner = Future()
+            inner.set_exception(exc)
+        return (inner, op_name, args, kwargs, outer, replays)
+
+    def _watch(self, session: _ShardSession, sent: List[tuple]) -> None:
+        """Settle each started instance's caller (outside ``_lock``)."""
+        for inner, *send in sent:
+            if inner is None:
+                send[3].set_result(None)
+            else:
+                inner.add_done_callback(lambda done, send=send: self._settle(
+                    done, session, *send))
 
     def _fold(self, request: Request) -> "Future[Response]":
         """Submit one single request: it queues, and :meth:`_flush` sends it."""
@@ -853,20 +902,14 @@ class ClusterEngine:
                 requests = [request for request, _future in batch]
                 writes = any(request.kind in WRITE_KINDS for request in requests)
                 op_name, args = ("serve" if writes else "read"), (requests,)
-            chor, census = session.bindings[op_name]
-            try:
-                inner = session.engine.submit(chor, args=args, census=census)
-            except RuntimeError as exc:  # the engine closed under the queue
-                inner = Future()
-                inner.set_exception(exc)
+            # A lone request's own Future is the fold's; a batch's answers fan out.
+            outer: "Future[Any]" = batch[0][1] if len(batch) == 1 else Future()
+            sent = self._gate(session, (op_name, args, {}, outer, self._replays))
             # Emptied only once submitted, so ``pending`` never reads 0 between.
             session.queue = []
             session.folds += 1
-        # A lone request's own Future is the fold's; a batch's answers fan out.
-        outer: "Future[Any]" = batch[0][1] if len(batch) == 1 else Future()
         outer.add_done_callback(lambda done: self._unfold(session, batch, done))
-        inner.add_done_callback(lambda done: self._settle(
-            done, session.shard_id, op_name, args, {}, outer, self._replays))
+        self._watch(session, sent)
 
     def _unfold(self, session: _ShardSession, batch: List[Tuple[Request, "Future[Response]"]],
                 done: "Future[Any]") -> None:
@@ -878,29 +921,69 @@ class ClusterEngine:
         if len(batch) > 1:
             _fan_out(done, [future for _request, future in batch])
 
-    def _settle(self, done: "Future[ChoreographyResult]", shard_id: ShardId,
+    def _settle(self, done: "Future[ChoreographyResult]", session: _ShardSession,
                 op_name: str, args: tuple, kwargs: Dict[str, Any],
                 outer: "Future[Any]", replays_left: int) -> None:
-        """Resolve ``outer`` from a finished shard run, failing over if due."""
+        """Resolve ``outer`` from a finished shard run, failing over if due.
+
+        A carrier's decides are delivered once it succeeds; a failed
+        carrier replays ahead of everything held behind it, and one that
+        gives up leaves its decides owed and fails what it held.
+        """
+        carried = args[0] if op_name == "txn" else []
         try:
             result = done.result()
             # Callers want the client's answer; a scan's caller merges runs.
-            outer.set_result(result if op_name == "scan" else result.value_at(self.client))
-            return
+            value = result if op_name == "scan" else result.value_at(self.client)
         except ChoreographyRuntimeError as exc:
             error: BaseException = exc
         except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            outer.set_exception(exc)
+            error, replays_left = exc, 0
+        else:
+            if carried:
+                self._delivered(session, carried)
+            outer.set_result(value)
             return
         try:
-            if replays_left > 0 and self._should_replay(shard_id, error):
-                self._dispatch(
-                    shard_id, op_name, args, kwargs, outer, replays_left - 1
-                )
+            if replays_left > 0 and self._should_replay(session.shard_id, error):
+                send = (op_name, args, kwargs, outer, replays_left - 1)
+                with self._lock:
+                    self._require_open()
+                    sent = ([self._start(session, *send)] if carried
+                            else self._gate(session, send))
+                self._watch(session, sent)
                 return
         except BaseException:  # noqa: BLE001 - replay plumbing failed
             pass  # fall through: the original failure is the honest answer
+        if carried:
+            with self._lock:
+                session.owed[:0] = carried
+                session.carrier = None
+                held, session.held = session.held, []
+            for _op_name, _args, _kwargs, waiting, _replays in held:
+                waiting.set_exception(error)
         outer.set_exception(error)
+
+    def _owes(self, txn_id: str) -> bool:
+        """Whether any shard is still owed a decide of ``txn_id`` (``_lock`` held)."""
+        return any(decide[0] == txn_id for session in self._sessions.values()
+                   for decide in itertools.chain(session.owed, session.carrier or ()))
+
+    def _delivered(self, session: _ShardSession, carried: List[Decide]) -> None:
+        """A carrier succeeded: its decides are applied at every live replica.
+
+        A commit's record leaves the decision log once no shard still owes
+        it, so the log stays the size of what is owed.  Then what waited
+        behind the carrier goes out, in order.
+        """
+        with self._lock:
+            session.carrier = None
+            if self._txn_log is not None:
+                for txn_id, verdict, _writes in carried:
+                    if verdict == "commit" and not self._owes(txn_id):
+                        self._txn_log.pop(txn_id, None)
+            sent = self._release(session)
+        self._watch(session, sent)
 
     def _should_replay(self, shard_id: ShardId,
                        error: ChoreographyRuntimeError) -> bool:
@@ -1133,19 +1216,24 @@ class ClusterEngine:
 
         The cluster engine is the coordinator; each participating shard's
         replica group is one participant conclave.  Phase one submits a
-        :func:`~repro.protocols.kvs.kvs_txn_prepare` to every shard the
+        :func:`~repro.protocols.kvs.kvs_txn` prepare to every shard the
         write set (or an ``expects`` guard) routes to — each shard votes
         and, when granting, parks the write intent on every replica, WAL-
         first on durable clusters.  When all votes are in, the verdict is
         decided: *commit* iff every shard granted.  A commit is recorded in
         the coordinator's durable decision log **before** any participant
-        learns it — the classic 2PC write — then phase two fans a
-        :func:`~repro.protocols.kvs.kvs_txn_decide` out to every
-        participant, which applies the whole per-shard write set atomically
-        (one WAL record) or rolls the intent back.  Prepare and decide both
-        ride the ordinary :meth:`_submit` machinery, so participant crashes
+        learns it — the classic 2PC write, and the commit point: the
+        Future resolves there.  Phase two gets no instance of its own: each
+        participant is *owed* its decide, which rides the next instance
+        dispatched to that shard (a later transaction's prepare, or a
+        decide-only round sent ahead of any other dispatch), and lands the
+        whole per-shard write set atomically (one WAL record) or rolls the
+        intent back.  Until that carrier succeeds, every other dispatch to
+        the shard waits behind it, so nothing submitted after the Future
+        resolves can see the shard without the commit's writes.  Both
+        phases ride the ordinary failover machinery, so participant crashes
         and promotions mid-transaction heal exactly like any other shard
-        op: the phase is replayed against the re-bound group, idempotently
+        op: the round is replayed against the re-bound group, idempotently
         (a re-prepare of a parked id re-grants; decides are idempotent).
 
         Aborts are **presumed**: only commits are logged, an in-doubt
@@ -1168,11 +1256,11 @@ class ClusterEngine:
                 among live transactions.
 
         Returns:
-            A Future resolving to a :class:`TxnResult` on commit, or
-            raising :class:`TxnConflict` (a refused vote: conflicting
+            A Future resolving at the commit point to a :class:`TxnResult`,
+            or raising :class:`TxnConflict` (a refused vote: conflicting
             intent or failed guard) / :class:`TxnAborted` (a participant
-            failure the failover machinery could not heal) — in both cases
-            only after the abort decide has been fanned out.
+            failure the failover machinery could not heal) once the verdict
+            is abort; the abort decides are owed like commits.
 
         Raises:
             ValueError: For an empty write set or a non-write request.
@@ -1223,9 +1311,9 @@ class ClusterEngine:
 
         for shard_id in participants:
             prepared = self._submit(
-                shard_id, "txn_prepare",
-                args=(txn_id, writes_by_shard.get(shard_id, {}),
-                      expects_by_shard.get(shard_id, {})),
+                shard_id, "txn",
+                args=([], (txn_id, writes_by_shard.get(shard_id, {}),
+                           expects_by_shard.get(shard_id, {}))),
             )
             prepared.add_done_callback(
                 lambda done, shard_id=shard_id: on_prepared(shard_id, done)
@@ -1241,97 +1329,69 @@ class ClusterEngine:
         failures: Dict[ShardId, BaseException],
         outer: "Future[TxnResult]",
     ) -> None:
-        """Resolve the votes into a verdict and fan the decide out.
+        """Resolve the votes into a verdict, owe it, and answer the caller.
 
         A separate method so the chaos suite can crash the coordinator at
-        the worst moment: between the last vote and the decides (patch this
-        to do nothing — presumed abort), or between the durable decision
-        and the decides (patch to stop after the log write — recovery must
-        finish the commit).
+        the worst moment: between the last vote and the decision (patch
+        this to do nothing — presumed abort), or between the durable
+        decision and the decides (patch to stop after the log write —
+        recovery must finish the commit).
         """
         granted = not failures and all(
             vote.kind is ResponseKind.FOUND for vote in votes.values()
         )
         verdict = "commit" if granted else "abort"
-        if granted and self._txn_log is not None:
-            with self._lock:
+        with self._lock:
+            if granted and self._txn_log is not None:
                 # The decision record is the commit point: once this is on
                 # disk, a crashed coordinator's restart finishes the commit;
                 # before it, every intent resolves to presumed abort.
                 self._txn_log[txn_id] = "commit"
-        decided: Dict[ShardId, "Future[Response]"] = {}
-        try:
             for shard_id in participants:
-                decided[shard_id] = self._submit(
-                    shard_id, "txn_decide",
-                    args=(txn_id, verdict, writes_by_shard.get(shard_id, {})),
-                )
-        except BaseException as exc:  # noqa: BLE001 - cluster closed mid-txn
-            outer.set_exception(exc)
+                self._sessions[shard_id].owed.append(
+                    (txn_id, verdict, writes_by_shard.get(shard_id, {})))
+        if granted:
+            outer.set_result(TxnResult(txn_id, participants))
             return
-        remaining = [len(decided)]
-        errors: List[BaseException] = []
-        ack_lock = threading.Lock()
-
-        def on_decided(done: "Future[Response]") -> None:
-            with ack_lock:
-                try:
-                    done.result()
-                except BaseException as exc:  # noqa: BLE001 - tallied below
-                    errors.append(exc)
-                remaining[0] -= 1
-                if remaining[0]:
-                    return
-            if verdict == "commit":
-                if errors:
-                    # The commit is durably decided, but a participant never
-                    # acknowledged it (even after the failover replays) —
-                    # surface the failure; recovery will finish the commit.
-                    outer.set_exception(errors[0])
-                else:
-                    self._forget_commits([txn_id])
-                    outer.set_result(TxnResult(txn_id, participants))
-                return
-            # Abort: the decide fan-out is best-effort cleanup (a shard that
-            # refused parked nothing; a dead one expires or recovers its
-            # intent), so the refusal itself is the answer.
-            conflicts = sorted({
+        if failures:
+            shard_id, cause = next(iter(failures.items()))
+            error: TxnAborted = TxnAborted(
+                txn_id, f"prepare failed at {shard_id}: {cause}"
+            )
+            error.__cause__ = cause
+        else:
+            error = TxnConflict(txn_id, sorted({
                 key
                 for vote in votes.values()
                 if vote.kind is ResponseKind.NOT_FOUND and vote.value
                 for key in vote.value.split(",")
-            })
-            if failures:
-                shard_id, cause = next(iter(failures.items()))
-                error: TxnAborted = TxnAborted(
-                    txn_id, f"prepare failed at {shard_id}: {cause}"
-                )
-                error.__cause__ = cause
-            else:
-                error = TxnConflict(txn_id, conflicts)
-            outer.set_exception(error)
+            }))
+        outer.set_exception(error)
 
-        for future in decided.values():
-            future.add_done_callback(on_decided)
-
-    def _forget_commits(self, txn_ids: Sequence[str]) -> None:
-        """Drop the decision records of commits every participant has applied:
-        no intent is left to ask for the verdict, and the record (with each
-        checkpoint of it) stays the size of what is in flight."""
-        if self._txn_log is not None:
+    def _deliver(self, sessions: Sequence[_ShardSession]) -> List["Future[Any]"]:
+        """Send the decides these shards are owed, each on a decide-only
+        ``txn`` round behind any carrier in flight; one Future per shard,
+        done at once where nothing is owed."""
+        futures = []
+        for session in sessions:
+            outer: "Future[Any]" = Future()
             with self._lock:
-                for txn_id in txn_ids:
-                    self._txn_log.pop(txn_id, None)
+                sent = self._gate(session, ("txn", ([], None), {}, outer, self._replays))
+            self._watch(session, sent)
+            futures.append(outer)
+        return futures
 
     def in_doubt(self) -> Dict[ShardId, Dict[str, Dict[str, Any]]]:
         """Every prepared-but-undecided transaction, per shard.
 
         A control-plane snapshot of the replicas' intent tables (the
-        primary's facet speaks for the shard): ``{shard_id: {txn_id:
+        primary's facet speaks for the shard), taken once the decides the
+        shards are owed have been delivered: ``{shard_id: {txn_id:
         {"writes": ..., "tick": ...}}}``, empty mappings omitted.  Chaos
         tests assert this drains to nothing — no dangling intents — after
         crashes and recoveries.
         """
+        wait(self._deliver(list(self._sessions.values())))
         with self._lock:
             report: Dict[ShardId, Dict[str, Dict[str, Any]]] = {}
             for shard_id, session in self._sessions.items():
@@ -1346,20 +1406,23 @@ class ClusterEngine:
         """Resolve every in-doubt transaction from the durable decision record.
 
         The coordinator side of 2PC crash recovery, run automatically when a
-        durable cluster opens: every intent still parked on a shard (its
-        participant prepared, then the world went down before the decide
-        landed) is decided now — *commit* when the coordinator's decision
-        log recorded one, *presumed abort* otherwise — through the ordinary
-        decide choreography, so the resolution replicates and WAL-logs like
-        any live decide.
+        durable cluster opens.  Owed decides go out first; then every intent
+        still parked on a replica (prepared, then the world went down before
+        its decide landed) is owed and delivered *commit* when the decision
+        log recorded one, *presumed abort* otherwise, so the resolution
+        replicates and WAL-logs like a live decide.  Last, records no shard
+        is owed leave the log (one whose decides all landed before a crash
+        could otherwise commit a later intent reusing its id).
 
         Returns:
             ``{txn_id: verdict}`` for every transaction resolved.
         """
-        pending: List[Tuple[ShardId, str, Dict[str, Optional[str]]]] = []
+        sessions = list(self._sessions.values())
+        wait(self._deliver(sessions))
+        verdicts: Dict[str, str] = {}
         with self._lock:
             committed = dict(self._txn_log) if self._txn_log is not None else {}
-            for shard_id, session in self._sessions.items():
+            for session in sessions:
                 seen: Dict[str, Dict[str, Optional[str]]] = {}
                 for replica in session.servers:
                     for txn_id, entry in txns_of(
@@ -1367,18 +1430,14 @@ class ClusterEngine:
                     ).items():
                         seen.setdefault(txn_id, dict(entry["writes"]))
                 for txn_id, writes in seen.items():
-                    pending.append((shard_id, txn_id, writes))
-        verdicts: Dict[str, str] = {}
-        waits = []
-        for shard_id, txn_id, writes in pending:
-            verdict = "commit" if committed.get(txn_id) == "commit" else "abort"
-            verdicts[txn_id] = verdict
-            waits.append(self._submit(
-                shard_id, "txn_decide", args=(txn_id, verdict, writes)
-            ))
-        for future in waits:
+                    verdicts[txn_id] = committed.get(txn_id) or "abort"
+                    session.owed.append((txn_id, verdicts[txn_id], writes))
+        for future in self._deliver(sessions):
             future.result()
-        self._forget_commits([t for t, v in verdicts.items() if v == "commit"])
+        with self._lock:
+            for txn_id in committed:
+                if not self._owes(txn_id):
+                    self._txn_log.pop(txn_id, None)
         return verdicts
 
     def submit_scan(self, prefix: str = "") -> Dict[ShardId, "Future[ChoreographyResult]"]:
@@ -1426,7 +1485,7 @@ class ClusterEngine:
     def pending(self) -> int:
         """In-flight instances plus queued single requests (0 = quiescent)."""
         # The queue is read first: _flush submits before it empties it.
-        return sum(len(session.queue) + session.engine.pending
+        return sum(len(session.queue) + len(session.held) + session.engine.pending
                    for session in self._sessions.values())
 
     def health(self) -> Dict[ShardId, ShardHealth]:
@@ -1556,6 +1615,9 @@ class ClusterEngine:
 
     def _rebalance(self, shard_id: Optional[ShardId]) -> ShardId:
         """The body of :meth:`add_shard`, run with ``_control_op`` held."""
+        # Keys move as the primaries hold them, so owed decides land first.
+        for future in self._deliver(list(self._sessions.values())):
+            future.result()
         with self._lock:
             if shard_id is None:
                 for index in itertools.count(len(self._sessions)):
@@ -1669,6 +1731,8 @@ class ClusterEngine:
             self._control_op = f"rejoining {replica} into {shard_id}"
             session.begin_rejoin(replica)
         try:
+            # The catch-up copies the primary, so its owed decides land first.
+            self._deliver([session])[0].result()
             # 1. The dead process comes back: revive its crashed transport
             # endpoints (fault-injected backends) and recover its store from
             # disk.  Opening the DurableState *is* the replay.
@@ -1744,6 +1808,10 @@ class ClusterEngine:
             txn_log = self._txn_log
         for session in sessions:
             self._flush(session, force=True)  # queued single requests drain too
+        # Owed decides go out before any engine closes; one that cannot keeps
+        # its commit record, and the next open finishes it forward.
+        wait(self._deliver(sessions))
+        for session in sessions:
             session.engine.close()
             session.close_storage()
         if txn_log is not None:

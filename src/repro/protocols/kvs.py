@@ -32,12 +32,12 @@ writes, one primary round for reads, one fence**:
   instantiations supply only plain local step functions:
   :func:`kvs_with_backups` (one request; writes replicate, reads do not),
   :func:`kvs_delete` (a bare key), :func:`kvs_serve_batch` (group commit: a
-  whole batch in one round), and :func:`kvs_txn_prepare` /
-  :func:`kvs_txn_decide` — the participant half of cross-shard two-phase
-  commit, whose coordinator lives in the cluster layer
-  (``ClusterEngine.submit_txn``): prepare parks the write set as a per-key
-  **intent** on every replica and votes, decide commits the parked writes
-  atomically or rolls the intent back.
+  whole batch in one round), and :func:`kvs_txn` — the participant half of
+  cross-shard two-phase commit, whose coordinator lives in the cluster
+  layer (``ClusterEngine.submit_txn``): one round lands the decides the
+  shard is owed (commit the parked writes atomically, or roll the intent
+  back), then prepares at most one transaction, parking its write set as a
+  per-key **intent** on every replica and voting.
 * :func:`primary_read` is the read round — payload to the server, answer
   back, no backup involved.  The cluster knows a request's kind before it
   instantiates anything, so it *chooses* this round at dispatch and has no
@@ -319,6 +319,8 @@ def hash_state(state: State) -> int:
 # decide record carries its writes.
 
 Writes = Dict[str, Optional[str]]
+#: One verdict a shard is owed: ``(txn_id, "commit" | "abort", writes)``.
+Decide = Tuple[str, str, Writes]
 
 
 def txn_conflicts(
@@ -775,30 +777,28 @@ def kvs_serve_batch(
     )
 
 
-def kvs_txn_prepare(
+def kvs_txn(
     op: ChoreoOp,
     client: Location,
     server: Location,
     backups: LocationsLike,
     state_refs: Faceted[State],
-    payload: Located[Tuple[str, Writes, Writes]],
-) -> Located[Response]:
-    """Phase one of cross-shard two-phase commit, at one participant shard.
+    payload: Located[Tuple[List[Decide], Optional[Tuple[str, Writes, Writes]]]],
+) -> Located[Optional[Response]]:
+    """Cross-shard two-phase commit at one participant shard: one round.
 
-    A :func:`replicated` round over the coordinator's payload — ``(txn_id,
-    writes, expects)``: every backup votes with :func:`txn_prepare_state`
-    (conflict detection against its intent table plus the ``expects``
-    guards) and parks the intent when granting, and the server votes *last*
-    — ack-before-apply, so a granted response implies every surviving
-    replica holds the intent.  The shard's vote is the conjunction: any
-    blocked key anywhere refuses the prepare.
-
-    No item is touched in either case.  A refusal parks nothing (the
-    coordinator will abort), and a granted intent blocks later conflicting
-    prepares until the decide — or until
-    :data:`~repro.storage.TXN_INTENT_TTL` later prepare attempts expire it
-    as presumed-aborted (the participant-side escape hatch for a
-    coordinator that died between the two phases).
+    A :func:`replicated` round over the coordinator's payload ``(decides,
+    prepare)``.  ``decides`` are the verdicts the shard is owed, in decision
+    order, each ``(txn_id, verdict, writes)``: :func:`txn_decide_state`
+    lands a commit's write set atomically (one WAL record, carrying the
+    writes, so a replica whose intent is missing still lands it) or rolls
+    an abort's intent back.  ``prepare`` is ``None`` or ``(txn_id, writes,
+    expects)``: :func:`txn_prepare_state` votes (conflict detection plus the
+    ``expects`` guards) and parks the intent when granting.  Every backup
+    applies both and acknowledges, and the server applies them *last*
+    (ack-before-apply), so an answer implies every surviving replica holds
+    the decides and the intent.  Idempotent end to end (a re-prepare of a
+    parked id re-grants, decides are absolute), so replay is safe.
 
     Args:
         op: The operator record; census must contain client, server, backups.
@@ -806,69 +806,33 @@ def kvs_txn_prepare(
         server: The primary replica, which answers with the shard's vote.
         backups: Zero or more backup replicas (see :func:`replicated`).
         state_refs: The replicas' stores (one facet per replica).
-        payload: ``(txn_id, writes, expects)`` located at the client:
-            the write set (``key -> value``, ``None`` deletes) and the
-            expected-value guards (``key -> committed value``, ``None``
-            expects unbound).
+        payload: ``(decides, prepare)`` located at the client.
 
     Returns:
-        ``Response.found(txn_id)`` when every replica granted, or a
-        ``not_found`` response whose ``value`` lists the blocking keys
-        (comma-separated), located at the client.
+        ``None`` for a decide-only round.  Otherwise the prepare's vote, the
+        conjunction over replicas: ``Response.found(txn_id)`` when every
+        replica granted, or a ``not_found`` response whose ``value`` lists
+        the blocking keys (comma-separated), located at the client.
     """
 
-    def shard_vote(state: State, incoming, backup_votes) -> Response:
-        blocked = set(txn_prepare_state(state, *incoming)).union(*backup_votes)
+    def at_replica(state: State, incoming) -> Optional[List[str]]:
+        decides, prepare = incoming
+        for decide in decides:
+            txn_decide_state(state, *decide)
+        return None if prepare is None else txn_prepare_state(state, *prepare)
+
+    def shard_vote(state: State, incoming, backup_votes) -> Optional[Response]:
+        blocked = at_replica(state, incoming)
+        if blocked is None:
+            return None
+        blocked = set(blocked).union(*backup_votes)
         if blocked:
             return Response(ResponseKind.NOT_FOUND, ",".join(sorted(blocked)))
-        return Response.found(incoming[0])
+        return Response.found(incoming[1][0])
 
     return replicated(
         op, client, server, backups, state_refs, payload,
-        replicates=_always,
-        at_backup=lambda state, incoming: txn_prepare_state(state, *incoming),
-        at_server=shard_vote,
-    )
-
-
-def kvs_txn_decide(
-    op: ChoreoOp,
-    client: Location,
-    server: Location,
-    backups: LocationsLike,
-    state_refs: Faceted[State],
-    payload: Located[Tuple[str, str, Writes]],
-) -> Located[Response]:
-    """Phase two of cross-shard two-phase commit, at one participant shard.
-
-    A :func:`replicated` round over the coordinator's verdict — ``(txn_id,
-    verdict, writes)`` with verdict ``"commit"`` or ``"abort"``: every
-    backup applies it with :func:`txn_decide_state` (commit lands the write
-    set atomically as one WAL record, abort drops the intent) and
-    acknowledges, and the server applies it last, so an acknowledged commit
-    is on every surviving replica.  The payload carries the writes
-    explicitly, so a replica whose intent is missing (a full-transfer
-    rejoiner, an expired intent) still lands the commit; aborting an unknown
-    transaction is a no-op.  Idempotent end to end, which is what makes the
-    cluster layer's replay-after-failover safe here.
-
-    Args:
-        op: The operator record; census must contain client, server, backups.
-        client: The coordinator's location.
-        server: The primary replica, which acknowledges the decide.
-        backups: Zero or more backup replicas (see :func:`replicated`).
-        state_refs: The replicas' stores (one facet per replica).
-        payload: ``(txn_id, verdict, writes)`` located at the client.
-
-    Returns:
-        ``Response.found(txn_id)`` for a commit, ``not_found`` for an
-        abort, located at the client.
-    """
-    return replicated(
-        op, client, server, backups, state_refs, payload,
-        replicates=_always,
-        at_backup=lambda state, incoming: txn_decide_state(state, *incoming),
-        at_server=lambda state, incoming, _acks: txn_decide_state(state, *incoming),
+        replicates=_always, at_backup=at_replica, at_server=shard_vote,
     )
 
 

@@ -10,8 +10,8 @@ replicas, gateway connections, clients) one process can hold open.
 This backend replaces all of them with a **single event loop** in one daemon
 thread per transport: every location's listening socket is an ``asyncio``
 server on the loop, and every inbound connection's bytes arrive through an
-:class:`asyncio.Protocol` whose ``data_received`` hands them to the shared
-read step (``FramedCoalescingEndpoint._feed`` in
+:class:`asyncio.BufferedProtocol` whose ``buffer_updated`` hands them to the
+shared read step (``FramedCoalescingEndpoint._feed`` in
 :mod:`repro.runtime.framing`) — no reader threads.
 
 Writes never touch the loop.  The write path is the threaded backend's, both
@@ -38,6 +38,7 @@ sending worker: with no write on the loop, a delayed sender cannot stall it.
 from __future__ import annotations
 
 import asyncio
+import mmap
 import threading
 from concurrent.futures import TimeoutError as _FutureTimeout
 from typing import Any, Optional, Set
@@ -45,20 +46,24 @@ from typing import Any, Optional, Set
 from ..core.errors import TransportError
 from ..core.locations import Location, LocationsLike
 from .framing import FramedCoalescingEndpoint, FrameParser
-from .tcp import TCPTransport
+from .tcp import _READ_CHUNK, TCPTransport
 from .transport import DEFAULT_TIMEOUT
 
 
-class _ReaderProtocol(asyncio.Protocol):
+class _ReaderProtocol(asyncio.BufferedProtocol):
     """Inbound connection: its bytes take the shared read step on the loop.
 
-    ``queue.SimpleQueue.put`` never blocks, so delivering from the loop
-    thread is safe; receivers block in their own worker threads.
+    The loop reads with ``recv_into`` into one reused anonymous ``mmap`` per
+    connection, as the threaded readers do, instead of a fresh 256 KiB
+    ``recv`` per read event.  ``queue.SimpleQueue.put`` never blocks, so
+    delivering from the loop thread is safe; receivers block in their own
+    worker threads.
     """
 
     def __init__(self, endpoint: "_AsyncioEndpoint"):
         self._endpoint = endpoint
         self._parser = FrameParser()
+        self._view = memoryview(mmap.mmap(-1, _READ_CHUNK))
         self._transport: Optional[asyncio.Transport] = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -68,8 +73,11 @@ class _ReaderProtocol(asyncio.Protocol):
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         self._endpoint._readers.discard(self._transport)
 
-    def data_received(self, data: bytes) -> None:
-        if self._endpoint._feed(self._parser, data) is None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._endpoint._feed(self._parser, self._view[:nbytes]) is None:
             self._transport.close()  # corrupt stream: inboxes already poisoned
 
 

@@ -23,6 +23,17 @@ early, unanswered, before the point that answers it (see
 :func:`linearizable`); a failed write may or may not have taken effect,
 so it is linearized at any point after its invocation, or never; a failed
 read is dropped.
+
+Transactions join the same per-key registers (:func:`record_transactions`):
+a committed transfer is one blind *write* per key, all invoked when it is
+submitted and done when it is acknowledged at its commit point, so the
+search places its writes between the two; an aborted one applied nothing
+and is dropped.  A scan is a read of every key under its prefix over the
+scan's interval, and a group-commit batch is its requests, each over the
+batch's interval.  :meth:`History.torn_reads` checks the second promise
+directly: a read or scan invoked after a transfer's ack sees, on each of
+its keys, that transfer's write or a write that may follow it, never the
+state before it — so never half of it.
 """
 
 from __future__ import annotations
@@ -38,8 +49,8 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.cluster import ClusterEngine
-from repro.protocols.kvs import Response, ResponseKind
+from repro.cluster import ClusterEngine, TxnAborted
+from repro.protocols.kvs import RequestKind, Response, ResponseKind
 
 NEVER = float("inf")
 #: Search states one key may visit: a bound on time and memory, far above
@@ -51,7 +62,7 @@ MAX_STATES = 200_000
 class Op:
     """One recorded request: its interval, its issuer, and what it saw."""
 
-    kind: str  # "put" / "get" / "delete"
+    kind: str  # "put" / "get" / "delete", or a transaction's blind "write"
     key: str
     value: Optional[str]  # what a put writes
     process: int
@@ -94,6 +105,71 @@ class History:
             op.ok = True
             op.output = response.value if response.kind is ResponseKind.FOUND else None
 
+    def invoke_all(self, scope: Hashable, reads: Sequence[tuple]) -> List[Op]:
+        """Invoke several ops at one stamp (a transaction's writes, a batch);
+        ``reads`` are ``(kind, key, value)``."""
+        process = threading.get_ident()
+        with self._lock:
+            stamp = next(self._clock)
+            ops = [Op(kind, key, value, process, stamp) for kind, key, value in reads]
+            self.ops.extend((scope, op) for op in ops)
+        return ops
+
+    def complete_all(self, ops: Sequence[Op], outputs: Sequence[Optional[Response]]) -> None:
+        """Complete several ops at one stamp (``None``: a blind write's ok)."""
+        with self._lock:
+            stamp = next(self._clock)
+            for op, response in zip(ops, outputs):
+                op.done, op.ok = stamp, True
+                if response is not None and response.kind is ResponseKind.FOUND:
+                    op.output = response.value
+
+    def discard(self, ops: Sequence[Op]) -> None:
+        """Forget ops that took no effect (an aborted transaction's writes)."""
+        dropped = set(map(id, ops))
+        with self._lock:
+            self.ops = [(scope, op) for scope, op in self.ops if id(op) not in dropped]
+
+    def scanned(self, scope: Hashable, prefix: str, invoke: int,
+                items: Sequence[Tuple[str, str]]) -> None:
+        """Record a scan invoked at ``invoke`` as a read of every key under
+        ``prefix`` this scope has seen, answered now."""
+        found = dict(items)
+        with self._lock:
+            done = next(self._clock)
+            keys = {op.key for seen, op in self.ops if seen == scope}
+            for key in sorted(keys.union(found)):
+                if key.startswith(prefix):
+                    op = Op("get", key, None, threading.get_ident(), invoke, done, True,
+                            found.get(key))
+                    self.ops.append((scope, op))
+
+    def stamp(self) -> int:
+        with self._lock:
+            return next(self._clock)
+
+    def torn_reads(self) -> List[Tuple[Hashable, str, Optional[str]]]:
+        """Reads invoked after a committed transaction's ack that saw one of
+        its keys as it was before: ``(scope, key, value read)``.
+
+        Allowed are the transaction's own write and the value of any write
+        to the key that may follow it (one not done before it was invoked).
+        """
+        by_key: Dict[Tuple[Hashable, str], List[Op]] = {}
+        with self._lock:
+            for scope, op in self.ops:
+                by_key.setdefault((scope, op.key), []).append(op)
+        torn = []
+        for (scope, key), ops in by_key.items():
+            writes = [op for op in ops if op.kind != "get"]
+            for txn in (op for op in writes if op.kind == "write" and op.ok):
+                allowed = {_apply(txn, None)}.union(
+                    _apply(op, None) for op in writes if op.done > txn.invoke)
+                torn.extend((scope, key, read.output) for read in ops
+                            if read.kind == "get" and read.ok and read.invoke > txn.done
+                            and read.output not in allowed)
+        return torn
+
     def violations(self) -> List[Tuple[Hashable, str]]:
         """Every ``(scope, key)`` whose sub-history has no linearization."""
         by_key: Dict[Tuple[Hashable, str], List[Op]] = {}
@@ -105,7 +181,7 @@ class History:
 
 
 def _apply(op: Op, binding: Optional[str]) -> Optional[str]:
-    if op.kind == "put":
+    if op.kind in ("put", "write"):
         return op.value
     return None if op.kind == "delete" else binding
 
@@ -153,7 +229,8 @@ def linearizable(ops: List[Op], initial: Optional[str] = None) -> bool:
                 # Answered ops leave ``early``, so it only tells pending ops apart.
                 after, rest = final | 1 << i, early & ~(1 << i)
                 if op.ok:
-                    if op.output == binding and search(after, rest, _apply(op, binding)):
+                    if (op.kind == "write" or op.output == binding) and search(
+                            after, rest, _apply(op, binding)):
                         return True
                 # A failed write: it took effect (again) here, or not again.
                 elif search(after, rest, _apply(op, binding)) or (
@@ -175,20 +252,12 @@ def record_single_requests(monkeypatch) -> History:
     history of the one it recovers; ephemeral clusters each start fresh.
     """
     history = History()
-    serials = itertools.count()
-
-    def scope(cluster: ClusterEngine) -> Hashable:
-        if cluster.durability is not None:
-            return cluster.durability.root
-        if not hasattr(cluster, "_history_scope"):
-            cluster._history_scope = next(serials)
-        return cluster._history_scope
 
     def recorded(kind: str, real):
         def submit(cluster, key, *args, **kwargs):
             if kwargs.get("quorum"):
                 return real(cluster, key, *args, **kwargs)
-            op = history.invoke(scope(cluster), kind, key, args[0] if args else None)
+            op = history.invoke(_scope(cluster), kind, key, args[0] if args else None)
             try:
                 future = real(cluster, key, *args, **kwargs)
             except BaseException:
@@ -202,6 +271,84 @@ def record_single_requests(monkeypatch) -> History:
     for kind in ("put", "get", "delete"):
         name = f"submit_{kind}"
         monkeypatch.setattr(ClusterEngine, name, recorded(kind, getattr(ClusterEngine, name)))
+    return history
+
+
+_SERIALS = itertools.count()
+
+
+def _scope(cluster: ClusterEngine) -> Hashable:
+    """A cluster's history scope: its durable root, so a reopened cluster
+    continues the history of the one it recovers; else one per cluster."""
+    if cluster.durability is not None:
+        return cluster.durability.root
+    if not hasattr(cluster, "_history_scope"):
+        cluster._history_scope = next(_SERIALS)
+    return cluster._history_scope
+
+
+def record_transactions(monkeypatch, history: History) -> History:
+    """Also record every transaction, scan and group-commit batch.
+
+    A transaction that aborts (:class:`~repro.cluster.TxnAborted`) applied
+    nothing and leaves the history; one that fails otherwise may or may not
+    have committed, like a failed write.
+    """
+
+    def submit_txn(cluster, requests, **kwargs):
+        requests = list(requests)
+        ops = history.invoke_all(_scope(cluster), [
+            ("write", request.key, request.value if request.kind is RequestKind.PUT
+             else None) for request in requests])
+        future = real_txn(cluster, requests, **kwargs)
+
+        def done(future):
+            if isinstance(future.exception(), TxnAborted):
+                history.discard(ops)
+            elif future.exception() is None:
+                history.complete_all(ops, [None] * len(ops))
+        future.add_done_callback(done)
+        return future
+
+    def when_all(futures, then) -> None:
+        """Call ``then()`` once, when every one of ``futures`` succeeded."""
+        remaining, lock = [len(futures)], threading.Lock()
+
+        def done(_future):
+            with lock:
+                remaining[0] -= 1
+                if remaining[0]:
+                    return
+            if not any(future.exception() for future in futures):
+                then()
+        for future in futures:
+            future.add_done_callback(done)
+
+    def submit_scan(cluster, prefix=""):
+        invoke = history.stamp()
+        futures = real_scan(cluster, prefix)
+        when_all(list(futures.values()), lambda: history.scanned(
+            _scope(cluster), prefix, invoke,
+            [item for future in futures.values()
+             for item in cluster.response_of(future.result())]))
+        return futures
+
+    def submit_batch(cluster, requests):
+        requests = list(requests)
+        futures = real_batch(cluster, requests)
+        answered = [(request, future) for request, future in zip(requests, futures)
+                    if request.kind is not RequestKind.STOP]
+        ops = history.invoke_all(_scope(cluster), [
+            (request.kind.value, request.key, request.value) for request, _ in answered])
+        when_all([future for _, future in answered], lambda: history.complete_all(
+            ops, [future.result() for _, future in answered]))
+        return futures
+
+    real_txn, real_scan, real_batch = (
+        ClusterEngine.submit_txn, ClusterEngine.submit_scan, ClusterEngine.submit_batch)
+    monkeypatch.setattr(ClusterEngine, "submit_txn", submit_txn)
+    monkeypatch.setattr(ClusterEngine, "submit_scan", submit_scan)
+    monkeypatch.setattr(ClusterEngine, "submit_batch", submit_batch)
     return history
 
 

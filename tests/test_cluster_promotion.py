@@ -120,8 +120,8 @@ class TestEpochFence:
         ("scan", ("",)),
         ("serve", ([Request.put("k", "v"), Request.get("k")],)),
         ("read", ([Request.get("k")],)),
-        ("txn_prepare", ("t1", {"k": "v"}, {})),
-        ("txn_decide", ("t1", "commit", {"k": "v"})),
+        ("txn", ([], ("t1", {"k": "v"}, {}))),
+        ("txn", ([("t1", "commit", {"k": "v"})], None)),
     ])
     def test_stale_binding_is_fenced_at_every_location(self, binding, args):
         # White-box: force a promotion with no crash at all, then run a

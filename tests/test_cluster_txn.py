@@ -26,7 +26,12 @@ The promises under test:
   total balance** under seeded participant crashes, coordinator crashes,
   and mid-run promotions, leaves no dangling intents, and — because an
   abort applies nothing and transfers commute — converges byte-identically
-  with the fault-free same-seed twin.
+  with the fault-free same-seed twin;
+* what clients saw (``tests/linearizability.py``, autouse): every single
+  request, batch, scan and committed transfer forms a linearizable history
+  per key, each transfer's writes taking effect between its submit and its
+  ack at the commit point, and no read or scan issued after an ack sees
+  any of that transfer's keys as they were before it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from repro import ClusterClient, ClusterEngine, FaultPlan, TxnAborted, TxnConfli
 from repro.core.errors import ChoreographyRuntimeError
 from repro.protocols.kvs import Request
 from repro.storage import TXN_INTENT_TTL, txns_of
+from tests.linearizability import record_single_requests, record_transactions
 from tests.test_cluster_failover import BACKEND, CHAOS_SEEDS, TIMEOUT
 from tests.test_cluster_promotion import durable_cluster
 
@@ -47,6 +53,17 @@ OPENING = 100
 
 
 # ---------------------------------------------------------------------- helpers --
+
+
+@pytest.fixture(autouse=True)
+def txn_history(monkeypatch):
+    """Record what every test's clients saw; fail it unless each key
+    linearizes and no read after a transfer's ack saw the state before it."""
+    history = record_transactions(monkeypatch, record_single_requests(monkeypatch))
+    yield history
+    assert history.violations() == []
+    assert history.torn_reads() == []
+
 
 
 def open_accounts(kvs, count: int = ACCOUNTS) -> None:
@@ -180,8 +197,11 @@ class TestTxnBasics:
             with pytest.raises(TxnConflict) as failure:
                 cluster.submit_txn([Request.put("hot", "2")]).result(timeout=30.0)
             assert failure.value.keys == ("hot",)
-            # A disjoint write set sails through.
+            # A disjoint write set sails through.  Its commit is acknowledged
+            # at the commit point and owed to the shard; the next dispatch
+            # (this GET) carries it there first.
             cluster.submit_txn([Request.put("cold", "3")]).result(timeout=30.0)
+            assert cluster.submit_get("cold").result(timeout=30.0).value == "3"
             session = cluster.session("shard0")
             assert session.state.facet_for(session.primary)["cold"] == "3"
 
@@ -194,9 +214,10 @@ class TestTxnBasics:
 
     @pytest.mark.parametrize("replication", [2, 3])
     def test_transfer_message_budget(self, replication):
-        """Prepare and decide are one conclave round each per participant
-        shard, ``2 + 2·backups`` messages a round: a transfer's bill is set by
-        the shards it touches, never by per-replica chatter."""
+        """A transfer is one ``kvs_txn`` conclave round per participant
+        shard, ``2 + 2·backups`` messages: its decides ride the next round
+        on each shard, so a transfer's bill is set by the shards it touches,
+        never by per-replica chatter or a second phase."""
         per_round = 2 + 2 * (replication - 1)
         accounts = [f"acct{index:02d}" for index in range(16)]
         with ClusterEngine(shards=4, replication=replication, backend=BACKEND) as cluster:
@@ -212,9 +233,9 @@ class TestTxnBasics:
                 assert result.committed
                 spent.append(cluster.stats.total_messages - before)
                 touched.add(len(result.shards))
-                assert spent[-1] == 2 * per_round * len(result.shards)
+                assert spent[-1] == per_round * len(result.shards)
         assert touched == {1, 2}  # both single- and cross-shard transfers ran
-        assert sum(spent) / len(spent) <= 8 * per_round
+        assert sum(spent) / len(spent) <= 4 * per_round
 
     def test_intent_expires_after_ttl_prepares(self):
         # A coordinator that dies before logging its decision must not block
@@ -239,6 +260,7 @@ class TestTxnBasics:
                 [Request.put("hot", "2")]
             ).result(timeout=30.0)
             assert result.committed
+            assert cluster.in_doubt() == {}  # delivers the owed commit
             session = cluster.session("shard0")
             head = session.state.facet_for(session.primary)
             assert head["hot"] == "2"
@@ -415,10 +437,14 @@ class TestCoordinatorCrash:
             kvs = ClusterClient(cluster)
             open_accounts(kvs, 2)
             for amount in range(1, 40):
-                transfer(kvs, "acct00", "acct01", amount % 9 + 1)
-                # Every participant applied it: the record is dropped, so
+                txn_id = transfer(kvs, "acct00", "acct01", amount % 9 + 1)
+                # The record holds the commit its participants are still
+                # owed: the next dispatch to each carries the decide, and
+                # the record goes once every participant applied it, so
                 # neither it nor its checkpoints grow with history.
-                assert dict(cluster._txn_log) == {}
+                assert dict(cluster._txn_log) == {txn_id: "commit"}
+            assert cluster.in_doubt() == {}
+            assert dict(cluster._txn_log) == {}
             self._arm_crash(cluster, after_log=True)
             cluster.submit_txn([Request.put("acct00", "1")], txn_id="inflight")
             settle(cluster)
@@ -595,3 +621,147 @@ class TestAcceptance:
             assert sum(final.values()) == ACCOUNTS * OPENING
             assert reopened.in_doubt() == {}
             assert_no_dangling_intents(reopened)
+
+
+# ------------------------------------------------------------------ count guard --
+
+
+class TestDecidesRideTheNextInstance:
+    """Phase two has no instance of its own: a shard's owed decides ride the
+    next instance dispatched to it (``engine_jobs`` counts the workers each
+    instance wakes; the client joins every instance)."""
+
+    @staticmethod
+    def accounts(cluster, count: int = 64) -> dict:
+        names = [f"acct{index:03d}" for index in range(count)]
+        for future in cluster.submit_batch([Request.put(name, "100") for name in names]):
+            future.result(timeout=30.0)
+        return {name: 100 for name in names}
+
+    def test_a_transfer_is_one_instance_per_touched_shard(self, engine_jobs):
+        import random
+
+        rng = random.Random(11)
+        with ClusterEngine(4, replication=2, backend="local") as cluster:
+            books = self.accounts(cluster)
+            touched = set()
+            for _ in range(200):
+                src, dst = rng.sample(sorted(books), 2)
+                amount = rng.randint(1, 9)
+                instances, messages = engine_jobs["client"], cluster.stats.total_messages
+                result = cluster.submit_txn(
+                    [Request.put(src, str(books[src] - amount)),
+                     Request.put(dst, str(books[dst] + amount))],
+                    expects={src: str(books[src]), dst: str(books[dst])},
+                ).result(timeout=30.0)
+                books[src] -= amount
+                books[dst] += amount
+                assert engine_jobs["client"] - instances == len(result.shards)
+                assert cluster.stats.total_messages - messages == 4 * len(result.shards)
+                touched.add(len(result.shards))
+            assert touched == {1, 2}
+            scanned = {}
+            for future in cluster.submit_scan("acct").values():
+                scanned.update(cluster.response_of(future.result(timeout=30.0)))
+            assert scanned == {name: str(balance) for name, balance in books.items()}
+
+    def test_a_get_behind_an_owed_decide_sends_it_first(self, engine_jobs):
+        with ClusterEngine(4, replication=2, backend="local") as cluster:
+            cluster.submit_txn([Request.put("k", "v")]).result(timeout=30.0)
+            shard = cluster.shard_for("k")
+            primary, backup = cluster.session(shard).servers
+            before, messages = engine_jobs.copy(), cluster.stats.total_messages
+            assert cluster.submit_get("k").result(timeout=30.0).value == "v"
+            # One decide-only round (client, primary, backup), then the GET.
+            assert engine_jobs - before == {"client": 2, primary: 2, backup: 1}
+            assert cluster.stats.total_messages - messages == 4 + 2
+            before = engine_jobs.copy()
+            assert cluster.submit_get("k").result(timeout=30.0).value == "v"
+            assert engine_jobs - before == {"client": 1, primary: 1}
+
+    def test_close_delivers_the_owed_decides(self, engine_jobs, tmp_path):
+        from repro.storage import Durability, DurableState
+
+        with durable_cluster(tmp_path, shards=4, replication=2) as cluster:
+            cluster.submit_txn(
+                [Request.put(f"k{index}", str(index)) for index in range(8)]
+            ).result(timeout=30.0)
+            owed = [session for session in map(cluster.session, cluster.shards)
+                    if session.owed]
+            assert owed and dict(cluster._txn_log) != {}
+            before = engine_jobs["client"]
+        assert engine_jobs["client"] - before == len(owed)  # one decide-only round each
+        durability = Durability(root=str(tmp_path))
+        for session in owed:
+            for replica in session.servers:
+                store = durability.open_state(session.shard_id, replica)
+                assert txns_of(store) == {}
+                store.close()
+        log = DurableState(durability.state_dir("_txn", "coordinator"))
+        assert dict(log) == {}
+        log.close()
+        with durable_cluster(tmp_path, shards=4, replication=2) as reopened:
+            assert reopened.recover_in_doubt() == {}
+            assert ClusterClient(reopened).get("k7") == "7"
+
+
+# -------------------------------------------------------------------- histories --
+
+
+class TestTxnHistories:
+    """What clients saw across transfers, checked by the autouse recorder:
+    per-key linearizability with each transfer's writes between its submit
+    and its ack, and no read after an ack that misses any of it."""
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_reads_after_an_ack_see_the_whole_transfer(self, seed, txn_history):
+        import random
+
+        rng = random.Random(seed)
+        with ClusterClient(shards=2, replication=2, backend=BACKEND, timeout=TIMEOUT) as kvs:
+            open_accounts(kvs)
+            books = balances(kvs)
+            for _ in range(20):
+                src, dst = rng.sample(sorted(books), 2)
+                amount = rng.randint(1, 9)
+                kvs.txn([Request.put(src, str(books[src] - amount)),
+                         Request.put(dst, str(books[dst] + amount))],
+                        expects={src: str(books[src]), dst: str(books[dst])})
+                books[src] -= amount
+                books[dst] += amount
+                # Pipelined reads of both halves, and now and then a scan
+                # across shards: the recorder judges what they saw.
+                for read in [kvs.cluster.submit_get(key) for key in (dst, src)]:
+                    read.result(timeout=30.0)
+                if rng.random() < 0.3:
+                    balances(kvs)
+        assert txn_history.torn_reads() == []
+        assert txn_history.violations() == []
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_reads_wait_behind_a_failed_carrier(self, seed, txn_history):
+        """A backup dies inside a decide-only round while a GET waits behind
+        it: the round replays on the survivors before the GET goes out."""
+        import random
+
+        # The backup's ops: 2 for the opening batch, then 2 per prepare and
+        # 2 per carrier, so op 4j + 1 is the j-th carrier's first receive.
+        plan = FaultPlan(seed=seed).crash(
+            "shard0.r2", after_ops=4 * random.Random(seed).randint(2, 8))
+        with ClusterClient(shards=1, replication=3, backend=BACKEND, timeout=TIMEOUT,
+                           faults=plan) as kvs:
+            for future in kvs.cluster.submit_batch(
+                    [Request.put(f"acct{index:02d}", str(OPENING)) for index in range(2)]):
+                future.result(timeout=30.0)
+            books = {"acct00": OPENING, "acct01": OPENING}
+            src, dst = "acct01", "acct00"  # balances never repeat a value
+            for _ in range(12):
+                kvs.txn([Request.put(src, str(books[src] - 1)),
+                         Request.put(dst, str(books[dst] + 1))],
+                        expects={src: str(books[src]), dst: str(books[dst])})
+                books[src] -= 1
+                books[dst] += 1
+                kvs.get(src)  # the recorder judges what it saw
+            assert kvs.cluster.failovers == [("shard0", "shard0.r2")]
+        assert txn_history.torn_reads() == []
+        assert txn_history.violations() == []

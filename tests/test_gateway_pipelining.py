@@ -79,8 +79,9 @@ def test_client_walks_a_burst_of_replies_without_recopying(monkeypatch):
 
 
 class TestReadersReuseOneBuffer:
-    """Each threaded reader receives with ``recv_into``: 0 ``recv`` calls,
-    where the parent made one per chunk."""
+    """Each socket reader receives with ``recv_into``: 0 ``recv`` calls,
+    where the threaded readers once made one per chunk and the asyncio
+    loop one per read event."""
 
     @staticmethod
     def count_recv(monkeypatch):
@@ -88,7 +89,8 @@ class TestReadersReuseOneBuffer:
         real_recv = socket.socket.recv
 
         def counting_recv(sock, *args, **kwargs):
-            calls.append(1)
+            if sock.family == socket.AF_INET:  # not the asyncio loop's self-pipe
+                calls.append(1)
             return real_recv(sock, *args, **kwargs)
 
         monkeypatch.setattr(socket.socket, "recv", counting_recv)
@@ -97,6 +99,19 @@ class TestReadersReuseOneBuffer:
     def test_tcp_endpoint_reader(self, monkeypatch):
         calls = self.count_recv(monkeypatch)
         with TCPTransport(["a", "b"], timeout=5.0) as transport:
+            a, b = transport.endpoint("a"), transport.endpoint("b")
+            for index in range(COMMANDS):
+                a.send("b", index)
+                if index % 100 == 99:
+                    a.flush()
+            assert [b.recv("a") for _ in range(COMMANDS)] == list(range(COMMANDS))
+        assert calls == []
+
+    def test_asyncio_endpoint_reader(self, monkeypatch):
+        from repro.runtime.asyncio_tcp import AsyncioTCPTransport
+
+        calls = self.count_recv(monkeypatch)
+        with AsyncioTCPTransport(["a", "b"], timeout=5.0) as transport:
             a, b = transport.endpoint("a"), transport.endpoint("b")
             for index in range(COMMANDS):
                 a.send("b", index)

@@ -115,6 +115,36 @@ def batch_put(cluster, history, value):
     return future
 
 
+class TestTransactionHistories:
+    """A committed transfer is one blind write per key between its submit
+    and its ack; a read after the ack may not see a key as it was before."""
+
+    def transfer_then_read(self, seen_src: str, seen_dst: str) -> History:
+        history = History()
+        opened = history.invoke_all("scope", [("put", "src", "10"), ("put", "dst", "0")])
+        history.complete_all(opened, [MISSING, MISSING])
+        writes = history.invoke_all("scope", [("write", "src", "9"), ("write", "dst", "1")])
+        history.complete_all(writes, [None, None])
+        history.scanned("scope", "", history.stamp(), [("src", seen_src), ("dst", seen_dst)])
+        return history
+
+    def test_a_whole_transfer_after_its_ack_is_clean(self):
+        history = self.transfer_then_read("9", "1")
+        assert history.violations() == []
+        assert history.torn_reads() == []
+
+    def test_half_a_transfer_after_its_ack_is_flagged(self):
+        history = self.transfer_then_read("9", "0")
+        assert history.violations() == [("scope", "dst")]
+        assert history.torn_reads() == [("scope", "dst", "0")]
+
+    def test_an_aborted_transfer_leaves_no_trace(self):
+        history = History()
+        writes = history.invoke_all("scope", [("write", "k", "1")])
+        history.discard(writes)
+        assert history.ops == []
+
+
 class TestFlagsTheDocumentedReorder:
     def test_a_replayed_batch_write_overtaken_by_a_later_one(self):
         """``docs/testing.md`` §"What failover guarantees": a pipelined
