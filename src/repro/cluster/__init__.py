@@ -42,9 +42,9 @@ reports per-replica ``up``/``down``/``rejoining`` state plus each shard's
 epoch and role assignment.
 Cross-shard writes get atomicity through choreographic two-phase commit:
 :meth:`~repro.cluster.engine.ClusterEngine.submit_txn` prepares per-key
-write intents on every participating shard (the ``kvs_txn_prepare``
-conclave), records the commit verdict in a durable coordinator decision
-log, then fans out ``kvs_txn_decide`` — all-or-nothing across shards, with
+write intents on every participating shard (a ``kvs_txn`` conclave), logs
+the commit verdict durably and answers there; each shard's decide rides its
+next ``kvs_txn`` round — all-or-nothing across shards, with
 presumed-abort recovery (:meth:`~repro.cluster.engine.ClusterEngine.recover_in_doubt`)
 for transactions caught in flight by a coordinator crash.  Aborts surface
 as the typed :class:`~repro.cluster.engine.TxnConflict` /

@@ -196,10 +196,10 @@ class ClusterClient:
         """Atomically apply a multi-key write set, across shards, or nothing.
 
         Two-phase commit over the participating shards
-        (:meth:`ClusterEngine.submit_txn`): either every write in
-        ``requests`` commits — atomically per shard, all shards or none —
-        or the transaction aborts with a typed error and no write is
-        applied anywhere.
+        (:meth:`ClusterEngine.submit_txn`), answered at the commit point:
+        every write in ``requests`` commits — atomically per shard, all
+        shards or none, visible to anything issued after this returns — or
+        the transaction aborts with a typed error and nothing is applied.
 
         A transaction is *never* auto-retried, whatever ``retries`` says: a
         conflict is an answer (re-read, rebuild the write set, try a fresh

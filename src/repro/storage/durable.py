@@ -27,7 +27,7 @@ The module-level helpers (:func:`high_water_of`, :func:`delta_since`,
 they degrade gracefully to plain dicts (no durability → no delta, full
 transfer) so the same choreography serves durable and ephemeral clusters.
 
-Two-phase commit (``kvs_txn_prepare`` / ``kvs_txn_decide``) adds two more
+Two-phase commit (the ``kvs_txn`` round's decides and prepare) adds two more
 WAL record kinds.  A *prepare* parks a transaction's write set as an
 **intent** in the store's in-doubt table without touching the items; a
 *decide* resolves it — commit applies the writes atomically (one record,

@@ -28,12 +28,12 @@ import random
 import pytest
 
 import repro.protocols.kvs as kvs_module
-from repro import ClusterClient, ClusterEngine, FaultPlan
+from repro import ClusterEngine, FaultPlan
 from repro.protocols.kvs import Request
 from repro.runtime.engine import ChoreoEngine
 from tests.test_cluster_failover import CHAOS_SEEDS
 from tests.test_cluster_promotion import durable_cluster
-from tests.test_cluster_txn import assert_no_dangling_intents
+from tests.test_cluster_txn import assert_no_dangling_intents, settle
 
 ACCOUNTS = [f"acct{index:02d}" for index in range(8)]
 OPENING = "100"
@@ -199,7 +199,7 @@ class TestCrashPointSweep:
         sweep.die_after_log = True
         src, dst = sweep.pair(cluster, across=True)
         sweep.transfer(cluster, src, dst, acked=False)
-        settle_pending(cluster)
+        settle(cluster)
         crash(cluster)
         # The restart's recovery finishes shard0 forward and dies at shard1.
         sweep.dead_shard = "shard1"
@@ -228,12 +228,12 @@ class TestCrashPointSweep:
         failed_carriers = []
         real_settle = ClusterEngine._settle
 
-        def settle(cluster, done, session, op_name, args, *rest):
+        def recording_settle(cluster, done, session, op_name, args, *rest):
             if op_name == "txn" and args[0] and done.exception() is not None:
                 failed_carriers.append(args[0])
             return real_settle(cluster, done, session, op_name, args, *rest)
 
-        monkeypatch.setattr(ClusterEngine, "_settle", settle)
+        monkeypatch.setattr(ClusterEngine, "_settle", recording_settle)
         plan = FaultPlan(seed=sweep.rng.randrange(1 << 30)).crash("shard0.r0", after_ops=30)
         cluster = reopen(tmp_path, faults=plan)
         sweep.open_accounts(cluster)
@@ -273,7 +273,7 @@ class TestCrashPointSweep:
             other = [a for a in ACCOUNTS if cluster.shard_for(a) != shard]
             sweep.die_after_log = True
             sweep.transfer(cluster, other[0], other[1], acked=False)
-            settle_pending(cluster)
+            settle(cluster)
             on_record = set(cluster._txn_log)
             crash(cluster)
         assert on_record.isdisjoint(stale.txns)  # a fresh id, not txn-1 again
@@ -284,11 +284,3 @@ class TestCrashPointSweep:
             reopened.rejoin_backup(shard, f"{shard}.r1")
             sweep.check(reopened)
 
-
-def settle_pending(cluster) -> None:
-    import time
-
-    deadline = time.monotonic() + 30.0
-    while cluster.pending and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert cluster.pending == 0
