@@ -81,6 +81,17 @@ class History:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
         self._clock = itertools.count()
+        self._serials = itertools.count()
+
+    def scope(self, cluster: ClusterEngine) -> Hashable:
+        """A cluster's register scope: its durable root, so a reopened
+        cluster continues the history of the one it recovers; else one per
+        cluster."""
+        if cluster.durability is not None:
+            return cluster.durability.root
+        if not hasattr(cluster, "_history_scope"):
+            cluster._history_scope = next(self._serials)
+        return cluster._history_scope
 
     def invoke(self, scope: Hashable, kind: str, key: str,
                value: Optional[str] = None, process: Optional[int] = None) -> Op:
@@ -257,7 +268,7 @@ def record_single_requests(monkeypatch) -> History:
         def submit(cluster, key, *args, **kwargs):
             if kwargs.get("quorum"):
                 return real(cluster, key, *args, **kwargs)
-            op = history.invoke(_scope(cluster), kind, key, args[0] if args else None)
+            op = history.invoke(history.scope(cluster), kind, key, args[0] if args else None)
             try:
                 future = real(cluster, key, *args, **kwargs)
             except BaseException:
@@ -274,19 +285,6 @@ def record_single_requests(monkeypatch) -> History:
     return history
 
 
-_SERIALS = itertools.count()
-
-
-def _scope(cluster: ClusterEngine) -> Hashable:
-    """A cluster's history scope: its durable root, so a reopened cluster
-    continues the history of the one it recovers; else one per cluster."""
-    if cluster.durability is not None:
-        return cluster.durability.root
-    if not hasattr(cluster, "_history_scope"):
-        cluster._history_scope = next(_SERIALS)
-    return cluster._history_scope
-
-
 def record_transactions(monkeypatch, history: History) -> History:
     """Also record every transaction, scan and group-commit batch.
 
@@ -297,7 +295,7 @@ def record_transactions(monkeypatch, history: History) -> History:
 
     def submit_txn(cluster, requests, **kwargs):
         requests = list(requests)
-        ops = history.invoke_all(_scope(cluster), [
+        ops = history.invoke_all(history.scope(cluster), [
             ("write", request.key, request.value if request.kind is RequestKind.PUT
              else None) for request in requests])
         future = real_txn(cluster, requests, **kwargs)
@@ -328,7 +326,7 @@ def record_transactions(monkeypatch, history: History) -> History:
         invoke = history.stamp()
         futures = real_scan(cluster, prefix)
         when_all(list(futures.values()), lambda: history.scanned(
-            _scope(cluster), prefix, invoke,
+            history.scope(cluster), prefix, invoke,
             [item for future in futures.values()
              for item in cluster.response_of(future.result())]))
         return futures
@@ -338,7 +336,7 @@ def record_transactions(monkeypatch, history: History) -> History:
         futures = real_batch(cluster, requests)
         answered = [(request, future) for request, future in zip(requests, futures)
                     if request.kind is not RequestKind.STOP]
-        ops = history.invoke_all(_scope(cluster), [
+        ops = history.invoke_all(history.scope(cluster), [
             (request.kind.value, request.key, request.value) for request, _ in answered])
         when_all([future for _, future in answered], lambda: history.complete_all(
             ops, [future.result() for _, future in answered]))
