@@ -682,7 +682,7 @@ class TestDecidesRideTheNextInstance:
     def test_close_delivers_the_owed_decides(self, engine_jobs, tmp_path):
         from repro.storage import Durability, DurableState
 
-        with durable_cluster(tmp_path, shards=4, replication=2) as cluster:
+        with durable_cluster(tmp_path, shards=4, replication=2, backend="local") as cluster:
             cluster.submit_txn(
                 [Request.put(f"k{index}", str(index)) for index in range(8)]
             ).result(timeout=30.0)
@@ -700,7 +700,7 @@ class TestDecidesRideTheNextInstance:
         log = DurableState(durability.state_dir("_txn", "coordinator"))
         assert dict(log) == {}
         log.close()
-        with durable_cluster(tmp_path, shards=4, replication=2) as reopened:
+        with durable_cluster(tmp_path, shards=4, replication=2, backend="local") as reopened:
             assert reopened.recover_in_doubt() == {}
             assert ClusterClient(reopened).get("k7") == "7"
 
