@@ -39,7 +39,7 @@ The package provides:
   engine per shard — with dead-replica detection, backup demotion, primary
   failover (epoch-fenced promotion of the senior surviving backup, recorded
   as :class:`PromotionReport`), crash-restart replica re-join
-  (:func:`rejoin_backup`), choreographic two-phase commit for cross-shard
+  (``ClusterEngine.rejoin_backup``), choreographic two-phase commit for cross-shard
   transactions (``submit_txn``, with a durable coordinator decision log and
   presumed-abort in-doubt recovery), and ``health()``/``probe()`` — and the
   :class:`ClusterClient` ``put/get/delete/scan/txn`` facade with quorum
@@ -80,7 +80,6 @@ from .cluster import (
     TxnAborted,
     TxnConflict,
     TxnResult,
-    rejoin_backup,
 )
 from .core import (
     ABSENT,
@@ -117,10 +116,8 @@ from .runtime import (
     SimulatedNetworkTransport,
     TCPTransport,
     TransportBackend,
-    WireCodec,
     impl,
     implementations,
-    implements,
     register_impl,
     resolve_impl,
     run_centralized,
@@ -186,17 +183,14 @@ __all__ = [
     "TxnAborted",
     "TxnConflict",
     "TxnResult",
-    "WireCodec",
     "WriteAheadLog",
     "as_census",
     "choreography",
     "impl",
     "implementations",
-    "implements",
     "project",
     "register_impl",
     "resolve_impl",
-    "rejoin_backup",
     "run_centralized",
     "single",
     "__version__",

@@ -72,7 +72,6 @@ from .engine import (
     TxnAborted,
     TxnConflict,
     TxnResult,
-    rejoin_backup,
 )
 from .router import DEFAULT_VNODES, ShardRouter
 
@@ -90,5 +89,4 @@ __all__ = [
     "TxnAborted",
     "TxnConflict",
     "TxnResult",
-    "rejoin_backup",
 ]

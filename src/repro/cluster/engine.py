@@ -1828,17 +1828,3 @@ class ClusterEngine:
             f"ClusterEngine(shards={list(self.shards)!r}, "
             f"replication={self.replication}, client={self.client!r})"
         )
-
-
-def rejoin_backup(
-    cluster: ClusterEngine, shard_id: ShardId, replica: Location
-) -> RejoinReport:
-    """Re-admit a demoted backup into ``cluster``'s replica group.
-
-    A free-function spelling of :meth:`ClusterEngine.rejoin_backup`, exported
-    at the package top level for operator scripts::
-
-        from repro import rejoin_backup
-        report = rejoin_backup(cluster, "shard0", "shard0.r1")
-    """
-    return cluster.rejoin_backup(shard_id, replica)

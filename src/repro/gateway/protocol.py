@@ -142,100 +142,102 @@ ALL_VERBS = DATA_VERBS | CONTROL_VERBS
 
 @dataclass(frozen=True)
 class Command:
-    """A parsed gateway command: a verb plus its (already validated) args."""
+    """A parsed gateway command: a verb plus its (already validated) args.
+
+    ``requests`` is the KVS :class:`Request` list a ``BATCH`` or ``MULTI``
+    carries, built once by :func:`command_from_args`.
+    """
 
     verb: str
     args: Tuple[str, ...] = ()
+    requests: Tuple[Request, ...] = ()
 
     @property
     def is_data_plane(self) -> bool:
         """Whether this command consumes cluster capacity (vs. control)."""
         return self.verb in DATA_VERBS
 
-    def batch_requests(self) -> List[Request]:
-        """The KVS :class:`Request` list encoded in a ``BATCH`` command.
 
-        ``BATCH`` args are a flat sequence of sub-commands::
 
-            BATCH PUT k1 v1 GET k2 DEL k3
+def _batch_requests(args: Sequence[str]) -> Tuple[Request, ...]:
+    """The KVS :class:`Request` list encoded in a ``BATCH`` command.
 
-        Raises:
-            CommandError: If this is not a BATCH or the tail is malformed.
-        """
-        if self.verb != "BATCH":
-            raise CommandError(f"not a BATCH command: {self.verb}")
-        requests: List[Request] = []
-        args = list(self.args)
-        index = 0
-        while index < len(args):
-            sub = args[index].upper()
-            if sub == "PUT":
-                if index + 2 >= len(args):
-                    raise CommandError("BATCH PUT needs a key and a value")
-                requests.append(Request.put(args[index + 1], args[index + 2]))
-                index += 3
-            elif sub == "GET":
-                if index + 1 >= len(args):
-                    raise CommandError("BATCH GET needs a key")
-                requests.append(Request.get(args[index + 1]))
-                index += 2
-            elif sub == "DEL":
-                if index + 1 >= len(args):
-                    raise CommandError("BATCH DEL needs a key")
-                requests.append(Request.delete(args[index + 1]))
-                index += 2
-            else:
-                raise CommandError(f"unknown BATCH sub-command: {args[index]!r}")
-        if not requests:
-            raise CommandError("BATCH needs at least one sub-command")
-        return requests
+    ``BATCH`` args are a flat sequence of sub-commands::
 
-    def txn_requests(self) -> List[Request]:
-        """The write set encoded in a ``MULTI .. EXEC`` command.
+        BATCH PUT k1 v1 GET k2 DEL k3
 
-        The grammar is the write-only subset of ``BATCH``, closed by a
-        literal ``EXEC``::
+    Raises:
+        CommandError: If the tail is malformed.
+    """
+    requests: List[Request] = []
+    index = 0
+    while index < len(args):
+        sub = args[index].upper()
+        if sub == "PUT":
+            if index + 2 >= len(args):
+                raise CommandError("BATCH PUT needs a key and a value")
+            requests.append(Request.put(args[index + 1], args[index + 2]))
+            index += 3
+        elif sub == "GET":
+            if index + 1 >= len(args):
+                raise CommandError("BATCH GET needs a key")
+            requests.append(Request.get(args[index + 1]))
+            index += 2
+        elif sub == "DEL":
+            if index + 1 >= len(args):
+                raise CommandError("BATCH DEL needs a key")
+            requests.append(Request.delete(args[index + 1]))
+            index += 2
+        else:
+            raise CommandError(f"unknown BATCH sub-command: {args[index]!r}")
+    if not requests:
+        raise CommandError("BATCH needs at least one sub-command")
+    return tuple(requests)
 
-            MULTI (PUT key value | DEL key)+ EXEC
 
-        The whole command arrives as one frame (there is no open
-        transaction state on the connection); the gateway maps it onto one
-        cross-shard two-phase commit
-        (:meth:`~repro.cluster.ClusterEngine.submit_txn`) — every write
-        applies atomically, or the client gets a retryable ``ABORTED``
-        error frame and nothing was applied.
+def _txn_requests(args: Sequence[str]) -> Tuple[Request, ...]:
+    """The write set encoded in a ``MULTI .. EXEC`` command.
 
-        Raises:
-            CommandError: Not a MULTI, a read sub-command, a missing
-                ``EXEC`` terminator, or a malformed tail.
-        """
-        if self.verb != "MULTI":
-            raise CommandError(f"not a MULTI command: {self.verb}")
-        args = list(self.args)
-        if not args or args[-1].upper() != "EXEC":
-            raise CommandError("MULTI must end with EXEC")
-        body = args[:-1]
-        requests: List[Request] = []
-        index = 0
-        while index < len(body):
-            sub = body[index].upper()
-            if sub == "PUT":
-                if index + 2 >= len(body):
-                    raise CommandError("MULTI PUT needs a key and a value")
-                requests.append(Request.put(body[index + 1], body[index + 2]))
-                index += 3
-            elif sub == "DEL":
-                if index + 1 >= len(body):
-                    raise CommandError("MULTI DEL needs a key")
-                requests.append(Request.delete(body[index + 1]))
-                index += 2
-            elif sub in ("GET", "SCAN"):
-                raise CommandError(f"MULTI is write-only; {sub} is not allowed")
-            else:
-                raise CommandError(f"unknown MULTI sub-command: {body[index]!r}")
-        if not requests:
-            raise CommandError("MULTI needs at least one write before EXEC")
-        return requests
+    The grammar is the write-only subset of ``BATCH``, closed by a
+    literal ``EXEC``::
+
+        MULTI (PUT key value | DEL key)+ EXEC
+
+    The whole command arrives as one frame (there is no open
+    transaction state on the connection); the gateway maps it onto one
+    cross-shard two-phase commit
+    (:meth:`~repro.cluster.ClusterEngine.submit_txn`) — every write
+    applies atomically, or the client gets a retryable ``ABORTED``
+    error frame and nothing was applied.
+
+    Raises:
+        CommandError: A read sub-command, a missing ``EXEC``
+            terminator, or a malformed tail.
+    """
+    if not args or args[-1].upper() != "EXEC":
+        raise CommandError("MULTI must end with EXEC")
+    body = args[:-1]
+    requests: List[Request] = []
+    index = 0
+    while index < len(body):
+        sub = body[index].upper()
+        if sub == "PUT":
+            if index + 2 >= len(body):
+                raise CommandError("MULTI PUT needs a key and a value")
+            requests.append(Request.put(body[index + 1], body[index + 2]))
+            index += 3
+        elif sub == "DEL":
+            if index + 1 >= len(body):
+                raise CommandError("MULTI DEL needs a key")
+            requests.append(Request.delete(body[index + 1]))
+            index += 2
+        elif sub in ("GET", "SCAN"):
+            raise CommandError(f"MULTI is write-only; {sub} is not allowed")
+        else:
+            raise CommandError(f"unknown MULTI sub-command: {body[index]!r}")
+    if not requests:
+        raise CommandError("MULTI needs at least one write before EXEC")
+    return tuple(requests)
 
 
 #: verb -> (min_args, max_args); None = unbounded.
@@ -271,12 +273,11 @@ def command_from_args(args: Sequence[str]) -> Command:
         raise CommandError(
             f"{verb} takes {expected} argument(s), got {len(rest)}"
         )
-    command = Command(verb, rest)
     if verb == "BATCH":
-        command.batch_requests()  # validate the tail now, not at execution
-    elif verb == "MULTI":
-        command.txn_requests()
-    return command
+        return Command(verb, rest, _batch_requests(rest))
+    if verb == "MULTI":
+        return Command(verb, rest, _txn_requests(rest))
+    return Command(verb, rest)
 
 
 # ------------------------------------------------------------------- replies --

@@ -403,7 +403,7 @@ class GatewayServer:
             future = getattr(client, single)(*command.args)
             return lambda: reply_for_response(future.result())
         if command.verb == "BATCH":
-            futures = client.cluster.submit_batch(command.batch_requests())
+            futures = client.cluster.submit_batch(command.requests)
 
             def batch_reply() -> Reply:
                 return ArrayReply(
@@ -415,7 +415,7 @@ class GatewayServer:
             # One cross-shard 2PC; the Future raises TxnConflict/TxnAborted
             # on abort, which reply_for_exception maps to a retryable
             # ABORTED frame (the writer thread wraps the thunk).
-            txn_future = client.cluster.submit_txn(command.txn_requests())
+            txn_future = client.cluster.submit_txn(command.requests)
 
             def txn_reply() -> Reply:
                 result = txn_future.result()

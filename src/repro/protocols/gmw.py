@@ -11,18 +11,19 @@ evaluator on top:
   evaluated once,
 * when the circuit has an AND gate, every party generates **one** RSA key
   pair and publishes its public half to the whole census
-  (:func:`~repro.protocols.ot.publish_ot_keys`): a multiply-located value
-  that every later two-party OT conclave already knows,
+  (:func:`~repro.protocols.ot.publish_ot_keys`), a multiply-located value
+  every later oblivious transfer already knows,
 * secret inputs are dealt as boolean additive shares in **one scatter round
   per dealer**: each party serializes all the shares it owes a peer into a
   single message (``Faceted`` values with no common owners),
 * XOR gates are evaluated locally by every party on its own shares
   (``parallel``), using the additive homomorphism of XOR sharing,
-* all AND gates of one layer run their oblivious transfers **batched**: one
-  two-message :func:`~repro.protocols.ot.ot2_batch` exchange per ordered pair
-  of distinct parties carries the offered pairs for every gate in the layer,
-  each embedded as a two-party conclave inside the full census
-  (``fanout`` / ``fanin`` / ``conclave_to``), and
+* all AND gates of one layer run their oblivious transfers **batched**, one
+  two-message exchange per ordered pair of distinct parties, through
+  :func:`~repro.protocols.ot.ot2_all_pairs`: the census-polymorphic lift of
+  the two-party :func:`~repro.protocols.ot.ot2_batch`, which runs all pairs
+  phase by phase (``ot2_batch`` in a ``conclave_to`` per pair is the same
+  exchange pair by pair, and the tests' reference), and
 * the final output is revealed by gathering every party's share everywhere.
 
 Message complexity is therefore ``O(depth × pairs)`` rather than
@@ -40,7 +41,7 @@ from ..core.locations import Location, LocationsLike, as_census
 from ..core.ops import ChoreoOp
 from . import crypto
 from .circuits import Circuit, InputWire, LitWire, XorGate, level_circuit
-from .ot import OTKeys, ot2_batch, publish_ot_keys
+from .ot import OTKeys, ot2_all_pairs, publish_ot_keys
 from .secretshare import make_boolean_shares, xor_all
 
 #: Per-endpoint secret inputs.  Either a flat mapping ``{wire_name: bit}``
@@ -148,87 +149,54 @@ def shared_and_layer(
     share ``v_j``, learning ``a_ij XOR (u_i AND v_j)``; each party's output
     share is ``(u_i AND v_i) XOR (XOR of received OT results) XOR (XOR of the
     masks it generated)`` — but every ordered pair of distinct parties runs
-    *one* batched oblivious transfer carrying the offers for every gate in
-    ``share_pairs``.  A layer of k AND gates therefore costs the same
+    *one* batched transfer for every gate in ``share_pairs``, all pairs at
+    once (:func:`~repro.protocols.ot.ot2_all_pairs`).  A layer of k AND gates therefore costs the same
     ``2 · n · (n-1)`` messages as a single gate.  ``keys`` are the parties'
     published session keys; every transfer a party sends uses its one pair.
     """
     members = as_census(parties)
-    gate_count = len(share_pairs)
-    if gate_count == 0:
+    if not share_pairs:
         return []
-    gate_range = range(gate_count)
 
-    # 1. Every party i draws one random mask bit a_ij per peer j and gate g.
-    def draw_masks(party: Location, _un) -> Dict[Location, List[bool]]:
+    # 1. Every party i draws one random mask bit a_ij per peer j and gate g,
+    #    and offers j the pair (a_ij, a_ij XOR u_i) for that gate.
+    def draw_offers(party: Location, un) -> Dict[Location, List[Tuple[bool, bool]]]:
         rng = crypto.party_rng(seed, party, f"and-masks|{context}")
-        return {
-            peer: [bool(rng.getrandbits(1)) for _ in gate_range]
-            for peer in members
-            if peer != party
-        }
+        u_bits = [bool(un(u_shares)) for u_shares, _v in share_pairs]
+        offers = {}
+        for peer in members:
+            if peer != party:
+                masks = [bool(rng.getrandbits(1)) for _ in share_pairs]
+                offers[peer] = [(mask, mask != u_bit) for mask, u_bit in zip(masks, u_bits)]
+        return offers
 
-    masks = op.parallel(members, draw_masks)
+    offers = op.parallel(members, draw_offers)
 
-    # 2. Pairwise batched oblivious transfers, receiver-major (the fanOut of App. A).
-    def receive_from_all(receiver: Location) -> Located[List[bool]]:
-        def one_sender(sender: Location) -> Located[List[bool]]:
-            if sender == receiver:
-                return op.locally(receiver, lambda _un: [False] * gate_count)
+    # 2. Every ordered pair (i, j) runs one batched OT in which j selects
+    #    with v_j; all pairs run phase-major (:func:`ot2_all_pairs`).
+    def select(party: Location, un) -> Dict[Location, List[bool]]:
+        v_bits = [bool(un(v_shares)) for _u, v_shares in share_pairs]
+        return {peer: v_bits for peer in members if peer != party}
 
-            def offered_pairs(un):
-                mask_bits = un(masks)[receiver]
-                offers = []
-                for mask, (u_shares, _v) in zip(mask_bits, share_pairs):
-                    u_share = bool(un(u_shares))
-                    offers.append((mask, mask != u_share))
-                return offers
-
-            pairs = op.locally(sender, offered_pairs)
-            selects = op.locally(
-                receiver, lambda un: [bool(un(v_shares)) for _u, v_shares in share_pairs]
-            )
-            return op.conclave_to(
-                [sender, receiver],
-                [receiver],
-                lambda sub: ot2_batch(
-                    sub,
-                    sender,
-                    receiver,
-                    pairs,
-                    selects,
-                    keys,
-                    seed=seed,
-                    context=f"{context}|{sender}->{receiver}",
-                ),
-            )
-
-        received = op.fanin(members, [receiver], one_sender)
-        return op.locally(
-            receiver,
-            lambda un: [
-                xor_all(per_sender[gate] for per_sender in un(received).values())
-                for gate in gate_range
-            ],
-        )
-
-    ot_results = op.fanout(members, receive_from_all)
+    received = ot2_all_pairs(
+        op, members, offers, op.parallel(members, select), keys, seed=seed, context=context
+    )
 
     # 3. Combine per gate: own product, received OT results, and generated masks.
     def combine(party: Location, un) -> List[bool]:
-        own_masks = un(masks)
-        received = un(ot_results)
+        own_offers, ot_bits = un(offers), un(received)
         output = []
         for gate, (u_shares, v_shares) in enumerate(share_pairs):
             own_product = bool(un(u_shares)) and bool(un(v_shares))
-            generated = xor_all(own_masks[peer][gate] for peer in own_masks)
-            output.append(xor_all([own_product, bool(received[gate]), generated]))
+            generated = xor_all(pairs[gate][0] for pairs in own_offers.values())
+            from_peers = xor_all(bits[gate] for bits in ot_bits.values())
+            output.append(xor_all([own_product, from_peers, generated]))
         return output
 
     combined = op.parallel(members, combine)
     return [
         op.parallel(members, lambda _party, un, _gate=gate: bool(un(combined)[_gate]))
-        for gate in gate_range
+        for gate in range(len(share_pairs))
     ]
 
 

@@ -22,11 +22,12 @@ messages, receiver first:
 any secret of any instance, so one key pair per party serves every transfer
 that party ever sends in a protocol run.  :func:`publish_ot_keys` has each
 party generate its pair and gather all public moduli everywhere: the result
-is *multiply located* at the whole census, so inside any later
-``conclave_to([sender, receiver])`` both parties already hold the sender's
-public key and no further communication is needed — the paper's efficiency
-argument for MLVs, applied to key material.  A GMW run therefore makes ``n``
-key generations instead of two per gate, ordered pair and layer.  Keys are
+is *multiply located* at the whole census, so in any later transfer both
+parties already hold the sender's public key and no further communication is
+needed — the paper's efficiency argument for MLVs, applied to key material.
+A GMW run therefore makes ``n`` key generations instead of two per gate,
+ordered pair and layer (the receiver-keyed OT this replaced could not cache
+its keys; see ``docs/performance.md``).  Keys are
 derived from the run's ``seed`` and live in the returned :class:`OTKeys`
 only: there is no cache, and runs with different seeds never share a key.
 
@@ -39,25 +40,16 @@ control because the offsets are hash outputs, and ``h`` of an unknown root is
 unpredictable (random-oracle reading of the two hashes; labels separate
 instances, slots, contexts and keys).
 
-The construction this replaces was *receiver*-keyed: per instance the
-receiver sent one real public key in slot ``s`` and one whose private half it
-had thrown away in the other slot.  Those keys could not simply be cached —
-a reused real key showing up in slot 0 of one instance and slot 1 of another
-tells the sender every select bit — so it paid two key generations per
-instance.  Keying the *sender* removes the dependency between key and secret
-altogether.
-
-Crucially, the choreography's census is exactly ``[sender, receiver]``: inside
-GMW it is embedded in an arbitrarily large census via ``conclave_to``, which is
-the paper's demonstration that pairwise sub-protocols compose with census
-polymorphism.
-
-:func:`ot2_batch` runs a whole *vector* of independent transfers in the same
-two messages (all blinded selections over, all masked bit pairs back).
-This is what makes the layered GMW evaluator's round count proportional to
-circuit *depth* instead of gate count: all AND gates of a layer share one
-batched exchange per ordered pair.  :func:`ot2` is the single-instance
-special case.
+Two forms share the blind / mask / unmask steps below.  :func:`ot2_batch`
+(with :func:`ot2`, its single-instance case) is the two-party choreography:
+its census is exactly ``[sender, receiver]``, and it composes into any larger
+census through ``conclave_to`` — the paper's demonstration that pairwise
+sub-protocols compose with census polymorphism.  It runs a whole *vector* of
+transfers in the same two messages, so a GMW layer of AND gates needs one
+exchange per ordered pair.  :func:`ot2_all_pairs` is its census-polymorphic
+lift, which GMW uses: every ordered pair's batch, run phase by phase across
+the census, with the same labels, randomness and messages as ``ot2_batch``
+per pair in a conclave, but each party's sends of a phase back to back.
 
 Field elements travel as fixed-width big-endian ``bytes`` of
 ``ceil(rsa_bits / 8)`` — the public moduli one per message, the ``v_i`` of a
@@ -67,7 +59,7 @@ batch concatenated — so message sizes depend on the census, the circuit and
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from ..core.located import Faceted, Located, Quire
 from ..core.locations import Location, LocationsLike, as_census
@@ -111,6 +103,58 @@ def publish_ot_keys(
     return OTKeys(keypairs, op.gather(members, members, encoded))
 
 
+def _label(context: str, index: int, slot: int) -> str:
+    return f"{context}|{index}|{slot}"
+
+
+def _blind(seed: int, receiver: Location, context: str, raw_modulus: bytes, selects):
+    """Step 2 at the receiver: per instance, add a fresh element encrypted
+    under the sender's key to the offset of the selected slot.  Returns the
+    secret elements and the blinded selections as one byte string."""
+    rng = crypto.party_rng(seed, receiver, f"ot-blind|{context}")
+    public = crypto.RSAPublicKey(int.from_bytes(raw_modulus, "big"), crypto.RSA_PUBLIC_EXPONENT)
+    blinds, selections = [], []
+    for index, select_bit in enumerate(selects):
+        blind_element = rng.randrange(public.modulus)
+        offset = crypto.hash_to_zn(public.modulus, _label(context, index, int(bool(select_bit))))
+        blinded = (offset + public.encrypt(blind_element)) % public.modulus
+        blinds.append(blind_element)
+        selections.append(blinded.to_bytes(len(raw_modulus), "big"))
+    return blinds, b"".join(selections)
+
+
+def _mask(keypair: crypto.RSAKeyPair, width: int, context: str, offers, blob: bytes):
+    """Step 3 at the sender: strip each offset, decrypt, and mask the offered
+    bit of that slot with a hash bit of the result."""
+    modulus = keypair.public.modulus
+    if len(blob) != width * len(offers):
+        raise ValueError(
+            f"expected {len(offers)} blinded selections of {width} bytes, got {len(blob)} bytes"
+        )
+
+    def pad(index: int, slot: int, element: int) -> bool:
+        label = _label(context, index, slot)
+        offset = crypto.hash_to_zn(modulus, label)
+        return crypto.mask_bit(keypair.decrypt((element - offset) % modulus), label)
+
+    masked = []
+    for index, (b0, b1) in enumerate(offers):
+        element = int.from_bytes(blob[index * width : (index + 1) * width], "big")
+        masked.append((bool(b0) != pad(index, 0, element), bool(b1) != pad(index, 1, element)))
+    return masked
+
+
+def _unmask(context: str, selects, blinds, masked_pairs) -> List[bool]:
+    """Step 4 at the receiver: unmask each instance's selected slot."""
+    bits = []
+    for index, (select_bit, blind_element, masked) in enumerate(
+        zip(selects, blinds, masked_pairs)
+    ):
+        slot = int(bool(select_bit))
+        bits.append(masked[slot] != crypto.mask_bit(blind_element, _label(context, index, slot)))
+    return bits
+
+
 def ot2_batch(
     op: ChoreoOp,
     sender: Location,
@@ -124,95 +168,106 @@ def ot2_batch(
 ) -> Located[List[bool]]:
     """Obliviously transfer one bit of each offered pair, all in two messages.
 
-    Parameters
-    ----------
-    op:
-        An operator whose census is (at least) ``[sender, receiver]``.  The
-        caller is expected to conclave down to exactly those two parties.
-    pairs:
-        A sequence of ``(b0, b1)`` offers located at the sender, one per
-        transfer instance.
-    selects:
-        The select bits located at the receiver, index-aligned with ``pairs``.
-    keys:
-        Session keys published to (at least) both parties; the sender's pair
-        keys every instance of the batch.
-    seed, context:
-        Together they determine the receiver's blinding randomness;
-        ``context`` also labels the hashes, so it must differ between batches
-        that share a key.
+    ``pairs`` are the ``(b0, b1)`` offers located at the sender, one per
+    instance; ``selects`` are the index-aligned select bits located at the
+    receiver.  ``op``'s census holds (at least) both parties, and the caller
+    is expected to conclave down to exactly them.  ``keys`` were published to
+    both; the sender's pair keys every instance.  ``seed`` and ``context``
+    determine the receiver's blinding randomness, and ``context`` also labels
+    the hashes, so it must differ between batches that share a key.
 
     Returns the list of selected bits, located at the receiver.
     """
     op.census.require_member(sender)
     op.census.require_member(receiver)
-
-    def label(index: int, slot: int) -> str:
-        return f"{context}|{index}|{slot}"
-
-    # 1. Per instance, the receiver blinds the offset of its selected slot
-    #    with a fresh random element encrypted under the sender's key.
-    def blind(un):
-        rng = crypto.party_rng(seed, receiver, f"ot-blind|{context}")
-        raw_modulus = un(keys.moduli)[sender]
-        public = crypto.RSAPublicKey(
-            int.from_bytes(raw_modulus, "big"), crypto.RSA_PUBLIC_EXPONENT
-        )
-        blinds, selections = [], []
-        for index, select_bit in enumerate(un(selects)):
-            blind_element = rng.randrange(public.modulus)
-            offset = crypto.hash_to_zn(public.modulus, label(index, int(bool(select_bit))))
-            blinded = (offset + public.encrypt(blind_element)) % public.modulus
-            blinds.append(blind_element)
-            selections.append(blinded.to_bytes(len(raw_modulus), "big"))
-        return blinds, b"".join(selections)
-
-    blinded = op.locally(receiver, blind)
-
-    # 2. All blinded selections travel in one message.
+    blinded = op.locally(
+        receiver,
+        lambda un: _blind(seed, receiver, context, un(keys.moduli)[sender], un(selects)),
+    )
     selections = op.comm(receiver, sender, blinded.map(lambda both: both[1]))
+    masked = op.locally(
+        sender,
+        lambda un: _mask(
+            un(keys.keypairs), len(un(keys.moduli)[sender]), context, un(pairs), un(selections)
+        ),
+    )
+    masked_pairs = op.comm(sender, receiver, masked)
+    return op.locally(
+        receiver, lambda un: _unmask(context, un(selects), un(blinded)[0], un(masked_pairs))
+    )
 
-    # 3. The sender strips each offset, decrypts, and masks the offered bit of
-    #    that slot with a hash bit of the result; one message back.
-    def mask_pairs(un):
-        keypair = un(keys.keypairs)
-        modulus = keypair.public.modulus
-        width = len(un(keys.moduli)[sender])
-        offers, blob = un(pairs), un(selections)
-        if len(blob) != width * len(offers):
-            raise ValueError(
-                f"expected {len(offers)} blinded selections of {width} bytes, "
-                f"got {len(blob)} bytes"
+
+def ot2_all_pairs(
+    op: ChoreoOp,
+    parties: LocationsLike,
+    offers: Faceted[Mapping[Location, Sequence[Tuple[bool, bool]]]],
+    selects: Faceted[Mapping[Location, Sequence[bool]]],
+    keys: OTKeys,
+    *,
+    seed: int = 0,
+    context: str = "",
+) -> Faceted[Dict[Location, List[bool]]]:
+    """Run :func:`ot2_batch` for every ordered pair of distinct parties at once.
+
+    A sender's facet of ``offers`` maps each peer to the pairs it offers that
+    peer; a receiver's facet of ``selects`` maps each peer to its select bits
+    for that peer's offers.  Pair ``(s, r)`` runs under the context
+    ``f"{context}|{s}->{r}"``, with the labels, randomness, messages and
+    result of ``ot2_batch(op, s, r, ...)`` in a ``[s, r]`` conclave.  Returns,
+    at each receiver, the bits received from each sender.
+
+    The pairs run phase-major, one ``parallel`` or one exchange per phase:
+    every receiver blinds, all selections go out (receiver-major), every
+    sender masks, all masked pairs go back (sender-major), every receiver
+    unmasks.  A party's sends of a phase leave back to back, so it turns from
+    sending to receiving once per phase rather than once per pair.
+    """
+    members = as_census(parties)
+
+    def pair(sender: Location, receiver: Location) -> str:
+        return f"{context}|{sender}->{receiver}"
+
+    def each_peer(step: Callable[..., Any]) -> Faceted[Dict[Location, Any]]:
+        return op.parallel(
+            members,
+            lambda party, un: {peer: step(party, peer, un) for peer in members if peer != party},
+        )
+
+    def send_all(outboxes: Faceted[Dict[Location, Any]], item=lambda value: value):
+        return {
+            (source, peer): op.comm(
+                source, peer, outboxes.localize(source).map(lambda box, _p=peer: item(box[_p]))
             )
+            for source in members
+            for peer in members
+            if peer != source
+        }
 
-        def pad(index: int, slot: int, element: int) -> bool:
-            offset = crypto.hash_to_zn(modulus, label(index, slot))
-            return crypto.mask_bit(
-                keypair.decrypt((element - offset) % modulus), label(index, slot)
+    blinded = each_peer(
+        lambda receiver, sender, un: _blind(
+            seed, receiver, pair(sender, receiver), un(keys.moduli)[sender], un(selects)[sender]
+        )
+    )
+    selections = send_all(blinded, lambda both: both[1])
+    masked_pairs = send_all(
+        each_peer(
+            lambda sender, receiver, un: _mask(
+                un(keys.keypairs),
+                len(un(keys.moduli)[sender]),
+                pair(sender, receiver),
+                un(offers)[receiver],
+                un(selections[receiver, sender]),
             )
-
-        masked = []
-        for index, (b0, b1) in enumerate(offers):
-            element = int.from_bytes(blob[index * width : (index + 1) * width], "big")
-            masked.append(
-                (bool(b0) != pad(index, 0, element), bool(b1) != pad(index, 1, element))
-            )
-        return masked
-
-    masked_pairs = op.comm(sender, receiver, op.locally(sender, mask_pairs))
-
-    # 4. The receiver unmasks each instance's selected slot with its own element.
-    def unmask_selected(un):
-        blinds, _selections = un(blinded)
-        bits = []
-        for index, (select_bit, blind_element, masked) in enumerate(
-            zip(un(selects), blinds, un(masked_pairs))
-        ):
-            slot = int(bool(select_bit))
-            bits.append(masked[slot] != crypto.mask_bit(blind_element, label(index, slot)))
-        return bits
-
-    return op.locally(receiver, unmask_selected)
+        )
+    )
+    return each_peer(
+        lambda receiver, sender, un: _unmask(
+            pair(sender, receiver),
+            un(selects)[sender],
+            un(blinded)[sender][0],
+            un(masked_pairs[sender, receiver]),
+        )
+    )
 
 
 def ot2(

@@ -5,14 +5,10 @@ from .central import CentralBackend, CentralOp, localize_return, run_centralized
 from .engine import CLOSE_DEADLINE_CAP, ChoreoEngine, ChoreographyResult
 from .local import LocalTransport
 from .registry import (
-    FaultPlanSource,
     TransportBackend,
-    WireCodec,
     create_backend,
     impl,
-    impl_protocols,
     implementations,
-    implements,
     register_impl,
     resolve_impl,
     unregister_impl,
@@ -39,20 +35,16 @@ __all__ = [
     "ChoreoEngine",
     "ChoreographyResult",
     "DEFAULT_TIMEOUT",
-    "FaultPlanSource",
     "LocalTransport",
     "SimulatedNetworkTransport",
     "TCPTransport",
     "Transport",
     "TransportBackend",
     "TransportEndpoint",
-    "WireCodec",
     "create_backend",
     "deserialize",
     "impl",
-    "impl_protocols",
     "implementations",
-    "implements",
     "localize_return",
     "register_impl",
     "resolve_impl",

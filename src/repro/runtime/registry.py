@@ -7,25 +7,17 @@ every session.
 
 Injection is **Protocol-keyed**, not string-keyed: the registry is a table
 from a :class:`typing.Protocol` (the *injection point*) to named
-implementations of it.  Three injection points ship with the runtime:
-
-* :class:`TransportBackend` — a factory ``factory(census, timeout=...,
-  **options)`` returning a :class:`~repro.runtime.transport.Transport` or a
-  :class:`~repro.runtime.central.CentralBackend`.  Implementations:
-  ``"local"``, ``"tcp"``, ``"asyncio"``, ``"simulated"``, ``"central"``.
-* :class:`WireCodec` — ``encode``/``decode`` payload serialization.
-  Implementation: ``"compact"`` (:mod:`repro.runtime.wire`).
-* :class:`FaultPlanSource` — anything with ``session()`` producing a live
-  fault-injection session (:class:`repro.faults.FaultPlan` registers itself
-  as ``"seeded"``).
+implementations of it.  One injection point ships with the runtime:
+:class:`TransportBackend`, a factory ``factory(census, timeout=...,
+**options)`` returning a :class:`~repro.runtime.transport.Transport` or a
+:class:`~repro.runtime.central.CentralBackend`.  Implementations:
+``"local"``, ``"tcp"``, ``"asyncio"``, ``"simulated"``, ``"central"``.
 
 Registering is one decorator — ``@impl(TransportBackend, name="mine")`` on
 the factory — or one :func:`register_impl` call for a class defined
-elsewhere.  Implementations are *discoverable*: :func:`implementations`
-lists a protocol's table, :func:`impl_protocols` answers "which injection
-points does this object implement?", and :func:`implements` checks a single
-pairing — so tooling (and tests) can enumerate what plugs in where without
-grepping for magic strings.
+elsewhere.  :func:`implementations` lists a protocol's table, so tooling
+(and tests) can enumerate what plugs in where without grepping for magic
+strings.
 
 Engines take a backend by string name: :func:`create_backend` resolves it
 in the :class:`TransportBackend` table and forwards extra factory keyword
@@ -36,19 +28,9 @@ options verbatim (e.g. ``latency=`` / ``bandwidth=`` for ``"simulated"``,
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Union,
-    runtime_checkable,
-)
+from typing import Any, Callable, Dict, Optional, Protocol, Union, runtime_checkable
 
 from ..core.locations import LocationsLike
-from . import wire
 from .central import CentralBackend
 from .local import LocalTransport
 from .simulated import SimulatedNetworkTransport
@@ -77,22 +59,6 @@ class TransportBackend(Protocol):
     def __call__(
         self, census: LocationsLike, *, timeout: float = DEFAULT_TIMEOUT, **options: Any
     ) -> Backend: ...
-
-
-@runtime_checkable
-class WireCodec(Protocol):
-    """The injection point for payload serialization codecs."""
-
-    def encode(self, payload: Any) -> bytes: ...
-
-    def decode(self, data: bytes) -> Any: ...
-
-
-@runtime_checkable
-class FaultPlanSource(Protocol):
-    """The injection point for fault-injection plans (``faults=`` options)."""
-
-    def session(self) -> Any: ...
 
 
 # ------------------------------------------------------------------- the table --
@@ -174,23 +140,6 @@ def resolve_impl(protocol: type, name: str) -> Any:
         ) from None
 
 
-def impl_protocols(implementation: Any) -> List[type]:
-    """The injection points ``implementation`` is registered under."""
-    return [
-        protocol
-        for protocol, table in _IMPLEMENTATIONS.items()
-        if any(registered is implementation for registered in table.values())
-    ]
-
-
-def implements(implementation: Any, protocol: type) -> bool:
-    """Whether ``implementation`` is registered under ``protocol``."""
-    return any(
-        registered is implementation
-        for registered in _IMPLEMENTATIONS.get(protocol, {}).values()
-    )
-
-
 def create_backend(
     name: str,
     census: LocationsLike,
@@ -224,23 +173,3 @@ def _asyncio_backend(census: LocationsLike, **options: Any) -> Transport:
     from .asyncio_tcp import AsyncioTCPTransport
 
     return AsyncioTCPTransport(census, **options)
-
-
-@impl(WireCodec, name="compact")
-class CompactWireCodec:
-    """The default codec: :mod:`repro.runtime.wire`'s tag-byte encoding."""
-
-    encode = staticmethod(wire.encode)
-    decode = staticmethod(wire.decode)
-
-
-def _register_fault_sources() -> None:
-    # Imported here, not at module top: repro.faults.inject imports
-    # repro.runtime.transport, so a top-level import would couple the two
-    # package __init__ orders.
-    from ..faults.plan import FaultPlan
-
-    register_impl(FaultPlanSource, FaultPlan, name="seeded")
-
-
-_register_fault_sources()

@@ -40,7 +40,6 @@ from repro import (
     ClusterRebalancing,
     FaultPlan,
     RejoinError,
-    rejoin_backup,
 )
 from repro.core.errors import ChoreographyRuntimeError
 from tests.test_cluster_failover import BACKEND, CHAOS_SEEDS, TIMEOUT, drive, ycsb_a
@@ -179,7 +178,7 @@ class TestRejoin:
         ) as cluster:
             kvs = ClusterClient(cluster)
             model = crash_then_detect(cluster, kvs, ops=60)
-            report = rejoin_backup(cluster, "shard0", "shard0.r1")
+            report = cluster.rejoin_backup("shard0", "shard0.r1")
             assert report.mode == "full"  # no WAL: nothing to replay or delta
             assert report.replayed_records == 0
             assert not cluster.health()["shard0"].degraded

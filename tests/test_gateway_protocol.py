@@ -168,7 +168,7 @@ class TestCommandTable:
         command = command_from_args(
             ["BATCH", "PUT", "k1", "v1", "GET", "k2", "DEL", "k3"]
         )
-        kinds = [r.kind for r in command.batch_requests()]
+        kinds = [r.kind for r in command.requests]
         assert kinds == [RequestKind.PUT, RequestKind.GET, RequestKind.DELETE]
 
     @pytest.mark.parametrize(

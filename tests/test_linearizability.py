@@ -11,8 +11,10 @@ cluster.
 
 from __future__ import annotations
 
+import collections
 import sys
 import threading
+from concurrent.futures import wait
 
 from repro import ClusterEngine, FaultPlan
 from repro.protocols.kvs import Request, Response
@@ -174,11 +176,45 @@ class TestFlagsTheDocumentedReorder:
 
 
 class TestFoldedHistories:
-    def test_pipelined_single_requests_are_linearizable(self, linearizable_history):
+    @staticmethod
+    def park(cluster, shard):
+        """Hold ``shard``'s client worker on a gate job; returns its release."""
+        started, gate = threading.Event(), threading.Event()
+        cluster.session(shard).engine.submit(
+            lambda op: op.locally(cluster.client, lambda _un: started.set() or gate.wait(30.0)),
+            census=[cluster.client],
+        )
+        assert started.wait(30.0)
+        return gate.set
+
+    @staticmethod
+    def counted(instances, shard, submit):
+        def counting(*args, **kwargs):
+            instances[shard] += 1
+            return submit(*args, **kwargs)
+
+        return counting
+
+    def test_pipelined_single_requests_are_linearizable(self, linearizable_history, monkeypatch):
+        ops = mixed_ops(CHAOS_SEEDS[0])
         with ClusterEngine(2, replication=3, backend="local") as cluster:
-            futures = pipelined(cluster, mixed_ops(CHAOS_SEEDS[0]))
+            shards = cluster.shards
+            releases = [self.park(cluster, shard) for shard in shards]
+            instances = collections.Counter()
+            for shard in shards:
+                monkeypatch.setattr(cluster.session(shard).engine, "submit",
+                                    self.counted(instances, shard, cluster.session(shard).engine.submit))
+            # The first window queues behind the gates, so folds run whatever
+            # the scheduling: per shard one lone binding, then one fold.
+            first = [cluster.submit_put(key, *value) if kind == "put" else cluster.submit_get(key)
+                     for kind, key, *value in ops[:8]]
+            for release in releases:
+                release()
+            wait(first)
+            queued = collections.Counter(cluster.shard_for(key) for _kind, key, *_ in ops[:8])
+            assert instances == {shard: min(queued[shard], 2) for shard in shards if queued[shard]}
+            futures = first + pipelined(cluster, ops[8:])
             assert all(future.exception() is None for future in futures)
-            assert cluster.stats.total_messages < 2 * len(futures)  # folds ran
         assert len(linearizable_history.ops) == len(futures)
         assert linearizable_history.violations() == []
 

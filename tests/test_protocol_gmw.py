@@ -5,10 +5,13 @@ from __future__ import annotations
 import collections
 import importlib
 import itertools
+import os
+import random
 
 import pytest
 
-from repro import ChoreoEngine
+from repro import ChoreoEngine, FaultPlan
+from repro.core.epp import InstanceScopedEndpoint
 from repro.core.errors import ChoreographyRuntimeError, ChoreoTimeout
 from repro.core.locations import Census
 from repro.protocols import circuits, crypto
@@ -22,7 +25,7 @@ from repro.protocols.gmw import (
     shared_and,
     shared_and_layer,
 )
-from repro.protocols.ot import publish_ot_keys
+from repro.protocols.ot import ot2_all_pairs, ot2_batch, publish_ot_keys
 from repro.runtime.central import CentralOp
 from repro.runtime.stats import ChannelStats
 from repro.runtime.central import run_centralized
@@ -36,6 +39,9 @@ def run_once(chor, census):
 
 
 RSA_BITS = 128  # keep key generation fast in tests
+
+#: ``CHAOS_SEED`` (comma-separated ints) widens the fault-plan seed sweep.
+CHAOS_SEEDS = [int(raw) for raw in os.environ.get("CHAOS_SEED", "7").split(",")]
 
 # ``repro.protocols.gmw`` the attribute is the re-exported function; this is the module
 gmw_module = importlib.import_module("repro.protocols.gmw")
@@ -558,3 +564,158 @@ class TestWireBytesArePinned:
         _messages, narrow = self.run("central", 3, [True] * self.input_count(), rsa_bits=128)
         _messages, wide = self.run("central", 3, [True] * self.input_count(), rsa_bits=192)
         assert sum(wide.values()) > sum(narrow.values())
+
+
+class TestOneTurnPerRound:
+    """The count guard for phase-major OT: in a warm GMW run every party turns
+    from sending to receiving once per all-to-all round (key publication,
+    input sharing, two per AND layer, reveal) and never once per ordered pair.
+    Pair-by-pair OT conclaves read 13/13/13/12 turns on the ``gmw_session``
+    circuit; phase-major OT reads 7/7/7/6."""
+
+    @staticmethod
+    def turns(parties, monkeypatch):
+        circuit = circuits.and_tree(parties)
+        events = collections.defaultdict(list)
+
+        def recording(kind, real):
+            def record(endpoint, *args):
+                events[endpoint.location].append(kind)
+                return real(endpoint, *args)
+
+            return record
+
+        with ChoreoEngine(parties, backend="local") as engine:
+
+            def run():
+                result = engine.run(
+                    lambda op, my_inputs: gmw(
+                        op, parties, circuit, my_inputs, seed=11, rsa_bits=RSA_BITS
+                    ),
+                    location_args={party: ({"x": True},) for party in parties},
+                )
+                assert set(result.returns.values()) == {True}
+
+            run()  # warm: the mesh is up before anything is counted
+            for name, kind in [("send", "send"), ("send_many", "send"), ("recv", "recv")]:
+                real = getattr(InstanceScopedEndpoint, name)
+                monkeypatch.setattr(InstanceScopedEndpoint, name, recording(kind, real))
+            run()
+        rounds = 3 + 2 * len(level_circuit(circuit).and_layers)
+        turns = [
+            sum(pair == ("send", "recv") for pair in zip(events[party], events[party][1:]))
+            for party in parties
+        ]
+        return rounds, turns
+
+    def test_gmw_session_circuit_turns_once_per_round(self, monkeypatch):
+        rounds, turns = self.turns(["p1", "p2", "p3", "p4"], monkeypatch)
+        assert rounds == 7
+        # the last party's final send ends the run, so it turns once less
+        assert turns == [7, 7, 7, 6]
+
+    def test_five_parties_turn_once_per_round(self, monkeypatch):
+        rounds, turns = self.turns([f"p{i}" for i in range(1, 6)], monkeypatch)
+        assert rounds == 9
+        assert turns == [9, 9, 9, 9, 8]
+
+
+ALL_PAIRS_PARTIES = ["p1", "p2", "p3"]
+
+
+def transfers_of(party, gates=3):
+    """``party``'s seeded offers to, and select bits against, every peer."""
+    rng = random.Random(f"transfers|{party}")
+    peers = [peer for peer in ALL_PAIRS_PARTIES if peer != party]
+    offers = {
+        peer: [(rng.random() < 0.5, rng.random() < 0.5) for _ in range(gates)] for peer in peers
+    }
+    return offers, {peer: [rng.random() < 0.5 for _ in range(gates)] for peer in peers}
+
+
+def drawn_transfers(op):
+    return op.parallel(ALL_PAIRS_PARTIES, lambda party, _un: transfers_of(party))
+
+
+def all_pairs_chor(op, seed=5):
+    keys = session_keys(op, ALL_PAIRS_PARTIES)
+    drawn = drawn_transfers(op)
+    return ot2_all_pairs(
+        op,
+        ALL_PAIRS_PARTIES,
+        op.parallel(ALL_PAIRS_PARTIES, lambda _party, un: un(drawn)[0]),
+        op.parallel(ALL_PAIRS_PARTIES, lambda _party, un: un(drawn)[1]),
+        keys,
+        seed=seed,
+        context="all",
+    )
+
+
+def per_pair_chor(op, seed=5):
+    """The reference: ``ot2_batch`` in a two-party conclave per ordered pair."""
+    keys = session_keys(op, ALL_PAIRS_PARTIES)
+    drawn = drawn_transfers(op)
+    received = {}
+    for receiver in ALL_PAIRS_PARTIES:
+        for sender in ALL_PAIRS_PARTIES:
+            if sender == receiver:
+                continue
+            pairs = op.locally(sender, lambda un, _r=receiver: un(drawn)[0][_r])
+            selects = op.locally(receiver, lambda un, _s=sender: un(drawn)[1][_s])
+            received[sender, receiver] = op.conclave_to(
+                [sender, receiver],
+                [receiver],
+                lambda sub, _s=sender, _r=receiver, _p=pairs, _c=selects: ot2_batch(
+                    sub, _s, _r, _p, _c, keys, seed=seed, context=f"all|{_s}->{_r}"
+                ),
+            )
+    return op.parallel(
+        ALL_PAIRS_PARTIES,
+        lambda receiver, un: {
+            sender: un(received[sender, receiver])
+            for sender in ALL_PAIRS_PARTIES
+            if sender != receiver
+        },
+    )
+
+
+def run_transfers(chor, backend, faults=None, seeds=(5,)):
+    """Every run's received bits per party, and the engine's channel rows."""
+    options = {} if faults is None else {"faults": faults}
+    with ChoreoEngine(ALL_PAIRS_PARTIES, backend=backend, timeout=15.0, **options) as engine:
+        futures = [engine.submit(chor, kwargs={"seed": seed}) for seed in seeds]
+        bits = [
+            {party: facets.facet_for(party) for party, facets in future.result(60).returns.items()}
+            for future in futures
+        ]
+        return bits, dict(engine.stats.messages), dict(engine.stats.payload_bytes)
+
+
+class TestAllPairsMatchesPerPairConclaves:
+    """``ot2_all_pairs`` is the all-pairs lift of ``ot2_batch``: the same bits
+    and the same per-channel ``ChannelStats`` rows as one two-party conclave
+    per ordered pair, on every backend."""
+
+    @pytest.mark.parametrize("backend", ["central", "local", "tcp", "asyncio", "simulated"])
+    def test_bits_and_channel_rows_equal_the_per_pair_reference(self, backend):
+        reference = run_transfers(per_pair_chor, backend)
+        assert run_transfers(all_pairs_chor, backend) == reference
+        bits, messages, _bytes = reference
+        assert messages == {
+            (a, b): 2 + 1 for a in ALL_PAIRS_PARTIES for b in ALL_PAIRS_PARTIES if a != b
+        }  # one selection and one masked batch each way, after one key message
+        for receiver, received in bits[0].items():
+            selects = transfers_of(receiver)[1]
+            for sender, got in received.items():
+                pairs = transfers_of(sender)[0][receiver]
+                assert got == [pair[select] for pair, select in zip(pairs, selects[sender])]
+
+    @pytest.mark.parametrize("backend", ["simulated", "tcp"])
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_pipelined_runs_hold_under_delay_and_reorder(self, backend, seed):
+        # Phase-major puts n - 1 frames per party in flight at once: per-channel
+        # FIFO and the instance tags must keep them apart under reordering.
+        seeds = (5, 6, 7)
+        expected = run_transfers(all_pairs_chor, "central", seeds=seeds)
+        plan = FaultPlan(seed=seed).delay(jitter=0.005, rate=0.3).reorder(rate=0.5, span=3)
+        assert run_transfers(all_pairs_chor, backend, faults=plan, seeds=seeds) == expected
