@@ -234,6 +234,7 @@ def ot2_all_pairs(
         )
 
     def send_all(outboxes: Faceted[Dict[Location, Any]], item=lambda value: value):
+        # Source-major, so each party's sends of the phase leave back to back.
         return {
             (source, peer): op.comm(
                 source, peer, outboxes.localize(source).map(lambda box, _p=peer: item(box[_p]))

@@ -710,6 +710,32 @@ class TestAllPairsMatchesPerPairConclaves:
                 pairs = transfers_of(sender)[0][receiver]
                 assert got == [pair[select] for pair, select in zip(pairs, selects[sender])]
 
+    def test_payloads_per_channel_equal_the_per_pair_reference(self, monkeypatch):
+        # Same labels and randomness, not only the same selected bits: every
+        # channel carries the same payloads (in another order: phase-major
+        # sends a party's selections before any of its masked pairs).
+        sent = collections.defaultdict(list)
+        real_send, real_send_many = InstanceScopedEndpoint.send, InstanceScopedEndpoint.send_many
+
+        def send(endpoint, receiver, payload):
+            sent[endpoint.location, receiver].append(repr(payload))
+            return real_send(endpoint, receiver, payload)
+
+        def send_many(endpoint, receivers, payload):
+            for receiver in receivers:
+                sent[endpoint.location, receiver].append(repr(payload))
+            return real_send_many(endpoint, receivers, payload)
+
+        monkeypatch.setattr(InstanceScopedEndpoint, "send", send)
+        monkeypatch.setattr(InstanceScopedEndpoint, "send_many", send_many)
+        observed = []
+        for chor in (per_pair_chor, all_pairs_chor):
+            sent.clear()
+            run_transfers(chor, "local")
+            observed.append({channel: sorted(payloads) for channel, payloads in sent.items()})
+        assert observed[0] == observed[1]
+        assert len(observed[0]) == 6
+
     @pytest.mark.parametrize("backend", ["simulated", "tcp"])
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_pipelined_runs_hold_under_delay_and_reorder(self, backend, seed):
