@@ -39,7 +39,7 @@ The package provides:
   engine per shard — with dead-replica detection, backup demotion, primary
   failover (epoch-fenced promotion of the senior surviving backup, recorded
   as :class:`PromotionReport`), crash-restart replica re-join
-  (``ClusterEngine.rejoin_backup``), choreographic two-phase commit for cross-shard
+  (its ``rejoin_backup``), choreographic two-phase commit for cross-shard
   transactions (``submit_txn``, with a durable coordinator decision log and
   presumed-abort in-doubt recovery), and ``health()``/``probe()`` — and the
   :class:`ClusterClient` ``put/get/delete/scan/txn`` facade with quorum

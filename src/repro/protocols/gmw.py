@@ -150,9 +150,9 @@ def shared_and_layer(
     share is ``(u_i AND v_i) XOR (XOR of received OT results) XOR (XOR of the
     masks it generated)`` — but every ordered pair of distinct parties runs
     *one* batched transfer for every gate in ``share_pairs``, all pairs at
-    once (:func:`~repro.protocols.ot.ot2_all_pairs`).  A layer of k AND gates therefore costs the same
-    ``2 · n · (n-1)`` messages as a single gate.  ``keys`` are the parties'
-    published session keys; every transfer a party sends uses its one pair.
+    once (:func:`~repro.protocols.ot.ot2_all_pairs`).  A layer of k AND
+    gates therefore costs the same ``2 · n · (n-1)`` messages as one gate;
+    every transfer a party sends uses its one published key pair (``keys``).
     """
     members = as_census(parties)
     if not share_pairs:
