@@ -362,6 +362,21 @@ def linearizable_history(monkeypatch) -> Iterator[History]:
     assert history.violations() == []
 
 
+@pytest.fixture(autouse=True)
+def txn_history(monkeypatch) -> Iterator[History]:
+    """Record what every test's clients saw — single requests, transactions,
+    scans and batches; fail it unless each key linearizes and no read after
+    a transfer's ack saw the state before it.
+
+    Autouse wherever it is imported: the transaction, recovery and reads
+    suites, whose batch writes the single-request recorder alone would miss.
+    """
+    history = record_transactions(monkeypatch, record_single_requests(monkeypatch))
+    yield history
+    assert history.violations() == []
+    assert history.torn_reads() == []
+
+
 def pipelined(cluster: ClusterEngine, ops: Sequence[tuple], window: int = 8) -> list:
     """Issue ``("put", key, value)`` / ``("get", key)`` ops from one thread
     with up to ``window`` unacknowledged, as ``gw_request`` does; returns

@@ -14,7 +14,9 @@ only writes take the replicated round.  What this suite pins:
   for response and ``hash_state`` for ``hash_state``;
 * a read still detects a dead *primary* (it is the one replica a read
   waits on) and fails over to the senior backup.  ``CHAOS_SEED`` widens the
-  seed sweep in CI.
+  seed sweep in CI;
+* what clients saw (``tests/linearizability.py``, autouse): every single
+  request and batch forms a linearizable history per key.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.protocols.kvs import (
     kvs_serve_batch,
     kvs_with_backups,
 )
+from tests.linearizability import txn_history  # noqa: F401 - autouse: checks every test here
 
 CHAOS_SEEDS = [int(raw) for raw in os.environ.get("CHAOS_SEED", "7").split(",")]
 

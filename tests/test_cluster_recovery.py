@@ -20,7 +20,10 @@ The promises under test:
   (:class:`~repro.cluster.ClusterClosed`,
   :class:`~repro.cluster.ClusterRebalancing`) instead of hanging;
 * ``add_shard``'s copy-then-delete claim holds under injected faults: a
-  crash mid-migration leaves every moved key intact at its old home.
+  crash mid-migration leaves every moved key intact at its old home;
+* what clients saw (``tests/linearizability.py``, autouse): every single
+  request, batch, scan and transfer forms a linearizable history per key,
+  across crashes, re-joins and full cluster restarts.
 
 Like the failover suite, everything runs on the deterministic ``simulated``
 backend with deliberately short timeouts; ``CHAOS_SEED`` widens the seed
@@ -42,6 +45,7 @@ from repro import (
     RejoinError,
 )
 from repro.core.errors import ChoreographyRuntimeError
+from tests.linearizability import txn_history  # noqa: F401 - autouse: checks every test here
 from tests.test_cluster_failover import BACKEND, CHAOS_SEEDS, TIMEOUT, drive, ycsb_a
 
 

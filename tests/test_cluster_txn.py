@@ -44,7 +44,7 @@ from repro import ClusterClient, ClusterEngine, FaultPlan, TxnAborted, TxnConfli
 from repro.core.errors import ChoreographyRuntimeError
 from repro.protocols.kvs import Request
 from repro.storage import TXN_INTENT_TTL, txns_of
-from tests.linearizability import record_single_requests, record_transactions
+from tests.linearizability import txn_history  # noqa: F401 - autouse: checks every test here
 from tests.test_cluster_failover import BACKEND, CHAOS_SEEDS, TIMEOUT
 from tests.test_cluster_promotion import durable_cluster
 
@@ -53,17 +53,6 @@ OPENING = 100
 
 
 # ---------------------------------------------------------------------- helpers --
-
-
-@pytest.fixture(autouse=True)
-def txn_history(monkeypatch):
-    """Record what every test's clients saw; fail it unless each key
-    linearizes and no read after a transfer's ack saw the state before it."""
-    history = record_transactions(monkeypatch, record_single_requests(monkeypatch))
-    yield history
-    assert history.violations() == []
-    assert history.torn_reads() == []
-
 
 
 def open_accounts(kvs, count: int = ACCOUNTS) -> None:
