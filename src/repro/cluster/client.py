@@ -1,10 +1,12 @@
-"""The blocking/futures facade over a sharded cluster.
+"""The blocking facade over a sharded cluster.
 
 :class:`ClusterEngine` speaks in choreography runs; an application wants a
 key-value API.  :class:`ClusterClient` is that thin layer: ``put``/``get``
-return plain values (blocking), the ``*_async`` variants return Futures of
-:class:`~repro.protocols.kvs.Response` for pipelined traffic, and ``scan``
-issues one per-shard scan choreography and merges the sorted results.
+return plain values (blocking), and ``scan`` issues one per-shard scan
+choreography and merges the sorted results.  Pipelined traffic submits
+straight to the cluster: ``kvs.cluster.submit_put/get/delete/txn`` return
+Futures (of :class:`~repro.protocols.kvs.Response`, or of a
+:class:`~repro.cluster.TxnResult`).
 
 The client either *wraps* an existing :class:`ClusterEngine` (borrowed —
 ``close()`` leaves it open) or *builds* one from the same keyword options
@@ -35,7 +37,6 @@ the replica conclave).
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ChoreographyRuntimeError
@@ -89,37 +90,6 @@ class ClusterClient:
                 continue
         return attempt()
 
-    # ------------------------------------------------------------- async surface --
-
-    def put_async(self, key: str, value: str) -> "Future[Response]":
-        """Enqueue a replicated Put; resolve to the server's ack Response."""
-        return self.cluster.submit_put(key, value)
-
-    def get_async(
-        self, key: str, *, quorum: bool = False, read_repair: bool = True
-    ) -> "Future[Response]":
-        """Enqueue a Get; resolve to the (primary or majority) Response."""
-        return self.cluster.submit_get(key, quorum=quorum, read_repair=read_repair)
-
-    def delete_async(self, key: str) -> "Future[Response]":
-        """Enqueue a replicated Delete; resolve to the server's Response."""
-        return self.cluster.submit_delete(key)
-
-    def txn_async(
-        self,
-        requests: Sequence[Request],
-        *,
-        expects: "Optional[Dict[str, Optional[str]]]" = None,
-        txn_id: Optional[str] = None,
-    ) -> "Future[TxnResult]":
-        """Enqueue a cross-shard transaction; resolve to its :class:`TxnResult`.
-
-        A thin alias for :meth:`ClusterEngine.submit_txn`; the Future raises
-        :class:`~repro.cluster.TxnConflict` / :class:`~repro.cluster.TxnAborted`
-        on an abort.
-        """
-        return self.cluster.submit_txn(requests, expects=expects, txn_id=txn_id)
-
     # ---------------------------------------------------------- blocking surface --
 
     def put(self, key: str, value: str) -> Optional[str]:
@@ -128,7 +98,7 @@ class ClusterClient:
         Returns:
             The previous value bound to ``key``, or ``None`` for a fresh key.
         """
-        response = self.put_async(key, value).result()
+        response = self.cluster.submit_put(key, value).result()
         return response.value if response.kind is ResponseKind.FOUND else None
 
     def get(
@@ -151,7 +121,8 @@ class ClusterClient:
         propagates.
         """
         response = self._retrying_read(
-            lambda: self.get_async(key, quorum=quorum, read_repair=read_repair).result()
+            lambda: self.cluster.submit_get(
+                key, quorum=quorum, read_repair=read_repair).result()
         )
         return response.value if response.kind is ResponseKind.FOUND else None
 
@@ -165,7 +136,7 @@ class ClusterClient:
             The value that was bound to ``key``, or ``None`` when the key
             was already absent.
         """
-        response = self.delete_async(key).result()
+        response = self.cluster.submit_delete(key).result()
         return response.value if response.kind is ResponseKind.FOUND else None
 
     def batch(self, requests: Sequence[Request]) -> List[Response]:
@@ -224,7 +195,7 @@ class ClusterClient:
             TxnAborted: A participant failed in a way failover could not
                 heal; nothing was committed.
         """
-        return self.txn_async(requests, expects=expects, txn_id=txn_id).result()
+        return self.cluster.submit_txn(requests, expects=expects, txn_id=txn_id).result()
 
     def scan(self, prefix: str = "") -> List[Tuple[str, str]]:
         """All bindings under ``prefix``, across every shard, in key order.

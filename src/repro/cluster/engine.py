@@ -99,9 +99,10 @@ import os
 import threading
 import time
 from concurrent.futures import Future, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..chor import ChoreographyDef
 from ..core.errors import ChoreographyRuntimeError, ChoreoTimeout
@@ -356,7 +357,7 @@ class _ShardSession:
     """One shard's worth of warm machinery: census, engine, state, bound ops."""
 
     __slots__ = (
-        "shard_id", "client", "census", "servers", "primary", "backups", "down",
+        "shard_id", "client", "census", "servers", "primary", "down",
         "rejoining", "durability", "state", "engine", "fence", "bindings",
         "queue", "folds", "owed", "carrier", "held",
     )
@@ -375,11 +376,11 @@ class _ShardSession:
         self.client = client
         self.servers: List[Location] = [f"{shard_id}.r{i}" for i in range(replication)]
         self.primary: Location = self.servers[0]
-        self.backups: List[Location] = self.servers[1:]
-        #: Backups demoted out of the replica group, in detection order.
+        #: Replicas dropped out of the replica group, in detection order.
         self.down: List[Location] = []
-        #: Demoted backups currently being re-admitted (restart + catch-up).
-        self.rejoining: List[Location] = []
+        #: The demoted replica being re-admitted (restart + catch-up), if
+        #: any; control operations are exclusive, so there is at most one.
+        self.rejoining: Optional[Location] = None
         self.durability = durability
         self.census: Census = as_census([client] + self.servers)
         # The replica stores persist across choreography instances: the engine
@@ -419,6 +420,17 @@ class _ShardSession:
         return self.fence.value
 
     @property
+    def backups(self) -> List[Location]:
+        """The serving backups, in census order: every server but the head,
+        the ``down`` and the rejoining.  Its first entry is the *senior*
+        survivor, next in line for promotion — deterministic across
+        processes and failure histories, and authoritative by the
+        ack-before-apply invariant (every write the deposed head acknowledged
+        was applied at every then-serving backup *first*)."""
+        return [server for server in self.servers if server != self.primary
+                and server not in self.down and server != self.rejoining]
+
+    @property
     def put(self) -> ChoreographyDef:
         """The current replicated-put binding (over the whole engine census)."""
         return self.bindings["put"][0]
@@ -429,10 +441,9 @@ class _ShardSession:
         Census order says ``servers[0]`` leads — but a promotion may have
         moved the head, and that fact is persisted as WAL promotion records
         (``docs/durability.md``).  The replica reporting the highest
-        recovered epoch knows the current head: re-arrange primary/backups
-        around it and restore the epoch, so a full cluster restart serves
-        from the store that was authoritative at shutdown, not from a
-        deposed ``r0``.
+        recovered epoch knows the current head: serve from it and restore
+        the epoch, so a full cluster restart serves from the store that was
+        authoritative at shutdown, not from a deposed ``r0``.
         """
         epoch, head = 0, None
         for replica in self.servers:
@@ -442,7 +453,6 @@ class _ShardSession:
         if epoch > 0 and head in self.servers:
             self.fence.advance(epoch)
             self.primary = head
-            self.backups = [s for s in self.servers if s != head]
 
     def _bind_data_plane(self) -> None:
         """(Re-)bind the data-plane choreographies to the live replica set.
@@ -465,8 +475,9 @@ class _ShardSession:
         :class:`~repro.protocols.kvs.StaleEpoch` before its first message —
         the split-brain fence that keeps a deposed head from serving.
         """
-        group = (self.client, self.primary, list(self.backups), self.state)
-        members = as_census([self.client, self.primary, *self.backups])
+        backups = self.backups
+        group = (self.client, self.primary, backups, self.state)
+        members = as_census([self.client, self.primary, *backups])
         bindings = {
             op_name: (_lifted(chor, lift, *group), members)
             for op_name, (chor, lift) in _REPLICA_GROUP_OPS.items()
@@ -502,23 +513,6 @@ class _ShardSession:
             return EphemeralState()
         return self.durability.open_state(self.shard_id, replica)
 
-    def demote_backup(self, replica: Location) -> None:
-        """Drop a dead backup from the replica group and re-bind around it."""
-        self.backups.remove(replica)
-        self.down.append(replica)
-        self._bind_data_plane()
-
-    def senior_surviving_backup(self) -> Optional[Location]:
-        """The backup next in line for promotion, or ``None`` if none survive.
-
-        The backup list is maintained in census order, so its first entry is
-        the *senior* survivor — deterministic across processes and failure
-        histories, and authoritative by the ack-before-apply invariant
-        (every write the deposed head acknowledged was applied at every
-        then-serving backup *first*).
-        """
-        return self.backups[0] if self.backups else None
-
     def promote(self, new_primary: Location) -> None:
         """Fail over to ``new_primary``: bump the epoch, fence, re-bind.
 
@@ -529,11 +523,9 @@ class _ShardSession:
         every binding made under the old epoch; and the data plane re-binds
         around the new head with the remaining backups.
         """
-        deposed = self.primary
         epoch = self.epoch + 1
+        self.down.append(self.primary)
         self.primary = new_primary
-        self.backups.remove(new_primary)
-        self.down.append(deposed)
         for replica in (self.primary, *self.backups):
             facet = self.state.facet_for(replica)
             if isinstance(facet, DurableState):
@@ -563,36 +555,6 @@ class _ShardSession:
         self.state = Faceted(self.servers, facets)
         return fresh
 
-    def begin_rejoin(self, replica: Location) -> None:
-        """Move ``replica`` from the demoted list into the rejoining state."""
-        self.down.remove(replica)
-        self.rejoining.append(replica)
-
-    def abort_rejoin(self, replica: Location) -> None:
-        """A re-join failed: the replica goes back to plain demoted."""
-        if replica in self.rejoining:
-            self.rejoining.remove(replica)
-        if replica not in self.down:
-            self.down.append(replica)
-
-    def finish_rejoin(self, replica: Location) -> None:
-        """Re-admit ``replica``: restore membership and re-bind the shard.
-
-        The backup list is rebuilt in census order (not append order), so a
-        shard that loses and regains replicas converges to the same binding
-        it started with — bindings stay deterministic across failure
-        histories.  The *current* head is excluded, not ``servers[0]``: after
-        a promotion the deposed ``r0`` re-enters here as a backup, senior in
-        census order but a backup all the same.
-        """
-        self.rejoining.remove(replica)
-        self.backups = [
-            server for server in self.servers
-            if server != self.primary
-            and server not in self.down and server not in self.rejoining
-        ]
-        self._bind_data_plane()
-
     def close_storage(self) -> None:
         """Flush and close every durable facet (no-op for ephemeral shards)."""
         for facet in self.state.visible_facets().values():
@@ -605,7 +567,7 @@ class _ShardSession:
         def status(replica: Location) -> str:
             if replica in self.down:
                 return "down"
-            if replica in self.rejoining:
+            if replica == self.rejoining:
                 return "rejoining"
             return "up"
 
@@ -989,43 +951,24 @@ class ClusterEngine:
                        error: ChoreographyRuntimeError) -> bool:
         """Decide whether a failed run warrants a replay, healing first.
 
-        Three replayable conditions, in order of precedence:
+        Two replayable conditions, in order of precedence:
 
         1. the run was **fenced** — it raised
            :class:`~repro.protocols.kvs.StaleEpoch` because a concurrent
            promotion invalidated its binding.  The shard is already healthy
            under the new head; re-dispatching picks up the current-epoch
            binding;
-        2. the blame chain sinks at a **backup** — demote it (idempotently)
-           and replay against the shrunk replica group;
-        3. the blame chain sinks at the **primary** — promote the senior
-           surviving backup (idempotently) and replay against the new head.
+        2. the blame chain sinks at a replica — :meth:`_mark_down` acts on
+           it by its role (demote a backup, promote past a primary) and the
+           run replays against the re-bound replica group.
 
         ``False`` means the failure is the honest answer: an unattributable
         failure, or a shard whose last replica died.
         """
-        if self._is_stale_epoch(error):
+        if any(isinstance(failure, StaleEpoch) for failure in error.failures.values()):
             return True
         suspect = self._suspect_replica(shard_id, error)
-        if suspect is None:
-            return False
-        with self._lock:
-            session = self._sessions.get(shard_id)
-            if session is not None and suspect == session.primary:
-                primary_died = True
-            else:
-                primary_died = False
-        if primary_died:
-            return self._mark_primary_down(shard_id, suspect)
-        return self._mark_backup_down(shard_id, suspect)
-
-    @staticmethod
-    def _is_stale_epoch(error: ChoreographyRuntimeError) -> bool:
-        """True when the failure bundle is rooted in a stale-epoch fence."""
-        failures = getattr(error, "failures", None) or {error.location: error.original}
-        return any(
-            isinstance(failure, StaleEpoch) for failure in failures.values()
-        )
+        return suspect is not None and self._mark_down(shard_id, suspect)
 
     def _suspect_replica(self, shard_id: ShardId,
                          error: ChoreographyRuntimeError) -> Optional[Location]:
@@ -1044,10 +987,9 @@ class ClusterEngine:
         promotion.  A silent *client* is never attributed: that failure sits
         on the requesting side and this layer does not mask it.
         """
-        failures = getattr(error, "failures", None) or {error.location: error.original}
         blames = {
             waiter: exc.peer
-            for waiter, exc in failures.items()
+            for waiter, exc in error.failures.items()
             if isinstance(exc, ChoreoTimeout) and exc.peer is not None
         }
         sink = error.location
@@ -1063,57 +1005,46 @@ class ClusterEngine:
                 return sink
         return None
 
-    def _mark_backup_down(self, shard_id: ShardId, replica: Location) -> bool:
-        """Record ``replica`` as dead; True when it is (now) confirmed down.
+    def _mark_down(self, shard_id: ShardId, replica: Location) -> bool:
+        """Act on a dead replica; True when a replay is warranted.
+
+        The replica's role is read and acted on under one ``_lock``
+        acquisition, so it is acted on by its role at that moment: a dead
+        *backup* is dropped from the replica group and the shard re-bound
+        around it; a dead *primary* is replaced by the senior surviving
+        backup (its store is authoritative by ack-before-apply), with a new
+        epoch stamped and a :class:`PromotionReport` recorded.  Both land in
+        :attr:`failovers`.
 
         Idempotent under concurrency: many in-flight runs typically fail on
-        the same dead backup at once, and each of them should *replay* —
-        only the first one performs the demotion and logs the failover.
+        the same dead replica at once, and each of them should *replay* —
+        only the first one acts.  Returns ``False`` — fail loudly, no replay
+        — for a replica that is neither (a rejoining one), and for a dead
+        primary with no backup left: the shard's last replica is gone and
+        masking that would turn data loss into silence.
         """
         with self._lock:
             session = self._sessions[shard_id]
             if replica in session.down:
-                return True
-            if replica not in session.backups:
+                return True  # a racing settle already acted on it
+            backups = session.backups
+            if replica == session.primary and backups:
+                started = time.perf_counter()
+                session.promote(backups[0])
+                self.promotions.append(PromotionReport(
+                    shard_id=shard_id,
+                    old_primary=replica,
+                    new_primary=session.primary,
+                    epoch=session.epoch,
+                    survivors=(session.primary, *session.backups),
+                    promote_seconds=time.perf_counter() - started,
+                ))
+            elif replica in backups:
+                session.down.append(replica)
+                session._bind_data_plane()
+            else:
                 return False
-            session.demote_backup(replica)
             self.failovers.append((shard_id, replica))
-            return True
-
-    def _mark_primary_down(self, shard_id: ShardId, replica: Location) -> bool:
-        """Fail over a dead primary; True when a replay is warranted.
-
-        Promotes the senior surviving backup (first in census order — its
-        store is authoritative by ack-before-apply), stamps the new epoch,
-        and records the :class:`PromotionReport`.  Idempotent under
-        concurrency exactly like :meth:`_mark_backup_down`: every in-flight
-        run that died with the old head calls this, only the first performs
-        the promotion, and all of them replay against the new binding.
-
-        Returns ``False`` — fail loudly, no replay — when no backup
-        survives: the shard's last replica is gone and masking that would
-        turn data loss into silence.
-        """
-        with self._lock:
-            session = self._sessions[shard_id]
-            if replica in session.down:
-                return True  # a racing settle already promoted past it
-            if replica != session.primary:
-                return False
-            successor = session.senior_surviving_backup()
-            if successor is None:
-                return False
-            started = time.perf_counter()
-            session.promote(successor)
-            self.failovers.append((shard_id, replica))
-            self.promotions.append(PromotionReport(
-                shard_id=shard_id,
-                old_primary=replica,
-                new_primary=successor,
-                epoch=session.epoch,
-                survivors=(session.primary, *session.backups),
-                promote_seconds=time.perf_counter() - started,
-            ))
             return True
 
     def submit_put(self, key: str, value: str) -> "Future[Response]":
@@ -1556,14 +1487,40 @@ class ClusterEngine:
                     alive[replica] = False
                     culprit = self._suspect_replica(session.shard_id, failure)
                 if demote and culprit == replica:
-                    if replica == session.primary:
-                        self._mark_primary_down(session.shard_id, replica)
-                    else:
-                        self._mark_backup_down(session.shard_id, replica)
+                    self._mark_down(session.shard_id, replica)
             report[session.shard_id] = alive
         return report
 
     # ------------------------------------------------------------ control plane --
+
+    @contextmanager
+    def _control(self, what: str, admit: Callable[[], None] = lambda: None) -> Iterator[None]:
+        """Own the cluster for one control-plane operation, ``what``.
+
+        Refused, in this order, when the cluster is closed
+        (:class:`ClusterClosed`), busy with another operation
+        (:class:`ClusterRebalancing`), refused by the caller's own
+        ``admit`` check (run under ``_lock``), or not quiescent
+        (:class:`RuntimeError`).  Submits racing the operation are refused
+        with :class:`ClusterRebalancing` until it ends, however it ends.
+        """
+        with self._lock:
+            if self._closed:
+                raise ClusterClosed(f"cannot start {what} on a closed ClusterEngine")
+            if self._control_op is not None:
+                raise ClusterRebalancing(f"cluster is already busy with {self._control_op}")
+            admit()
+            if self.pending:
+                raise RuntimeError(
+                    f"{what} requires a quiescent cluster; resolve in-flight "
+                    f"futures first ({self.pending} still pending)"
+                )
+            self._control_op = what
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._control_op = None
 
     def add_shard(self, shard_id: Optional[ShardId] = None) -> ShardId:
         """Grow the cluster by one shard and migrate the keys it takes over.
@@ -1594,68 +1551,49 @@ class ClusterEngine:
             RuntimeError: If requests are still in flight (``pending != 0``).
             ValueError: If the shard id is already on the ring.
         """
-        with self._lock:
-            if self._closed:
-                raise ClusterClosed("cannot rebalance a closed ClusterEngine")
-            if self._control_op is not None:
-                raise ClusterRebalancing(
-                    f"cluster is already busy with {self._control_op}"
-                )
-            if self.pending:
-                raise RuntimeError(
-                    "rebalance requires a quiescent cluster; resolve in-flight "
-                    f"futures first ({self.pending} still pending)"
-                )
-            self._control_op = "a shard rebalance"
-        try:
-            return self._rebalance(shard_id)
-        finally:
+        with self._control("a shard rebalance"):
+            # Keys move as the primaries hold them, so owed decides land first.
+            for future in self._deliver(list(self._sessions.values())):
+                future.result()
             with self._lock:
-                self._control_op = None
+                if shard_id is None:
+                    for index in itertools.count(len(self._sessions)):
+                        shard_id = f"shard{index}"
+                        if shard_id not in self._sessions:
+                            break
+                session = self._open_session(shard_id)
+                self.router.add_shard(shard_id)
+                self._sessions[shard_id] = session
 
-    def _rebalance(self, shard_id: Optional[ShardId]) -> ShardId:
-        """The body of :meth:`add_shard`, run with ``_control_op`` held."""
-        # Keys move as the primaries hold them, so owed decides land first.
-        for future in self._deliver(list(self._sessions.values())):
-            future.result()
-        with self._lock:
-            if shard_id is None:
-                for index in itertools.count(len(self._sessions)):
-                    shard_id = f"shard{index}"
-                    if shard_id not in self._sessions:
-                        break
-            session = self._open_session(shard_id)
-            self.router.add_shard(shard_id)
-            self._sessions[shard_id] = session
-
-            # Migrate: the primary's facet of each old shard is authoritative
-            # for what that shard holds (control-plane read; the data plane is
-            # quiescent).  Moved keys re-enter through the choreographic put.
-            moves: List["Future[ChoreographyResult]"] = []
-            moved_per_session: List["tuple[_ShardSession, List[str]]"] = []
-            for old in self._sessions.values():
-                if old.shard_id == shard_id:
-                    continue
-                primary_state = old.state.facet_for(old.primary)
-                moved = [key for key in primary_state
-                         if self.router.shard_for(key) == shard_id]
-                moved_per_session.append((old, moved))
-                put, census = session.bindings["put"]
-                for key in moved:
-                    moves.append(session.engine.submit(
-                        put, args=(key, primary_state[key]), census=census))
-        # Copy-then-delete: the old replicas keep every moved key until the
-        # new shard has acknowledged all of its re-puts, so a failed
-        # migration leaves the data intact at its old home (the ring already
-        # points at the new shard, but nothing has been destroyed).
-        for future in moves:
-            future.result()
-        for old, moved in moved_per_session:
-            for replica in old.servers:
-                replica_state = old.state.facet_for(replica)
-                for key in moved:
-                    replica_state.pop(key, None)
-        return shard_id
+                # Migrate: the primary's facet of each old shard is
+                # authoritative for what that shard holds (control-plane read;
+                # the data plane is quiescent).  Moved keys re-enter through
+                # the choreographic put.
+                moves: List["Future[ChoreographyResult]"] = []
+                moved_per_session: List["tuple[_ShardSession, List[str]]"] = []
+                for old in self._sessions.values():
+                    if old.shard_id == shard_id:
+                        continue
+                    primary_state = old.state.facet_for(old.primary)
+                    moved = [key for key in primary_state
+                             if self.router.shard_for(key) == shard_id]
+                    moved_per_session.append((old, moved))
+                    put, census = session.bindings["put"]
+                    for key in moved:
+                        moves.append(session.engine.submit(
+                            put, args=(key, primary_state[key]), census=census))
+            # Copy-then-delete: the old replicas keep every moved key until
+            # the new shard has acknowledged all of its re-puts, so a failed
+            # migration leaves the data intact at its old home (the ring
+            # already points at the new shard, but nothing has been destroyed).
+            for future in moves:
+                future.result()
+            for old, moved in moved_per_session:
+                for replica in old.servers:
+                    replica_state = old.state.facet_for(replica)
+                    for key in moved:
+                        replica_state.pop(key, None)
+            return shard_id
 
     def rejoin_backup(self, shard_id: ShardId, replica: Location) -> RejoinReport:
         """Re-admit a demoted replica as a backup: restart, catch up, re-bind.
@@ -1705,13 +1643,7 @@ class ClusterEngine:
                 primary's store.
             RuntimeError: If requests are still in flight.
         """
-        with self._lock:
-            if self._closed:
-                raise ClusterClosed("cannot rejoin on a closed ClusterEngine")
-            if self._control_op is not None:
-                raise ClusterRebalancing(
-                    f"cluster is already busy with {self._control_op}"
-                )
+        def admit() -> None:
             session = self._sessions[shard_id]
             if replica == session.primary:
                 raise RejoinError(
@@ -1723,74 +1655,69 @@ class ClusterEngine:
                     f"replica {replica!r} of shard {shard_id!r} is not demoted; "
                     "nothing to rejoin"
                 )
-            if self.pending:
-                raise RuntimeError(
-                    "rejoin requires a quiescent cluster; resolve in-flight "
-                    f"futures first ({self.pending} still pending)"
-                )
-            self._control_op = f"rejoining {replica} into {shard_id}"
-            session.begin_rejoin(replica)
-        try:
-            # The catch-up copies the primary, so its owed decides land first.
-            self._deliver([session])[0].result()
-            # 1. The dead process comes back: revive its crashed transport
-            # endpoints (fault-injected backends) and recover its store from
-            # disk.  Opening the DurableState *is* the replay.
-            faults = getattr(session.engine.transport, "faults", None)
-            if faults is not None:
-                faults.revive(replica)
-            started = time.perf_counter()
-            fresh = session.restart_replica_state(replica)
-            replayed = getattr(fresh, "replayed_records", 0)
-            replay_seconds = time.perf_counter() - started
 
-            # 2. Close the gap to the primary, hash-verified end to end.  The
-            # binding names the *current* head and carries the current epoch:
-            # a deposed primary re-joining here catches up FROM its usurper,
-            # and a promotion racing the transfer fences it like any other
-            # stale binding instead of letting it stream from a dead head.
-            started = time.perf_counter()
-            catchup = fenced(
-                ChoreographyDef(kvs_catchup).bind(
-                    self.client, session.primary, replica, session.state
-                ),
-                session.fence,
-            )
-            report: CatchupReport = session.engine.run(catchup).value_at(self.client)
-            catchup_seconds = time.perf_counter() - started
-            if not report.verified:
-                raise RejoinError(
-                    f"catch-up for {replica!r} could not be verified against "
-                    f"the primary ({report.mode} transfer, "
-                    f"fell_back={report.fell_back})"
-                )
+        with self._control(f"the re-join of {replica} into {shard_id}", admit):
+            with self._lock:
+                session = self._sessions[shard_id]
+                session.down.remove(replica)
+                session.rejoining = replica
+            try:
+                # The catch-up copies the primary, so its owed decides land first.
+                self._deliver([session])[0].result()
+                # 1. The dead process comes back: revive its crashed transport
+                # endpoints (fault-injected backends) and recover its store
+                # from disk.  Opening the DurableState *is* the replay.
+                faults = getattr(session.engine.transport, "faults", None)
+                if faults is not None:
+                    faults.revive(replica)
+                started = time.perf_counter()
+                fresh = session.restart_replica_state(replica)
+                replayed = getattr(fresh, "replayed_records", 0)
+                replay_seconds = time.perf_counter() - started
 
-            # 3. Restore membership; the shard serves replicated again.  A
-            # durable rejoiner is stamped with the current epoch first: a
-            # delta transfer replayed the head's promotion records, but a
-            # full transfer installs items only, and the re-admitted replica
-            # must recover the promoted head on a later cluster restart.
-            with self._lock:
-                if session.epoch:
-                    facet = session.state.facet_for(replica)
-                    if isinstance(facet, DurableState):
-                        facet.log_promotion(session.epoch, session.primary)
-                session.finish_rejoin(replica)
-                rejoin = RejoinReport(
-                    shard_id=shard_id, replica=replica,
-                    replayed_records=replayed, replay_seconds=replay_seconds,
-                    catchup_seconds=catchup_seconds, mode=report.mode,
-                    fell_back=report.fell_back,
-                )
-                self.rejoins.append(rejoin)
-            return rejoin
-        except BaseException:
-            with self._lock:
-                session.abort_rejoin(replica)
-            raise
-        finally:
-            with self._lock:
-                self._control_op = None
+                # 2. Close the gap to the primary, hash-verified end to end.
+                # The binding names the *current* head and carries the current
+                # epoch: a deposed primary re-joining here catches up FROM its
+                # usurper, and a promotion racing the transfer fences it like
+                # any other stale binding instead of letting it stream from a
+                # dead head.
+                started = time.perf_counter()
+                catchup = fenced(ChoreographyDef(kvs_catchup).bind(
+                    self.client, session.primary, replica, session.state), session.fence)
+                report: CatchupReport = session.engine.run(catchup).value_at(self.client)
+                catchup_seconds = time.perf_counter() - started
+                if not report.verified:
+                    raise RejoinError(
+                        f"catch-up for {replica!r} could not be verified against "
+                        f"the primary ({report.mode} transfer, "
+                        f"fell_back={report.fell_back})"
+                    )
+
+                # 3. Restore membership; the shard serves replicated again.  A
+                # durable rejoiner is stamped with the current epoch first: a
+                # delta transfer replayed the head's promotion records, but a
+                # full transfer installs items only, and the re-admitted
+                # replica must recover the promoted head on a later restart.
+                with self._lock:
+                    if session.epoch:
+                        facet = session.state.facet_for(replica)
+                        if isinstance(facet, DurableState):
+                            facet.log_promotion(session.epoch, session.primary)
+                    session.rejoining = None
+                    session._bind_data_plane()
+                    rejoin = RejoinReport(
+                        shard_id=shard_id, replica=replica,
+                        replayed_records=replayed, replay_seconds=replay_seconds,
+                        catchup_seconds=catchup_seconds, mode=report.mode,
+                        fell_back=report.fell_back,
+                    )
+                    self.rejoins.append(rejoin)
+                return rejoin
+            except BaseException:
+                with self._lock:
+                    session.rejoining = None
+                    session.down.append(replica)
+                raise
 
     def close(self) -> None:
         """Close every shard session (idempotent); pending work drains first.

@@ -69,8 +69,8 @@ from .settings import GatewaySettings
 _RECV_SIZE = 65536
 #: Writer-queue poll interval; bounds how long shutdown waits on an idle queue.
 _QUEUE_POLL = 0.1
-#: Single-request verbs and the ClusterClient method each submits through.
-_SINGLE_VERBS = {"GET": "get_async", "PUT": "put_async", "DEL": "delete_async"}
+#: Single-request verbs and the ClusterEngine method each submits through.
+_SINGLE_VERBS = {"GET": "submit_get", "PUT": "submit_put", "DEL": "submit_delete"}
 
 #: A queued reply: either ready now, or a thunk the writer resolves (waiting
 #: on cluster Futures), plus whether it holds an in-flight slot to release.
@@ -400,7 +400,7 @@ class GatewayServer:
         client = self.client
         single = _SINGLE_VERBS.get(command.verb)
         if single is not None:
-            future = getattr(client, single)(*command.args)
+            future = getattr(client.cluster, single)(*command.args)
             return lambda: reply_for_response(future.result())
         if command.verb == "BATCH":
             futures = client.cluster.submit_batch(command.requests)

@@ -409,7 +409,7 @@ class TestReadsAreChosenAtDispatch:
             assert engine_jobs == {location: 10 for location in session.census}
 
             demoted = session.backups[-1]
-            assert cluster._mark_backup_down("shard0", demoted)
+            assert cluster._mark_down("shard0", demoted)
             engine_jobs.clear()
             for n in range(10):
                 cluster.submit_put("k", str(n)).result(timeout=30.0)
@@ -569,12 +569,12 @@ class TestClusterClient:
 
     def test_async_surface_pipelines(self):
         with ClusterClient(shards=2, replication=2) as client:
-            puts = [client.put_async(f"k{i}", str(i)) for i in range(16)]
+            puts = [client.cluster.submit_put(f"k{i}", str(i)) for i in range(16)]
             for future in puts:
                 assert future.result().kind in (
                     ResponseKind.FOUND, ResponseKind.NOT_FOUND
                 )
-            gets = [client.get_async(f"k{i}") for i in range(16)]
+            gets = [client.cluster.submit_get(f"k{i}") for i in range(16)]
             assert [f.result().value for f in gets] == [str(i) for i in range(16)]
 
     def test_borrowed_cluster_left_open(self):
@@ -618,7 +618,7 @@ class TestClusterDelete:
         with ClusterClient(shards=2, replication=2) as client:
             for i in range(8):
                 client.put(f"k{i}", str(i))
-            futures = [client.delete_async(f"k{i}") for i in range(8)]
+            futures = [client.cluster.submit_delete(f"k{i}") for i in range(8)]
             assert [f.result().value for f in futures] == [str(i) for i in range(8)]
             assert client.scan() == []
 

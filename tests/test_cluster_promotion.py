@@ -130,7 +130,7 @@ class TestEpochFence:
         with ClusterEngine(shards=1, replication=2, backend=BACKEND) as cluster:
             session = cluster.session("shard0")
             stale, census = session.bindings[binding]  # bound under epoch 0
-            assert cluster._mark_primary_down("shard0", "shard0.r0")
+            assert cluster._mark_down("shard0", "shard0.r0")
             assert session.epoch == 1
             with pytest.raises(AttributeError):
                 session.epoch = 7  # read-only: the fence cell is the epoch
@@ -150,14 +150,17 @@ class TestEpochFence:
 
     def test_forced_promotion_is_idempotent(self):
         with ClusterEngine(shards=1, replication=3, backend=BACKEND) as cluster:
-            assert cluster._mark_primary_down("shard0", "shard0.r0")
+            assert cluster._mark_down("shard0", "shard0.r0")
             # A racing settle calling in with the already-deposed head must
             # replay without promoting a second time.
-            assert cluster._mark_primary_down("shard0", "shard0.r0")
+            assert cluster._mark_down("shard0", "shard0.r0")
             assert len(cluster.promotions) == 1
             assert cluster.promotions[0].survivors == ("shard0.r1", "shard0.r2")
-            # ...and a stale suspicion of a non-primary does not promote.
-            assert not cluster._mark_primary_down("shard0", "shard0.r2")
+            # ...and a suspect is acted on by its role now: a backup is
+            # demoted, never promoted past.
+            assert cluster._mark_down("shard0", "shard0.r2")
+            assert cluster.session("shard0").backups == []
+            assert len(cluster.promotions) == 1
             assert cluster.session("shard0").epoch == 1
 
 
@@ -335,7 +338,7 @@ class TestPromotionRaces:
                 # and its run, so the rejoin's binding is now a stale-epoch
                 # zombie.  The fence must fail it before any state moves.
                 session.engine.run = real_run
-                assert cluster._mark_primary_down("shard0", session.primary)
+                assert cluster._mark_down("shard0", session.primary)
                 return real_run(*args, **kwargs)
 
             session.engine.run = run_with_racing_promotion

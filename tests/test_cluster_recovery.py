@@ -209,11 +209,14 @@ class TestRejoin:
             kvs = ClusterClient(cluster)
             crash_then_detect(cluster, kvs, ops=60)
             session = cluster.session("shard0")
-            session.begin_rejoin("shard0.r1")  # the window rejoin_backup holds open
+            # The window rejoin_backup holds open:
+            session.down.remove("shard0.r1")
+            session.rejoining = "shard0.r1"
             health = session.health()
             assert health.replicas["shard0.r1"] == "rejoining"
             assert health.degraded  # not serving replicated yet
-            session.finish_rejoin("shard0.r1")
+            assert session.backups == []  # not serving yet
+            session.rejoining = None
             assert session.health().replicas["shard0.r1"] == "up"
 
     def test_rejoin_rejects_bad_targets(self, tmp_path):

@@ -479,7 +479,7 @@ class TestConcurrentTransfers:
                     continue
                 src, dst = f"acct{src_i:02d}", f"acct{dst_i:02d}"
                 futures.append(
-                    kvs.txn_async(
+                    kvs.cluster.submit_txn(
                         [
                             Request.put(src, str(books[src] - amount)),
                             Request.put(dst, str(books[dst] + amount)),

@@ -71,7 +71,7 @@ class Sweep:
                          failures, outer):
             self.latest[txn_id] = [dict(writes) for writes in writes_by_shard.values()]
             if self.demote_first is not None:
-                assert cluster._mark_backup_down(*self.demote_first)
+                assert cluster._mark_down(*self.demote_first)
                 self.demote_first = None
             if self.die_after_log:
                 self.die_after_log = False
