@@ -16,8 +16,9 @@ concurrently.  :class:`ClusterEngine` is that layer:
   shard (hence the same key) execute in submission order;
 * single requests **fold at dispatch** (group commit, no timer): single
   puts, gets and deletes that queue behind a shard's in-flight fold go out
-  together as one ``read`` or ``serve`` instance when it settles; per-key
-  linearizability rests on the fold's ordering rules (``_flush``);
+  together as one ``read`` or ``serve`` instance when it settles; every
+  dispatch waits its turn in one lane per shard, and per-key
+  linearizability rests on that lane's one ordering rule (``_pump``);
 * the data plane is pure choreography — puts replicate through
   :func:`~repro.protocols.kvs.kvs_with_backups`, quorum reads and
   read-repair through :func:`~repro.protocols.kvs.kvs_quorum_get`, other
@@ -227,6 +228,14 @@ def _as_given(value: Any) -> Any:
     return value
 
 
+def _future() -> "Future[Any]":
+    """A Future that refuses ``cancel()``, as an executor's does once running:
+    one cancelled in a fold or batch would strand the rest of its answers."""
+    future: "Future[Any]" = Future()
+    future.set_running_or_notify_cancel()
+    return future
+
+
 def _fan_out(done: "Future[List[Response]]", futures: Sequence["Future[Response]"]) -> None:
     """Answer one Future per request from an instance's list of answers."""
     try:
@@ -271,11 +280,10 @@ class ShardHealth:
     #: Replicas detected dead and dropped out of the replica group (demoted
     #: backups *and* deposed primaries), in detection order.
     down: Tuple[Location, ...] = field(default=())
-    #: The shard's in-flight instances plus queued single requests at
-    #: snapshot time — the queue depth behind :attr:`ClusterEngine.pending`:
-    #: the signal an admission controller keys off (the gateway sheds load
-    #: once the cluster-wide sum passes its high-water mark), and where a
-    #: backlog sits, not just that one exists.
+    #: The shard's dispatches not yet started plus instances in flight at
+    #: snapshot time: its share of :attr:`ClusterEngine.pending`, which the
+    #: gateway sheds load on past a high-water mark, showing where a backlog
+    #: sits, not just that one exists.
     pending: int = field(default=0)
     #: The shard's current epoch: 0 until a primary promotion, bumped by one
     #: per promotion.  Bindings from older epochs are fenced with
@@ -359,7 +367,7 @@ class _ShardSession:
     __slots__ = (
         "shard_id", "client", "census", "servers", "primary", "down",
         "rejoining", "durability", "state", "engine", "fence", "bindings",
-        "queue", "folds", "owed", "carrier", "held",
+        "lane", "folding", "owed", "carrier",
     )
 
     def __init__(
@@ -403,16 +411,14 @@ class _ShardSession:
         #: Op name → (choreography, participant census), see _bind_data_plane.
         self.bindings: Dict[str, Tuple[ChoreographyDef, Census]] = {}
         self._bind_data_plane()
-        #: Single requests (with their callers' Futures) waiting for the fold
-        #: in flight, in arrival order; and the folds in flight (>1: forced).
-        self.queue: List[Tuple[Request, "Future[Response]"]] = []
-        self.folds = 0
+        #: Dispatches not yet started, in order, as ``(op_name, args, kwargs,
+        #: outer, replays)`` (see _submit, _pump); and whether a fold is in flight.
+        self.lane: List[tuple] = []
+        self.folding = False
         #: Decides this shard is owed and no instance carries yet, in
-        #: decision order; those on the carrier in flight (``None``: none is);
-        #: and the dispatches waiting behind that carrier, in arrival order.
+        #: decision order; those on the carrier in flight (``None``: none is).
         self.owed: List[Decide] = []
         self.carrier: Optional[List[Decide]] = None
-        self.held: List[tuple] = []
 
     @property
     def epoch(self) -> int:
@@ -429,6 +435,11 @@ class _ShardSession:
         was applied at every then-serving backup *first*)."""
         return [server for server in self.servers if server != self.primary
                 and server not in self.down and server != self.rejoining]
+
+    @property
+    def pending(self) -> int:
+        """Dispatches not yet started plus instances in flight (0 = quiescent)."""
+        return len(self.lane) + self.engine.pending
 
     @property
     def put(self) -> ChoreographyDef:
@@ -576,7 +587,7 @@ class _ShardSession:
             self.primary,
             {replica: status(replica) for replica in self.servers},
             down=tuple(self.down),
-            pending=len(self.queue) + len(self.held) + self.engine.pending,
+            pending=self.pending,
             epoch=self.epoch,
             roles={
                 replica: "primary" if replica == self.primary else "backup"
@@ -748,7 +759,7 @@ class ClusterEngine:
                 f"{self._control_op}; drain in-flight futures and retry"
             )
 
-    def _submit(self, shard_id: ShardId, op_name: str,
+    def _submit(self, shard_id: ShardId, op_name: Optional[str],
                 args: Sequence[Any] = (), kwargs: Optional[Dict[str, Any]] = None,
                 ) -> "Future[Any]":
         """Dispatch one non-folded shard operation, with failover built in.
@@ -760,52 +771,68 @@ class ClusterEngine:
         was first dispatched with.  The returned Future resolves with the
         final (possibly replayed) run's client value (the run itself for a
         scan), or with the original failure when no replay is warranted.
-        The shard's queued single requests are sent first.
+        It joins the tail of the shard's lane (:meth:`_pump`); ``op_name``
+        ``None`` submits a single request, ``args`` ``(request,)``.
 
-        Replay is **at-least-once and re-enqueued at failure time**: a
-        replayed write lands *behind* anything submitted between its failure
+        Replay is **at-least-once** and re-enters at the head of the lane:
+        a replayed write lands *behind* anything started between its failure
         and its replay, so pipelined batch writes to one key can reorder
-        across a replica crash; single requests cannot (:meth:`_flush`).
+        across a replica crash; single requests cannot (:meth:`_pump`).
         """
-        outer: "Future[Any]" = Future()
-        session = self._sessions[shard_id]
-        self._flush(session, force=True)
-        send = (op_name, tuple(args), dict(kwargs or {}), outer, self._replays)
+        outer = _future()
         with self._lock:
             self._require_open()
-            sent = self._gate(session, send)
+            session = self._sessions[shard_id]
+            session.lane.append((op_name, tuple(args), dict(kwargs or {}), outer, self._replays))
+            sent = self._pump(session)
         self._watch(session, sent)
         return outer
 
-    def _gate(self, session: _ShardSession, send: tuple) -> List[tuple]:
-        """Let ``send`` through the shard's decide gate (``_lock`` held).
+    def _fold(self, request: Request) -> "Future[Response]":
+        """Submit one single request; :meth:`_pump` folds it with its neighbours."""
+        return self._submit(self.shard_for(request.key), None, (request,))
 
-        A shard's owed decides ride the next instance dispatched to it: a
-        ``txn`` dispatch carries them itself, anything else waits behind a
-        decide-only ``txn`` round.  While that *carrier* is in flight (its
-        replays included) every other dispatch waits in ``held``, so nothing
-        sent after a commit is acknowledged can see the shard without it.
-        Returns what was started, for :meth:`_watch`.
+    def _pump(self, session: _ShardSession) -> List[tuple]:
+        """Start the lane's head while the ordering rule lets it (``_lock`` held).
+
+        Nothing passes a carrier in flight, so nothing sent after a commit
+        is acknowledged sees the shard without it: owed decides ride a
+        ``txn`` head, or a decide-only round ahead of any other head.  A run
+        of single requests at the head goes out as one fold (a lone one on
+        its own binding) only while no fold is in flight, which one is until
+        its outer Future settles, replays included, so nothing overtakes a
+        replayed write.  Any other head starts at once.  Entries leave the
+        lane once started, so ``pending`` never misses them.
         """
-        if session.carrier is None and not session.owed:
-            return [self._start(session, *send)]
-        session.held.append(send)
-        return self._release(session)
-
-    def _release(self, session: _ShardSession) -> List[tuple]:
-        """Start held dispatches in order, up to the next carrier (``_lock`` held)."""
-        sent = []
-        while session.held and session.carrier is None:
-            op_name, args, kwargs, outer, replays = session.held[0]
+        lane, sent = session.lane, []
+        while lane and session.carrier is None:
+            op_name, args, kwargs, outer, replays = lane[0]
+            taken = 1
             if session.owed:
                 session.carrier, session.owed = session.owed, []
                 if op_name != "txn":  # a decide-only round goes first
                     sent.append(self._start(session, "txn", (session.carrier, None), {},
-                                            Future(), self._replays))
-                    continue
+                                            _future(), self._replays))
+                    break
                 args = (session.carrier, args[1])
+            elif op_name is None:  # single requests
+                if session.folding:
+                    break
+                run = list(itertools.takewhile(lambda send: send[0] is None, lane))
+                requests = [request for _op_name, (request,), *_rest in run]
+                taken = len(requests)
+                if taken == 1:  # its own put/get/delete binding and Future
+                    (request,) = requests
+                    op_name = request.kind.value
+                    args = ((request.key, request.value) if request.kind is RequestKind.PUT
+                            else (request.key,))
+                else:  # a batch, whose answers fan out
+                    writes = any(request.kind in WRITE_KINDS for request in requests)
+                    op_name, args, outer = ("serve" if writes else "read"), (requests,), _future()
+                outer.add_done_callback(lambda done, run=run: self._unfold(session, run, done))
+                session.folding = True
             sent.append(self._start(session, op_name, args, kwargs, outer, replays))
-            session.held.pop(0)
+            del lane[:taken]
         return sent
 
     def _start(self, session: _ShardSession, op_name: str, args: tuple,
@@ -831,66 +858,23 @@ class ClusterEngine:
                 inner.add_done_callback(lambda done, send=send: self._settle(
                     done, session, *send))
 
-    def _fold(self, request: Request) -> "Future[Response]":
-        """Submit one single request: it queues, and :meth:`_flush` sends it."""
-        future: "Future[Response]" = Future()
+    def _unfold(self, session: _ShardSession, run: List[tuple], done: "Future[Any]") -> None:
+        """A fold settled: free its slot, start what waited, answer each request."""
         with self._lock:
-            self._require_open()
-            session = self._sessions[self.shard_for(request.key)]
-            session.queue.append((request, future))
-        self._flush(session)
-        return future
-
-    def _flush(self, session: _ShardSession, *, force: bool = False) -> None:
-        """Send the shard's queued single requests, in order, as one instance.
-
-        The ordering rules behind per-key linearizability: only while no
-        fold is in flight, unless ``force``d by a non-folded submit (which
-        so never overtakes the queue); and a fold holds the slot until its
-        outer Future settles, replays included (:meth:`_unfold`), so no
-        later single request overtakes a replayed write.  A lone request
-        takes its own binding; more take a ``read`` or ``serve`` batch.
-        """
-        with self._lock:
-            batch = session.queue
-            if not batch or (session.folds and not force):
-                return
-            if len(batch) == 1:  # its own put/get/delete binding
-                ((request, _future),) = batch
-                op_name = request.kind.value
-                args = ((request.key, request.value) if request.kind is RequestKind.PUT
-                        else (request.key,))
-            else:
-                requests = [request for request, _future in batch]
-                writes = any(request.kind in WRITE_KINDS for request in requests)
-                op_name, args = ("serve" if writes else "read"), (requests,)
-            # A lone request's own Future is the fold's; a batch's answers fan out.
-            outer: "Future[Any]" = batch[0][1] if len(batch) == 1 else Future()
-            sent = self._gate(session, (op_name, args, {}, outer, self._replays))
-            # Emptied only once submitted, so ``pending`` never reads 0 between.
-            session.queue = []
-            session.folds += 1
-        outer.add_done_callback(lambda done: self._unfold(session, batch, done))
+            session.folding = False
+            sent = self._pump(session)
         self._watch(session, sent)
-
-    def _unfold(self, session: _ShardSession, batch: List[Tuple[Request, "Future[Response]"]],
-                done: "Future[Any]") -> None:
-        """A fold settled: free its slot, send what queued, answer each request."""
-        with self._lock:
-            session.folds -= 1
-        if session.queue:  # read once the slot is free: a later arrival sends itself
-            self._flush(session)
-        if len(batch) > 1:
-            _fan_out(done, [future for _request, future in batch])
+        if len(run) > 1:
+            _fan_out(done, [future for _op_name, _args, _kwargs, future, _replays in run])
 
     def _settle(self, done: "Future[ChoreographyResult]", session: _ShardSession,
                 op_name: str, args: tuple, kwargs: Dict[str, Any],
                 outer: "Future[Any]", replays_left: int) -> None:
         """Resolve ``outer`` from a finished shard run, failing over if due.
 
-        A carrier's decides are delivered once it succeeds; a failed
-        carrier replays ahead of everything held behind it, and one that
-        gives up leaves its decides owed and fails what it held.
+        A carrier's decides are delivered once it succeeds, and owed again
+        if it fails.  A replay re-enters at the head of the lane; a carrier
+        that gives up fails the lane too, as nothing may pass its decides.
         """
         carried = args[0] if op_name == "txn" else []
         try:
@@ -902,50 +886,43 @@ class ClusterEngine:
         except BaseException as exc:  # noqa: BLE001 - relayed to the caller
             error, replays_left = exc, 0
         else:
-            if carried:
-                self._delivered(session, carried)
+            if carried:  # applied at every live replica: what waited goes out
+                with self._lock:
+                    session.carrier = None
+                    # The decision log keeps only the commits still owed.
+                    if self._txn_log is not None:
+                        for txn_id, verdict, _writes in carried:
+                            if verdict == "commit" and not self._owes(txn_id):
+                                self._txn_log.pop(txn_id, None)
+                    sent = self._pump(session)
+                self._watch(session, sent)
             outer.set_result(value)
             return
         try:
-            if replays_left > 0 and self._should_replay(session.shard_id, error):
-                send = (op_name, args, kwargs, outer, replays_left - 1)
-                with self._lock:
-                    self._require_open()
-                    sent = ([self._start(session, *send)] if carried
-                            else self._gate(session, send))
-                self._watch(session, sent)
-                return
-        except BaseException:  # noqa: BLE001 - replay plumbing failed
-            pass  # fall through: the original failure is the honest answer
-        if carried:
-            with self._lock:
+            replay = replays_left > 0 and self._should_replay(session.shard_id, error)
+        except Exception:  # noqa: BLE001 - attribution failed; the failure stands
+            replay = False
+        failed = [outer]
+        with self._lock:
+            if carried:
                 session.owed[:0] = carried
                 session.carrier = None
-                held, session.held = session.held, []
-            for _op_name, _args, _kwargs, waiting, _replays in held:
-                waiting.set_exception(error)
-        outer.set_exception(error)
+                args = ([], args[1])
+            if replay and not self._closed and self._control_op is None:
+                session.lane.insert(0, (op_name, args, kwargs, outer, replays_left - 1))
+                failed = []
+            elif carried:
+                failed += [waiting for _op, _args, _kwargs, waiting, _replays in session.lane]
+                session.lane = []
+            sent = self._pump(session)
+        self._watch(session, sent)
+        for future in failed:
+            future.set_exception(error)
 
     def _owes(self, txn_id: str) -> bool:
         """Whether any shard is still owed a decide of ``txn_id`` (``_lock`` held)."""
         return any(decide[0] == txn_id for session in self._sessions.values()
                    for decide in itertools.chain(session.owed, session.carrier or ()))
-
-    def _delivered(self, session: _ShardSession, carried: List[Decide]) -> None:
-        """A carrier succeeded: its decides are applied at every live replica.
-
-        A commit's record leaves the decision log once no shard still owes
-        it, so the log stays the size of what is owed.  Then what waited
-        behind the carrier goes out, in order.
-        """
-        with self._lock:
-            session.carrier = None
-            if self._txn_log is not None:
-                for txn_id, verdict, _writes in carried:
-                    if verdict == "commit" and not self._owes(txn_id):
-                        self._txn_log.pop(txn_id, None)
-            sent = self._release(session)
-        self._watch(session, sent)
 
     def _should_replay(self, shard_id: ShardId,
                        error: ChoreographyRuntimeError) -> bool:
@@ -1054,7 +1031,7 @@ class ClusterEngine:
             A Future of the client's :class:`~repro.protocols.kvs.Response`:
             the previous binding (``found``) or ``not_found``.  The Put may
             share one instance with other single requests queued on its
-            shard (:meth:`_flush`).  If the run fails on a replica that is
+            shard (:meth:`_pump`).  If the run fails on a replica that is
             (or is then confirmed) dead, it is replayed against the re-bound
             replica group and the Future resolves with the replay.
         """
@@ -1125,7 +1102,7 @@ class ClusterEngine:
             # the empty key so they deterministically reach one shard and
             # come back answered ``stopped``, as kvs_serve_batch promises.
             per_shard.setdefault(self.shard_for(request.key or ""), []).append(index)
-        futures: List["Future[Response]"] = [Future() for _ in requests]
+        futures: List["Future[Response]"] = [_future() for _ in requests]
         for shard_id, indices in per_shard.items():
             sub_batch = [requests[index] for index in indices]
             # Kinds are known at dispatch: a sub-batch without writes is a read.
@@ -1221,7 +1198,7 @@ class ClusterEngine:
             if shard_id in writes_by_shard or shard_id in expects_by_shard
         )
 
-        outer: "Future[TxnResult]" = Future()
+        outer: "Future[TxnResult]" = _future()
         votes: Dict[ShardId, Response] = {}
         failures: Dict[ShardId, BaseException] = {}
         remaining = [len(participants)]
@@ -1301,13 +1278,15 @@ class ClusterEngine:
 
     def _deliver(self, sessions: Sequence[_ShardSession]) -> List["Future[Any]"]:
         """Send the decides these shards are owed, each on a decide-only
-        ``txn`` round behind any carrier in flight; one Future per shard,
-        done at once where nothing is owed."""
+        ``txn`` round at the tail of the shard's lane; one Future per shard,
+        done once the round has gone out (at once where nothing is owed),
+        so everything ahead of it in the lane has too."""
         futures = []
         for session in sessions:
-            outer: "Future[Any]" = Future()
+            outer = _future()
             with self._lock:
-                sent = self._gate(session, ("txn", ([], None), {}, outer, self._replays))
+                session.lane.append(("txn", ([], None), {}, outer, self._replays))
+                sent = self._pump(session)
             self._watch(session, sent)
             futures.append(outer)
         return futures
@@ -1414,10 +1393,8 @@ class ClusterEngine:
 
     @property
     def pending(self) -> int:
-        """In-flight instances plus queued single requests (0 = quiescent)."""
-        # The queue is read first: _flush submits before it empties it.
-        return sum(len(session.queue) + len(session.held) + session.engine.pending
-                   for session in self._sessions.values())
+        """Dispatches not yet started plus instances in flight (0 = quiescent)."""
+        return sum(session.pending for session in self._sessions.values())
 
     def health(self) -> Dict[ShardId, ShardHealth]:
         """Every shard's replica liveness, as currently believed.
@@ -1474,7 +1451,6 @@ class ClusterEngine:
                 targets = [self._sessions[shard_id]]
         report: Dict[ShardId, Dict[Location, bool]] = {}
         for session in targets:
-            self._flush(session, force=True)  # pings do not overtake the queue
             alive: Dict[Location, bool] = {}
             for replica in session.servers:
                 token = f"ping:{session.shard_id}:{replica}"
@@ -1733,10 +1709,9 @@ class ClusterEngine:
             self._closed = True
             sessions = list(self._sessions.values())
             txn_log = self._txn_log
-        for session in sessions:
-            self._flush(session, force=True)  # queued single requests drain too
-        # Owed decides go out before any engine closes; one that cannot keeps
-        # its commit record, and the next open finishes it forward.
+        # The lanes drain, owed decides last, before any engine closes; a
+        # decide that cannot go out keeps its commit record, and the next
+        # open finishes it forward.
         wait(self._deliver(sessions))
         for session in sessions:
             session.engine.close()

@@ -527,11 +527,11 @@ class TestSingleRequestsFold:
             seen = []
             real_unfold = cluster._unfold
 
-            def observing(folded, batch, done):
-                # The fold's engine job has resolved; its queue is not sent yet.
-                seen.append((len(session.queue), cluster.pending,
+            def observing(folded, run, done):
+                # The fold's engine job has resolved; the lane is not sent yet.
+                seen.append((len(session.lane), cluster.pending,
                              cluster.health()["shard0"].pending))
-                real_unfold(folded, batch, done)
+                real_unfold(folded, run, done)
 
             monkeypatch.setattr(cluster, "_unfold", observing)
             release = self.park(cluster)
@@ -544,6 +544,25 @@ class TestSingleRequestsFold:
         assert seen[0][0] == 5
         assert all(pending >= queued and health >= queued
                    for queued, pending, health in seen)
+
+
+class TestCallersCannotCancel:
+    """The cluster answers every Future it hands out, so a caller's
+    ``cancel()`` is refused: a cancelled request would refuse its answer
+    and strand the rest of its fold or batch, or free a fold's slot while
+    its instance still runs."""
+
+    def test_a_cancel_strands_nothing(self):
+        with ClusterEngine(1, replication=2, backend="local") as cluster:
+            release = TestSingleRequestsFold.park(cluster)
+            futures = [cluster.submit_put(key, "1") for key in "abc"]
+            futures += cluster.submit_batch([Request.put(key, "2") for key in "abc"])
+            cancelled = [future.cancel() for future in futures]
+            release()
+            answers = [future.result(timeout=30.0) for future in futures]
+            assert cluster.pending == 0
+        assert cancelled == [False] * 6
+        assert answers == [Response.not_found()] * 3 + [Response.found("1")] * 3
 
 
 class TestClusterClient:

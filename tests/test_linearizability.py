@@ -4,9 +4,9 @@
 them with a Wing–Gong search per key; the failover and promotion chaos
 suites run it on every test.  This module proves the checker can tell a
 violation from concurrency, that it *flags* the documented replay reorder
-of pipelined ``submit_batch`` writes to one key, and that folded single
+of pipelined ``submit_batch`` writes to one key, that folded single
 requests, pipelined like ``gw_request``, are linearizable on a healthy
-cluster.
+cluster, and that a replayed fold keeps later dispatches behind it.
 """
 
 from __future__ import annotations
@@ -236,9 +236,28 @@ class TestFoldedHistories:
                     thread.join(60.0)
                 assert not any(thread.is_alive() for thread in threads)
                 assert cluster.pending == 0
-                assert cluster.session("shard0").folds == 0
+                assert not cluster.session("shard0").folding
         finally:
             sys.setswitchinterval(interval)
         assert all(f.exception() is None for futures in results.values() for f in futures)
         assert len(linearizable_history.ops) == 4 * 150
+        assert linearizable_history.violations() == []
+
+
+class TestSinglesStayBehindAReplayedFold:
+    def test_a_later_put_waits_for_the_replay(self, linearizable_history):
+        """A promotion fences the parked fold's binding, so put 1 replays.
+        Put 2 and the quorum GET behind it wait for the fold's slot, so the
+        replay lands before put 2, not after it."""
+        with ClusterEngine(1, replication=2, backend="local") as cluster:
+            session = cluster.session("shard0")
+            release = TestFoldedHistories.park(cluster, "shard0")
+            first, second = cluster.submit_put("k", "1"), cluster.submit_put("k", "2")
+            assert cluster._mark_down("shard0", session.primary)
+            quorum = cluster.submit_get("x", quorum=True)
+            release()
+            assert first.result(timeout=30.0) == MISSING
+            assert second.result(timeout=30.0) == FOUND("1")
+            assert quorum.result(timeout=30.0) == MISSING
+            assert dict(session.state.facet_for(session.primary)) == {"k": "2"}
         assert linearizable_history.violations() == []
