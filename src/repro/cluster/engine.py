@@ -136,13 +136,7 @@ from ..protocols.kvs import (
 from ..runtime.engine import ChoreoEngine, ChoreographyResult
 from ..runtime.stats import ChannelStats
 from ..runtime.transport import DEFAULT_TIMEOUT
-from ..storage import (
-    Durability,
-    DurableState,
-    EphemeralState,
-    promotion_of,
-    txns_of,
-)
+from ..storage import Durability, DurableState, EphemeralState
 from .router import DEFAULT_VNODES, ShardId, ShardRouter
 
 #: The location name every shard census shares for the requesting side.
@@ -458,9 +452,9 @@ class _ShardSession:
         """
         epoch, head = 0, None
         for replica in self.servers:
-            replica_epoch, replica_head = promotion_of(self.state.facet_for(replica))
-            if replica_epoch > epoch:
-                epoch, head = replica_epoch, replica_head
+            facet = self.state.facet_for(replica)
+            if facet.shard_epoch > epoch:
+                epoch, head = facet.shard_epoch, facet.promoted_head
         if epoch > 0 and head in self.servers:
             self.fence.advance(epoch)
             self.primary = head
@@ -513,13 +507,7 @@ class _ShardSession:
             ), as_census([self.client, replica]))
 
     def _open_store(self, replica: Location) -> State:
-        """One replica's store: durable (recovered from disk) or ephemeral.
-
-        Ephemeral stores are :class:`~repro.storage.EphemeralState`, not
-        plain dicts: the transaction choreographies need the in-doubt intent
-        table either way, and the class degrades to exactly a dict for every
-        other choreography.
-        """
+        """One replica's store: durable (recovered from disk) or ephemeral."""
         if self.durability is None:
             return EphemeralState()
         return self.durability.open_state(self.shard_id, replica)
@@ -529,7 +517,7 @@ class _ShardSession:
 
         The deposed head joins the ``down`` list (it can re-join later as a
         backup through the ordinary catch-up path); the new epoch is stamped
-        into every surviving durable replica's WAL so a cluster restart
+        into every surviving replica's store (its WAL, if durable) so a restart
         recovers the promoted head; the fence cell advances, invalidating
         every binding made under the old epoch; and the data plane re-binds
         around the new head with the remaining backups.
@@ -538,9 +526,7 @@ class _ShardSession:
         self.down.append(self.primary)
         self.primary = new_primary
         for replica in (self.primary, *self.backups):
-            facet = self.state.facet_for(replica)
-            if isinstance(facet, DurableState):
-                facet.log_promotion(epoch, new_primary)
+            self.state.facet_for(replica).log_promotion(epoch, new_primary)
         self.fence.advance(epoch)
         self._bind_data_plane()
 
@@ -552,15 +538,13 @@ class _ShardSession:
         The in-memory facet is discarded — whatever a dead process held in
         RAM is gone — and replaced by a freshly opened store, whose
         construction *is* the recovery replay (snapshot + WAL suffix) when
-        the shard is durable, and an empty dict when it is not.  The other
+        the shard is durable, and an empty store when it is not.  The other
         replicas' facet objects are untouched; only the Faceted wrapper is
         rebuilt, so the caller must re-bind any choreography that should see
         the new facet.
         """
         facets = dict(self.state.visible_facets())
-        old = facets.get(replica)
-        if isinstance(old, DurableState):
-            old.close()
+        facets[replica].close()
         fresh = self._open_store(replica)
         facets[replica] = fresh
         self.state = Faceted(self.servers, facets)
@@ -569,8 +553,7 @@ class _ShardSession:
     def close_storage(self) -> None:
         """Flush and close every durable facet (no-op for ephemeral shards)."""
         for facet in self.state.visible_facets().values():
-            if isinstance(facet, DurableState):
-                facet.close()
+            facet.close()
 
     def health(self) -> ShardHealth:
         """This shard's current :class:`ShardHealth` snapshot."""
@@ -710,7 +693,7 @@ class ClusterEngine:
             if durability is not None:
                 self._txn_counter = itertools.count(_highest_txn_serial(
                     itertools.chain(self._txn_log, *(
-                        txns_of(session.state.facet_for(replica))
+                        session.state.facet_for(replica).txns
                         for session in self._sessions.values()
                         for replica in session.servers))) + 1)
                 # Opening the cluster *is* crash recovery; that includes
@@ -1305,7 +1288,7 @@ class ClusterEngine:
         with self._lock:
             report: Dict[ShardId, Dict[str, Dict[str, Any]]] = {}
             for shard_id, session in self._sessions.items():
-                table = txns_of(session.state.facet_for(session.primary))
+                table = session.state.facet_for(session.primary).txns
                 if table:
                     report[shard_id] = {
                         txn_id: dict(entry) for txn_id, entry in table.items()
@@ -1335,9 +1318,8 @@ class ClusterEngine:
             for session in sessions:
                 seen: Dict[str, Dict[str, Optional[str]]] = {}
                 for replica in session.servers:
-                    for txn_id, entry in txns_of(
-                        session.state.facet_for(replica)
-                    ).items():
+                    facet = session.state.facet_for(replica)
+                    for txn_id, entry in facet.txns.items():
                         seen.setdefault(txn_id, dict(entry["writes"]))
                 for txn_id, writes in seen.items():
                     verdicts[txn_id] = committed.get(txn_id) or "abort"
@@ -1413,8 +1395,8 @@ class ClusterEngine:
                 for shard_id, session in self._sessions.items()
             }
 
-    def probe(self, shard_id: Optional[ShardId] = None, *,
-              demote: bool = True) -> Dict[ShardId, Dict[Location, bool]]:
+    def probe(self, shard_id: Optional[ShardId] = None
+              ) -> Dict[ShardId, Dict[Location, bool]]:
         """Actively check replica liveness with per-replica ping choreographies.
 
         Each configured replica (demoted ones included — a probe answering
@@ -1425,12 +1407,13 @@ class ClusterEngine:
         timeout, so point ``shard_id`` at the shard you care about when the
         cluster is large.
 
+        A confirmed-dead replica is acted on by the same paths
+        traffic-driven detection takes: a dead *backup* is demoted, a dead
+        *primary* triggers a promotion of the senior surviving backup (with
+        the usual epoch stamp and re-bind).
+
         Args:
             shard_id: Probe only this shard; every shard when ``None``.
-            demote: Also act on newly-confirmed-dead replicas, the same
-                paths traffic-driven detection takes: a dead *backup* is
-                demoted, a dead *primary* triggers a promotion of the senior
-                surviving backup (with the usual epoch stamp and re-bind).
 
         Returns:
             ``{shard_id: {replica: alive}}`` for the probed shards.
@@ -1462,7 +1445,7 @@ class ClusterEngine:
                 except ChoreographyRuntimeError as failure:
                     alive[replica] = False
                     culprit = self._suspect_replica(session.shard_id, failure)
-                if demote and culprit == replica:
+                if culprit == replica:
                     self._mark_down(session.shard_id, replica)
             report[session.shard_id] = alive
         return report
@@ -1648,7 +1631,7 @@ class ClusterEngine:
                     faults.revive(replica)
                 started = time.perf_counter()
                 fresh = session.restart_replica_state(replica)
-                replayed = getattr(fresh, "replayed_records", 0)
+                replayed = fresh.replayed_records
                 replay_seconds = time.perf_counter() - started
 
                 # 2. Close the gap to the primary, hash-verified end to end.
@@ -1669,16 +1652,14 @@ class ClusterEngine:
                         f"fell_back={report.fell_back})"
                     )
 
-                # 3. Restore membership; the shard serves replicated again.  A
-                # durable rejoiner is stamped with the current epoch first: a
+                # 3. Restore membership; the shard serves replicated again.  The
+                # rejoiner is stamped with the current epoch first: a
                 # delta transfer replayed the head's promotion records, but a
                 # full transfer installs items only, and the re-admitted
                 # replica must recover the promoted head on a later restart.
                 with self._lock:
-                    if session.epoch:
-                        facet = session.state.facet_for(replica)
-                        if isinstance(facet, DurableState):
-                            facet.log_promotion(session.epoch, session.primary)
+                    session.state.facet_for(replica).log_promotion(
+                        session.epoch, session.primary)
                     session.rejoining = None
                     session._bind_data_plane()
                     rejoin = RejoinReport(

@@ -67,6 +67,7 @@ CRLF = b"\r\n"
 # parser raises a *fatal* ProtocolError and the server hangs up.
 MAX_BULK = 1 << 20  #: largest single argument / bulk payload, in bytes
 MAX_ARGS = 1024  #: most arguments in one array-form command
+MAX_REPLY_DEPTH = 8  #: deepest array-in-array reply (the server nests 2)
 MAX_INLINE = 1 << 16  #: longest inline-form line, in bytes
 
 # --------------------------------------------------------------- error codes --
@@ -594,6 +595,10 @@ def parse_reply(buffer: bytes, start: int = 0) -> Tuple[Optional[Reply], int]:
     Raises:
         ProtocolError: Fatal framing damage.
     """
+    return _parse_reply(buffer, start, MAX_REPLY_DEPTH)
+
+
+def _parse_reply(buffer: bytes, start: int, depth: int) -> Tuple[Optional[Reply], int]:
     if start >= len(buffer):
         return None, start
     kind = buffer[start : start + 1]
@@ -608,7 +613,10 @@ def parse_reply(buffer: bytes, start: int = 0) -> Tuple[Optional[Reply], int]:
     if line is None:
         return None, start
     if kind == b"+":
-        return SimpleReply(line[1:].decode("utf-8")), pos
+        try:
+            return SimpleReply(line[1:].decode("utf-8")), pos
+        except UnicodeDecodeError:
+            raise ProtocolError(f"simple reply is not UTF-8: {line!r}", fatal=True) from None
     if kind == b":":
         return IntReply(_parse_int(line[1:], "integer reply")), pos
     if kind == b"-":
@@ -628,9 +636,11 @@ def parse_reply(buffer: bytes, start: int = 0) -> Tuple[Optional[Reply], int]:
         count = _parse_int(line[1:], "array length")
         if count < 0 or count > MAX_ARGS:
             raise ProtocolError(f"array length {count} out of range", fatal=True)
+        if depth == 0:
+            raise ProtocolError(f"arrays nest deeper than {MAX_REPLY_DEPTH}", fatal=True)
         items: List[Reply] = []
         for _ in range(count):
-            item, pos = parse_reply(buffer, pos)
+            item, pos = _parse_reply(buffer, pos, depth - 1)
             if item is None:
                 return None, start
             items.append(item)

@@ -77,7 +77,7 @@ from ..core.errors import ChoreographyError
 from ..core.located import Faceted, Located
 from ..core.locations import Census, Location, LocationsLike, as_census
 from ..core.ops import ChoreoOp, Choreography
-from ..storage import TXN_INTENT_TTL, apply_catchup, delta_since, high_water_of, txns_of
+from ..storage import TXN_INTENT_TTL, EphemeralState, apply_catchup
 from . import crypto
 
 
@@ -222,7 +222,9 @@ def fenced(chor: Choreography, fence: ShardEpoch) -> Choreography:
 
 # -- local (non-choreographic) state handling ----------------------------------------
 
-State = Dict[str, str]
+#: A replica's store (:class:`~repro.storage.EphemeralState` or its durable
+#: subclass); the request paths read and write it as a plain mapping.
+State = EphemeralState
 
 
 def update_state(
@@ -336,10 +338,9 @@ def txn_conflicts(
     prepare attempts are presumed aborted and do not block; the same
     horizon drops them from the table when this attempt is logged.
     """
-    table = txns_of(state)
-    horizon = getattr(state, "txn_tick", 0) + 1 - TXN_INTENT_TTL
+    horizon = state.txn_tick + 1 - TXN_INTENT_TTL
     blocked = set()
-    for other_id, entry in table.items():
+    for other_id, entry in state.txns.items():
         if other_id == txn_id or entry["tick"] <= horizon:
             continue
         blocked.update(key for key in writes if key in entry["writes"])
@@ -361,12 +362,10 @@ def txn_prepare_state(
     log a prepare record (grants park the intent, refusals just advance the
     intent clock), WAL-first on durable replicas.
     """
-    if str(txn_id) in txns_of(state):
+    if str(txn_id) in state.txns:
         return []
     blocked = txn_conflicts(state, txn_id, writes, expects)
-    log = getattr(state, "log_txn_prepare", None)
-    if log is not None:
-        log(txn_id, writes, granted=not blocked)
+    state.log_txn_prepare(txn_id, writes, granted=not blocked)
     return blocked
 
 
@@ -382,15 +381,7 @@ def txn_decide_state(
     transaction is harmless — a commit still lands its (self-carried)
     writes, an abort is a no-op.
     """
-    log = getattr(state, "log_txn_decide", None)
-    if log is not None:
-        log(txn_id, verdict, writes)
-    elif verdict == "commit":
-        for key, value in dict(writes or {}).items():
-            if value is None:
-                state.pop(key, None)
-            else:
-                state[key] = value
+    state.log_txn_decide(txn_id, verdict, writes)
     if verdict == "commit":
         return Response.found(txn_id)
     return Response.not_found()
@@ -398,7 +389,7 @@ def txn_decide_state(
 
 def make_replica_states(op: ChoreoOp, servers: LocationsLike) -> Faceted[State]:
     """Create one empty, private store per server (the ``Faceted`` stateRefs of Fig. 2)."""
-    return op.parallel(as_census(servers), lambda _server, _un: {})
+    return op.parallel(as_census(servers), lambda _server, _un: EphemeralState())
 
 
 # -- the Fig. 2 choreography ---------------------------------------------------------
@@ -1025,8 +1016,8 @@ def kvs_catchup(
         server: The shard primary, the authoritative store.
         rejoiner: The restarted replica being brought back.
         state_refs: The replicas' stores; the server's and rejoiner's facets
-            are used (durable or plain — plain stores always take the full
-            path).
+            are used (an ephemeral store has no log and always takes the
+            full path).
 
     Returns:
         The :class:`CatchupReport`, located at the client.
@@ -1038,15 +1029,15 @@ def kvs_catchup(
 
     def transfer(sub: ChoreoOp) -> Located[CatchupReport]:
         mark_at_rejoiner = sub.locally(
-            rejoiner, lambda un: high_water_of(un(state_refs))
+            rejoiner, lambda un: un(state_refs).high_water
         )
         mark = sub.comm(rejoiner, server, mark_at_rejoiner)
 
         def build(un) -> Tuple[str, Any, int, int]:
             state = un(state_refs)
-            target = high_water_of(state)
+            target = state.high_water
             digest = hash_state(state)
-            delta = delta_since(state, un(mark))
+            delta = state.ops_since(un(mark))
             if delta is None:
                 return ("full", dict(state), target, digest)
             return ("delta", delta, target, digest)
@@ -1081,7 +1072,7 @@ def kvs_catchup(
                 server,
                 lambda un: (
                     dict(un(state_refs)),
-                    high_water_of(un(state_refs)),
+                    un(state_refs).high_water,
                     hash_state(un(state_refs)),
                 ),
             ),

@@ -26,9 +26,10 @@ kernel buffer always makes progress: the kernel bounds what a sender
 buffers, and no write can distributed-deadlock against a peer's.
 
 Corruption is typed: a frame whose varints run away (see
-``wire._read_uvarint``'s 64-bit bound) or whose sender does not decode raises
-:class:`FrameCorruption`, a :class:`~repro.core.errors.TransportError`
-subclass, instead of misframing the stream.  Readers poison the endpoint's
+``wire._read_uvarint``'s 64-bit bound) or whose sender does not decode to a
+location raises :class:`FrameCorruption`, a
+:class:`~repro.core.errors.TransportError` subclass, instead of misframing
+the stream.  Readers poison the endpoint's
 inboxes with it so blocked receivers surface the corruption promptly as the
 typed transport error, not as an eventual timeout.
 """
@@ -106,9 +107,10 @@ class FrameParser:
     come from one peer endpoint.
 
     Raises:
-        FrameCorruption: When a frame's sender or instance varint does not
-            decode (including the runaway-continuation-byte case the 64-bit
-            varint bound turns into a typed error).
+        FrameCorruption: When a frame's sender does not decode to a location
+            or its instance varint does not decode (including the
+            runaway-continuation-byte case the 64-bit varint bound turns into
+            a typed error).
     """
 
     __slots__ = ("_buffer", "_sender_cache")
@@ -139,6 +141,8 @@ class FrameParser:
                     sender = self._sender_cache.get(sender_raw)
                     if sender is None:
                         sender = wire.decode(sender_raw)
+                        if type(sender) is not str:
+                            raise ValueError(f"sender {sender!r} is not a location")
                         self._sender_cache[sender_raw] = sender
                     instance, body_start = wire.read_uvarint(buffer, sender_end)
                     if body_start > frame_end:
@@ -183,10 +187,10 @@ class FramedCoalescingEndpoint(CoalescingEndpoint):
     def _feed(self, parser: FrameParser, chunk: bytes) -> Optional[List[Frame]]:
         """Parse one inbound ``chunk``, put its frames into the inboxes, return them.
 
-        Returns ``None`` when the stream stops parsing — a runaway varint,
-        an undecodable sender: every inbox is then poisoned with the typed
-        :class:`FrameCorruption` and the caller drops the connection, so
-        blocked receivers fail loudly rather than timing out.
+        Returns ``None`` when the stream stops parsing — a runaway varint, a
+        sender that is not a location: every inbox is then poisoned with the
+        typed :class:`FrameCorruption` and the caller drops the connection,
+        so blocked receivers fail loudly rather than timing out.
         """
         try:
             frames = parser.feed(chunk)

@@ -226,12 +226,16 @@ def _decode_from(data: bytes, pos: int) -> Tuple[Any, int]:
 
 
 def decode(data: bytes) -> Any:
-    """Inverse of :func:`encode`."""
+    """Inverse of :func:`encode`; raises :class:`ValueError` on a malformed payload."""
     if not data:
         raise ValueError("empty wire payload")
     if data[0] == ord("P"):
         return pickle.loads(data[1:])
-    value, pos = _decode_from(bytes(data), 0)
+    try:
+        value, pos = _decode_from(bytes(data), 0)
+    except (struct.error, TypeError, RecursionError) as exc:
+        # A truncated float, an unhashable dict key, or runaway nesting.
+        raise ValueError(f"malformed wire payload: {exc}") from exc
     if pos != len(data):
         raise ValueError(f"trailing bytes after wire payload ({len(data) - pos})")
     return value

@@ -1,4 +1,4 @@
-"""Per-replica persistence: write-ahead log, snapshots, durable stores.
+"""Per-replica persistence: write-ahead log, snapshots, replica stores.
 
 This package is the disk half of the cluster's recovery story
 (``docs/durability.md``):
@@ -7,22 +7,20 @@ This package is the disk half of the cluster's recovery story
   torn-tail repair and an ``always | batch | never`` fsync policy knob.
 * :class:`SnapshotStore` — atomic write-then-rename checkpoints that bound
   WAL growth and restart replay time.
-* :class:`DurableState` — a ``dict`` subclass that write-ahead-logs every
-  mutation, so the KVS choreographies gain persistence without changing a
+* :class:`EphemeralState` — the one replica store: a ``dict`` of items plus
+  the two-phase-commit intent table and the promotion fence, whose
+  :meth:`~EphemeralState.apply` is the one meaning of every store record.
+* :class:`DurableState` — the same store with every record write-ahead
+  logged, so the KVS choreographies gain persistence without changing a
   single protocol call site.
 * :class:`Durability` — the cluster-level configuration
   (``ClusterEngine(..., durability=...)``) mapping shards and replicas to
   on-disk directories.
 
-The catch-up bridge (:func:`high_water_of`, :func:`delta_since`,
-:func:`apply_catchup`) is what the ``kvs_catchup`` choreography calls on
-both sides of a replica re-join; it degrades to full transfers for
-ephemeral (plain-dict) stores so re-join works with durability off, too.
-
-Two-phase commit rides on the same machinery: ``txn_prepare`` /
-``txn_decide`` WAL records park and resolve per-transaction write intents
-(:attr:`DurableState.txns`), and :class:`EphemeralState` gives non-durable
-replicas the same intent table minus the disk.
+Both stores answer the ``kvs_catchup`` choreography's questions
+(``high_water``, ``ops_since``) and take its transfer through
+:func:`apply_catchup`; a store without a log always takes a full transfer,
+so re-join works with durability off, too.
 """
 
 from .durable import (
@@ -31,11 +29,6 @@ from .durable import (
     DurableState,
     EphemeralState,
     apply_catchup,
-    apply_op,
-    delta_since,
-    high_water_of,
-    promotion_of,
-    txns_of,
 )
 from .snapshot import SnapshotStore
 from .wal import FSYNC_POLICIES, WalCorruption, WalRecord, WriteAheadLog
@@ -51,9 +44,4 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "apply_catchup",
-    "apply_op",
-    "delta_since",
-    "high_water_of",
-    "promotion_of",
-    "txns_of",
 ]

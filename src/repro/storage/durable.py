@@ -1,13 +1,22 @@
-"""Durable replica stores: a dict that write-ahead-logs every mutation.
+"""Replica stores: one record interpreter, with or without a write-ahead log.
 
 The KVS choreographies mutate replica stores through ordinary dict
 operations — ``state[key] = value`` in ``update_state``, ``clear()`` +
-``update()`` in ``resynch``, ``pop()`` in ``add_shard``'s migration.
-:class:`DurableState` subclasses :class:`dict` and intercepts exactly those
-mutators, so wiring persistence into the cluster changes *no protocol call
-site*: the choreography code keeps treating state as a plain mapping while
-every acknowledged mutation hits the WAL first (write-ahead) and the
-in-memory store second.
+``update()`` in ``resynch``, ``pop()`` in ``add_shard``'s migration.  Every
+replica store is an :class:`EphemeralState`: a :class:`dict` whose items
+those operations write directly, plus the replica metadata the cluster's
+failover and two-phase commit need (the in-doubt intent table ``txns``, the
+intent clock ``txn_tick``, and the promotion fence ``shard_epoch`` /
+``promoted_head``).  :meth:`EphemeralState.apply` is the one meaning of
+every store record kind; nothing else branches on one.
+
+:class:`DurableState` is the same store with a write-ahead log under it.
+It intercepts the dict mutators and turns each into a record, and every
+record goes through :meth:`DurableState.record`: WAL first, then
+:meth:`~EphemeralState.apply`, then a checkpoint if one is due.  Wiring
+persistence into the cluster therefore changes *no protocol call site*,
+and crash recovery replays a record through the very ``apply`` that
+normal processing used.
 
 Layout on disk, one directory per replica::
 
@@ -22,27 +31,27 @@ whatever tail the configured fsync policy was allowed to lose.  Once the
 WAL accumulates ``snapshot_every`` records the store checkpoints itself
 (snapshot + WAL reset), bounding both file size and restart time.
 
-The module-level helpers (:func:`high_water_of`, :func:`delta_since`,
-:func:`apply_catchup`) are the bridge the ``kvs_catchup`` choreography uses:
-they degrade gracefully to plain dicts (no durability → no delta, full
-transfer) so the same choreography serves durable and ephemeral clusters.
+The ``kvs_catchup`` choreography reads both kinds of store through the
+same surface: :attr:`~EphemeralState.high_water`,
+:meth:`~EphemeralState.ops_since` and :func:`apply_catchup`.  An ephemeral
+store has no log, so it reports mark 0 and no delta, and a re-join always
+takes the full transfer.
 
-Two-phase commit (the ``kvs_txn`` round's decides and prepare) adds two more
-WAL record kinds.  A *prepare* parks a transaction's write set as an
+Two-phase commit (the ``kvs_txn`` round's decides and prepare) adds two
+record kinds.  A *prepare* parks a transaction's write set as an
 **intent** in the store's in-doubt table without touching the items; a
 *decide* resolves it — commit applies the writes atomically (one record,
-however many keys), abort just drops the intent.  Both are replayed on
-restart, so a crashed participant recovers its prepared-but-undecided
-transactions and the cluster layer can resolve them against the
-coordinator's durable decision record.  :class:`EphemeralState` gives
-non-durable clusters the same intent table minus the disk.
+however many keys), abort just drops the intent.  A durable store replays
+both on restart, so a crashed participant recovers its prepared-but-
+undecided transactions and the cluster layer can resolve them against the
+coordinator's durable decision record.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .snapshot import SnapshotStore
 from .wal import FSYNC_POLICIES, WalRecord, WriteAheadLog
@@ -53,8 +62,8 @@ WAL_FILENAME = "wal.bin"
 #: A prepared-transaction intent is presumed aborted — its coordinator died
 #: before deciding — once this many *later* prepare attempts have touched the
 #: store.  The clock is the count of prepare records (grants and refusals
-#: both log one), so expiry is a pure function of the WAL stream and replays
-#: identically on every replica and across restarts.
+#: both log one), so expiry is a pure function of the record stream and
+#: replays identically on every replica and across restarts.
 TXN_INTENT_TTL = 16
 
 
@@ -96,62 +105,38 @@ class Durability:
         )
 
 
-class DurableState(dict):
-    """A ``Dict[str, str]`` whose mutations are write-ahead logged.
+class EphemeralState(dict):
+    """One replica's store: the items plus its transaction and failover state.
 
-    Construction performs recovery: snapshot load, then WAL-suffix replay.
-    :attr:`replayed_records` reports how many WAL records the replay
-    applied — the number a restart surfaces as its recovery work.
-
-    Mutations are logged *before* they land in memory; read paths
-    (``__getitem__``, ``items``, ``len``, iteration…) are inherited
-    untouched, so the choreographies' read-mostly traffic pays nothing.
+    The items are the dict itself, and the choreographies write them
+    through the dict's own mutators, which this class leaves alone.  The
+    rest of what a replica knows changes only through records, applied by
+    :meth:`apply`; :meth:`record` is where a record enters the store, and
+    :class:`DurableState` overrides it to log write-ahead.  The catch-up
+    hooks below are those of a store without a log: mark 0, no delta, and
+    a full transfer that just replaces the items.
     """
 
-    def __init__(
-        self,
-        directory: "str | os.PathLike",
-        *,
-        fsync: str = "batch",
-        snapshot_every: int = 256,
-    ):
-        super().__init__()
-        self.directory = os.fspath(directory)
-        self.snapshot_every = int(snapshot_every)
-        self.snapshots = SnapshotStore(self.directory)
-        snap_seq, contents, meta = self.snapshots.load_with_meta()
-        self.shard_epoch = int(meta.get("epoch", 0))
-        self.promoted_head: Optional[str] = meta.get("head")
+    #: The last logged sequence number (what a rejoiner reports); a store
+    #: without a log has none.
+    high_water = 0
+    #: How many log records opening the store replayed.
+    replayed_records = 0
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
         #: In-doubt transactions: ``txn_id -> {"writes": {key: value-or-None},
-        #: "tick": int}`` — prepared but not yet decided.  Carried through
-        #: snapshots (like the epoch) and rebuilt by WAL replay, so a crashed
-        #: participant reopens with its prepared state intact.
-        self.txns: Dict[str, Dict[str, Any]] = {
-            txn_id: {"writes": dict(entry["writes"]), "tick": int(entry["tick"])}
-            for txn_id, entry in meta.get("txns", {}).items()
-        }
+        #: "tick": int}`` — prepared but not yet decided.
+        self.txns: Dict[str, Dict[str, Any]] = {}
         #: The intent clock: how many prepare attempts this store has seen.
-        self.txn_tick = int(meta.get("txn_tick", 0))
-        dict.update(self, contents)
-        self.wal = WriteAheadLog(
-            os.path.join(self.directory, WAL_FILENAME), fsync=fsync
-        )
-        # A fresh WAL (reset after the snapshot, or torn back to empty) has
-        # forgotten the snapshot's sequence number; appends must continue
-        # after it, not restart from 1.
-        if self.wal.last_seq < snap_seq:
-            self.wal.last_seq = snap_seq
-        self._snapshot_seq = snap_seq
-        replayed = 0
-        for seq, op in self.wal.records(since=snap_seq):
-            self._apply_raw(op)
-            replayed += 1
-        self.replayed_records = replayed
+        self.txn_tick = 0
+        #: The highest promotion epoch recorded, and the head it elected;
+        #: ``(0, None)`` until a promotion, and census order decides the head.
+        self.shard_epoch = 0
+        self.promoted_head: Optional[str] = None
 
-    # ------------------------------------------------------------------ recovery --
-
-    def _apply_raw(self, op: Tuple[Any, ...]) -> None:
-        """Apply a WAL op to memory only (replay path: already logged)."""
+    def apply(self, op: Tuple[Any, ...]) -> None:
+        """Apply one store record to memory: the meaning of every record kind."""
         kind = op[0]
         if kind == "put":
             dict.__setitem__(self, op[1], op[2])
@@ -198,7 +183,132 @@ class DurableState(dict):
                     else:
                         dict.__setitem__(self, key, value)
         else:
-            raise ValueError(f"unknown WAL op kind {kind!r}")
+            raise ValueError(f"unknown store record kind {kind!r}")
+
+    def record(self, op: Tuple[Any, ...]) -> None:
+        """Make one record part of the store (a durable store logs it first)."""
+        self.apply(op)
+
+    def log_promotion(self, epoch: int, head: str) -> None:
+        """Record that ``head`` owns this shard from ``epoch`` on.
+
+        Written to every surviving replica at promotion time (and to a
+        rejoiner's after catch-up), so a durable cluster's restart recovers
+        the promoted head instead of falling back to census order.
+        Idempotent: a stale or repeated epoch records nothing, matching the
+        monotone-epoch fence the cluster layer enforces in memory.
+        """
+        if int(epoch) > self.shard_epoch:
+            self.record(("promote", int(epoch), str(head)))
+
+    def log_txn_prepare(
+        self,
+        txn_id: str,
+        writes: Dict[str, Optional[str]],
+        *,
+        granted: bool = True,
+    ) -> None:
+        """Record one two-phase-commit prepare attempt.
+
+        A granted prepare parks ``writes`` (``key -> value``, ``None`` for a
+        delete) as this store's intent for ``txn_id``; later conflicting
+        prepares vote no until the decide arrives.  A refusal
+        (``granted=False``) parks nothing but is still a record, so the
+        intent clock — and with it the presumed-abort expiry of abandoned
+        intents — replays identically from a WAL.
+        """
+        self.record(("txn_prepare", str(txn_id), dict(writes), bool(granted)))
+
+    def log_txn_decide(
+        self,
+        txn_id: str,
+        verdict: str,
+        writes: Optional[Dict[str, Optional[str]]] = None,
+    ) -> None:
+        """Resolve a prepared transaction: ``"commit"`` or ``"abort"``.
+
+        Commit applies the write set atomically (the whole set rides in one
+        record) and is idempotent — values are absolute, so a replayed
+        decide re-applies to the same result.  The record carries ``writes``
+        explicitly so a replica whose intent is missing (full-transfer
+        rejoin, expired intent) still lands the commit.  Abort drops the
+        intent; deciding an unknown transaction is a no-op beyond the
+        record.
+        """
+        self.record(("txn_decide", str(txn_id), str(verdict), dict(writes or {})))
+
+    # ------------------------------------------------------------------ catch-up --
+
+    def ops_since(self, since: int) -> Optional[List[WalRecord]]:
+        """The log records after ``since``; ``None`` means "send everything"."""
+        return None
+
+    def apply_record(self, seq: int, op: Tuple[Any, ...]) -> None:
+        """Apply one record from a catch-up delta."""
+        self.record(op)
+
+    def seal(self, target_seq: int) -> None:
+        """Jump the sequence counter to ``target_seq`` (no log, nothing to do)."""
+
+    def install(self, contents: Dict[str, str], seq: int) -> None:
+        """Replace the items wholesale (a full catch-up transfer) at ``seq``."""
+        dict.clear(self)
+        dict.update(self, contents)
+
+    def close(self) -> None:
+        """Release the store's resources (none without a log)."""
+
+
+class DurableState(EphemeralState):
+    """A replica store whose records are write-ahead logged.
+
+    Construction performs recovery: snapshot load, then WAL-suffix replay
+    through :meth:`~EphemeralState.apply`.  :attr:`replayed_records` reports
+    how many WAL records the replay applied — the number a restart surfaces
+    as its recovery work.
+
+    Mutations are logged *before* they land in memory; read paths
+    (``__getitem__``, ``items``, ``len``, iteration…) are inherited
+    untouched, so the choreographies' read-mostly traffic pays nothing.
+    """
+
+    def __init__(
+        self,
+        directory: "str | os.PathLike",
+        *,
+        fsync: str = "batch",
+        snapshot_every: int = 256,
+    ):
+        super().__init__()
+        self.directory = os.fspath(directory)
+        self.snapshot_every = int(snapshot_every)
+        self.snapshots = SnapshotStore(self.directory)
+        snap_seq, contents, meta = self.snapshots.load_with_meta()
+        self.shard_epoch = int(meta.get("epoch", 0))
+        self.promoted_head = meta.get("head")
+        # The intent table and its clock ride in snapshot metadata (like the
+        # epoch) and are rebuilt by WAL replay, so a crashed participant
+        # reopens with its prepared state intact.
+        self.txns = {
+            txn_id: {"writes": dict(entry["writes"]), "tick": int(entry["tick"])}
+            for txn_id, entry in meta.get("txns", {}).items()
+        }
+        self.txn_tick = int(meta.get("txn_tick", 0))
+        dict.update(self, contents)
+        self.wal = WriteAheadLog(
+            os.path.join(self.directory, WAL_FILENAME), fsync=fsync
+        )
+        # A fresh WAL (reset after the snapshot, or torn back to empty) has
+        # forgotten the snapshot's sequence number; appends must continue
+        # after it, not restart from 1.
+        if self.wal.last_seq < snap_seq:
+            self.wal.last_seq = snap_seq
+        self._snapshot_seq = snap_seq
+        replayed = 0
+        for seq, op in self.wal.records(since=snap_seq):
+            self.apply(op)
+            replayed += 1
+        self.replayed_records = replayed
 
     @property
     def high_water(self) -> int:
@@ -225,23 +335,24 @@ class DurableState(dict):
     def _log(self, op: Tuple[Any, ...]) -> None:
         self.wal.append(op)
 
-    def __setitem__(self, key: str, value: str) -> None:
-        self._log(("put", key, value))
-        dict.__setitem__(self, key, value)
+    def record(self, op: Tuple[Any, ...]) -> None:
+        """Log ``op`` write-ahead, apply it, then checkpoint if one is due."""
+        self._log(op)
+        self.apply(op)
         self._maybe_snapshot()
+
+    def __setitem__(self, key: str, value: str) -> None:
+        self.record(("put", key, value))
 
     def __delitem__(self, key: str) -> None:
         if key not in self:
             raise KeyError(key)
-        self._log(("del", key))
-        dict.__delitem__(self, key)
-        self._maybe_snapshot()
+        self.record(("del", key))
 
     def pop(self, key: str, *default: Any) -> Any:
         if key in self:
-            self._log(("del", key))
-            value = dict.pop(self, key)
-            self._maybe_snapshot()
+            value = dict.__getitem__(self, key)
+            self.record(("del", key))
             return value
         if default:
             return default[0]
@@ -251,15 +362,10 @@ class DurableState(dict):
         if not self:
             raise KeyError("popitem(): dictionary is empty")
         key = next(reversed(self))
-        self._log(("del", key))
-        item = (key, dict.pop(self, key))
-        self._maybe_snapshot()
-        return item
+        return key, self.pop(key)
 
     def clear(self) -> None:
-        self._log(("clear",))
-        dict.clear(self)
-        self._maybe_snapshot()
+        self.record(("clear",))
 
     def update(self, *args: Any, **kwargs: str) -> None:
         for key, value in dict(*args, **kwargs).items():
@@ -310,7 +416,7 @@ class DurableState(dict):
         if seq <= self.wal.last_seq:
             return
         self.wal.append(op, seq=seq)
-        self._apply_raw(op)
+        self.apply(op)
         self._maybe_snapshot()
 
     def seal(self, target_seq: int) -> None:
@@ -319,64 +425,6 @@ class DurableState(dict):
             self.wal.append(("seal",), seq=target_seq)
             self._maybe_snapshot()
 
-    def log_promotion(self, epoch: int, head: str) -> None:
-        """Durably record that ``head`` owns this shard from ``epoch`` on.
-
-        Written to every surviving replica's WAL at promotion time (and to a
-        rejoiner's after catch-up), so a cluster restart recovers the
-        promoted head instead of falling back to census order.  Idempotent:
-        a stale or repeated epoch is a no-op, matching the monotone-epoch
-        fence the cluster layer enforces in memory.
-        """
-        if int(epoch) <= self.shard_epoch:
-            return
-        op = ("promote", int(epoch), str(head))
-        self._log(op)
-        self._apply_raw(op)
-        self._maybe_snapshot()
-
-    def log_txn_prepare(
-        self,
-        txn_id: str,
-        writes: Dict[str, Optional[str]],
-        *,
-        granted: bool = True,
-    ) -> None:
-        """Durably record one two-phase-commit prepare attempt.
-
-        A granted prepare parks ``writes`` (``key -> value``, ``None`` for a
-        delete) as this store's intent for ``txn_id``; later conflicting
-        prepares vote no until the decide arrives.  A refusal
-        (``granted=False``) parks nothing but still logs the attempt, so the
-        intent clock — and with it the presumed-abort expiry of abandoned
-        intents — replays identically from the WAL.
-        """
-        op = ("txn_prepare", str(txn_id), dict(writes), bool(granted))
-        self._log(op)
-        self._apply_raw(op)
-        self._maybe_snapshot()
-
-    def log_txn_decide(
-        self,
-        txn_id: str,
-        verdict: str,
-        writes: Optional[Dict[str, Optional[str]]] = None,
-    ) -> None:
-        """Durably resolve a prepared transaction: ``"commit"`` or ``"abort"``.
-
-        Commit applies the write set atomically (the whole set rides in one
-        WAL record) and is idempotent — values are absolute, so a replayed
-        decide re-applies to the same result.  The record carries ``writes``
-        explicitly so a replica whose intent is missing (full-transfer
-        rejoin, expired intent) still lands the commit.  Abort drops the
-        intent; deciding an unknown transaction is a no-op beyond the
-        record.
-        """
-        op = ("txn_decide", str(txn_id), str(verdict), dict(writes or {}))
-        self._log(op)
-        self._apply_raw(op)
-        self._maybe_snapshot()
-
     def install(self, contents: Dict[str, str], seq: int) -> None:
         """Replace the whole store (full catch-up transfer) at ``seq``.
 
@@ -384,8 +432,7 @@ class DurableState(dict):
         N ``put`` records: one atomic rename instead of N WAL appends, and
         the sequence counter lands exactly on the primary's.
         """
-        dict.clear(self)
-        dict.update(self, contents)
+        super().install(contents, seq)
         self.snapshots.save(seq, dict(self), meta=self._meta())
         self.wal.reset(seq)
         self._snapshot_seq = seq
@@ -407,139 +454,8 @@ class DurableState(dict):
         )
 
 
-class EphemeralState(dict):
-    """An in-memory replica store with the transaction surface of durable ones.
-
-    Non-durable clusters still need two-phase commit: an in-doubt intent
-    table, the intent clock, and the prepare/decide transitions — everything
-    :class:`DurableState` does minus the WAL.  The cluster opens one of
-    these per ephemeral replica so the KVS transaction choreographies run
-    unchanged against both store kinds; a plain ``dict`` (no ``txns``
-    attribute) degrades to conflict-blind prepares and is only suitable for
-    the non-transactional choreographies.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        #: In-doubt transactions, same shape as :attr:`DurableState.txns`.
-        self.txns: Dict[str, Dict[str, Any]] = {}
-        #: The intent clock (prepare attempts seen).
-        self.txn_tick = 0
-
-    def log_txn_prepare(
-        self,
-        txn_id: str,
-        writes: Dict[str, Optional[str]],
-        *,
-        granted: bool = True,
-    ) -> None:
-        """Record one prepare attempt (see :meth:`DurableState.log_txn_prepare`)."""
-        self.txn_tick += 1
-        horizon = self.txn_tick - TXN_INTENT_TTL
-        for stale in [t for t, e in self.txns.items() if e["tick"] <= horizon]:
-            del self.txns[stale]
-        if granted:
-            self.txns[str(txn_id)] = {"writes": dict(writes), "tick": self.txn_tick}
-
-    def log_txn_decide(
-        self,
-        txn_id: str,
-        verdict: str,
-        writes: Optional[Dict[str, Optional[str]]] = None,
-    ) -> None:
-        """Resolve a prepared transaction (see :meth:`DurableState.log_txn_decide`)."""
-        entry = self.txns.pop(str(txn_id), None)
-        if verdict == "commit":
-            pending = dict(writes or {}) or dict((entry or {}).get("writes", {}))
-            for key, value in pending.items():
-                if value is None:
-                    self.pop(key, None)
-                else:
-                    self[key] = value
-
-
-# ---------------------------------------------------------------- catch-up bridge --
-
-
-def txns_of(state: Dict[str, str]) -> Dict[str, Dict[str, Any]]:
-    """A store's in-doubt transaction table (an empty view for plain dicts).
-
-    The table maps ``txn_id`` to ``{"writes": {key: value-or-None},
-    "tick": int}``.  Both :class:`DurableState` and :class:`EphemeralState`
-    expose one; a plain ``dict`` has none, so callers see no intents and a
-    prepare against it cannot detect conflicts.
-    """
-    return getattr(state, "txns", {})
-
-
-def high_water_of(state: Dict[str, str]) -> int:
-    """A store's replayed high-water mark; 0 for a plain (ephemeral) dict."""
-    return state.high_water if isinstance(state, DurableState) else 0
-
-
-def promotion_of(state: Dict[str, str]) -> Tuple[int, Optional[str]]:
-    """A store's recovered ``(shard_epoch, promoted_head)``.
-
-    ``(0, None)`` for ephemeral dicts and for durable stores that never saw
-    a promotion — census order then decides the head, as before failover
-    existed.
-    """
-    if isinstance(state, DurableState):
-        return state.shard_epoch, state.promoted_head
-    return 0, None
-
-
-def delta_since(
-    state: Dict[str, str], since: int
-) -> Optional[List[WalRecord]]:
-    """The mutation records after ``since``, or ``None`` if unavailable.
-
-    ``None`` (ephemeral store, or the range was compacted into a snapshot)
-    tells the catch-up primary to send a full transfer instead.
-    """
-    if isinstance(state, DurableState):
-        return state.ops_since(since)
-    return None
-
-
-def apply_op(store: Dict[str, str], op: Tuple[Any, ...]) -> None:
-    """Apply one catch-up op through a store's ordinary mutators."""
-    kind = op[0]
-    if kind == "put":
-        store[op[1]] = op[2]
-    elif kind == "del":
-        store.pop(op[1], None)
-    elif kind == "clear":
-        store.clear()
-    elif kind == "seal":
-        pass
-    elif kind == "promote":
-        # Epoch fencing lives in the cluster layer; an ephemeral store has
-        # nothing durable to stamp, so a promote record in a replayed delta
-        # is inert here (DurableState handles it in _apply_raw).
-        pass
-    elif kind == "txn_prepare":
-        log = getattr(store, "log_txn_prepare", None)
-        if log is not None:
-            log(op[1], op[2], granted=op[3])
-    elif kind == "txn_decide":
-        log = getattr(store, "log_txn_decide", None)
-        if log is not None:
-            log(op[1], op[2], op[3])
-        elif op[2] == "commit":
-            # A plain dict tracks no intents; the decide record is
-            # self-contained, so the committed writes still land.
-            for key, value in dict(op[3]).items():
-                if value is None:
-                    store.pop(key, None)
-                else:
-                    store[key] = value
-    else:
-        raise ValueError(f"unknown catch-up op kind {kind!r}")
-
-
 def apply_catchup(
-    state: Dict[str, str],
+    state: EphemeralState,
     mode: str,
     data: Any,
     target_seq: int,
@@ -547,29 +463,17 @@ def apply_catchup(
     """Apply a catch-up transfer to ``state``; returns records applied.
 
     ``mode`` is ``"delta"`` (``data`` is a list of ``(seq, op)`` records)
-    or ``"full"`` (``data`` is the primary's complete store).  Durable
-    stores preserve the primary's sequence numbering (explicit-seq appends
-    for deltas, an atomic :meth:`DurableState.install` for full transfers);
-    plain dicts just mutate.
+    or ``"full"`` (``data`` is the primary's complete store).  A durable
+    store keeps the primary's sequence numbering (explicit-seq appends for
+    deltas, an atomic :meth:`DurableState.install` for full transfers).
     """
     if mode == "full":
         contents = dict(data)
-        if isinstance(state, DurableState):
-            state.install(contents, target_seq)
-        else:
-            state.clear()
-            state.update(contents)
+        state.install(contents, target_seq)
         return len(contents)
     if mode != "delta":
         raise ValueError(f"unknown catch-up mode {mode!r}")
-    applied = 0
-    if isinstance(state, DurableState):
-        for seq, op in data:
-            state.apply_record(int(seq), tuple(op))
-            applied += 1
-        state.seal(target_seq)
-    else:
-        for _seq, op in data:
-            apply_op(state, tuple(op))
-            applied += 1
-    return applied
+    for seq, op in data:
+        state.apply_record(int(seq), tuple(op))
+    state.seal(target_seq)
+    return len(data)

@@ -436,6 +436,12 @@ class TestWireInterop:
         assert parsed == [("a", 3, payload)]
 
 
+def _frame_from(sender_tag: bytes) -> bytes:
+    """One well-formed frame whose sender field holds ``sender_tag`` verbatim."""
+    body = SENDER_LENGTH.pack(len(sender_tag)) + sender_tag + b"\x00" + serialize(1)
+    return LENGTH.pack(len(body)) + body
+
+
 def _runaway_frame(sender: str = "a") -> bytes:
     """A structurally plausible frame whose instance varint never terminates:
     ten-plus 0x80 continuation bytes, the exact shape the 64-bit bound turns
@@ -454,6 +460,21 @@ class TestCorruptionSurfacing:
         body = SENDER_LENGTH.pack(4) + b"\xff\xff\xff\xff" + b"\x00" + serialize(1)
         with pytest.raises(FrameCorruption):
             FrameParser().feed(LENGTH.pack(len(body)) + body)
+
+    @pytest.mark.parametrize("sender", [b"l\x00", b"d\x01l\x00N"],
+                             ids=["empty-list", "unhashable-key"])
+    def test_sender_that_is_not_a_location_is_typed(self, sender):
+        with pytest.raises(FrameCorruption):
+            FrameParser().feed(_frame_from(sender))
+
+    def test_feed_poisons_inboxes_on_a_non_location_sender(self):
+        """The reader step itself: no bare TypeError out of the inbox lookup,
+        the stream is dropped and every blocked receiver gets the poison."""
+        with TCPTransport(["a", "b", "c"], timeout=5.0) as transport:
+            endpoint = transport.endpoint("b")
+            assert endpoint._feed(FrameParser(), _frame_from(b"l\x00")) is None
+            for peer in ("a", "c"):
+                assert isinstance(endpoint._inboxes[peer].get_nowait(), FrameCorruption)
 
     @pytest.mark.parametrize("transport_cls", [TCPTransport, AsyncioTCPTransport])
     def test_runaway_varint_on_the_socket_fails_receivers_loudly(
@@ -495,6 +516,15 @@ class TestVarintBounds:
             wire.decode(b"i" + b"\x80" * 10 + b"\x01")
         with pytest.raises(ValueError, match="varint overflow"):
             wire.decode(b"s" + b"\x80" * 10 + b"\x01")
+
+    @pytest.mark.parametrize("payload", [
+        wire.encode(1.5)[:-2],  # truncated float
+        b"d\x01l\x00N",  # unhashable dict key
+        b"l\x01" * 5000 + b"N",  # runaway nesting
+    ], ids=["truncated-float", "unhashable-key", "deep-nesting"])
+    def test_wire_decode_raises_only_value_error(self, payload):
+        with pytest.raises(ValueError, match="malformed wire payload"):
+            wire.decode(payload)
 
     def test_wal_replay_treats_runaway_tail_as_torn(self, tmp_path):
         """A runaway length varint at the WAL tail is what a crash mid-append

@@ -43,7 +43,7 @@ from hypothesis import strategies as st
 from repro import ClusterClient, ClusterEngine, FaultPlan, TxnAborted, TxnConflict
 from repro.core.errors import ChoreographyRuntimeError
 from repro.protocols.kvs import Request
-from repro.storage import TXN_INTENT_TTL, txns_of
+from repro.storage import TXN_INTENT_TTL
 from tests.linearizability import txn_history  # noqa: F401 - autouse: checks every test here
 from tests.test_cluster_failover import BACKEND, CHAOS_SEEDS, TIMEOUT
 from tests.test_cluster_promotion import durable_cluster
@@ -109,8 +109,8 @@ def assert_no_dangling_intents(cluster) -> None:
             if state != "up":
                 continue  # a crashed facet resolves on rejoin/restart
             facet = session.state.facet_for(replica)
-            assert txns_of(facet) == {}, (
-                f"{shard_id}/{replica} still holds intents: {txns_of(facet)}"
+            assert facet.txns == {}, (
+                f"{shard_id}/{replica} still holds intents: {facet.txns}"
             )
 
 
@@ -684,7 +684,7 @@ class TestDecidesRideTheNextInstance:
         for session in owed:
             for replica in session.servers:
                 store = durability.open_state(session.shard_id, replica)
-                assert txns_of(store) == {}
+                assert store.txns == {}
                 store.close()
         log = DurableState(durability.state_dir("_txn", "coordinator"))
         assert dict(log) == {}

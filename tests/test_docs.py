@@ -70,6 +70,22 @@ def test_docs_contain_expected_files():
         assert (REPO_ROOT / "docs" / name).is_file(), f"docs/{name} missing"
 
 
+def _test_targets(text: str):
+    """The ``tests/...`` arguments of the first pytest command in ``text``."""
+    command = text[text.index("python -m pytest"):]
+    return re.findall(r"tests/\S+", command[:command.index(" -q")])
+
+
+def test_testing_doc_shows_the_ci_chaos_targets():
+    """docs/testing.md's chaos command is the CI ``chaos`` job's, target for target."""
+    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    doc = (REPO_ROOT / "docs" / "testing.md").read_text(encoding="utf-8")
+    section = doc[doc.index("## Running the suites"):]
+    ci_targets = _test_targets(ci[ci.index("name: Chaos suite"):])
+    assert ci_targets, "no chaos targets found in ci.yml"
+    assert _test_targets(section) == ci_targets
+
+
 @pytest.mark.parametrize("path", DOCTESTED_DOCS, ids=lambda p: p.name)
 def test_doc_examples_execute(path):
     """Run every ``>>>`` example in the document, as ``python -m doctest`` would."""

@@ -40,7 +40,7 @@ from repro.gateway import (
     reply_for_exception,
     reply_for_response,
 )
-from repro.gateway.protocol import MAX_ARGS, MAX_INLINE
+from repro.gateway.protocol import MAX_ARGS, MAX_INLINE, MAX_REPLY_DEPTH
 from repro.protocols.kvs import RequestKind, Response
 
 
@@ -142,6 +142,18 @@ class TestReplyFraming:
     def test_unknown_type_byte_is_fatal(self):
         with pytest.raises(ProtocolError):
             parse_reply(b"?huh\r\n")
+
+    def test_non_utf8_simple_reply_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_reply(b"+\xff\r\n")
+        assert excinfo.value.fatal
+
+    def test_deep_array_nesting_is_a_protocol_error(self):
+        nested = b"*1\r\n" * MAX_REPLY_DEPTH + b":1\r\n"
+        assert parse_reply(nested)[1] == len(nested)
+        with pytest.raises(ProtocolError, match="nest") as excinfo:
+            parse_reply(b"*1\r\n" * 5000 + b":1\r\n")
+        assert excinfo.value.fatal
 
 
 class TestCommandTable:

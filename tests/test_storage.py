@@ -7,20 +7,19 @@ correctly.
 """
 
 import os
+import random
 
 import pytest
 
 from repro.storage import (
+    TXN_INTENT_TTL,
     Durability,
     DurableState,
+    EphemeralState,
     SnapshotStore,
     WalCorruption,
     WriteAheadLog,
     apply_catchup,
-    apply_op,
-    delta_since,
-    high_water_of,
-    promotion_of,
 )
 from repro.storage import snapshot as snapshot_mod
 from repro.storage import wal as wal_mod
@@ -304,12 +303,12 @@ class TestDurableState:
 
 
 class TestCatchupBridge:
-    def test_plain_dict_degrades_to_full(self):
-        plain = {"a": "1"}
-        assert high_water_of(plain) == 0
-        assert delta_since(plain, 0) is None
-        applied = apply_catchup(plain, "full", {"b": "2"}, 10)
-        assert plain == {"b": "2"} and applied == 1
+    def test_ephemeral_store_degrades_to_full(self):
+        store = EphemeralState({"a": "1"})
+        assert store.high_water == 0
+        assert store.ops_since(0) is None
+        applied = apply_catchup(store, "full", {"b": "2"}, 10)
+        assert store == {"b": "2"} and applied == 1
 
     def test_delta_between_durable_stores(self, tmp_path):
         primary = DurableState(tmp_path / "p")
@@ -319,7 +318,7 @@ class TestCatchupBridge:
         assert follower.high_water == primary.high_water
         primary["c"] = "3"
         del primary["a"]
-        delta = delta_since(primary, follower.high_water)
+        delta = primary.ops_since(follower.high_water)
         applied = apply_catchup(follower, "delta", delta, primary.high_water)
         assert applied == 2
         assert dict(follower) == dict(primary)
@@ -327,18 +326,18 @@ class TestCatchupBridge:
         primary.close()
         follower.close()
 
-    def test_apply_op_shapes(self):
-        store = {}
-        apply_op(store, ("put", "a", "1"))
-        apply_op(store, ("seal",))
+    def test_apply_shapes(self):
+        store = EphemeralState()
+        store.apply(("put", "a", "1"))
+        store.apply(("seal",))
         assert store == {"a": "1"}
-        apply_op(store, ("del", "a"))
-        apply_op(store, ("del", "a"))  # deleting a missing key is tolerated
-        apply_op(store, ("put", "b", "2"))
-        apply_op(store, ("clear",))
+        store.apply(("del", "a"))
+        store.apply(("del", "a"))  # deleting a missing key is tolerated
+        store.apply(("put", "b", "2"))
+        store.apply(("clear",))
         assert store == {}
         with pytest.raises(ValueError, match="unknown"):
-            apply_op(store, ("frobnicate",))
+            store.apply(("frobnicate",))
 
     def test_unknown_catchup_mode_raises(self):
         with pytest.raises(ValueError, match="mode"):
@@ -351,13 +350,13 @@ class TestCatchupBridge:
 class TestPromotionRecords:
     def test_log_promotion_survives_reopen(self, tmp_path):
         state = DurableState(tmp_path / "r0")
-        assert promotion_of(state) == (0, None)
+        assert (state.shard_epoch, state.promoted_head) == (0, None)
         state["k"] = "v"
         state.log_promotion(2, "shard0.r1")
         assert (state.shard_epoch, state.promoted_head) == (2, "shard0.r1")
         state.close()
         reopened = DurableState(tmp_path / "r0")
-        assert promotion_of(reopened) == (2, "shard0.r1")
+        assert (reopened.shard_epoch, reopened.promoted_head) == (2, "shard0.r1")
         assert dict(reopened) == {"k": "v"}
         reopened.close()
 
@@ -368,10 +367,10 @@ class TestPromotionRecords:
         state.log_promotion(3, "shard0.r1")  # equal epoch: fenced out
         state.log_promotion(1, "shard0.r0")  # lower epoch: fenced out
         assert state.wal.record_count == before  # nothing was written
-        assert promotion_of(state) == (3, "shard0.r2")
+        assert (state.shard_epoch, state.promoted_head) == (3, "shard0.r2")
         state.close()
         reopened = DurableState(tmp_path / "r0")
-        assert promotion_of(reopened) == (3, "shard0.r2")
+        assert (reopened.shard_epoch, reopened.promoted_head) == (3, "shard0.r2")
         reopened.close()
 
     def test_epoch_survives_snapshot_compaction(self, tmp_path):
@@ -385,11 +384,12 @@ class TestPromotionRecords:
         assert state.wal.record_count < 10  # compaction ran past the record
         state.close()
         reopened = DurableState(tmp_path / "r0", snapshot_every=10)
-        assert promotion_of(reopened) == (1, "shard0.r1")
+        assert (reopened.shard_epoch, reopened.promoted_head) == (1, "shard0.r1")
         reopened.close()
 
-    def test_plain_dict_has_no_promotion(self):
-        assert promotion_of({"a": "1"}) == (0, None)
+    def test_ephemeral_store_starts_unpromoted(self):
+        store = EphemeralState({"a": "1"})
+        assert (store.shard_epoch, store.promoted_head) == (0, None)
 
     def test_snapshot_meta_roundtrip(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -425,3 +425,100 @@ class TestDurability:
             Durability(root=str(tmp_path), fsync="bogus")
         with pytest.raises(ValueError, match="snapshot_every"):
             Durability(root=str(tmp_path), snapshot_every=0)
+
+
+# -- the one record interpreter -------------------------------------------------------
+
+
+def _record_stream(seed, length=600):
+    """A seeded random stream of every store record kind.
+
+    Promotions draw their epochs at random, so stale ones (at or below the
+    store's epoch) are common; many prepares are never decided, so intents
+    outlive ``TXN_INTENT_TTL`` later prepares and expire; decides name
+    parked, expired and unknown transactions alike.
+    """
+    rng = random.Random(seed)
+    keys = [f"k{index}" for index in range(6)]
+    prepared = []
+    records = []
+    for serial in range(length):
+        roll = rng.random()
+        if roll < 0.25:
+            records.append(("put", rng.choice(keys), str(rng.randrange(100))))
+        elif roll < 0.33:
+            records.append(("del", rng.choice(keys)))
+        elif roll < 0.35:
+            records.append(("clear",))
+        elif roll < 0.38:
+            records.append(("seal",))
+        elif roll < 0.45:
+            records.append(("promote", rng.randrange(1, 12), f"r{rng.randrange(3)}"))
+        elif roll < 0.75:
+            writes = {key: rng.choice([None, str(serial)])
+                      for key in rng.sample(keys, rng.randrange(1, 3))}
+            records.append(("txn_prepare", f"t{serial}", writes, rng.random() < 0.7))
+            prepared.append((f"t{serial}", writes))
+        else:
+            txn_id, writes = rng.choice(prepared or [("t-unknown", {"k0": "x"})])
+            verdict = rng.choice(["commit", "abort"])
+            records.append(("txn_decide", txn_id, verdict,
+                            writes if rng.random() < 0.5 else {}))
+    return records
+
+
+def _facts(store):
+    return (dict(store), store.txns, store.txn_tick,
+            store.shard_epoch, store.promoted_head)
+
+
+class TestOneInterpreter:
+    """Ephemeral and durable stores give every record one meaning."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 2024])
+    def test_ephemeral_durable_and_replayed_stores_agree(self, tmp_path, seed):
+        records = _record_stream(seed)
+        ephemeral = EphemeralState()
+        durable = DurableState(tmp_path / "r0", snapshot_every=37)
+        for op in records:
+            ephemeral.record(op)
+            durable.record(op)
+        durable.close()
+        reopened = DurableState(tmp_path / "r0", snapshot_every=37)
+        reopened.close()
+        assert reopened.replayed_records > 0  # a WAL suffix past the snapshot
+        assert _facts(ephemeral) == _facts(durable) == _facts(reopened)
+        # What every store must agree *on*: the clock counts prepares, and
+        # the first record at the highest epoch elects the head.
+        promotions = [op for op in records if op[0] == "promote"]
+        top = max(epoch for _kind, epoch, _head in promotions)
+        assert ephemeral.txn_tick == sum(op[0] == "txn_prepare" for op in records)
+        assert (ephemeral.shard_epoch, ephemeral.promoted_head) == next(
+            (epoch, head) for _kind, epoch, head in promotions if epoch == top)
+
+    @pytest.mark.parametrize("kind", ["ephemeral", "durable"])
+    def test_stale_promote_record_loses(self, tmp_path, kind):
+        store = EphemeralState() if kind == "ephemeral" else DurableState(tmp_path)
+        store.record(("promote", 3, "r2"))
+        store.record(("promote", 3, "r1"))  # as a delta replay of old history
+        store.record(("promote", 1, "r0"))
+        assert (store.shard_epoch, store.promoted_head) == (3, "r2")
+        store.close()
+
+    @pytest.mark.parametrize("kind", ["ephemeral", "durable"])
+    def test_intent_expires_after_exactly_ttl_later_prepares(self, tmp_path, kind):
+        store = EphemeralState() if kind == "ephemeral" else DurableState(tmp_path)
+        store.log_txn_prepare("t0", {"k": "v"})
+        for attempt in range(TXN_INTENT_TTL - 1):
+            store.log_txn_prepare(f"refused{attempt}", {"k": "w"}, granted=False)
+        assert "t0" in store.txns
+        store.log_txn_prepare("last", {"k": "w"}, granted=False)
+        assert "t0" not in store.txns
+        store.close()
+
+    def test_ephemeral_store_writes_through_dicts_own_mutators(self):
+        # The request paths write items through these; an override would
+        # put a Python-level call on every ephemeral write.
+        for name in ("__setitem__", "__delitem__", "pop", "popitem",
+                     "clear", "update", "setdefault"):
+            assert getattr(EphemeralState, name) is getattr(dict, name), name
