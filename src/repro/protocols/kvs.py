@@ -77,6 +77,7 @@ from ..core.errors import ChoreographyError
 from ..core.located import Faceted, Located
 from ..core.locations import Census, Location, LocationsLike, as_census
 from ..core.ops import ChoreoOp, Choreography
+from ..runtime import wire
 from ..storage import TXN_INTENT_TTL, EphemeralState, apply_catchup
 from . import crypto
 
@@ -151,6 +152,11 @@ class Response:
     @staticmethod
     def stopped() -> "Response":
         return Response(ResponseKind.STOPPED)
+
+
+# Both travel as wire records: a kind byte, then each field as ``s…`` / ``N``.
+wire.register_record(Request, "q", RequestKind, ("key", "value"))
+wire.register_record(Response, "r", ResponseKind, ("value",))
 
 
 # -- epoch fencing (primary failover) ------------------------------------------------

@@ -26,7 +26,7 @@ kernel buffer always makes progress: the kernel bounds what a sender
 buffers, and no write can distributed-deadlock against a peer's.
 
 Corruption is typed: a frame whose varints run away (see
-``wire._read_uvarint``'s 64-bit bound) or whose sender does not decode to a
+``wire.read_uvarint``'s 64-bit bound) or whose sender does not decode to a
 location raises :class:`FrameCorruption`, a
 :class:`~repro.core.errors.TransportError` subclass, instead of misframing
 the stream.  Readers poison the endpoint's

@@ -1,9 +1,10 @@
 """Compact binary wire codec with a pickle fallback.
 
 The GMW and KVS case studies exchange overwhelmingly small payloads — single
-booleans, short lists of share bits, small tuples of integers.  Pickling such
-values costs 4–20+ bytes each (protocol header, memo/frame opcodes, STOP),
-which dwarfs the information content and dominates the bytes-on-the-wire the
+booleans, short lists of share bits, small tuples of integers, one KVS
+request or response.  Pickling such values costs 4–20+ bytes each (protocol
+header, memo/frame opcodes, STOP), and over 100 for a KVS request, which
+dwarfs the information content and dominates the bytes-on-the-wire the
 benchmarks report.  This module provides a tag-byte encoding with fast paths
 for exactly the payload shapes that dominate that traffic:
 
@@ -19,15 +20,20 @@ tag          encoding
 ``b``        bytes, uvarint length + raw
 ``t`` ``l``  tuple / list: uvarint count + encoded elements
 ``d``        dict: uvarint count + encoded key/value pairs
+``q`` ``r``  a registered record (KVS ``Request`` / ``Response``): one
+             byte for its kind's position, then each field as ``s``/``N``
 ``P``        anything else: raw :mod:`pickle` bytes
 ===========  =====================================================
 
 Containers are encoded recursively but only up to a fixed element budget
-(:data:`MAX_FAST_ITEMS`); larger or exotic payloads fall back to a single
-pickle of the whole value, so the Python-level encoder never loses to the C
-pickler on bulk data.  Exact types are required (``type(x) is int``, not
-``isinstance``) so subclasses such as enums round-trip through pickle with
-their class intact.
+(:data:`MAX_FAST_ITEMS`; a record charges its kind plus its fields); larger
+or exotic payloads fall back to a single pickle of the whole value, so the
+Python-level encoder never loses to the C pickler on bulk data.  Exact types
+are required (``type(x) is int``, not ``isinstance``) so subclasses such as
+enums round-trip through pickle with their class intact.
+
+Records are registered by the module that defines the type
+(:func:`register_record`), so this module imports nothing above it.
 
 ``decode(encode(x)) == x`` for every value pickle accepts, and the fast-path
 encodings are strictly smaller than ``pickle.dumps`` for bools and ints — a
@@ -36,9 +42,11 @@ property test in ``tests/test_property_based.py`` pins both claims down.
 
 from __future__ import annotations
 
+import operator
 import pickle
 import struct
-from typing import Any, Tuple
+from itertools import chain
+from typing import Any, Callable, Sequence, Tuple
 
 #: Total number of container elements (recursively) the fast path will encode
 #: before handing the whole payload to pickle instead.
@@ -49,26 +57,34 @@ _VARINT_BOUND = 1 << 63
 
 _FLOAT = struct.Struct("!d")
 
+_CONSTANTS = {b"N": None, b"T": True, b"F": False}
+_CONTAINER_TAGS = {tuple: 0x74, list: 0x6C, dict: 0x64}
+#: Registered records by class (encoders) and by tag byte (decoders).
+_RECORD_OF: dict = {}
+_RECORD_AT: dict = {}
+
 
 class _Fallback(Exception):
     """Internal signal: this payload is not fast-path encodable."""
 
 
+def _truncated() -> ValueError:
+    return ValueError("malformed wire payload: truncated")
+
+
 # ---------------------------------------------------------------------- varints --
 
 
-def _write_uvarint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
+def write_uvarint(out: bytearray, value: int) -> None:
+    """Append ``value`` as an unsigned varint."""
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
-def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
+def read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
+    """Read an unsigned varint at ``pos``; returns ``(value, next_pos)``."""
     result = 0
     shift = 0
     while True:
@@ -81,85 +97,70 @@ def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
             return result, pos
         shift += 7
         if shift > 63:
-            # No legitimate value needs more than ten varint bytes: lengths,
-            # counts, and instance ids all fit 64 bits.  Without this bound a
-            # corrupt (or adversarial) run of 0x80 continuation bytes decodes
-            # into an arbitrarily large integer that downstream framing would
-            # use as a length prefix — a giant allocation or a misframe
-            # instead of a typed error.
+            # Lengths, counts and instance ids all fit 64 bits; a longer run
+            # of continuation bytes is corruption, not a giant length prefix.
             raise ValueError("varint overflow (more than 64 bits)")
-
-
-def write_uvarint(out: bytearray, value: int) -> None:
-    """Append ``value`` as an unsigned varint (public framing helper)."""
-    _write_uvarint(out, value)
-
-
-def read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
-    """Read an unsigned varint at ``pos``; returns ``(value, next_pos)``."""
-    return _read_uvarint(data, pos)
-
-
-def _zigzag(value: int) -> int:
-    return (value << 1) if value >= 0 else ((-value) << 1) - 1
-
-
-def _unzigzag(value: int) -> int:
-    return -((value + 1) >> 1) if value & 1 else value >> 1
 
 
 # --------------------------------------------------------------------- encoding --
 
 
-def _encode_into(out: bytearray, payload: Any, budget: list) -> None:
-    kind = type(payload)
-    if payload is None:
-        out.append(ord("N"))
-    elif kind is bool:
-        out.append(ord("T") if payload else ord("F"))
-    elif kind is int:
-        if -_VARINT_BOUND <= payload < _VARINT_BOUND:
-            out.append(ord("i"))
-            _write_uvarint(out, _zigzag(payload))
-        else:
-            raw = payload.to_bytes(payload.bit_length() // 8 + 1, "big", signed=True)
-            out.append(ord("I"))
-            _write_uvarint(out, len(raw))
+def _encode_items(out: bytearray, items: Any, budget: int) -> int:
+    """Append each of ``items``; returns the element budget left.
+
+    One ``type()`` per value, every type inline; a container recurses.
+    """
+    append = out.append
+    for item in items:
+        kind = type(item)
+        if kind is str:
+            raw = item.encode()  # lone surrogates raise: pickle knows how
+            size = len(raw)
+            append(0x73)
+            if size < 0x80:
+                append(size)
+            else:
+                write_uvarint(out, size)
             out += raw
-    elif kind is float:
-        out.append(ord("f"))
-        out += _FLOAT.pack(payload)
-    elif kind is str:
-        try:
-            raw = payload.encode("utf-8")
-        except UnicodeEncodeError:  # lone surrogates: pickle knows how
-            raise _Fallback
-        out.append(ord("s"))
-        _write_uvarint(out, len(raw))
-        out += raw
-    elif kind is bytes:
-        out.append(ord("b"))
-        _write_uvarint(out, len(payload))
-        out += payload
-    elif kind is tuple or kind is list:
-        budget[0] -= len(payload)
-        if budget[0] < 0:
-            raise _Fallback
-        out.append(ord("t") if kind is tuple else ord("l"))
-        _write_uvarint(out, len(payload))
-        for element in payload:
-            _encode_into(out, element, budget)
-    elif kind is dict:
-        budget[0] -= len(payload)
-        if budget[0] < 0:
-            raise _Fallback
-        out.append(ord("d"))
-        _write_uvarint(out, len(payload))
-        for key, value in payload.items():
-            _encode_into(out, key, budget)
-            _encode_into(out, value, budget)
-    else:
-        raise _Fallback
+        elif kind is bool:
+            append(0x54 if item else 0x46)
+        elif kind is int:
+            if -0x40 <= item < 0x40:
+                append(0x69)
+                append(item << 1 if item >= 0 else ~item << 1 | 1)
+            elif -_VARINT_BOUND <= item < _VARINT_BOUND:
+                append(0x69)
+                write_uvarint(out, item << 1 if item >= 0 else ~item << 1 | 1)
+            else:
+                raw = item.to_bytes(item.bit_length() // 8 + 1, "big", signed=True)
+                append(0x49)
+                write_uvarint(out, len(raw))
+                out += raw
+        elif item is None:
+            append(0x4E)
+        elif kind in _CONTAINER_TAGS:
+            size = len(item)
+            budget -= size
+            if budget < 0:
+                raise _Fallback
+            append(_CONTAINER_TAGS[kind])
+            if size < 0x80:
+                append(size)
+            else:
+                write_uvarint(out, size)
+            budget = _encode_items(
+                out, chain.from_iterable(item.items()) if kind is dict else item, budget
+            )
+        elif kind is float:
+            append(0x66)
+            out += _FLOAT.pack(item)
+        elif kind is bytes:
+            append(0x62)
+            write_uvarint(out, len(item))
+            out += item
+        else:
+            budget = _RECORD_OF[kind](out, item, budget)  # KeyError: not ours
+    return budget
 
 
 def encode(payload: Any) -> bytes:
@@ -167,10 +168,14 @@ def encode(payload: Any) -> bytes:
 
     Raises whatever :func:`pickle.dumps` raises for unserializable payloads.
     """
+    if type(payload) is bool:
+        return b"T" if payload else b"F"
+    if payload is None:
+        return b"N"
     out = bytearray()
     try:
-        _encode_into(out, payload, [MAX_FAST_ITEMS])
-    except _Fallback:
+        _encode_items(out, (payload,), MAX_FAST_ITEMS)
+    except (_Fallback, KeyError, TypeError, UnicodeEncodeError):
         return b"P" + pickle.dumps(payload)
     return bytes(out)
 
@@ -178,64 +183,141 @@ def encode(payload: Any) -> bytes:
 # --------------------------------------------------------------------- decoding --
 
 
-def _decode_from(data: bytes, pos: int) -> Tuple[Any, int]:
-    if pos >= len(data):
-        raise ValueError("truncated wire payload")
-    tag = data[pos]
-    pos += 1
-    if tag == ord("N"):
-        return None, pos
-    if tag == ord("T"):
-        return True, pos
-    if tag == ord("F"):
-        return False, pos
-    if tag == ord("i"):
-        raw, pos = _read_uvarint(data, pos)
-        return _unzigzag(raw), pos
-    if tag == ord("I"):
-        length, pos = _read_uvarint(data, pos)
-        end = pos + length
-        return int.from_bytes(data[pos:end], "big", signed=True), end
-    if tag == ord("f"):
-        end = pos + _FLOAT.size
-        return _FLOAT.unpack_from(data, pos)[0], end
-    if tag == ord("s"):
-        length, pos = _read_uvarint(data, pos)
-        end = pos + length
-        return data[pos:end].decode("utf-8"), end
-    if tag == ord("b"):
-        length, pos = _read_uvarint(data, pos)
-        end = pos + length
-        return data[pos:end], end
-    if tag in (ord("t"), ord("l")):
-        count, pos = _read_uvarint(data, pos)
-        elements = []
-        for _ in range(count):
-            element, pos = _decode_from(data, pos)
-            elements.append(element)
-        return (tuple(elements) if tag == ord("t") else elements), pos
-    if tag == ord("d"):
-        count, pos = _read_uvarint(data, pos)
-        result = {}
-        for _ in range(count):
-            key, pos = _decode_from(data, pos)
-            value, pos = _decode_from(data, pos)
-            result[key] = value
-        return result, pos
-    raise ValueError(f"unknown wire tag {tag!r}")
+def _span(data: bytes, pos: int) -> Tuple[int, int]:
+    """The ``(start, end)`` of the length-prefixed body at ``pos``."""
+    size = data[pos]
+    if size < 0x80:
+        pos += 1
+    else:
+        size, pos = read_uvarint(data, pos)
+    if pos + size > len(data):
+        raise _truncated()
+    return pos, pos + size
+
+
+def _decode_items(data: bytes, pos: int, count: int, append: Callable) -> int:
+    """Decode ``count`` values from ``pos`` into ``append``; returns the end.
+
+    One comparison chain on the tag byte per value; a container recurses.
+    Reading past the end raises ``IndexError`` or ``struct.error``.
+    """
+    if count > len(data) - pos:  # every value takes at least one byte
+        raise _truncated()
+    for _ in range(count):
+        tag = data[pos]
+        pos += 1
+        if tag == 0x73:
+            size = data[pos]
+            if size < 0x80:
+                start = pos + 1
+                pos = start + size
+                if pos > len(data):
+                    raise _truncated()
+            else:
+                start, pos = _span(data, pos)
+            append(data[start:pos].decode())
+        elif tag == 0x54 or tag == 0x46:
+            append(tag == 0x54)
+        elif tag == 0x69:
+            raw = data[pos]
+            if raw < 0x80:
+                pos += 1
+            else:
+                raw, pos = read_uvarint(data, pos)
+            append(~(raw >> 1) if raw & 1 else raw >> 1)
+        elif tag == 0x4E:
+            append(None)
+        elif tag == 0x74 or tag == 0x6C or tag == 0x64:
+            size = data[pos]
+            if size < 0x80:
+                pos += 1
+            else:
+                size, pos = read_uvarint(data, pos)
+            items: list = []
+            pos = _decode_items(data, pos, 2 * size if tag == 0x64 else size, items.append)
+            if tag == 0x64:
+                pairs = iter(items)
+                append(dict(zip(pairs, pairs)))
+            else:
+                append(tuple(items) if tag == 0x74 else items)
+        elif tag == 0x66:
+            append(_FLOAT.unpack_from(data, pos)[0])
+            pos += _FLOAT.size
+        elif tag == 0x62 or tag == 0x49:
+            start, pos = _span(data, pos)
+            raw = data[start:pos]
+            append(raw if tag == 0x62 else int.from_bytes(raw, "big", signed=True))
+        else:
+            item, pos = _RECORD_AT[tag](data, pos)  # KeyError: unknown tag
+            append(item)
+    return pos
 
 
 def decode(data: bytes) -> Any:
     """Inverse of :func:`encode`; raises :class:`ValueError` on a malformed payload."""
+    data = bytes(data)
+    if len(data) == 1 and data in _CONSTANTS:
+        return _CONSTANTS[data]
     if not data:
         raise ValueError("empty wire payload")
-    if data[0] == ord("P"):
-        return pickle.loads(data[1:])
+    if data[0] == 0x50:
+        try:
+            return pickle.loads(data[1:])
+        except Exception as exc:  # arbitrary bytes can make pickle raise anything
+            raise ValueError(f"malformed pickled wire payload: {exc!r}") from exc
+    value: list = []
     try:
-        value, pos = _decode_from(bytes(data), 0)
-    except (struct.error, TypeError, RecursionError) as exc:
-        # A truncated float, an unhashable dict key, or runaway nesting.
+        pos = _decode_items(data, 0, 1, value.append)
+    except (IndexError, struct.error):
+        raise _truncated() from None
+    except KeyError as exc:
+        raise ValueError(f"unknown wire tag {exc.args[0]!r}") from None
+    except (TypeError, RecursionError) as exc:
+        # An unhashable dict key, or runaway nesting.
         raise ValueError(f"malformed wire payload: {exc}") from exc
     if pos != len(data):
         raise ValueError(f"trailing bytes after wire payload ({len(data) - pos})")
-    return value
+    return value[0]
+
+
+# ---------------------------------------------------------------------- records --
+
+
+def register_record(cls: type, tag: str, kinds: Sequence[Any], fields: Sequence[str]) -> None:
+    """Give exact instances of ``cls`` the record form ``tag``.
+
+    An instance is ``cls(kind, *fields)``: ``kind`` is one of ``kinds`` (sent
+    as its position, one byte) and every field is a ``str`` or ``None`` (sent
+    as ``s…`` / ``N``).  An instance with any other kind or field value takes
+    the pickle fallback.  The record charges ``1 + len(fields)`` to the
+    element budget, as the tuple of its kind and fields would.
+    """
+    kinds = tuple(kinds)
+    position = {kind: index for index, kind in enumerate(kinds)}
+    read = operator.attrgetter("kind", *fields)
+    width, code = 1 + len(fields), ord(tag)
+
+    def encode_record(out: bytearray, value: Any, budget: int) -> int:
+        budget -= width
+        if budget < 0:
+            raise _Fallback
+        kind, *values = read(value)
+        for field in values:
+            if field is not None and type(field) is not str:
+                raise _Fallback
+        out.append(code)
+        out.append(position[kind])
+        return _encode_items(out, values, budget)
+
+    def decode_record(data: bytes, pos: int) -> Tuple[Any, int]:
+        if data[pos] >= len(kinds):
+            raise ValueError(f"record {tag!r}: kind {data[pos]} out of range")
+        values = [kinds[data[pos]]]
+        pos = _decode_items(data, pos + 1, len(fields), values.append)
+        for field in values[1:]:
+            if field is not None and type(field) is not str:
+                raise ValueError(f"record {tag!r}: field {field!r} is not s or N")
+        return cls(*values), pos
+
+    _RECORD_OF[cls] = encode_record
+    _RECORD_AT[code] = decode_record

@@ -496,7 +496,7 @@ class TestCorruptionSurfacing:
 
 
 class TestVarintBounds:
-    """The ``_read_uvarint`` 64-bit bound and its consumers."""
+    """The ``read_uvarint`` 64-bit bound and its consumers."""
 
     def test_read_uvarint_refuses_more_than_64_bits(self):
         with pytest.raises(ValueError, match="varint overflow"):

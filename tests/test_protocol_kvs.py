@@ -327,12 +327,9 @@ class TestReplicatedRoundIsWireIdentical:
     STEPS = ("put", "get", "quorum get", "delete", "batch", "read batch", "txn",
              "scan")
     EXPECTED = {
-        1: [(2, 226), (2, 116), (2, 116), (2, 116), (2, 342), (2, 326), (2, 133),
-            (4, 43)],
-        2: [(4, 452), (2, 116), (5, 233), (4, 232), (4, 666), (2, 326), (4, 158),
-            (6, 74)],
-        3: [(6, 678), (2, 116), (8, 350), (6, 348), (6, 990), (2, 326), (6, 183),
-            (8, 105)],
+        1: [(2, 18), (2, 15), (2, 15), (2, 15), (2, 37), (2, 29), (2, 32), (4, 43)],
+        2: [(4, 36), (2, 15), (5, 31), (4, 30), (4, 69), (2, 29), (4, 57), (6, 74)],
+        3: [(6, 54), (2, 15), (8, 47), (6, 45), (6, 101), (2, 29), (6, 82), (8, 105)],
     }
 
     @pytest.mark.parametrize("replication", sorted(EXPECTED))
