@@ -30,10 +30,9 @@ Containers are encoded recursively but only up to a fixed element budget
 or exotic payloads fall back to a single pickle of the whole value, so the
 Python-level encoder never loses to the C pickler on bulk data.  Exact types
 are required (``type(x) is int``, not ``isinstance``) so subclasses such as
-enums round-trip through pickle with their class intact.
-
-Records are registered by the module that defines the type
-(:func:`register_record`), so this module imports nothing above it.
+enums round-trip through pickle with their class intact.  The module that
+defines a record type registers it (:func:`register_record`), so this module
+imports nothing above it.
 
 ``decode(encode(x)) == x`` for every value pickle accepts, and the fast-path
 encodings are strictly smaller than ``pickle.dumps`` for bools and ints — a
@@ -57,6 +56,7 @@ _VARINT_BOUND = 1 << 63
 
 _FLOAT = struct.Struct("!d")
 
+_TRUNCATED = "malformed wire payload: truncated"
 _CONSTANTS = {b"N": None, b"T": True, b"F": False}
 _CONTAINER_TAGS = {tuple: 0x74, list: 0x6C, dict: 0x64}
 #: Registered records by class (encoders) and by tag byte (decoders).
@@ -66,13 +66,6 @@ _RECORD_AT: dict = {}
 
 class _Fallback(Exception):
     """Internal signal: this payload is not fast-path encodable."""
-
-
-def _truncated() -> ValueError:
-    return ValueError("malformed wire payload: truncated")
-
-
-# ---------------------------------------------------------------------- varints --
 
 
 def write_uvarint(out: bytearray, value: int) -> None:
@@ -85,8 +78,7 @@ def write_uvarint(out: bytearray, value: int) -> None:
 
 def read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
     """Read an unsigned varint at ``pos``; returns ``(value, next_pos)``."""
-    result = 0
-    shift = 0
+    result = shift = 0
     while True:
         if pos >= len(data):
             raise ValueError("truncated varint")
@@ -106,10 +98,7 @@ def read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
 
 
 def _encode_items(out: bytearray, items: Any, budget: int) -> int:
-    """Append each of ``items``; returns the element budget left.
-
-    One ``type()`` per value, every type inline; a container recurses.
-    """
+    """Append ``items``, one ``type()`` each; returns the element budget left."""
     append = out.append
     for item in items:
         kind = type(item)
@@ -175,7 +164,8 @@ def encode(payload: Any) -> bytes:
     out = bytearray()
     try:
         _encode_items(out, (payload,), MAX_FAST_ITEMS)
-    except (_Fallback, KeyError, TypeError, UnicodeEncodeError):
+    except (_Fallback, KeyError, UnicodeEncodeError):
+        # No fast form: an exotic type or record kind, or a lone surrogate.
         return b"P" + pickle.dumps(payload)
     return bytes(out)
 
@@ -191,18 +181,15 @@ def _span(data: bytes, pos: int) -> Tuple[int, int]:
     else:
         size, pos = read_uvarint(data, pos)
     if pos + size > len(data):
-        raise _truncated()
+        raise ValueError(_TRUNCATED)
     return pos, pos + size
 
 
 def _decode_items(data: bytes, pos: int, count: int, append: Callable) -> int:
     """Decode ``count`` values from ``pos`` into ``append``; returns the end.
-
-    One comparison chain on the tag byte per value; a container recurses.
-    Reading past the end raises ``IndexError`` or ``struct.error``.
-    """
+    Reading past the end raises ``IndexError`` or ``struct.error``."""
     if count > len(data) - pos:  # every value takes at least one byte
-        raise _truncated()
+        raise ValueError(_TRUNCATED)
     for _ in range(count):
         tag = data[pos]
         pos += 1
@@ -212,7 +199,7 @@ def _decode_items(data: bytes, pos: int, count: int, append: Callable) -> int:
                 start = pos + 1
                 pos = start + size
                 if pos > len(data):
-                    raise _truncated()
+                    raise ValueError(_TRUNCATED)
             else:
                 start, pos = _span(data, pos)
             append(data[start:pos].decode())
@@ -236,8 +223,7 @@ def _decode_items(data: bytes, pos: int, count: int, append: Callable) -> int:
             items: list = []
             pos = _decode_items(data, pos, 2 * size if tag == 0x64 else size, items.append)
             if tag == 0x64:
-                pairs = iter(items)
-                append(dict(zip(pairs, pairs)))
+                append(dict(zip(items[::2], items[1::2])))
             else:
                 append(tuple(items) if tag == 0x74 else items)
         elif tag == 0x66:
@@ -255,7 +241,8 @@ def _decode_items(data: bytes, pos: int, count: int, append: Callable) -> int:
 
 def decode(data: bytes) -> Any:
     """Inverse of :func:`encode`; raises :class:`ValueError` on a malformed payload."""
-    data = bytes(data)
+    if type(data) is not bytes:
+        data = bytes(data)
     if len(data) == 1 and data in _CONSTANTS:
         return _CONSTANTS[data]
     if not data:
@@ -265,11 +252,15 @@ def decode(data: bytes) -> Any:
             return pickle.loads(data[1:])
         except Exception as exc:  # arbitrary bytes can make pickle raise anything
             raise ValueError(f"malformed pickled wire payload: {exc!r}") from exc
-    value: list = []
     try:
-        pos = _decode_items(data, 0, 1, value.append)
+        if data[0] in _RECORD_AT:  # the commonest top-level payload: no item loop
+            value, pos = _RECORD_AT[data[0]](data, 1)
+        else:
+            items: list = []
+            pos = _decode_items(data, 0, 1, items.append)
+            value = items[0]
     except (IndexError, struct.error):
-        raise _truncated() from None
+        raise ValueError(_TRUNCATED) from None
     except KeyError as exc:
         raise ValueError(f"unknown wire tag {exc.args[0]!r}") from None
     except (TypeError, RecursionError) as exc:
@@ -277,7 +268,7 @@ def decode(data: bytes) -> Any:
         raise ValueError(f"malformed wire payload: {exc}") from exc
     if pos != len(data):
         raise ValueError(f"trailing bytes after wire payload ({len(data) - pos})")
-    return value[0]
+    return value
 
 
 # ---------------------------------------------------------------------- records --
@@ -292,32 +283,39 @@ def register_record(cls: type, tag: str, kinds: Sequence[Any], fields: Sequence[
     the pickle fallback.  The record charges ``1 + len(fields)`` to the
     element budget, as the tuple of its kind and fields would.
     """
-    kinds = tuple(kinds)
-    position = {kind: index for index, kind in enumerate(kinds)}
+    kinds = tuple(kinds)  # found by identity: no Python-level enum __hash__
     read = operator.attrgetter("kind", *fields)
     width, code = 1 + len(fields), ord(tag)
 
     def encode_record(out: bytearray, value: Any, budget: int) -> int:
         budget -= width
-        if budget < 0:
+        values = read(value)
+        if budget < 0 or values[0] not in kinds:
             raise _Fallback
-        kind, *values = read(value)
-        for field in values:
+        for field in values[1:]:
             if field is not None and type(field) is not str:
                 raise _Fallback
         out.append(code)
-        out.append(position[kind])
-        return _encode_items(out, values, budget)
+        out.append(kinds.index(values[0]))
+        return _encode_items(out, values[1:], budget)
 
     def decode_record(data: bytes, pos: int) -> Tuple[Any, int]:
         if data[pos] >= len(kinds):
             raise ValueError(f"record {tag!r}: kind {data[pos]} out of range")
         values = [kinds[data[pos]]]
-        pos = _decode_items(data, pos + 1, len(fields), values.append)
-        for field in values[1:]:
-            if field is not None and type(field) is not str:
-                raise ValueError(f"record {tag!r}: field {field!r} is not s or N")
-        return cls(*values), pos
+        for _ in fields:
+            pos += 1
+            if data[pos] == 0x4E:
+                values.append(None)
+                continue
+            if data[pos] != 0x73:
+                raise ValueError(f"record {tag!r}: field tag {data[pos]} is not s or N")
+            start, end = pos + 2, pos + 2 + data[pos + 1]
+            if data[pos + 1] >= 0x80 or end > len(data):
+                start, end = _span(data, pos + 1)
+            values.append(data[start:end].decode())
+            pos = end - 1
+        return cls(*values), pos + 1
 
     _RECORD_OF[cls] = encode_record
     _RECORD_AT[code] = decode_record

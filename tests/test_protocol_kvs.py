@@ -322,6 +322,14 @@ class TestReplicatedRoundIsWireIdentical:
     shard's next instance.  Here that is the scan, so the scan step pays a
     decide-only ``kvs_txn`` round first: the decide out to every replica,
     ``None`` acks and answer back, then the two scan messages.
+
+    The bytes moved once more, with no message added or removed, when
+    ``Request`` and ``Response`` stopped taking the codec's pickle fallback
+    and became ``q`` / ``r`` wire records (a kind byte, then each field as
+    ``s…`` or ``N``).  ``Request.put("k", "v" * 8)`` went from 119 to 15
+    bytes and ``Response.not_found()`` from 107 to 3, so every step that
+    carries either shrank.  The scan step carries neither (a decide, ``None`` acks,
+    a prefix and a dict back), and it kept its bytes exactly.
     """
 
     STEPS = ("put", "get", "quorum get", "delete", "batch", "read batch", "txn",
