@@ -127,6 +127,8 @@ def _encode_items(out: bytearray, items: Any, budget: int) -> int:
                 out += raw
         elif item is None:
             append(0x4E)
+        elif kind in _RECORD_OF:
+            budget = _RECORD_OF[kind](out, item, budget)
         elif kind in _CONTAINER_TAGS:
             size = len(item)
             budget -= size
@@ -148,7 +150,7 @@ def _encode_items(out: bytearray, items: Any, budget: int) -> int:
             write_uvarint(out, len(item))
             out += item
         else:
-            budget = _RECORD_OF[kind](out, item, budget)  # KeyError: not ours
+            raise _Fallback
     return budget
 
 
@@ -164,7 +166,7 @@ def encode(payload: Any) -> bytes:
     out = bytearray()
     try:
         _encode_items(out, (payload,), MAX_FAST_ITEMS)
-    except (_Fallback, KeyError, UnicodeEncodeError):
+    except (_Fallback, UnicodeEncodeError):
         # No fast form: an exotic type or record kind, or a lone surrogate.
         return b"P" + pickle.dumps(payload)
     return bytes(out)
@@ -214,6 +216,9 @@ def _decode_items(data: bytes, pos: int, count: int, append: Callable) -> int:
             append(~(raw >> 1) if raw & 1 else raw >> 1)
         elif tag == 0x4E:
             append(None)
+        elif tag in _RECORD_AT:
+            item, pos = _RECORD_AT[tag](data, pos)
+            append(item)
         elif tag == 0x74 or tag == 0x6C or tag == 0x64:
             size = data[pos]
             if size < 0x80:
@@ -234,8 +239,7 @@ def _decode_items(data: bytes, pos: int, count: int, append: Callable) -> int:
             raw = data[start:pos]
             append(raw if tag == 0x62 else int.from_bytes(raw, "big", signed=True))
         else:
-            item, pos = _RECORD_AT[tag](data, pos)  # KeyError: unknown tag
-            append(item)
+            raise ValueError(f"unknown wire tag {tag!r}")
     return pos
 
 
@@ -245,9 +249,7 @@ def decode(data: bytes) -> Any:
         data = bytes(data)
     if len(data) == 1 and data in _CONSTANTS:
         return _CONSTANTS[data]
-    if not data:
-        raise ValueError("empty wire payload")
-    if data[0] == 0x50:
+    if data[:1] == b"P":
         try:
             return pickle.loads(data[1:])
         except Exception as exc:  # arbitrary bytes can make pickle raise anything
@@ -261,8 +263,6 @@ def decode(data: bytes) -> Any:
             value = items[0]
     except (IndexError, struct.error):
         raise ValueError(_TRUNCATED) from None
-    except KeyError as exc:
-        raise ValueError(f"unknown wire tag {exc.args[0]!r}") from None
     except (TypeError, RecursionError) as exc:
         # An unhashable dict key, or runaway nesting.
         raise ValueError(f"malformed wire payload: {exc}") from exc
@@ -302,20 +302,22 @@ def register_record(cls: type, tag: str, kinds: Sequence[Any], fields: Sequence[
     def decode_record(data: bytes, pos: int) -> Tuple[Any, int]:
         if data[pos] >= len(kinds):
             raise ValueError(f"record {tag!r}: kind {data[pos]} out of range")
-        values = [kinds[data[pos]]]
-        for _ in fields:
+        record = object.__new__(cls)  # built as pickle builds it: no __init__
+        state = record.__dict__
+        state["kind"] = kinds[data[pos]]
+        for name in fields:
             pos += 1
             if data[pos] == 0x4E:
-                values.append(None)
+                state[name] = None
                 continue
             if data[pos] != 0x73:
                 raise ValueError(f"record {tag!r}: field tag {data[pos]} is not s or N")
             start, end = pos + 2, pos + 2 + data[pos + 1]
             if data[pos + 1] >= 0x80 or end > len(data):
                 start, end = _span(data, pos + 1)
-            values.append(data[start:end].decode())
+            state[name] = data[start:end].decode()
             pos = end - 1
-        return cls(*values), pos + 1
+        return record, pos + 1
 
     _RECORD_OF[cls] = encode_record
     _RECORD_AT[code] = decode_record

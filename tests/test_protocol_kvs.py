@@ -328,8 +328,8 @@ class TestReplicatedRoundIsWireIdentical:
     and became ``q`` / ``r`` wire records (a kind byte, then each field as
     ``s…`` or ``N``).  ``Request.put("k", "v" * 8)`` went from 119 to 15
     bytes and ``Response.not_found()`` from 107 to 3, so every step that
-    carries either shrank.  The scan step carries neither (a decide, ``None`` acks,
-    a prefix and a dict back), and it kept its bytes exactly.
+    carries either shrank.  The scan step carries neither (a decide,
+    ``None`` acks, a prefix and a dict back), and it kept its bytes.
     """
 
     STEPS = ("put", "get", "quorum get", "delete", "batch", "read batch", "txn",

@@ -127,7 +127,8 @@ class TestByteIdentityWithTheReferenceEncoder:
     def test_scalar_edges(self, payload):
         for shape in (payload, [payload], (payload, "k"), {"k": payload}):
             assert wire.encode(shape) == reference.encode(shape)
-            assert wire.decode(wire.encode(shape)) == shape or payload != payload
+            if payload == payload:  # NaN is not equal to itself
+                assert wire.decode(wire.encode(shape)) == shape
 
     def test_workload_payloads(self, traffic):
         """One payload of each shape the four workloads send or log."""
@@ -263,6 +264,7 @@ class TracedResponse(Response):
 
 class TestDecodeRaisesOnlyValueError:
     @pytest.mark.parametrize("data, message", [
+        (b"", "truncated"),
         (b"P", "pickled"),
         (b"Pxyz", "pickled"),
         (b"s\x05ab", "truncated"),
