@@ -277,11 +277,11 @@ def decode(data: bytes) -> Any:
 def register_record(cls: type, tag: str, kinds: Sequence[Any], fields: Sequence[str]) -> None:
     """Give exact instances of ``cls`` the record form ``tag``.
 
-    An instance is ``cls(kind, *fields)``: ``kind`` is one of ``kinds`` (sent
-    as its position, one byte) and every field is a ``str`` or ``None`` (sent
-    as ``s…`` / ``N``).  An instance with any other kind or field value takes
-    the pickle fallback.  The record charges ``1 + len(fields)`` to the
-    element budget, as the tuple of its kind and fields would.
+    Its ``kind`` attribute is one of ``kinds`` (sent as its position, one
+    byte) and each of ``fields`` is a ``str`` or ``None`` (``s…`` / ``N``);
+    anything else takes the pickle fallback.  Decoding fills a new instance's
+    ``__dict__`` as pickle does, without ``__init__``.  A record charges
+    ``1 + len(fields)`` to the element budget, as a tuple of them would.
     """
     kinds = tuple(kinds)  # found by identity: no Python-level enum __hash__
     read = operator.attrgetter("kind", *fields)
