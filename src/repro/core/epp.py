@@ -12,12 +12,12 @@ free monads (§5.2); Python's first-class functions make it direct.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Optional, Protocol, TypeVar, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Mapping, Optional, Protocol, TypeVar, runtime_checkable
 
 from .errors import CensusError, OwnershipError, PlaceholderError
 from .located import ABSENT, Faceted, Located, Quire
 from .locations import Census, Location, LocationsLike, as_census, single
-from .ops import _NOT_CENSUS_WIDE, _NOT_EVERY_REPLICA, ChoreoOp, Choreography, Unwrapper
+from .ops import _NOT_CENSUS_WIDE, _NOT_EVERY_REPLICA, _NOT_THE_DEALERS, ChoreoOp, Choreography, Unwrapper, _require_kind
 
 if TYPE_CHECKING:
     from ..runtime.transport import TransportEndpoint
@@ -186,16 +186,13 @@ class ProjectedOp(ChoreoOp):
         """The transport endpoint backing this projection."""
         return self._endpoint
 
-    def _is_target(self, location: Location) -> bool:
-        return location == self._target
-
     # -------------------------------------------------------------- primitives --
 
     def locally(
         self, location: Location, computation: Callable[[Unwrapper], T]
     ) -> Located[T]:
         here = single(self._require_member(location))
-        if not self._is_target(location):
+        if location != self._target:
             return Located.absent(here)
         return Located(here, computation(_make_unwrapper(location)))
 
@@ -209,7 +206,7 @@ class ProjectedOp(ChoreoOp):
                 f"multicast payload must be a Located value, got {type(value).__name__}; "
                 "wrap constants with op.locally or op.congruently first"
             )
-        if self._is_target(sender):
+        if sender == self._target:
             payload = value.unwrap_for(sender)
             others = [receiver for receiver in receivers if receiver != sender]
             send_many = getattr(self._endpoint, "send_many", None)
@@ -228,10 +225,7 @@ class ProjectedOp(ChoreoOp):
         return Located.absent(receivers)
 
     def naked(self, value: Located[T]) -> T:
-        if not isinstance(value, Located):
-            raise OwnershipError(
-                f"naked expects a Located value, got {type(value).__name__}"
-            )
+        _require_kind(value, Located, "naked")
         value.require_owned_by(self._census, _NOT_CENSUS_WIDE)
         if self._target not in self._census:
             raise CensusError(
@@ -259,6 +253,69 @@ class ProjectedOp(ChoreoOp):
         child = ProjectedOp(sub, self._target, self._endpoint)
         result = choreography(child, *args, **kwargs)
         return Located(sub, result)
+
+    # ------------------------------------------------ census-polymorphic layer --
+    # Direct forms of ChoreoOp's loops: the loop's ordered sends and receives,
+    # value and checks (in its order), but no iteration naming someone else.
+
+    def parallel(
+        self, locations: LocationsLike, computation: Callable[[Location, Unwrapper], T]
+    ) -> Faceted[T]:
+        members, target = self._require_subset(locations), self._target
+        facets = {target: computation(target, _make_unwrapper(target))} if target in members else {}
+        return Faceted(members, facets)
+
+    def gather(
+        self, senders: LocationsLike, recipients: LocationsLike, values: Faceted[T]
+    ) -> Located[Quire[T]]:
+        sources, receivers = self._require_subset(senders), self._require_subset(recipients)
+        _require_kind(values, Faceted, "gather")
+        target, collected = self._target, {}
+        for sender in sources:
+            if sender == target:  # the loop's serialize-once multicast
+                mine = self.multicast(sender, receivers, values.localize(sender))
+                collected[sender] = mine.peek() if mine.is_present() else None
+            else:
+                values.owners.require_member(sender)
+                if target in receivers:
+                    collected[sender] = self._endpoint.recv(sender)
+        if target not in receivers:
+            return Located.absent(receivers)
+        return Located(receivers, Quire(sources, collected))
+
+    def scatter(
+        self, sender: Location, recipients: LocationsLike, values: Located[Quire[T]]
+    ) -> Faceted[T]:
+        self._require_member(sender)
+        receivers = self._require_subset(recipients)
+        _require_kind(values, Located, "scatter")
+        values.require_owned_by(single(sender), _NOT_THE_DEALERS)
+        target, facets = self._target, {}
+        if sender == target:
+            quire = values.unwrap_for(sender)
+            for member in receivers:
+                facets[member] = quire[member]
+                if member != sender:
+                    self._endpoint.send(member, facets[member])
+        elif target in receivers:
+            facets[target] = self._endpoint.recv(sender)
+        return Faceted(receivers, facets, single(sender))
+
+    def exchange(
+        self, parties: LocationsLike, outboxes: Faceted[Mapping[Location, T]]
+    ) -> Faceted[Dict[Location, T]]:
+        members = self._require_subset(parties)
+        _require_kind(outboxes, Faceted, "exchange")
+        target, inbox = self._target, {}
+        for source in members:
+            outboxes.owners.require_member(source)
+            if source == target:
+                for peer in members:
+                    if peer != source:
+                        self._endpoint.send(peer, outboxes.facet_for(source)[peer])
+            elif target in members:
+                inbox[source] = self._endpoint.recv(source)
+        return Faceted(members, {target: inbox} if target in members else {})
 
 
 def project(

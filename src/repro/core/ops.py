@@ -10,10 +10,15 @@ implementation (:class:`repro.runtime.central.CentralOp`).
 Only a small set of operators is primitive — ``locally``, ``multicast``,
 ``naked``, ``congruently``, and ``conclave`` — mirroring MultiChor's four
 core constructors.  Everything else (point-to-point ``comm``, ``broadcast``,
-``parallel``, ``fanout``, ``fanin``, ``scatter``, ``gather``) is *derived*
-here from the primitives, exactly as the paper argues they can be (§3.4,
-§5.4): census polymorphism needs no new primitives, only a loop over the
-census.
+``parallel``, ``fanout``, ``fanin``, ``scatter``, ``gather``, ``exchange``)
+is *derived* here from the primitives, exactly as the paper argues they can
+be (§3.4, §5.4): census polymorphism needs no new primitives, only a loop
+over the census.  The loops are the reference semantics, which
+:class:`~repro.runtime.central.CentralOp` runs.  Under projection most of a
+loop's iterations name someone else, so :class:`~repro.core.epp.ProjectedOp`
+gives the four whose bodies are fixed (``parallel``, ``gather``, ``scatter``
+and ``exchange``) direct forms that do only the target's share; ``fanout``
+and ``fanin`` stay derived because their bodies may communicate.
 
 Choreographies written against this surface are oblivious to *how* they are
 executed: under the centralized reference semantics, or as one of many
@@ -26,7 +31,7 @@ here may assume exclusive ownership of a transport.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Optional, TypeVar
+from typing import Any, Callable, Dict, Mapping, Optional, TypeVar
 
 from .errors import CensusError, OwnershipError, PlaceholderError
 from .located import ABSENT, Faceted, Located, Quire
@@ -43,9 +48,16 @@ Choreography = Callable[..., Any]
 #: ``un(faceted, owner)`` yields ``owner``'s facet when the caller may see it.
 Unwrapper = Callable[..., Any]
 
-#: Why ``congruently`` / ``naked`` refuse a value, shared by every ChoreoOp.
+#: Why ``congruently`` / ``naked`` / ``scatter`` refuse a value, shared by every ChoreoOp.
 _NOT_EVERY_REPLICA = "congruent computation reads a value not owned by every replica"
 _NOT_CENSUS_WIDE = "naked requires the whole census to own the value"
+_NOT_THE_DEALERS = "scatter values must be owned by the sender"
+
+
+def _require_kind(value: Any, kind: type, what: str) -> None:
+    """Refuse a mistyped operand at every endpoint, before any message."""
+    if not isinstance(value, kind):
+        raise OwnershipError(f"{what} expects a {kind.__name__} value, got {type(value).__name__}")
 
 
 class ChoreoOp(abc.ABC):
@@ -187,10 +199,7 @@ class ChoreoOp(abc.ABC):
         that right.  Used by secret sharing, where the dealer of the shares
         must not be treated as knowing the shares it dealt.
         """
-        if not isinstance(value, Faceted):
-            raise OwnershipError(
-                f"forget_common expects a Faceted value, got {type(value).__name__}"
-            )
+        _require_kind(value, Faceted, "forget_common")
         endpoint = self.location
         facets = value.visible_facets()
         if endpoint is not None:
@@ -308,6 +317,8 @@ class ChoreoOp(abc.ABC):
         """
         self._require_member(sender)
         receivers = self._require_subset(recipients)
+        _require_kind(values, Located, "scatter")
+        values.require_owned_by(single(sender), _NOT_THE_DEALERS)
 
         def send_one(recipient: Location) -> Located[T]:
             payload = values.map(lambda quire, _r=recipient: quire[_r])
@@ -330,8 +341,27 @@ class ChoreoOp(abc.ABC):
         """
         sources = self._require_subset(senders)
         receivers = self._require_subset(recipients)
+        _require_kind(values, Faceted, "gather")
 
         def send_one(sender: Location) -> Located[T]:
             return self.multicast(sender, receivers, values.localize(sender))
 
         return self.fanin(sources, receivers, send_one)
+
+    def exchange(
+        self, parties: LocationsLike, outboxes: Faceted[Mapping[Location, T]]
+    ) -> Faceted[Dict[Location, T]]:
+        """All-to-all: each party's facet of ``outboxes`` maps every other party
+        to what it sends that party.  The ``n · (n − 1)`` messages go source-major
+        in census order, so a party's sends leave back to back; each party gets
+        back its inbox, mapping every other party (in census order) to what it sent."""
+        members = self._require_subset(parties)
+        _require_kind(outboxes, Faceted, "exchange")
+        inbox: Dict[Location, Dict[Location, Located[T]]] = {member: {} for member in members}
+        for source in members:
+            outbox = outboxes.localize(source)
+            for peer in members:
+                if peer != source:
+                    entry = outbox.map(lambda sent, _peer=peer: sent[_peer])
+                    inbox[peer][source] = self.comm(source, peer, entry)
+        return self.parallel(members, lambda party, un: {s: un(v) for s, v in inbox[party].items()})

@@ -216,11 +216,11 @@ def ot2_all_pairs(
     result of ``ot2_batch(op, s, r, ...)`` in a ``[s, r]`` conclave.  Returns,
     at each receiver, the bits received from each sender.
 
-    The pairs run phase-major, one ``parallel`` or one exchange per phase:
-    every receiver blinds, all selections go out (receiver-major), every
-    sender masks, all masked pairs go back (sender-major), every receiver
-    unmasks.  A party's sends of a phase leave back to back, so it turns from
-    sending to receiving once per phase rather than once per pair.
+    The pairs run phase-major, one ``parallel`` or one ``op.exchange`` per
+    phase: every receiver blinds, all selections go out (receiver-major),
+    every sender masks, all masked pairs go back (sender-major), every
+    receiver unmasks.  A party's sends of a phase leave back to back, so it
+    turns from sending to receiving once per phase rather than once per pair.
     """
     members = as_census(parties)
 
@@ -233,40 +233,30 @@ def ot2_all_pairs(
             lambda party, un: {peer: step(party, peer, un) for peer in members if peer != party},
         )
 
-    def send_all(outboxes: Faceted[Dict[Location, Any]], item=lambda value: value):
-        # Source-major, so each party's sends of the phase leave back to back.
-        return {
-            (source, peer): op.comm(
-                source, peer, outboxes.localize(source).map(lambda box, _p=peer: item(box[_p]))
-            )
-            for source in members
-            for peer in members
-            if peer != source
-        }
-
     blinded = each_peer(
         lambda receiver, sender, un: _blind(
             seed, receiver, pair(sender, receiver), un(keys.moduli)[sender], un(selects)[sender]
         )
     )
-    selections = send_all(blinded, lambda both: both[1])
-    masked_pairs = send_all(
+    selections = op.exchange(members, each_peer(lambda _r, sender, un: un(blinded)[sender][1]))
+    masked_pairs = op.exchange(
+        members,
         each_peer(
             lambda sender, receiver, un: _mask(
                 un(keys.keypairs),
                 len(un(keys.moduli)[sender]),
                 pair(sender, receiver),
                 un(offers)[receiver],
-                un(selections[receiver, sender]),
+                un(selections)[receiver],
             )
-        )
+        ),
     )
     return each_peer(
         lambda receiver, sender, un: _unmask(
             pair(sender, receiver),
             un(selects)[sender],
             un(blinded)[sender][0],
-            un(masked_pairs[sender, receiver]),
+            un(masked_pairs)[sender],
         )
     )
 

@@ -22,7 +22,7 @@ from ..core.epp import _make_unwrapper
 from ..core.errors import OwnershipError
 from ..core.located import Faceted, Located
 from ..core.locations import Census, Location, LocationsLike, as_census, single
-from ..core.ops import _NOT_CENSUS_WIDE, _NOT_EVERY_REPLICA, ChoreoOp, Choreography, Unwrapper
+from ..core.ops import _NOT_CENSUS_WIDE, _NOT_EVERY_REPLICA, ChoreoOp, Choreography, Unwrapper, _require_kind
 from .stats import ChannelStats
 from .transport import DEFAULT_TIMEOUT, serialize
 
@@ -82,10 +82,7 @@ class CentralOp(ChoreoOp):
         return Located(receivers, payload)
 
     def naked(self, value: Located[T]) -> T:
-        if not isinstance(value, Located):
-            raise OwnershipError(
-                f"naked expects a Located value, got {type(value).__name__}"
-            )
+        _require_kind(value, Located, "naked")
         if value.owners is None:
             raise OwnershipError("naked requires a value with a known ownership set")
         value.require_owned_by(self._census, _NOT_CENSUS_WIDE)
@@ -104,21 +101,6 @@ class CentralOp(ChoreoOp):
         child = CentralOp(sub, self.stats)
         result = choreography(child, *args, **kwargs)
         return Located(sub, result)
-
-    # ----------------------------------------------------------------- parallel --
-
-    def parallel(
-        self,
-        locations: LocationsLike,
-        computation: Callable[[Location, Unwrapper], T],
-    ) -> Faceted[T]:
-        """Centralized ``parallel``: run every replica's computation in turn."""
-        members = self._require_subset(locations)
-        facets = {}
-        for member in members:
-            located = self.locally(member, lambda un, _m=member: computation(_m, un))
-            facets[member] = located.peek()
-        return Faceted(members, facets)
 
 
 class CentralBackend:

@@ -7,7 +7,10 @@ import pytest
 from repro.analysis.checker import check_choreography
 from repro.analysis.comm_cost import communication_cost, compare_costs, haschor_communication_cost
 from repro.analysis.features import FEATURES, feature_matrix, feature_table_text
+from repro.protocols import circuits
+from repro.protocols.gmw import gmw
 from repro.protocols.kvs import Request, kvs_serve
+from repro.protocols.ot import ot2_all_pairs, publish_ot_keys
 from repro.baselines.kvs_haschor import kvs_serve_haschor
 
 
@@ -76,6 +79,49 @@ class TestChecker:
     def test_checker_can_skip_projection_replay(self):
         report = check_choreography(well_formed, CENSUS, replay_projections=False)
         assert report.ok
+
+
+class TestCheckerReplaysOTAndGMW:
+    """The central run takes ChoreoOp's derived ``parallel`` / ``gather`` /
+    ``scatter`` / ``exchange`` loops, each replayed projection ProjectedOp's
+    direct forms; the checker holds them to the same messages per channel.
+    Nested per-party inputs are arguments, so every run sees the same ones."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_gmw_and_tree(self, n):
+        parties = [f"p{i}" for i in range(1, n + 1)]
+        circuit = circuits.and_tree(parties)
+        inputs = {party: {"x": index % 2 == 0} for index, party in enumerate(parties)}
+        report = check_choreography(
+            lambda op, nested: gmw(op, parties, circuit, nested, seed=3, rsa_bits=128),
+            parties,
+            args=(inputs,),
+        )
+        assert report.ok, report.errors
+        assert set(report.channel_counts) == {(a, b) for a in parties for b in parties if a != b}
+
+    def test_ot2_all_pairs(self):
+        parties = ["p1", "p2", "p3"]
+        transfers = {
+            party: (
+                {peer: [(True, False), (False, index % 2 == 0)] for peer in parties if peer != party},
+                {peer: [index % 2 == 1, True] for peer in parties if peer != party},
+            )
+            for index, party in enumerate(parties)
+        }
+
+        def all_pairs(op, nested):
+            keys = publish_ot_keys(op, parties, seed=3, rsa_bits=128)
+            offers = op.parallel(parties, lambda party, _un: nested[party][0])
+            selects = op.parallel(parties, lambda party, _un: nested[party][1])
+            return ot2_all_pairs(op, parties, offers, selects, keys, seed=3, context="check")
+
+        report = check_choreography(all_pairs, parties, args=(transfers,))
+        assert report.ok, report.errors
+        # key publication, then one selection and one masked reply per ordered pair
+        assert report.channel_counts == {
+            (a, b): 3 for a in parties for b in parties if a != b
+        }
 
 
 class TestCommCost:

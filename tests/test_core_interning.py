@@ -256,7 +256,7 @@ class TestProofsPerWarmOperation:
             for n in range(200):
                 cluster.submit_put(f"k{n % 20}", "w").result()
             assert walks == []
-            assert len(builds) == 18 * 200
+            assert len(builds) == 14 * 200
             builds.clear()
             for n in range(200):
                 cluster.submit_get(f"k{n % 20}").result()

@@ -8,6 +8,8 @@ without threads.
 
 from __future__ import annotations
 
+import collections
+import threading
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -16,6 +18,11 @@ from repro.core.epp import ProjectedOp, project
 from repro.core.errors import CensusError, OwnershipError, PlaceholderError
 from repro.core.located import Faceted, Located, Quire
 from repro.core.locations import Census
+from repro.core.ops import ChoreoOp
+from repro.protocols import circuits
+from repro.protocols.gmw import gmw
+from repro.runtime import ChoreoEngine
+from repro.runtime.local import LocalTransport
 
 
 class FakeEndpoint:
@@ -297,3 +304,301 @@ class TestRestrictAndLocation:
         program = project(chor, CENSUS, "alice", endpoint)
         assert "alice" in program.__name__
         assert program() == 1
+
+
+# ---------------------------------------------------------------------------
+# Direct forms against the derived loops.
+#
+# ProjectedOp implements parallel, gather, scatter and exchange directly,
+# doing only the target's share.  ChoreoOp's loops are the reference: each
+# direct form must make, at every endpoint, exactly the loop's ordered sends
+# and receives, return the same value and raise the same errors.
+
+
+class DerivedOp(ProjectedOp):
+    """ProjectedOp with ChoreoOp's derived loops put back: the reference."""
+
+    parallel = ChoreoOp.parallel
+    gather = ChoreoOp.gather
+    scatter = ChoreoOp.scatter
+    exchange = ChoreoOp.exchange
+
+
+class RecordingEndpoint:
+    """Forwards to a LocalTransport endpoint and records the ordered calls."""
+
+    def __init__(self, inner):
+        self.location = inner.location
+        self.inner = inner
+        self.events: List[Tuple[Any, ...]] = []
+
+    def send(self, receiver, payload):
+        self.events.append(("send", receiver, payload))
+        self.inner.send(receiver, payload)
+
+    def send_many(self, receivers, payload):
+        receivers = list(receivers)
+        self.events.append(("send_many", tuple(receivers), payload))
+        self.inner.send_many(receivers, payload)
+
+    def recv(self, sender):
+        payload = self.inner.recv(sender)
+        self.events.append(("recv", sender, payload))
+        return payload
+
+
+def normal_form(value):
+    """A comparable view of what an endpoint holds."""
+    if isinstance(value, Located):
+        owners = None if value.owners is None else tuple(value.owners)
+        return ("L", owners, normal_form(value.peek()) if value.is_present() else "<absent>")
+    if isinstance(value, Faceted):
+        facets = {loc: normal_form(facet) for loc, facet in value.visible_facets().items()}
+        return ("F", tuple(value.owners), tuple(value.common), facets)
+    if isinstance(value, Quire):
+        return ("Q", tuple(value.census), {loc: normal_form(v) for loc, v in value})
+    if isinstance(value, dict):
+        return ("D", [(key, normal_form(v)) for key, v in value.items()])
+    if isinstance(value, tuple):
+        return tuple(normal_form(v) for v in value)
+    return value
+
+
+def run_everywhere(op_class, parties, op_census, scenario, timeout=5.0):
+    """Run ``scenario(op)`` at every party of a LocalTransport, one thread
+    each; return ``({party: (outcome, events)}, channel stats)``."""
+    outcomes: Dict[str, Any] = {}
+    with LocalTransport(parties, timeout=timeout) as transport:
+        endpoints = {party: RecordingEndpoint(transport.endpoint(party)) for party in parties}
+
+        def drive(party):
+            try:
+                outcomes[party] = ("value", scenario(op_class(op_census, party, endpoints[party])))
+            except Exception as exc:  # noqa: BLE001 - the error *is* the outcome
+                outcomes[party] = ("raised", type(exc))
+            finally:
+                endpoints[party].inner.flush()
+
+        threads = [threading.Thread(target=drive, args=(party,)) for party in parties]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        stats = (dict(transport.stats.messages), dict(transport.stats.payload_bytes))
+    return {party: (outcomes[party], endpoints[party].events) for party in parties}, stats
+
+
+def assert_direct_matches_derived(parties, op_census, scenario, timeout=5.0):
+    direct, direct_stats = run_everywhere(ProjectedOp, parties, op_census, scenario, timeout)
+    derived, derived_stats = run_everywhere(DerivedOp, parties, op_census, scenario, timeout)
+
+    def comparable(outcome):
+        kind, result = outcome
+        return kind, normal_form(result) if kind == "value" else result
+
+    for party in parties:
+        (direct_outcome, direct_events), (derived_outcome, derived_events) = (
+            direct[party], derived[party],
+        )
+        assert direct_events == derived_events, party
+        assert comparable(direct_outcome) == comparable(derived_outcome), party
+    assert direct_stats == derived_stats
+    return direct
+
+
+def all_four(senders, recipients):
+    """One choreography calling each direct form once, with every role."""
+
+    def scenario(op):
+        values = op.parallel(senders, lambda party, _un: f"value of {party}")
+        gathered = op.gather(senders, recipients, values)
+        dealer = senders[-1]
+        dealt = op.locally(
+            dealer, lambda _un: Quire(recipients, {r: f"{dealer} deals {r}" for r in recipients})
+        )
+        scattered = op.scatter(dealer, recipients, dealt)
+        outboxes = op.parallel(
+            recipients,
+            lambda party, _un: {peer: f"{party} to {peer}" for peer in recipients if peer != party},
+        )
+        inboxes = op.exchange(recipients, outboxes)
+        return values, gathered, scattered, inboxes
+
+    return scenario
+
+
+def role_patterns(members):
+    """(senders, recipients) pairs giving sender-only, receiver-only, both
+    and bystander parties: whole census, one end, halves, every other."""
+    n = len(members)
+    subsets = [members, members[:1], members[-1:], members[: (n + 1) // 2], members[n // 2 :]]
+    subsets.append(members[::2])
+    unique = list(dict.fromkeys(tuple(subset) for subset in subsets))
+    return [(list(a), list(b)) for a in unique for b in unique]
+
+
+def party_names(n):
+    return [f"p{i}" for i in range(n)]
+
+
+class TestDirectFormsMatchDerivedLoops:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("narrowed", [False, True], ids=["census", "sub-census"])
+    def test_every_role_sends_receives_and_returns_alike(self, n, narrowed):
+        parties = party_names(n)
+        # A narrowed operator census leaves p0 outside it: a projection to a
+        # non-member must still do nothing and hold only placeholders.
+        op_census = parties[1:] if narrowed and n > 1 else parties
+        for senders, recipients in role_patterns(op_census):
+            outcomes = assert_direct_matches_derived(
+                parties, op_census, all_four(senders, recipients)
+            )
+            for party, ((kind, returned), _events) in outcomes.items():
+                assert kind == "value"
+                for result in returned:
+                    if isinstance(result, Faceted) and party not in result.common:
+                        # a projected Faceted holds the target's facet only
+                        expected = {party} if party in result.owners else set()
+                        assert set(result.visible_facets()) == expected
+
+    def test_a_gather_to_many_keeps_its_serialize_once_send(self):
+        parties = party_names(4)
+        outcomes = assert_direct_matches_derived(
+            parties, parties, all_four(parties[:2], parties)
+        )
+        assert outcomes["p0"][1][0] == ("send_many", ("p1", "p2", "p3"), "value of p0")
+
+    def test_exchange_sends_between_its_receives(self):
+        parties = party_names(3)
+        outcomes = assert_direct_matches_derived(
+            parties, parties, lambda op: op.exchange(
+                parties, op.parallel(parties, lambda me, _un: {p: (me, p) for p in parties})
+            )
+        )
+        assert outcomes["p1"][1] == [
+            ("recv", "p0", ("p0", "p1")),
+            ("send", "p0", ("p1", "p0")),
+            ("send", "p2", ("p1", "p2")),
+            ("recv", "p2", ("p2", "p1")),
+        ]
+
+
+def misuses(parties):
+    """Misused operators, by what is wrong, and the loop's error for it."""
+    outsiders = parties + ["mallory"]
+    quire = Quire(parties, {party: party for party in parties})
+
+    def outboxes(op, owners):
+        return op.parallel(owners, lambda party, _un: {peer: party for peer in parties})
+
+    def dealt(op, dealer):
+        return op.locally(dealer, lambda _un: quire)
+
+    return {
+        # a sender outside the census
+        ("parallel", "outsider"): (
+            CensusError, lambda op: op.parallel(outsiders, lambda party, _un: party)
+        ),
+        ("gather", "outsider"): (
+            CensusError, lambda op: op.gather(outsiders, parties, outboxes(op, parties))
+        ),
+        ("scatter", "outsider"): (
+            CensusError, lambda op: op.scatter("mallory", parties, dealt(op, parties[0]))
+        ),
+        ("exchange", "outsider"): (
+            CensusError, lambda op: op.exchange(outsiders, outboxes(op, parties))
+        ),
+        # values not owned by a sender (the last one, after the others' traffic)
+        ("gather", "not owned"): (
+            CensusError, lambda op: op.gather(parties, parties, outboxes(op, parties[:-1]))
+        ),
+        ("scatter", "not owned"): (
+            OwnershipError, lambda op: op.scatter(parties[0], parties, dealt(op, parties[-1]))
+        ),
+        ("exchange", "not owned"): (
+            CensusError, lambda op: op.exchange(parties, outboxes(op, parties[:-1]))
+        ),
+        # a payload of the wrong kind
+        ("gather", "not located"): (
+            OwnershipError, lambda op: op.gather(parties, parties, Located(parties, quire))
+        ),
+        ("scatter", "not located"): (
+            OwnershipError, lambda op: op.scatter(parties[0], parties, quire)
+        ),
+        ("exchange", "not located"): (
+            OwnershipError, lambda op: op.exchange(parties, Located(parties, {}))
+        ),
+    }
+
+
+class TestMisuseRaisesTheLoopsError:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("case", list(misuses(party_names(2))), ids=" ".join)
+    def test_every_endpoint_raises_what_the_loop_raises(self, case, n):
+        parties = party_names(n)
+        error, scenario = misuses(parties)[case]
+        # Nothing may block: a projection that waits for a peer which already
+        # raised would time out instead, and fail the comparison.
+        outcomes = assert_direct_matches_derived(parties, parties, scenario, timeout=2.0)
+        for party, (outcome, _events) in outcomes.items():
+            assert outcome == ("raised", error), party
+
+
+GMW_PARTIES = ["p1", "p2", "p3", "p4"]
+GMW_CIRCUIT = circuits.and_tree(GMW_PARTIES)
+
+
+def gmw_and_tree(op, my_inputs=None, *, seed=0):
+    return gmw(op, GMW_PARTIES, GMW_CIRCUIT, my_inputs, seed=seed, rsa_bits=128)
+
+
+class TestProjectedOperatorsDoOnlyTheirPart:
+    """Count guard: a projected endpoint walks no iteration of ``parallel``,
+    ``gather``, ``scatter`` or ``exchange`` that names someone else.
+
+    Per warm four-party GMW run (the ``gmw_session`` circuit), summed over
+    the four endpoints.  Through the derived loops these read 368
+    ``ProjectedOp.locally`` / 288 ``ProjectedOp.multicast`` / 816
+    ``Located.absent`` / 328 ``Located.__init__``.  Directly:
+
+    * ``locally`` 32: the two ``op.locally`` of each of the 4 input dealers
+      (its input bits, its shares), called at all 4 endpoints;
+    * ``multicast`` 8: each party's own send in the two gathers (key
+      publication, reveal);
+    * ``absent`` 24: those ``locally`` calls at the 3 endpoints that are not
+      the dealer;
+    * ``__init__`` 32: those ``locally`` calls at the dealer (8), and per
+      gather and party the own facet, the multicast's result and the
+      gathered quire (3 × 2 × 4).
+    """
+
+    def test_per_warm_gmw_run(self, monkeypatch):
+        counts = collections.Counter()
+
+        def counting(name, real):
+            def count(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return count
+
+        inputs = {party: ({"x": True},) for party in GMW_PARTIES}
+        with ChoreoEngine(GMW_PARTIES, backend="local") as engine:
+
+            def run(seed):
+                result = engine.run(gmw_and_tree, kwargs={"seed": seed}, location_args=inputs)
+                assert set(result.returns.values()) == {True}
+
+            run(0)
+            run(1)
+            for name in ("locally", "multicast"):
+                monkeypatch.setattr(ProjectedOp, name, counting(name, getattr(ProjectedOp, name)))
+            monkeypatch.setattr(Located, "absent", staticmethod(counting("absent", Located.absent)))
+            monkeypatch.setattr(Located, "__init__", counting("__init__", Located.__init__))
+            runs = 20
+            for seed in range(runs):
+                run(seed)
+        assert {name: count / runs for name, count in counts.items()} == {
+            "locally": 32, "multicast": 8, "absent": 24, "__init__": 32,
+        }
