@@ -30,7 +30,7 @@ shard's epoch is bumped and stamped into every surviving durable replica's
 WAL, every binding is :func:`~repro.protocols.kvs.fenced` so stale-epoch
 ones fail with the typed :class:`~repro.protocols.kvs.StaleEpoch` (no split
 brain), and the promotion is recorded as a
-:class:`~repro.cluster.engine.PromotionReport`.  With a ``durability=``
+:class:`~repro.cluster.failover.PromotionReport`.  With a ``durability=``
 configuration (:class:`~repro.storage.Durability`) every replica store is
 write-ahead logged and snapshotted, and
 :meth:`~repro.cluster.engine.ClusterEngine.rejoin_backup` re-admits a
@@ -47,8 +47,8 @@ the commit verdict durably and answers there; each shard's decide rides its
 next ``kvs_txn`` round — all-or-nothing across shards, with
 presumed-abort recovery (:meth:`~repro.cluster.engine.ClusterEngine.recover_in_doubt`)
 for transactions caught in flight by a coordinator crash.  Aborts surface
-as the typed :class:`~repro.cluster.engine.TxnConflict` /
-:class:`~repro.cluster.engine.TxnAborted`.
+as the typed :class:`~repro.cluster.txn.TxnConflict` /
+:class:`~repro.cluster.txn.TxnAborted`.
 ``tests/test_cluster_failover.py``, ``tests/test_cluster_promotion.py``,
 ``tests/test_cluster_recovery.py``, and ``tests/test_cluster_txn.py``
 chaos-test all of this under seeded :class:`~repro.faults.FaultPlan`
@@ -61,19 +61,10 @@ walkthrough, ``docs/testing.md`` for the chaos-testing guide, and
 """
 
 from .client import ClusterClient
-from .engine import (
-    ClusterClosed,
-    ClusterEngine,
-    ClusterRebalancing,
-    PromotionReport,
-    RejoinError,
-    RejoinReport,
-    ShardHealth,
-    TxnAborted,
-    TxnConflict,
-    TxnResult,
-)
+from .engine import ClusterClosed, ClusterEngine, ClusterRebalancing, ShardHealth
+from .failover import PromotionReport, RejoinError, RejoinReport
 from .router import DEFAULT_VNODES, ShardRouter
+from .txn import TxnAborted, TxnConflict, TxnResult
 
 __all__ = [
     "DEFAULT_VNODES",

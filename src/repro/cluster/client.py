@@ -41,8 +41,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ChoreographyRuntimeError
 from ..protocols.kvs import Request, Response, ResponseKind
-from .engine import ClusterEngine, ShardHealth, TxnResult
+from .engine import ClusterEngine, ShardHealth
 from .router import ShardId
+from .txn import TxnResult
 
 
 class ClusterClient:

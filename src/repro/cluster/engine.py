@@ -27,66 +27,13 @@ concurrently.  :class:`ClusterEngine` is that layer:
   :class:`~repro.runtime.stats.ChannelStats`, and the cluster-wide rollup
   is their :meth:`~repro.runtime.stats.ChannelStats.merge_all`.
 
-The cluster also owns the **degradation story** a production deployment
-needs when a replica dies mid-traffic:
-
-* a failed shard run is attributed to a culprit by following the chain of
-  typed receive-timeout blames (:class:`~repro.core.errors.ChoreoTimeout`
-  records who waited on whom) across the instance's per-location failures;
-* a culprit that is a *backup* is marked down and the shard's choreographies
-  are re-bound through :func:`~repro.protocols.kvs.kvs_with_backups`'s
-  zero-backup degradation path — census polymorphism is the failover
-  mechanism, no new protocol is needed;
-* the failed submit (and any other in-flight submit the dead backup takes
-  down) is **replayed** against the degraded binding, so callers' Futures
-  resolve with real results instead of the crash;
-* :meth:`ClusterEngine.health` reports per-replica up/down state, and
-  :meth:`ClusterEngine.probe` actively checks liveness with the two-message
-  :func:`~repro.protocols.kvs.kvs_ping` choreography.
-
-Demotion is no longer forever.  With a ``durability=`` configuration every
-replica's store is a :class:`~repro.storage.DurableState` — mutations are
-write-ahead logged and periodically snapshotted (``docs/durability.md``) —
-and a crashed backup can come all the way back:
-:meth:`ClusterEngine.rejoin_backup` restarts the replica's store from disk
-(snapshot + WAL-suffix replay), closes the gap to the primary with the
-hash-verified :func:`~repro.protocols.kvs.kvs_catchup` choreography, and
-re-binds the shard with the restored membership — the replica's
-:class:`ShardHealth` status walks ``down → rejoining → up``.  Re-join works
-without durability too (the catch-up degrades to a full transfer), so the
-same control-plane call heals ephemeral clusters.
-
-A dead *primary* no longer fails loudly: when the blame chain sinks at the
-shard's head, the cluster **promotes the senior surviving backup** — the
-first remaining backup in census order, whose store is authoritative by the
-ack-before-apply invariant — stamps a monotonically increasing **shard
-epoch** (persisted as a WAL promotion record on every surviving durable
-replica, so a cluster restart recovers the promoted head), re-binds the
-shard's choreographies around the new head, and replays the in-flight
-submits that died with the old one (:class:`PromotionReport` extends the
-``failovers`` audit trail).  Bindings from before the promotion are fenced:
-they carry their epoch and fail with the typed
-:class:`~repro.protocols.kvs.StaleEpoch` before any message moves, so a
-zombie old primary can never serve a read or acknowledge a write
-(split-brain fence).  The deposed head re-joins *as a backup* through the
-ordinary :meth:`ClusterEngine.rejoin_backup` path — its diverged suffix is
-exactly the case the hash-verified full-transfer fallback of
-:func:`~repro.protocols.kvs.kvs_catchup` exists for.  Only a shard whose
-last replica dies still fails loudly; see ``docs/testing.md`` for the chaos
-suite that pins all of this down.
-
-Multi-key atomicity crosses shards with **choreographic two-phase commit**:
-:meth:`ClusterEngine.submit_txn` plays the coordinator over the existing
-warm engines — one :func:`~repro.protocols.kvs.kvs_txn` round per
-participating shard parks the write set as replicated, WAL-logged intents
-and votes, the commit verdict is durably recorded in the coordinator's
-decision log (the commit point, where the caller's Future resolves), and
-each shard's decide rides the next instance dispatched to it, which lands
-the writes atomically or rolls the intents back.  Every round rides the
-same failover/replay machinery as any other shard op, aborts are presumed
-(only commits are logged; :meth:`recover_in_doubt` resolves survivors on a
-cold restart, intent expiry handles a dead coordinator on a live one), and
-refusals surface as typed :class:`TxnConflict` / :class:`TxnAborted`.
+A dead replica degrades its shard instead of failing it: the failed run is
+attributed, the shard re-binds around the survivors (census polymorphism is
+the failover mechanism) and the run replays (:mod:`repro.cluster.failover`).
+Multi-key atomicity crosses shards with choreographic two-phase commit
+(:mod:`repro.cluster.txn`).  Both modules are plain functions over the
+cluster, bound here as :class:`ClusterEngine` methods; this module keeps the
+data plane, the shard sessions, membership and the cluster's lifecycle.
 
 :class:`~repro.cluster.client.ClusterClient` wraps this with a blocking
 ``put/get/scan/txn`` facade; ``benchmarks/e2e/`` drives it with a 95/5
@@ -95,34 +42,30 @@ group-commit workload and a durable 2PC transfer workload.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
-import time
 from concurrent.futures import Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..chor import ChoreographyDef
-from ..core.errors import ChoreographyRuntimeError, ChoreoTimeout
+from ..core.errors import ChoreographyRuntimeError
 from ..core.located import Faceted
 from ..core.locations import Census, Location, as_census
 from ..core.ops import Choreography
 from ..protocols.kvs import (
     WRITE_KINDS,
-    CatchupReport,
     Decide,
     Request,
     RequestKind,
     Response,
-    ResponseKind,
     ShardEpoch,
-    StaleEpoch,
     State,
     fenced,
-    kvs_catchup,
     kvs_delete,
     kvs_get,
     kvs_ping,
@@ -136,8 +79,9 @@ from ..protocols.kvs import (
 from ..runtime.engine import ChoreoEngine, ChoreographyResult
 from ..runtime.stats import ChannelStats
 from ..runtime.transport import DEFAULT_TIMEOUT
-from ..storage import Durability, DurableState, EphemeralState
-from .router import DEFAULT_VNODES, ShardId, ShardRouter
+from ..storage import Durability, EphemeralState
+from . import failover, txn
+from .router import ShardId, ShardRouter
 
 #: The location name every shard census shares for the requesting side.
 DEFAULT_CLIENT = "client"
@@ -160,42 +104,6 @@ class ClusterRebalancing(RuntimeError):
     should drain their in-flight work, let the control-plane call finish, and
     resubmit.
     """
-
-
-class RejoinError(RuntimeError):
-    """A replica re-join could not run or could not be verified."""
-
-
-class TxnAborted(RuntimeError):
-    """A cross-shard transaction aborted instead of committing.
-
-    Raised from the transaction's Future (``ClusterEngine.submit_txn``) and
-    the blocking ``ClusterClient.txn``.  Nothing was applied anywhere: a
-    prepare that failed or was refused leads to an abort decide owed to
-    every participant, which drops the parked intents.  The transaction as issued
-    is safe to retry — under a fresh ``txn_id`` — once the condition that
-    aborted it (a conflicting transaction, a mid-prepare crash) has passed.
-    """
-
-    def __init__(self, txn_id: str, reason: str):
-        self.txn_id = txn_id
-        self.reason = reason
-        super().__init__(f"transaction {txn_id!r} aborted: {reason}")
-
-
-class TxnConflict(TxnAborted):
-    """A transaction's prepare was refused: conflicting keys, nothing applied.
-
-    The :class:`TxnAborted` subtype for the *expected* abort: another
-    prepared transaction holds a write intent on one of this transaction's
-    keys, or an ``expects`` guard no longer matches the committed value
-    (the optimistic-concurrency signal of a read-modify-write transaction —
-    re-read and retry).  :attr:`keys` names the blocking keys.
-    """
-
-    def __init__(self, txn_id: str, keys: Sequence[str]):
-        self.keys: Tuple[str, ...] = tuple(keys)
-        super().__init__(txn_id, f"conflict on {', '.join(self.keys)}")
 
 
 # -- the per-shard data-plane choreographies ------------------------------------------
@@ -292,67 +200,6 @@ class ShardHealth:
     def degraded(self) -> bool:
         """True when at least one replica is not serving (down or rejoining)."""
         return any(status != "up" for status in self.replicas.values())
-
-
-@dataclass(frozen=True)
-class PromotionReport:
-    """What one primary failover did: who was deposed, who now serves, when.
-
-    Appended to :attr:`ClusterEngine.promotions` (alongside the
-    ``(shard_id, replica)`` entry in :attr:`ClusterEngine.failovers`) the
-    moment the promotion commits, before any in-flight submit is replayed —
-    the audit trail a chaos run checks.
-    """
-
-    shard_id: ShardId
-    #: The deposed head (now in the shard's ``down`` list).
-    old_primary: Location
-    #: The senior surviving backup that took over — the first remaining
-    #: backup in census order, authoritative by ack-before-apply.
-    new_primary: Location
-    #: The shard epoch the promotion stamped (monotonically increasing).
-    epoch: int
-    #: The replica group serving after the promotion, head first.
-    survivors: Tuple[Location, ...]
-    #: Wall-clock seconds the promotion itself took (re-bind + WAL stamps).
-    promote_seconds: float
-
-
-@dataclass(frozen=True)
-class TxnResult:
-    """What a committed cross-shard transaction looked like to the coordinator.
-
-    Only commits produce one, at the commit point — an aborted transaction
-    raises :class:`TxnAborted` (or its :class:`TxnConflict` subtype) from
-    the Future instead.
-    """
-
-    #: The transaction id the intents and decision were recorded under.
-    txn_id: str
-    #: The shards that prepared and committed, in routing order.
-    shards: Tuple[ShardId, ...]
-    #: True — present so callers reading a :class:`TxnResult` off a Future
-    #: can assert the invariant without knowing the abort story.
-    committed: bool = True
-
-
-@dataclass(frozen=True)
-class RejoinReport:
-    """What one successful :meth:`ClusterEngine.rejoin_backup` did and cost."""
-
-    shard_id: ShardId
-    replica: Location
-    #: WAL records the restart replayed from disk (0 for ephemeral stores).
-    replayed_records: int
-    #: Wall-clock seconds spent reopening + replaying the on-disk state.
-    replay_seconds: float
-    #: Wall-clock seconds spent in the catch-up choreography.
-    catchup_seconds: float
-    #: The catch-up transfer mode that stuck: ``"delta"`` or ``"full"``.
-    mode: str
-    #: True when a delta transfer failed hash verification and the
-    #: full-transfer fallback ran instead.
-    fell_back: bool
 
 
 class _ShardSession:
@@ -530,31 +377,6 @@ class _ShardSession:
         self.fence.advance(epoch)
         self._bind_data_plane()
 
-    # ------------------------------------------------------------------- rejoin --
-
-    def restart_replica_state(self, replica: Location) -> State:
-        """Model the replica's process restart: rebuild its store from disk.
-
-        The in-memory facet is discarded — whatever a dead process held in
-        RAM is gone — and replaced by a freshly opened store, whose
-        construction *is* the recovery replay (snapshot + WAL suffix) when
-        the shard is durable, and an empty store when it is not.  The other
-        replicas' facet objects are untouched; only the Faceted wrapper is
-        rebuilt, so the caller must re-bind any choreography that should see
-        the new facet.
-        """
-        facets = dict(self.state.visible_facets())
-        facets[replica].close()
-        fresh = self._open_store(replica)
-        facets[replica] = fresh
-        self.state = Faceted(self.servers, facets)
-        return fresh
-
-    def close_storage(self) -> None:
-        """Flush and close every durable facet (no-op for ephemeral shards)."""
-        for facet in self.state.visible_facets().values():
-            facet.close()
-
     def health(self) -> ShardHealth:
         """This shard's current :class:`ShardHealth` snapshot."""
 
@@ -579,22 +401,6 @@ class _ShardSession:
         )
 
 
-def _highest_txn_serial(txn_ids: Iterable[str]) -> int:
-    """The largest ``txn-<n>`` serial among ``txn_ids``: auto ids continue
-    above the decision record's and every replica's intents' across
-    restarts, so a fresh id never matches a record or a stale intent (one a
-    demoted backup holds) that recovery resolves by id.  Caller-supplied
-    ids are the caller's business."""
-    highest = 0
-    for txn_id in txn_ids:
-        if txn_id.startswith("txn-"):
-            try:
-                highest = max(highest, int(txn_id[4:]))
-            except ValueError:
-                pass
-    return highest
-
-
 class ClusterEngine:
     """A sharded KVS service: one warm :class:`ChoreoEngine` per shard.
 
@@ -605,10 +411,6 @@ class ClusterEngine:
         backend: Backend name or factory options understood by
             :class:`~repro.runtime.engine.ChoreoEngine`; every shard gets its
             own backend instance, so shard traffic never shares a transport.
-        client: The location name the requesting side uses in every shard
-            census.
-        vnodes: Consistent-hash ring points per shard
-            (:class:`~repro.cluster.router.ShardRouter`).
         timeout: Per-endpoint receive timeout, forwarded to each engine.
         durability: ``None`` (ephemeral stores, the default), a directory
             path, or a full :class:`~repro.storage.Durability` configuration.
@@ -633,15 +435,13 @@ class ClusterEngine:
         *,
         replication: int = 2,
         backend: Any = "local",
-        client: Location = DEFAULT_CLIENT,
-        vnodes: int = DEFAULT_VNODES,
         timeout: float = DEFAULT_TIMEOUT,
         durability: "Union[None, str, os.PathLike, Durability]" = None,
         **backend_options: Any,
     ):
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
-        self.client = client
+        self.client = DEFAULT_CLIENT
         self.replication = replication
         # Replay budget: each replay consumes either a membership shrink (a
         # demotion or a promotion — at most replication-1 of those before an
@@ -649,13 +449,13 @@ class ClusterEngine:
         # concurrent promotion invalidated — at most one per promotion), so
         # 2·(replication-1) bounds the chain and it always terminates.
         self._replays = 2 * (replication - 1)
-        self.router = ShardRouter(shards, vnodes=vnodes)
+        self.router = ShardRouter(shards)
         if durability is not None and not isinstance(durability, Durability):
             durability = Durability(root=os.fspath(durability))
         self.durability: Optional[Durability] = durability
-        self._backend = backend
-        self._timeout = timeout
-        self._backend_options = dict(backend_options)
+        self._open_session: Callable[[ShardId], _ShardSession] = functools.partial(
+            _ShardSession, client=self.client, replication=replication, backend=backend,
+            timeout=timeout, backend_options=backend_options, durability=durability)
         self._lock = threading.Lock()
         self._closed = False
         #: The control-plane operation currently owning the cluster (a short
@@ -667,49 +467,29 @@ class ClusterEngine:
         self.failovers: List[Tuple[ShardId, Location]] = []
         #: Every primary promotion performed, in commit order — the detailed
         #: half of the audit trail (guarded by ``_lock``).
-        self.promotions: List[PromotionReport] = []
+        self.promotions: List[failover.PromotionReport] = []
         #: Every successful re-join, in completion order — the recovery side
         #: of the audit trail (guarded by ``_lock``).
-        self.rejoins: List[RejoinReport] = []
-        #: The coordinator's durable transaction decision record: ``txn_id ->
-        #: "commit"``, written *before* any participant learns the verdict.
-        #: Only commits are recorded — an absent id means presumed abort —
-        #: so a cold restart can resolve every in-doubt participant intent,
-        #: and only until every participant has applied them, so the record
-        #: does not grow with history (``None`` for ephemeral clusters;
-        #: guarded by ``_lock``).
-        self._txn_log: Optional[DurableState] = None
-        self._txn_counter = itertools.count(1)
+        self.rejoins: List[failover.RejoinReport] = []
         self._sessions: Dict[ShardId, _ShardSession] = {}
         try:
-            if durability is not None:
-                self._txn_log = DurableState(
-                    durability.state_dir("_txn", "coordinator"),
-                    fsync=durability.fsync,
-                    snapshot_every=durability.snapshot_every,
-                )
             for shard_id in self.router.shards:
                 self._sessions[shard_id] = self._open_session(shard_id)
-            if durability is not None:
-                self._txn_counter = itertools.count(_highest_txn_serial(
-                    itertools.chain(self._txn_log, *(
-                        session.state.facet_for(replica).txns
-                        for session in self._sessions.values()
-                        for replica in session.servers))) + 1)
-                # Opening the cluster *is* crash recovery; that includes
-                # resolving transactions a previous incarnation left in
-                # doubt, from the decision record just reopened.
-                self.recover_in_doubt()
+            txn.open_log(self)
         except BaseException:
             self.close()
             raise
 
-    def _open_session(self, shard_id: ShardId) -> _ShardSession:
-        return _ShardSession(
-            shard_id, self.client, self.replication,
-            self._backend, self._timeout, self._backend_options,
-            durability=self.durability,
-        )
+    # The 2PC coordinator and the failover machinery, over this cluster.
+    submit_txn = txn.submit_txn
+    _decide_phase = txn._decide_phase
+    in_doubt = txn.in_doubt
+    recover_in_doubt = txn.recover_in_doubt
+    _should_replay = failover._should_replay
+    _suspect_replica = failover._suspect_replica
+    _mark_down = failover._mark_down
+    probe = failover.probe
+    rejoin_backup = failover.rejoin_backup
 
     # ---------------------------------------------------------------- routing --
 
@@ -872,11 +652,7 @@ class ClusterEngine:
             if carried:  # applied at every live replica: what waited goes out
                 with self._lock:
                     session.carrier = None
-                    # The decision log keeps only the commits still owed.
-                    if self._txn_log is not None:
-                        for txn_id, verdict, _writes in carried:
-                            if verdict == "commit" and not self._owes(txn_id):
-                                self._txn_log.pop(txn_id, None)
+                    txn.forget_delivered(self, carried)
                     sent = self._pump(session)
                 self._watch(session, sent)
             outer.set_result(value)
@@ -901,111 +677,6 @@ class ClusterEngine:
         self._watch(session, sent)
         for future in failed:
             future.set_exception(error)
-
-    def _owes(self, txn_id: str) -> bool:
-        """Whether any shard is still owed a decide of ``txn_id`` (``_lock`` held)."""
-        return any(decide[0] == txn_id for session in self._sessions.values()
-                   for decide in itertools.chain(session.owed, session.carrier or ()))
-
-    def _should_replay(self, shard_id: ShardId,
-                       error: ChoreographyRuntimeError) -> bool:
-        """Decide whether a failed run warrants a replay, healing first.
-
-        Two replayable conditions, in order of precedence:
-
-        1. the run was **fenced** — it raised
-           :class:`~repro.protocols.kvs.StaleEpoch` because a concurrent
-           promotion invalidated its binding.  The shard is already healthy
-           under the new head; re-dispatching picks up the current-epoch
-           binding;
-        2. the blame chain sinks at a replica — :meth:`_mark_down` acts on
-           it by its role (demote a backup, promote past a primary) and the
-           run replays against the re-bound replica group.
-
-        ``False`` means the failure is the honest answer: an unattributable
-        failure, or a shard whose last replica died.
-        """
-        if any(isinstance(failure, StaleEpoch) for failure in error.failures.values()):
-            return True
-        suspect = self._suspect_replica(shard_id, error)
-        return suspect is not None and self._mark_down(shard_id, suspect)
-
-    def _suspect_replica(self, shard_id: ShardId,
-                         error: ChoreographyRuntimeError) -> Optional[Location]:
-        """The shard replica a failed run points at, or ``None``.
-
-        Walks the chain of receive-timeout blames: every
-        :class:`~repro.core.errors.ChoreoTimeout` in the failure bundle says
-        *who* gave up waiting on *whom*, and the chain's sink — the location
-        everyone else is transitively waiting on, which itself blames nobody
-        — is the one that actually went silent.  A crashed location that
-        failed outright (a non-timeout error) is its own sink: the engine
-        already reports it as the root cause.
-
-        Any replica of the shard may be returned — the current primary
-        included, which is how traffic-driven detection triggers a
-        promotion.  A silent *client* is never attributed: that failure sits
-        on the requesting side and this layer does not mask it.
-        """
-        blames = {
-            waiter: exc.peer
-            for waiter, exc in error.failures.items()
-            if isinstance(exc, ChoreoTimeout) and exc.peer is not None
-        }
-        sink = error.location
-        visited = {sink}
-        while sink in blames:
-            sink = blames[sink]
-            if sink in visited:  # a genuine wait cycle: nobody is "the" culprit
-                return None
-            visited.add(sink)
-        with self._lock:
-            session = self._sessions.get(shard_id)
-            if session is not None and sink in session.servers:
-                return sink
-        return None
-
-    def _mark_down(self, shard_id: ShardId, replica: Location) -> bool:
-        """Act on a dead replica; True when a replay is warranted.
-
-        The replica's role is read and acted on under one ``_lock``
-        acquisition, so it is acted on by its role at that moment: a dead
-        *backup* is dropped from the replica group and the shard re-bound
-        around it; a dead *primary* is replaced by the senior surviving
-        backup (its store is authoritative by ack-before-apply), with a new
-        epoch stamped and a :class:`PromotionReport` recorded.  Both land in
-        :attr:`failovers`.
-
-        Idempotent under concurrency: many in-flight runs typically fail on
-        the same dead replica at once, and each of them should *replay* —
-        only the first one acts.  Returns ``False`` — fail loudly, no replay
-        — for a replica that is neither (a rejoining one), and for a dead
-        primary with no backup left: the shard's last replica is gone and
-        masking that would turn data loss into silence.
-        """
-        with self._lock:
-            session = self._sessions[shard_id]
-            if replica in session.down:
-                return True  # a racing settle already acted on it
-            backups = session.backups
-            if replica == session.primary and backups:
-                started = time.perf_counter()
-                session.promote(backups[0])
-                self.promotions.append(PromotionReport(
-                    shard_id=shard_id,
-                    old_primary=replica,
-                    new_primary=session.primary,
-                    epoch=session.epoch,
-                    survivors=(session.primary, *session.backups),
-                    promote_seconds=time.perf_counter() - started,
-                ))
-            elif replica in backups:
-                session.down.append(replica)
-                session._bind_data_plane()
-            else:
-                return False
-            self.failovers.append((shard_id, replica))
-            return True
 
     def submit_put(self, key: str, value: str) -> "Future[Response]":
         """Enqueue a replicated Put on ``key``'s shard; returns immediately.
@@ -1096,169 +767,6 @@ class ClusterEngine:
                 lambda done, mine=[futures[i] for i in indices]: _fan_out(done, mine))
         return futures
 
-    def submit_txn(
-        self,
-        requests: Sequence[Request],
-        *,
-        expects: Optional[Mapping[str, Optional[str]]] = None,
-        txn_id: Optional[str] = None,
-    ) -> "Future[TxnResult]":
-        """Atomically apply a cross-shard write set with two-phase commit.
-
-        The cluster engine is the coordinator; each participating shard's
-        replica group is one participant conclave.  Phase one submits a
-        :func:`~repro.protocols.kvs.kvs_txn` prepare to every shard the
-        write set (or an ``expects`` guard) routes to — each shard votes
-        and, when granting, parks the write intent on every replica, WAL-
-        first on durable clusters.  When all votes are in, the verdict is
-        decided: *commit* iff every shard granted.  A commit is recorded in
-        the coordinator's durable decision log **before** any participant
-        learns it — the classic 2PC write, and the commit point: the
-        Future resolves there.  Phase two gets no instance of its own: each
-        participant is *owed* its decide, which rides the next instance
-        dispatched to that shard (a later transaction's prepare, or a
-        decide-only round sent ahead of any other dispatch), and lands the
-        whole per-shard write set atomically (one WAL record) or rolls the
-        intent back.  Until that carrier succeeds, every other dispatch to
-        the shard waits behind it, so nothing submitted after the Future
-        resolves can see the shard without the commit's writes.  Both
-        phases ride the ordinary failover machinery, so participant crashes
-        and promotions mid-transaction heal exactly like any other shard
-        op: the round is replayed against the re-bound group, idempotently
-        (a re-prepare of a parked id re-grants; decides are idempotent).
-
-        Aborts are **presumed**: only commits are logged, an in-doubt
-        participant whose coordinator record holds nothing is rolled back
-        (:meth:`recover_in_doubt` on a cold restart, intent expiry after
-        :data:`~repro.storage.TXN_INTENT_TTL` later prepares on a live
-        one).  Transactions are never auto-retried — the conflict that
-        refused a prepare is a *answer*, not a transient — and nothing in a
-        refused or aborted transaction is ever applied.
-
-        Args:
-            requests: The write set — Put and Delete requests only (reads
-                belong before the transaction; guard them with ``expects``).
-            expects: Optional optimistic-concurrency guards, ``key -> the
-                committed value the caller read`` (``None`` expects the key
-                unbound).  A mismatch at prepare time refuses that shard's
-                vote with :class:`TxnConflict`.
-            txn_id: Override the auto-generated transaction id (chaos tests
-                pin these for deterministic schedules).  Must be unique
-                among live transactions.
-
-        Returns:
-            A Future resolving at the commit point to a :class:`TxnResult`,
-            or raising :class:`TxnConflict` (a refused vote: conflicting
-            intent or failed guard) / :class:`TxnAborted` (a participant
-            failure the failover machinery could not heal) once the verdict
-            is abort; the abort decides are owed like commits.
-
-        Raises:
-            ValueError: For an empty write set or a non-write request.
-        """
-        requests = list(requests)
-        if not requests:
-            raise ValueError("a transaction needs at least one write")
-        for request in requests:
-            if request.kind not in WRITE_KINDS:
-                raise ValueError(
-                    f"transactions carry writes only, got {request.kind!r}; "
-                    "read before the transaction and guard with expects="
-                )
-        if txn_id is None:
-            txn_id = f"txn-{next(self._txn_counter)}"
-        writes_by_shard: Dict[ShardId, Dict[str, Optional[str]]] = {}
-        for request in requests:
-            shard_writes = writes_by_shard.setdefault(self.shard_for(request.key), {})
-            shard_writes[request.key] = (
-                request.value if request.kind is RequestKind.PUT else None
-            )
-        expects_by_shard: Dict[ShardId, Dict[str, Optional[str]]] = {}
-        for key, expected in dict(expects or {}).items():
-            expects_by_shard.setdefault(self.shard_for(key), {})[key] = expected
-        participants = tuple(
-            shard_id for shard_id in self.shards
-            if shard_id in writes_by_shard or shard_id in expects_by_shard
-        )
-
-        outer: "Future[TxnResult]" = _future()
-        votes: Dict[ShardId, Response] = {}
-        failures: Dict[ShardId, BaseException] = {}
-        remaining = [len(participants)]
-        vote_lock = threading.Lock()
-
-        def on_prepared(shard_id: ShardId, done: "Future[Response]") -> None:
-            with vote_lock:
-                try:
-                    votes[shard_id] = done.result()
-                except BaseException as exc:  # noqa: BLE001 - becomes the verdict
-                    failures[shard_id] = exc
-                remaining[0] -= 1
-                if remaining[0]:
-                    return
-            self._decide_phase(
-                txn_id, participants, writes_by_shard, votes, failures, outer
-            )
-
-        for shard_id in participants:
-            prepared = self._submit(
-                shard_id, "txn",
-                args=([], (txn_id, writes_by_shard.get(shard_id, {}),
-                           expects_by_shard.get(shard_id, {}))),
-            )
-            prepared.add_done_callback(
-                lambda done, shard_id=shard_id: on_prepared(shard_id, done)
-            )
-        return outer
-
-    def _decide_phase(
-        self,
-        txn_id: str,
-        participants: Tuple[ShardId, ...],
-        writes_by_shard: Dict[ShardId, Dict[str, Optional[str]]],
-        votes: Dict[ShardId, Response],
-        failures: Dict[ShardId, BaseException],
-        outer: "Future[TxnResult]",
-    ) -> None:
-        """Resolve the votes into a verdict, owe it, and answer the caller.
-
-        A separate method so the chaos suite can crash the coordinator at
-        the worst moment: between the last vote and the decision (patch
-        this to do nothing — presumed abort), or between the durable
-        decision and the decides (patch to stop after the log write —
-        recovery must finish the commit).
-        """
-        granted = not failures and all(
-            vote.kind is ResponseKind.FOUND for vote in votes.values()
-        )
-        verdict = "commit" if granted else "abort"
-        with self._lock:
-            if granted and self._txn_log is not None:
-                # The decision record is the commit point: once this is on
-                # disk, a crashed coordinator's restart finishes the commit;
-                # before it, every intent resolves to presumed abort.
-                self._txn_log[txn_id] = "commit"
-            for shard_id in participants:
-                self._sessions[shard_id].owed.append(
-                    (txn_id, verdict, writes_by_shard.get(shard_id, {})))
-        if granted:
-            outer.set_result(TxnResult(txn_id, participants))
-            return
-        if failures:
-            shard_id, cause = next(iter(failures.items()))
-            error: TxnAborted = TxnAborted(
-                txn_id, f"prepare failed at {shard_id}: {cause}"
-            )
-            error.__cause__ = cause
-        else:
-            error = TxnConflict(txn_id, sorted({
-                key
-                for vote in votes.values()
-                if vote.kind is ResponseKind.NOT_FOUND and vote.value
-                for key in vote.value.split(",")
-            }))
-        outer.set_exception(error)
-
     def _deliver(self, sessions: Sequence[_ShardSession]) -> List["Future[Any]"]:
         """Send the decides these shards are owed, each on a decide-only
         ``txn`` round at the tail of the shard's lane; one Future per shard,
@@ -1273,64 +781,6 @@ class ClusterEngine:
             self._watch(session, sent)
             futures.append(outer)
         return futures
-
-    def in_doubt(self) -> Dict[ShardId, Dict[str, Dict[str, Any]]]:
-        """Every prepared-but-undecided transaction, per shard.
-
-        A control-plane snapshot of the replicas' intent tables (the
-        primary's facet speaks for the shard), taken once the decides the
-        shards are owed have been delivered: ``{shard_id: {txn_id:
-        {"writes": ..., "tick": ...}}}``, empty mappings omitted.  Chaos
-        tests assert this drains to nothing — no dangling intents — after
-        crashes and recoveries.
-        """
-        wait(self._deliver(list(self._sessions.values())))
-        with self._lock:
-            report: Dict[ShardId, Dict[str, Dict[str, Any]]] = {}
-            for shard_id, session in self._sessions.items():
-                table = session.state.facet_for(session.primary).txns
-                if table:
-                    report[shard_id] = {
-                        txn_id: dict(entry) for txn_id, entry in table.items()
-                    }
-            return report
-
-    def recover_in_doubt(self) -> Dict[str, str]:
-        """Resolve every in-doubt transaction from the durable decision record.
-
-        The coordinator side of 2PC crash recovery, run automatically when a
-        durable cluster opens.  Owed decides go out first; then every intent
-        still parked on a replica (prepared, then the world went down before
-        its decide landed) is owed and delivered *commit* when the decision
-        log recorded one, *presumed abort* otherwise, so the resolution
-        replicates and WAL-logs like a live decide.  Last, records no shard
-        is owed leave the log (one whose decides all landed before a crash
-        could otherwise commit a later intent reusing its id).
-
-        Returns:
-            ``{txn_id: verdict}`` for every transaction resolved.
-        """
-        sessions = list(self._sessions.values())
-        wait(self._deliver(sessions))
-        verdicts: Dict[str, str] = {}
-        with self._lock:
-            committed = dict(self._txn_log) if self._txn_log is not None else {}
-            for session in sessions:
-                seen: Dict[str, Dict[str, Optional[str]]] = {}
-                for replica in session.servers:
-                    facet = session.state.facet_for(replica)
-                    for txn_id, entry in facet.txns.items():
-                        seen.setdefault(txn_id, dict(entry["writes"]))
-                for txn_id, writes in seen.items():
-                    verdicts[txn_id] = committed.get(txn_id) or "abort"
-                    session.owed.append((txn_id, verdicts[txn_id], writes))
-        for future in self._deliver(sessions):
-            future.result()
-        with self._lock:
-            for txn_id in committed:
-                if not self._owes(txn_id):
-                    self._txn_log.pop(txn_id, None)
-        return verdicts
 
     def submit_scan(self, prefix: str = "") -> Dict[ShardId, "Future[ChoreographyResult]"]:
         """Enqueue a prefix scan on *every* shard.
@@ -1394,61 +844,6 @@ class ClusterEngine:
                 shard_id: session.health()
                 for shard_id, session in self._sessions.items()
             }
-
-    def probe(self, shard_id: Optional[ShardId] = None
-              ) -> Dict[ShardId, Dict[Location, bool]]:
-        """Actively check replica liveness with per-replica ping choreographies.
-
-        Each configured replica (demoted ones included — a probe answering
-        from a demoted replica is the operator's cue that the process is back
-        and :meth:`rejoin_backup` can re-admit it) is sent one two-message
-        :func:`~repro.protocols.kvs.kvs_ping`.  A replica that fails or
-        times out is reported dead; probing a dead replica costs one receive
-        timeout, so point ``shard_id`` at the shard you care about when the
-        cluster is large.
-
-        A confirmed-dead replica is acted on by the same paths
-        traffic-driven detection takes: a dead *backup* is demoted, a dead
-        *primary* triggers a promotion of the senior surviving backup (with
-        the usual epoch stamp and re-bind).
-
-        Args:
-            shard_id: Probe only this shard; every shard when ``None``.
-
-        Returns:
-            ``{shard_id: {replica: alive}}`` for the probed shards.
-
-        ``alive=False`` means "unreachable from the client", which is not
-        proof the replica itself is dead — the failure could sit on the
-        client's side of the channel.  Demotion (and promotion) therefore
-        reuses the same blame-chain attribution as traffic-driven detection
-        (:meth:`_suspect_replica`): only a failure whose blame chain sinks at
-        the probed replica acts on it, so a flaky *client* link reports the
-        replica unreachable without kicking a healthy replica out of the
-        replica group.
-        """
-        with self._lock:
-            if shard_id is None:
-                targets = list(self._sessions.values())
-            else:
-                targets = [self._sessions[shard_id]]
-        report: Dict[ShardId, Dict[Location, bool]] = {}
-        for session in targets:
-            alive: Dict[Location, bool] = {}
-            for replica in session.servers:
-                token = f"ping:{session.shard_id}:{replica}"
-                culprit: Optional[Location] = None
-                try:
-                    ping, census = session.bindings[f"ping:{replica}"]
-                    result = session.engine.run(ping, args=(token,), census=census)
-                    alive[replica] = result.value_at(self.client) == token
-                except ChoreographyRuntimeError as failure:
-                    alive[replica] = False
-                    culprit = self._suspect_replica(session.shard_id, failure)
-                if culprit == replica:
-                    self._mark_down(session.shard_id, replica)
-            report[session.shard_id] = alive
-        return report
 
     # ------------------------------------------------------------ control plane --
 
@@ -1554,128 +949,6 @@ class ClusterEngine:
                         replica_state.pop(key, None)
             return shard_id
 
-    def rejoin_backup(self, shard_id: ShardId, replica: Location) -> RejoinReport:
-        """Re-admit a demoted replica as a backup: restart, catch up, re-bind.
-
-        The recovery half of the failover story — for demoted backups *and*
-        deposed primaries alike: an old head crashed out by a promotion sits
-        in the same ``down`` list and comes back through this same call,
-        catching up from the replica that usurped it (its diverged suffix is
-        what the catch-up's hash-verified full-transfer fallback exists
-        for) and re-entering as an ordinary backup, senior in census order.
-        The replica must currently be demoted
-        (``health()[shard_id].replicas[replica] == "down"``); the call then:
-
-        1. **restarts** the replica's process model — on a fault-injected
-           backend its crashed transport endpoints are revived
-           (:meth:`~repro.faults.FaultSession.revive`), and its in-memory
-           store is discarded and reopened from disk, which replays the
-           snapshot + WAL suffix when the cluster is durable;
-        2. **catches up** to the primary with the hash-verified
-           :func:`~repro.protocols.kvs.kvs_catchup` choreography (a WAL
-           delta when possible, a full transfer otherwise);
-        3. **re-binds** the shard's data-plane choreographies with the
-           restored membership — the same census-polymorphic re-binding
-           demotion uses, run in reverse.
-
-        The replica's :class:`ShardHealth` status walks ``down → rejoining →
-        up``; on any failure it returns to ``down`` and the shard keeps
-        serving degraded, exactly as before the attempt.
-
-        Like :meth:`add_shard`, this is a quiescent-cluster control-plane
-        operation: in-flight Futures must be resolved first, and submits
-        racing the re-join are refused with :class:`ClusterRebalancing`.
-
-        Args:
-            shard_id: The shard whose replica group is being healed.
-            replica: The demoted backup to re-admit.
-
-        Returns:
-            A :class:`RejoinReport` with the replay/catch-up costs.
-
-        Raises:
-            ClusterClosed: If the cluster is closed.
-            ClusterRebalancing: If another control-plane operation owns the
-                cluster.
-            RejoinError: If the replica is the primary or is not demoted, or
-                the catch-up transfer could not be verified against the
-                primary's store.
-            RuntimeError: If requests are still in flight.
-        """
-        def admit() -> None:
-            session = self._sessions[shard_id]
-            if replica == session.primary:
-                raise RejoinError(
-                    f"{replica!r} is the primary of {shard_id!r}; only demoted "
-                    "backups can rejoin"
-                )
-            if replica not in session.down:
-                raise RejoinError(
-                    f"replica {replica!r} of shard {shard_id!r} is not demoted; "
-                    "nothing to rejoin"
-                )
-
-        with self._control(f"the re-join of {replica} into {shard_id}", admit):
-            with self._lock:
-                session = self._sessions[shard_id]
-                session.down.remove(replica)
-                session.rejoining = replica
-            try:
-                # The catch-up copies the primary, so its owed decides land first.
-                self._deliver([session])[0].result()
-                # 1. The dead process comes back: revive its crashed transport
-                # endpoints (fault-injected backends) and recover its store
-                # from disk.  Opening the DurableState *is* the replay.
-                faults = getattr(session.engine.transport, "faults", None)
-                if faults is not None:
-                    faults.revive(replica)
-                started = time.perf_counter()
-                fresh = session.restart_replica_state(replica)
-                replayed = fresh.replayed_records
-                replay_seconds = time.perf_counter() - started
-
-                # 2. Close the gap to the primary, hash-verified end to end.
-                # The binding names the *current* head and carries the current
-                # epoch: a deposed primary re-joining here catches up FROM its
-                # usurper, and a promotion racing the transfer fences it like
-                # any other stale binding instead of letting it stream from a
-                # dead head.
-                started = time.perf_counter()
-                catchup = fenced(ChoreographyDef(kvs_catchup).bind(
-                    self.client, session.primary, replica, session.state), session.fence)
-                report: CatchupReport = session.engine.run(catchup).value_at(self.client)
-                catchup_seconds = time.perf_counter() - started
-                if not report.verified:
-                    raise RejoinError(
-                        f"catch-up for {replica!r} could not be verified against "
-                        f"the primary ({report.mode} transfer, "
-                        f"fell_back={report.fell_back})"
-                    )
-
-                # 3. Restore membership; the shard serves replicated again.  The
-                # rejoiner is stamped with the current epoch first: a
-                # delta transfer replayed the head's promotion records, but a
-                # full transfer installs items only, and the re-admitted
-                # replica must recover the promoted head on a later restart.
-                with self._lock:
-                    session.state.facet_for(replica).log_promotion(
-                        session.epoch, session.primary)
-                    session.rejoining = None
-                    session._bind_data_plane()
-                    rejoin = RejoinReport(
-                        shard_id=shard_id, replica=replica,
-                        replayed_records=replayed, replay_seconds=replay_seconds,
-                        catchup_seconds=catchup_seconds, mode=report.mode,
-                        fell_back=report.fell_back,
-                    )
-                    self.rejoins.append(rejoin)
-                return rejoin
-            except BaseException:
-                with self._lock:
-                    session.rejoining = None
-                    session.down.append(replica)
-                raise
-
     def close(self) -> None:
         """Close every shard session (idempotent); pending work drains first.
 
@@ -1689,16 +962,15 @@ class ClusterEngine:
                 return
             self._closed = True
             sessions = list(self._sessions.values())
-            txn_log = self._txn_log
         # The lanes drain, owed decides last, before any engine closes; a
         # decide that cannot go out keeps its commit record, and the next
         # open finishes it forward.
         wait(self._deliver(sessions))
         for session in sessions:
             session.engine.close()
-            session.close_storage()
-        if txn_log is not None:
-            txn_log.close()
+            for facet in session.state.visible_facets().values():
+                facet.close()
+        txn.close_log(self)
 
     def __enter__(self) -> "ClusterEngine":
         return self

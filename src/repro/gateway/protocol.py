@@ -57,7 +57,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ChoreographyRuntimeError, ChoreoTimeout
-from ..cluster.engine import ClusterClosed, ClusterRebalancing, TxnAborted, TxnConflict
+from ..cluster.engine import ClusterClosed, ClusterRebalancing
+from ..cluster.txn import TxnAborted, TxnConflict
 from ..faults import CrashFault
 from ..protocols.kvs import Request, Response, ResponseKind, StaleEpoch
 

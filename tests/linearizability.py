@@ -89,9 +89,10 @@ class History:
         cluster."""
         if cluster.durability is not None:
             return cluster.durability.root
-        if not hasattr(cluster, "_history_scope"):
-            cluster._history_scope = next(self._serials)
-        return cluster._history_scope
+        with self._lock:  # first calls race: one cluster, one serial
+            if not hasattr(cluster, "_history_scope"):
+                cluster._history_scope = next(self._serials)
+            return cluster._history_scope
 
     def invoke(self, scope: Hashable, kind: str, key: str,
                value: Optional[str] = None, process: Optional[int] = None) -> Op:

@@ -15,7 +15,8 @@ cluster from disk, and asserts three things:
 
 The crash points: after the commit record is logged, before any carrier;
 after a carrier is acknowledged, before the record's logged ``del``; inside
-``recover_in_doubt()``'s forward finish; during ``close()`` with decides
+``recover_in_doubt()``'s forward finish (where a record no intent holds must
+already have left the log); during ``close()`` with decides
 owed; on a participant primary while it carries decides (promotion plus
 replay); and a restart whose auto ``txn-<n>`` ids would start again at 1
 while a stale intent sits on a demoted backup that later rejoins.
@@ -31,6 +32,7 @@ import repro.protocols.kvs as kvs_module
 from repro import ClusterEngine, FaultPlan
 from repro.protocols.kvs import Request
 from repro.runtime.engine import ChoreoEngine
+from repro.storage import Durability
 from tests.test_cluster_failover import CHAOS_SEEDS
 from tests.test_cluster_promotion import durable_cluster
 from tests.test_cluster_txn import assert_no_dangling_intents, settle
@@ -206,6 +208,31 @@ class TestCrashPointSweep:
         with pytest.raises(Crash):
             reopen(tmp_path)
         sweep.dead_shard = None
+        with reopen(tmp_path) as reopened:
+            sweep.check(reopened)
+            assert dict(reopened._txn_log) == {}
+
+    def test_a_settled_record_leaves_before_a_failing_forward_finish(self, sweep, tmp_path):
+        cluster = reopen(tmp_path)
+        sweep.open_accounts(cluster)
+        cluster._txn_log.pop = lambda *_args: None  # dies before the record's del
+        sweep.transfer(cluster)
+        assert cluster.in_doubt() == {}  # its decides all landed
+        settled = set(cluster._txn_log)
+        sweep.die_after_log = True
+        sweep.transfer(cluster, *sweep.pair(cluster, across=True), acked=False)
+        settle(cluster)
+        unfinished = set(cluster._txn_log) - settled
+        crash(cluster)
+        sweep.dead_shard = "shard1"  # the forward finish of ``unfinished`` dies there
+        with pytest.raises(Crash):
+            reopen(tmp_path)
+        sweep.dead_shard = None
+        log = Durability(root=str(tmp_path)).open_state("_txn", "coordinator")
+        on_record = set(log)
+        log.close()
+        # No intent held the settled record, so it left before the failure.
+        assert settled and unfinished and on_record == unfinished
         with reopen(tmp_path) as reopened:
             sweep.check(reopened)
             assert dict(reopened._txn_log) == {}

@@ -6,7 +6,9 @@ suites run it on every test.  This module proves the checker can tell a
 violation from concurrency, that it *flags* the documented replay reorder
 of pipelined ``submit_batch`` writes to one key, that folded single
 requests, pipelined like ``gw_request``, are linearizable on a healthy
-cluster, and that a replayed fold keeps later dispatches behind it.
+cluster, that a replayed fold keeps later dispatches behind it, and that
+the recorder gives one cluster one register scope however its first
+calls race.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import collections
 import sys
 import threading
+import time
 from concurrent.futures import wait
 
 from repro import ClusterEngine, FaultPlan
@@ -107,6 +110,36 @@ class TestChecker:
             history.complete(op, FOUND(previous) if previous else MISSING)
             previous = str(index)
         assert linearizable([op for _scope, op in history.ops])
+
+
+class TestHistoryScopes:
+    def test_racing_first_calls_get_one_scope(self):
+        """Two threads make one cluster's first ``scope()`` call at once, and
+        the attribute lookup is slow enough that both check before either
+        sets.  The cluster must still get one register scope: two would
+        split a key's ops across two histories."""
+
+        class SlowLookup:
+            durability = None
+
+            def __getattr__(self, name):
+                time.sleep(0.05)
+                raise AttributeError(name)
+
+        history, cluster = History(), SlowLookup()
+        barrier, scopes = threading.Barrier(2), []
+
+        def first_call():
+            barrier.wait(10.0)
+            scopes.append(history.scope(cluster))
+
+        threads = [threading.Thread(target=first_call) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert len(scopes) == 2 and len(set(scopes)) == 1
+        assert next(history._serials) == 1  # one serial drawn, not one per caller
 
 
 def batch_put(cluster, history, value):
