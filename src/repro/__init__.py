@@ -31,8 +31,8 @@ The package provides:
 * :mod:`repro.chor` — the ``@choreography`` decorator making choreographies
   first-class, runnable, checkable objects (``.run()``, ``.check()``,
   ``.cost()``, ``.bind()``).
-* :mod:`repro.runtime` — persistent :class:`ChoreoEngine` sessions, the
-  pluggable backend registry, coalescing transports, and the centralized
+* :mod:`repro.runtime` — persistent :class:`ChoreoEngine` sessions over
+  five named backends, coalescing transports, and the centralized
   reference semantics.
 * :mod:`repro.cluster` — the sharded KVS service layer: a consistent-hash
   :class:`ShardRouter`, a :class:`ClusterEngine` multiplexing one warm
@@ -115,11 +115,6 @@ from .runtime import (
     LocalTransport,
     SimulatedNetworkTransport,
     TCPTransport,
-    TransportBackend,
-    impl,
-    implementations,
-    register_impl,
-    resolve_impl,
     run_centralized,
 )
 
@@ -178,7 +173,6 @@ __all__ = [
     "SnapshotStore",
     "StaleEpoch",
     "TCPTransport",
-    "TransportBackend",
     "TransportError",
     "TxnAborted",
     "TxnConflict",
@@ -186,11 +180,7 @@ __all__ = [
     "WriteAheadLog",
     "as_census",
     "choreography",
-    "impl",
-    "implementations",
     "project",
-    "register_impl",
-    "resolve_impl",
     "run_centralized",
     "single",
     "__version__",

@@ -8,7 +8,8 @@ choreography, whether or not they participate in either branch (paper §2.2).
 It has singly-located values only — no MLVs, no conclaves, no census
 polymorphism.
 
-This module reimplements that design on top of the same transports as
+This module reimplements that design on the same
+:class:`~repro.runtime.engine.ChoreoEngine` and transports that run
 :mod:`repro.core`, so the message-count difference asserted by
 ``tests/test_paper_experiments.py::TestE2KnowledgeOfChoice`` isolates the
 KoC strategy itself (exactly the comparison the paper's efficiency argument
@@ -21,10 +22,9 @@ import abc
 from typing import Any, Callable, Dict, Optional, Sequence, TypeVar, Union
 
 from ..core.epp import Endpoint
-from ..core.errors import CensusError, ChoreographyRuntimeError, OwnershipError, PlaceholderError
+from ..core.errors import OwnershipError, PlaceholderError
 from ..core.locations import Census, Location, LocationsLike, as_census
-from ..runtime.local import LocalTransport
-from ..runtime.engine import ChoreographyResult
+from ..runtime.engine import ChoreoEngine, ChoreographyResult
 from ..runtime.stats import ChannelStats
 from ..runtime.transport import DEFAULT_TIMEOUT, Transport, serialize
 
@@ -200,92 +200,38 @@ def run_haschor(
     args: Sequence[Any] = (),
     kwargs: Optional[Dict[str, Any]] = None,
     *,
-    transport: Union[str, Transport, None] = "local",
+    transport: Union[str, Transport] = "local",
     timeout: float = DEFAULT_TIMEOUT,
 ) -> ChoreographyResult:
     """Run a HasChor-style choreography on every endpoint concurrently.
 
-    One thread per endpoint, like a :class:`~repro.runtime.engine.ChoreoEngine`
-    instance, but projected with :class:`HasChorProjectedOp`.
+    One :class:`~repro.runtime.engine.ChoreoEngine` instance whose workers
+    project with :class:`HasChorProjectedOp` instead of the paper's
+    operator; ``At`` returns are unwrapped to plain values (``None`` for a
+    placeholder).  ``transport`` is a backend name or a pre-built
+    :class:`~repro.runtime.transport.Transport` (borrowed, left open); the
+    result's ``stats`` are this run's messages only, even on a pre-built
+    transport that has carried earlier traffic.
+
+    Raises:
+        ValueError: For ``"central"``: a HasChor operator needs one endpoint
+            per location.
+        ChoreographyRuntimeError: When any location fails.
     """
-    import threading
-    import time
 
-    full_census = as_census(census).require_nonempty()
-    kwargs = dict(kwargs or {})
-    if transport is None or isinstance(transport, str):
-        if transport in (None, "local"):
-            hub: Transport = LocalTransport(full_census, timeout=timeout)
-        else:
-            from ..runtime.registry import create_backend
+    def projected(op: Any, *args: Any, **kwargs: Any) -> Any:
+        haschor_op = HasChorProjectedOp(op.census, op.location, op.endpoint)
+        return choreography(haschor_op, *args, **kwargs)
 
-            resolved = create_backend(transport, full_census, timeout=timeout)
-            if not isinstance(resolved, Transport):
-                # e.g. "central": registered for engines, but this baseline
-                # runner needs real endpoints.
-                raise ValueError(
-                    f"backend {transport!r} is not a transport; run_haschor needs "
-                    "one endpoint per location"
-                )
-            hub = resolved
-        owns_transport = True
-    else:
-        hub = transport
-        owns_transport = False
-
-    endpoints = {location: hub.endpoint(location) for location in full_census}
-    returns: Dict[Location, Any] = {}
-    failures: Dict[Location, BaseException] = {}
-    lock = threading.Lock()
-
-    def run_endpoint(location: Location) -> None:
-        op = HasChorProjectedOp(full_census, location, endpoints[location])
-        flush = getattr(endpoints[location], "flush", None)
-        try:
-            result = choreography(op, *args, **kwargs)
-            # Coalescing transports defer sends; trailing ones must be
-            # drained before this location's thread finishes.
-            if flush is not None:
-                flush()
-            with lock:
-                returns[location] = result
-        except BaseException as exc:  # noqa: BLE001 - reported to the caller
-            if flush is not None:
-                try:
-                    flush()  # best-effort: peers may be blocked on these sends
-                except BaseException:  # noqa: BLE001 - original error wins
-                    pass
-            with lock:
-                failures[location] = exc
-
-    started = time.perf_counter()
-    threads = [
-        threading.Thread(target=run_endpoint, args=(location,), name=f"haschor-{location}")
-        for location in full_census
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=timeout * 2)
-    elapsed = time.perf_counter() - started
-
-    if owns_transport:
-        hub.close()
-    if failures:
-        location, original = next(iter(sorted(failures.items())))
-        raise ChoreographyRuntimeError(location, original) from original
-
-    result = ChoreographyResult(
-        census=full_census,
-        returns={
-            location: (
-                (value.peek() if value.is_present() else None)
-                if isinstance(value, At)
-                else value
+    with ChoreoEngine(census, backend=transport, timeout=timeout) as engine:
+        if engine.transport is None:
+            raise ValueError(
+                f"backend {transport!r} is not a transport; run_haschor needs "
+                "one endpoint per location"
             )
-            for location, value in returns.items()
-        },
-        stats=hub.stats,
-        elapsed_seconds=elapsed,
-    )
+        result = engine.run(projected, args, kwargs)
+    result.returns = {
+        location: (value.peek() if value.is_present() else None) if isinstance(value, At) else value
+        for location, value in result.returns.items()
+    }
     return result

@@ -10,7 +10,7 @@ A sharded key-value service needs a key → shard mapping that is
   reshuffle the survivors among themselves.
 
 :class:`ShardRouter` provides both with a classic consistent-hash ring:
-every shard contributes :attr:`~ShardRouter.vnodes` points (virtual nodes)
+every shard contributes :data:`DEFAULT_VNODES` points (virtual nodes)
 on a 64-bit ring, a key routes to the first shard point at or after the
 key's own hash (wrapping at the top), and virtual nodes keep the expected
 load per shard balanced even for small clusters.
@@ -28,7 +28,7 @@ import bisect
 import hashlib
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-#: Default number of ring points contributed per shard.  64 keeps the
+#: Ring points contributed per shard.  64 keeps the
 #: max/min load ratio across shards within a few percent for realistic key
 #: counts while the whole ring for a 16-shard cluster stays ~1k entries.
 DEFAULT_VNODES = 64
@@ -53,21 +53,16 @@ class ShardRouter:
         shards: The initial shards: either a count (shards are named
             ``"shard0"`` … ``"shardN-1"``) or an explicit sequence of shard
             ids.  At least one shard is required.
-        vnodes: Ring points per shard; higher values smooth the load
-            distribution at the cost of a larger ring.
 
     Raises:
-        ValueError: On zero shards, duplicate shard ids, or ``vnodes < 1``.
+        ValueError: On zero shards or duplicate shard ids.
 
-    Two routers built with the same shard ids (added in the same order) and
-    the same ``vnodes`` agree on every key, in every process — pinned by
+    Two routers built with the same shard ids (added in the same order)
+    agree on every key, in every process — pinned by
     ``tests/test_cluster.py``.
     """
 
-    def __init__(self, shards: Union[int, Sequence[ShardId]] = 4, *, vnodes: int = DEFAULT_VNODES):
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self._vnodes = vnodes
+    def __init__(self, shards: Union[int, Sequence[ShardId]] = 4):
         self._shards: List[ShardId] = []
         self._points: List[int] = []
         self._owners: List[ShardId] = []
@@ -86,11 +81,6 @@ class ShardRouter:
     def shards(self) -> Tuple[ShardId, ...]:
         """The shard ids, in the order they were added."""
         return tuple(self._shards)
-
-    @property
-    def vnodes(self) -> int:
-        """Ring points contributed per shard."""
-        return self._vnodes
 
     def shard_for(self, key: str) -> ShardId:
         """The shard responsible for ``key``.
@@ -133,7 +123,7 @@ class ShardRouter:
         if shard_id in self._shards:
             raise ValueError(f"shard {shard_id!r} is already on the ring")
         self._shards.append(shard_id)
-        for vnode in range(self._vnodes):
+        for vnode in range(DEFAULT_VNODES):
             point = _ring_hash(f"{shard_id}#{vnode}")
             index = bisect.bisect_left(self._points, point)
             self._points.insert(index, point)
@@ -166,4 +156,4 @@ class ShardRouter:
         return len(self._shards)
 
     def __repr__(self) -> str:
-        return f"ShardRouter(shards={self._shards!r}, vnodes={self._vnodes})"
+        return f"ShardRouter(shards={self._shards!r})"

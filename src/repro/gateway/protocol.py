@@ -161,84 +161,50 @@ class Command:
 
 
 
-def _batch_requests(args: Sequence[str]) -> Tuple[Request, ...]:
-    """The KVS :class:`Request` list encoded in a ``BATCH`` command.
+def _sub_requests(verb: str, args: Sequence[str]) -> Tuple[Request, ...]:
+    """The KVS :class:`Request` list a ``BATCH`` or ``MULTI`` command encodes.
 
-    ``BATCH`` args are a flat sequence of sub-commands::
+    Both are a flat sequence of sub-commands; ``MULTI`` takes the
+    write-only subset, closed by a literal ``EXEC``::
 
-        BATCH PUT k1 v1 GET k2 DEL k3
+        BATCH (PUT key value | GET key | DEL key)+
+        MULTI (PUT key value | DEL key)+ EXEC
+
+    A ``MULTI`` arrives as one frame (there is no open transaction state
+    on the connection); the gateway maps it onto one cross-shard two-phase
+    commit (:meth:`~repro.cluster.ClusterEngine.submit_txn`) — every write
+    applies atomically, or the client gets a retryable ``ABORTED`` error
+    frame and nothing was applied.  ``_ARITY`` has already made the body
+    non-empty, and every sub-command either adds a request or raises.
 
     Raises:
-        CommandError: If the tail is malformed.
+        CommandError: A malformed tail; for ``MULTI`` also a read
+            sub-command or a missing ``EXEC`` terminator.
     """
+    writes_only = verb == "MULTI"
+    if writes_only:
+        if args[-1].upper() != "EXEC":
+            raise CommandError("MULTI must end with EXEC")
+        args = args[:-1]
     requests: List[Request] = []
     index = 0
     while index < len(args):
         sub = args[index].upper()
         if sub == "PUT":
             if index + 2 >= len(args):
-                raise CommandError("BATCH PUT needs a key and a value")
+                raise CommandError(f"{verb} PUT needs a key and a value")
             requests.append(Request.put(args[index + 1], args[index + 2]))
             index += 3
-        elif sub == "GET":
-            if index + 1 >= len(args):
-                raise CommandError("BATCH GET needs a key")
-            requests.append(Request.get(args[index + 1]))
-            index += 2
-        elif sub == "DEL":
-            if index + 1 >= len(args):
-                raise CommandError("BATCH DEL needs a key")
-            requests.append(Request.delete(args[index + 1]))
-            index += 2
-        else:
-            raise CommandError(f"unknown BATCH sub-command: {args[index]!r}")
-    if not requests:
-        raise CommandError("BATCH needs at least one sub-command")
-    return tuple(requests)
-
-
-def _txn_requests(args: Sequence[str]) -> Tuple[Request, ...]:
-    """The write set encoded in a ``MULTI .. EXEC`` command.
-
-    The grammar is the write-only subset of ``BATCH``, closed by a
-    literal ``EXEC``::
-
-        MULTI (PUT key value | DEL key)+ EXEC
-
-    The whole command arrives as one frame (there is no open
-    transaction state on the connection); the gateway maps it onto one
-    cross-shard two-phase commit
-    (:meth:`~repro.cluster.ClusterEngine.submit_txn`) — every write
-    applies atomically, or the client gets a retryable ``ABORTED``
-    error frame and nothing was applied.
-
-    Raises:
-        CommandError: A read sub-command, a missing ``EXEC``
-            terminator, or a malformed tail.
-    """
-    if not args or args[-1].upper() != "EXEC":
-        raise CommandError("MULTI must end with EXEC")
-    body = args[:-1]
-    requests: List[Request] = []
-    index = 0
-    while index < len(body):
-        sub = body[index].upper()
-        if sub == "PUT":
-            if index + 2 >= len(body):
-                raise CommandError("MULTI PUT needs a key and a value")
-            requests.append(Request.put(body[index + 1], body[index + 2]))
-            index += 3
-        elif sub == "DEL":
-            if index + 1 >= len(body):
-                raise CommandError("MULTI DEL needs a key")
-            requests.append(Request.delete(body[index + 1]))
-            index += 2
-        elif sub in ("GET", "SCAN"):
+        elif writes_only and sub in ("GET", "SCAN"):
             raise CommandError(f"MULTI is write-only; {sub} is not allowed")
+        elif sub in ("GET", "DEL"):
+            if index + 1 >= len(args):
+                raise CommandError(f"{verb} {sub} needs a key")
+            make = Request.get if sub == "GET" else Request.delete
+            requests.append(make(args[index + 1]))
+            index += 2
         else:
-            raise CommandError(f"unknown MULTI sub-command: {body[index]!r}")
-    if not requests:
-        raise CommandError("MULTI needs at least one write before EXEC")
+            raise CommandError(f"unknown {verb} sub-command: {args[index]!r}")
     return tuple(requests)
 
 
@@ -275,10 +241,8 @@ def command_from_args(args: Sequence[str]) -> Command:
         raise CommandError(
             f"{verb} takes {expected} argument(s), got {len(rest)}"
         )
-    if verb == "BATCH":
-        return Command(verb, rest, _batch_requests(rest))
-    if verb == "MULTI":
-        return Command(verb, rest, _txn_requests(rest))
+    if verb in ("BATCH", "MULTI"):
+        return Command(verb, rest, _sub_requests(verb, rest))
     return Command(verb, rest)
 
 

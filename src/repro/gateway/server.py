@@ -116,7 +116,7 @@ class _Connection:
                 # a chunk of N pipelined commands is copied once, not N times.
                 data = pending + view[:count]
                 start = 0
-                while True:
+                while not self.closed.is_set():
                     try:
                         args, start = parse_command(data, start)
                     except ProtocolError as exc:
@@ -165,6 +165,10 @@ class _Connection:
                 return
             # Backpressure: block the reader until an in-flight slot frees.
             self.inflight.acquire()
+            if self.closed.is_set():
+                # The writer has stopped: nothing would answer this command.
+                self.inflight.release()
+                return
             try:
                 producer = self.server._submit(command)
             except BaseException as exc:  # noqa: BLE001 - typed reply instead
@@ -194,7 +198,7 @@ class _Connection:
                         break
                     continue
                 if item is None:
-                    break
+                    return
                 producer, holds_slot = item
                 broken = False
                 try:
@@ -215,6 +219,15 @@ class _Connection:
                         self.server._inflight_done()
                 if broken:
                     break
+            # Stopped before the reader's end marker: replies still queued (or
+            # about to be) will never be sent, but their slots must come back,
+            # or the reader blocks on one forever and close() waits out its
+            # drain for them.
+            self.close()
+            while (item := self.queue.get()) is not None:
+                if item[1]:
+                    self.inflight.release()
+                    self.server._inflight_done()
         finally:
             self.close()
             self.server._forget(self)

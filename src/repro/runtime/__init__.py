@@ -4,15 +4,6 @@ centralized reference semantics."""
 from .central import CentralBackend, CentralOp, localize_return, run_centralized
 from .engine import CLOSE_DEADLINE_CAP, ChoreoEngine, ChoreographyResult
 from .local import LocalTransport
-from .registry import (
-    TransportBackend,
-    create_backend,
-    impl,
-    implementations,
-    register_impl,
-    resolve_impl,
-    unregister_impl,
-)
 from .simulated import SimulatedNetworkTransport
 from .stats import ChannelStats
 from .tcp import TCPTransport
@@ -39,16 +30,9 @@ __all__ = [
     "SimulatedNetworkTransport",
     "TCPTransport",
     "Transport",
-    "TransportBackend",
     "TransportEndpoint",
-    "create_backend",
     "deserialize",
-    "impl",
-    "implementations",
     "localize_return",
-    "register_impl",
-    "resolve_impl",
     "run_centralized",
     "serialize",
-    "unregister_impl",
 ]

@@ -18,11 +18,10 @@ session-shaped replacement:
   through the same warm session.  Messages are tagged with an instance id
   (:class:`~repro.core.epp.InstanceScopedEndpoint`) so instances never
   interleave even when locations progress at different speeds;
-* backends are resolved by name through the pluggable registry
-  (:mod:`repro.runtime.registry`): ``"local"``, ``"tcp"``, ``"simulated"``,
-  ``"central"``, any name added via
-  :func:`~repro.runtime.registry.register_impl`, or a pre-built
-  :class:`~repro.runtime.transport.Transport` instance.
+* a backend is one of five names — ``"local"``, ``"tcp"``, ``"asyncio"``,
+  ``"simulated"``, ``"central"`` — or a pre-built
+  :class:`~repro.runtime.transport.Transport` instance, which is how a custom
+  transport plugs in.
 """
 
 from __future__ import annotations
@@ -42,8 +41,10 @@ from ..core.located import Faceted, Located
 from ..core.locations import Census, Location, LocationsLike, as_census
 from ..core.ops import Choreography
 from .central import CentralBackend, CentralOp, localize_return
-from .registry import Backend, create_backend
+from .local import LocalTransport
+from .simulated import SimulatedNetworkTransport
 from .stats import ChannelStats
+from .tcp import TCPTransport
 from .transport import DEFAULT_TIMEOUT, Transport, TransportEndpoint
 
 #: The "no value" marker used internally by :class:`ChoreographyResult` so a
@@ -62,6 +63,23 @@ _NO_VALUE = object()
 CLOSE_DEADLINE_CAP = 60.0
 
 logger = logging.getLogger("repro.runtime.engine")
+
+
+def _asyncio_backend(census: LocationsLike, **options: Any) -> Transport:
+    # Imported on first use: asyncio (with ssl, selectors, ...) is ~3 MiB that
+    # threaded and in-process sessions would carry without ever running a loop.
+    from .asyncio_tcp import AsyncioTCPTransport
+    return AsyncioTCPTransport(census, **options)
+
+
+#: Backend name → ``factory(census, timeout=..., **options)``.
+_BACKENDS = {
+    "local": LocalTransport,
+    "tcp": TCPTransport,
+    "asyncio": _asyncio_backend,
+    "simulated": SimulatedNetworkTransport,
+    "central": CentralBackend,
+}
 
 
 @dataclass
@@ -273,16 +291,16 @@ class ChoreoEngine:
     census:
         The locations participating in every choreography this engine runs.
     backend:
-        A registered backend name (``"local"``, ``"tcp"``, ``"simulated"``,
-        ``"central"``, or anything added with
-        :func:`~repro.runtime.registry.register_impl`) or a pre-built
+        A backend name (``"local"``, ``"tcp"``, ``"asyncio"``,
+        ``"simulated"`` or ``"central"``) or a pre-built
         :class:`~repro.runtime.transport.Transport` /
-        :class:`~repro.runtime.central.CentralBackend`.  Pre-built backends
-        are *borrowed*: :meth:`close` leaves them open.
+        :class:`~repro.runtime.central.CentralBackend`; a custom transport
+        plugs in as such an instance.  Pre-built backends are *borrowed*:
+        :meth:`close` leaves them open.
     timeout:
         Seconds an endpoint waits on a receive before declaring failure.
     **backend_options:
-        Extra keyword arguments forwarded to the backend factory (e.g.
+        Extra keyword arguments forwarded to a named backend (e.g.
         ``latency=`` / ``bandwidth=`` for ``"simulated"``, or a
         ``faults=``:class:`~repro.faults.FaultPlan` for the ``"simulated"``
         and ``"tcp"`` backends — see ``docs/testing.md``).
@@ -294,7 +312,7 @@ class ChoreoEngine:
     def __init__(
         self,
         census: LocationsLike,
-        backend: Union[str, Backend] = "local",
+        backend: Union[str, Transport, CentralBackend] = "local",
         *,
         timeout: float = DEFAULT_TIMEOUT,
         **backend_options: Any,
@@ -307,7 +325,11 @@ class ChoreoEngine:
         self._closed = False
 
         if isinstance(backend, str):
-            resolved = create_backend(backend, self.census, timeout=timeout, **backend_options)
+            factory = _BACKENDS.get(backend)
+            if factory is None:
+                raise ValueError(
+                    f"unknown transport/backend {backend!r}; choose from {sorted(_BACKENDS)}")
+            resolved = factory(self.census, timeout=timeout, **backend_options)
             self.backend_name: str = backend
             self._owns_backend = True
         elif isinstance(backend, (Transport, CentralBackend)):
@@ -321,7 +343,7 @@ class ChoreoEngine:
             self._owns_backend = False
         else:
             raise TypeError(
-                f"backend must be a registered name, a Transport, or a "
+                f"backend must be a backend name, a Transport, or a "
                 f"CentralBackend; got {type(backend).__name__}"
             )
 
@@ -335,7 +357,7 @@ class ChoreoEngine:
                 self._central = resolved
                 self.stats = resolved.stats
                 self._spawn_worker(_CENTRAL_WORKER, self._central_worker)
-            elif isinstance(resolved, Transport):
+            else:
                 # Claim the transport for this session: its cached endpoints
                 # and instance-id space cannot be shared by two live engines
                 # without cross-delivering their messages.
@@ -363,11 +385,6 @@ class ChoreoEngine:
                 }
                 for location in self.census:
                     self._spawn_worker(location, self._endpoint_worker)
-            else:
-                raise TypeError(
-                    f"backend factory produced {type(resolved).__name__}; expected "
-                    "a Transport or CentralBackend"
-                )
         except BaseException:
             # Half-built sessions must not leak sockets, threads, or the
             # transport lease: stop any workers already spawned and close an

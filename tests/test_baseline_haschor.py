@@ -15,6 +15,7 @@ from repro.baselines.haschor import (
 from repro.baselines.kvs_haschor import kvs_serve_haschor
 from repro.core.errors import CensusError, ChoreographyRuntimeError, OwnershipError, PlaceholderError
 from repro.protocols.kvs import Request, RequestKind, ResponseKind, kvs_serve
+from repro.runtime.local import LocalTransport
 
 
 CENSUS = ["alice", "bob", "carol", "dave"]
@@ -94,6 +95,36 @@ class TestHasChorProjected:
 
         with pytest.raises(ChoreographyRuntimeError):
             run_haschor(chor, CENSUS)
+
+    def test_central_is_refused(self):
+        with pytest.raises(ValueError, match="needs one endpoint per location"):
+            run_haschor(lambda op: None, CENSUS, transport="central")
+
+    @pytest.mark.parametrize("transport", ["tcp", "asyncio"])
+    def test_sockets_match_local(self, transport):
+        def chor(op):
+            return kvs_serve_haschor(op, "client", "s1", ["s1", "s2"], [
+                Request.put("k", "v"), Request.get("k"), Request.stop()])
+
+        census = ["client", "s1", "s2"]
+        reference = run_haschor(chor, census)
+        observed = run_haschor(chor, census, transport=transport)
+        assert observed.returns == reference.returns
+        assert observed.stats == reference.stats
+
+    def test_prebuilt_transport_reports_each_runs_messages(self):
+        def chor(op):
+            return op.cond(op.locally("alice", lambda _un: 1), lambda value: value)
+
+        transport = LocalTransport(CENSUS)
+        try:
+            first = run_haschor(chor, CENSUS, transport=transport)
+            second = run_haschor(chor, CENSUS, transport=transport)
+        finally:
+            transport.close()
+        assert first.stats == second.stats
+        assert second.stats.total_messages == len(CENSUS) - 1
+        assert transport.stats.total_messages == 2 * (len(CENSUS) - 1)
 
     def test_projected_cond_requires_at(self):
         op = HasChorProjectedOp(CENSUS, "alice", endpoint=None)

@@ -60,8 +60,8 @@ class TestShardRouter:
 
     def test_same_config_same_mapping(self):
         keys = [f"key{i}" for i in range(500)]
-        first = ShardRouter(["a", "b", "c"], vnodes=32).assignment(keys)
-        second = ShardRouter(["a", "b", "c"], vnodes=32).assignment(keys)
+        first = ShardRouter(["a", "b", "c"]).assignment(keys)
+        second = ShardRouter(["a", "b", "c"]).assignment(keys)
         assert first == second
 
     def test_all_shards_get_keys(self):
@@ -98,8 +98,6 @@ class TestShardRouter:
             router.remove_shard("ghost")
         with pytest.raises(ValueError):
             ShardRouter([])
-        with pytest.raises(ValueError):
-            ShardRouter(2, vnodes=0)
         router.remove_shard("shard1")
         with pytest.raises(ValueError):
             router.remove_shard("shard0")
@@ -125,7 +123,7 @@ class TestShardRouterProperties:
         """Under any add/remove sequence, the moved-key set is exactly the
         ring-ownership delta: keys moving *to* an added shard (and nothing
         else changes), keys moving *off* a removed shard (ditto)."""
-        router = ShardRouter(["seed0", "seed1"], vnodes=16)
+        router = ShardRouter(["seed0", "seed1"])
         fresh_ids = (f"new{index}" for index in range(len(steps)))
         for step in steps:
             before = {key: router.shard_for(key) for key in PROPERTY_KEYS}
@@ -155,7 +153,7 @@ class TestShardRouterProperties:
     def test_assignment_depends_only_on_the_membership_set(self, steps):
         """However a membership was reached — and in whatever order — a
         fresh router over the same shard set routes every key identically."""
-        router = ShardRouter(["seed0", "seed1"], vnodes=16)
+        router = ShardRouter(["seed0", "seed1"])
         fresh_ids = (f"new{index}" for index in range(len(steps)))
         for step in steps:
             live = list(router.shards)
@@ -163,7 +161,7 @@ class TestShardRouterProperties:
                 router.add_shard(next(fresh_ids))
             else:
                 router.remove_shard(live[step % len(live)])
-        rebuilt = ShardRouter(sorted(router.shards), vnodes=16)
+        rebuilt = ShardRouter(sorted(router.shards))
         assert rebuilt.assignment(PROPERTY_KEYS) == router.assignment(PROPERTY_KEYS)
 
 

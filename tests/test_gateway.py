@@ -22,6 +22,7 @@ separately and deterministically:
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 import time
 
@@ -387,6 +388,49 @@ class TestDrain:
             elapsed = time.monotonic() - began
         assert not accept_thread.is_alive()
         assert elapsed < 0.5, f"close() took {elapsed:.2f}s"
+
+
+class TestDeadConnection:
+    def test_reset_mid_pipeline_releases_slots_and_reader(self, monkeypatch):
+        """A client that resets with replies still queued: the writer used to
+        stop at its first failed send, leaving the queued replies' slots held
+        and the reader blocked on one forever, and close() then waited out
+        the whole drain_timeout."""
+        with ClusterClient(shards=2, replication=2, backend="local") as kvs:
+            server = GatewayServer(kvs, GatewaySettings(drain_timeout=3.0)).start()
+            release = threading.Event()
+            submit = server._submit
+
+            def held_submit(command):
+                producer = submit(command)
+                return lambda: release.wait(CLIENT_TIMEOUT) and producer()
+
+            monkeypatch.setattr(server, "_submit", held_submit)
+            budget = server.settings.max_inflight_per_conn
+            try:
+                raw = socket.create_connection(server.address, timeout=CLIENT_TIMEOUT)
+                reader = "gw-read-%s:%d" % raw.getsockname()[:2]
+                raw.sendall(b"".join(b"PUT k%d v\r\n" % i for i in range(200)))
+                deadline = time.monotonic() + CLIENT_TIMEOUT
+                while server.metrics()["inflight"] < budget:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                raw.close()
+                time.sleep(0.05)  # let the reset land before the first reply
+                release.set()
+
+                def leftovers():
+                    readers = [t for t in threading.enumerate() if t.name == reader]
+                    return server.metrics()["inflight"], readers
+
+                while leftovers() != (0, []) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert leftovers() == (0, [])
+            finally:
+                began = time.monotonic()
+                server.close()
+            assert time.monotonic() - began < 1.0
 
 
 class TestGatewaySettings:

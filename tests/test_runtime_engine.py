@@ -1,25 +1,22 @@
-"""Tests for persistent ChoreoEngine sessions and the backend registry."""
+"""Tests for persistent ChoreoEngine sessions and their named backends."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from repro import ChoreoEngine
 from repro.core.errors import CensusError, ChoreographyRuntimeError, OwnershipError
 from repro.core.located import Located
-from repro.runtime.central import CentralBackend, CentralOp, run_centralized
+from repro.runtime.central import CentralOp, run_centralized
 from repro.runtime.local import LocalTransport
-from repro.runtime.registry import (
-    TransportBackend,
-    create_backend,
-    implementations,
-    register_impl,
-    unregister_impl,
-)
 from repro.runtime.stats import ChannelStats
 from repro.runtime.tcp import TCPTransport
 
@@ -522,86 +519,43 @@ class TestCentralOp:
             op.congruently(["a", "b"], lambda un: un(faceted))
 
 
-class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"local", "tcp", "asyncio", "simulated", "central"} <= set(
-            implementations(TransportBackend)
-        )
-
-    def test_registered_backend_is_pluggable(self):
+class TestBackends:
+    def test_prebuilt_custom_transport_runs(self):
         class TracingTransport(LocalTransport):
             pass
 
-        register_impl(TransportBackend, TracingTransport, name="tracing-local")
+        transport = TracingTransport(CENSUS)
         try:
-            assert "tracing-local" in implementations(TransportBackend)
-            with ChoreoEngine(CENSUS, backend="tracing-local") as engine:
-                assert isinstance(engine.transport, TracingTransport)
+            with ChoreoEngine(CENSUS, backend=transport) as engine:
+                assert engine.transport is transport
                 assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
         finally:
-            unregister_impl(TransportBackend, "tracing-local")
+            transport.close()
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown transport") as err:
-            create_backend("carrier-pigeon", CENSUS)
-        assert "choose from ['asyncio', 'central'," in str(err.value)
-        with pytest.raises(ValueError, match="unknown transport"):
+    def test_unknown_backend_lists_the_names(self):
+        with pytest.raises(ValueError, match="unknown transport/backend 'carrier-pigeon'") as err:
             ChoreoEngine(CENSUS, backend="carrier-pigeon")
+        assert "choose from ['asyncio', 'central', 'local', 'simulated', 'tcp']" in str(err.value)
 
     def test_simulated_backend_options_forwarded(self):
-        backend = create_backend("simulated", CENSUS, latency=2.5, bandwidth=1e6)
-        assert backend.latency == 2.5
-        backend.close()
+        with ChoreoEngine(CENSUS, backend="simulated", latency=2.5, bandwidth=1e6) as engine:
+            assert engine.transport.latency == 2.5
+            assert engine.transport.bandwidth == 1e6
 
-    def test_central_factory_builds_central_backend(self):
-        backend = create_backend("central", CENSUS)
-        assert isinstance(backend, CentralBackend)
-        backend.close()
+    def test_central_runs(self):
+        with ChoreoEngine(CENSUS, backend="central") as engine:
+            assert engine.transport is None
+            assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
 
-
-class TestTypedRegistry:
-    """The Protocol-keyed injection layer engines resolve backend names in."""
-
-    def test_impl_decorator_registers_and_resolves(self):
-        from repro.runtime.registry import (
-            TransportBackend,
-            impl,
-            implementations,
-            resolve_impl,
-            unregister_impl,
-        )
-
-        @impl(TransportBackend, name="typed-local")
-        class TypedLocal(LocalTransport):
-            pass
-
-        try:
-            assert resolve_impl(TransportBackend, "typed-local") is TypedLocal
-            assert implementations(TransportBackend)["typed-local"] is TypedLocal
-            # the engine sees the typed registration
-            with ChoreoEngine(CENSUS, backend="typed-local") as engine:
-                assert isinstance(engine.transport, TypedLocal)
-                assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
-        finally:
-            unregister_impl(TransportBackend, "typed-local")
-        assert "typed-local" not in implementations(TransportBackend)
-
-    def test_unknown_impl_name_lists_the_protocols_table(self):
-        from repro.runtime.registry import TransportBackend, resolve_impl
-
-        with pytest.raises(ValueError, match="unknown TransportBackend"):
-            resolve_impl(TransportBackend, "carrier-pigeon")
-
-    def test_duplicate_impl_name_needs_replace(self):
-        from repro.runtime.registry import TransportBackend, register_impl, unregister_impl
-
-        register_impl(TransportBackend, LocalTransport, name="dupe-impl")
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_impl(TransportBackend, TCPTransport, name="dupe-impl")
-            register_impl(TransportBackend, TCPTransport, name="dupe-impl", replace=True)
-        finally:
-            unregister_impl(TransportBackend, "dupe-impl")
+    def test_cluster_and_gateway_import_without_asyncio(self):
+        """The "asyncio" backend imports its transport on first use only."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        script = "import sys, repro.cluster, repro.gateway; print('asyncio' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, check=True, env=env,
+        ).stdout.strip()
+        assert out == "False"
 
 
 class TestCloseDeadlineCap:
