@@ -22,14 +22,18 @@ Layout on disk, one directory per replica::
 
     <root>/<shard_id>/<replica>/
         snapshot.bin    # latest checkpoint: (seq, full contents)
-        wal.bin         # mutations since that checkpoint
+        wal.<seq>.bin   # while a checkpoint is in flight: the rotated
+                        # segment, ending at record <seq>
+        wal.bin         # the live segment: mutations after that
 
 Opening the directory *is* crash recovery: load the snapshot, replay the
-WAL suffix (records with ``seq`` greater than the snapshot's), and the
-store holds exactly the acknowledged state at the moment of death — minus
-whatever tail the configured fsync policy was allowed to lose.  Once the
-WAL accumulates ``snapshot_every`` records the store checkpoints itself
-(snapshot + WAL reset), bounding both file size and restart time.
+rotated segment and then the live one (records with ``seq`` greater than
+the snapshot's), and the store holds exactly the acknowledged state at the
+moment of death — minus whatever tail the configured fsync policy was
+allowed to lose.  Once the live segment holds ``snapshot_every`` records
+the store checkpoints itself, bounding both file size and restart time.
+The appending thread only copies the store and renames the live segment
+aside; a checkpoint thread writes the snapshot and deletes the segment.
 
 The ``kvs_catchup`` choreography reads both kinds of store through the
 same surface: :attr:`~EphemeralState.high_water`,
@@ -50,13 +54,16 @@ coordinator's durable decision record.
 from __future__ import annotations
 
 import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .snapshot import SnapshotStore
-from .wal import FSYNC_POLICIES, WalRecord, WriteAheadLog
+from .wal import (
+    FSYNC_POLICIES, WalRecord, WriteAheadLog, fsync_directory, read_records,
+)
 
-#: The WAL file's name inside a replica's storage directory.
+#: The live WAL segment's name inside a replica's storage directory.
 WAL_FILENAME = "wal.bin"
 
 #: A prepared-transaction intent is presumed aborted — its coordinator died
@@ -262,14 +269,16 @@ class EphemeralState(dict):
 class DurableState(EphemeralState):
     """A replica store whose records are write-ahead logged.
 
-    Construction performs recovery: snapshot load, then WAL-suffix replay
-    through :meth:`~EphemeralState.apply`.  :attr:`replayed_records` reports
-    how many WAL records the replay applied — the number a restart surfaces
-    as its recovery work.
+    Construction performs recovery: rotated segments, then the snapshot,
+    then the live segment, replayed through :meth:`~EphemeralState.apply`.
+    :attr:`replayed_records` reports how many WAL records the replay
+    applied — the number a restart surfaces as its recovery work.
 
     Mutations are logged *before* they land in memory; read paths
     (``__getitem__``, ``items``, ``len``, iteration…) are inherited
     untouched, so the choreographies' read-mostly traffic pays nothing.
+    At most one checkpoint is in flight: the next one, :meth:`install` and
+    :meth:`close` wait for it, and raise its error if it failed.
     """
 
     def __init__(
@@ -283,6 +292,18 @@ class DurableState(EphemeralState):
         self.directory = os.fspath(directory)
         self.snapshot_every = int(snapshot_every)
         self.snapshots = SnapshotStore(self.directory)
+        # Rotated segments are read *before* the snapshot: a checkpoint in
+        # flight (an un-closed store's) deletes its segment only after its
+        # snapshot is in place, so what this open misses, the other holds.
+        segments = []
+        for name in os.listdir(self.directory):
+            if name.startswith("wal.") and name.endswith(".bin") and name[4:-4].isdigit():
+                path = os.path.join(self.directory, name)
+                try:
+                    segments.append((int(name[4:-4]), path, read_records(path)))
+                except FileNotFoundError:
+                    pass  # its checkpoint finished: the snapshot covers it
+        segments.sort()
         snap_seq, contents, meta = self.snapshots.load_with_meta()
         self.shard_epoch = int(meta.get("epoch", 0))
         self.promoted_head = meta.get("head")
@@ -295,20 +316,41 @@ class DurableState(EphemeralState):
         }
         self.txn_tick = int(meta.get("txn_tick", 0))
         dict.update(self, contents)
-        self.wal = WriteAheadLog(
-            os.path.join(self.directory, WAL_FILENAME), fsync=fsync
-        )
-        # A fresh WAL (reset after the snapshot, or torn back to empty) has
-        # forgotten the snapshot's sequence number; appends must continue
-        # after it, not restart from 1.
-        if self.wal.last_seq < snap_seq:
-            self.wal.last_seq = snap_seq
-        self._snapshot_seq = snap_seq
+        wal_path = os.path.join(self.directory, WAL_FILENAME)
+        #: Rotated segments on disk that no finished checkpoint has deleted.
+        self._segments: List[str] = []
+        applied = snap_seq
         replayed = 0
-        for seq, op in self.wal.records(since=snap_seq):
+        for index, (last, path, records) in enumerate(segments):
+            if last > snap_seq and (not records or records[-1][0] < last):
+                # Power loss took this segment's unsynced tail, so the
+                # records after it are no suffix of what survived: it
+                # becomes the live segment, and what followed it goes.
+                for _last, later, _records in segments[index + 1:]:
+                    os.remove(later)
+                os.replace(path, wal_path)
+                fsync_directory(self.directory)
+                break
+            self._segments.append(path)
+            for seq, op in records:
+                if seq > applied:
+                    self.apply(op)
+                    applied = seq
+                    replayed += 1
+        self.wal = WriteAheadLog(wal_path, fsync=fsync)
+        # A fresh live segment has forgotten the sequence numbers before it;
+        # appends must continue after them, not restart from 1.
+        if self.wal.last_seq < applied:
+            self.wal.last_seq = applied
+        #: Records up to here are no longer in the live segment.
+        self._snapshot_seq = applied
+        for seq, op in self.wal.records(since=applied):
             self.apply(op)
             replayed += 1
         self.replayed_records = replayed
+        self._checkpointer = ThreadPoolExecutor(1, thread_name_prefix="checkpoint")
+        #: The checkpoint in flight, and the segments it is to delete.
+        self._in_flight: Optional[Tuple[Future, List[str]]] = None
 
     @property
     def high_water(self) -> int:
@@ -332,12 +374,9 @@ class DurableState(EphemeralState):
 
     # ------------------------------------------------------------------ mutators --
 
-    def _log(self, op: Tuple[Any, ...]) -> None:
-        self.wal.append(op)
-
     def record(self, op: Tuple[Any, ...]) -> None:
         """Log ``op`` write-ahead, apply it, then checkpoint if one is due."""
-        self._log(op)
+        self.wal.append(op)
         self.apply(op)
         self._maybe_snapshot()
 
@@ -384,24 +423,51 @@ class DurableState(EphemeralState):
             self.snapshot()
 
     def snapshot(self) -> int:
-        """Checkpoint now: persist the full store, reset the WAL.
+        """Start a checkpoint of the whole store; returns the seq it covers.
 
-        Returns the sequence number the snapshot covers.
+        Copies the store and rotates the live segment aside; the checkpoint
+        thread writes the snapshot and deletes the segment.  Waits for the
+        previous checkpoint first, raising its ``OSError`` if it failed.
         """
+        self._settle()
         seq = self.wal.last_seq
-        self.snapshots.save(seq, dict(self), meta=self._meta())
-        self.wal.reset(seq)
+        image, meta = dict(self), self._meta()
+        if self.wal.record_count:
+            aside = os.path.join(self.directory, f"wal.{seq}.bin")
+            self.wal.rotate(aside)
+            self._segments.append(aside)
+        segments, self._segments = self._segments, []
+        future = self._checkpointer.submit(self._checkpoint, seq, image, meta, segments)
+        self._in_flight = (future, segments)
         self._snapshot_seq = seq
         return seq
+
+    def _checkpoint(self, seq: int, image: Dict[str, str], meta: Dict[str, Any],
+                    segments: List[str]) -> None:
+        """The checkpoint thread's part: the snapshot, then the segments it covers."""
+        self.snapshots.save(seq, image, meta=meta)
+        for path in segments:
+            os.remove(path)
+
+    def _settle(self) -> None:
+        """Wait for the checkpoint in flight; raise its error if it failed."""
+        if self._in_flight is None:
+            return
+        future, segments = self._in_flight
+        error = future.exception()
+        self._in_flight = None
+        if error is not None:
+            self._segments[:0] = [path for path in segments if os.path.exists(path)]
+            raise error
 
     # ------------------------------------------------------------------ catch-up --
 
     def ops_since(self, since: int) -> Optional[List[WalRecord]]:
         """The WAL records after ``since``, or ``None`` if compacted away.
 
-        ``None`` means a snapshot has folded some of the requested range
-        into itself — the caller (the catch-up primary) must fall back to a
-        full transfer.
+        ``None`` means a checkpoint has folded some of the requested range
+        into its snapshot — the caller (the catch-up primary) must fall
+        back to a full transfer.
         """
         if since < self._snapshot_seq:
             return None
@@ -428,14 +494,17 @@ class DurableState(EphemeralState):
     def install(self, contents: Dict[str, str], seq: int) -> None:
         """Replace the whole store (full catch-up transfer) at ``seq``.
 
-        Installs via an immediate snapshot rather than a logged ``clear`` +
+        Installs via an immediate checkpoint rather than a logged ``clear`` +
         N ``put`` records: one atomic rename instead of N WAL appends, and
-        the sequence counter lands exactly on the primary's.
+        the sequence counter lands on the primary's.  Returns once the
+        snapshot is on disk; until then the rotated segment's name is past
+        its last record, so a crash reopens the store as before the install.
         """
+        self._settle()
         super().install(contents, seq)
-        self.snapshots.save(seq, dict(self), meta=self._meta())
-        self.wal.reset(seq)
-        self._snapshot_seq = seq
+        self.wal.last_seq = max(self.wal.last_seq, seq)
+        self.snapshot()
+        self._settle()
 
     # ----------------------------------------------------------------- lifecycle --
 
@@ -444,8 +513,14 @@ class DurableState(EphemeralState):
         self.wal.sync()
 
     def close(self) -> None:
-        """Flush and close the WAL.  Idempotent; the store stays readable."""
-        self.wal.close()
+        """Finish the checkpoint in flight (raising its error), join the
+        checkpoint thread, and flush and close the WAL.  Idempotent; the
+        store stays readable."""
+        try:
+            self._settle()
+        finally:
+            self._checkpointer.shutdown()
+            self.wal.close()
 
     def __repr__(self) -> str:
         return (

@@ -3,9 +3,9 @@
 Replaying a WAL from the beginning of time makes restart cost grow with
 history, not with state size.  A snapshot bounds it: every
 ``snapshot_every`` mutations the replica serializes its whole store (with
-the WAL sequence number the snapshot covers) and the WAL restarts empty —
-recovery is then *snapshot + WAL suffix*, a constant amount of work per
-checkpoint interval.
+the WAL sequence number the snapshot covers), and the WAL segment it covers
+is deleted — recovery is then *snapshot + WAL suffix*, a constant amount of
+work per checkpoint interval.
 
 Atomicity is the write-then-rename idiom: the new snapshot is written to a
 sibling temp file, flushed and fsynced, then :func:`os.replace`\\ d over the
@@ -32,7 +32,7 @@ import zlib
 from typing import Any, Dict, Tuple
 
 from ..runtime import wire
-from .wal import WalCorruption
+from .wal import WalCorruption, fsync_directory
 
 #: File magic: "RSNP" + format version 1 + three reserved bytes.
 MAGIC = b"RSNP\x01\x00\x00\x00"
@@ -85,11 +85,7 @@ class SnapshotStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, self.path)
-        directory_fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(directory_fd)
-        finally:
-            os.close(directory_fd)
+        fsync_directory(self.directory)
 
     def load(self) -> Tuple[int, Dict[str, str]]:
         """The latest snapshot as ``(seq, contents)``; ``(0, {})`` if none.

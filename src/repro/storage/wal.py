@@ -44,8 +44,8 @@ fsync policy
 * ``"always"`` — ``os.fsync`` after every append: a record is on stable
   storage before the mutation is acknowledged; survives OS/power failure.
 * ``"batch"`` — flush to the OS on every append, ``fsync`` only at
-  explicit :meth:`sync` points (snapshots, close): survives *process*
-  crashes (the OS holds the pages), may lose the tail on power failure.
+  explicit :meth:`sync` points (close): survives *process* crashes (the OS
+  holds the pages), may lose the tail on power failure.
 * ``"never"`` — flush to the OS, never ``fsync``: the benchmark baseline.
 """
 
@@ -69,6 +69,48 @@ WalRecord = Tuple[int, Tuple[Any, ...]]
 
 class WalCorruption(ValueError):
     """The log is damaged somewhere other than its (repairable) tail."""
+
+
+def _has_magic(data: bytes, path: str) -> bool:
+    """Whether ``data`` starts with :data:`MAGIC` (``False``: a torn prefix of it)."""
+    if data[: len(MAGIC)] == MAGIC:
+        return True
+    if MAGIC.startswith(data):
+        return False
+    raise WalCorruption(
+        f"{path}: bad WAL magic {data[:len(MAGIC)]!r}; refusing to "
+        "append to a file this library did not write"
+    )
+
+
+def read_records(path: str, since: int = 0) -> List[WalRecord]:
+    """The intact ``(seq, op)`` records with ``seq > since`` of the log at ``path``.
+
+    Reads without repairing: the records stop at the first unreadable frame.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    out: List[WalRecord] = []
+    if not _has_magic(data, path):
+        return out
+    pos = len(MAGIC)
+    while pos < len(data):
+        frame = WriteAheadLog._try_record(data, pos)
+        if frame is None or not frame[0]:
+            break  # unreadable suffix: open-time scanning decides its fate
+        _ok, seq, op, pos = frame
+        if seq > since:
+            out.append((seq, op))
+    return out
+
+
+def fsync_directory(directory: str) -> None:
+    """Make the entries of ``directory`` (creations, renames) durable."""
+    directory_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(directory_fd)
+    finally:
+        os.close(directory_fd)
 
 
 def _require_policy(fsync: str) -> str:
@@ -106,36 +148,28 @@ class WriteAheadLog:
         self.record_count = 0
         self._closed = False
         valid_end = self._scan_and_repair()
-        self._file = open(self.path, "r+b")
-        self._file.seek(valid_end)
+        if valid_end is None:
+            self._start_fresh()
+        else:
+            self._file = open(self.path, "r+b")
+            self._file.seek(valid_end)
 
     # ------------------------------------------------------------------ opening --
 
-    def _scan_and_repair(self) -> int:
+    def _scan_and_repair(self) -> Optional[int]:
         """Validate the existing file, truncating a torn tail.
 
         Returns the offset of the first byte past the last intact record
-        (the append position).  A missing or empty file is initialized with
-        the magic header.
+        (the append position), or ``None`` for a log that must start fresh:
+        a missing file, or one torn inside the magic itself.
         """
         try:
             with open(self.path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
-            data = b""
-        if not data or len(data) < len(MAGIC):
-            # Fresh log (or a tail torn inside the magic itself): start over.
-            with open(self.path, "wb") as handle:
-                handle.write(MAGIC)
-                handle.flush()
-                if self.fsync == "always":
-                    os.fsync(handle.fileno())
-            return len(MAGIC)
-        if data[: len(MAGIC)] != MAGIC:
-            raise WalCorruption(
-                f"{self.path}: bad WAL magic {data[:len(MAGIC)]!r}; refusing to "
-                "append to a file this library did not write"
-            )
+            return None
+        if not _has_magic(data, self.path):
+            return None
         pos = len(MAGIC)
         valid_end = pos
         while pos < len(data):
@@ -247,35 +281,29 @@ class WriteAheadLog:
         """
         if not self._closed:
             self._file.flush()
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        pos = len(MAGIC)
-        out: List[WalRecord] = []
-        while pos < len(data):
-            frame = self._try_record(data, pos)
-            if frame is None or not frame[0]:
-                break  # unreadable suffix: open-time scanning decides its fate
-            _ok, seq, op, pos = frame
-            if seq > since:
-                out.append((seq, op))
-        return iter(out)
+        return iter(read_records(self.path, since))
 
     # ---------------------------------------------------------------- lifecycle --
 
-    def reset(self, seq: int) -> None:
-        """Drop every record (a snapshot now covers them); keep counting from ``seq``.
+    def rotate(self, aside: str) -> None:
+        """Move the log's file to ``aside`` and continue, numbering on, in a fresh one.
 
-        Called after a successful snapshot at ``seq``: the log restarts empty
-        but sequence numbers continue, so replay order across snapshot
-        boundaries stays unambiguous.
+        Nothing is fsynced unless the policy is ``"always"``; then the new
+        file and its directory entry are durable before the next append.
         """
-        self._file.truncate(len(MAGIC))
-        self._file.seek(len(MAGIC))
-        self._file.flush()
-        if self.fsync != "never":
-            os.fsync(self._file.fileno())
-        self.last_seq = max(self.last_seq, seq)
+        self._file.close()
+        os.replace(self.path, aside)
+        self._start_fresh()
+        if self.fsync == "always":
+            fsync_directory(os.path.dirname(self.path) or ".")
         self.record_count = 0
+
+    def _start_fresh(self) -> None:
+        self._file = open(self.path, "w+b")
+        self._file.write(MAGIC)
+        self._file.flush()
+        if self.fsync == "always":
+            os.fsync(self._file.fileno())
 
     def close(self) -> None:
         """Flush (and fsync, unless ``"never"``), then close.  Idempotent."""

@@ -8,6 +8,9 @@ correctly.
 
 import os
 import random
+import shutil
+import stat
+import threading
 
 import pytest
 
@@ -110,13 +113,23 @@ class TestWriteAheadLog:
         with pytest.raises(WalCorruption, match="magic"):
             WriteAheadLog(path)
 
-    def test_truncated_magic_restarts_fresh(self, tmp_path):
+    @pytest.mark.parametrize("torn", [1, 4, 7])
+    def test_truncated_magic_restarts_fresh(self, tmp_path, torn):
         path = tmp_path / "wal.bin"
-        path.write_bytes(wal_mod.MAGIC[:4])  # crash while writing the header
+        path.write_bytes(wal_mod.MAGIC[:torn])  # crash while writing the header
         log = WriteAheadLog(path)
         assert log.record_count == 0
         assert log.append(("put", "a", "1")) == 1
         log.close()
+        assert path.read_bytes().startswith(wal_mod.MAGIC)
+
+    def test_short_foreign_file_is_refused(self, tmp_path):
+        # Shorter than the magic but no prefix of it: not a torn header.
+        path = tmp_path / "wal.bin"
+        path.write_bytes(b"abc")
+        with pytest.raises(WalCorruption, match="magic"):
+            WriteAheadLog(path)
+        assert path.read_bytes() == b"abc"
 
     def test_fsync_policy_validation(self, tmp_path):
         for policy in ("always", "batch", "never"):
@@ -124,15 +137,18 @@ class TestWriteAheadLog:
         with pytest.raises(ValueError, match="fsync policy"):
             WriteAheadLog(tmp_path / "bad.bin", fsync="sometimes")
 
-    def test_reset_keeps_sequence_numbers(self, tmp_path):
+    def test_rotate_keeps_sequence_numbers(self, tmp_path):
         log = WriteAheadLog(tmp_path / "wal.bin")
         for i in range(4):
             log.append(("put", f"k{i}", str(i)))
-        log.reset(log.last_seq)
+        log.rotate(str(tmp_path / "wal.4.bin"))
         assert log.record_count == 0
         assert list(log.records()) == []
         assert log.append(("put", "later", "x")) == 5
         log.close()
+        assert [seq for seq, _op in wal_mod.read_records(tmp_path / "wal.4.bin")] == [1, 2, 3, 4]
+        with WriteAheadLog(tmp_path / "wal.bin") as reopened:
+            assert reopened.last_seq == 5
 
     def test_append_after_close_raises(self, tmp_path):
         log = WriteAheadLog(tmp_path / "wal.bin")
@@ -297,6 +313,217 @@ class TestDurableState:
         assert reopened.high_water == 42
         assert reopened.replayed_records == 0  # install is a snapshot, not a log
         reopened.close()
+
+
+# -- checkpoints off the appending thread -----------------------------------------------
+
+
+def _segments(directory):
+    return sorted(name for name in os.listdir(directory)
+                  if name.startswith("wal.") and name != "wal.bin")
+
+
+def _checkpoint_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("checkpoint")]
+
+
+class TestCheckpointsLeaveTheRound:
+    """Count guard: a due checkpoint costs the appending thread no fsync."""
+
+    def test_no_fsync_on_the_thread_whose_record_made_a_checkpoint_due(
+            self, tmp_path, monkeypatch):
+        fsyncs = []
+        original = os.fsync
+
+        def recording(fd):
+            fsyncs.append(threading.get_ident())
+            original(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        store = DurableState(tmp_path / "r0", fsync="batch", snapshot_every=8)
+        for index in range(3 * 8):
+            store[f"k{index}"] = str(index)
+        on_appender = fsyncs.count(threading.get_ident())
+        store.close()
+        assert on_appender == 0  # the inline checkpoint made 3 per checkpoint
+        # Each snapshot still fsyncs its file and directory, on the checkpoint
+        # thread; close() fsyncs the live segment.
+        assert len(fsyncs) == 3 * 2 + 1
+        assert _segments(tmp_path / "r0") == []
+        reopened = DurableState(tmp_path / "r0", snapshot_every=8)
+        assert dict(reopened) == dict(store) and reopened.replayed_records == 0
+        reopened.close()
+
+    def test_always_makes_the_new_segment_durable_before_the_next_append(
+            self, tmp_path, monkeypatch):
+        store = DurableState(tmp_path / "r0", fsync="always", snapshot_every=8)
+        synced = []
+        original = os.fsync
+
+        def recording(fd):
+            if threading.current_thread() is threading.main_thread():
+                synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            original(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        for index in range(8):
+            store[f"k{index}"] = str(index)
+        # Eight appends, then the rotation: the new segment, then its entry.
+        assert synced == ["file"] * 8 + ["file", "dir"]
+        store.close()
+
+
+class _Pause:
+    """Hold the checkpoint thread at one point until :meth:`release`.
+
+    ``point`` is where: ``"rotated"`` (before the snapshot is written),
+    ``"renamed"`` (just after the snapshot's rename) or ``"removing"``
+    (before the rotated segment is deleted).  Only the ``skip + 1``-th
+    checkpoint stops there.
+    """
+
+    def __init__(self, monkeypatch, point, skip=0):
+        self.reached, self._go, self._left = threading.Event(), threading.Event(), skip
+        save, replace, remove = SnapshotStore.save, os.replace, os.remove
+
+        def stopping_save(store, *args, **kwargs):
+            self._stop()
+            save(store, *args, **kwargs)
+
+        def stopping_replace(src, dst):
+            replace(src, dst)
+            if str(dst).endswith(snapshot_mod.FILENAME):
+                self._stop()
+
+        def stopping_remove(path):
+            self._stop()
+            remove(path)
+
+        if point == "rotated":
+            monkeypatch.setattr(SnapshotStore, "save", stopping_save)
+        elif point == "renamed":
+            monkeypatch.setattr(os, "replace", stopping_replace)
+        else:
+            monkeypatch.setattr(os, "remove", stopping_remove)
+
+    def _stop(self):
+        if self._left:
+            self._left -= 1
+            return
+        self.reached.set()
+        assert self._go.wait(10)
+
+    def release(self):
+        self._go.set()
+
+
+def _fill(store, records):
+    for op in records:
+        store.record(op)
+
+
+class TestCheckpointInFlight:
+    """Reopening a directory is right wherever its checkpoint stands."""
+
+    RECORDS = [("put", f"k{index}", str(index)) for index in range(6)] + [
+        ("promote", 2, "r1"), ("txn_prepare", "t1", {"k0": None}, True),
+        ("put", "k6", "6"), ("del", "k1"),
+    ]
+
+    @pytest.mark.parametrize("point", ["rotated", "renamed", "removing"])
+    def test_reopen_without_close_holds_every_acknowledged_record(
+            self, tmp_path, monkeypatch, point):
+        pause = _Pause(monkeypatch, point, skip=1)
+        store = DurableState(tmp_path / "r0", snapshot_every=4)
+        _fill(store, self.RECORDS)  # checkpoints at 4 and 8; the second stops
+        assert pause.reached.wait(10)
+        assert _segments(tmp_path / "r0") == ["wal.8.bin"]
+        twin = DurableState(tmp_path / "r0", snapshot_every=4)
+        twin.close()
+        assert _facts(twin) == _facts(store) and twin.high_water == 10
+        pause.release()
+        store.close()
+        assert _segments(tmp_path / "r0") == []
+        reopened = DurableState(tmp_path / "r0", snapshot_every=4)
+        reopened.close()
+        assert _facts(reopened) == _facts(store)
+        assert (reopened.high_water, reopened.replayed_records) == (10, 2)
+
+    def test_rotated_segment_cut_short_drops_the_live_segment(
+            self, tmp_path, monkeypatch):
+        pause = _Pause(monkeypatch, "rotated", skip=1)
+        store = DurableState(tmp_path / "r0", snapshot_every=4)
+        _fill(store, self.RECORDS)
+        assert pause.reached.wait(10)
+        crashed = tmp_path / "crashed"
+        shutil.copytree(tmp_path / "r0", crashed)
+        pause.release()
+        store.close()
+        rotated = crashed / "wal.8.bin"
+        with open(rotated, "r+b") as handle:  # power loss: its tail never landed
+            handle.truncate(os.path.getsize(rotated) - 3)
+        prefix = EphemeralState()
+        _fill(prefix, self.RECORDS[:7])
+        reopened = DurableState(crashed, snapshot_every=4)
+        assert reopened.high_water == 7 < 8  # and neither live record applied
+        assert _facts(reopened) == _facts(prefix)
+        assert _segments(crashed) == []  # the cut segment is the live one now
+        reopened["k9"] = "9"
+        assert reopened.high_water == 8
+        reopened.close()
+        again = DurableState(crashed, snapshot_every=4)
+        again.close()
+        assert again == {**prefix, "k9": "9"} and again.high_water == 8
+
+
+def _disk_full(*_args, **_kwargs):
+    raise OSError(28, "No space left on device")
+
+
+class TestFailedCheckpoint:
+    """A checkpoint that fails surfaces its error and loses no record."""
+
+    @pytest.mark.parametrize("surfaces_at", ["checkpoint", "install", "close"])
+    def test_error_surfaces_and_a_reopen_recovers_everything(
+            self, tmp_path, monkeypatch, surfaces_at):
+        monkeypatch.setattr(SnapshotStore, "save", _disk_full)
+        threads = set(_checkpoint_threads())
+        store = DurableState(tmp_path / "r0", snapshot_every=4)
+        _fill(store, TestCheckpointInFlight.RECORDS[:6])  # the checkpoint at 4 fails
+        with pytest.raises(OSError, match="No space"):
+            if surfaces_at == "checkpoint":
+                _fill(store, TestCheckpointInFlight.RECORDS[6:8])  # due again at 8
+            elif surfaces_at == "install":
+                store.install({"other": "state"}, 99)
+            else:
+                store.close()
+        assert "wal.4.bin" in _segments(tmp_path / "r0")
+        expected = _facts(store)
+        store.close()  # idempotent after a close that raised
+        assert set(_checkpoint_threads()) <= threads
+        monkeypatch.undo()
+        reopened = DurableState(tmp_path / "r0", snapshot_every=4)
+        assert _facts(reopened) == expected
+        assert reopened.high_water == store.high_water
+        reopened.snapshot()  # the next checkpoint covers the failed one's segment
+        reopened.close()
+        assert _segments(tmp_path / "r0") == []
+
+    def test_the_next_checkpoint_retries_what_a_failed_one_left(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(SnapshotStore, "save", _disk_full)
+        store = DurableState(tmp_path / "r0", snapshot_every=4)
+        _fill(store, TestCheckpointInFlight.RECORDS[:4])
+        monkeypatch.undo()
+        with pytest.raises(OSError, match="No space"):
+            store.snapshot()
+        store.snapshot()
+        _fill(store, TestCheckpointInFlight.RECORDS[4:6])
+        store.close()
+        assert _segments(tmp_path / "r0") == []
+        reopened = DurableState(tmp_path / "r0", snapshot_every=4)
+        reopened.close()
+        assert _facts(reopened) == _facts(store) and reopened.replayed_records == 2
 
 
 # -- the catch-up bridge --------------------------------------------------------------
