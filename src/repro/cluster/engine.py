@@ -589,10 +589,12 @@ class ClusterEngine:
                     op_name = request.kind.value
                     args = ((request.key, request.value) if request.kind is RequestKind.PUT
                             else (request.key,))
+                    callers = []  # its Future's callback holding it would be a cycle
                 else:  # a batch, whose answers fan out
                     writes = any(request.kind in WRITE_KINDS for request in requests)
                     op_name, args, outer = ("serve" if writes else "read"), (requests,), _future()
-                outer.add_done_callback(lambda done, run=run: self._unfold(session, run, done))
+                    callers = [future for _op_name, _args, _kwargs, future, _replays in run]
+                outer.add_done_callback(functools.partial(self._unfold, session, callers))
                 session.folding = True
             sent.append(self._start(session, op_name, args, kwargs, outer, replays))
             del lane[:taken]
@@ -621,14 +623,15 @@ class ClusterEngine:
                 inner.add_done_callback(lambda done, send=send: self._settle(
                     done, session, *send))
 
-    def _unfold(self, session: _ShardSession, run: List[tuple], done: "Future[Any]") -> None:
-        """A fold settled: free its slot, start what waited, answer each request."""
+    def _unfold(self, session: _ShardSession, callers: List["Future[Response]"],
+                done: "Future[Any]") -> None:
+        """A fold settled: free its slot, start what waited, answer a batch's callers."""
         with self._lock:
             session.folding = False
             sent = self._pump(session)
         self._watch(session, sent)
-        if len(run) > 1:
-            _fan_out(done, [future for _op_name, _args, _kwargs, future, _replays in run])
+        if callers:
+            _fan_out(done, callers)
 
     def _settle(self, done: "Future[ChoreographyResult]", session: _ShardSession,
                 op_name: str, args: tuple, kwargs: Dict[str, Any],

@@ -25,6 +25,7 @@ owed the decide, ``None`` for ephemeral clusters; guarded by ``_lock``), and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from concurrent.futures import Future, wait
@@ -218,28 +219,32 @@ def submit_txn(
 
     outer: "Future[TxnResult]" = Future()
     outer.set_running_or_notify_cancel()  # refuses cancel(), as every cluster Future
-    prepared: Dict[ShardId, "Future[Response]"] = {}
+    votes: Dict[ShardId, Response] = {}
+    errors: Dict[ShardId, BaseException] = {}
     remaining = [len(participants)]
     vote_lock = threading.Lock()
 
-    def on_prepared(_done: "Future[Response]") -> None:
+    # Fed the shard id by partial, not the prepares' Futures: a closure over
+    # them would be a cycle through each Future's callback list.
+    def on_prepared(shard_id: ShardId, done: "Future[Response]") -> None:
+        error = done.exception()
         with vote_lock:  # the last vote in decides, with every prepare done
+            if error is None:
+                votes[shard_id] = done.result()
+            else:
+                errors[shard_id] = error
             remaining[0] -= 1
             if remaining[0]:
                 return
-        failures = {shard_id: done.exception() for shard_id, done in prepared.items()
-                    if done.exception() is not None}
-        votes = {shard_id: done.result() for shard_id, done in prepared.items()
-                 if shard_id not in failures}
+        failures = {shard: errors[shard] for shard in participants if shard in errors}
         cluster._decide_phase(txn_id, participants, writes_by_shard, votes, failures, outer)
 
     for shard_id in participants:
-        prepared[shard_id] = cluster._submit(
+        cluster._submit(
             shard_id, "txn",
             args=([], (txn_id, writes_by_shard.get(shard_id, {}),
                        expects_by_shard.get(shard_id, {}))),
-        )
-        prepared[shard_id].add_done_callback(on_prepared)
+        ).add_done_callback(functools.partial(on_prepared, shard_id))
     return outer
 
 

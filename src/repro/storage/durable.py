@@ -25,6 +25,7 @@ Layout on disk, one directory per replica::
         wal.<seq>.bin   # while a checkpoint is in flight: the rotated
                         # segment, ending at record <seq>
         wal.bin         # the live segment: mutations after that
+        wal.spare.bin   # after a checkpoint: the next live segment, empty
 
 Opening the directory *is* crash recovery: load the snapshot, replay the
 rotated segment and then the live one (records with ``seq`` greater than
@@ -33,7 +34,8 @@ moment of death — minus whatever tail the configured fsync policy was
 allowed to lose.  Once the live segment holds ``snapshot_every`` records
 the store checkpoints itself, bounding both file size and restart time.
 The appending thread only copies the store and renames the live segment
-aside; a checkpoint thread writes the snapshot and deletes the segment.
+aside and the spare into its place; a checkpoint thread, at the lowest CPU
+priority, writes the snapshot, deletes the segment and makes the next spare.
 
 The ``kvs_catchup`` choreography reads both kinds of store through the
 same surface: :attr:`~EphemeralState.high_water`,
@@ -53,7 +55,10 @@ coordinator's durable decision record.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sys
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -72,6 +77,15 @@ WAL_FILENAME = "wal.bin"
 #: both log one), so expiry is a pure function of the record stream and
 #: replays identically on every replica and across restarts.
 TXN_INTENT_TTL = 16
+
+
+def _yield_the_cpu() -> None:
+    """Lower the calling thread to nice 19, so checkpoints yield to serving.
+    Linux only: nice is per thread there, elsewhere a thread id could name
+    another process.  A refusal leaves the priority as it was."""
+    if sys.platform.startswith("linux"):
+        with contextlib.suppress(OSError):
+            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
 
 
 @dataclass(frozen=True)
@@ -348,7 +362,8 @@ class DurableState(EphemeralState):
             self.apply(op)
             replayed += 1
         self.replayed_records = replayed
-        self._checkpointer = ThreadPoolExecutor(1, thread_name_prefix="checkpoint")
+        self._checkpointer = ThreadPoolExecutor(1, thread_name_prefix="checkpoint",
+                                                initializer=_yield_the_cpu)
         #: The checkpoint in flight, and the segments it is to delete.
         self._in_flight: Optional[Tuple[Future, List[str]]] = None
 
@@ -426,7 +441,8 @@ class DurableState(EphemeralState):
         """Start a checkpoint of the whole store; returns the seq it covers.
 
         Copies the store and rotates the live segment aside; the checkpoint
-        thread writes the snapshot and deletes the segment.  Waits for the
+        thread writes the snapshot, deletes the segment and prepares the
+        spare the next rotation renames into place.  Waits for the
         previous checkpoint first, raising its ``OSError`` if it failed.
         """
         self._settle()
@@ -444,10 +460,12 @@ class DurableState(EphemeralState):
 
     def _checkpoint(self, seq: int, image: Dict[str, str], meta: Dict[str, Any],
                     segments: List[str]) -> None:
-        """The checkpoint thread's part: the snapshot, then the segments it covers."""
+        """The checkpoint thread's part: the snapshot, the segments it covers,
+        then the next live segment."""
         self.snapshots.save(seq, image, meta=meta)
         for path in segments:
             os.remove(path)
+        self.wal.prepare_spare()
 
     def _settle(self) -> None:
         """Wait for the checkpoint in flight; raise its error if it failed."""

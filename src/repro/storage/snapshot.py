@@ -92,8 +92,9 @@ class SnapshotStore:
 
         Raises:
             WalCorruption: When the live snapshot file exists but fails its
-                magic/length/checksum validation (bit-rot, not a torn write —
-                torn writes cannot survive the atomic rename).
+                magic/length/checksum validation or holds an ill-shaped
+                payload (bit-rot, not a torn write — torn writes cannot
+                survive the atomic rename).
         """
         seq, contents, _meta = self.load_with_meta()
         return seq, contents
@@ -121,12 +122,15 @@ class SnapshotStore:
         stored_crc = int.from_bytes(data[body : body + 4], "big")
         if zlib.crc32(payload) != stored_crc:
             raise WalCorruption(f"{self.path}: snapshot checksum mismatch")
-        decoded = wire.decode(payload)
-        if len(decoded) == 3:
-            seq, contents, meta = decoded
-        else:
-            (seq, contents), meta = decoded, {}
-        return int(seq), dict(contents), dict(meta)
+        try:  # an ill-shaped payload is as damaged as a bad checksum
+            decoded = wire.decode(payload)
+            if len(decoded) == 3:
+                seq, contents, meta = decoded
+            else:
+                (seq, contents), meta = decoded, {}
+            return int(seq), dict(contents), dict(meta)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise WalCorruption(f"{self.path}: ill-shaped snapshot payload") from exc
 
     def __repr__(self) -> str:
         return f"SnapshotStore({self.directory!r})"

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, BinaryIO, Iterator, List, Optional, Tuple
 
 from ..runtime import wire
 
@@ -144,12 +144,15 @@ class WriteAheadLog:
         self.path = os.fspath(path)
         self.fsync = _require_policy(fsync)
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        #: Where :meth:`prepare_spare` makes the next rotation's file; no open reads it.
+        self.spare_path = "{}.spare{}".format(*os.path.splitext(self.path))
+        self._spare: Optional[BinaryIO] = None
         self.last_seq = 0
         self.record_count = 0
         self._closed = False
         valid_end = self._scan_and_repair()
         if valid_end is None:
-            self._start_fresh()
+            self._file = self._created(self.path)
         else:
             self._file = open(self.path, "r+b")
             self._file.seek(valid_end)
@@ -223,11 +226,11 @@ class WriteAheadLog:
         payload = data[body + 4 : end]
         if zlib.crc32(payload) != stored_crc:
             return (False, 0, (), end)
-        try:
+        try:  # an ill-shaped payload is as damaged as a bad checksum
             seq, op = wire.decode(payload)
-        except (ValueError, TypeError):
+            return (True, int(seq), tuple(op), end)
+        except (ValueError, TypeError, OverflowError):
             return (False, 0, (), end)
-        return (True, int(seq), tuple(op), end)
 
     # ---------------------------------------------------------------- appending --
 
@@ -288,30 +291,51 @@ class WriteAheadLog:
     def rotate(self, aside: str) -> None:
         """Move the log's file to ``aside`` and continue, numbering on, in a fresh one.
 
+        The fresh file is the spare, renamed into place, when
+        :meth:`prepare_spare` made one; otherwise it is created here.
         Nothing is fsynced unless the policy is ``"always"``; then the new
         file and its directory entry are durable before the next append.
         """
         self._file.close()
         os.replace(self.path, aside)
-        self._start_fresh()
+        if self._spare is None:
+            self._file = self._created(self.path)
+        else:
+            os.replace(self.spare_path, self.path)
+            self._file, self._spare = self._spare, None
         if self.fsync == "always":
             fsync_directory(os.path.dirname(self.path) or ".")
         self.record_count = 0
 
-    def _start_fresh(self) -> None:
-        self._file = open(self.path, "w+b")
-        self._file.write(MAGIC)
-        self._file.flush()
+    def prepare_spare(self) -> None:
+        """Create the file the next :meth:`rotate` continues in, if none is ready.
+
+        A checkpoint thread calls this, so the appending thread's rotation
+        creates nothing; it must not overlap :meth:`rotate` or :meth:`close`.
+        """
+        if self._spare is None:
+            self._spare = self._created(self.spare_path)
+
+    def _created(self, path: str) -> BinaryIO:
+        """A new empty log at ``path`` (fsynced under ``"always"``), open for appends."""
+        handle = open(path, "w+b")
+        handle.write(MAGIC)
+        handle.flush()
         if self.fsync == "always":
-            os.fsync(self._file.fileno())
+            os.fsync(handle.fileno())
+        return handle
 
     def close(self) -> None:
-        """Flush (and fsync, unless ``"never"``), then close.  Idempotent."""
+        """Flush (and fsync, unless ``"never"``), close, and remove the spare.  Idempotent."""
         if self._closed:
             return
         self.sync()
         self._closed = True
         self._file.close()
+        if self._spare is not None:
+            self._spare.close()
+            os.remove(self.spare_path)
+            self._spare = None
 
     def __enter__(self) -> "WriteAheadLog":
         return self

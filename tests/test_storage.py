@@ -6,13 +6,19 @@ crash or bit-rot would, then check that reopening recovers (or refuses)
 correctly.
 """
 
+import builtins
+import contextlib
 import os
 import random
 import shutil
 import stat
+import sys
 import threading
+import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.storage import (
     TXN_INTENT_TTL,
@@ -24,8 +30,10 @@ from repro.storage import (
     WriteAheadLog,
     apply_catchup,
 )
+from repro.runtime import wire
 from repro.storage import snapshot as snapshot_mod
 from repro.storage import wal as wal_mod
+from tests.test_wire import payloads
 
 
 # -- WriteAheadLog --------------------------------------------------------------------
@@ -203,6 +211,114 @@ class TestSnapshotStore:
         assert snapshot_mod.MAGIC != wal_mod.MAGIC
 
 
+# -- the readers under damage ----------------------------------------------------------
+
+
+def _frame(payload: bytes) -> bytes:
+    """One CRC-valid ``[uvarint length][crc32][payload]`` frame."""
+    frame = bytearray()
+    wire.write_uvarint(frame, len(payload))
+    return bytes(frame) + zlib.crc32(payload).to_bytes(4, "big") + payload
+
+
+def _damaged(data: bytes, at: int, byte: int, how: str) -> bytes:
+    at %= len(data) + 1
+    if how == "cut":
+        return data[:at]
+    if how == "flip" and at < len(data):
+        return data[:at] + bytes((byte,)) + data[at + 1:]
+    if how == "insert":
+        return data[:at] + bytes((byte,)) + data[at:]
+    return data
+
+
+ILL_SHAPED = [("a", ("put",)), (None, ("put", "k", "v")), (float("inf"), ("put", "k", "v")),
+              (1, 5), 5, (5,), "ab"]
+
+#: Payloads that are not ``P``-tagged: the pickle door stays shut to the fuzzer
+#: until the unpickler's memo is bounded.
+ill_payloads = st.one_of(
+    payloads.map(wire.encode), st.sampled_from(ILL_SHAPED).map(wire.encode),
+    st.binary(max_size=32),
+).filter(lambda payload: payload[:1] != b"P")
+record_ops = st.one_of(
+    st.tuples(st.just("put"), st.text(max_size=6), st.text(max_size=6)),
+    st.tuples(st.just("del"), st.text(max_size=6)), st.just(("clear",)),
+)
+damage = st.tuples(st.integers(0, 2**16), st.integers(0, 255),
+                   st.sampled_from(["none", "cut", "flip", "insert"]))
+
+
+@st.composite
+def wal_files(draw):
+    """A log of real records with ill-shaped CRC-valid frames among them, damaged."""
+    frames, seq = [], 0
+    for part in draw(st.lists(st.one_of(record_ops, ill_payloads), max_size=6)):
+        if isinstance(part, bytes):
+            frames.append(_frame(part))
+        else:
+            seq += draw(st.integers(1, 3))
+            frames.append(_frame(wire.encode((seq, part))))
+    return _damaged(wal_mod.MAGIC + b"".join(frames), *draw(damage))
+
+
+@st.composite
+def snapshot_files(draw):
+    real = st.tuples(st.integers(0, 99), st.dictionaries(st.text(max_size=4), st.text(max_size=4),
+                                                         max_size=3)).map(wire.encode)
+    payload = draw(st.one_of(real, ill_payloads))
+    return _damaged(snapshot_mod.MAGIC + _frame(payload), *draw(damage))
+
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                       HealthCheck.function_scoped_fixture])
+
+
+class TestReadersRaiseOnlyWalCorruption:
+    """Every byte string yields records or a snapshot, or :class:`WalCorruption`."""
+
+    @pytest.mark.parametrize("payload", ILL_SHAPED, ids=repr)
+    def test_an_ill_shaped_frame_is_a_damaged_one(self, tmp_path, payload):
+        good = _frame(wire.encode((1, ("put", "k", "v"))))
+        path = tmp_path / "wal.bin"
+        path.write_bytes(wal_mod.MAGIC + good + _frame(wire.encode(payload)))
+        assert wal_mod.read_records(path) == [(1, ("put", "k", "v"))]
+        with WriteAheadLog(path) as log:  # a damaged last frame is a torn tail
+            assert (log.last_seq, log.record_count) == (1, 1)
+        path.write_bytes(wal_mod.MAGIC + _frame(wire.encode(payload)) + good)
+        assert wal_mod.read_records(path) == []
+        with pytest.raises(WalCorruption, match="mid-file"):
+            WriteAheadLog(path)
+
+    @pytest.mark.parametrize("payload", [5, (5,), "ab", (1, 5), ("a", {}), (1, {}, 7)], ids=repr)
+    def test_an_ill_shaped_snapshot_is_a_damaged_one(self, tmp_path, payload):
+        store = SnapshotStore(tmp_path)
+        with open(store.path, "wb") as handle:
+            handle.write(snapshot_mod.MAGIC + _frame(wire.encode(payload)))
+        with pytest.raises(WalCorruption, match="ill-shaped"):
+            store.load_with_meta()
+
+    @given(data=wal_files())
+    @FUZZ
+    def test_fuzz_the_wal_readers(self, tmp_path, data):
+        path = tmp_path / "wal.bin"  # each example rewrites the one file
+        path.write_bytes(data)
+        with contextlib.suppress(WalCorruption):
+            wal_mod.read_records(path)
+        with contextlib.suppress(WalCorruption):
+            WriteAheadLog(path, fsync="never").close()
+
+    @given(data=snapshot_files())
+    @FUZZ
+    def test_fuzz_the_snapshot_reader(self, tmp_path, data):
+        store = SnapshotStore(tmp_path)
+        with open(store.path, "wb") as handle:
+            handle.write(data)
+        with contextlib.suppress(WalCorruption):
+            store.load_with_meta()
+
+
 # -- DurableState ---------------------------------------------------------------------
 
 
@@ -357,20 +473,75 @@ class TestCheckpointsLeaveTheRound:
     def test_always_makes_the_new_segment_durable_before_the_next_append(
             self, tmp_path, monkeypatch):
         store = DurableState(tmp_path / "r0", fsync="always", snapshot_every=8)
-        synced = []
+        events = []  # (on the appending thread, kind, inode), in fsync order
         original = os.fsync
 
         def recording(fd):
-            if threading.current_thread() is threading.main_thread():
-                synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            info = os.fstat(fd)
+            events.append((threading.current_thread() is threading.main_thread(),
+                           "dir" if stat.S_ISDIR(info.st_mode) else "file", info.st_ino))
             original(fd)
+
+        def on_appender():
+            return [kind for mine, kind, _inode in events if mine]
 
         monkeypatch.setattr(os, "fsync", recording)
         for index in range(8):
             store[f"k{index}"] = str(index)
+        synced = on_appender()
         # Eight appends, then the rotation: the new segment, then its entry.
         assert synced == ["file"] * 8 + ["file", "dir"]
+        for index in range(8, 17):
+            store[f"k{index}"] = str(index)
+        # From the second rotation on the new segment is the spare, which the
+        # checkpoint thread fsynced: the appending thread syncs only the
+        # directory after the renames, then the next append.
+        assert on_appender() == synced + ["file"] * 8 + ["dir", "file"]
+        live = os.stat(tmp_path / "r0" / "wal.bin").st_ino
+        spare_synced = events.index((False, "file", live))
+        renamed, appended = [at for at, (mine, *_rest) in enumerate(events) if mine][-2:]
+        assert events[renamed][:2] == (True, "dir") and spare_synced < renamed
+        assert events[appended] == (True, "file", live)
         store.close()
+
+    def test_the_appending_thread_creates_no_file_from_the_second_checkpoint_on(
+            self, tmp_path, monkeypatch):
+        store = DurableState(tmp_path / "r0", fsync="batch", snapshot_every=8)
+        created = []
+        original = open
+
+        def recording(file, mode="r", *args, **kwargs):
+            if threading.current_thread() is threading.main_thread() and (
+                    set(mode) & set("wxa")):
+                created.append(os.fspath(file))
+            return original(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording)
+        per_checkpoint = []
+        for checkpoint in range(4):
+            for index in range(8):
+                store[f"k{index}"] = f"{checkpoint}.{index}"
+            per_checkpoint.append(len(created))
+            created.clear()
+        # The parent created the new live segment at every rotation: [1, 1, 1, 1].
+        assert per_checkpoint == [1, 0, 0, 0]
+        store.close()
+        assert _segments(tmp_path / "r0") == []  # close() removed the spare
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="nice is per thread on Linux only")
+    def test_the_checkpoint_thread_runs_at_the_lowest_priority(self, tmp_path):
+        threads = set(_checkpoint_threads())
+        mine = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+        store = DurableState(tmp_path / "r0", snapshot_every=4)
+        _fill(store, TestCheckpointInFlight.RECORDS[:4])
+        (thread,) = set(_checkpoint_threads()) - threads
+        try:
+            assert os.getpriority(os.PRIO_PROCESS, thread.native_id) == 19
+            # nice is the thread's own: the appending thread keeps its priority.
+            assert os.getpriority(os.PRIO_PROCESS, threading.get_native_id()) == mine
+        finally:
+            store.close()
 
 
 class _Pause:
@@ -474,6 +645,71 @@ class TestCheckpointInFlight:
         again = DurableState(crashed, snapshot_every=4)
         again.close()
         assert again == {**prefix, "k9": "9"} and again.high_water == 8
+
+
+class TestSpareSegment:
+    """A crash around the spare loses nothing, and its file is never replayed."""
+
+    @pytest.mark.parametrize("spare", [wal_mod.MAGIC, b"", wal_mod.MAGIC[:3]],
+                             ids=["empty-log", "empty-file", "torn-magic"])
+    def test_a_spare_left_by_a_crash_is_ignored(self, tmp_path, monkeypatch, spare):
+        prepared = threading.Event()
+        prepare = WriteAheadLog.prepare_spare
+
+        def signalling(log):
+            prepare(log)
+            prepared.set()
+
+        monkeypatch.setattr(WriteAheadLog, "prepare_spare", signalling)
+        store = DurableState(tmp_path / "r0", snapshot_every=4)
+        _fill(store, TestCheckpointInFlight.RECORDS[:6])  # the checkpoint at 4
+        assert prepared.wait(10)
+        crashed = tmp_path / "crashed"
+        shutil.copytree(tmp_path / "r0", crashed)
+        store.close()
+        assert _segments(crashed) == ["wal.spare.bin"]
+        (crashed / "wal.spare.bin").write_bytes(spare)  # however far it got
+        reopened = DurableState(crashed, snapshot_every=4)
+        assert _facts(reopened) == _facts(store)
+        assert (reopened.high_water, reopened.replayed_records) == (6, 2)
+        _fill(reopened, TestCheckpointInFlight.RECORDS[6:])  # a checkpoint at 8
+        reopened.close()
+        assert _segments(crashed) == []
+        again = DurableState(crashed, snapshot_every=4)
+        again.close()
+        expected = EphemeralState()
+        _fill(expected, TestCheckpointInFlight.RECORDS)
+        assert _facts(again) == _facts(expected) and again.high_water == 10
+
+    def test_a_crash_between_the_renames_replays_the_rotated_segment(
+            self, tmp_path, monkeypatch):
+        crashed = tmp_path / "crashed"
+        replace = os.replace
+
+        def crashing_between(src, dst):
+            if str(src).endswith("wal.spare.bin") and not crashed.exists():
+                shutil.copytree(tmp_path / "r0", crashed)  # the image at the crash
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crashing_between)
+        store = DurableState(tmp_path / "r0", snapshot_every=4)
+        _fill(store, TestCheckpointInFlight.RECORDS)  # rotations at 4 and 8
+        store.close()
+        monkeypatch.undo()
+        assert _segments(crashed) == ["wal.8.bin", "wal.spare.bin"]
+        assert not (crashed / "wal.bin").exists()
+        reopened = DurableState(crashed, snapshot_every=4)
+        prefix = EphemeralState()
+        _fill(prefix, TestCheckpointInFlight.RECORDS[:8])
+        assert _facts(reopened) == _facts(prefix)
+        assert (reopened.high_water, reopened.replayed_records) == (8, 4)
+        _fill(reopened, TestCheckpointInFlight.RECORDS[8:])
+        reopened.snapshot()
+        reopened.close()
+        assert _segments(crashed) == []
+        again = DurableState(crashed, snapshot_every=4)
+        again.close()
+        assert _facts(again) == _facts(store) and again.high_water == 10
 
 
 def _disk_full(*_args, **_kwargs):
