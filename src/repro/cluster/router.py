@@ -129,29 +129,6 @@ class ShardRouter:
             self._points.insert(index, point)
             self._owners.insert(index, shard_id)
 
-    def remove_shard(self, shard_id: ShardId) -> None:
-        """Remove a shard's ring points; its key ranges fall to the survivors.
-
-        Args:
-            shard_id: The shard to remove.
-
-        Raises:
-            ValueError: If the shard is not on the ring, or it is the last
-                one (an empty ring cannot route).
-        """
-        if shard_id not in self._shards:
-            raise ValueError(f"shard {shard_id!r} is not on the ring")
-        if len(self._shards) == 1:
-            raise ValueError("cannot remove the last shard")
-        self._shards.remove(shard_id)
-        kept = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != shard_id
-        ]
-        self._points = [point for point, _owner in kept]
-        self._owners = [owner for _point, owner in kept]
-
     def __len__(self) -> int:
         return len(self._shards)
 

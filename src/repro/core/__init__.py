@@ -12,10 +12,8 @@ from .errors import (
     ChoreographyRuntimeError,
     ChoreoTimeout,
     EmptyCensusError,
-    MultiplyLocatedInvariantError,
     OwnershipError,
     PlaceholderError,
-    ProjectionError,
     TransportError,
 )
 from .epp import Endpoint, ProjectedOp, project
@@ -37,11 +35,9 @@ __all__ = [
     "Faceted",
     "Located",
     "Location",
-    "MultiplyLocatedInvariantError",
     "OwnershipError",
     "PlaceholderError",
     "ProjectedOp",
-    "ProjectionError",
     "Quire",
     "TransportError",
     "Unwrapper",

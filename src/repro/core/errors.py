@@ -4,7 +4,7 @@ Every error raised by :mod:`repro.core` derives from :class:`ChoreographyError`
 so applications can catch choreography-level failures separately from
 transport- or host-level failures.  The subclasses mirror the classes of
 mistakes the paper's host-language type systems rule out statically:
-census violations, ownership violations, and malformed projections.
+census violations and ownership violations.
 """
 
 from __future__ import annotations
@@ -36,23 +36,10 @@ class EmptyCensusError(CensusError):
     """A census or ownership set that must be non-empty was empty."""
 
 
-class ProjectionError(ChoreographyError):
-    """Endpoint projection produced an inconsistent or impossible state."""
-
-
 class PlaceholderError(OwnershipError):
     """A placeholder (the projection of a value to a non-owner) was used as data.
 
     Corresponds to evaluating ``Empty`` / ``⊥`` in the paper's formalism.
-    """
-
-
-class MultiplyLocatedInvariantError(ChoreographyError):
-    """The copies of a multiply-located value diverged across its owners.
-
-    The conclaves-&-MLVs paradigm relies on the invariant that every owner of
-    an MLV holds the same value (paper §4, "Relation to the implementations").
-    The centralized runtime checks this invariant where it can.
     """
 
 

@@ -2,12 +2,12 @@
 
 The metatheory checkers in :mod:`repro.formal.properties` are only as
 convincing as the programs they are run on.  This module generates closed,
-well-typed λC expressions *by construction*, both with a plain
-:class:`random.Random` (used by benchmarks, no external dependencies) and as a
-`hypothesis <https://hypothesis.readthedocs.io>`_ strategy (used by the
-property-based tests).  Generated programs exercise every syntactic form:
-multiply-located data, multicast communication, conclaved case expressions,
-lambda application, pairs, tuples and projections.
+well-typed λC expressions *by construction* from a plain
+:class:`random.Random` seeded per program, so a benchmark corpus and a
+property-based test (which draws the seed) share one generator.  Generated
+programs exercise every syntactic form: multiply-located data, multicast
+communication, conclaved case expressions, lambda application, pairs, tuples
+and projections.
 """
 
 from __future__ import annotations
@@ -179,20 +179,3 @@ def program_corpus(
 ) -> List[GeneratedProgram]:
     """A reproducible corpus of ``count`` generated programs."""
     return [random_program(seed, parties, depth) for seed in range(count)]
-
-
-# ------------------------------------------------------------------ hypothesis glue --
-
-
-def expression_strategy(parties: Sequence[str] = ("alice", "bob", "carol"), depth: int = 3):
-    """A hypothesis strategy producing ``(census, expr)`` pairs.
-
-    Implemented by drawing a seed and delegating to :func:`random_program`, so
-    shrinking works on the seed; importing hypothesis is deferred so the rest
-    of the package has no hard dependency on it.
-    """
-    from hypothesis import strategies as st
-
-    return st.integers(min_value=0, max_value=2**32 - 1).map(
-        lambda seed: random_program(seed, parties, depth)
-    )

@@ -8,8 +8,8 @@ the front:
 * :mod:`~repro.gateway.protocol` — a RESP-like framing (array-of-bulk
   requests, typed replies, single-line JSON error frames with stable
   ``code``/``message``/``detail`` schema) with incremental parsers;
-* :class:`~repro.gateway.settings.GatewaySettings` — env-overridable
-  operational knobs (``GATEWAY_PORT=...``, caps, high-water marks);
+* :class:`~repro.gateway.settings.GatewaySettings` — the operational
+  knobs in one frozen dataclass (bind address, caps, high-water marks);
 * :class:`~repro.gateway.server.GatewayServer` — the threaded accept loop
   with per-connection **backpressure** (an in-flight budget enforced via
   TCP flow control) and cluster-wide **admission control** (retryable
@@ -49,7 +49,6 @@ from .protocol import (
     Command,
     CommandError,
     ErrorReply,
-    IntReply,
     ProtocolError,
     Reply,
     SimpleReply,
@@ -88,7 +87,6 @@ __all__ = [
     "GatewayError",
     "GatewayServer",
     "GatewaySettings",
-    "IntReply",
     "ProtocolError",
     "Reply",
     "SimpleReply",

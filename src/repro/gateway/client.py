@@ -32,7 +32,7 @@ import socket
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..protocols.kvs import Request, RequestKind
+from ..protocols.kvs import Request
 from .protocol import (
     ArrayReply,
     BulkReply,
@@ -41,6 +41,7 @@ from .protocol import (
     Reply,
     SimpleReply,
     encode_command,
+    encode_sub_requests,
     parse_reply,
 )
 
@@ -192,17 +193,7 @@ class GatewayClient:
 
     def batch(self, requests: Sequence[Request]) -> List[Optional[str]]:
         """Serve a mixed Put/Get/Del batch; one value-or-None per request."""
-        args: List[str] = ["BATCH"]
-        for request in requests:
-            if request.kind is RequestKind.PUT:
-                args.extend(("PUT", request.key, request.value or ""))
-            elif request.kind is RequestKind.GET:
-                args.extend(("GET", request.key))
-            elif request.kind is RequestKind.DELETE:
-                args.extend(("DEL", request.key))
-            else:
-                raise ValueError(f"cannot send {request.kind!r} through BATCH")
-        reply = self.call(*args)
+        reply = self.call("BATCH", *encode_sub_requests("BATCH", requests))
         if not isinstance(reply, ArrayReply):
             raise ProtocolError(f"unexpected BATCH reply: {reply!r}")
         return [self._bulk(item) for item in reply.items]
@@ -224,16 +215,7 @@ class GatewayClient:
                 attempt.
             ValueError: On a read request — ``MULTI`` is write-only.
         """
-        args: List[str] = ["MULTI"]
-        for request in requests:
-            if request.kind is RequestKind.PUT:
-                args.extend(("PUT", request.key, request.value or ""))
-            elif request.kind is RequestKind.DELETE:
-                args.extend(("DEL", request.key))
-            else:
-                raise ValueError(f"cannot send {request.kind!r} through MULTI")
-        args.append("EXEC")
-        reply = self.call(*args)
+        reply = self.call("MULTI", *encode_sub_requests("MULTI", requests), "EXEC")
         txn_id = self._bulk(reply)
         if txn_id is None:
             raise ProtocolError(f"unexpected MULTI reply: {reply!r}")

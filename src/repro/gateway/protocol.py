@@ -23,7 +23,6 @@ first byte   frame                                    meaning
 ===========  =======================================  =====================
 ``+``        ``+OK\r\n``                              simple string
 ``$``        ``$3\r\nada\r\n`` / ``$-1\r\n``          bulk string / null
-``:``        ``:42\r\n``                              integer
 ``*``        ``*2\r\n`` + two reply frames            array (nested)
 ``-``        ``-{"code": ..., "message": ...}\r\n``   structured error
 ===========  =======================================  =====================
@@ -43,11 +42,10 @@ Parsing is **incremental**: :func:`parse_command` and :func:`parse_reply`
 take ``(buffer, start)`` and return ``(parsed, new_start)`` — or
 ``(None, start)`` when the buffer does not yet hold a complete frame — so
 the socket loops can append received bytes and re-try without ever blocking
-mid-frame.  Malformed input raises :class:`ProtocolError`; its ``fatal``
-flag separates "this connection's stream is unparseable, hang up" (bad
-framing, oversize frames) from "this command was wrong, answer
-``BADREQUEST`` and keep reading" (bad arity, unknown verb), which the server
-distinguishes via :exc:`CommandError`.
+mid-frame.  Malformed input raises :class:`ProtocolError`, which means
+"this connection's stream is unparseable, hang up" (bad framing, oversize
+frames); its subclass :exc:`CommandError` means "this command was wrong,
+answer ``BADREQUEST`` and keep reading" (bad arity, unknown verb).
 """
 
 from __future__ import annotations
@@ -60,12 +58,12 @@ from ..core.errors import ChoreographyRuntimeError, ChoreoTimeout
 from ..cluster.engine import ClusterClosed, ClusterRebalancing
 from ..cluster.txn import TxnAborted, TxnConflict
 from ..faults import CrashFault
-from ..protocols.kvs import Request, Response, ResponseKind, StaleEpoch
+from ..protocols.kvs import Request, RequestKind, Response, ResponseKind, StaleEpoch
 
 CRLF = b"\r\n"
 
 # Frame limits.  A stream that exceeds them is hostile or corrupt; the
-# parser raises a *fatal* ProtocolError and the server hangs up.
+# parser raises a ProtocolError and the server hangs up.
 MAX_BULK = 1 << 20  #: largest single argument / bulk payload, in bytes
 MAX_ARGS = 1024  #: most arguments in one array-form command
 MAX_REPLY_DEPTH = 8  #: deepest array-in-array reply (the server nests 2)
@@ -106,41 +104,29 @@ RETRYABLE_CODES = frozenset(
 class ProtocolError(Exception):
     """The byte stream violated the wire protocol.
 
+    The *stream* can no longer be parsed (framing damage, oversize frame),
+    so the connection must close; :exc:`CommandError` is the subclass for a
+    bad command on an intact stream.
+
     Args:
         message: What was malformed.
-        fatal: ``True`` when the *stream* can no longer be parsed (framing
-            damage, oversize frame) and the connection must close; ``False``
-            when only the current command was bad and the connection can
-            answer ``BADREQUEST`` and continue.
-        code: The ``ERR_*`` code the server answers with before acting on
-            ``fatal``.
+        code: The ``ERR_*`` code the server answers with before hanging up.
     """
 
-    def __init__(self, message: str, *, fatal: bool = True, code: str = ERR_BADREQUEST):
+    def __init__(self, message: str, *, code: str = ERR_BADREQUEST):
         super().__init__(message)
-        self.fatal = fatal
         self.code = code
 
 
 class CommandError(ProtocolError):
-    """A well-framed command that cannot be executed (non-fatal).
+    """A well-framed command that cannot be executed.
 
     Carries the ``ERR_*`` code the server should answer with; the connection
     stays open.
     """
 
-    def __init__(self, message: str, *, code: str = ERR_BADREQUEST):
-        super().__init__(message, fatal=False, code=code)
-
 
 # ------------------------------------------------------------------ commands --
-
-#: Verbs that touch the data plane and are subject to admission control.
-DATA_VERBS = frozenset({"GET", "PUT", "DEL", "BATCH", "SCAN", "MULTI"})
-#: Control-plane verbs, always admitted (health checks must work under load).
-CONTROL_VERBS = frozenset({"PING", "HEALTH", "STATS"})
-ALL_VERBS = DATA_VERBS | CONTROL_VERBS
-
 
 @dataclass(frozen=True)
 class Command:
@@ -157,7 +143,7 @@ class Command:
     @property
     def is_data_plane(self) -> bool:
         """Whether this command consumes cluster capacity (vs. control)."""
-        return self.verb in DATA_VERBS
+        return _VERBS[self.verb][2]
 
 
 
@@ -174,7 +160,7 @@ def _sub_requests(verb: str, args: Sequence[str]) -> Tuple[Request, ...]:
     on the connection); the gateway maps it onto one cross-shard two-phase
     commit (:meth:`~repro.cluster.ClusterEngine.submit_txn`) — every write
     applies atomically, or the client gets a retryable ``ABORTED`` error
-    frame and nothing was applied.  ``_ARITY`` has already made the body
+    frame and nothing was applied.  ``_VERBS`` has already made the body
     non-empty, and every sub-command either adds a request or raises.
 
     Raises:
@@ -208,17 +194,44 @@ def _sub_requests(verb: str, args: Sequence[str]) -> Tuple[Request, ...]:
     return tuple(requests)
 
 
-#: verb -> (min_args, max_args); None = unbounded.
-_ARITY: Dict[str, Tuple[int, Optional[int]]] = {
-    "PING": (0, 1),
-    "GET": (1, 1),
-    "PUT": (2, 2),
-    "DEL": (1, 1),
-    "SCAN": (0, 1),
-    "BATCH": (2, None),
-    "MULTI": (3, None),
-    "HEALTH": (0, 0),
-    "STATS": (0, 0),
+#: The sub-command verb of each request kind a ``BATCH`` carries.
+_SUB_VERBS = {RequestKind.PUT: "PUT", RequestKind.GET: "GET", RequestKind.DELETE: "DEL"}
+
+
+def encode_sub_requests(verb: str, requests: Sequence[Request]) -> List[str]:
+    """The ``(PUT k v | GET k | DEL k)+`` tail of a ``BATCH`` or ``MULTI``.
+
+    The inverse of :func:`_sub_requests`: the client sends ``verb``, this
+    tail and, for ``MULTI``, a closing ``EXEC``.
+
+    Raises:
+        ValueError: A request kind ``verb`` cannot carry (``STOP``, or a
+            ``GET`` in the write-only ``MULTI``).
+    """
+    args: List[str] = []
+    for request in requests:
+        sub = _SUB_VERBS.get(request.kind)
+        if sub is None or (sub == "GET" and verb == "MULTI"):
+            raise ValueError(f"cannot send {request.kind!r} through {verb}")
+        args += (sub, request.key)
+        if sub == "PUT":
+            args.append(request.value or "")
+    return args
+
+
+#: verb -> (min_args, max_args, data_plane); max None = unbounded.  Data-plane
+#: verbs are subject to admission control; control-plane verbs are always
+#: admitted (health checks must work under load).
+_VERBS: Dict[str, Tuple[int, Optional[int], bool]] = {
+    "PING": (0, 1, False),
+    "GET": (1, 1, True),
+    "PUT": (2, 2, True),
+    "DEL": (1, 1, True),
+    "SCAN": (0, 1, True),
+    "BATCH": (2, None, True),
+    "MULTI": (3, None, True),
+    "HEALTH": (0, 0, False),
+    "STATS": (0, 0, False),
 }
 
 
@@ -226,15 +239,15 @@ def command_from_args(args: Sequence[str]) -> Command:
     """Validate a decoded argument vector into a :class:`Command`.
 
     Raises:
-        CommandError: Empty vector, unknown verb, or wrong arity — all
-            non-fatal (answer ``BADREQUEST``, keep the connection).
+        CommandError: Empty vector, unknown verb, or wrong arity (answer
+            ``BADREQUEST``, keep the connection).
     """
     if not args:
         raise CommandError("empty command")
     verb = args[0].upper()
-    if verb not in ALL_VERBS:
+    if verb not in _VERBS:
         raise CommandError(f"unknown command: {args[0]!r}")
-    low, high = _ARITY[verb]
+    low, high, _ = _VERBS[verb]
     rest = tuple(args[1:])
     if len(rest) < low or (high is not None and len(rest) > high):
         expected = f"{low}" if high == low else f"{low}..{'*' if high is None else high}"
@@ -264,13 +277,6 @@ class BulkReply:
 
 
 @dataclass(frozen=True)
-class IntReply:
-    """``:n`` — an integer."""
-
-    value: int
-
-
-@dataclass(frozen=True)
 class ArrayReply:
     """``*n`` — a sequence of nested replies."""
 
@@ -294,7 +300,7 @@ class ErrorReply:
         return bool(self.detail.get("retryable", False))
 
 
-Reply = Union[SimpleReply, BulkReply, IntReply, ArrayReply, ErrorReply]
+Reply = Union[SimpleReply, BulkReply, ArrayReply, ErrorReply]
 
 OK = SimpleReply("OK")
 PONG = SimpleReply("PONG")
@@ -420,8 +426,6 @@ def encode_reply(reply: Reply) -> bytes:
         if reply.value is None:
             return b"$-1\r\n"
         return _bulk(reply.value.encode("utf-8"))
-    if isinstance(reply, IntReply):
-        return b":%d\r\n" % reply.value
     if isinstance(reply, ArrayReply):
         parts = [b"*%d\r\n" % len(reply.items)]
         parts.extend(encode_reply(item) for item in reply.items)
@@ -441,8 +445,8 @@ def encode_reply(reply: Reply) -> bytes:
 def _find_line(buffer: bytes, start: int, limit: int) -> Tuple[Optional[bytes], int]:
     """One LF-terminated line from ``buffer[start:]``, sans terminator.
 
-    Returns ``(None, start)`` when no full line has arrived yet; raises a
-    fatal :class:`ProtocolError` when the unterminated prefix already
+    Returns ``(None, start)`` when no full line has arrived yet; raises
+    :class:`ProtocolError` when the unterminated prefix already
     exceeds ``limit``.
     """
     end = buffer.find(b"\n", start)
@@ -450,12 +454,11 @@ def _find_line(buffer: bytes, start: int, limit: int) -> Tuple[Optional[bytes], 
         if len(buffer) - start > limit:
             raise ProtocolError(
                 f"line exceeds {limit} bytes without a terminator",
-                fatal=True,
                 code=ERR_TOOBIG,
             )
         return None, start
     if end - start > limit:
-        raise ProtocolError(f"line exceeds {limit} bytes", fatal=True, code=ERR_TOOBIG)
+        raise ProtocolError(f"line exceeds {limit} bytes", code=ERR_TOOBIG)
     line = buffer[start:end]
     if line.endswith(b"\r"):
         line = line[:-1]
@@ -466,7 +469,7 @@ def _parse_int(token: bytes, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ProtocolError(f"bad {what}: {token!r}", fatal=True) from None
+        raise ProtocolError(f"bad {what}: {token!r}") from None
 
 
 #: In-band marker for the null bulk (``$-1``): distinguishes "parsed a null"
@@ -480,14 +483,12 @@ def _parse_bulk(buffer: bytes, start: int) -> Tuple[Optional[str], int]:
     if header is None:
         return None, start
     if not header.startswith(b"$"):
-        raise ProtocolError(f"expected bulk header, got {header!r}", fatal=True)
+        raise ProtocolError(f"expected bulk header, got {header!r}")
     length = _parse_int(header[1:], "bulk length")
     if length == -1:
         return _NULL_SENTINEL, pos
     if length < 0 or length > MAX_BULK:
-        raise ProtocolError(
-            f"bulk length {length} out of range", fatal=True, code=ERR_TOOBIG
-        )
+        raise ProtocolError(f"bulk length {length} out of range", code=ERR_TOOBIG)
     if len(buffer) - pos < length + 1:  # payload + at least the LF
         return None, start
     payload = buffer[pos : pos + length]
@@ -499,11 +500,11 @@ def _parse_bulk(buffer: bytes, start: int) -> Tuple[Optional[str], int]:
     elif tail == b"\r":  # terminator only half-arrived: wait for the LF
         return None, start
     else:
-        raise ProtocolError("bulk payload not followed by CRLF", fatal=True)
+        raise ProtocolError("bulk payload not followed by CRLF")
     try:
         return payload.decode("utf-8"), consumed
     except UnicodeDecodeError:
-        raise ProtocolError("bulk payload is not valid UTF-8", fatal=True) from None
+        raise ProtocolError("bulk payload is not valid UTF-8") from None
 
 
 def parse_command(buffer: bytes, start: int = 0) -> Tuple[Optional[List[str]], int]:
@@ -514,7 +515,7 @@ def parse_command(buffer: bytes, start: int = 0) -> Tuple[Optional[List[str]], i
     or ``(None, start)`` when the buffer holds no complete command yet.
 
     Raises:
-        ProtocolError: Fatal framing damage (bad headers, oversize frames,
+        ProtocolError: Framing damage (bad headers, oversize frames,
             non-UTF-8 payloads).
     """
     while True:
@@ -527,7 +528,7 @@ def parse_command(buffer: bytes, start: int = 0) -> Tuple[Optional[List[str]], i
             try:
                 text = line.decode("utf-8")
             except UnicodeDecodeError:
-                raise ProtocolError("inline command is not valid UTF-8", fatal=True) from None
+                raise ProtocolError("inline command is not valid UTF-8") from None
             args = text.split()
             if not args:  # blank line: tolerate and keep scanning
                 start = pos
@@ -538,16 +539,14 @@ def parse_command(buffer: bytes, start: int = 0) -> Tuple[Optional[List[str]], i
             return None, start
         count = _parse_int(header[1:], "argument count")
         if count <= 0 or count > MAX_ARGS:
-            raise ProtocolError(
-                f"argument count {count} out of range", fatal=True, code=ERR_TOOBIG
-            )
+            raise ProtocolError(f"argument count {count} out of range", code=ERR_TOOBIG)
         args = []
         for _ in range(count):
             arg, pos = _parse_bulk(buffer, pos)
             if arg is None:
                 return None, start
             if arg == _NULL_SENTINEL:
-                raise ProtocolError("null bulk not allowed in commands", fatal=True)
+                raise ProtocolError("null bulk not allowed in commands")
             args.append(arg)
         return args, pos
 
@@ -558,7 +557,7 @@ def parse_reply(buffer: bytes, start: int = 0) -> Tuple[Optional[Reply], int]:
     Returns ``(reply, new_start)`` or ``(None, start)`` when incomplete.
 
     Raises:
-        ProtocolError: Fatal framing damage.
+        ProtocolError: Framing damage.
     """
     return _parse_reply(buffer, start, MAX_REPLY_DEPTH)
 
@@ -581,9 +580,7 @@ def _parse_reply(buffer: bytes, start: int, depth: int) -> Tuple[Optional[Reply]
         try:
             return SimpleReply(line[1:].decode("utf-8")), pos
         except UnicodeDecodeError:
-            raise ProtocolError(f"simple reply is not UTF-8: {line!r}", fatal=True) from None
-    if kind == b":":
-        return IntReply(_parse_int(line[1:], "integer reply")), pos
+            raise ProtocolError(f"simple reply is not UTF-8: {line!r}") from None
     if kind == b"-":
         try:
             payload = json.loads(line[1:].decode("utf-8"))
@@ -596,13 +593,13 @@ def _parse_reply(buffer: bytes, start: int, depth: int) -> Tuple[Optional[Reply]
                 pos,
             )
         except (ValueError, KeyError, TypeError):
-            raise ProtocolError(f"malformed error payload: {line!r}", fatal=True) from None
+            raise ProtocolError(f"malformed error payload: {line!r}") from None
     if kind == b"*":
         count = _parse_int(line[1:], "array length")
         if count < 0 or count > MAX_ARGS:
-            raise ProtocolError(f"array length {count} out of range", fatal=True)
+            raise ProtocolError(f"array length {count} out of range")
         if depth == 0:
-            raise ProtocolError(f"arrays nest deeper than {MAX_REPLY_DEPTH}", fatal=True)
+            raise ProtocolError(f"arrays nest deeper than {MAX_REPLY_DEPTH}")
         items: List[Reply] = []
         for _ in range(count):
             item, pos = _parse_reply(buffer, pos, depth - 1)
@@ -610,4 +607,4 @@ def _parse_reply(buffer: bytes, start: int, depth: int) -> Tuple[Optional[Reply]
                 return None, start
             items.append(item)
         return ArrayReply(tuple(items)), pos
-    raise ProtocolError(f"unknown reply type byte: {kind!r}", fatal=True)
+    raise ProtocolError(f"unknown reply type byte: {kind!r}")

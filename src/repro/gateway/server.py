@@ -67,6 +67,8 @@ from .protocol import (
 from .settings import GatewaySettings
 
 _RECV_SIZE = 65536
+#: ``listen()`` backlog for the accept socket.
+_ACCEPT_BACKLOG = 128
 #: Writer-queue poll interval; bounds how long shutdown waits on an idle queue.
 _QUEUE_POLL = 0.1
 #: Single-request verbs and the ClusterEngine method each submits through.
@@ -300,7 +302,7 @@ class GatewayServer:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.settings.host, self.settings.port))
-        listener.listen(self.settings.accept_backlog)
+        listener.listen(_ACCEPT_BACKLOG)
         self._listener = listener
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="gw-accept", daemon=True

@@ -1,12 +1,10 @@
-"""Gateway configuration: one frozen dataclass, env-overridable.
+"""Gateway configuration: one frozen dataclass.
 
 :class:`GatewaySettings` gathers every operational knob of the gateway —
 bind address, connection and in-flight caps, the admission high-water mark,
-drain timeout — in one place with safe defaults, and
-:meth:`GatewaySettings.from_env` builds one from ``GATEWAY_*`` environment
-variables so deployments configure the server without code changes::
+drain timeout — in one place with safe defaults::
 
-    GATEWAY_PORT=7400 GATEWAY_MAX_CONNECTIONS=256 python -m ...
+    GatewaySettings(port=7400, max_connections=256)
 
 Every field is validated at construction; a nonsensical value (negative
 cap, zero in-flight budget) fails fast with :class:`ValueError` rather than
@@ -15,14 +13,7 @@ producing a server that accepts no work.
 
 from __future__ import annotations
 
-import dataclasses
-import os
-import typing
 from dataclasses import dataclass
-from typing import Mapping, Optional
-
-#: Environment-variable prefix for :meth:`GatewaySettings.from_env`.
-ENV_PREFIX = "GATEWAY_"
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,6 @@ class GatewaySettings:
             ``1..admission_high_water``.
         drain_timeout: Seconds a graceful ``close()`` waits for in-flight
             commands to finish before abandoning them.
-        accept_backlog: ``listen()`` backlog for the accept socket.
     """
 
     host: str = "127.0.0.1"
@@ -66,7 +56,6 @@ class GatewaySettings:
     admission_high_water: int = 512
     admission_low_water: int = 0
     drain_timeout: float = 5.0
-    accept_backlog: int = 128
 
     def __post_init__(self) -> None:
         if self.port < 0 or self.port > 65535:
@@ -95,69 +84,8 @@ class GatewaySettings:
             )
         if self.drain_timeout < 0:
             raise ValueError(f"drain_timeout must be >= 0, got {self.drain_timeout!r}")
-        if self.accept_backlog < 1:
-            raise ValueError(f"accept_backlog must be >= 1, got {self.accept_backlog!r}")
 
     @property
     def low_water(self) -> int:
         """The re-admission mark: explicit, or half the high-water mark."""
         return self.admission_low_water or max(1, self.admission_high_water // 2)
-
-    @classmethod
-    def from_env(
-        cls, env: Optional[Mapping[str, str]] = None, **overrides: object
-    ) -> "GatewaySettings":
-        """Build settings from ``GATEWAY_*`` environment variables.
-
-        Each field reads ``GATEWAY_<FIELD_UPPERCASED>`` (``GATEWAY_PORT``,
-        ``GATEWAY_MAX_INFLIGHT_PER_CONN``, ...), falling back to the
-        dataclass default.  Explicit ``overrides`` win over the
-        environment.
-
-        Args:
-            env: Environment mapping; ``os.environ`` when omitted.
-            **overrides: Field values that take precedence over ``env``.
-
-        Raises:
-            ValueError: An env value that does not parse as the field's
-                type, an unknown override, or an invalid resulting config.
-        """
-        if env is None:
-            env = os.environ
-        # ``dataclasses.fields(cls)[i].type`` is a *string* under
-        # ``from __future__ import annotations``; resolve the actual types
-        # once instead of string-matching annotation spellings (which silently
-        # passed raw strings through for anything but the exact spellings
-        # ``"int"``/``"float"``).
-        try:
-            hints = typing.get_type_hints(cls)
-        except Exception as exc:
-            raise ValueError(
-                f"could not resolve {cls.__name__} field annotations: {exc}"
-            ) from exc
-        parsers = {str: str, int: int, float: float}
-        values: dict = {}
-        for f in dataclasses.fields(cls):
-            hint = hints[f.name]
-            parse = parsers.get(hint)
-            if parse is None:
-                raise ValueError(
-                    f"field {f.name!r} has unsupported annotation {hint!r} for "
-                    "from_env; supported types are str, int, and float"
-                )
-            raw = env.get(ENV_PREFIX + f.name.upper())
-            if raw is None:
-                continue
-            try:
-                values[f.name] = parse(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_PREFIX}{f.name.upper()}={raw!r} is not a valid "
-                    f"{hint.__name__}"
-                ) from None
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValueError(f"unknown settings override(s): {sorted(unknown)}")
-        values.update(overrides)
-        return cls(**values)

@@ -65,7 +65,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .snapshot import SnapshotStore
 from .wal import (
-    FSYNC_POLICIES, WalRecord, WriteAheadLog, fsync_directory, read_records,
+    FSYNC_POLICIES, WalCorruption, WalRecord, WriteAheadLog, fsync_directory,
+    read_records,
 )
 
 #: The live WAL segment's name inside a replica's storage directory.
@@ -319,22 +320,10 @@ class DurableState(EphemeralState):
                     pass  # its checkpoint finished: the snapshot covers it
         segments.sort()
         snap_seq, contents, meta = self.snapshots.load_with_meta()
-        self.shard_epoch = int(meta.get("epoch", 0))
-        self.promoted_head = meta.get("head")
-        # The intent table and its clock ride in snapshot metadata (like the
-        # epoch) and are rebuilt by WAL replay, so a crashed participant
-        # reopens with its prepared state intact.
-        self.txns = {
-            txn_id: {"writes": dict(entry["writes"]), "tick": int(entry["tick"])}
-            for txn_id, entry in meta.get("txns", {}).items()
-        }
-        self.txn_tick = int(meta.get("txn_tick", 0))
         dict.update(self, contents)
         wal_path = os.path.join(self.directory, WAL_FILENAME)
         #: Rotated segments on disk that no finished checkpoint has deleted.
         self._segments: List[str] = []
-        applied = snap_seq
-        replayed = 0
         for index, (last, path, records) in enumerate(segments):
             if last > snap_seq and (not records or records[-1][0] < last):
                 # Power loss took this segment's unsynced tail, so the
@@ -344,23 +333,47 @@ class DurableState(EphemeralState):
                     os.remove(later)
                 os.replace(path, wal_path)
                 fsync_directory(self.directory)
+                del segments[index:]
                 break
             self._segments.append(path)
-            for seq, op in records:
-                if seq > applied:
-                    self.apply(op)
-                    applied = seq
-                    replayed += 1
         self.wal = WriteAheadLog(wal_path, fsync=fsync)
+        # Every frame read here passed its checksum, which no torn write
+        # leaves behind: one that is no store record is corruption.
+        path, seq = self.snapshots.path, snap_seq
+        try:
+            self.shard_epoch = int(meta.get("epoch", 0))
+            self.promoted_head = meta.get("head")
+            # The intent table and its clock ride in snapshot metadata (like
+            # the epoch) and are rebuilt by WAL replay, so a crashed
+            # participant reopens with its prepared state intact.
+            self.txns = {
+                txn_id: {"writes": dict(entry["writes"]), "tick": int(entry["tick"])}
+                for txn_id, entry in meta.get("txns", {}).items()
+            }
+            self.txn_tick = int(meta.get("txn_tick", 0))
+            applied = snap_seq
+            replayed = 0
+            for _last, path, records in segments:
+                for seq, op in records:
+                    if seq > applied:
+                        self.apply(op)
+                        applied = seq
+                        replayed += 1
+            path = wal_path
+            for seq, op in self.wal.records(since=applied):
+                self.apply(op)
+                replayed += 1
+        except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+            self.wal.close()
+            raise WalCorruption(
+                f"{path}: ill-shaped store record at seq {seq}: {exc!r}"
+            ) from exc
         # A fresh live segment has forgotten the sequence numbers before it;
         # appends must continue after them, not restart from 1.
         if self.wal.last_seq < applied:
             self.wal.last_seq = applied
         #: Records up to here are no longer in the live segment.
         self._snapshot_seq = applied
-        for seq, op in self.wal.records(since=applied):
-            self.apply(op)
-            replayed += 1
         self.replayed_records = replayed
         self._checkpointer = ThreadPoolExecutor(1, thread_name_prefix="checkpoint",
                                                 initializer=_yield_the_cpu)

@@ -434,64 +434,6 @@ class TestDeadConnection:
 
 
 class TestGatewaySettings:
-    def test_from_env_reads_prefixed_vars(self):
-        env = {
-            "GATEWAY_PORT": "7401",
-            "GATEWAY_MAX_CONNECTIONS": "9",
-            "GATEWAY_DRAIN_TIMEOUT": "1.5",
-            "UNRELATED": "ignored",
-        }
-        settings = GatewaySettings.from_env(env)
-        assert settings.port == 7401
-        assert settings.max_connections == 9
-        assert settings.drain_timeout == 1.5
-        assert settings.host == "127.0.0.1"  # default preserved
-
-    def test_overrides_beat_env(self):
-        settings = GatewaySettings.from_env({"GATEWAY_PORT": "7401"}, port=7402)
-        assert settings.port == 7402
-
-    def test_bad_env_value_fails_fast(self):
-        with pytest.raises(ValueError):
-            GatewaySettings.from_env({"GATEWAY_PORT": "not-a-port"})
-
-    def test_float_field_env_parse_actually_parses(self):
-        """Regression: type dispatch used to string-match the annotation
-        spelling (``f.type in ("int", int)``), so any other spelling silently
-        passed the raw string through to the float field."""
-        settings = GatewaySettings.from_env({"GATEWAY_DRAIN_TIMEOUT": "2.5"})
-        assert isinstance(settings.drain_timeout, float)
-        assert settings.drain_timeout == 2.5
-
-    def test_unsupported_annotation_fails_loudly(self):
-        """A field whose resolved annotation from_env cannot parse must be a
-        loud ValueError, not a raw string smuggled into the dataclass."""
-        import dataclasses
-
-        @dataclasses.dataclass(frozen=True)
-        class Extended(GatewaySettings):
-            extras: dict = dataclasses.field(default_factory=dict)
-
-        with pytest.raises(ValueError, match="unsupported annotation"):
-            Extended.from_env({})
-
-    def test_unresolvable_annotation_fails_loudly(self):
-        """An annotation that cannot even be resolved (a forward reference to
-        a name not importable at resolution time) is a ValueError as well,
-        not a NameError leaking out of typing internals."""
-        import dataclasses
-
-        @dataclasses.dataclass(frozen=True)
-        class Phantom(GatewaySettings):
-            ghost: "NoSuchTypeAnywhere" = None  # noqa: F821
-
-        with pytest.raises(ValueError, match="could not resolve"):
-            Phantom.from_env({})
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError):
-            GatewaySettings.from_env({}, max_inflght=3)  # typo caught
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -518,9 +460,6 @@ class TestGatewaySettings:
             GatewaySettings(admission_high_water=100, admission_low_water=7).low_water
             == 7
         )
-        assert GatewaySettings.from_env(
-            {"GATEWAY_ADMISSION_LOW_WATER": "25"}
-        ).admission_low_water == 25
 
 
 class TestGatewayChaos:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterClosed, ClusterRebalancing
 from repro.core.errors import ChoreographyRuntimeError, ChoreoTimeout
@@ -28,7 +30,6 @@ from repro.gateway import (
     BulkReply,
     CommandError,
     ErrorReply,
-    IntReply,
     ProtocolError,
     SimpleReply,
     command_from_args,
@@ -40,8 +41,13 @@ from repro.gateway import (
     reply_for_exception,
     reply_for_response,
 )
-from repro.gateway.protocol import MAX_ARGS, MAX_INLINE, MAX_REPLY_DEPTH
-from repro.protocols.kvs import RequestKind, Response
+from repro.gateway.protocol import (
+    MAX_ARGS,
+    MAX_INLINE,
+    MAX_REPLY_DEPTH,
+    encode_sub_requests,
+)
+from repro.protocols.kvs import Request, RequestKind, Response
 
 
 class TestCommandFraming:
@@ -88,17 +94,19 @@ class TestCommandFraming:
     def test_oversize_argument_count_is_fatal_toobig(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_command(b"*%d\r\n" % (MAX_ARGS + 1))
-        assert excinfo.value.fatal and excinfo.value.code == ERR_TOOBIG
+        assert not isinstance(excinfo.value, CommandError)
+        assert excinfo.value.code == ERR_TOOBIG
 
     def test_unterminated_oversize_line_is_fatal(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_command(b"X" * (MAX_INLINE + 2))
-        assert excinfo.value.fatal and excinfo.value.code == ERR_TOOBIG
+        assert not isinstance(excinfo.value, CommandError)
+        assert excinfo.value.code == ERR_TOOBIG
 
     def test_bad_bulk_header_is_fatal(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_command(b"*1\r\n:5\r\n")
-        assert excinfo.value.fatal
+        assert not isinstance(excinfo.value, CommandError)
 
 
 class TestReplyFraming:
@@ -110,10 +118,9 @@ class TestReplyFraming:
             BulkReply("a value with \r\n inside"),
             BulkReply(""),
             BulkReply(None),
-            IntReply(-42),
             ArrayReply((BulkReply("k"), BulkReply("v"))),
             ArrayReply(()),
-            ArrayReply((ArrayReply((SimpleReply("nested"),)), IntReply(7))),
+            ArrayReply((ArrayReply((SimpleReply("nested"),)), BulkReply("7"))),
             error_reply(ERR_BUSY, "cluster is saturated", pending=900),
         ],
     )
@@ -143,17 +150,21 @@ class TestReplyFraming:
         with pytest.raises(ProtocolError):
             parse_reply(b"?huh\r\n")
 
+    def test_integer_reply_is_an_unknown_type_byte(self):
+        with pytest.raises(ProtocolError, match="unknown reply type"):
+            parse_reply(b":5\r\n")
+
     def test_non_utf8_simple_reply_is_a_protocol_error(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_reply(b"+\xff\r\n")
-        assert excinfo.value.fatal
+        assert not isinstance(excinfo.value, CommandError)
 
     def test_deep_array_nesting_is_a_protocol_error(self):
-        nested = b"*1\r\n" * MAX_REPLY_DEPTH + b":1\r\n"
+        nested = b"*1\r\n" * MAX_REPLY_DEPTH + b"+1\r\n"
         assert parse_reply(nested)[1] == len(nested)
         with pytest.raises(ProtocolError, match="nest") as excinfo:
-            parse_reply(b"*1\r\n" * 5000 + b":1\r\n")
-        assert excinfo.value.fatal
+            parse_reply(b"*1\r\n" * 5000 + b"+1\r\n")
+        assert not isinstance(excinfo.value, CommandError)
 
 
 class TestCommandTable:
@@ -167,7 +178,6 @@ class TestCommandTable:
     def test_bad_arity_or_verb_is_nonfatal_badrequest(self, args):
         with pytest.raises(CommandError) as excinfo:
             command_from_args(args)
-        assert not excinfo.value.fatal
         assert excinfo.value.code == ERR_BADREQUEST
 
     def test_data_vs_control_plane(self):
@@ -190,6 +200,30 @@ class TestCommandTable:
     def test_malformed_batch_tail_rejected_at_parse_time(self, tail):
         with pytest.raises(CommandError):
             command_from_args(["BATCH"] + tail)
+
+
+_text = st.text(max_size=8)
+_writes = st.one_of(
+    st.builds(Request.put, _text, _text), st.builds(Request.delete, _text)
+)
+_requests = st.one_of(_writes, st.builds(Request.get, _text))
+
+
+class TestSubRequestEncoder:
+    @given(requests=st.lists(_requests, min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_the_tail_is_the_inverse_of_the_parse(self, requests):
+        """``BATCH`` round-trips any request list, ``MULTI`` a write-only one;
+        a read in a ``MULTI`` is refused client-side."""
+        encoded = encode_sub_requests("BATCH", requests)
+        assert list(command_from_args(["BATCH", *encoded]).requests) == requests
+        if any(request.kind is RequestKind.GET for request in requests):
+            with pytest.raises(ValueError, match="through MULTI"):
+                encode_sub_requests("MULTI", requests)
+        else:
+            encoded = encode_sub_requests("MULTI", requests)
+            command = command_from_args(["MULTI", *encoded, "EXEC"])
+            assert list(command.requests) == requests
 
 
 class TestErrorSchema:

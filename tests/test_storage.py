@@ -245,15 +245,33 @@ record_ops = st.one_of(
     st.tuples(st.just("put"), st.text(max_size=6), st.text(max_size=6)),
     st.tuples(st.just("del"), st.text(max_size=6)), st.just(("clear",)),
 )
+#: Record fields of any shape, for records whose kind and arity may not fit.
+loose_fields = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(), st.text(max_size=4),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.none(), st.text(max_size=3)),
+                    max_size=2),
+)
+loose_ops = st.tuples(
+    st.sampled_from(["put", "del", "clear", "seal", "promote", "txn_prepare",
+                     "txn_decide", "bogus"]),
+    st.lists(loose_fields, max_size=4),
+).map(lambda parts: (parts[0], *parts[1]))
+loose_metas = st.dictionaries(
+    st.sampled_from(["epoch", "head", "txns", "txn_tick"]),
+    st.one_of(loose_fields, st.dictionaries(
+        st.text(max_size=2), st.fixed_dictionaries({"writes": loose_fields, "tick": loose_fields}),
+        max_size=2)),
+    max_size=3,
+)
 damage = st.tuples(st.integers(0, 2**16), st.integers(0, 255),
                    st.sampled_from(["none", "cut", "flip", "insert"]))
 
 
 @st.composite
-def wal_files(draw):
-    """A log of real records with ill-shaped CRC-valid frames among them, damaged."""
+def wal_files(draw, parts=st.one_of(record_ops, ill_payloads)):
+    """A log of record ``parts`` (ops, or raw ill-shaped CRC-valid frames), damaged."""
     frames, seq = [], 0
-    for part in draw(st.lists(st.one_of(record_ops, ill_payloads), max_size=6)):
+    for part in draw(st.lists(parts, max_size=6)):
         if isinstance(part, bytes):
             frames.append(_frame(part))
         else:
@@ -263,9 +281,10 @@ def wal_files(draw):
 
 
 @st.composite
-def snapshot_files(draw):
+def snapshot_files(draw, metas=st.just({})):
     real = st.tuples(st.integers(0, 99), st.dictionaries(st.text(max_size=4), st.text(max_size=4),
-                                                         max_size=3)).map(wire.encode)
+                                                         max_size=3), metas).map(
+        lambda parts: wire.encode(parts if parts[2] else parts[:2]))
     payload = draw(st.one_of(real, ill_payloads))
     return _damaged(snapshot_mod.MAGIC + _frame(payload), *draw(damage))
 
@@ -298,6 +317,43 @@ class TestReadersRaiseOnlyWalCorruption:
             handle.write(snapshot_mod.MAGIC + _frame(wire.encode(payload)))
         with pytest.raises(WalCorruption, match="ill-shaped"):
             store.load_with_meta()
+
+    #: CRC-valid records that no store record kind accepts.
+    ILL_RECORDS = [(), ("put",), ("del",), ("txn_prepare", "t", 5, True),
+                   ("promote", "x", "h"), ("bogus",)]
+    #: Snapshot metadata of the wrong shape.
+    ILL_METAS = [{"epoch": "x"}, {"txn_tick": "q"}, {"txns": 7},
+                 {"txns": {"t": {"writes": 5, "tick": 1}}}]
+
+    @pytest.mark.parametrize("op", ILL_RECORDS, ids=repr)
+    @pytest.mark.parametrize("segment", ["wal.bin", "wal.3.bin"])
+    def test_an_ill_shaped_store_record_is_corruption(self, tmp_path, op, segment):
+        records = [(1, ("put", "a", "1")), (2, op), (3, ("put", "k", "v"))]
+        path = tmp_path / segment
+        path.write_bytes(wal_mod.MAGIC + b"".join(_frame(wire.encode(r)) for r in records))
+        assert wal_mod.read_records(path) == records
+        with pytest.raises(WalCorruption, match=f"{segment}: .* at seq 2"):
+            DurableState(tmp_path)
+
+    @pytest.mark.parametrize("meta", ILL_METAS, ids=repr)
+    def test_ill_shaped_snapshot_metadata_is_corruption(self, tmp_path, meta):
+        SnapshotStore(tmp_path).save(4, {"k": "v"}, meta=meta)
+        assert SnapshotStore(tmp_path).load_with_meta() == (4, {"k": "v"}, meta)
+        with pytest.raises(WalCorruption, match="snapshot.bin: .* at seq 4"):
+            DurableState(tmp_path)
+
+    @given(snapshot=st.none() | snapshot_files(loose_metas),
+           log=wal_files(st.one_of(record_ops, loose_ops)))
+    @FUZZ
+    def test_fuzz_opening_a_store(self, tmp_path, snapshot, log):
+        directory = tmp_path / "store"  # each example rebuilds the one store
+        shutil.rmtree(directory, ignore_errors=True)
+        directory.mkdir()
+        if snapshot is not None:
+            (directory / "snapshot.bin").write_bytes(snapshot)
+        (directory / "wal.bin").write_bytes(log)
+        with contextlib.suppress(WalCorruption):
+            DurableState(directory, fsync="never").close()
 
     @given(data=wal_files())
     @FUZZ
