@@ -146,8 +146,8 @@ class ClusterClient:
         The throughput-shaped entry point: requests are routed by key,
         grouped, and served by one
         :func:`~repro.protocols.kvs.kvs_serve_batch` instance per touched
-        shard (see :meth:`ClusterEngine.submit_batch`).  Per-key order within
-        the batch is preserved.
+        shard (see :meth:`ClusterEngine.submit_batch_answers`).  Per-key
+        order within the batch is preserved.
 
         Args:
             requests: Any mix of :meth:`Request.put` / :meth:`Request.get` /
@@ -156,7 +156,7 @@ class ClusterClient:
         Returns:
             One :class:`Response` per request, in the order given.
         """
-        return [future.result() for future in self.cluster.submit_batch(requests)]
+        return self.cluster.submit_batch_answers(requests).result()
 
     def txn(
         self,

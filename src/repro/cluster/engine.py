@@ -138,7 +138,7 @@ def _future() -> "Future[Any]":
     return future
 
 
-def _fan_out(done: "Future[List[Response]]", futures: Sequence["Future[Response]"]) -> None:
+def _fan_out(futures: Sequence["Future[Response]"], done: "Future[List[Response]]") -> None:
     """Answer one Future per request from an instance's list of answers."""
     try:
         answers = done.result()
@@ -148,6 +148,33 @@ def _fan_out(done: "Future[List[Response]]", futures: Sequence["Future[Response]
         return
     for future, answer in zip(futures, answers):
         future.set_result(answer)
+
+
+class _Answers:
+    """One batch's answers, put in request order as its shard parts settle;
+    the last part to settle settles ``whole``."""
+
+    def __init__(self, whole: "Future[List[Response]]", size: int, parts: int):
+        self.whole, self.answers, self.left = whole, [None] * size, parts
+        self.failed: List[Tuple[int, BaseException]] = []  # (lowest index, error)
+        self.lock = threading.Lock()
+
+    def part(self, indices: List[int], done: "Future[List[Response]]") -> None:
+        """A shard part's done-callback (``indices`` ascending)."""
+        error = done.exception()
+        with self.lock:
+            if error is None:
+                for index, answer in zip(indices, done.result()):
+                    self.answers[index] = answer
+            else:
+                self.failed.append((indices[0], error))
+            self.left -= 1
+            if self.left:
+                return
+        if self.failed:  # parts share no index, so min() never compares errors
+            self.whole.set_exception(min(self.failed)[1])
+        else:
+            self.whole.set_result(self.answers)
 
 
 #: The ops with the replica-group shape ``(client, primary, backups, state,
@@ -631,7 +658,7 @@ class ClusterEngine:
             sent = self._pump(session)
         self._watch(session, sent)
         if callers:
-            _fan_out(done, callers)
+            _fan_out(callers, done)
 
     def _settle(self, done: "Future[ChoreographyResult]", session: _ShardSession,
                 op_name: str, args: tuple, kwargs: Dict[str, Any],
@@ -753,22 +780,42 @@ class ClusterEngine:
             request's :class:`~repro.protocols.kvs.Response` (or raises the
             shard run's error).
         """
+        futures: List["Future[Response]"] = [_future() for _ in requests]
+        for indices, part in self._batch_parts(requests):
+            part.add_done_callback(functools.partial(_fan_out, [futures[i] for i in indices]))
+        return futures
+
+    def submit_batch_answers(self, requests: Sequence[Request]) -> "Future[List[Response]]":
+        """:meth:`submit_batch` answered as one Future: every request's Response
+        in the order given, once each shard's part has settled, or the error
+        of the lowest-index request that failed (``1 + 2·shards`` Futures)."""
+        whole: "Future[List[Response]]" = _future()
+        parts = self._batch_parts(requests)
+        if not parts:
+            whole.set_result([])
+        answers = _Answers(whole, len(requests), len(parts))
+        for indices, part in parts:
+            part.add_done_callback(functools.partial(answers.part, indices))
+        return whole
+
+    def _batch_parts(self, requests: Sequence[Request]
+                     ) -> List[Tuple[List[int], "Future[List[Response]]"]]:
+        """Split a batch by shard and dispatch each part: ``(indices, the
+        part's Future of its answers)`` per touched shard, indices ascending."""
         per_shard: Dict[ShardId, List[int]] = {}
         for index, request in enumerate(requests):
             # Keyless requests (STOP) have no ring position; route them by
             # the empty key so they deterministically reach one shard and
             # come back answered ``stopped``, as kvs_serve_batch promises.
             per_shard.setdefault(self.shard_for(request.key or ""), []).append(index)
-        futures: List["Future[Response]"] = [_future() for _ in requests]
+        parts = []
         for shard_id, indices in per_shard.items():
             sub_batch = [requests[index] for index in indices]
             # Kinds are known at dispatch: a sub-batch without writes is a read.
             writes = any(request.kind in WRITE_KINDS for request in sub_batch)
-            shard_future = self._submit(
-                shard_id, "serve" if writes else "read", args=(sub_batch,))
-            shard_future.add_done_callback(
-                lambda done, mine=[futures[i] for i in indices]: _fan_out(done, mine))
-        return futures
+            parts.append((indices, self._submit(
+                shard_id, "serve" if writes else "read", args=(sub_batch,))))
+        return parts
 
     def _deliver(self, sessions: Sequence[_ShardSession]) -> List["Future[Any]"]:
         """Send the decides these shards are owed, each on a decide-only

@@ -592,7 +592,7 @@ def _parse_reply(buffer: bytes, start: int, depth: int) -> Tuple[Optional[Reply]
                 ),
                 pos,
             )
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):  # deep JSON recurses
             raise ProtocolError(f"malformed error payload: {line!r}") from None
     if kind == b"*":
         count = _parse_int(line[1:], "array length")

@@ -418,14 +418,8 @@ class GatewayServer:
             future = getattr(client.cluster, single)(*command.args)
             return lambda: reply_for_response(future.result())
         if command.verb == "BATCH":
-            futures = client.cluster.submit_batch(command.requests)
-
-            def batch_reply() -> Reply:
-                return ArrayReply(
-                    tuple(reply_for_response(f.result()) for f in futures)
-                )
-
-            return batch_reply
+            answers = client.cluster.submit_batch_answers(command.requests)
+            return lambda: ArrayReply(tuple(map(reply_for_response, answers.result())))
         if command.verb == "MULTI":
             # One cross-shard 2PC; the Future raises TxnConflict/TxnAborted
             # on abort, which reply_for_exception maps to a retryable

@@ -571,15 +571,27 @@ def apply_catchup(
     ``mode`` is ``"delta"`` (``data`` is a list of ``(seq, op)`` records)
     or ``"full"`` (``data`` is the primary's complete store).  A durable
     store keeps the primary's sequence numbering (explicit-seq appends for
-    deltas, an atomic :meth:`DurableState.install` for full transfers).
+    deltas, an atomic :meth:`DurableState.install` for full transfers).  An
+    ill-shaped delta record or target raises :class:`ValueError` first.
     """
+    if type(target_seq) is not int:
+        raise ValueError(f"catch-up target {target_seq!r} is not an int")
     if mode == "full":
         contents = dict(data)
         state.install(contents, target_seq)
         return len(contents)
     if mode != "delta":
         raise ValueError(f"unknown catch-up mode {mode!r}")
+    trial = EphemeralState()  # the whole delta is checked before any append
+    for record in data:
+        try:
+            seq, op = record
+            if type(seq) is not int:
+                raise TypeError(f"seq {seq!r} is not an int")
+            trial.apply(tuple(op))
+        except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"ill-shaped catch-up record {record!r}: {exc!r}") from None
     for seq, op in data:
-        state.apply_record(int(seq), tuple(op))
+        state.apply_record(seq, tuple(op))
     state.seal(target_seq)
     return len(data)

@@ -29,11 +29,12 @@ a committed transfer is one blind *write* per key, all invoked when it is
 submitted and done when it is acknowledged at its commit point, so the
 search places its writes between the two; an aborted one applied nothing
 and is dropped.  A scan is a read of every key under its prefix over the
-scan's interval, and a group-commit batch is its requests, each over the
-batch's interval.  :meth:`History.torn_reads` checks the second promise
-directly: a read or scan invoked after a transfer's ack sees, on each of
-its keys, that transfer's write or a write that may follow it, never the
-state before it — so never half of it.
+scan's interval, and a group-commit batch (``submit_batch`` or
+``submit_batch_answers``) is its requests, each over the batch's
+interval.  :meth:`History.torn_reads` checks the second promise directly:
+a read or scan invoked after a transfer's ack sees, on each of its keys,
+that transfer's write or a write that may follow it, never the state
+before it — so never half of it.
 """
 
 from __future__ import annotations
@@ -343,11 +344,25 @@ def record_transactions(monkeypatch, history: History) -> History:
             ops, [future.result() for _, future in answered]))
         return futures
 
-    real_txn, real_scan, real_batch = (
-        ClusterEngine.submit_txn, ClusterEngine.submit_scan, ClusterEngine.submit_batch)
+    def submit_batch_answers(cluster, requests):
+        requests = list(requests)
+        whole = real_answers(cluster, requests)
+        answered = [index for index, request in enumerate(requests)
+                    if request.kind is not RequestKind.STOP]
+        ops = history.invoke_all(history.scope(cluster), [
+            (requests[index].kind.value, requests[index].key, requests[index].value)
+            for index in answered])
+        when_all([whole], lambda: history.complete_all(
+            ops, [whole.result()[index] for index in answered]))
+        return whole
+
+    real_txn, real_scan, real_batch, real_answers = (
+        ClusterEngine.submit_txn, ClusterEngine.submit_scan, ClusterEngine.submit_batch,
+        ClusterEngine.submit_batch_answers)
     monkeypatch.setattr(ClusterEngine, "submit_txn", submit_txn)
     monkeypatch.setattr(ClusterEngine, "submit_scan", submit_scan)
     monkeypatch.setattr(ClusterEngine, "submit_batch", submit_batch)
+    monkeypatch.setattr(ClusterEngine, "submit_batch_answers", submit_batch_answers)
     return history
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro import FaultPlan
 from repro.cluster import ClusterClient, ClusterEngine, ShardRouter
 from repro.core.errors import ChoreographyRuntimeError
+from repro.gateway import GatewayClient, GatewayServer
 from repro.protocols.kvs import Request, Response, ResponseKind
 from repro.runtime.stats import ChannelStats
 
@@ -535,6 +537,122 @@ class TestCallersCannotCancel:
             assert cluster.pending == 0
         assert cancelled == [False] * 6
         assert answers == [Response.not_found()] * 3 + [Response.found("1")] * 3
+
+
+class TestABatchIsAnsweredPerShard:
+    """A batch answered as a whole (:meth:`ClusterEngine.submit_batch_answers`,
+    behind ``ClusterClient.batch`` and the gateway's ``BATCH``) makes one
+    Future for the batch plus each shard part's lane and engine Futures:
+    9 for 32 requests over 4 shards, where a Future per request made 40."""
+
+    BATCH = [Request.put(f"k{index}", str(index)) if index % 8 == 0
+             else Request.get(f"k{index}") for index in range(32)]
+
+    @staticmethod
+    def futures_made(monkeypatch, action) -> int:
+        made, real_init = [], Future.__init__
+
+        def counting(self):
+            made.append(None)
+            real_init(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Future, "__init__", counting)
+            action()
+        return len(made)
+
+    def test_a_warm_cluster_client_batch_makes_9_futures(self, monkeypatch):
+        with ClusterClient(shards=4, replication=2, backend="local") as kvs:
+            assert len({kvs.cluster.shard_for(r.key) for r in self.BATCH}) == 4
+            kvs.batch(self.BATCH)  # warm: every binding exists
+            assert self.futures_made(monkeypatch, lambda: kvs.batch(self.BATCH)) == 9
+
+    def test_a_warm_gateway_batch_makes_9_futures(self, monkeypatch):
+        with ClusterClient(shards=4, replication=2, backend="local") as kvs:
+            with GatewayServer(kvs) as server:
+                with GatewayClient(*server.address, timeout=20.0) as client:
+                    client.batch(self.BATCH)
+                    assert self.futures_made(
+                        monkeypatch, lambda: client.batch(self.BATCH)) == 9
+
+    def test_answers_come_back_in_request_order(self):
+        with ClusterEngine(4, replication=2) as cluster:
+            cluster.submit_batch_answers(
+                [Request.put(f"k{index}", str(index)) for index in range(32)]).result()
+            requests = [Request.get(f"k{index}") for index in reversed(range(33))]
+            answers = cluster.submit_batch_answers(requests).result(timeout=30.0)
+            assert answers == [Response.not_found()] + [
+                Response.found(str(index)) for index in reversed(range(32))]
+            assert answers == [f.result() for f in cluster.submit_batch(requests)]
+            assert cluster.submit_batch_answers([]).result(timeout=30.0) == []
+
+    @staticmethod
+    def held_parts(monkeypatch, cluster, requests):
+        """Dispatch ``requests`` with every shard part held: the batch's
+        Future, and ``[(indices, part Future)]`` by lowest index."""
+        parts = {}
+
+        def hold(shard_id, op_name, args=(), kwargs=None):
+            parts[shard_id] = Future()
+            return parts[shard_id]
+
+        monkeypatch.setattr(cluster, "_submit", hold)
+        whole = cluster.submit_batch_answers(requests)
+        shards = [cluster.shard_for(request.key) for request in requests]
+        held = sorted(([i for i, s in enumerate(shards) if s == shard_id], part)
+                      for shard_id, part in parts.items())
+        assert len(held) == 4
+        return whole, held
+
+    def test_parts_settling_out_of_order_are_put_in_request_order(self, monkeypatch):
+        with ClusterEngine(4, replication=1) as cluster:
+            requests = [Request.get(f"k{index}") for index in range(16)]
+            whole, held = self.held_parts(monkeypatch, cluster, requests)
+            for indices, part in reversed(held):
+                assert not whole.done()
+                part.set_result([Response.found(str(index)) for index in indices])
+            assert whole.result(timeout=0) == [Response.found(str(i)) for i in range(16)]
+
+    def test_parts_settling_at_once_settle_the_batch_once(self, monkeypatch):
+        """Four threads settle the four parts together, 200 times, with the
+        interpreter switching threads every microsecond: a lost update of
+        the parts left would leave a batch unsettled."""
+        expected = [Response.found(str(index)) for index in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ClusterEngine(4, replication=1) as cluster:
+                for _ in range(200):
+                    whole, held = self.held_parts(
+                        monkeypatch, cluster, [Request.get(f"k{index}") for index in range(16)])
+                    start = threading.Barrier(len(held))
+
+                    def settle(indices, part, start=start):
+                        start.wait(10.0)
+                        part.set_result([expected[index] for index in indices])
+
+                    threads = [threading.Thread(target=settle, args=item) for item in held]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(10.0)
+                        assert not thread.is_alive()
+                    assert whole.result(timeout=10.0) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_lowest_index_failed_request_s_error_is_raised(self, monkeypatch):
+        with ClusterEngine(4, replication=1) as cluster:
+            requests = [Request.get(f"k{index}") for index in range(16)]
+            whole, held = self.held_parts(monkeypatch, cluster, requests)
+            (first, ok), *failing = held
+            for indices, part in reversed(failing):  # the lowest fails last
+                part.set_exception(RuntimeError(f"part at {indices[0]}"))
+            assert not whole.done()
+            ok.set_result([Response.not_found()] * len(first))
+            with pytest.raises(RuntimeError) as excinfo:
+                whole.result(timeout=0)
+            assert str(excinfo.value) == f"part at {failing[0][0][0]}"
 
 
 class TestClusterClient:

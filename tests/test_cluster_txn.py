@@ -288,7 +288,7 @@ class TestClientRetryContract:
             assert calls[0] == 1  # never auto-retried
 
             calls = [0]
-            kvs.cluster.submit_batch = self._failing(calls, boom)
+            kvs.cluster.submit_batch_answers = self._failing(calls, boom)
             with pytest.raises(ChoreographyRuntimeError):
                 kvs.batch([Request.put("k", "v")])
             assert calls[0] == 1  # never auto-retried
@@ -724,6 +724,9 @@ class TestTxnHistories:
                     read.result(timeout=30.0)
                 if rng.random() < 0.3:
                     balances(kvs)
+            recorded = len(txn_history.ops)
+            kvs.batch([Request.get(key) for key in sorted(books)])
+            assert len(txn_history.ops) == recorded + len(books)  # a batch is recorded
         assert txn_history.torn_reads() == []
         assert txn_history.violations() == []
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterClosed, ClusterRebalancing
@@ -280,3 +280,85 @@ class TestErrorSchema:
         assert reply_for_response(Response.found("v")) == BulkReply("v")
         assert reply_for_response(Response.not_found()) == BulkReply(None)
         assert reply_for_response(Response.stopped()) == SimpleReply("STOPPED")
+
+
+# -- fuzzing the parsers ---------------------------------------------------------------
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+#: Pieces of real frames, so random joins reach past the first header.
+FRAGMENTS = st.sampled_from([
+    b"*", b"$", b"+", b"-", b":", b"\r\n", b"\n", b"\r", b" ", b"0", b"1", b"2", b"-1",
+    b"3", b"1025", b"99999999999", b"PUT", b"GET", b"DEL", b"BATCH", b"MULTI", b"EXEC",
+    b"SCAN", b"PING", b"k", b"\xff", b"[", b"{", b'{"code":"X","message":"m"}'])
+
+
+@st.composite
+def wire_bytes(draw, frame):
+    """Random bytes, joined fragments, or a real ``frame`` cut and patched."""
+    shape = draw(st.sampled_from(["raw", "fragments", "damaged"]))
+    if shape == "raw":
+        return draw(st.binary(max_size=200))
+    if shape == "fragments":
+        return b"".join(draw(st.lists(st.one_of(FRAGMENTS, st.binary(max_size=6)),
+                                      max_size=40)))
+    data = bytearray(draw(frame))
+    for _ in range(draw(st.integers(0, 3))):
+        if data:
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data[:draw(st.integers(0, len(data)))]) + draw(st.binary(max_size=8))
+
+
+COMMAND_FRAMES = st.lists(st.text(max_size=6), min_size=1, max_size=6).map(encode_command)
+REPLY_FRAMES = st.recursive(
+    st.one_of(st.text(max_size=6).map(BulkReply), st.just(BulkReply(None)),
+              st.from_regex(r"[A-Z]{0,6}", fullmatch=True).map(SimpleReply),
+              st.text(max_size=6).map(lambda text: error_reply("X", text))),
+    lambda items: st.lists(items, max_size=4).map(lambda xs: ArrayReply(tuple(xs))),
+    max_leaves=8).map(encode_reply)
+
+
+class TestParsersRaiseOnlyProtocolErrors:
+    """Every byte string the gateway parsers meet yields parsed frames, an
+    incomplete frame, or a typed :class:`ProtocolError` (a command's
+    :class:`CommandError`), never a bare exception."""
+
+    @FUZZ
+    @given(wire_bytes(COMMAND_FRAMES))
+    def test_fuzz_parse_command(self, data):
+        start = 0
+        try:
+            while True:  # as the gateway reader walks its buffer
+                args, end = parse_command(data, start)
+                if args is None:  # blank lines before an incomplete frame go
+                    assert end >= start and not data[start:end].strip()
+                    return
+                assert end > start and all(isinstance(arg, str) for arg in args)
+                start = end
+                try:
+                    command_from_args(args)
+                except CommandError:
+                    pass
+        except ProtocolError:
+            pass
+
+    @FUZZ
+    @given(wire_bytes(REPLY_FRAMES))
+    def test_fuzz_parse_reply(self, data):
+        start = 0
+        try:
+            while True:
+                reply, end = parse_reply(data, start)
+                if reply is None:
+                    assert end == start
+                    return
+                assert end > start
+                start = end
+        except ProtocolError:
+            pass
+
+    def test_deeply_nested_error_json_is_a_protocol_error(self):
+        # json.loads recursed out of the stack and the RecursionError escaped.
+        with pytest.raises(ProtocolError, match="malformed error payload"):
+            parse_reply(b"-" + b"[" * 60000 + b"\r\n")

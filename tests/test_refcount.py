@@ -47,6 +47,8 @@ def _local_mix(cluster: ClusterEngine) -> None:
         future.result(timeout=30.0)
     for future in cluster.submit_batch([Request.get("p0"), Request.get("nope")]):
         future.result(timeout=30.0)
+    cluster.submit_batch_answers([Request.put(f"p{index}", "w") for index in range(4)]
+                                 + [Request.get("p1"), Request.get("nope")]).result(timeout=30.0)
     assert cluster.submit_txn([Request.put("t0", "1"), Request.put("t1", "2")]).result(
         timeout=30.0).committed
     for future in cluster.submit_scan("p").values():

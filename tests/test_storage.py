@@ -10,6 +10,7 @@ import builtins
 import contextlib
 import os
 import random
+import re
 import shutil
 import stat
 import sys
@@ -861,6 +862,64 @@ class TestCatchupBridge:
     def test_unknown_catchup_mode_raises(self):
         with pytest.raises(ValueError, match="mode"):
             apply_catchup({}, "partial", [], 0)
+
+
+#: Ill-shaped catch-up deltas, each with the record that must be named:
+#: an empty op, a short put, an unknown kind, a non-int seq, and a bad
+#: record after good ones (nothing of the delta may land).
+ILL_DELTAS = [
+    ([(5, ())], (5, ())),
+    ([(5, ("put", "k"))], (5, ("put", "k"))),
+    ([(5, ("zap", "k"))], (5, ("zap", "k"))),
+    ([("5", ("put", "k", "v"))], ("5", ("put", "k", "v"))),
+    ([(5, ("put", "a", "9")), (6, ("del", "b")), (7, ("put",))], (7, ("put",))),
+]
+ILL_DELTA_IDS = ["empty-op", "short-put", "unknown-kind", "str-seq", "bad-after-good"]
+
+
+class TestCatchupBoundary:
+    """A catch-up delta is checked whole before its first record is logged
+    or applied: an ill-shaped record raises ``ValueError`` naming it, and the
+    store (reopened, if durable) keeps its contents and high-water mark."""
+
+    @staticmethod
+    def _prior(store):
+        for key, value in (("a", "1"), ("b", "2")):
+            store[key] = value
+        return dict(store), store.high_water
+
+    @pytest.mark.parametrize("delta,named", ILL_DELTAS, ids=ILL_DELTA_IDS)
+    def test_an_ephemeral_store_refuses_the_whole_delta(self, delta, named):
+        store = EphemeralState()
+        prior = self._prior(store)
+        with pytest.raises(ValueError, match=re.escape(repr(named))):
+            apply_catchup(store, "delta", delta, 9)
+        assert (dict(store), store.high_water) == prior
+
+    @pytest.mark.parametrize("delta,named", ILL_DELTAS, ids=ILL_DELTA_IDS)
+    def test_a_durable_store_logs_nothing_and_reopens(self, tmp_path, delta, named):
+        store = DurableState(tmp_path / "store")
+        prior = self._prior(store)
+        with pytest.raises(ValueError, match=re.escape(repr(named))):
+            apply_catchup(store, "delta", delta, 9)
+        assert (dict(store), store.high_water) == prior
+        store.close()
+        reopened = DurableState(tmp_path / "store")
+        assert (dict(reopened), reopened.high_water) == prior
+        apply_catchup(reopened, "delta", [(5, ("put", "c", "3"))], 9)  # still usable
+        assert (dict(reopened), reopened.high_water) == ({**prior[0], "c": "3"}, 9)
+        reopened.close()
+
+    @pytest.mark.parametrize("mode,data", [("delta", [(5, ("put", "c", "3"))]),
+                                           ("full", {"c": "3"})])
+    def test_a_non_int_target_changes_nothing(self, tmp_path, mode, data):
+        # The delta used to land, unsealed, before the target raised TypeError.
+        store = DurableState(tmp_path / "store")
+        prior = self._prior(store)
+        with pytest.raises(ValueError, match="target '9'"):
+            apply_catchup(store, mode, data, "9")
+        assert (dict(store), store.high_water) == prior
+        store.close()
 
 
 # -- promotion records ----------------------------------------------------------------
