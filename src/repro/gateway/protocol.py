@@ -39,10 +39,11 @@ network client sees the same structured failure taxonomy an in-process
 :class:`~repro.cluster.ClusterClient` caller does.
 
 Parsing is **incremental**: :func:`parse_command` and :func:`parse_reply`
-take ``(buffer, start)`` and return ``(parsed, new_start)`` — or
-``(None, start)`` when the buffer does not yet hold a complete frame — so
-the socket loops can append received bytes and re-try without ever blocking
-mid-frame.  Malformed input raises :class:`ProtocolError`, which means
+take ``(buffer, start)`` and return ``(parsed, new_start)`` — or ``None``
+and where to resume (``start``, or past the blank inline lines a command
+skipped) when the buffer does not yet hold a complete frame — so the socket
+loops can append received bytes and re-try without ever blocking mid-frame.
+Malformed input raises :class:`ProtocolError`, which means
 "this connection's stream is unparseable, hang up" (bad framing, oversize
 frames); its subclass :exc:`CommandError` means "this command was wrong,
 answer ``BADREQUEST`` and keep reading" (bad arity, unknown verb).
@@ -61,6 +62,7 @@ from ..faults import CrashFault
 from ..protocols.kvs import Request, RequestKind, Response, ResponseKind, StaleEpoch
 
 CRLF = b"\r\n"
+_CR = b"\r"
 
 # Frame limits.  A stream that exceeds them is hostile or corrupt; the
 # parser raises a ProtocolError and the server hangs up.
@@ -173,29 +175,36 @@ def _sub_requests(verb: str, args: Sequence[str]) -> Tuple[Request, ...]:
             raise CommandError("MULTI must end with EXEC")
         args = args[:-1]
     requests: List[Request] = []
-    index = 0
-    while index < len(args):
-        sub = args[index].upper()
+    index, size = 0, len(args)
+    while index < size:
+        sub = args[index]
+        if sub not in _SUB_KINDS:
+            sub = sub.upper()
         if sub == "PUT":
-            if index + 2 >= len(args):
+            if index + 2 >= size:
                 raise CommandError(f"{verb} PUT needs a key and a value")
-            requests.append(Request.put(args[index + 1], args[index + 2]))
+            key, value = args[index + 1], args[index + 2]
             index += 3
         elif writes_only and sub in ("GET", "SCAN"):
             raise CommandError(f"MULTI is write-only; {sub} is not allowed")
         elif sub in ("GET", "DEL"):
-            if index + 1 >= len(args):
+            if index + 1 >= size:
                 raise CommandError(f"{verb} {sub} needs a key")
-            make = Request.get if sub == "GET" else Request.delete
-            requests.append(make(args[index + 1]))
+            key, value = args[index + 1], None
             index += 2
         else:
             raise CommandError(f"unknown {verb} sub-command: {args[index]!r}")
+        # Built as the wire decoder builds it, without the frozen __init__.
+        request = object.__new__(Request)
+        state = request.__dict__
+        state["kind"], state["key"], state["value"] = _SUB_KINDS[sub], key, value
+        requests.append(request)
     return tuple(requests)
 
 
-#: The sub-command verb of each request kind a ``BATCH`` carries.
+#: The sub-command verb of each request kind a ``BATCH`` carries, and back.
 _SUB_VERBS = {RequestKind.PUT: "PUT", RequestKind.GET: "GET", RequestKind.DELETE: "DEL"}
+_SUB_KINDS = {sub: kind for kind, sub in _SUB_VERBS.items()}
 
 
 def encode_sub_requests(verb: str, requests: Sequence[Request]) -> List[str]:
@@ -402,11 +411,10 @@ def reply_for_response(response: Response) -> Reply:
     return SimpleReply(response.kind.value.upper())
 
 
+_FOUND, _NOT_FOUND = ResponseKind.FOUND, ResponseKind.NOT_FOUND
+
+
 # ------------------------------------------------------------------ encoding --
-
-
-def _bulk(payload: bytes) -> bytes:
-    return b"$%d\r\n%s\r\n" % (len(payload), payload)
 
 
 def encode_command(args: Sequence[str]) -> bytes:
@@ -414,7 +422,28 @@ def encode_command(args: Sequence[str]) -> bytes:
     if not args:
         raise ProtocolError("cannot encode an empty command")
     parts = [b"*%d\r\n" % len(args)]
-    parts.extend(_bulk(arg.encode("utf-8")) for arg in args)
+    for arg in args:
+        raw = arg.encode("utf-8")
+        parts.append(b"$%d\r\n%s\r\n" % (len(raw), raw))
+    return b"".join(parts)
+
+
+def encode_answers(responses: Sequence[Response]) -> bytes:
+    """A ``BATCH`` reply frame, written straight from its :class:`Response` list.
+
+    The same bytes as ``encode_reply(ArrayReply(tuple(map(reply_for_response,
+    responses))))``, without a reply object or a Python call per answer.
+    """
+    parts = [b"*%d\r\n" % len(responses)]
+    for response in responses:
+        kind, value = response.kind, response.value
+        if kind is _FOUND and value is not None:
+            raw = value.encode("utf-8")
+            parts.append(b"$%d\r\n%s\r\n" % (len(raw), raw))
+        elif kind is _FOUND or kind is _NOT_FOUND:
+            parts.append(b"$-1\r\n")
+        else:
+            parts.append(b"+%s\r\n" % kind.value.upper().encode("utf-8"))
     return b"".join(parts)
 
 
@@ -425,7 +454,8 @@ def encode_reply(reply: Reply) -> bytes:
     if isinstance(reply, BulkReply):
         if reply.value is None:
             return b"$-1\r\n"
-        return _bulk(reply.value.encode("utf-8"))
+        raw = reply.value.encode("utf-8")
+        return b"$%d\r\n%s\r\n" % (len(raw), raw)
     if isinstance(reply, ArrayReply):
         parts = [b"*%d\r\n" % len(reply.items)]
         parts.extend(encode_reply(item) for item in reply.items)
@@ -472,47 +502,76 @@ def _parse_int(token: bytes, what: str) -> int:
         raise ProtocolError(f"bad {what}: {token!r}") from None
 
 
-#: In-band marker for the null bulk (``$-1``): distinguishes "parsed a null"
-#: from "frame incomplete" (plain ``None``) in the incremental parsers.
-_NULL_SENTINEL = "\0__NULL__"
+def _parse_bulks(buffer: bytes, pos: int, count: int, out: list, replies: bool) -> int:
+    """Append up to ``count`` ``$``-bulks from ``buffer[pos:]`` to ``out``.
 
-
-def _parse_bulk(buffer: bytes, start: int) -> Tuple[Optional[str], int]:
-    """One ``$``-prefixed bulk string.  ``(None, start)`` = incomplete."""
-    header, pos = _find_line(buffer, start, MAX_INLINE)
-    if header is None:
-        return None, start
-    if not header.startswith(b"$"):
-        raise ProtocolError(f"expected bulk header, got {header!r}")
-    length = _parse_int(header[1:], "bulk length")
-    if length == -1:
-        return _NULL_SENTINEL, pos
-    if length < 0 or length > MAX_BULK:
-        raise ProtocolError(f"bulk length {length} out of range", code=ERR_TOOBIG)
-    if len(buffer) - pos < length + 1:  # payload + at least the LF
-        return None, start
-    payload = buffer[pos : pos + length]
-    tail = buffer[pos + length : pos + length + 2]
-    if tail.startswith(b"\r\n"):
-        consumed = pos + length + 2
-    elif tail.startswith(b"\n"):
-        consumed = pos + length + 1
-    elif tail == b"\r":  # terminator only half-arrived: wait for the LF
-        return None, start
-    else:
-        raise ProtocolError("bulk payload not followed by CRLF")
-    try:
-        return payload.decode("utf-8"), consumed
-    except UnicodeDecodeError:
-        raise ProtocolError("bulk payload is not valid UTF-8") from None
+    One loop, no Python call per bulk.  A command's bulks (``replies``
+    false) must all be non-null and append their text; a reply's run stops
+    at the first item of another type and appends a :class:`BulkReply` per
+    bulk, built as the wire decoder builds records (no frozen ``__init__``).
+    Returns the position after the run, or ``-1`` when the buffer ends
+    inside a bulk.  Raises what walking the bulks one at a time raises.
+    """
+    find, startswith, size = buffer.find, buffer.startswith, len(buffer)
+    append, new = out.append, object.__new__
+    for _ in range(count):
+        if replies and (pos >= size or buffer[pos] != 0x24):  # not a "$": end of run
+            return -1 if pos >= size else pos
+        end = find(b"\n", pos)
+        if end == -1 or end - pos > MAX_INLINE:
+            _find_line(buffer, pos, MAX_INLINE)  # TOOBIG, or the header is arriving
+            return -1
+        if buffer[pos] != 0x24:
+            header = buffer[pos:end].removesuffix(_CR)
+            raise ProtocolError(f"expected bulk header, got {header!r}")
+        try:
+            length = int(buffer[pos + 1 : end])  # int() ignores the "\r"
+        except ValueError:
+            token = buffer[pos + 1 : end].removesuffix(_CR)
+            raise ProtocolError(f"bad bulk length: {token!r}") from None
+        pos = end + 1
+        tail = pos + length
+        if 0 <= length <= MAX_BULK and startswith(CRLF, tail):
+            after = tail + 2
+        elif length == -1:
+            if not replies:
+                raise ProtocolError("null bulk not allowed in commands")
+            after = None
+        elif length < 0 or length > MAX_BULK:
+            raise ProtocolError(f"bulk length {length} out of range", code=ERR_TOOBIG)
+        elif tail >= size or (tail + 1 == size and buffer[tail] == 0x0D):
+            return -1  # the payload, or its terminator, is still arriving
+        elif buffer[tail] == 0x0A:
+            after = tail + 1
+        else:
+            raise ProtocolError("bulk payload not followed by CRLF")
+        if after is None:
+            text = None
+        else:
+            try:
+                text = buffer[pos:tail].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ProtocolError("bulk payload is not valid UTF-8") from None
+            pos = after
+        if replies:
+            reply = new(BulkReply)
+            reply.__dict__["value"] = text
+            append(reply)
+        else:
+            append(text)
+    return pos
 
 
 def parse_command(buffer: bytes, start: int = 0) -> Tuple[Optional[List[str]], int]:
     """One command's argument vector from ``buffer[start:]``, incrementally.
 
     Accepts both array form (``*``-prefixed) and inline form (anything
-    else).  Blank inline lines are skipped.  Returns ``(args, new_start)``,
-    or ``(None, start)`` when the buffer holds no complete command yet.
+    else).  Returns ``(args, new_start)``, or ``(None, resume)`` when the
+    buffer holds no complete command yet.  Blank inline lines are skipped
+    and consumed: ``resume`` is ``start`` moved past every whole blank line
+    before the incomplete command, so ``parse_command(b"\\n")`` is
+    ``(None, 1)``.  Handing the skipped lines back would leave them in the
+    reader's unparsed tail, which a client could grow without bound.
 
     Raises:
         ProtocolError: Framing damage (bad headers, oversize frames,
@@ -521,7 +580,7 @@ def parse_command(buffer: bytes, start: int = 0) -> Tuple[Optional[List[str]], i
     while True:
         if start >= len(buffer):
             return None, start
-        if buffer[start : start + 1] != b"*":
+        if buffer[start] != 0x2A:  # not "*": inline form
             line, pos = _find_line(buffer, start, MAX_INLINE)
             if line is None:
                 return None, start
@@ -530,7 +589,7 @@ def parse_command(buffer: bytes, start: int = 0) -> Tuple[Optional[List[str]], i
             except UnicodeDecodeError:
                 raise ProtocolError("inline command is not valid UTF-8") from None
             args = text.split()
-            if not args:  # blank line: tolerate and keep scanning
+            if not args:  # blank line: consume it and keep scanning
                 start = pos
                 continue
             return args, pos
@@ -541,13 +600,9 @@ def parse_command(buffer: bytes, start: int = 0) -> Tuple[Optional[List[str]], i
         if count <= 0 or count > MAX_ARGS:
             raise ProtocolError(f"argument count {count} out of range", code=ERR_TOOBIG)
         args = []
-        for _ in range(count):
-            arg, pos = _parse_bulk(buffer, pos)
-            if arg is None:
-                return None, start
-            if arg == _NULL_SENTINEL:
-                raise ProtocolError("null bulk not allowed in commands")
-            args.append(arg)
+        pos = _parse_bulks(buffer, pos, count, args, False)
+        if pos < 0:
+            return None, start
         return args, pos
 
 
@@ -567,12 +622,9 @@ def _parse_reply(buffer: bytes, start: int, depth: int) -> Tuple[Optional[Reply]
         return None, start
     kind = buffer[start : start + 1]
     if kind == b"$":
-        value, pos = _parse_bulk(buffer, start)
-        if value is None:
-            return None, start
-        if value == _NULL_SENTINEL:
-            return BulkReply(None), pos
-        return BulkReply(value), pos
+        items: List[Reply] = []
+        pos = _parse_bulks(buffer, start, 1, items, True)
+        return (None, start) if pos < 0 else (items[0], pos)
     line, pos = _find_line(buffer, start, MAX_INLINE)
     if line is None:
         return None, start
@@ -600,11 +652,15 @@ def _parse_reply(buffer: bytes, start: int, depth: int) -> Tuple[Optional[Reply]
             raise ProtocolError(f"array length {count} out of range")
         if depth == 0:
             raise ProtocolError(f"arrays nest deeper than {MAX_REPLY_DEPTH}")
-        items: List[Reply] = []
-        for _ in range(count):
-            item, pos = _parse_reply(buffer, pos, depth - 1)
-            if item is None:
+        items = []
+        while len(items) < count:
+            pos = _parse_bulks(buffer, pos, count - len(items), items, True)
+            if pos < 0:
                 return None, start
-            items.append(item)
+            if len(items) < count:  # the run stopped at an item of another type
+                item, pos = _parse_reply(buffer, pos, depth - 1)
+                if item is None:
+                    return None, start
+                items.append(item)
         return ArrayReply(tuple(items)), pos
     raise ProtocolError(f"unknown reply type byte: {kind!r}")

@@ -10,7 +10,8 @@ service.  The threading model mirrors the cluster's own pipelined shape:
   pipelining client keeps every shard busy from a single connection;
 * per connection, one **writer thread** drains a FIFO queue of pending
   replies, waiting each cluster Future in submission order, so replies are
-  delivered in request order no matter how shard runs interleave.
+  delivered in request order no matter how shard runs interleave.  Each
+  queued reply yields its frame's bytes, so the writer only sends.
 
 Two distinct overload defenses, deliberately separated:
 
@@ -58,6 +59,7 @@ from .protocol import (
     ProtocolError,
     Reply,
     command_from_args,
+    encode_answers,
     encode_reply,
     error_reply,
     parse_command,
@@ -74,9 +76,9 @@ _QUEUE_POLL = 0.1
 #: Single-request verbs and the ClusterEngine method each submits through.
 _SINGLE_VERBS = {"GET": "submit_get", "PUT": "submit_put", "DEL": "submit_delete"}
 
-#: A queued reply: either ready now, or a thunk the writer resolves (waiting
-#: on cluster Futures), plus whether it holds an in-flight slot to release.
-_QueueItem = Tuple[Callable[[], Reply], bool]
+#: A queued reply: a thunk of its frame's bytes (ready now, or once the writer
+#: waits on cluster Futures), plus whether it holds an in-flight slot to release.
+_QueueItem = Tuple[Callable[[], bytes], bool]
 
 
 class _Connection:
@@ -183,7 +185,8 @@ class _Connection:
             self._enqueue_ready(self.server._control(command))
 
     def _enqueue_ready(self, reply: Reply) -> None:
-        self.queue.put(((lambda: reply), False))
+        data = encode_reply(reply)
+        self.queue.put(((lambda: data), False))
 
     def _finish_queue(self) -> None:
         self.queue.put(None)
@@ -205,11 +208,11 @@ class _Connection:
                 broken = False
                 try:
                     try:
-                        reply = producer()
+                        data = producer()
                     except BaseException as exc:  # noqa: BLE001 - a frame
-                        reply = reply_for_exception(exc)
+                        data = encode_reply(reply_for_exception(exc))
                     try:
-                        self.sock.sendall(encode_reply(reply))
+                        self.sock.sendall(data)
                     except OSError:
                         broken = True
                 finally:
@@ -404,8 +407,8 @@ class GatewayServer:
 
     # ------------------------------------------------------------------ execution --
 
-    def _submit(self, command: Command) -> Callable[[], Reply]:
-        """Submit a data-plane command now; return the reply thunk.
+    def _submit(self, command: Command) -> Callable[[], bytes]:
+        """Submit a data-plane command now; return the thunk of its reply bytes.
 
         Submission happens on the reader thread (so ordering across a
         connection's commands matches arrival order); the returned thunk is
@@ -416,35 +419,30 @@ class GatewayServer:
         single = _SINGLE_VERBS.get(command.verb)
         if single is not None:
             future = getattr(client.cluster, single)(*command.args)
-            return lambda: reply_for_response(future.result())
+            return lambda: encode_reply(reply_for_response(future.result()))
         if command.verb == "BATCH":
             answers = client.cluster.submit_batch_answers(command.requests)
-            return lambda: ArrayReply(tuple(map(reply_for_response, answers.result())))
+            return lambda: encode_answers(answers.result())
         if command.verb == "MULTI":
             # One cross-shard 2PC; the Future raises TxnConflict/TxnAborted
             # on abort, which reply_for_exception maps to a retryable
             # ABORTED frame (the writer thread wraps the thunk).
             txn_future = client.cluster.submit_txn(command.requests)
-
-            def txn_reply() -> Reply:
-                result = txn_future.result()
-                return BulkReply(result.txn_id)
-
-            return txn_reply
+            return lambda: encode_reply(BulkReply(txn_future.result().txn_id))
         if command.verb == "SCAN":
             prefix = command.args[0] if command.args else ""
             shard_futures = client.cluster.submit_scan(prefix)
 
-            def scan_reply() -> Reply:
+            def scan_reply() -> bytes:
                 items: List[Tuple[str, str]] = []
                 for future in shard_futures.values():
                     items.extend(client.cluster.response_of(future.result()))
-                return ArrayReply(
+                return encode_reply(ArrayReply(
                     tuple(
                         ArrayReply((BulkReply(key), BulkReply(value)))
                         for key, value in sorted(items)
                     )
-                )
+                ))
 
             return scan_reply
         raise CommandError(f"unroutable command: {command.verb}")

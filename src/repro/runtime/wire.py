@@ -288,16 +288,27 @@ def register_record(cls: type, tag: str, kinds: Sequence[Any], fields: Sequence[
     width, code = 1 + len(fields), ord(tag)
 
     def encode_record(out: bytearray, value: Any, budget: int) -> int:
+        # One call per record; encode() drops ``out`` on a fallback part-way.
         budget -= width
         values = read(value)
         if budget < 0 or values[0] not in kinds:
             raise _Fallback
-        for field in values[1:]:
-            if field is not None and type(field) is not str:
-                raise _Fallback
         out.append(code)
         out.append(kinds.index(values[0]))
-        return _encode_items(out, values[1:], budget)
+        for field in values[1:]:
+            if field is None:
+                out.append(0x4E)
+            elif type(field) is str:
+                raw = field.encode()  # lone surrogates raise: pickle knows how
+                out.append(0x73)
+                if len(raw) < 0x80:
+                    out.append(len(raw))
+                else:
+                    write_uvarint(out, len(raw))
+                out += raw
+            else:
+                raise _Fallback
+        return budget
 
     def decode_record(data: bytes, pos: int) -> Tuple[Any, int]:
         if data[pos] >= len(kinds):

@@ -16,7 +16,9 @@ Four promises are pinned down here:
 3. **Loud corruption** — a byte stream that stops parsing (runaway varint,
    undecodable sender) surfaces as the typed
    :class:`~repro.runtime.framing.FrameCorruption` at blocked receivers on
-   both backends, promptly, instead of as an eventual timeout.
+   both backends, promptly, instead of as an eventual timeout.  A fuzz
+   target holds the read step to that: frames, or the poison, whatever
+   bytes arrive and however they are chunked.
 4. **Bounded varints** — ``wire.read_uvarint`` refuses more than 64 bits
    (the runaway-continuation-byte regression), and every consumer — wire
    decode, socket framing, WAL replay — turns that into its existing typed
@@ -33,6 +35,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ChoreoEngine
 from repro.core.errors import ChoreoTimeout, TransportError
@@ -493,6 +497,110 @@ class TestCorruptionSurfacing:
                 with pytest.raises(FrameCorruption, match="varint overflow"):
                     receiver.recv("a")
                 assert time.monotonic() - started < 5.0  # poisoned, not timed out
+
+
+#: The gateway parsers' fuzz budget (tests/test_gateway_protocol.py).
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+
+#: Frames as the shared writer builds them: a census sender (or one with no
+#: inbox here), an instance id, and a small serialized payload.
+FRAMES = st.lists(
+    st.tuples(st.sampled_from(["a", "c", "zz"]), st.integers(0, 1 << 20),
+              st.one_of(st.integers(), st.text(max_size=6), st.none(),
+                        st.lists(st.booleans(), max_size=4))),
+    max_size=6,
+).map(lambda frames: [(sender, instance, serialize(value))
+                      for sender, instance, value in frames])
+
+
+def _stream(frames) -> bytes:
+    return b"".join(FrameWriter(sender).header(len(payload), instance) + payload
+                    for sender, instance, payload in frames)
+
+
+#: A length-prefixed frame body of random bytes, most with a short sender
+#: field, so the sender and instance decoders see junk.
+JUNK_FRAMES = st.one_of(
+    st.binary(max_size=16),
+    st.builds(lambda size, rest: SENDER_LENGTH.pack(size) + rest,
+              st.integers(0, 8), st.binary(max_size=16)),
+).map(lambda body: LENGTH.pack(len(body)) + body)
+
+
+@st.composite
+def _arriving_bytes(draw):
+    """Random bytes, or real and junk frames, then cut, flipped or extended."""
+    damage = draw(st.sampled_from(["raw", "cut", "flip", "extend"]))
+    if damage == "raw":
+        return draw(st.binary(max_size=120))
+    data = bytearray(b"".join(draw(st.lists(
+        st.one_of(FRAMES.map(_stream), JUNK_FRAMES), min_size=1, max_size=4))))
+    if damage == "cut":
+        return bytes(data[:draw(st.integers(0, len(data)))])
+    if damage == "flip" and data:
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data) + (draw(st.binary(min_size=1, max_size=12)) if damage == "extend" else b"")
+
+
+def _chunks(data: bytes, cuts) -> list:
+    bounds = sorted({0, len(data), *(cut % (len(data) + 1) for cut in cuts)})
+    return [data[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+def _drain(inbox) -> list:
+    items = []
+    while not inbox.empty():
+        items.append(inbox.get_nowait())
+    return items
+
+
+class TestFrameParserRaisesOnlyFrameCorruption:
+    """Whatever bytes reach a socket reader, the read step
+    (``FramedCoalescingEndpoint._feed``) yields frames or poisons every inbox
+    with the typed :class:`FrameCorruption`, never another exception, and a
+    valid stream yields the same frames however it is chunked."""
+
+    def test_fuzz_feed(self):
+        with TCPTransport(["a", "b", "c"], timeout=5.0) as transport:
+            endpoint = transport.endpoint("b")
+
+            @FUZZ
+            @given(_arriving_bytes(), st.lists(st.integers(0, 1 << 16), max_size=8))
+            def feed(data, cuts):
+                parser = FrameParser()
+                for chunk in _chunks(data, cuts):
+                    frames = endpoint._feed(parser, chunk)
+                    if frames is None:  # the reader drops the connection here
+                        for peer in ("a", "c"):
+                            assert isinstance(_drain(endpoint._inboxes[peer])[-1],
+                                              FrameCorruption)
+                        return
+                    for sender, instance, payload in frames:
+                        assert type(sender) is str and type(instance) is int
+                        assert type(payload) is bytes
+                for peer in ("a", "c"):
+                    _drain(endpoint._inboxes[peer])
+
+            feed()
+
+    def test_a_valid_stream_parses_the_same_however_chunked(self):
+        with TCPTransport(["a", "b", "c"], timeout=5.0) as transport:
+            endpoint = transport.endpoint("b")
+
+            @FUZZ
+            @given(FRAMES, st.lists(st.integers(0, 1 << 16), max_size=8))
+            def feed(frames, cuts):
+                parser, parsed = FrameParser(), []
+                for chunk in _chunks(_stream(frames), cuts):
+                    parsed += endpoint._feed(parser, chunk)
+                assert parsed == frames
+                for peer in ("a", "c"):
+                    assert _drain(endpoint._inboxes[peer]) == [
+                        (instance, payload)
+                        for sender, instance, payload in frames if sender == peer]
+
+            feed()
 
 
 class TestVarintBounds:

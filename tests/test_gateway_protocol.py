@@ -3,12 +3,19 @@
 No sockets here — these tests exercise :mod:`repro.gateway.protocol` as a
 pure library: encode/parse round-trips (including byte-at-a-time incremental
 feeds), the command table's arity rules, the frame limits, and the mapping
-from the cluster's typed exceptions onto the stable error-code schema.
+from the cluster's typed exceptions onto the stable error-code schema.  The
+codec is also held to a frozen copy of its earlier self
+(``tests/gateway_reference.py``), and a count guard keeps a ``BATCH`` frame
+coded in one pass.
 """
 
 from __future__ import annotations
 
 import json
+import random
+import sys
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +39,7 @@ from repro.gateway import (
     ErrorReply,
     ProtocolError,
     SimpleReply,
+    GatewayServer,
     command_from_args,
     encode_command,
     encode_reply,
@@ -45,9 +53,13 @@ from repro.gateway.protocol import (
     MAX_ARGS,
     MAX_INLINE,
     MAX_REPLY_DEPTH,
+    encode_answers,
     encode_sub_requests,
 )
-from repro.protocols.kvs import Request, RequestKind, Response
+from repro.protocols.kvs import Request, RequestKind, Response, ResponseKind
+from repro.runtime import wire
+
+from tests import gateway_reference as reference
 
 
 class TestCommandFraming:
@@ -84,6 +96,20 @@ class TestCommandFraming:
         wire = b"\r\n\r\nPING\r\n"
         args, pos = parse_command(wire)
         assert args == ["PING"] and pos == len(wire)
+
+    def test_blank_lines_before_an_incomplete_command_are_consumed(self):
+        """The documented contract: the position comes back past every whole
+        blank line, so the reader's unparsed tail cannot grow with them."""
+        assert parse_command(b"\n") == (None, 1)
+        assert parse_command(b" \r\n*2\r\n$3\r\nGET\r\n") == (None, 3)
+        assert parse_command(b"  \t\n\nGET") == (None, 5)
+
+    def test_the_null_marker_text_is_an_ordinary_argument(self):
+        """The parser once marked a null bulk in-band with this very string."""
+        args = ["PUT", "k", "\0__NULL__"]
+        assert parse_command(encode_command(args)) == (args, len(encode_command(args)))
+        reply = ArrayReply((BulkReply("\0__NULL__"), BulkReply(None)))
+        assert parse_reply(encode_reply(reply))[0] == reply
 
     def test_binaryish_values_survive_bulk_framing(self):
         value = "spaces and\ttabs and \r\n newlines"
@@ -331,8 +357,8 @@ class TestParsersRaiseOnlyProtocolErrors:
         try:
             while True:  # as the gateway reader walks its buffer
                 args, end = parse_command(data, start)
-                if args is None:  # blank lines before an incomplete frame go
-                    assert end >= start and not data[start:end].strip()
+                if args is None:  # whole blank lines before an incomplete frame go
+                    assert _whole_blank_lines(data[start:end])
                     return
                 assert end > start and all(isinstance(arg, str) for arg in args)
                 start = end
@@ -362,3 +388,167 @@ class TestParsersRaiseOnlyProtocolErrors:
         # json.loads recursed out of the stack and the RecursionError escaped.
         with pytest.raises(ProtocolError, match="malformed error payload"):
             parse_reply(b"-" + b"[" * 60000 + b"\r\n")
+
+
+def _whole_blank_lines(skipped):
+    """``skipped`` is empty, or whole lines ending in ``\n`` that the inline
+    form reads as blank (UTF-8 text with no whitespace-separated token)."""
+    if not skipped:
+        return True
+    if not skipped.endswith(b"\n"):
+        return False
+    try:
+        return not skipped.decode("utf-8").split()
+    except UnicodeDecodeError:
+        return False
+
+
+# -- the codec against its frozen earlier self ---------------------------------------
+
+#: Empty, one- to four-byte UTF-8, CR and LF and framing bytes inside values,
+#: and a lone surrogate (both codecs raise the same UnicodeEncodeError).
+_any_text = st.text(alphabet=st.sampled_from("aZ09 \té€😀\r\n$*-+\x00\ud800"), max_size=8)
+REPLY_TREES = st.recursive(
+    st.one_of(_any_text.map(BulkReply), st.just(BulkReply(None)),
+              st.from_regex(r"[A-Z]{0,6}", fullmatch=True).map(SimpleReply),
+              _any_text.map(lambda text: error_reply("X", text, n=len(text)))),
+    lambda items: st.lists(items, max_size=4).map(lambda xs: ArrayReply(tuple(xs))),
+    max_leaves=8)
+RESPONSES = st.lists(st.one_of(_any_text.map(Response.found), st.just(Response.not_found()),
+                               st.just(Response.stopped()),
+                               st.just(Response(ResponseKind.FOUND, None))), max_size=40)
+
+
+def _outcome(function, *args):
+    """What a call gave: its value, or the class, code and message it raised."""
+    try:
+        return function(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return ("raised", type(exc), getattr(exc, "code", None), str(exc))
+
+
+def _walk(parse, data):
+    """Every step of walking ``data`` as a socket reader does."""
+    steps, start = [], 0
+    while True:
+        step = _outcome(parse, data, start)
+        steps.append(step)
+        if step[0] is None or step[0] == "raised":
+            return steps
+        start = step[1]
+
+
+def _batch_frame(seed=11):
+    """A ``gw_batch``-shaped ``BATCH``: 30 GETs and 2 PUTs of 64-byte values."""
+    rng = random.Random(seed)
+    args = ["BATCH"]
+    for index in range(32):
+        key = "user%06d" % rng.randrange(1000)
+        args += ["PUT", key, "%064x" % rng.getrandbits(256)] if index in (7, 23) else ["GET", key]
+    answers = [Response.found("%064x" % rng.getrandbits(256)) if rng.random() < 0.8
+               else Response.not_found() for _ in range(32)]
+    return args, answers
+
+
+class TestCodecMatchesTheReference:
+    """``tests/gateway_reference.py`` froze the codec before bulk runs were
+    parsed in one loop.  Bytes, values, positions and errors stay its own."""
+
+    @FUZZ
+    @given(st.lists(_any_text, max_size=8))
+    def test_commands_encode_to_the_same_bytes(self, args):
+        assert _outcome(encode_command, args) == _outcome(reference.encode_command, args)
+
+    @FUZZ
+    @given(REPLY_TREES)
+    def test_replies_encode_to_the_same_bytes(self, reply):
+        assert _outcome(encode_reply, reply) == _outcome(reference.encode_reply, reply)
+
+    @FUZZ
+    @given(RESPONSES)
+    def test_a_batch_answer_is_the_reply_the_server_built(self, responses):
+        built = ArrayReply(tuple(map(reply_for_response, responses)))
+        assert _outcome(encode_answers, responses) == _outcome(reference.encode_reply, built)
+
+    @FUZZ
+    @given(wire_bytes(COMMAND_FRAMES))
+    def test_commands_parse_the_same_at_every_step(self, data):
+        steps = _walk(parse_command, data)
+        assert steps == _walk(reference.parse_command, data)
+        for step in steps:
+            if step[0] not in (None, "raised"):
+                assert (_outcome(command_from_args, step[0])
+                        == _outcome(reference.command_from_args, step[0]))
+
+    @FUZZ
+    @given(wire_bytes(REPLY_FRAMES))
+    def test_replies_parse_the_same_at_every_step(self, data):
+        assert _walk(parse_reply, data) == _walk(reference.parse_reply, data)
+
+    def test_every_cut_of_a_batch_frame_parses_the_same(self):
+        args, answers = _batch_frame()
+        command, reply = encode_command(args), encode_answers(answers)
+        for frame, parse, frozen in ((command, parse_command, reference.parse_command),
+                                     (reply, parse_reply, reference.parse_reply)):
+            for cut in range(len(frame) + 1):
+                assert _walk(parse, frame[:cut]) == _walk(frozen, frame[:cut]), cut
+        assert command_from_args(args) == reference.command_from_args(args)
+
+
+def _python_calls(function, *args):
+    """Python-level calls (profiler ``call`` events) in ``function(*args)``,
+    itself included, and its result."""
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = function(*args)
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+class TestABatchFrameIsCodedInOnePass:
+    """One 32-op ``BATCH`` frame (30 GETs, 2 PUTs) costs each codec step a
+    handful of Python calls, not one or more per argument.  The codec that
+    walked a frame per argument made 136 (encode), 204 (parse), 67
+    (validate), 155 (the server's reply) and 165 (reply parse), and
+    encoding 8 requests on the cluster wire made 19."""
+
+    LIMIT = 8
+
+    def test_the_command_is_encoded_parsed_and_validated_in_one_pass(self):
+        args, _answers = _batch_frame()
+        calls, frame = _python_calls(encode_command, args)
+        assert len(calls) <= self.LIMIT, calls
+        assert frame == reference.encode_command(args)
+        calls, (parsed, end) = _python_calls(parse_command, frame)
+        assert len(calls) <= self.LIMIT, calls
+        assert (parsed, end) == (args, len(frame))
+        calls, command = _python_calls(command_from_args, parsed)
+        assert len(calls) <= self.LIMIT, calls
+        assert command == reference.command_from_args(args)
+
+    def test_the_servers_batch_reply_is_encoded_in_one_pass(self):
+        args, answers = _batch_frame()
+        done = SimpleNamespace(result=partial(list, answers))  # no Python frame
+        cluster = SimpleNamespace(submit_batch_answers=lambda requests: done)
+        server = GatewayServer(SimpleNamespace(cluster=cluster))
+        produce = server._submit(command_from_args(args))
+        calls, data = _python_calls(produce)
+        assert len(calls) <= self.LIMIT, calls
+        assert data == reference.encode_reply(
+            ArrayReply(tuple(map(reply_for_response, answers))))
+        calls, (reply, end) = _python_calls(parse_reply, data)
+        assert len(calls) <= self.LIMIT, calls
+        assert (reply, end) == reference.parse_reply(data)
+
+    def test_a_request_list_is_put_on_the_cluster_wire_one_call_per_record(self):
+        requests = [Request.get("user%06d" % index) for index in range(8)]
+        calls, data = _python_calls(wire.encode, requests)
+        assert len(calls) <= 11, calls  # encode, the list, 8 records, the top level
+        assert wire.decode(data) == requests
