@@ -107,6 +107,7 @@ from .gateway import GatewayClient, GatewayError, GatewayServer, GatewaySettings
 from .protocols.kvs import ShardEpoch, StaleEpoch
 from .storage import Durability, DurableState, SnapshotStore, WriteAheadLog
 from .runtime import (
+    AsyncioTCPTransport,
     CentralBackend,
     CentralOp,
     ChannelStats,
@@ -119,13 +120,6 @@ from .runtime import (
 )
 
 __version__ = "1.8.0"
-
-
-def __getattr__(name: str):
-    if name == "AsyncioTCPTransport":  # deferred, as in repro.runtime
-        from .runtime.asyncio_tcp import AsyncioTCPTransport
-        return AsyncioTCPTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -100,6 +100,8 @@ class RequestKind(enum.Enum):
 #: The request kinds that mutate replica state (and therefore replicate).
 WRITE_KINDS = (RequestKind.PUT, RequestKind.DELETE)
 
+_new_record = object.__new__
+
 
 @dataclass(frozen=True)
 class Request:
@@ -109,21 +111,30 @@ class Request:
     key: Optional[str] = None
     value: Optional[str] = None
 
+    # Built as ``wire.decode_record`` builds them, without the frozen __init__.
     @staticmethod
     def put(key: str, value: str) -> "Request":
-        return Request(RequestKind.PUT, key, value)
+        request = _new_record(Request)
+        request.__dict__.update(kind=RequestKind.PUT, key=key, value=value)
+        return request
 
     @staticmethod
     def get(key: str) -> "Request":
-        return Request(RequestKind.GET, key)
+        request = _new_record(Request)
+        request.__dict__.update(kind=RequestKind.GET, key=key, value=None)
+        return request
 
     @staticmethod
     def delete(key: str) -> "Request":
-        return Request(RequestKind.DELETE, key)
+        request = _new_record(Request)
+        request.__dict__.update(kind=RequestKind.DELETE, key=key, value=None)
+        return request
 
     @staticmethod
     def stop() -> "Request":
-        return Request(RequestKind.STOP)
+        request = _new_record(Request)
+        request.__dict__.update(kind=RequestKind.STOP, key=None, value=None)
+        return request
 
 
 class ResponseKind(enum.Enum):
@@ -143,15 +154,21 @@ class Response:
 
     @staticmethod
     def found(value: str) -> "Response":
-        return Response(ResponseKind.FOUND, value)
+        response = _new_record(Response)
+        response.__dict__.update(kind=ResponseKind.FOUND, value=value)
+        return response
 
     @staticmethod
     def not_found() -> "Response":
-        return Response(ResponseKind.NOT_FOUND)
+        response = _new_record(Response)
+        response.__dict__.update(kind=ResponseKind.NOT_FOUND, value=None)
+        return response
 
     @staticmethod
     def stopped() -> "Response":
-        return Response(ResponseKind.STOPPED)
+        response = _new_record(Response)
+        response.__dict__.update(kind=ResponseKind.STOPPED, value=None)
+        return response
 
 
 # Both travel as wire records: a kind byte, then each field as ``s…`` / ``N``.

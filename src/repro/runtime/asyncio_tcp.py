@@ -1,47 +1,41 @@
-"""Asyncio TCP transport: every location's inbound reads on one event loop.
+"""Selector TCP transport: every location's inbound reads on one thread.
 
-The threaded TCP backend (:mod:`repro.runtime.tcp`) spends OS threads on
-reading: one accept thread per location plus one reader thread per live
-connection — for a census of *n* fully-connected locations that is
-``n + n·(n−1)`` threads before the engine's own workers.  On a small
-container that thread tax caps how many warm choreography sessions (shard
-replicas, gateway connections, clients) one process can hold open.
+The threaded TCP backend (:mod:`repro.runtime.tcp`) spends an accept thread
+per location and a reader thread per live connection on reading:
+``n + n·(n−1)`` threads for a fully-connected census of *n*, which caps how
+many warm sessions one process can hold open.  This backend spends **one
+selector thread** per transport, a Reactor in Schmidt's sense: it blocks in
+one :func:`selectors.DefaultSelector` with no timeout, accepts on every
+location's non-blocking listener and registers the new connection itself,
+and reads each readable connection with ``recv_into`` into one reused
+``mmap`` for the shared read step (``FramedCoalescingEndpoint._feed``).  A
+listener is registered by the thread that creates its endpoint (epoll and
+kqueue see a registration made while they wait), so ``close()`` is the
+thread's only wake-up.  There is no event loop and no ``asyncio`` import;
+the backend keeps the name ``"asyncio"`` for its callers.
 
-This backend replaces all of them with a **single event loop** in one daemon
-thread per transport: every location's listening socket is an ``asyncio``
-server on the loop, and every inbound connection's bytes arrive through an
-:class:`asyncio.BufferedProtocol` whose ``buffer_updated`` hands them to the
-shared read step (``FramedCoalescingEndpoint._feed`` in
-:mod:`repro.runtime.framing`) — no reader threads.
+Writes never touch the selector: the write path and the wire format are
+:mod:`repro.runtime.framing`'s, shared with the threaded backend, so the
+two interoperate on one socket and record identical
+:class:`~repro.runtime.stats.ChannelStats`, and ``faults=`` works alike.
 
-Writes never touch the loop.  The write path is the threaded backend's, both
-inherited from :mod:`repro.runtime.framing`: a drained batch goes out as
-``sendmsg`` writev calls on a blocking socket from the sending worker thread,
-and a full kernel send buffer blocks that worker until the peer's loop reads
-— the kernel is the backpressure, and a send posts nothing to the loop.  The
-two backends therefore differ only in how inbound bytes reach the inboxes:
-they interoperate on the same socket and record identical
-:class:`~repro.runtime.stats.ChannelStats` (``tests/test_transport_coalescing.py``).
-
-The loop's price is its read path: an asyncio hop costs about twice a
-threaded one (``runtime.asyncio_tcp.hop_us`` against ``runtime.tcp.hop_us``,
-``docs/performance.md``).  What it buys is session density: a warm 4-party
-asyncio session costs 1 I/O thread instead of the threaded backend's 16
-(``test_warm_session_density_is_at_least_four_times_threaded`` in
-``tests/test_asyncio_tcp.py``).
-
-``faults=`` takes a :class:`repro.faults.FaultPlan` exactly like the
-threaded backend, and an injected delay is the same ``time.sleep`` on the
-sending worker: with no write on the loop, a delayed sender cannot stall it.
+One shared reader is no shared point of failure: a connection whose bytes
+stop parsing poisons only its own endpoint's inboxes with
+:class:`~repro.runtime.framing.FrameCorruption`, a reset one is dropped,
+and the selector serves the rest.  An unexpected exception in the loop is
+logged and poisons every inbox of the transport with a typed
+:class:`~repro.core.errors.TransportError`, so no receiver waits out its
+timeout.
 """
 
 from __future__ import annotations
 
-import asyncio
+import logging
 import mmap
+import selectors
+import socket
 import threading
-from concurrent.futures import TimeoutError as _FutureTimeout
-from typing import Any, Optional, Set
+from typing import Any, List
 
 from ..core.errors import TransportError
 from ..core.locations import Location, LocationsLike
@@ -49,96 +43,27 @@ from .framing import FramedCoalescingEndpoint, FrameParser
 from .tcp import _READ_CHUNK, TCPTransport
 from .transport import DEFAULT_TIMEOUT
 
-
-class _ReaderProtocol(asyncio.BufferedProtocol):
-    """Inbound connection: its bytes take the shared read step on the loop.
-
-    The loop reads with ``recv_into`` into one reused anonymous ``mmap`` per
-    connection, as the threaded readers do, instead of a fresh 256 KiB
-    ``recv`` per read event.  ``queue.SimpleQueue.put`` never blocks, so
-    delivering from the loop thread is safe; receivers block in their own
-    worker threads.
-    """
-
-    def __init__(self, endpoint: "_AsyncioEndpoint"):
-        self._endpoint = endpoint
-        self._parser = FrameParser()
-        self._view = memoryview(mmap.mmap(-1, _READ_CHUNK))
-        self._transport: Optional[asyncio.Transport] = None
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self._transport = transport  # type: ignore[assignment]
-        self._endpoint._readers.add(self._transport)
-
-    def connection_lost(self, exc: Optional[BaseException]) -> None:
-        self._endpoint._readers.discard(self._transport)
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._view
-
-    def buffer_updated(self, nbytes: int) -> None:
-        if self._endpoint._feed(self._parser, self._view[:nbytes]) is None:
-            self._transport.close()  # corrupt stream: inboxes already poisoned
+logger = logging.getLogger("repro.runtime.asyncio_tcp")
 
 
-class _AsyncioEndpoint(FramedCoalescingEndpoint):
-    """One location's server and inbound connections, owned by the loop.
-
-    Outgoing connections are the framed base's blocking sockets, written
-    from the sending thread; only setup and teardown post to the loop.
-    """
+class _SelectorEndpoint(FramedCoalescingEndpoint):
+    """One location's listener; it and its connections belong to the selector."""
 
     def __init__(self, location: Location, transport: "AsyncioTCPTransport"):
+        if transport._closed:
+            raise TransportError(f"selector transport is closed ({location!r})")
         super().__init__(location, transport)
-        self._loop = transport._loop
-        # Accepted connections, touched only on the loop: closing the server
-        # stops accepting but leaves these open.
-        self._readers: Set[asyncio.Transport] = set()
-        self._server = self._call_on_loop(
-            self._loop.create_server(lambda: _ReaderProtocol(self), "127.0.0.1", 0),
-            "start server",
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    def _call_on_loop(self, coroutine, what: str):
-        """Run ``coroutine`` on the transport's loop; surface typed failures."""
-        if self._transport._loop_closed:
-            coroutine.close()  # un-awaited coroutine: silence the warning
-            raise TransportError(f"asyncio transport is closed ({what})")
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        try:
-            return future.result(timeout=self._timeout)
-        except (TimeoutError, _FutureTimeout):
-            future.cancel()
-            raise TransportError(
-                f"{self.location!r}: {what} did not complete within {self._timeout}s"
-            ) from None
-        except OSError as exc:
-            raise TransportError(f"{self.location!r}: {what} failed: {exc}") from exc
-
-    async def _stop_reading(self) -> None:
-        self._server.close()
-        for reader in list(self._readers):
-            reader.close()
-        await asyncio.sleep(0)  # the closes' callbacks release the sockets first
-
-    def close(self) -> None:
-        super().close()
-        if not self._transport._loop_closed:
-            self._call_on_loop(self._stop_reading(), "close")
+        server = socket.create_server(("127.0.0.1", 0), backlog=len(transport.census) + 4)
+        server.setblocking(False)
+        self.port = server.getsockname()[1]
+        transport._readers.append(self)
+        transport._selector.register(server, selectors.EVENT_READ, self)
 
 
 class AsyncioTCPTransport(TCPTransport):
-    """Loopback TCP transport reading every socket on one event loop.
+    """Loopback TCP transport reading every socket on one selector thread."""
 
-    A :class:`~repro.runtime.tcp.TCPTransport` whose endpoints read on the
-    loop instead of on reader threads; the wire format, the write path, the
-    endpoint surface and the ``faults=`` option are the threaded backend's,
-    so a choreography records byte-identical
-    :class:`~repro.runtime.stats.ChannelStats` on either backend.
-    """
-
-    _endpoint_class = _AsyncioEndpoint
+    _endpoint_class = _SelectorEndpoint
 
     def __init__(
         self,
@@ -148,26 +73,71 @@ class AsyncioTCPTransport(TCPTransport):
         faults: "Any | None" = None,
     ):
         super().__init__(census, timeout, faults=faults)
-        self._loop = asyncio.new_event_loop()
-        self._loop_closed = False
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, name="asyncio-tcp-loop", daemon=True
-        )
-        self._loop_thread.start()
+        self._closed = False
+        self._readers: List[_SelectorEndpoint] = []
+        self._selector = selectors.DefaultSelector()
+        self._wake_read, self._wake_write = socket.socketpair()  # close()'s
+        self._selector.register(self._wake_read, selectors.EVENT_READ, None)
+        self._thread = threading.Thread(target=self._serve, name="tcp-selector", daemon=True)
+        self._thread.start()
 
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
+    def _serve(self) -> None:
         try:
-            self._loop.run_forever()
+            self._select_loop()
+        except Exception as exc:  # noqa: BLE001 - no receiver may wait out its timeout
+            logger.exception("selector thread failed; poisoning every inbox")
+            error = TransportError(f"selector thread failed: {exc!r}")
+            for endpoint in self._readers:
+                endpoint._poison_inboxes(error)
         finally:
-            self._loop.close()
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._wake_write.close()
+
+    def _select_loop(self) -> None:
+        select, register = self._selector.select, self._selector.register
+        unregister = self._selector.unregister
+        buffer = mmap.mmap(-1, _READ_CHUNK)
+        view = memoryview(buffer)
+        while True:
+            for key, _events in select():
+                sock, reader = key.fileobj, key.data
+                if type(reader) is tuple:  # a connection: (endpoint, parser)
+                    endpoint, parser = reader
+                    try:
+                        count = sock.recv_into(buffer)
+                        while count and endpoint._feed(parser, view[:count]) is not None:
+                            if count < _READ_CHUNK:
+                                break  # one read per wake-up, unless it filled the buffer
+                            count = sock.recv_into(buffer)
+                        else:  # EOF, or the bytes poisoned this endpoint's inboxes
+                            unregister(sock)
+                            sock.close()
+                    except BlockingIOError:
+                        pass
+                    except OSError:  # reset: drop this connection only
+                        unregister(sock)
+                        sock.close()
+                elif reader is None:  # close() woke us
+                    return
+                else:  # a listener: accept and register on this thread
+                    try:
+                        conn, _addr = sock.accept()
+                    except OSError:  # reset before accept
+                        continue
+                    conn.setblocking(False)
+                    register(conn, selectors.EVENT_READ, (reader, FrameParser()))
 
     def close(self) -> None:
-        if self._loop_closed:
+        if self._closed:
             return
+        self._closed = True
         try:
             super().close()
-        finally:  # a wedged loop must not keep its thread alive
-            self._loop_closed = True
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._loop_thread.join(timeout=self.timeout)
+        finally:  # a wedged selector must not keep its thread alive
+            try:
+                self._wake_write.send(b"\x00")
+            except OSError:  # pragma: no cover - the thread already exited
+                pass
+            self._thread.join(timeout=self.timeout)

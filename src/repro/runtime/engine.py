@@ -40,6 +40,7 @@ from ..core.errors import ChoreographyRuntimeError, TransportError
 from ..core.located import Faceted, Located
 from ..core.locations import Census, Location, LocationsLike, as_census
 from ..core.ops import Choreography
+from .asyncio_tcp import AsyncioTCPTransport
 from .central import CentralBackend, CentralOp, localize_return
 from .local import LocalTransport
 from .simulated import SimulatedNetworkTransport
@@ -65,18 +66,11 @@ CLOSE_DEADLINE_CAP = 60.0
 logger = logging.getLogger("repro.runtime.engine")
 
 
-def _asyncio_backend(census: LocationsLike, **options: Any) -> Transport:
-    # Imported on first use: asyncio (with ssl, selectors, ...) is ~3 MiB that
-    # threaded and in-process sessions would carry without ever running a loop.
-    from .asyncio_tcp import AsyncioTCPTransport
-    return AsyncioTCPTransport(census, **options)
-
-
 #: Backend name → ``factory(census, timeout=..., **options)``.
 _BACKENDS = {
     "local": LocalTransport,
     "tcp": TCPTransport,
-    "asyncio": _asyncio_backend,
+    "asyncio": AsyncioTCPTransport,
     "simulated": SimulatedNetworkTransport,
     "central": CentralBackend,
 }

@@ -1,7 +1,7 @@
 """The socket wire format and the write path shared by both TCP backends.
 
 Both TCP transports (:mod:`repro.runtime.tcp`, reader threads;
-:mod:`repro.runtime.asyncio_tcp`, an event-loop reader) frame messages as::
+:mod:`repro.runtime.asyncio_tcp`, one selector thread) frame messages as::
 
     [u32 length][u16 sender-length][sender][uvarint instance][payload]
 
@@ -19,7 +19,7 @@ It is also the one write path: :class:`FramedCoalescingEndpoint` caches a
 blocking outgoing socket per receiver and writes each drained batch from the
 draining worker thread as ``sendmsg`` writev calls.  The backends differ only
 in how inbound bytes reach the inboxes — a reader thread per connection or
-one ``asyncio.Protocol`` on a loop — and both hand them to
+one selector thread per transport — and both hand them to
 :meth:`FramedCoalescingEndpoint._feed`.  Inbound bytes drain independently of
 the application's ``recv`` discipline on both, so a write blocked on a full
 kernel buffer always makes progress: the kernel bounds what a sender
@@ -100,11 +100,12 @@ class FrameWriter:
 class FrameParser:
     """Incremental frame parser: feed chunks, collect complete frames.
 
-    Holds a trailing partial frame across :meth:`feed` calls.  Parsing is
-    zero-copy via ``memoryview`` slicing with exactly one ``bytes`` copy per
-    payload (as it leaves the reused buffer), and the decode of each
-    connection's wire-encoded sender is cached — frames on one connection
-    come from one peer endpoint.
+    Holds a trailing partial frame across :meth:`feed` calls; a chunk fed
+    while none is held is parsed in place, so only its tail is copied.
+    Parsing is zero-copy via ``memoryview`` slicing with exactly one
+    ``bytes`` copy per payload, and the decode of each connection's
+    wire-encoded sender is cached — frames on one connection come from one
+    peer endpoint.
 
     Raises:
         FrameCorruption: When a frame's sender does not decode to a location
@@ -120,8 +121,10 @@ class FrameParser:
         self._sender_cache: Dict[bytes, Location] = {}
 
     def feed(self, chunk: bytes) -> List[Frame]:
-        self._buffer += chunk
-        buffer = self._buffer
+        held = self._buffer
+        if held:  # a partial frame waits: parse it with the chunk appended
+            held += chunk
+        buffer = held or chunk  # else parse in place: only a tail is copied
         frames: List[Frame] = []
         pos = 0
         size = len(buffer)
@@ -155,16 +158,18 @@ class FrameParser:
                 pos = frame_end
         finally:
             view.release()
-        if pos:
-            del buffer[:pos]
+        if held:
+            del held[:pos]
+        elif pos < size:
+            held += buffer[pos:]
         return frames
 
 
 class FramedCoalescingEndpoint(CoalescingEndpoint):
-    """Everything the threaded and asyncio TCP endpoints share but the reader.
+    """Everything the threaded and selector TCP endpoints share but the reader.
 
     Owns the per-peer inboxes (items are ``(instance, payload bytes)`` pairs,
-    or a :class:`FrameCorruption` poison), the frame-header builder, the read
+    or a typed ``TransportError`` poison), the frame-header builder, the read
     step every reader calls (:meth:`_feed`), and the whole write path: the
     cache of blocking outgoing sockets and ``_deliver``, which writes a
     drained batch from the draining thread.  Subclasses listen, accept, and
@@ -204,13 +209,13 @@ class FramedCoalescingEndpoint(CoalescingEndpoint):
                 inbox.put((instance, payload))
         return frames
 
-    def _poison_inboxes(self, error: FrameCorruption) -> None:
-        """Wake every blocked receiver with the typed corruption error.
+    def _poison_inboxes(self, error: TransportError) -> None:
+        """Wake every blocked receiver with a typed transport error.
 
-        Called by the reader when a connection's byte stream stops parsing:
-        the frames after the damage cannot be attributed to a sender, so
-        every peer's inbox gets the poison and the next ``recv`` on any
-        channel raises it instead of timing out.
+        Called by the reader when a connection's byte stream stops parsing
+        (the frames after the damage cannot be attributed to a sender) and
+        by a selector thread that fails: every peer's inbox gets the poison
+        and the next ``recv`` on any channel raises it instead of timing out.
         """
         for inbox in self._inboxes.values():
             inbox.put(error)
@@ -224,7 +229,7 @@ class FramedCoalescingEndpoint(CoalescingEndpoint):
             item = self._inboxes[sender].get(timeout=self._timeout)
         except queue.Empty:
             raise ChoreoTimeout(self.location, sender, self._timeout) from None
-        if isinstance(item, FrameCorruption):
+        if isinstance(item, TransportError):
             raise item
         return item
 

@@ -18,9 +18,10 @@ serialized exactly once per send (shared across all receivers of a
 does, and the byte count recorded in
 :class:`~repro.runtime.stats.ChannelStats` is the exact payload byte count on
 the wire.  The format and the whole write path live in
-:mod:`repro.runtime.framing`, shared with the asyncio backend
+:mod:`repro.runtime.framing`, shared with the ``"asyncio"`` backend
 (:mod:`repro.runtime.asyncio_tcp`), so the two socket backends interoperate
-byte for byte on the same wire and differ only in how they read.
+byte for byte on the same wire and differ only in how they read: threads
+here, one selector thread there.
 
 Both directions of the hot path are *coalesced* so that syscall count, not
 byte count, stops being the bottleneck for small-message storms:
@@ -35,9 +36,10 @@ byte count, stops being the bottleneck for small-message storms:
   one* ``sendmsg`` writev per live connection, from the draining worker
   thread, instead of one syscall per ``(receiver, message)``.
 * **Reads are buffered.**  The per-connection reader thread reads up to
-  64 KiB per ``recv_into`` and parses every complete frame in it through one
-  ``memoryview`` (zero-copy slicing; one ``bytes`` copy per payload as it
-  enters the inbox), instead of two-plus ``recv`` syscalls per frame.
+  64 KiB per ``recv_into`` and parses every complete frame in it in place
+  through one ``memoryview`` (zero-copy slicing; one ``bytes`` copy per
+  payload as it enters the inbox, and one of a trailing partial frame),
+  instead of two-plus ``recv`` syscalls per frame.
 
 Sockets run with ``TCP_NODELAY``, so an explicit flush hits the wire
 immediately; reader threads drain the kernel buffers independently of the
@@ -69,10 +71,8 @@ class _TCPEndpoint(FramedCoalescingEndpoint):
 
     def __init__(self, location: Location, transport: "TCPTransport"):
         super().__init__(location, transport)
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(("127.0.0.1", 0))
-        self._server.listen(len(transport.census) + 4)
+        self._server = socket.create_server(
+            ("127.0.0.1", 0), backlog=len(transport.census) + 4)
         self.port = self._server.getsockname()[1]
         self._closed = threading.Event()
         self._accept_thread = threading.Thread(

@@ -1,14 +1,15 @@
-"""The asyncio TCP backend: mechanics, wire interop, corruption, bounds.
+"""The selector TCP backend ("asyncio"): mechanics, wire interop, corruption, bounds.
 
 Four promises are pinned down here:
 
-1. **Mechanics** — the event-loop backend honours the same endpoint contract
+1. **Mechanics** — the selector backend honours the same endpoint contract
    as every other transport (FIFO per sender, demultiplexing, typed
-   timeouts) while reading *all* sockets on one daemon loop thread.
-   Sending posts nothing to that loop: both socket backends share one write
-   path from the sending thread, which keeps per-pair FIFO under racing
-   drains, cannot deadlock on full kernel buffers, and leaves no file
-   descriptor open after ``close()``.
+   timeouts) while reading *all* sockets on one daemon selector thread,
+   and that one reader is not a shared point of failure.  Sending neither
+   wakes the selector nor registers with it: both socket backends share one
+   write path from the sending thread, which keeps per-pair FIFO under
+   racing drains, cannot deadlock on full kernel buffers, and leaves no
+   file descriptor open after ``close()``.
 2. **Wire interop** — the frame format is byte-identical to the threaded
    TCP backend's (:mod:`repro.runtime.framing` is the single definition), so
    a threaded endpoint can send straight into an asyncio endpoint's socket
@@ -30,6 +31,8 @@ from __future__ import annotations
 import gc
 import os
 import socket
+import struct
+import subprocess
 import sys
 import threading
 import time
@@ -103,8 +106,9 @@ class TestAsyncioMechanics:
 
     def test_one_loop_thread_no_reader_threads(self):
         """The scaling claim in miniature: a full mesh of live connections
-        adds exactly one I/O thread — the loop — where the threaded backend
-        adds an accept thread per location plus a reader per connection."""
+        adds exactly one I/O thread — the selector — where the threaded
+        backend adds an accept thread per location plus a reader per
+        connection."""
         before = threading.active_count()
         with AsyncioTCPTransport(CENSUS, timeout=5.0) as transport:
             for location in CENSUS:
@@ -119,7 +123,7 @@ class TestAsyncioMechanics:
                     if sender != receiver:
                         assert transport.endpoint(receiver).recv(sender) == "hi"
             loop_threads = [
-                t for t in threading.enumerate() if t.name == "asyncio-tcp-loop"
+                t for t in threading.enumerate() if t.name == "tcp-selector"
             ]
             assert len(loop_threads) == 1
             assert not [
@@ -129,12 +133,38 @@ class TestAsyncioMechanics:
         deadline = time.monotonic() + 5.0
         while loop_threads[0].is_alive() and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert not loop_threads[0].is_alive()  # close() tears the loop down
+        assert not loop_threads[0].is_alive()  # close() tears the selector down
+
+    def test_listeners_register_while_the_selector_accepts(self):
+        """Endpoints are created (their listeners registered from this
+        thread) while earlier ones already exchange frames, so the selector
+        thread accepts and registers at the same time; under a 10 µs switch
+        interval no frame is lost or reordered."""
+        census = [f"p{index}" for index in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AsyncioTCPTransport(census, timeout=10.0) as transport:
+                live = []
+                for location in census:
+                    live.append(transport.endpoint(location))
+                    for sender in live:
+                        for receiver in live:
+                            if receiver is not sender:
+                                sender.send(receiver.location, (sender.location, len(live)))
+                        sender.flush()
+                    for receiver in live:
+                        for sender in live:
+                            if receiver is not sender:
+                                got = receiver.recv(sender.location)
+                                assert got == (sender.location, len(live))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_warm_session_density_is_at_least_four_times_threaded(self):
         """Threads are what cap how many warm sessions one process holds: a
         4-party threaded session keeps a worker, an accept thread and a reader
-        per inbound connection; the asyncio one keeps the workers and a loop."""
+        per inbound connection; the selector one keeps the workers and a selector."""
         parties = ["p0", "p1", "p2", "p3"]
         n = len(parties)
 
@@ -180,17 +210,27 @@ class TestAsyncioMechanics:
                 assert inner._out_buffers == {}
 
 
-def _count_loop_posts(monkeypatch, transport):
-    """Record every callback a thread posts to ``transport``'s loop."""
-    posts = []
-    real = transport._loop.call_soon_threadsafe
+def _count_selector_calls(monkeypatch, transport):
+    """Record every registration change made on ``transport``'s selector."""
+    calls = []
+    selector = transport._selector
+    for name in ("register", "modify", "unregister"):
+        real = getattr(selector, name)
 
-    def counting(callback, *args, **kwargs):
-        posts.append(callback)
-        return real(callback, *args, **kwargs)
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(transport._loop, "call_soon_threadsafe", counting)
-    return posts
+        monkeypatch.setattr(selector, name, counting)
+    return calls
+
+
+def _wake_ups_pending(transport) -> bool:
+    """Whether a byte waits on the selector's one wake-up pair (close's)."""
+    try:
+        return bool(transport._wake_read.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT))
+    except BlockingIOError:
+        return False
 
 
 GMW_PARTIES = ["p1", "p2", "p3", "p4"]
@@ -201,12 +241,14 @@ def _gmw_projected(op, my_inputs=None, *, seed=0):
     return gmw(op, GMW_PARTIES, GMW_CIRCUIT, my_inputs, seed=seed, rsa_bits=128)
 
 
-class TestSendingNeverPostsToTheLoop:
+class TestSendingNeverWakesTheSelector:
     """The count guard for the one write path: a send, a flush and a whole
-    warm choreography run post nothing to the event loop — it only reads.
-    (Setup and teardown still post: starting a server, closing readers.)"""
+    warm choreography run make no selector wake-up and no registration —
+    the selector only reads.  (Setup registers each listener from its
+    creating thread, and accepts register on the selector thread itself;
+    close() is the one wake-up.)"""
 
-    def test_scatter_and_flush_post_nothing(self, monkeypatch):
+    def test_scatter_and_flush_wake_nothing(self, monkeypatch):
         census = ["a", "b", "c", "d"]
         with AsyncioTCPTransport(census, timeout=5.0) as transport:
             endpoints = {location: transport.endpoint(location) for location in census}
@@ -217,7 +259,7 @@ class TestSendingNeverPostsToTheLoop:
             for receiver in "bcd":
                 assert endpoints[receiver].recv("a") == "hello"
 
-            posts = _count_loop_posts(monkeypatch, transport)
+            calls = _count_selector_calls(monkeypatch, transport)
             for index in range(3):
                 for receiver in "bcd":
                     sender.send(receiver, (receiver, index))
@@ -226,9 +268,11 @@ class TestSendingNeverPostsToTheLoop:
             for receiver in "bcd":
                 received = [endpoints[receiver].recv("a") for _ in range(3)]
                 assert received == [(receiver, index) for index in range(3)]
-            assert posts == []
+            assert calls == []
+            assert not _wake_ups_pending(transport)
+            assert transport._thread.is_alive()
 
-    def test_warm_gmw_runs_post_nothing(self, monkeypatch):
+    def test_warm_gmw_runs_wake_nothing(self, monkeypatch):
         inputs = {party: {"x": True} for party in GMW_PARTIES}
 
         def run(engine, seed):
@@ -240,10 +284,90 @@ class TestSendingNeverPostsToTheLoop:
 
         with ChoreoEngine(GMW_PARTIES, backend="asyncio", timeout=10.0) as engine:
             run(engine, 0)  # lights the mesh
-            posts = _count_loop_posts(monkeypatch, engine.transport)
+            calls = _count_selector_calls(monkeypatch, engine.transport)
             for seed in range(20):
                 run(engine, seed)
-            assert posts == []
+            assert calls == []
+            assert not _wake_ups_pending(engine.transport)
+            assert engine.transport._thread.is_alive()
+
+    def test_a_warm_run_imports_no_asyncio(self):
+        """The backend is a selector, not an event loop: a fresh interpreter
+        that runs a warm 2-party session on it never imports ``asyncio``."""
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        script = (
+            "import sys\n"
+            "from repro import ChoreoEngine\n"
+            "def ping(op):\n"
+            "    return op.comm('a', 'b', op.locally('a', lambda _un: 1))\n"
+            "with ChoreoEngine(['a', 'b'], backend='asyncio', timeout=10.0) as engine:\n"
+            "    for _ in range(3):\n"
+            "        assert engine.run(ping).value_at('b') == 1\n"
+            "print('asyncio' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, check=True, env=env,
+        ).stdout.strip()
+        assert out == "False"
+
+
+class TestOneReaderIsNoSharedFailure:
+    """Every connection of a transport shares one selector thread, so what
+    fails on one connection must stay there, and a failure of the thread
+    itself must reach every receiver at once, typed."""
+
+    def test_a_corrupt_or_reset_connection_fails_only_its_own_endpoint(self):
+        census = ["a", "b", "c"]
+        with AsyncioTCPTransport(census, timeout=10.0) as transport:
+            endpoints = {location: transport.endpoint(location) for location in census}
+            for receiver in "bc":  # live connections a→b and a→c
+                endpoints["a"].send(receiver, "hello")
+            endpoints["a"].flush()
+            assert [endpoints[r].recv("a") for r in "bc"] == ["hello", "hello"]
+
+            with socket.create_connection(("127.0.0.1", transport.port_of("b"))) as sock:
+                sock.sendall(_runaway_frame())
+                with pytest.raises(FrameCorruption):
+                    endpoints["b"].recv("a")
+            reset = socket.create_connection(("127.0.0.1", transport.port_of("c")))
+            reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            reset.sendall(LENGTH.pack(64))  # half a frame, then a reset
+            reset.close()
+
+            for receiver in "bc":
+                endpoints["a"].send(receiver, "after")
+            endpoints["a"].flush()
+            endpoints["b"].send("c", "from-b")
+            endpoints["b"].flush()
+            assert endpoints["b"].recv("a") == "after"
+            assert endpoints["c"].recv("a") == "after"  # the reset poisoned nothing
+            assert endpoints["c"].recv("b") == "from-b"
+            # b's other inbox holds the corruption poison; nobody else was hit.
+            assert isinstance(endpoints["b"]._inboxes["c"].get_nowait(), FrameCorruption)
+            for location in census:
+                assert all(inbox.empty() for inbox in endpoints[location]._inboxes.values())
+            assert transport._thread.is_alive()
+
+    def test_a_failing_selector_thread_poisons_every_inbox(self, monkeypatch, caplog):
+        census = ["a", "b", "c"]
+        with AsyncioTCPTransport(census, timeout=10.0) as transport:
+            endpoints = {location: transport.endpoint(location) for location in census}
+
+            def broken_feed(parser, chunk):
+                raise RuntimeError("injected reader fault")
+
+            monkeypatch.setattr(endpoints["b"], "_feed", broken_feed)
+            endpoints["a"].send("b", "lost")
+            endpoints["a"].flush()
+            started = time.monotonic()
+            for location in census:
+                for peer in census:
+                    if peer != location:
+                        with pytest.raises(TransportError, match="selector thread failed"):
+                            endpoints[location].recv(peer)
+            assert time.monotonic() - started < 5.0  # poisoned, not timed out
+            assert "injected reader fault" in caplog.text
 
 
 @pytest.mark.parametrize("transport_cls", [TCPTransport, AsyncioTCPTransport])
@@ -314,7 +438,7 @@ class TestSharedWritePath:
     def test_kernel_bounded_writes_cannot_deadlock(self, transport_cls):
         """Two endpoints each write 4 MiB to the other before either
         receives.  Blocking writes stall on full kernel buffers, but the
-        readers (threads or the loop) drain them regardless of the
+        readers (threads or the selector) drain them regardless of the
         application, so both writers finish and every frame arrives in order."""
         frames, chunk = 64, b"y" * (64 * 1024)  # 4 MiB each way
         with transport_cls(["a", "b"], timeout=10.0) as transport:

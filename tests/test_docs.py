@@ -8,6 +8,7 @@ tier-1 so breakage is caught before a PR even reaches CI.
 
 from __future__ import annotations
 
+import ast
 import doctest
 import pathlib
 import re
@@ -84,6 +85,35 @@ def test_testing_doc_shows_the_ci_chaos_targets():
     ci_targets = _test_targets(ci[ci.index("name: Chaos suite"):])
     assert ci_targets, "no chaos targets found in ci.yml"
     assert _test_targets(section) == ci_targets
+
+
+#: A pytest node cited in prose: ``tests/<file>.py::Class::test`` or ``::function``.
+_CITATION = re.compile(r"(tests/[\w/]+\.py)((?:::\w+)+)")
+
+
+def test_cited_test_nodes_resolve():
+    """Every ``tests/…py::Node`` that ``docs/`` or ``ROADMAP.md`` cites names a
+    class or function defined there (a method inside the cited class), so
+    a renamed test cannot leave its citations pointing at nothing."""
+    defined = {}
+    broken = []
+    cited = 0
+    for doc in LINKED_DOCS:
+        for path, node in _CITATION.findall(doc.read_text(encoding="utf-8")):
+            cited += 1
+            if path not in defined:
+                source = REPO_ROOT / path
+                defined[path] = ast.parse(source.read_text(encoding="utf-8")) \
+                    if source.is_file() else None
+            scope = defined[path]
+            for name in node.split("::")[1:]:
+                scope = next((child for child in getattr(scope, "body", ())
+                              if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                              and child.name == name), None)
+            if scope is None:
+                broken.append(f"{doc.name}: {path}{node}")
+    assert cited >= 50, f"only {cited} citations found; is the pattern stale?"
+    assert not broken, f"citations that resolve to nothing: {broken}"
 
 
 @pytest.mark.parametrize("path", DOCTESTED_DOCS, ids=lambda p: p.name)

@@ -89,7 +89,7 @@ class TestReadersReuseOneBuffer:
         real_recv = socket.socket.recv
 
         def counting_recv(sock, *args, **kwargs):
-            if sock.family == socket.AF_INET:  # not the asyncio loop's self-pipe
+            if sock.family == socket.AF_INET:  # socket readers, not local pairs
                 calls.append(1)
             return real_recv(sock, *args, **kwargs)
 

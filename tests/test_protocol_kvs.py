@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import sys
+
 import pytest
 
 from repro import ChoreoEngine
@@ -20,6 +23,7 @@ from repro.protocols.kvs import (
     make_replica_states,
     update_state,
 )
+from repro.runtime import wire
 from repro.runtime.central import CentralOp
 
 
@@ -375,6 +379,55 @@ class TestReplicatedRoundIsWireIdentical:
         assert dict(zip(self.STEPS, observed)) == dict(
             zip(self.STEPS, self.EXPECTED[replication])
         )
+
+
+class TestARecordIsBuiltInOneCall:
+    """``Request.put/get/delete/stop`` and ``Response.found/not_found/stopped``
+    build their record in one Python call, as the wire decoder does (with
+    ``object.__new__`` and ``__dict__``); through the frozen dataclass
+    ``__init__`` each made two.  The record is the ``__init__``-built one in
+    every observable way: equality, hash, repr, wire bytes and pickle."""
+
+    BUILT = [
+        (Request.put, ("k", "v"), Request, (RequestKind.PUT, "k", "v")),
+        (Request.get, ("k",), Request, (RequestKind.GET, "k")),
+        (Request.delete, ("k",), Request, (RequestKind.DELETE, "k")),
+        (Request.stop, (), Request, (RequestKind.STOP,)),
+        (Response.found, ("v",), Response, (ResponseKind.FOUND, "v")),
+        (Response.not_found, (), Response, (ResponseKind.NOT_FOUND,)),
+        (Response.stopped, (), Response, (ResponseKind.STOPPED,)),
+        (Request.put, ("k", 5), Request, (RequestKind.PUT, "k", 5)),  # pickles
+    ]
+
+    @staticmethod
+    def python_calls(function, args):
+        """Python-level calls (profiler ``call`` events) in ``function(*args)``,
+        itself included, and its result."""
+        calls = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            record = function(*args)
+        finally:
+            sys.setprofile(None)
+        return calls, record
+
+    @pytest.mark.parametrize("build, args, cls, fields", BUILT,
+                             ids=["put", "get", "delete", "stop", "found",
+                                  "not_found", "stopped", "put-non-str"])
+    def test_one_call_per_record_and_the_same_record(self, build, args, cls, fields):
+        calls, record = self.python_calls(build, args)
+        assert len(calls) == 1, calls
+        expected = cls(*fields)
+        assert record == expected and hash(record) == hash(expected)
+        assert repr(record) == repr(expected)
+        assert wire.encode(record) == wire.encode(expected)
+        assert pickle.dumps(record) == pickle.dumps(expected)
+        assert vars(record) == vars(expected)
 
 
 class TestReplicatedCensusSweep:

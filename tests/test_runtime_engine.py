@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import threading
 import time
 from collections import deque
-from pathlib import Path
 
 import pytest
 
@@ -546,16 +542,6 @@ class TestBackends:
         with ChoreoEngine(CENSUS, backend="central") as engine:
             assert engine.transport is None
             assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
-
-    def test_cluster_and_gateway_import_without_asyncio(self):
-        """The "asyncio" backend imports its transport on first use only."""
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        script = "import sys, repro.cluster, repro.gateway; print('asyncio' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=60, check=True, env=env,
-        ).stdout.strip()
-        assert out == "False"
 
 
 class TestCloseDeadlineCap:
