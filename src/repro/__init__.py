@@ -107,7 +107,6 @@ from .gateway import GatewayClient, GatewayError, GatewayServer, GatewaySettings
 from .protocols.kvs import ShardEpoch, StaleEpoch
 from .storage import Durability, DurableState, SnapshotStore, WriteAheadLog
 from .runtime import (
-    AsyncioTCPTransport,
     CentralBackend,
     CentralOp,
     ChannelStats,
@@ -124,7 +123,6 @@ __version__ = "1.8.0"
 
 __all__ = [
     "ABSENT",
-    "AsyncioTCPTransport",
     "Census",
     "CensusError",
     "CentralBackend",

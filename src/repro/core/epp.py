@@ -85,8 +85,13 @@ class InstanceScopedEndpoint:
     therefore only be
 
     * equal to ours — deliver it;
-    * greater — the sender has raced ahead to a later instance; stash the
-      payload for the worker's future self (``stash[instance][sender]``); or
+    * greater — a frame of a later instance, which per-channel FIFO and an
+      exact projection let arrive first only when an earlier instance
+      failed at the sender (it raised before its sends and ran ahead): a
+      healthy pipelined run never stashes (0 in 800 programs,
+      ``tests/test_formal_runtime.py::TestPipelinedTagsUnderFaults``).
+      Stash the payload for the worker's future self
+      (``stash[instance][sender]``); or
     * smaller — a leftover from an earlier instance that failed mid-protocol
       before consuming it; drop it.
 

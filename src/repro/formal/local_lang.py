@@ -188,6 +188,8 @@ def floor(expr: LExpr) -> LExpr:
         argument = floor(expr.argument)
         if isinstance(function, LBottom) and is_local_value(argument):
             return BOTTOM
+        if isinstance(argument, LBottom) and isinstance(function, (LFst, LSnd, LLookup)):
+            return BOTTOM  # a tuple this party owns no item of is ⊥, and so is its item
         return LApp(function, argument)
     if isinstance(expr, LCase):
         scrutinee = floor(expr.scrutinee)

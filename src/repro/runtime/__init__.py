@@ -1,7 +1,6 @@
 """Execution substrates: persistent engine sessions, transports, and the
 centralized reference semantics."""
 
-from .asyncio_tcp import AsyncioTCPTransport
 from .central import CentralBackend, CentralOp, localize_return, run_centralized
 from .engine import CLOSE_DEADLINE_CAP, ChoreoEngine, ChoreographyResult
 from .local import LocalTransport
@@ -12,7 +11,6 @@ from .transport import DEFAULT_TIMEOUT, Transport, TransportEndpoint, deserializ
 
 
 __all__ = [
-    "AsyncioTCPTransport",
     "CLOSE_DEADLINE_CAP",
     "CentralBackend",
     "CentralOp",

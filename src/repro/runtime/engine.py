@@ -40,7 +40,6 @@ from ..core.errors import ChoreographyRuntimeError, TransportError
 from ..core.located import Faceted, Located
 from ..core.locations import Census, Location, LocationsLike, as_census
 from ..core.ops import Choreography
-from .asyncio_tcp import AsyncioTCPTransport
 from .central import CentralBackend, CentralOp, localize_return
 from .local import LocalTransport
 from .simulated import SimulatedNetworkTransport
@@ -70,7 +69,7 @@ logger = logging.getLogger("repro.runtime.engine")
 _BACKENDS = {
     "local": LocalTransport,
     "tcp": TCPTransport,
-    "asyncio": AsyncioTCPTransport,
+    "asyncio": TCPTransport,  # one selector transport under both names
     "simulated": SimulatedNetworkTransport,
     "central": CentralBackend,
 }

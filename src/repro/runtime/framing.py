@@ -1,7 +1,7 @@
-"""The socket wire format and the write path shared by both TCP backends.
+"""The socket wire format and the write path of the TCP transport.
 
-Both TCP transports (:mod:`repro.runtime.tcp`, reader threads;
-:mod:`repro.runtime.asyncio_tcp`, one selector thread) frame messages as::
+The TCP transport (:mod:`repro.runtime.tcp`, which the ``"tcp"`` and
+``"asyncio"`` backend names both run) frames messages as::
 
     [u32 length][u16 sender-length][sender][uvarint instance][payload]
 
@@ -9,29 +9,27 @@ where ``sender`` is the wire-encoded sender location, ``instance`` is the
 choreography-instance id (0 for one-shot sends), and ``payload`` is the
 :func:`~repro.runtime.transport.serialize`-d message.  This module is the
 single definition of that layout — a header builder, an incremental parser,
-and the two frame primitives both endpoints share — so the two
-backends stay interoperable *byte for byte* on the same socket: a frame
-written by either backend parses identically on the other, and the payload
-byte counts recorded in :class:`~repro.runtime.stats.ChannelStats` are the
-exact payload bytes on the wire on both.
+and the frame primitives of the endpoint — so any two transports
+interoperate *byte for byte* on one socket, and the payload byte counts
+recorded in :class:`~repro.runtime.stats.ChannelStats` are the exact
+payload bytes on the wire.
 
-It is also the one write path: :class:`FramedCoalescingEndpoint` caches a
+It is also the write path: :class:`FramedCoalescingEndpoint` caches a
 blocking outgoing socket per receiver and writes each drained batch from the
-draining worker thread as ``sendmsg`` writev calls.  The backends differ only
-in how inbound bytes reach the inboxes — a reader thread per connection or
-one selector thread per transport — and both hand them to
-:meth:`FramedCoalescingEndpoint._feed`.  Inbound bytes drain independently of
-the application's ``recv`` discipline on both, so a write blocked on a full
-kernel buffer always makes progress: the kernel bounds what a sender
-buffers, and no write can distributed-deadlock against a peer's.
+draining worker thread as ``sendmsg`` writev calls.  There is one read path:
+the transport's selector thread reads every inbound connection and hands the
+bytes to :meth:`FramedCoalescingEndpoint._feed`.  It drains inbound bytes
+independently of the application's ``recv`` discipline, so a write blocked
+on a full kernel buffer always makes progress: the kernel bounds what a
+sender buffers, and no write can distributed-deadlock against a peer's.
 
 Corruption is typed: a frame whose varints run away (see
 ``wire.read_uvarint``'s 64-bit bound) or whose sender does not decode to a
 location raises :class:`FrameCorruption`, a
 :class:`~repro.core.errors.TransportError` subclass, instead of misframing
-the stream.  Readers poison the endpoint's
-inboxes with it so blocked receivers surface the corruption promptly as the
-typed transport error, not as an eventual timeout.
+the stream.  The read step poisons the endpoint's inboxes with it so
+blocked receivers surface the corruption promptly as the typed transport
+error, not as an eventual timeout.
 """
 
 from __future__ import annotations
@@ -166,14 +164,15 @@ class FrameParser:
 
 
 class FramedCoalescingEndpoint(CoalescingEndpoint):
-    """Everything the threaded and selector TCP endpoints share but the reader.
+    """A TCP endpoint's inboxes, read step and write path; not its listener.
 
     Owns the per-peer inboxes (items are ``(instance, payload bytes)`` pairs,
     or a typed ``TransportError`` poison), the frame-header builder, the read
-    step every reader calls (:meth:`_feed`), and the whole write path: the
+    step the selector calls (:meth:`_feed`), and the whole write path: the
     cache of blocking outgoing sockets and ``_deliver``, which writes a
-    drained batch from the draining thread.  Subclasses listen, accept, and
-    feed each inbound connection's bytes to :meth:`_feed`.
+    drained batch from the draining thread.  The subclass listens; the
+    transport's selector accepts and feeds each inbound connection's bytes
+    to :meth:`_feed`.
     """
 
     def __init__(self, location, transport):
@@ -212,9 +211,10 @@ class FramedCoalescingEndpoint(CoalescingEndpoint):
     def _poison_inboxes(self, error: TransportError) -> None:
         """Wake every blocked receiver with a typed transport error.
 
-        Called by the reader when a connection's byte stream stops parsing
-        (the frames after the damage cannot be attributed to a sender) and
-        by a selector thread that fails: every peer's inbox gets the poison
+        Called by the read step when a connection's byte stream stops
+        parsing (the frames after the damage cannot be attributed to a
+        sender) and by a selector thread that fails: every peer's inbox
+        gets the poison
         and the next ``recv`` on any channel raises it instead of timing out.
         """
         for inbox in self._inboxes.values():
@@ -271,7 +271,7 @@ class FramedCoalescingEndpoint(CoalescingEndpoint):
 
         The socket blocks (up to the receive timeout) while the kernel's
         send buffer is full, which is the only backpressure there is: the
-        peer's reader drains it whatever its application is doing.
+        peer's selector drains it whatever its application is doing.
         """
         try:
             _send_buffers(self._connection_to(receiver), batch)

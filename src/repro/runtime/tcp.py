@@ -5,131 +5,81 @@ machines or over channels between threads.  This transport provides the
 socket-based half of that story without requiring a network: every location
 listens on a loopback port and each endpoint demultiplexes incoming frames
 into per-sender FIFO queues so the ``recv(sender)`` discipline matches the
-abstract transport exactly.
+abstract transport exactly.  The backend names ``"tcp"`` and ``"asyncio"``
+both run it.
 
-Frames are laid out as
-``[u32 length][u16 sender-length][sender][uvarint instance][payload]`` where
-``sender`` is the wire-encoded sender location, ``instance`` is the
-choreography-instance id (0 for one-shot sends; used by the persistent
-engine to demultiplex pipelined instances), and ``payload`` is the
-:func:`~repro.runtime.transport.serialize`-d message — so the payload is
-serialized exactly once per send (shared across all receivers of a
-``send_many``), the instance tag rides in the frame header like the sender
-does, and the byte count recorded in
+The wire format and the whole write path live in
+:mod:`repro.runtime.framing`: every ``send``/``send_many`` appends a
+pre-framed payload to a per-receiver buffer, and a buffer drains (on
+``flush``, past :data:`~repro.runtime.transport.FLUSH_WATERMARK`, and before
+the endpoint blocks in a receive) as ``sendmsg`` writev calls on a blocking
+socket from the draining thread.  The byte count recorded in
 :class:`~repro.runtime.stats.ChannelStats` is the exact payload byte count on
-the wire.  The format and the whole write path live in
-:mod:`repro.runtime.framing`, shared with the ``"asyncio"`` backend
-(:mod:`repro.runtime.asyncio_tcp`), so the two socket backends interoperate
-byte for byte on the same wire and differ only in how they read: threads
-here, one selector thread there.
+the wire.
 
-Both directions of the hot path are *coalesced* so that syscall count, not
-byte count, stops being the bottleneck for small-message storms:
+All inbound bytes of a transport are read on **one selector thread**
+(``tcp-selector``), a Reactor in Schmidt's sense: it blocks in one
+:func:`selectors.DefaultSelector` with no timeout, accepts on every
+location's non-blocking listener and registers the new connection itself,
+and reads each readable connection with ``recv_into`` into one reused 64 KiB
+``mmap`` for the shared read step (``FramedCoalescingEndpoint._feed``: every
+complete frame of a chunk parsed in place, one ``bytes`` copy per payload).
+A listener is registered by the thread that creates its endpoint (epoll and
+kqueue see a registration made while they wait), so ``close()`` is the
+thread's only wake-up and sending never touches the selector.  A census of
+*n* thus costs one I/O thread, however many connections it opens.  The selector drains kernel buffers whatever the
+application's ``recv`` discipline, so a blocking write always makes
+progress and no flush can distributed-deadlock against a peer's.
 
-* **Writes are deferred.**  Every ``send``/``send_many`` appends
-  pre-framed bytes (a precomputed per-endpoint sender prefix; no header
-  rebuild per send) to a per-receiver write buffer.  A buffer drains on an
-  explicit :meth:`~repro.runtime.transport.TransportEndpoint.flush`, once its
-  pending bytes pass :data:`~repro.runtime.transport.FLUSH_WATERMARK`, and
-  always before this endpoint blocks in a receive (the flush-before-block
-  rule that keeps coalescing deadlock-free).  A drain writes *many frames in
-  one* ``sendmsg`` writev per live connection, from the draining worker
-  thread, instead of one syscall per ``(receiver, message)``.
-* **Reads are buffered.**  The per-connection reader thread reads up to
-  64 KiB per ``recv_into`` and parses every complete frame in it in place
-  through one ``memoryview`` (zero-copy slicing; one ``bytes`` copy per
-  payload as it enters the inbox, and one of a trailing partial frame),
-  instead of two-plus ``recv`` syscalls per frame.
-
-Sockets run with ``TCP_NODELAY``, so an explicit flush hits the wire
-immediately; reader threads drain the kernel buffers independently of the
-application's ``recv`` discipline, so a flush (or watermark drain) can never
-distributed-deadlock against a peer's un-flushed buffer.
+One shared reader is no shared point of failure: a connection whose bytes
+stop parsing poisons only its own endpoint's inboxes with
+:class:`~repro.runtime.framing.FrameCorruption`, a reset one is dropped, and
+the selector serves the rest.  An unexpected exception in the loop is logged
+and poisons every inbox of the transport with a typed
+:class:`~repro.core.errors.TransportError`, so no receiver waits out its
+timeout.
 """
 
 from __future__ import annotations
 
+import logging
 import mmap
+import selectors
 import socket
 import threading
-from typing import Any
+from typing import Any, List
 
+from ..core.errors import TransportError
 from ..core.locations import Location, LocationsLike
 from .framing import FramedCoalescingEndpoint, FrameParser
 from .transport import DEFAULT_TIMEOUT, Transport, TransportEndpoint
 
-#: Bytes asked of the kernel per reader-loop ``recv``.
+logger = logging.getLogger("repro.runtime.tcp")
+
+#: Bytes asked of the kernel per selector ``recv_into``.
 _READ_CHUNK = 64 * 1024
 
 
-class _TCPEndpoint(FramedCoalescingEndpoint):
-    """One location's listening socket and its reader threads.
+class _SelectorEndpoint(FramedCoalescingEndpoint):
+    """One location's listener; it and its connections belong to the selector.
 
     The framed base (:mod:`repro.runtime.framing`) supplies the inboxes, the
-    frame primitives and every outgoing connection.
+    read step and every outgoing connection.
     """
 
     def __init__(self, location: Location, transport: "TCPTransport"):
+        if transport._closed:
+            raise TransportError(f"TCP transport is closed ({location!r})")
         super().__init__(location, transport)
-        self._server = socket.create_server(
-            ("127.0.0.1", 0), backlog=len(transport.census) + 4)
-        self.port = self._server.getsockname()[1]
-        self._closed = threading.Event()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"tcp-accept-{location}", daemon=True
-        )
-        self._accept_thread.start()
-
-    # -- incoming ------------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                conn, _addr = self._server.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(
-                target=self._reader_loop, args=(conn,), daemon=True,
-                name=f"tcp-read-{self.location}",
-            ).start()
-
-    def _reader_loop(self, conn: socket.socket) -> None:
-        """Buffered frame reader: one ``recv`` yields every frame it contains.
-
-        Reads up to :data:`_READ_CHUNK` bytes per syscall into one reused
-        anonymous ``mmap`` (``recv_into``: no 64 KiB ``bytes`` per read for the
-        C heap to keep; a page costs memory once bytes land in it) for the
-        shared :class:`~repro.runtime.framing.FrameParser` (memoryview slicing,
-        one ``bytes`` copy per payload, a trailing partial frame kept for the
-        next chunk).  A stream that stops parsing poisons the inboxes (see
-        ``_feed``) and drops the connection.
-        """
-        parser = FrameParser()
-        received = mmap.mmap(-1, _READ_CHUNK)
-        view = memoryview(received)
-        with conn:
-            while not self._closed.is_set():
-                try:
-                    count = conn.recv_into(received)
-                except OSError:
-                    return
-                if not count:
-                    return
-                if self._feed(parser, view[:count]) is None:
-                    return
-
-    def close(self) -> None:
-        self._closed.set()
-        try:
-            self._server.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        super().close()
+        server = socket.create_server(("127.0.0.1", 0), backlog=len(transport.census) + 4)
+        server.setblocking(False)
+        self.port = server.getsockname()[1]
+        transport._readers.append(self)
+        transport._selector.register(server, selectors.EVENT_READ, self)
 
 
 class TCPTransport(Transport):
-    """Socket-based transport over the loopback interface.
+    """Socket-based transport over the loopback interface, read on one thread.
 
     All endpoints must be created (via :meth:`endpoint`) before any of them
     sends, so that every listener's port is known;
@@ -142,8 +92,6 @@ class TCPTransport(Transport):
     exposed as :attr:`faults`.
     """
 
-    _endpoint_class = _TCPEndpoint
-
     def __init__(
         self,
         census: LocationsLike,
@@ -153,9 +101,16 @@ class TCPTransport(Transport):
     ):
         super().__init__(census, timeout)
         self.faults = faults.session() if faults is not None else None
+        self._closed = False
+        self._readers: List[_SelectorEndpoint] = []
+        self._selector = selectors.DefaultSelector()
+        self._wake_read, self._wake_write = socket.socketpair()  # close()'s
+        self._selector.register(self._wake_read, selectors.EVENT_READ, None)
+        self._thread = threading.Thread(target=self._serve, name="tcp-selector", daemon=True)
+        self._thread.start()
 
     def _make_endpoint(self, location: Location) -> TransportEndpoint:
-        endpoint: TransportEndpoint = self._endpoint_class(location, self)
+        endpoint: TransportEndpoint = _SelectorEndpoint(location, self)
         if self.faults is not None:
             endpoint = self.faults.wrap(endpoint)
         return endpoint
@@ -165,6 +120,64 @@ class TCPTransport(Transport):
         endpoint = self.endpoint(location)
         return endpoint.port  # type: ignore[attr-defined]
 
+    def _serve(self) -> None:
+        try:
+            self._select_loop()
+        except Exception as exc:  # noqa: BLE001 - no receiver may wait out its timeout
+            logger.exception("selector thread failed; poisoning every inbox")
+            error = TransportError(f"selector thread failed: {exc!r}")
+            for endpoint in self._readers:
+                endpoint._poison_inboxes(error)
+        finally:
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._wake_write.close()
+
+    def _select_loop(self) -> None:
+        select, register = self._selector.select, self._selector.register
+        unregister = self._selector.unregister
+        buffer = mmap.mmap(-1, _READ_CHUNK)
+        view = memoryview(buffer)
+        while True:
+            for key, _events in select():
+                sock, reader = key.fileobj, key.data
+                if type(reader) is tuple:  # a connection: (endpoint, parser)
+                    endpoint, parser = reader
+                    try:
+                        count = sock.recv_into(buffer)
+                        while count and endpoint._feed(parser, view[:count]) is not None:
+                            if count < _READ_CHUNK:
+                                break  # one read per wake-up, unless it filled the buffer
+                            count = sock.recv_into(buffer)
+                        else:  # EOF, or the bytes poisoned this endpoint's inboxes
+                            unregister(sock)
+                            sock.close()
+                    except BlockingIOError:
+                        pass
+                    except OSError:  # reset: drop this connection only
+                        unregister(sock)
+                        sock.close()
+                elif reader is None:  # close() woke us
+                    return
+                else:  # a listener: accept and register on this thread
+                    try:
+                        conn, _addr = sock.accept()
+                    except OSError:  # reset before accept
+                        continue
+                    conn.setblocking(False)
+                    register(conn, selectors.EVENT_READ, (reader, FrameParser()))
+
     def close(self) -> None:
-        for endpoint in self._endpoints.values():
-            endpoint.close()  # type: ignore[attr-defined]
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            for endpoint in self._endpoints.values():
+                endpoint.close()  # type: ignore[attr-defined]
+        finally:  # a wedged selector must not keep its thread alive
+            try:
+                self._wake_write.send(b"\x00")
+            except OSError:  # pragma: no cover - the thread already exited
+                pass
+            self._thread.join(timeout=self.timeout)

@@ -12,7 +12,9 @@ data literal              ``op.congruently(owners, …)``
 ``Case``                  ``op.conclave_to(owners, result_owners, body)``;
                           the body ``naked``-unwraps the restricted scrutinee
 ``App(Lam, M)``           ``conclave_to`` over the lambda's owners, after
-                          restricting the argument
+                          restricting the argument (item by item for a
+                          tuple; a function passes as it is)
+``Lam`` as a value        a :class:`Closure`, applied like ``App(Lam, M)``
 ``Fst``/``Snd``/``Lookup``  ``congruently`` at the projector's owners
 ``Vec``                   a tuple of located values
 ========================  ================================================
@@ -30,13 +32,14 @@ same per-party sequences from a λN run of the projected network.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.formal.mask import mask_value
 from repro.formal.network import run_network
 from repro.formal.projection import project_network
 from repro.formal.syntax import (
-    App, Case, Com, Expr, Fst, Inl, Inr, Lam, Lookup, Pair, Snd, TData, Unit, Value, Var, Vec,
+    App, Case, Com, Expr, Fst, Inl, Inr, Lam, Lookup, Pair, Snd, TData, TFun, TVec, Type, Unit,
+    Value, Var, Vec,
 )
 from repro.formal.typecheck import type_of
 from repro.runtime.local import LocalTransport
@@ -63,6 +66,25 @@ def masked_at(value: Value, party: str) -> Optional[Any]:
     return None if masked is None else canonical(masked)
 
 
+class Closure(NamedTuple):
+    """A λC function value: the lambda and the environments it was made in."""
+
+    lam: Lam
+    env: Dict[str, Any]
+    tenv: Dict[str, Any]
+
+
+def restricted(op, value: Any, param_type: Type) -> Any:
+    """``value`` as a parameter of type ``param_type`` sees it: each located
+    datum restricted to its owners there, a function unchanged."""
+    if isinstance(param_type, TVec):
+        return tuple(restricted(op, item, item_type)
+                     for item, item_type in zip(value, param_type.items))
+    if isinstance(param_type, TFun):
+        return value
+    return op.restrict(value, sorted(param_type.owners))
+
+
 def choreography(census: FrozenSet[str], expr: Expr):
     """``chor(op)`` running ``expr``, closed and well-typed in ``census``."""
     return lambda op: interpret(op, frozenset(census), {}, {}, expr)
@@ -73,6 +95,8 @@ def interpret(op, census: FrozenSet[str], env: Dict[str, Any], tenv: Dict[str, A
     """``⟦expr⟧`` at ``op``: a located value (a tuple of them for a ``Vec``)."""
     if isinstance(expr, Var):
         return env[expr.name]
+    if isinstance(expr, Lam):
+        return Closure(expr, env, tenv)
     if isinstance(expr, Vec):
         return tuple(interpret(op, census, env, tenv, item) for item in expr.items)
     if isinstance(expr, (Unit, Inl, Inr, Pair)):
@@ -99,13 +123,15 @@ def interpret(op, census: FrozenSet[str], env: Dict[str, Any], tenv: Dict[str, A
     function, argument = expr.function, interpret(op, census, env, tenv, expr.argument)
     if isinstance(function, Com):
         return op.multicast(function.sender, sorted(function.receivers), argument)
-    if isinstance(function, Lam):
-        def body(sub, shared):
-            return interpret(sub, function.owners, {**env, function.param: shared},
-                             {**tenv, function.param: function.param_type}, function.body)
+    if isinstance(function, (Lam, Var)):
+        lam, lam_env, lam_tenv = interpret(op, census, env, tenv, function)
 
-        return op.conclave_to(sorted(function.owners), result_owners, body,
-                              op.restrict(argument, sorted(function.owners)))
+        def body(sub, shared):
+            return interpret(sub, lam.owners, {**lam_env, lam.param: shared},
+                             {**lam_tenv, lam.param: lam.param_type}, lam.body)
+
+        return op.conclave_to(sorted(lam.owners), result_owners, body,
+                              restricted(op, argument, lam.param_type))
     if isinstance(function, Lookup):
         item = argument[function.index]
         return op.congruently(result_owners, lambda un: un(item))

@@ -1,23 +1,25 @@
-"""The selector TCP backend ("asyncio"): mechanics, wire interop, corruption, bounds.
+"""The TCP transport under both its names: mechanics, wire interop, corruption, bounds.
 
-Four promises are pinned down here:
+Both backend names run :class:`~repro.runtime.tcp.TCPTransport`, which reads
+every socket of a census on one selector thread;
+``repro.runtime.asyncio_tcp.AsyncioTCPTransport`` is the same class under
+its old name.  The tests run under both names, so either name keeps every
+promise.  Four promises are pinned down here:
 
-1. **Mechanics** — the selector backend honours the same endpoint contract
-   as every other transport (FIFO per sender, demultiplexing, typed
-   timeouts) while reading *all* sockets on one daemon selector thread,
-   and that one reader is not a shared point of failure.  Sending neither
-   wakes the selector nor registers with it: both socket backends share one
-   write path from the sending thread, which keeps per-pair FIFO under
-   racing drains, cannot deadlock on full kernel buffers, and leaves no
-   file descriptor open after ``close()``.
-2. **Wire interop** — the frame format is byte-identical to the threaded
-   TCP backend's (:mod:`repro.runtime.framing` is the single definition), so
-   a threaded endpoint can send straight into an asyncio endpoint's socket
-   and vice versa.
+1. **Mechanics** — the transport honours the same endpoint contract as
+   every other transport (FIFO per sender, demultiplexing, typed timeouts)
+   while reading *all* sockets on one daemon selector thread, and that one
+   reader is not a shared point of failure.  Sending neither wakes the
+   selector nor registers with it: writes go out from the sending thread,
+   which keeps per-pair FIFO under racing drains, cannot deadlock on full
+   kernel buffers, and leaves no file descriptor open after ``close()``.
+2. **Wire interop** — the frame format has one definition
+   (:mod:`repro.runtime.framing`), so an endpoint of one transport can send
+   straight into another transport's listening socket, either way.
 3. **Loud corruption** — a byte stream that stops parsing (runaway varint,
    undecodable sender) surfaces as the typed
-   :class:`~repro.runtime.framing.FrameCorruption` at blocked receivers on
-   both backends, promptly, instead of as an eventual timeout.  A fuzz
+   :class:`~repro.runtime.framing.FrameCorruption` at blocked receivers
+   under both names, promptly, instead of as an eventual timeout.  A fuzz
    target holds the read step to that: frames, or the poison, whatever
    bytes arrive and however they are chunked.
 4. **Bounded varints** — ``wire.read_uvarint`` refuses more than 64 bits
@@ -106,11 +108,10 @@ class TestAsyncioMechanics:
 
     def test_one_loop_thread_no_reader_threads(self):
         """The scaling claim in miniature: a full mesh of live connections
-        adds exactly one I/O thread — the selector — where the threaded
-        backend adds an accept thread per location plus a reader per
-        connection."""
-        before = threading.active_count()
-        with AsyncioTCPTransport(CENSUS, timeout=5.0) as transport:
+        adds exactly one I/O thread — the selector — and no accept or
+        per-connection reader thread."""
+        before = set(threading.enumerate())
+        with TCPTransport(CENSUS, timeout=5.0) as transport:
             for location in CENSUS:
                 transport.endpoint(location)
             for sender in CENSUS:  # light up every connection in the mesh
@@ -122,14 +123,8 @@ class TestAsyncioMechanics:
                 for sender in CENSUS:
                     if sender != receiver:
                         assert transport.endpoint(receiver).recv(sender) == "hi"
-            loop_threads = [
-                t for t in threading.enumerate() if t.name == "tcp-selector"
-            ]
-            assert len(loop_threads) == 1
-            assert not [
-                t for t in threading.enumerate() if t.name.startswith("tcp-read-")
-            ]
-            assert threading.active_count() - before <= 1
+            loop_threads = list(set(threading.enumerate()) - before)
+            assert [t.name for t in loop_threads] == ["tcp-selector"]
         deadline = time.monotonic() + 5.0
         while loop_threads[0].is_alive() and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -161,29 +156,35 @@ class TestAsyncioMechanics:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_warm_session_density_is_at_least_four_times_threaded(self):
+    @pytest.mark.parametrize("backend", ["tcp", "asyncio"])
+    def test_warm_session_holds_n_plus_one_threads(self, backend):
         """Threads are what cap how many warm sessions one process holds: a
-        4-party threaded session keeps a worker, an accept thread and a reader
-        per inbound connection; the selector one keeps the workers and a selector."""
+        warm 4-party session keeps a worker per location and one selector,
+        ``n + 1``, under either backend name."""
         parties = ["p0", "p1", "p2", "p3"]
-        n = len(parties)
 
         def all_to_all(op):
             facets = op.parallel(parties, lambda loc, _un: loc)
             return op.gather(parties, parties, facets)  # lights every connection
 
-        def threads_per_warm_session(backend):
-            before = set(threading.enumerate())
-            with ChoreoEngine(parties, backend=backend, timeout=10.0) as engine:
-                engine.run(all_to_all)
-                return len(set(threading.enumerate()) - before)
+        before = set(threading.enumerate())
+        with ChoreoEngine(parties, backend=backend, timeout=10.0) as engine:
+            engine.run(all_to_all)
+            engine.run(all_to_all)
+            started = set(threading.enumerate()) - before
+        assert len(started) == len(parties) + 1
+        assert [t.name for t in started].count("tcp-selector") == 1
 
-        threaded = threads_per_warm_session("tcp")
-        evented = threads_per_warm_session("asyncio")
-        assert threaded == n + n + n * (n - 1)
-        assert evented == n + 1
-        budget = 1024  # sessions that fit in a fixed thread budget
-        assert (budget // evented) >= 4 * (budget // threaded)
+    @pytest.mark.parametrize("backend", ["tcp", "asyncio"])
+    def test_closed_sessions_leave_no_thread_behind(self, backend):
+        """``close()`` joins every thread a session started, so set-up and
+        tear-down repeated in one process hold no more threads than one
+        session: no accept thread outlives its listener."""
+        before = set(threading.enumerate())
+        for _ in range(3):
+            with ChoreoEngine(["a", "b", "c"], backend=backend, timeout=10.0) as engine:
+                engine.run(lambda op: op.comm("a", "c", op.locally("a", lambda _un: 1)))
+        assert set(threading.enumerate()) - before == set()
 
     def test_close_is_idempotent_and_refuses_new_endpoints(self):
         transport = AsyncioTCPTransport(["a", "b"], timeout=1.0)
@@ -372,8 +373,8 @@ class TestOneReaderIsNoSharedFailure:
 
 @pytest.mark.parametrize("transport_cls", [TCPTransport, AsyncioTCPTransport])
 class TestSharedWritePath:
-    """Both socket backends write from the sending thread on blocking
-    sockets; these pin what that path promises on each."""
+    """The transport writes from the sending thread on blocking sockets;
+    these pin what that path promises under both of its names."""
 
     def test_watermark_drain_outside_a_flush_reaches_the_receiver(self, transport_cls):
         with transport_cls(["a", "b"], timeout=5.0) as transport:
@@ -438,8 +439,8 @@ class TestSharedWritePath:
     def test_kernel_bounded_writes_cannot_deadlock(self, transport_cls):
         """Two endpoints each write 4 MiB to the other before either
         receives.  Blocking writes stall on full kernel buffers, but the
-        readers (threads or the selector) drain them regardless of the
-        application, so both writers finish and every frame arrives in order."""
+        selector drains them regardless of the application, so both writers
+        finish and every frame arrives in order."""
         frames, chunk = 64, b"y" * (64 * 1024)  # 4 MiB each way
         with transport_cls(["a", "b"], timeout=10.0) as transport:
             endpoints = {location: transport.endpoint(location) for location in "ab"}
@@ -499,11 +500,8 @@ class TestSharedWritePath:
             baseline = open_fds()
             for _ in range(5):
                 session()
-            # Threaded readers close their sockets as they see EOF, just
-            # after close() returns; give them a moment.
-            deadline = time.monotonic() + 5.0
-            while open_fds() > baseline and time.monotonic() < deadline:
-                time.sleep(0.01)
+            # close() joins the selector thread, which closes the listeners
+            # and accepted connections on its way out: nothing is left.
             assert open_fds() <= baseline
         finally:
             if enabled:
@@ -511,7 +509,8 @@ class TestSharedWritePath:
 
 
 class TestWireInterop:
-    """The two socket backends speak one wire format — prove it on one socket."""
+    """Two transports, one under each backend name, speak one wire format —
+    prove it on one socket, each way."""
 
     def test_threaded_sender_into_asyncio_receiver(self):
         with AsyncioTCPTransport(["a", "b"], timeout=5.0) as asy:
@@ -519,8 +518,8 @@ class TestWireInterop:
             threaded = TCPTransport(["a", "b"], timeout=5.0)
             try:
                 sender = threaded.endpoint("a")
-                # Point the threaded endpoint's connection cache at the
-                # asyncio endpoint's listening socket: same wire, no shim.
+                # Point the "tcp" endpoint's connection cache at the other
+                # transport's listening socket: same wire, no shim.
                 sock = socket.create_connection(
                     ("127.0.0.1", asy.port_of("b")), timeout=5.0
                 )
@@ -542,7 +541,7 @@ class TestWireInterop:
             receiver = threaded.endpoint("b")
             with AsyncioTCPTransport(["a", "b"], timeout=5.0) as asy:
                 sender = asy.endpoint("a")
-                # Route the asyncio endpoint's connect at the *threaded*
+                # Route this endpoint's connect at the *other* transport's
                 # listener instead of its own census peer.
                 monkeypatch.setattr(asy, "port_of", lambda loc: threaded.port_of(loc))
                 sender.send("b", ("tuple", 42))
@@ -556,7 +555,7 @@ class TestWireInterop:
 
     def test_frame_writer_output_parses_identically(self):
         """A frame built by the shared writer round-trips through the shared
-        parser — the byte-level identity both backends inherit."""
+        parser — the byte-level identity every endpoint inherits."""
         writer = FrameWriter("a")
         payload = serialize({"k": "v"})
         frame = writer.header(len(payload), 3) + payload
@@ -610,7 +609,7 @@ class TestCorruptionSurfacing:
     ):
         """Feed the raw corrupt bytes into a live listener: the blocked
         receiver must raise the typed corruption well before its timeout,
-        on both socket backends."""
+        under both backend names."""
         with transport_cls(["a", "b"], timeout=10.0) as transport:
             receiver = transport.endpoint("b")
             with socket.create_connection(

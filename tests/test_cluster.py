@@ -655,6 +655,28 @@ class TestABatchIsAnsweredPerShard:
             assert str(excinfo.value) == f"part at {failing[0][0][0]}"
 
 
+class TestOneSelectorPerShardSession:
+    """A warm ``"tcp"`` cluster reads each shard session's sockets on one
+    selector thread: 4 ``tcp-selector`` threads for 4 shards, and no accept
+    or per-connection reader thread."""
+
+    def test_a_warm_tcp_cluster_holds_one_selector_per_shard(self):
+        before = set(threading.enumerate())
+        with ClusterEngine(4, replication=2, backend="tcp", timeout=10.0) as cluster:
+            keys = [f"k{index}" for index in range(32)]
+            assert len({cluster.shard_for(key) for key in keys}) == 4
+            for key in keys[:8]:
+                assert cluster.submit_put(key, key).result(timeout=30.0) == Response.not_found()
+                assert cluster.submit_get(key).result(timeout=30.0) == Response.found(key)
+            batch = [Request.put(key, "b") if index % 8 == 0 else Request.get(key)
+                     for index, key in enumerate(keys)]
+            assert len(cluster.submit_batch_answers(batch).result(timeout=30.0)) == 32
+            names = [thread.name for thread in set(threading.enumerate()) - before]
+            assert names.count("tcp-selector") == 4
+            assert not [name for name in names
+                        if name.startswith(("tcp-read-", "tcp-accept-"))]
+
+
 class TestClusterClient:
     def test_put_returns_previous_value(self):
         with ClusterClient(shards=2, replication=2) as client:

@@ -232,8 +232,9 @@ class TestInjectionMechanics:
 
     def test_crash_at_time_requires_a_clock(self):
         plan = FaultPlan(seed=1).crash("b", at_time=4.0)
-        with pytest.raises(ValueError, match="simulated"):
-            TCPTransport(["a", "b"], faults=plan).endpoint("b")
+        with TCPTransport(["a", "b"], faults=plan) as transport:
+            with pytest.raises(ValueError, match="simulated"):
+                transport.endpoint("b")
 
     def test_flaky_connect_is_transparent_within_budget(self):
         plan = FaultPlan(seed=5).flaky_connect("a", "b", failures=2, max_retries=3)

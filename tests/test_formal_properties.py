@@ -20,13 +20,16 @@ from repro.formal.syntax import (
     Inl,
     Inr,
     Lam,
+    Lookup,
     Pair,
     ProdData,
     SumData,
     TData,
+    TVec,
     Unit,
     UnitData,
     Var,
+    Vec,
     parties,
 )
 from repro.formal.typecheck import typecheck
@@ -135,12 +138,57 @@ class TestGenerators:
         kinds = {type(program).__name__ for _census, program in program_corpus(40, depth=3)}
         assert len(kinds) >= 2
 
+    def test_most_programs_communicate_and_every_new_form_appears(self):
+        """At least half the programs send something, and the corpus holds a
+        function passed as an argument, a tuple passed to a lambda and a
+        pair whose parts have different owners."""
+        from tests.formal_runtime import formal_actions
+
+        def nodes(expr):
+            yield expr
+            for child in getattr(expr, "__dict__", {}).values():
+                for item in child if isinstance(child, tuple) else (child,):
+                    if hasattr(item, "__dataclass_fields__") and not isinstance(item, TData):
+                        yield from nodes(item)
+
+        programs = [random_program(seed, depth=3 + 2 * (seed % 2))[1] for seed in range(200)]
+        assert sum(any(formal_actions(expr).values()) for expr in programs) >= 100
+        found = {"function argument": False, "tuple argument": False, "mixed pair": False}
+        for expr in programs:
+            for node in nodes(expr):
+                if isinstance(node, App) and isinstance(node.function, Lam):
+                    found["function argument"] |= isinstance(node.argument, Lam)
+                    found["tuple argument"] |= isinstance(node.argument, Vec)
+                if isinstance(node, Pair) and isinstance(node.first, Unit) \
+                        and isinstance(node.second, Unit):
+                    found["mixed pair"] |= node.first.owners != node.second.owners
+        assert all(found.values()), found
+
     def test_value_of_builds_values_of_requested_type(self):
         owners = parties("a", "b")
         data = ProdData(SumData(UNIT, UNIT), UNIT)
         value = value_of(data, owners)
         observed = typecheck(owners, value)
         assert observed == TData(data, owners)
+
+
+class TestLookupAtAPartyOwningNoItem:
+    """``lookup`` owned by a party that owns no item of the tuple: the
+    typing rule allows it (the tuple type is noop-masked to the lookup's
+    owners), the party's projection of the tuple floors to ⊥, and so must
+    the lookup's.  Without that floor rule λN gets stuck on ``lookup^0 ⊥``."""
+
+    def program(self):
+        everyone, bob = parties("alice", "bob", "carol"), parties("bob")
+        item = TData(ProdData(UNIT, UNIT), bob)
+        body = App(Com("bob", everyone), App(Lookup(0, everyone), Var("v")))
+        lam = Lam("v", TVec((item,)), body, everyone)
+        return everyone, App(lam, Vec((Pair(Unit(bob), Unit(bob)),)))
+
+    def test_every_property_holds(self):
+        census, program = self.program()
+        reports = check_all(census, program)
+        assert all(reports.values()), {name: r.details for name, r in reports.items()}
 
 
 class TestCorpusMetatheory:

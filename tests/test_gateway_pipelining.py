@@ -79,9 +79,9 @@ def test_client_walks_a_burst_of_replies_without_recopying(monkeypatch):
 
 
 class TestReadersReuseOneBuffer:
-    """Each socket reader receives with ``recv_into``: 0 ``recv`` calls,
-    where the threaded readers once made one per chunk and the asyncio
-    loop one per read event."""
+    """Each socket reader receives with ``recv_into``: 0 ``recv`` calls.
+    The transport cases run the one selector transport under its two
+    names."""
 
     @staticmethod
     def count_recv(monkeypatch):
