@@ -201,10 +201,8 @@ class ClusterClient:
     def scan(self, prefix: str = "") -> List[Tuple[str, str]]:
         """All bindings under ``prefix``, across every shard, in key order.
 
-        One scan choreography runs per shard (they pipeline concurrently);
-        each returns its shard's items pre-sorted, and the per-shard lists
-        are merged here.  Shards partition the keyspace, so the merge needs
-        no deduplication.
+        One scan choreography runs per shard (they pipeline concurrently),
+        merged by :meth:`ClusterEngine.submit_scan_items`.
 
         Returns:
             The matching ``(key, value)`` pairs, sorted by key.
@@ -212,15 +210,7 @@ class ClusterClient:
         Like ``get``, a scan is idempotent and re-issued (whole) up to
         ``retries`` times when any shard's run fails.
         """
-
-        def attempt() -> List[Tuple[str, str]]:
-            futures = self.cluster.submit_scan(prefix)
-            items: List[Tuple[str, str]] = []
-            for future in futures.values():
-                items.extend(self.cluster.response_of(future.result()))
-            return sorted(items)
-
-        return self._retrying_read(attempt)
+        return self._retrying_read(lambda: self.cluster.submit_scan_items(prefix).result())
 
     # ------------------------------------------------------------------ plumbing --
 

@@ -177,6 +177,33 @@ class _Answers:
             self.whole.set_result(self.answers)
 
 
+class _Scan:
+    """One scan's shard runs, merged as they settle; the last run to settle
+    settles ``whole`` with the sorted items, or the first failed run's error."""
+
+    def __init__(self, whole: "Future[List[Tuple[str, str]]]", runs: int, client: Location):
+        self.whole, self.left, self.client = whole, runs, client
+        self.items: List[Tuple[str, str]] = []
+        self.error: Optional[BaseException] = None
+        self.lock = threading.Lock()
+
+    def run(self, done: "Future[ChoreographyResult]") -> None:
+        """A shard run's done-callback."""
+        error = done.exception()
+        with self.lock:
+            if error is None:
+                self.items += done.result().value_at(self.client)
+            elif self.error is None:
+                self.error = error
+            self.left -= 1
+            if self.left:
+                return
+        if self.error is not None:
+            self.whole.set_exception(self.error)
+        else:
+            self.whole.set_result(sorted(self.items))
+
+
 #: The ops with the replica-group shape ``(client, primary, backups, state,
 #: payload)``: binding name → (choreography, payload lift).
 _REPLICA_GROUP_OPS: Dict[str, Tuple[Choreography, Callable[..., Any]]] = {
@@ -837,14 +864,25 @@ class ClusterEngine:
 
         Returns:
             One Future per shard; each resolves to a run whose client value
-            is that shard's sorted ``(key, value)`` list.  Merging is the
-            caller's business (:meth:`ClusterClient.scan` does a sorted
-            merge).
+            is that shard's sorted ``(key, value)`` list.
+            :meth:`submit_scan_items` merges them.
         """
         return {
             shard_id: self._submit(shard_id, "scan", args=(prefix,))
             for shard_id in self.shards
         }
+
+    def submit_scan_items(self, prefix: str = "") -> "Future[List[Tuple[str, str]]]":
+        """:meth:`submit_scan` merged into one Future of every shard's
+        ``(key, value)`` pairs under ``prefix``, sorted by key; shards
+        partition the keyspace, so the merge drops nothing.  It fails with
+        the error of the first shard run that failed."""
+        whole: "Future[List[Tuple[str, str]]]" = _future()
+        runs = self.submit_scan(prefix)
+        scan = _Scan(whole, len(runs), self.client)
+        for run in runs.values():
+            run.add_done_callback(scan.run)
+        return whole
 
     def response_of(self, result: ChoreographyResult) -> Response:
         """Unwrap the client-side :class:`Response` from a shard run result."""

@@ -10,9 +10,9 @@ the front:
   ``code``/``message``/``detail`` schema) with incremental parsers;
 * :class:`~repro.gateway.settings.GatewaySettings` — the operational
   knobs in one frozen dataclass (bind address, caps, high-water marks);
-* :class:`~repro.gateway.server.GatewayServer` — the threaded accept loop
-  with per-connection **backpressure** (an in-flight budget enforced via
-  TCP flow control) and cluster-wide **admission control** (retryable
+* :class:`~repro.gateway.server.GatewayServer` — one selector thread for
+  every connection, with per-connection **backpressure** (a budget of held
+  replies enforced via TCP flow control) and cluster-wide **admission control** (retryable
   ``BUSY`` shedding past the ``pending`` high-water mark, sticky until
   load falls back to the low-water mark), plus graceful drain-then-close;
 * :class:`~repro.gateway.client.GatewayClient` — the blocking/pipelined

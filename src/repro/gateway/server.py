@@ -1,25 +1,33 @@
 """The gateway server: TCP front door over a :class:`ClusterClient`.
 
 :class:`GatewayServer` turns the in-process cluster API into a network
-service.  The threading model mirrors the cluster's own pipelined shape:
+service.  One daemon thread, ``gw-selector``, does all of its socket work,
+a Reactor like the transports' selector thread: it blocks in one
+:func:`selectors.DefaultSelector`, accepts connections (or answers
+``MAXCONN`` and hangs up past ``max_connections``), reads each readable one
+with ``recv_into`` into one reused ``mmap``, walks each chunk's commands
+with a cursor over one buffer, and *submits* each to the cluster without
+waiting, so a pipelining client keeps every shard busy from a single
+connection.  No thread belongs to a connection.
 
-* one **accept thread** admits connections (or answers ``MAXCONN`` and
-  hangs up past ``max_connections``);
-* per connection, one **reader thread** parses commands incrementally off
-  the socket and *submits* them to the cluster without waiting — a
-  pipelining client keeps every shard busy from a single connection;
-* per connection, one **writer thread** drains a FIFO queue of pending
-  replies, waiting each cluster Future in submission order, so replies are
-  delivered in request order no matter how shard runs interleave.  Each
-  queued reply yields its frame's bytes, so the writer only sends.
+Replies leave in request order.  Each command takes the next slot of its
+connection's ring.  A cluster Future's done-callback fills its slot, and
+the thread that fills the head slot writes the ring's filled prefix with
+one non-blocking ``send``, under the connection's lock; bytes the kernel
+refuses wait in the connection's ``out`` buffer, and the selector flushes
+them once the socket is writable.  Registrations belong to the selector
+thread alone, so another thread posts to it only to change one: after a
+partial write, when a paused connection's ring has room again, and when a
+connection that hung up has drained or its socket failed.
 
 Two distinct overload defenses, deliberately separated:
 
-* **Backpressure** (per connection): the reader acquires a slot from a
-  semaphore of ``max_inflight_per_conn`` before each data-plane submit.
-  When a client pipelines past its budget the reader blocks — it stops
-  draining the socket, the kernel's receive window fills, and TCP pushes
-  back on the sender.  No error, no drop; the client is just paced.
+* **Backpressure** (per connection): the selector stops reading a
+  connection while its ring holds ``max_inflight_per_conn`` replies
+  (control-plane and error replies count too) or while ``out`` holds
+  unsent bytes.  The kernel's receive window fills, and TCP pushes back
+  on the sender.  No error, no drop; the client is just paced, and one
+  that stops reading costs the gateway at most that many replies.
 * **Admission control** (cluster-wide): when the cluster's total in-flight
   load (:attr:`ClusterEngine.pending`) climbs above
   ``admission_high_water``, new data-plane commands are answered with a
@@ -33,18 +41,21 @@ Two distinct overload defenses, deliberately separated:
 
 ``close()`` is a graceful drain: stop accepting, answer ``DRAINING`` to
 new data-plane commands, wait up to ``drain_timeout`` seconds for
-in-flight replies to flush, then tear the sockets down.
+in-flight replies to reach the kernel, then stop the selector thread,
+which closes every socket.
 """
 
 from __future__ import annotations
 
 import json
 import mmap
+import selectors
 import socket
 import threading
 import time
-from queue import Empty, SimpleQueue
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from collections import deque
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..cluster.client import ClusterClient
 from .protocol import (
@@ -71,185 +82,45 @@ from .settings import GatewaySettings
 _RECV_SIZE = 65536
 #: ``listen()`` backlog for the accept socket.
 _ACCEPT_BACKLOG = 128
-#: Writer-queue poll interval; bounds how long shutdown waits on an idle queue.
-_QUEUE_POLL = 0.1
 #: Single-request verbs and the ClusterEngine method each submits through.
 _SINGLE_VERBS = {"GET": "submit_get", "PUT": "submit_put", "DEL": "submit_delete"}
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+#: What ``close()`` posts to the selector thread, in this order.
+_STOP_ACCEPTING, _STOP = "stop accepting", "stop"
 
-#: A queued reply: a thunk of its frame's bytes (ready now, or once the writer
-#: waits on cluster Futures), plus whether it holds an in-flight slot to release.
-_QueueItem = Tuple[Callable[[], bytes], bool]
+
+def _encode_response(response: Any) -> bytes:
+    return encode_reply(reply_for_response(response))
+
+
+def _encode_txn(result: Any) -> bytes:
+    return encode_reply(BulkReply(result.txn_id))
+
+
+def _encode_items(items: List[Tuple[str, str]]) -> bytes:
+    return encode_reply(ArrayReply(tuple(
+        ArrayReply((BulkReply(key), BulkReply(value))) for key, value in items)))
 
 
 class _Connection:
-    """One accepted client socket plus its reader/writer thread pair."""
+    """One client socket and the ordered ring of its replies.
 
-    def __init__(self, server: "GatewayServer", sock: socket.socket, peer: str):
-        self.server = server
+    The selector thread alone parses, registers and closes it.  ``lock``
+    guards what completing threads touch too: the ring's slots, ``out``,
+    ``dead`` and ``events``.
+    """
+
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.peer = peer
-        self.queue: "SimpleQueue[Optional[_QueueItem]]" = SimpleQueue()
-        self.inflight = threading.Semaphore(server.settings.max_inflight_per_conn)
-        self.closed = threading.Event()
-        self.reader = threading.Thread(
-            target=self._read_loop, name=f"gw-read-{peer}", daemon=True
-        )
-        self.writer = threading.Thread(
-            target=self._write_loop, name=f"gw-write-{peer}", daemon=True
-        )
-
-    def start(self) -> None:
-        self.reader.start()
-        self.writer.start()
-
-    # ---------------------------------------------------------------- reader --
-
-    def _read_loop(self) -> None:
-        pending = b""  # the unparsed tail of the stream so far
-        received = mmap.mmap(-1, _RECV_SIZE)  # reused; pages commit as bytes land
-        view = memoryview(received)
-        try:
-            while not self.closed.is_set():
-                try:
-                    count = self.sock.recv_into(received)
-                except OSError:
-                    break
-                if not count:
-                    break
-                # One immutable buffer per received chunk, walked by cursor:
-                # a chunk of N pipelined commands is copied once, not N times.
-                data = pending + view[:count]
-                start = 0
-                while not self.closed.is_set():
-                    try:
-                        args, start = parse_command(data, start)
-                    except ProtocolError as exc:
-                        # Framing damage is always fatal: answer with the
-                        # typed error, then hang up (the stream cursor is
-                        # unrecoverable).  Per-command problems surface as
-                        # CommandError inside _dispatch instead.
-                        self.server._count("protocol_errors")
-                        self._enqueue_ready(error_reply(exc.code, str(exc)))
-                        return
-                    if args is None:
-                        break
-                    self._dispatch(args)
-                pending = data[start:]
-        finally:
-            self._finish_queue()
-
-    def _dispatch(self, args: List[str]) -> None:
-        """Validate, admit, submit, and enqueue the reply for one command."""
-        self.server._count("commands")
-        try:
-            command = command_from_args(args)
-        except CommandError as exc:
-            self.server._count("protocol_errors")
-            self._enqueue_ready(reply_for_exception(exc))
-            return
-        if command.is_data_plane:
-            if self.server._draining.is_set():
-                self.server._count("rejected_draining")
-                self._enqueue_ready(
-                    error_reply(ERR_DRAINING, "gateway is shutting down")
-                )
-                return
-            pending = self.server.client.cluster.pending
-            if not self.server._admit(pending):
-                self.server._count("shed_busy")
-                self._enqueue_ready(
-                    error_reply(
-                        ERR_BUSY,
-                        "cluster is saturated, retry with backoff",
-                        pending=pending,
-                        high_water=self.server.settings.admission_high_water,
-                        low_water=self.server.settings.low_water,
-                    )
-                )
-                return
-            # Backpressure: block the reader until an in-flight slot frees.
-            self.inflight.acquire()
-            if self.closed.is_set():
-                # The writer has stopped: nothing would answer this command.
-                self.inflight.release()
-                return
-            try:
-                producer = self.server._submit(command)
-            except BaseException as exc:  # noqa: BLE001 - typed reply instead
-                self.inflight.release()
-                self._enqueue_ready(reply_for_exception(exc))
-                return
-            self.server._inflight_started()
-            self.queue.put((producer, True))
-        else:
-            self._enqueue_ready(self.server._control(command))
-
-    def _enqueue_ready(self, reply: Reply) -> None:
-        data = encode_reply(reply)
-        self.queue.put(((lambda: data), False))
-
-    def _finish_queue(self) -> None:
-        self.queue.put(None)
-
-    # ---------------------------------------------------------------- writer --
-
-    def _write_loop(self) -> None:
-        try:
-            while True:
-                try:
-                    item = self.queue.get(timeout=_QUEUE_POLL)
-                except Empty:
-                    if self.closed.is_set():
-                        break
-                    continue
-                if item is None:
-                    return
-                producer, holds_slot = item
-                broken = False
-                try:
-                    try:
-                        data = producer()
-                    except BaseException as exc:  # noqa: BLE001 - a frame
-                        data = encode_reply(reply_for_exception(exc))
-                    try:
-                        self.sock.sendall(data)
-                    except OSError:
-                        broken = True
-                finally:
-                    # Release only after the reply bytes are on the socket:
-                    # the drain in close() waits on this count, and waking
-                    # it before the send lets the shutdown race the flush.
-                    if holds_slot:
-                        self.inflight.release()
-                        self.server._inflight_done()
-                if broken:
-                    break
-            # Stopped before the reader's end marker: replies still queued (or
-            # about to be) will never be sent, but their slots must come back,
-            # or the reader blocks on one forever and close() waits out its
-            # drain for them.
-            self.close()
-            while (item := self.queue.get()) is not None:
-                if item[1]:
-                    self.inflight.release()
-                    self.server._inflight_done()
-        finally:
-            self.close()
-            self.server._forget(self)
-
-    def close(self) -> None:
-        """Idempotently tear the socket down and wake both loops."""
-        if self.closed.is_set():
-            return
-        self.closed.set()
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        #: ``[reply bytes or None, 1 if its command is in flight]`` per command.
+        self.ring: Deque[List[Any]] = deque()
+        self.out = b""  # bytes the kernel refused; owed before the ring
+        self.out_held = 0  # in-flight commands whose replies are in ``out``
+        self.lock = threading.Lock()
+        self.data, self.start = b"", 0  # the unparsed buffer and the cursor in it
+        self.events = _READ  # what the selector waits for; 0 is unregistered
+        self.hung_up = False  # EOF or framing damage: read no more
+        self.dead = False  # the socket failed: replies are dropped, not sent
 
 
 class GatewayServer:
@@ -278,9 +149,10 @@ class GatewayServer:
         self.client = client
         self.settings = settings if settings is not None else GatewaySettings()
         self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
+        self._thread: Optional[threading.Thread] = None
+        #: Changed by the selector thread only, as are the counters.
         self._connections: Set[_Connection] = set()
-        self._lock = threading.Lock()
+        self._posted: Deque[Any] = deque()  # for the selector: connections, stops
         self._counters: Dict[str, int] = {
             "accepted": 0,
             "commands": 0,
@@ -289,29 +161,31 @@ class GatewayServer:
             "rejected_draining": 0,
             "protocol_errors": 0,
         }
-        self._inflight = 0
+        self._inflight = 0  # data-plane commands whose reply the kernel lacks
+        self._idle = threading.Condition()  # guards _inflight; close() drains on it
         self._shedding = False
-        self._idle = threading.Condition(self._lock)
         self._draining = threading.Event()
-        self._closed = threading.Event()
-        self._started = False
+        self._closed = False
 
     # ----------------------------------------------------------------- lifecycle --
 
     def start(self) -> "GatewayServer":
-        """Bind, listen, and spawn the accept thread.  Idempotent."""
-        if self._started:
+        """Bind, listen, and spawn the selector thread.  Idempotent."""
+        if self._thread is not None:
             return self
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.settings.host, self.settings.port))
         listener.listen(_ACCEPT_BACKLOG)
+        listener.setblocking(False)
         self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="gw-accept", daemon=True
-        )
-        self._started = True
-        self._accept_thread.start()
+        self._selector = selectors.DefaultSelector()
+        self._wake_read, self._wake_write = socket.socketpair()  # for _post
+        self._wake_write.setblocking(False)
+        self._selector.register(listener, _READ, listener)
+        self._selector.register(self._wake_read, _READ, None)
+        self._thread = threading.Thread(target=self._serve, name="gw-selector", daemon=True)
+        self._thread.start()
         return self
 
     @property
@@ -326,22 +200,16 @@ class GatewayServer:
 
         Stops accepting, answers ``DRAINING`` to new data-plane commands,
         waits up to ``drain_timeout`` seconds for already-submitted
-        commands to be answered, then closes every connection.
+        commands' replies to reach the kernel, then stops the selector
+        thread, which closes every connection.
         """
-        if self._closed.is_set():
+        if self._closed:
             return
+        self._closed = True
         self._draining.set()
-        if self._listener is not None:
-            # Closing a listening socket does not wake a thread blocked in
-            # accept() on Linux; shutting it down does.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        if self._thread is None:
+            return
+        self._post(_STOP_ACCEPTING)
         deadline = time.monotonic() + self.settings.drain_timeout
         with self._idle:
             while self._inflight > 0:
@@ -349,13 +217,8 @@ class GatewayServer:
                 if remaining <= 0:
                     break
                 self._idle.wait(remaining)
-        self._closed.set()
-        with self._lock:
-            connections = list(self._connections)
-        for connection in connections:
-            connection.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=1.0)
+        self._post(_STOP)
+        self._thread.join(timeout=1.0)
 
     def __enter__(self) -> "GatewayServer":
         return self.start()
@@ -363,88 +226,267 @@ class GatewayServer:
     def __exit__(self, *_exc: Any) -> None:
         self.close()
 
-    # -------------------------------------------------------------------- accept --
+    # ------------------------------------------------------------ selector thread --
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._closed.is_set():
+    def _serve(self) -> None:
+        try:
+            self._select_loop()
+        finally:
+            for conn in list(self._connections):
+                with conn.lock:
+                    self._close(conn)
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._wake_write.close()
+
+    def _select_loop(self) -> None:
+        select, posted = self._selector.select, self._posted
+        buffer = mmap.mmap(-1, _RECV_SIZE)  # reused; pages commit as bytes land
+        view = memoryview(buffer)
+        while True:
+            for key, events in select():
+                conn = key.data
+                if type(conn) is _Connection:
+                    events &= conn.events  # a late event of a changed registration
+                    if events & _READ:
+                        self._read(conn, buffer, view)
+                    elif events:
+                        self._pump(conn)
+                elif conn is None:  # posts from other threads
+                    self._wake_read.recv(4096)
+                    while posted:
+                        item = posted.popleft()
+                        if item is _STOP:
+                            return
+                        if item is _STOP_ACCEPTING:
+                            self._selector.unregister(self._listener)
+                            self._listener.close()  # type: ignore[union-attr]
+                        else:
+                            self._pump(item)
+                else:
+                    self._accept(conn)
+
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            sock, _addr = listener.accept()
+        except OSError:  # reset before accept
+            return
+        if len(self._connections) >= self.settings.max_connections:
+            self._counters["rejected_maxconn"] += 1
             try:
-                sock, addr = self._listener.accept()
+                sock.send(encode_reply(error_reply(
+                    ERR_MAXCONN, "connection limit reached",
+                    max_connections=self.settings.max_connections)))
             except OSError:
-                return  # listener closed: shutting down
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            peer = f"{addr[0]}:{addr[1]}"
-            with self._lock:
-                over_cap = len(self._connections) >= self.settings.max_connections
-                if not over_cap:
-                    connection = _Connection(self, sock, peer)
-                    self._connections.add(connection)
-                    self._counters["accepted"] += 1
-            if over_cap:
-                self._count("rejected_maxconn")
-                try:
-                    sock.sendall(
-                        encode_reply(
-                            error_reply(
-                                ERR_MAXCONN,
-                                "connection limit reached",
-                                max_connections=self.settings.max_connections,
-                            )
-                        )
-                    )
-                except OSError:
-                    pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                continue
-            connection.start()
+                pass
+            sock.close()
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Connection(sock)
+        self._connections.add(conn)
+        self._counters["accepted"] += 1
+        self._selector.register(sock, _READ, conn)
 
-    def _forget(self, connection: _Connection) -> None:
-        with self._lock:
-            self._connections.discard(connection)
+    def _read(self, conn: _Connection, buffer: mmap.mmap, view: memoryview) -> None:
+        try:
+            count = conn.sock.recv_into(buffer)
+        except BlockingIOError:
+            return
+        except OSError:  # reset: nothing more will be sent either
+            count, conn.dead = 0, True
+        if count:
+            # One immutable buffer per received chunk, walked by cursor: a
+            # chunk of N pipelined commands is copied once, not N times.
+            conn.data = conn.data[conn.start:] + view[:count]
+            conn.start = 0
+        else:
+            conn.hung_up = True
+        self._pump(conn)
+
+    def _pump(self, conn: _Connection) -> None:
+        """Parse the commands the ring has room for, write what is ready, and
+        wait for what is left: more bytes, room, a writable socket."""
+        if conn not in self._connections:
+            return  # a post that arrived after the close
+        budget, ring = self.settings.max_inflight_per_conn, conn.ring
+        while True:
+            data, start, more = conn.data, conn.start, True
+            while more and len(ring) < budget and not conn.out and not conn.hung_up:
+                try:
+                    args, start = parse_command(data, start)
+                except ProtocolError as exc:
+                    # Framing damage is always fatal: answer with the typed
+                    # error, then hang up (the stream cursor is
+                    # unrecoverable).  Per-command problems surface as
+                    # CommandError inside _dispatch instead.
+                    self._counters["protocol_errors"] += 1
+                    ring.append([encode_reply(error_reply(exc.code, str(exc))), 0])
+                    conn.hung_up = True
+                    break
+                if args is None:
+                    more = False
+                else:
+                    self._dispatch(conn, args)
+            if start == len(data):  # all parsed: keep no chunk alive
+                conn.data, start = b"", 0
+            conn.start = start
+            with conn.lock:
+                self._write(conn)
+                events = self._wanted(conn)
+                if events < 0:
+                    self._close(conn)
+                    return
+                if not (events & _READ and more):  # else the ring has room again
+                    self._register(conn, events)
+                    return
+
+    def _register(self, conn: _Connection, events: int) -> None:
+        """Wait for ``events`` on ``conn`` (selector thread, lock held)."""
+        if events != conn.events:
+            if not conn.events:
+                self._selector.register(conn.sock, events, conn)
+            elif events:
+                self._selector.modify(conn.sock, events, conn)
+            else:
+                self._selector.unregister(conn.sock)
+            conn.events = events
+
+    def _close(self, conn: _Connection) -> None:
+        """Drop ``conn`` and what it still owes (selector thread, lock held)."""
+        conn.dead = True
+        self._write(conn)
+        self._register(conn, 0)
+        self._connections.discard(conn)
+        try:
+            conn.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        conn.sock.close()
+
+    def _dispatch(self, conn: _Connection, args: List[str]) -> None:
+        """Validate, admit and submit one command; its reply takes the next slot."""
+        self._counters["commands"] += 1
+        try:
+            command = command_from_args(args)
+            if not command.is_data_plane:
+                reply = self._control(command)
+            elif self._draining.is_set():
+                self._counters["rejected_draining"] += 1
+                reply = error_reply(ERR_DRAINING, "gateway is shutting down")
+            elif not self._admit(pending := self.client.cluster.pending):
+                self._counters["shed_busy"] += 1
+                reply = error_reply(
+                    ERR_BUSY,
+                    "cluster is saturated, retry with backoff",
+                    pending=pending,
+                    high_water=self.settings.admission_high_water,
+                    low_water=self.settings.low_water,
+                )
+            else:
+                future, encode = self._submit(command)
+                slot = [None, 1]
+                conn.ring.append(slot)
+                with self._idle:
+                    self._inflight += 1
+                future.add_done_callback(partial(self._done, conn, slot, encode))
+                return
+        except Exception as exc:  # noqa: BLE001 - a typed frame instead
+            if isinstance(exc, CommandError):
+                self._counters["protocol_errors"] += 1
+            reply = reply_for_exception(exc)
+        conn.ring.append([encode_reply(reply), 0])
+
+    # ------------------------------------------------------------ reply writing --
+
+    def _done(self, conn: _Connection, slot: List[Any],
+              encode: Callable[[Any], bytes], future: Any) -> None:
+        """A cluster Future's done-callback: fill its slot, and write the ring's
+        filled prefix if the slot heads it."""
+        try:
+            reply = encode(future.result())
+        except Exception as exc:  # noqa: BLE001 - a typed frame instead
+            reply = encode_reply(reply_for_exception(exc))
+        with conn.lock:
+            slot[0] = reply
+            if conn.ring[0] is not slot:
+                return  # an earlier reply is still pending; its filler writes
+            self._write(conn)
+            post = self._wanted(conn) != conn.events and conn in self._connections
+        if post:
+            self._post(conn)
+
+    def _write(self, conn: _Connection) -> None:
+        """Send ``out`` and then the ring's filled prefix, without blocking
+        (lock held).  A command stays in flight until the kernel has taken
+        its reply's bytes, or the connection has failed."""
+        data, held, ring = conn.out, conn.out_held, conn.ring
+        while ring and ring[0][0] is not None:
+            reply, holds = ring.popleft()
+            data += reply
+            held += holds
+        if not data:
+            return
+        sent = 0
+        if not conn.dead:
+            try:
+                sent = conn.sock.send(data)
+            except BlockingIOError:
+                pass
+            except OSError:  # reset or broken: drop what it is owed
+                conn.dead = True
+        if conn.dead or sent == len(data):
+            conn.out, conn.out_held = b"", 0
+            if held:
+                with self._idle:
+                    self._inflight -= held
+                    if self._inflight <= 0:
+                        self._idle.notify_all()
+        else:
+            conn.out, conn.out_held = data[sent:], held
+
+    def _wanted(self, conn: _Connection) -> int:
+        """What the selector should wait for on ``conn``, or -1 when it is done
+        with it (lock held).  Reading pauses while the ring is full or ``out``
+        is owed, so a connection holds at most ``max_inflight_per_conn``
+        replies, whether or not its client reads them."""
+        if conn.dead or conn.hung_up and not conn.ring and not conn.out:
+            return -1
+        paused = conn.hung_up or conn.out or len(conn.ring) >= self.settings.max_inflight_per_conn
+        return (0 if paused else _READ) | (_WRITE if conn.out else 0)
+
+    def _post(self, item: Any) -> None:
+        """Hand ``item`` to the selector thread and wake it."""
+        self._posted.append(item)
+        try:
+            self._wake_write.send(b"\0")
+        except OSError:  # full: a wake-up is pending; closed: the thread is gone
+            pass
 
     # ------------------------------------------------------------------ execution --
 
-    def _submit(self, command: Command) -> Callable[[], bytes]:
-        """Submit a data-plane command now; return the thunk of its reply bytes.
+    def _submit(self, command: Command) -> Tuple[Any, Callable[[Any], bytes]]:
+        """Submit a data-plane command now: its cluster Future, and the encoder
+        of the Future's result into the reply's bytes.
 
-        Submission happens on the reader thread (so ordering across a
-        connection's commands matches arrival order); the returned thunk is
-        resolved by the writer thread, which is where Future waiting —
-        potentially slow — belongs.
+        Submission happens on the selector thread, so the commands of a
+        connection are submitted in arrival order.
         """
-        client = self.client
+        cluster = self.client.cluster
         single = _SINGLE_VERBS.get(command.verb)
         if single is not None:
-            future = getattr(client.cluster, single)(*command.args)
-            return lambda: encode_reply(reply_for_response(future.result()))
+            return getattr(cluster, single)(*command.args), _encode_response
         if command.verb == "BATCH":
-            answers = client.cluster.submit_batch_answers(command.requests)
-            return lambda: encode_answers(answers.result())
+            return cluster.submit_batch_answers(command.requests), encode_answers
         if command.verb == "MULTI":
             # One cross-shard 2PC; the Future raises TxnConflict/TxnAborted
             # on abort, which reply_for_exception maps to a retryable
-            # ABORTED frame (the writer thread wraps the thunk).
-            txn_future = client.cluster.submit_txn(command.requests)
-            return lambda: encode_reply(BulkReply(txn_future.result().txn_id))
+            # ABORTED frame (the done-callback catches it).
+            return cluster.submit_txn(command.requests), _encode_txn
         if command.verb == "SCAN":
             prefix = command.args[0] if command.args else ""
-            shard_futures = client.cluster.submit_scan(prefix)
-
-            def scan_reply() -> bytes:
-                items: List[Tuple[str, str]] = []
-                for future in shard_futures.values():
-                    items.extend(client.cluster.response_of(future.result()))
-                return encode_reply(ArrayReply(
-                    tuple(
-                        ArrayReply((BulkReply(key), BulkReply(value)))
-                        for key, value in sorted(items)
-                    )
-                ))
-
-            return scan_reply
+            return cluster.submit_scan_items(prefix), _encode_items
         raise CommandError(f"unroutable command: {command.verb}")
 
     def _control(self, command: Command) -> Reply:
@@ -471,10 +513,6 @@ class GatewayServer:
 
     # ------------------------------------------------------------------- plumbing --
 
-    def _count(self, counter: str) -> None:
-        with self._lock:
-            self._counters[counter] += 1
-
     def _admit(self, pending: int) -> bool:
         """Admission-control decision for one data-plane command.
 
@@ -482,36 +520,21 @@ class GatewayServer:
         high-water mark, keep shedding until it falls back to the low-water
         mark.  The band prevents admit/shed flapping around the threshold.
         """
-        with self._lock:
-            if self._shedding:
-                if pending <= self.settings.low_water:
-                    self._shedding = False
-            elif pending > self.settings.admission_high_water:
-                self._shedding = True
-            return not self._shedding
-
-    def _inflight_started(self) -> None:
-        with self._lock:
-            self._inflight += 1
-
-    def _inflight_done(self) -> None:
-        with self._idle:
-            self._inflight -= 1
-            if self._inflight <= 0:
-                self._idle.notify_all()
+        if self._shedding:
+            if pending <= self.settings.low_water:
+                self._shedding = False
+        elif pending > self.settings.admission_high_water:
+            self._shedding = True
+        return not self._shedding
 
     def metrics(self) -> Dict[str, Any]:
         """A JSON-ready snapshot of gateway counters and cluster load."""
-        with self._lock:
-            counters = dict(self._counters)
-            connections = len(self._connections)
-            inflight = self._inflight
-            shedding = self._shedding
+        counters = dict(self._counters)
         stats = self.client.stats
         counters.update(
-            connections=connections,
-            inflight=inflight,
-            shedding=shedding,
+            connections=len(self._connections),
+            inflight=self._inflight,
+            shedding=self._shedding,
             cluster_pending=self.client.cluster.pending,
             cluster_messages=stats.total_messages,
             cluster_bytes=stats.total_bytes,

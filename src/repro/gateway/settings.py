@@ -27,11 +27,14 @@ class GatewaySettings:
         max_connections: Hard cap on simultaneously accepted connections.
             The cap-plus-first excess connection is answered with a
             ``MAXCONN`` error and closed immediately.
-        max_inflight_per_conn: Per-connection budget of commands submitted
-            to the cluster but not yet answered.  When a client pipelines
-            past it, the gateway simply stops reading that connection's
-            socket — TCP flow control pushes back on the sender — rather
-            than erroring.  This is the *backpressure* mechanism.
+        max_inflight_per_conn: Per-connection budget of replies the
+            gateway holds: every command's reply, data-plane, control-plane
+            or error, from its arrival until the kernel has taken its bytes.
+            While a connection holds that many, or has unsent bytes the
+            kernel refused, the gateway simply stops reading its socket —
+            TCP flow control pushes back on the sender — rather than
+            erroring, so a client that pipelines without reading costs at
+            most this many replies.  This is the *backpressure* mechanism.
         admission_high_water: Cluster-wide in-flight threshold
             (:attr:`~repro.cluster.ClusterEngine.pending`) above which new
             data-plane commands are *shed* with a retryable ``BUSY`` error

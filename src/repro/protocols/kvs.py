@@ -1004,6 +1004,9 @@ class CatchupReport:
     fell_back: bool
 
 
+wire.register_pickled(CatchupReport)
+
+
 def kvs_catchup(
     op: ChoreoOp,
     client: Location,

@@ -34,16 +34,25 @@ enums round-trip through pickle with their class intact.  The module that
 defines a record type registers it (:func:`register_record`), so this module
 imports nothing above it.
 
-``decode(encode(x)) == x`` for every value pickle accepts, and the fast-path
-encodings are strictly smaller than ``pickle.dumps`` for bools and ints — a
-property test in ``tests/test_property_based.py`` pins both claims down.
+A pickled payload may name only the classes the wire carries: ``set``,
+``frozenset``, ``complex``, each record type and its kind enum, a record
+subclass from a module already imported, and what a module registers with
+:func:`register_pickled`.  Any other name (``os.system``, ``eval``) fails
+the decode with :class:`ValueError` before anything runs.
+
+``decode(encode(x)) == x`` for every value pickle accepts whose classes the
+wire allows, and the fast-path encodings are strictly smaller than
+``pickle.dumps`` for bools and ints — a property test in
+``tests/test_property_based.py`` pins both claims down.
 """
 
 from __future__ import annotations
 
+import io
 import operator
 import pickle
 import struct
+import sys
 from itertools import chain
 from typing import Any, Callable, Sequence, Tuple
 
@@ -62,6 +71,9 @@ _CONTAINER_TAGS = {tuple: 0x74, list: 0x6C, dict: 0x64}
 #: Registered records by class (encoders) and by tag byte (decoders).
 _RECORD_OF: dict = {}
 _RECORD_AT: dict = {}
+#: The classes a pickled payload may name, by ``(module, qualified name)``: the
+#: builtins that arrive pickled, and the types registered below.
+_PICKLED: dict = {("builtins", cls.__name__): cls for cls in (set, frozenset, complex)}
 
 
 class _Fallback(Exception):
@@ -251,7 +263,7 @@ def decode(data: bytes) -> Any:
         return _CONSTANTS[data]
     if data[:1] == b"P":
         try:
-            return pickle.loads(data[1:])
+            return _Unpickler(io.BytesIO(data[1:])).load()
         except Exception as exc:  # arbitrary bytes can make pickle raise anything
             raise ValueError(f"malformed pickled wire payload: {exc!r}") from exc
     try:
@@ -271,6 +283,27 @@ def decode(data: bytes) -> Any:
     return value
 
 
+class _Unpickler(pickle.Unpickler):
+    """Unpickles a ``P`` payload, refusing every class the wire does not carry
+    before anything runs: a pickle naming ``os.system`` raises instead."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        cls = _PICKLED.get((module, name))
+        if cls is None:
+            # A record subclass (its extra fields take the fallback), from a
+            # module already imported: nothing is imported to check it.
+            cls = getattr(sys.modules.get(module), name, None)
+            if not (isinstance(cls, type) and issubclass(cls, tuple(_RECORD_OF))):
+                raise pickle.UnpicklingError(f"a wire payload may not name {module}.{name}")
+        return cls
+
+
+def register_pickled(*classes: type) -> None:
+    """Let pickled payloads name ``classes``, wire types without a record form."""
+    for cls in classes:
+        _PICKLED[cls.__module__, cls.__qualname__] = cls
+
+
 # ---------------------------------------------------------------------- records --
 
 
@@ -284,6 +317,7 @@ def register_record(cls: type, tag: str, kinds: Sequence[Any], fields: Sequence[
     ``1 + len(fields)`` to the element budget, as a tuple of them would.
     """
     kinds = tuple(kinds)  # found by identity: no Python-level enum __hash__
+    register_pickled(cls, type(kinds[0]))  # a record that takes the fallback
     read = operator.attrgetter("kind", *fields)
     width, code = 1 + len(fields), ord(tag)
 

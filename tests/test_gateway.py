@@ -21,10 +21,13 @@ separately and deterministically:
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
+import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -47,6 +50,7 @@ from repro.gateway import (
     GatewayError,
     GatewayServer,
     GatewaySettings,
+    encode_reply,
 )
 from repro.protocols.kvs import Request, StaleEpoch
 from tests.test_cluster_failover import BACKEND, CHAOS_SEEDS, TIMEOUT
@@ -377,60 +381,196 @@ class TestDrain:
         server.close()
 
     def test_close_on_an_idle_server_does_not_wait_out_the_accept_thread(self):
-        """Closing the listener must wake the thread blocked in accept():
-        close() used to sit through its whole 1 s join on every teardown."""
+        """close() must wake the thread that accepts: it used to sit through
+        a whole 1 s join of a thread blocked in accept() on every teardown.
+        The selector thread accepts now, and close() posts it a stop."""
         with ClusterClient(shards=1, replication=1, backend=BACKEND) as kvs:
             server = GatewayServer(kvs).start()
-            accept_thread = server._accept_thread
-            time.sleep(0.05)  # let the thread reach accept()
+            (selector,) = [t for t in threading.enumerate() if t.name == "gw-selector"]
+            time.sleep(0.05)  # let the thread reach select()
             began = time.monotonic()
             server.close()
             elapsed = time.monotonic() - began
-        assert not accept_thread.is_alive()
+        assert not selector.is_alive()
         assert elapsed < 0.5, f"close() took {elapsed:.2f}s"
 
 
 class TestDeadConnection:
     def test_reset_mid_pipeline_releases_slots_and_reader(self, monkeypatch):
-        """A client that resets with replies still queued: the writer used to
+        """A client that resets with replies still owed: the writer used to
         stop at its first failed send, leaving the queued replies' slots held
         and the reader blocked on one forever, and close() then waited out
-        the whole drain_timeout."""
+        the whole drain_timeout.  Now every slot comes back and the
+        connection leaves the server once its replies are dropped."""
         with ClusterClient(shards=2, replication=2, backend="local") as kvs:
             server = GatewayServer(kvs, GatewaySettings(drain_timeout=3.0)).start()
-            release = threading.Event()
+            release = Future()  # every reply waits on it
             submit = server._submit
 
             def held_submit(command):
-                producer = submit(command)
-                return lambda: release.wait(CLIENT_TIMEOUT) and producer()
+                future, encode = submit(command)
+                return release, lambda _: encode(future.result())
 
             monkeypatch.setattr(server, "_submit", held_submit)
             budget = server.settings.max_inflight_per_conn
             try:
                 raw = socket.create_connection(server.address, timeout=CLIENT_TIMEOUT)
-                reader = "gw-read-%s:%d" % raw.getsockname()[:2]
                 raw.sendall(b"".join(b"PUT k%d v\r\n" % i for i in range(200)))
                 deadline = time.monotonic() + CLIENT_TIMEOUT
                 while server.metrics()["inflight"] < budget:
                     assert time.monotonic() < deadline
                     time.sleep(0.01)
+                assert server.metrics()["connections"] == 1
                 raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
                 raw.close()
                 time.sleep(0.05)  # let the reset land before the first reply
-                release.set()
+                release.set_result(None)
 
                 def leftovers():
-                    readers = [t for t in threading.enumerate() if t.name == reader]
-                    return server.metrics()["inflight"], readers
+                    metrics = server.metrics()
+                    return metrics["inflight"], metrics["connections"]
 
-                while leftovers() != (0, []) and time.monotonic() < deadline:
+                while leftovers() != (0, 0) and time.monotonic() < deadline:
                     time.sleep(0.01)
-                assert leftovers() == (0, [])
+                assert leftovers() == (0, 0)
             finally:
                 began = time.monotonic()
                 server.close()
             assert time.monotonic() - began < 1.0
+
+
+class TestStalledClient:
+    def test_a_client_that_stops_reading_holds_at_most_the_budget(self):
+        """A client pipelines ~30 MB of PINGs (each echoing 80 bytes) and
+        PUTs into a 4 KiB receive buffer and never reads.  The gateway stops
+        reading it once its ring is full or a reply waits for the kernel, so
+        the send stalls well short of 30 MB, the command count stops, and
+        the connection holds at most the budget's replies.  Before, PINGs
+        held no in-flight slot, the reader kept reading, and the writer's
+        queue grew without bound (363,309 replies after 30.8 MB)."""
+        total = 30 << 20
+        ping = b"PING " + b"x" * 80 + b"\r\n"
+        block = b"".join(b"PUT k v\r\n" if i % 16384 == 16383 else ping for i in range(32768))
+        largest = len(encode_reply(BulkReply("x" * 80)))
+        settings = GatewaySettings(drain_timeout=1.0)
+        budget = settings.max_inflight_per_conn
+        with ClusterClient(shards=1, replication=1, backend="local") as kvs:
+            server = GatewayServer(kvs, settings).start()
+            try:
+                raw = socket.socket()
+                raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                raw.connect(server.address)
+                raw.setblocking(False)
+                sent, progress, inflight = 0, time.monotonic(), 0
+                while sent < total and time.monotonic() - progress < 1.0:
+                    try:
+                        sent += raw.send(block[sent % len(block):])
+                        progress = time.monotonic()
+                    except BlockingIOError:
+                        time.sleep(0.01)
+                    inflight = max(inflight, server.metrics()["inflight"])
+                commands = server.metrics()["commands"]
+                time.sleep(0.3)
+                assert sent < total, "the gateway read the whole stream"
+                assert server.metrics()["commands"] == commands
+                assert inflight <= budget
+                (conn,) = server._connections
+                assert len(conn.ring) <= budget
+                assert len(conn.out) <= budget * largest
+            finally:
+                began = time.monotonic()
+                server.close()
+                elapsed = time.monotonic() - began
+                raw.close()
+        assert elapsed < settings.drain_timeout + 1.0
+
+
+class TestNoThreadPerConnection:
+    """A gateway runs one thread, ``gw-selector``, however many connections
+    it holds (an accept thread and a reader/writer pair per connection
+    before: 17 threads with 8 connections), and a closed or never-started
+    one holds no thread and no descriptor."""
+
+    @staticmethod
+    def descriptors():
+        return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+    def test_one_selector_thread_and_none_left_after_close(self):
+        with ClusterClient(shards=1, replication=1, backend="local") as kvs:
+            threads, descriptors = set(threading.enumerate()), self.descriptors()
+            GatewayServer(kvs)
+            assert self.descriptors() == descriptors  # never started: nothing opened
+            server = GatewayServer(kvs).start()
+            started = [t.name for t in set(threading.enumerate()) - threads]
+            assert started == ["gw-selector"]
+            clients = [GatewayClient(*server.address, timeout=CLIENT_TIMEOUT)
+                       for _ in range(8)]
+            for client in clients:
+                assert client.ping() == "PONG"
+            assert server.metrics()["connections"] == 8
+            started = [t.name for t in set(threading.enumerate()) - threads]
+            assert started == ["gw-selector"], started
+            for client in clients:
+                client.close()
+            server.close()
+            assert set(threading.enumerate()) - threads == set()
+            deadline = time.monotonic() + CLIENT_TIMEOUT
+            while self.descriptors() != descriptors and time.monotonic() < deadline:
+                time.sleep(0.01)  # a socket's descriptor goes when its last ref does
+            assert self.descriptors() == descriptors
+
+
+class TestRepliesUnderFastThreadSwitching:
+    def test_pipelining_clients_get_every_reply_in_order(self):
+        """Six clients pipeline bursts of PING/PUT/GET through a budget of 3
+        while the interpreter switches threads every 10 µs: the selector and
+        the completing threads share each connection's ring and ``out``, so
+        a lost wake-up hangs a client and a lost or reordered write breaks
+        its expected replies."""
+        clients, rounds, burst = 6, 20, 30
+        errors = []
+
+        def drive(server, index):
+            key, last = f"c{index}", None
+            try:
+                with GatewayClient(*server.address, timeout=10.0) as client:
+                    for round_ in range(rounds):
+                        expected = []
+                        for n in range(burst):
+                            value = f"{round_}.{n}"
+                            if n % 3 == 0:
+                                client.send("PING", value)
+                                expected.append(value)
+                            elif n % 3 == 1:
+                                client.send("PUT", key, value)
+                                expected.append(last)
+                                last = value
+                            else:
+                                client.send("GET", key)
+                                expected.append(last)
+                        replies = client.drain(burst)
+                        assert [reply.value for reply in replies] == expected
+            except BaseException as exc:  # noqa: BLE001 - reported by the test thread
+                errors.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ClusterClient(shards=2, replication=2, backend="local") as kvs:
+                with GatewayServer(kvs, GatewaySettings(max_inflight_per_conn=3)) as server:
+                    threads = [threading.Thread(target=drive, args=(server, index))
+                               for index in range(clients)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60.0)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert errors == []
+                    assert server.metrics()["commands"] == clients * rounds * burst
+                    assert server.metrics()["inflight"] == 0
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestGatewaySettings:

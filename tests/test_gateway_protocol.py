@@ -538,8 +538,8 @@ class TestABatchFrameIsCodedInOnePass:
         done = SimpleNamespace(result=partial(list, answers))  # no Python frame
         cluster = SimpleNamespace(submit_batch_answers=lambda requests: done)
         server = GatewayServer(SimpleNamespace(cluster=cluster))
-        produce = server._submit(command_from_args(args))
-        calls, data = _python_calls(produce)
+        future, encode = server._submit(command_from_args(args))
+        calls, data = _python_calls(encode, future.result())
         assert len(calls) <= self.LIMIT, calls
         assert data == reference.encode_reply(
             ArrayReply(tuple(map(reply_for_response, answers))))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import pickle
 import shutil
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -315,6 +316,52 @@ def _mutate(payload, at: int, byte: int, how: str) -> bytes:
     return bytes(data)
 
 
+class _Reduces:
+    """Pickles as a call of ``function(*args)``, as a hostile peer's pickle may."""
+
+    def __init__(self, function, *args):
+        self.function, self.args = function, args
+
+    def __reduce__(self):
+        return self.function, self.args
+
+
+class TestThePickleDoor:
+    """A ``P`` payload names only the classes the wire carries; a pickle that
+    would call anything else is refused with ValueError before it runs."""
+
+    def test_a_pickle_calling_os_system_is_refused_without_running(self, monkeypatch):
+        data = b"P" + pickle.dumps(_Reduces(os.system, "exit 3"))
+        assert b"system" in data
+        ran = []
+        # Where the pickle names it (posix.system on Linux): a widened door runs this.
+        monkeypatch.setattr(sys.modules[os.system.__module__], "system",
+                            lambda command: ran.append(command) or 0)
+        with pytest.raises(ValueError, match="may not name"):
+            wire.decode(data)
+        assert ran == []
+
+    @pytest.mark.parametrize("payload", [
+        _Reduces(eval, "6 * 7"),
+        _Reduces(__import__, "os"),
+        _Reduces(shutil.which, "sh"),
+        _Reduces(dataclass, int),  # a loaded callable that is not a wire type
+    ])
+    def test_any_other_callable_is_refused(self, payload):
+        with pytest.raises(ValueError, match="may not name"):
+            wire.decode(b"P" + pickle.dumps(payload))
+
+    def test_the_wire_types_still_arrive(self):
+        from repro.protocols.kvs import CatchupReport
+
+        report = CatchupReport("delta", True, 3, 7, False)
+        for payload in ({1, 2}, frozenset({"a"}), 2 + 3j, report,
+                        [Request(RequestKind.GET, "k\ud800")],
+                        Response(ResponseKind.FOUND, 5)):
+            encoded = wire.encode(payload)
+            assert encoded[:1] == b"P" and wire.decode(encoded) == payload
+
+
 # ---------------------------------------------------------------- count guard --
 
 
@@ -375,6 +422,8 @@ def traffic(tmp_path_factory):
             cluster.in_doubt()  # and the warm-up's decide is delivered
             patch.setattr(pickle, "dumps", _counting(pickle.dumps, counts, "dumps"))
             patch.setattr(pickle, "loads", _counting(pickle.loads, counts, "loads"))
+            patch.setattr(wire._Unpickler, "load",
+                          _counting(wire._Unpickler.load, counts, "loads"))
             patch.setattr(wire, "encode", capture)
             before = cluster.stats.total_messages
             _drive(cluster, books, 200, 20)
